@@ -108,7 +108,7 @@ void SimTime_E14_LookupLoad(benchmark::State& state) {
       const ObjectId& key = ids[Mix64(0xE14 + i) % objects];
       testbed.simulation().Schedule(arrival, [&, i, key]() {
         sim::SimTime issued = testbed.simulation().Now();
-        agent.AsyncLookup(key, /*holder=*/0, /*client=*/0,
+        agent.AsyncLookup(key, /*holder=*/0,
                           [&, i, issued](Result<ObjectAddress> result,
                                          sim::SimTime) {
                             if (!result.ok()) std::abort();

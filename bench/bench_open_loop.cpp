@@ -1,5 +1,5 @@
-// E16 — Heavy-traffic open loop: sessions, flow control, and adaptive
-// formation under load (DESIGN.md §9.2, EXPERIMENTS.md E16).
+// E16 — Heavy-traffic open loop: sessions, flow control, and send batching
+// under load (DESIGN.md §9.2, EXPERIMENTS.md E16).
 //
 // Closed-loop benches (E2, E11) re-issue a call only after the previous one
 // answers, so they can never observe queueing: offered load self-throttles
@@ -14,9 +14,8 @@
 //   OpenLoopSessions  — session_slots=4: client-side slot admission queues
 //                       the overflow (rpc.backpressure) instead of landing it
 //                       on the server; p99 trades against bounded in-flight.
-//   OpenLoopFormation — sessions + send_batch_window + formation_policy:
-//                       kCoalesce traffic rides the 1 ms window, kUrgent
-//                       config-plane calls (dcdo.*) flush inline.
+//   OpenLoopBatched   — sessions + a 1 ms send_batch_window: back-to-back
+//                       sends to the server coalesce into one transfer.
 //   SlowServer        — service time exceeds invocation_timeout: every call's
 //                       retry lands while the body is parked; exactly-once
 //                       must hold (the bench aborts if any body re-runs).
@@ -106,14 +105,14 @@ struct OpenLoopRig {
     clients.reserve(static_cast<std::size_t>(client_count));
     for (int c = 0; c < client_count; ++c) {
       // Server is node 1; clients start at host 2 so every call crosses the
-      // simulated wire (loopback would skip the formation path entirely).
+      // simulated wire.
       clients.push_back(testbed.MakeClient(2 + static_cast<std::size_t>(c)));
     }
   }
 
-  // Schedules one Invoke per arrival (one event per call — the parallel
-  // composition contract, DESIGN.md §15.4, and also what a real open-loop
-  // driver looks like), runs to completion, and returns simulated seconds.
+  // Schedules one Invoke per arrival (one event per call, as a real
+  // open-loop driver issues them), runs to completion, and returns
+  // simulated seconds.
   double Run(const std::vector<std::vector<sim::SimDuration>>& schedule,
              trace::Histogram& latency, const char* method = "work") {
     std::size_t expected = 0;
@@ -163,7 +162,7 @@ void ReportLatency(benchmark::State& state, const trace::Histogram& latency) {
       benchmark::Counter(static_cast<double>(latency.count()));
 }
 
-// --- The saturated open loop (Sessions / Formation) -------------------------
+// --- The saturated open loop (Sessions / Batched) ---------------------------
 // A thousand clients (each on its own simulated host), Poisson arrivals at
 // ~2x each client's slot capacity: mean gap 500 us against ~2 ms of service
 // + wire time, so calls queue at the client for a slot.
@@ -183,8 +182,7 @@ std::vector<std::vector<sim::SimDuration>> OpenLoopSchedule() {
   return schedule;
 }
 
-void RunOpenLoopScenario(benchmark::State& state, Testbed::Options options,
-                         const char* method = "work") {
+void RunOpenLoopScenario(benchmark::State& state, Testbed::Options options) {
   options.host_count = OpenLoopClients() + 2;
   const auto schedule = OpenLoopSchedule();
   trace::Histogram latency;
@@ -195,7 +193,7 @@ void RunOpenLoopScenario(benchmark::State& state, Testbed::Options options,
     // Fresh rig per iteration: every iteration replays the identical
     // schedule from t=0, so the reported time is the same number repeated.
     OpenLoopRig rig(options, OpenLoopClients(), sim::SimDuration::Millis(2));
-    state.SetIterationTime(rig.Run(schedule, latency, method));
+    state.SetIterationTime(rig.Run(schedule, latency));
     backpressure = rig.BackpressureWaits();
     batches = rig.testbed.network().batches_sent();
     coalesced = rig.testbed.network().messages_coalesced();
@@ -216,27 +214,13 @@ void SimTime_E16_OpenLoopSessions(benchmark::State& state) {
 }
 BENCHMARK(SimTime_E16_OpenLoopSessions)->UseManualTime()->Iterations(4);
 
-void SimTime_E16_OpenLoopFormation(benchmark::State& state) {
+void SimTime_E16_OpenLoopBatched(benchmark::State& state) {
   Testbed::Options options = BenchOptions();
   options.cost_model.session_slots = 4;
   options.cost_model.send_batch_window = sim::SimDuration::Millis(1);
-  options.cost_model.formation_policy = true;
   RunOpenLoopScenario(state, options);
 }
-BENCHMARK(SimTime_E16_OpenLoopFormation)->UseManualTime()->Iterations(4);
-
-// Formation with the urgent class exercised: the same open loop issued as
-// config-plane calls ("dcdo." prefix), which kUrgent flushes inline — the
-// makespan shows what the 1 ms window costs when policy does NOT hold the
-// traffic back.
-void SimTime_E16_OpenLoopFormationUrgent(benchmark::State& state) {
-  Testbed::Options options = BenchOptions();
-  options.cost_model.session_slots = 4;
-  options.cost_model.send_batch_window = sim::SimDuration::Millis(1);
-  options.cost_model.formation_policy = true;
-  RunOpenLoopScenario(state, options, "dcdo.poke");
-}
-BENCHMARK(SimTime_E16_OpenLoopFormationUrgent)->UseManualTime()->Iterations(4);
+BENCHMARK(SimTime_E16_OpenLoopBatched)->UseManualTime()->Iterations(4);
 
 // --- SlowServer: service time > invocation_timeout -------------------------
 // Every call's first retry fires while the body is still parked; the

@@ -5,16 +5,10 @@
 # suppression baseline (tools/dcdo-tidy/baseline.txt) and fails on any
 # unsuppressed finding — this is what the CI `analyze` job gates on.
 #
-# Engine selection, in order of preference:
-#   1. clang-tidy + the dcdo_tidy_module plugin (AST-backed; built only
-#      when the clang-tidy dev headers are present), or
-#   2. dcdo-analyze, the dependency-free fallback engine — always built
-#      under -DDCDO_ANALYSIS=ON, so analysis works on every machine.
-#
-# Both engines share check names, NOLINT semantics, and the fixture suite
-# under tests/analysis/fixtures/; both read the compile database the
-# top-level CMakeLists always exports (CMAKE_EXPORT_COMPILE_COMMANDS), the
-# same one scripts/lint.sh uses.
+# The checks run in dcdo-analyze, the dependency-free engine built under
+# -DDCDO_ANALYSIS=ON (the default), so analysis works on every machine. It
+# honors clang-tidy NOLINT comments; tests/analysis/fixtures/ pins each
+# check's behavior.
 #
 # Usage:
 #   scripts/analyze.sh                    # analyze src/, gate on baseline
@@ -34,33 +28,15 @@ for arg in "$@"; do
   esac
 done
 
-# --- Ensure a configured build with the analysis tooling + compile db ----
+# --- Ensure a configured build with the analysis tooling ------------------
 if [ ! -f "$BUILD_DIR/CMakeCache.txt" ]; then
   echo "analyze: configuring $BUILD_DIR"
   cmake -B "$BUILD_DIR" -S . -DDCDO_ANALYSIS=ON >/dev/null \
     || { echo "analyze: cmake configure failed" >&2; exit 1; }
 fi
-if [ ! -f "$BUILD_DIR/compile_commands.json" ]; then
-  # Always exported by the top-level CMakeLists; regenerate if missing.
-  cmake -B "$BUILD_DIR" -S . >/dev/null \
-    || { echo "analyze: cmake reconfigure failed" >&2; exit 1; }
-fi
 
 ANALYZE_SOURCES=$(find src \( -name '*.cc' -o -name '*.h' \) | sort)
 
-# --- Preferred engine: clang-tidy with the dcdo plugin -------------------
-PLUGIN=$(find "$BUILD_DIR/tools/dcdo-tidy" -name 'dcdo_tidy_module.*' \
-         2>/dev/null | head -n 1)
-if command -v clang-tidy >/dev/null 2>&1 && [ -n "$PLUGIN" ] \
-   && [ "$UPDATE_BASELINE" = 0 ]; then
-  echo "analyze: clang-tidy + dcdo_tidy_module"
-  # shellcheck disable=SC2086
-  clang-tidy --load="$PLUGIN" --checks='-*,dcdo-*' -p "$BUILD_DIR" \
-    --quiet $ANALYZE_SOURCES
-  exit $?
-fi
-
-# --- Fallback engine: dcdo-analyze ---------------------------------------
 DCDO_ANALYZE="$BUILD_DIR/tools/dcdo-tidy/dcdo-analyze"
 if [ ! -x "$DCDO_ANALYZE" ]; then
   echo "analyze: building dcdo-analyze"

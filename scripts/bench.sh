@@ -73,18 +73,15 @@ WALL_REPORT_ONLY = os.environ.get("DCDO_BENCH_WALL_REPORT_ONLY") == "1"
 # SUPPOSED to change between baselines (a bench that sweeps a modelled
 # hardware knob). Matching entries are reported for visibility but never
 # gate. The default exempts exactly the E13 parallel-acquisition entries
-# whose last argument (fetch concurrency) is > 1, the E14 naming-scale
-# entries whose last argument (shard count) is > 1, and the E16 open-loop
-# entries that opt into formation (their numbers move whenever batching
-# policy is tuned). The concurrency-1 / shard-1 entries and the E16 session
-# entries (sessions are the default RPC protocol) stay under the zero-drift
-# gate — they must stay byte-identical to the sequential / monolithic /
-# default-protocol calibration.
+# whose last argument (fetch concurrency) is > 1 and the E14 naming-scale
+# entries whose last argument (shard count) is > 1. The concurrency-1 /
+# shard-1 entries and every E16 entry stay under the zero-drift gate — they
+# must stay byte-identical to the sequential / monolithic / default-protocol
+# calibration.
 DRIFT_ALLOWLIST = re.compile(
     os.environ.get(
         "DCDO_BENCH_DRIFT_ALLOWLIST",
-        r"^SimTime_E13_.*/(4|8|16)/|^SimTime_E14_.*/(2|4|8|16)/iterations"
-        r"|^SimTime_E16_(OpenLoopFormation|OpenLoopFormationUrgent)/",
+        r"^SimTime_E13_.*/(4|8|16)/|^SimTime_E14_.*/(2|4|8|16)/iterations",
     )
 )
 

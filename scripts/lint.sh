@@ -53,10 +53,9 @@ fi
 
 [ "$FORMAT_ONLY" = 1 ] && exit "$FAILED"
 
-# --- clang-tidy (shares the compile database with scripts/analyze.sh) ---
-# The top-level CMakeLists always exports compile_commands.json
-# (CMAKE_EXPORT_COMPILE_COMMANDS); lint and analysis read the same one, so
-# a single configure serves both.
+# --- clang-tidy: the stock checks in .clang-tidy. The repo-specific
+# dcdo-* checks run in scripts/analyze.sh. Reads the compile database the
+# top-level CMakeLists always exports (CMAKE_EXPORT_COMPILE_COMMANDS).
 if command -v clang-tidy >/dev/null 2>&1; then
   BUILD_DIR=${BUILD_DIR:-build}
   if [ ! -f "$BUILD_DIR/compile_commands.json" ]; then
@@ -64,16 +63,9 @@ if command -v clang-tidy >/dev/null 2>&1; then
     cmake -B "$BUILD_DIR" -S . >/dev/null \
       || { echo "lint: cmake configure failed" >&2; exit 1; }
   fi
-  # When the dcdo-tidy plugin is built, load it so the repo-specific
-  # dcdo-* checks run alongside the stock ones (scripts/analyze.sh is the
-  # gating driver for those; here they are advisory).
-  PLUGIN=$(find "$BUILD_DIR/tools/dcdo-tidy" -name 'dcdo_tidy_module.*' \
-           2>/dev/null | head -n 1)
-  LOAD_ARGS=""
-  [ -n "$PLUGIN" ] && LOAD_ARGS="--load=$PLUGIN"
   TIDY_SOURCES=$(find src \( -name '*.cc' -o -name '*.cpp' \) | sort)
   # shellcheck disable=SC2086
-  if ! clang-tidy $LOAD_ARGS -p "$BUILD_DIR" --quiet $TIDY_SOURCES; then
+  if ! clang-tidy -p "$BUILD_DIR" --quiet $TIDY_SOURCES; then
     FAILED=1
   fi
 else

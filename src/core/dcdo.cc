@@ -1,6 +1,5 @@
 #include "core/dcdo.h"
 
-#include <cstdlib>
 #include <memory>
 
 #include "check/check_context.h"
@@ -8,7 +7,6 @@
 #include "common/serialize.h"
 #include "dfm/descriptor_wire.h"
 #include "runtime/fom.h"
-#include "sim/parallel_sim.h"
 #include "trace/trace_context.h"
 
 namespace dcdo {
@@ -139,16 +137,11 @@ Dcdo::~Dcdo() {
 }
 
 void Dcdo::RegisterEndpoint() {
-  // kParallel: a DCDO's dispatch state (DFM, components, call counters) is
-  // confined to its own node, so under the parallel executor application
-  // calls run on the locality owning that node. Config-plane methods
-  // (dcdo.*) are still forced to the global locality by the transport.
   transport_.RegisterEndpoint(
       address_.node, address_.pid, address_.epoch,
       [this](const rpc::MethodInvocation& invocation, rpc::ReplyFn reply) {
         HandleInvocation(invocation, std::move(reply));
-      },
-      rpc::EndpointConcurrency::kParallel);
+      });
 }
 
 void Dcdo::Deactivate() {
@@ -248,17 +241,6 @@ void Dcdo::BlockOnOutcall(double sim_seconds) {
   // configuration calls against this object — proceeds while this "thread"
   // is parked inside the function (its CallGuard stays alive up the stack).
   sim::Simulation& simulation = host_->simulation();
-  if (simulation.parallel() && simulation.executor()->OnWorkerThread()) {
-    // Blocking re-entry is coordinator-only: a worker locality re-running
-    // the loop mid-window would deadrun the barrier. A data-plane function
-    // that must park has to be restructured as a continuation (or its
-    // object's endpoint left kSerialized).
-    DCDO_LOG(kError) << name_
-                     << ": BlockOnOutcall from a worker locality; blocking "
-                        "re-entry into the event loop is coordinator-only "
-                        "(DESIGN.md §14)";
-    std::abort();
-  }
   simulation.RunUntil(simulation.Now() +
                       sim::SimDuration::Seconds(sim_seconds));
 }

@@ -86,12 +86,7 @@ Result<ObjectAddress> BindingAgent::LookupWithLease(const ObjectId& id,
   if (leases_enabled() && holder != 0) {
     sim::SimTime now = simulation_->Now();
     *expiry = now + config_.lease_duration;
-    {
-      // Synchronous lease-granting lookups run on the caller's locality, so
-      // two clients can reach one shard's table within a worker phase.
-      sim::GatedLock lock(shard.lease_mu);
-      shard.leases.Grant(id, holder, now, *expiry);
-    }
+    shard.leases.Grant(id, holder, now, *expiry);
     leases_granted_.Increment();
     DCDO_TRACE_HOOK(metrics().GetCounter("naming.leases_granted").Increment());
   }
@@ -99,54 +94,13 @@ Result<ObjectAddress> BindingAgent::LookupWithLease(const ObjectId& id,
 }
 
 void BindingAgent::AsyncLookup(const ObjectId& id, std::uint64_t holder,
-                               sim::NodeId client, LookupCallback done) {
+                               LookupCallback done) {
   if (!lookup_service_modeled()) {
     // Unmodelled service: resolve immediately, exactly like the sync paths.
     sim::SimTime expiry{};
     Result<ObjectAddress> result =
         holder != 0 ? LookupWithLease(id, holder, &expiry) : Lookup(id);
     done(std::move(result), expiry);
-    return;
-  }
-  if (config_.remote_requests && network_ != nullptr) {
-    // Remote service: the lookup is a real request message to the shard's
-    // host, and the answer travels back the same way. The shard's service
-    // queue (busy_until) is then only ever advanced by delivery events on
-    // the shard's own locality, whose NIC-serialized arrival order is
-    // deterministic — the form the parallel executor requires
-    // (ValidateCostModel enforces this combination when sim_workers > 1).
-    const std::uint32_t reply_affinity = simulation_->CurrentAffinity();
-    network_->Send(
-        client, ShardRef(id).node, config_.request_bytes,
-        [this, id, holder, client, reply_affinity,
-         issued = simulation_->Now(), done = std::move(done)]() mutable {
-          Shard& shard = ShardRef(id);
-          sim::SimTime now = simulation_->Now();
-          sim::SimTime start = std::max(now, shard.busy_until);
-          sim::SimTime complete = start + config_.lookup_service;
-          shard.busy_until = complete;
-          simulation_->ScheduleAt(
-              complete,
-              [this, id, holder, client, reply_affinity, issued,
-               done = std::move(done)]() mutable {
-                sim::SimTime expiry{};
-                Result<ObjectAddress> result =
-                    holder != 0 ? LookupWithLease(id, holder, &expiry)
-                                : Lookup(id);
-                DCDO_TRACE_HOOK(metrics()
-                                    .GetHistogram("naming.lookup_latency")
-                                    .Record(simulation_->Now() - issued));
-                // The reply resumes the caller's continuation wherever the
-                // lookup was issued (its locality was captured up front).
-                network_->Send(
-                    ShardRef(id).node, client, config_.request_bytes,
-                    [result = std::move(result), expiry,
-                     done = std::move(done)]() mutable {
-                      done(std::move(result), expiry);
-                    },
-                    reply_affinity);
-              });
-        });
     return;
   }
   Shard& shard = ShardRef(id);
@@ -176,10 +130,7 @@ std::uint64_t BindingAgent::RegisterHolder(sim::NodeId node,
 
 void BindingAgent::UnregisterHolder(std::uint64_t holder) {
   holders_.erase(holder);
-  for (Shard& shard : shards_) {
-    sim::GatedLock lock(shard.lease_mu);
-    shard.leases.DropHolder(holder);
-  }
+  for (Shard& shard : shards_) shard.leases.DropHolder(holder);
 }
 
 std::size_t BindingAgent::size() const {
@@ -192,10 +143,7 @@ std::size_t BindingAgent::live_leases() const {
   if (simulation_ == nullptr) return 0;
   sim::SimTime now = simulation_->Now();
   std::size_t total = 0;
-  for (const Shard& shard : shards_) {
-    sim::GatedLock lock(shard.lease_mu);
-    total += shard.leases.LiveCount(now);
-  }
+  for (const Shard& shard : shards_) total += shard.leases.LiveCount(now);
   return total;
 }
 
@@ -205,15 +153,11 @@ void BindingAgent::PushToHolders(Shard& shard, const ObjectId& id,
   sim::SimTime now = simulation_->Now();
   // Ordered by holder id (LeaseTable keeps holder sets in std::map), so the
   // push fan-out hits the shard NIC in a deterministic order.
-  std::vector<std::uint64_t> live;
-  {
-    sim::GatedLock lock(shard.lease_mu);
-    live = shard.leases.LiveHolders(id, now);
-    if (fresh == nullptr) {
-      // The binding died: consume the leases. Holders that miss the notice
-      // (partitioned, message lost) stop trusting the entry at expiry anyway.
-      shard.leases.Drop(id);
-    }
+  std::vector<std::uint64_t> live = shard.leases.LiveHolders(id, now);
+  if (fresh == nullptr) {
+    // The binding died: consume the leases. Holders that miss the notice
+    // (partitioned, message lost) stop trusting the entry at expiry anyway.
+    shard.leases.Drop(id);
   }
   if (live.empty()) return;
   sim::SimTime lease_expiry = now + config_.lease_duration;
@@ -225,7 +169,6 @@ void BindingAgent::PushToHolders(Shard& shard, const ObjectId& id,
     if (has_fresh) {
       // The push renews the lease alongside the fresh binding, so a holder
       // keeps exactly one live lease per entry it trusts.
-      sim::GatedLock lock(shard.lease_mu);
       shard.leases.Grant(id, holder, now, lease_expiry);
     }
     invalidations_sent_.Increment();

@@ -31,10 +31,6 @@ struct InFlight {
   // Trace carriage across the async hops (0 = untraced).
   std::uint64_t send_span = 0;
   std::uint64_t dispatch_span = 0;
-  // Locality that owns the caller's continuation, captured at Invoke: the
-  // reply delivery is tagged with it so a data-plane caller resumes on its
-  // own locality and a control-plane caller in the global one.
-  std::uint32_t reply_affinity = sim::kAffinityGlobal;
 };
 
 struct InFlightDelete {
@@ -48,11 +44,9 @@ using InFlightPtr = std::unique_ptr<InFlight, InFlightDelete>;
 }  // namespace
 
 void RpcTransport::RegisterEndpoint(sim::NodeId node, sim::ProcessId pid,
-                                    std::uint64_t epoch, Handler handler,
-                                    EndpointConcurrency concurrency) {
-  endpoints_[{node, pid}] =
-      Endpoint{epoch, std::move(handler),
-               std::make_shared<ServerSessionTable>(), concurrency};
+                                    std::uint64_t epoch, Handler handler) {
+  endpoints_[{node, pid}] = Endpoint{epoch, std::move(handler),
+                                     std::make_shared<ServerSessionTable>()};
   DCDO_CHECK_HOOK(OnEndpointOpened(node, pid, epoch));
 }
 
@@ -66,28 +60,6 @@ void RpcTransport::Invoke(sim::NodeId from_node, sim::NodeId to_node,
                           ReplyFn on_reply) {
   const sim::CostModel& cost = cost_model();
   sim::Simulation& simulation = network_.simulation();
-
-  // Dispatch affinity: application traffic to a kParallel endpoint runs on
-  // the locality owning the destination node. Everything else — config-plane
-  // methods (dcdo.*/mgr.*), serialized endpoints, an endpoint not (yet)
-  // registered — dispatches in the global locality. An endpoint that appears
-  // between send and delivery is then handled serially, which is merely
-  // conservative.
-  std::uint32_t dispatch_affinity = sim::kAffinityGlobal;
-  const bool config_plane = IsConfigMethodName(invocation.method_name());
-  if (auto ep = endpoints_.find({to_node, to_pid});
-      ep != endpoints_.end() &&
-      ep->second.concurrency == EndpointConcurrency::kParallel &&
-      !config_plane) {
-    dispatch_affinity = static_cast<std::uint32_t>(to_node);
-  }
-  const std::uint32_t reply_affinity = simulation.CurrentAffinity();
-  // Formation hint: config-plane calls (dcdo.*/mgr.*) are the latency-
-  // sensitive minority — under the adaptive formation policy they must not
-  // sit out a coalescing window behind data-plane traffic.
-  const sim::SimNetwork::SendClass send_class =
-      config_plane ? sim::SimNetwork::SendClass::kUrgent
-                   : sim::SimNetwork::SendClass::kNormal;
 
   // The send span covers marshaling and the hand-off to the network; the
   // net.xfer span begun inside network_.Send nests under it via the scope
@@ -127,7 +99,6 @@ void RpcTransport::Invoke(sim::NodeId from_node, sim::NodeId to_node,
     throw;
   }
   call->send_span = send_span;
-  call->reply_affinity = reply_affinity;
   network_.Send(
       from_node, to_node, wire_bytes,
       [this, call = std::move(call)]() mutable {
@@ -208,15 +179,12 @@ void RpcTransport::Invoke(sim::NodeId from_node, sim::NodeId to_node,
               MethodResult replay = *decision.reply;
               const sim::NodeId to_node = call->to_node;
               const sim::NodeId from_node = call->from_node;
-              const std::uint32_t reply_affinity = call->reply_affinity;
               std::size_t reply_bytes = replay.WireSize();
-              network_.Send(
-                  to_node, from_node, reply_bytes,
-                  [call = std::move(call),
-                   replay = std::move(replay)]() mutable {
-                    call->on_reply(std::move(replay));
-                  },
-                  reply_affinity);
+              network_.Send(to_node, from_node, reply_bytes,
+                            [call = std::move(call),
+                             replay = std::move(replay)]() mutable {
+                              call->on_reply(std::move(replay));
+                            });
               return;
             }
             case ServerSessionTable::Disposition::kExecute:
@@ -270,19 +238,16 @@ void RpcTransport::Invoke(sim::NodeId from_node, sim::NodeId to_node,
           RpcTransport* transport = call->transport;
           const sim::NodeId to_node = call->to_node;
           const sim::NodeId from_node = call->from_node;
-          const std::uint32_t reply_affinity = call->reply_affinity;
           std::size_t reply_bytes = result.WireSize();
           transport->network_.Send(
               to_node, from_node, reply_bytes,
               [call = std::move(call), result = std::move(result)]() mutable {
                 call->on_reply(std::move(result));
-              },
-              reply_affinity);
+              });
         };
         it->second.handler(invocation, std::move(wire_reply));
         if (tr != nullptr) tr->PopScope();
-      },
-      dispatch_affinity, send_class);
+      });
   if (auto* tr = trace::ActiveContext()) {
     tr->PopScope();
     tr->EndSpan(send_span);

@@ -49,28 +49,14 @@ using ReplyFn = common::MoveFunction<void(MethodResult), 32>;
 // invocation, but must not touch it after destroying the functor.
 using Handler = std::function<void(const MethodInvocation&, ReplyFn)>;
 
-// Where an endpoint's handler may run under the parallel executor
-// (DESIGN.md §14). kSerialized endpoints dispatch in the global locality —
-// required for handlers that touch cross-host state (the manager, class
-// objects, anything driving reconfiguration). kParallel endpoints dispatch
-// on the locality owning the destination node; only handlers whose state is
-// confined to that node qualify (Dcdo application dispatch). Config-plane
-// methods (dcdo.*/mgr.*) are forced to the global locality even on a
-// kParallel endpoint. Single-threaded runs ignore the distinction beyond
-// recording the affinity tag (which keeps determinism digests comparable
-// across modes).
-enum class EndpointConcurrency { kSerialized, kParallel };
-
 class RpcTransport {
  public:
   explicit RpcTransport(sim::SimNetwork* network) : network_(*network) {}
 
   // Registers the activation of an object at (node, pid) with `epoch`.
   // Replaces any previous endpoint at that key.
-  void RegisterEndpoint(
-      sim::NodeId node, sim::ProcessId pid, std::uint64_t epoch,
-      Handler handler,
-      EndpointConcurrency concurrency = EndpointConcurrency::kSerialized);
+  void RegisterEndpoint(sim::NodeId node, sim::ProcessId pid,
+                        std::uint64_t epoch, Handler handler);
 
   // Removes the endpoint; subsequent deliveries to (node, pid) vanish.
   void UnregisterEndpoint(sim::NodeId node, sim::ProcessId pid);
@@ -129,7 +115,6 @@ class RpcTransport {
     // so a reply that completes after the activation re-registered lands in
     // *its* table (harmlessly orphaned) instead of the successor's.
     std::shared_ptr<ServerSessionTable> sessions;
-    EndpointConcurrency concurrency = EndpointConcurrency::kSerialized;
   };
   struct EndpointKeyHash {
     std::size_t operator()(
@@ -144,11 +129,10 @@ class RpcTransport {
   std::unordered_map<std::pair<sim::NodeId, sim::ProcessId>, Endpoint,
                      EndpointKeyHash>
       endpoints_;
-  // Sharded: bumped from worker localities on every parallel dispatch.
-  trace::ShardedCounter invocations_delivered_;
-  trace::ShardedCounter epoch_rejections_;
-  trace::ShardedCounter dedup_hits_;
-  trace::ShardedCounter session_stale_drops_;
+  trace::Counter invocations_delivered_;
+  trace::Counter epoch_rejections_;
+  trace::Counter dedup_hits_;
+  trace::Counter session_stale_drops_;
 };
 
 }  // namespace dcdo::rpc

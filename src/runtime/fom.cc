@@ -19,7 +19,6 @@ FomScheduler::~FomScheduler() {
   // The owning simulation is going away with operations still in flight
   // (tests tearing down mid-scenario). Destroy what's left so every pooled
   // block is returned; OnAbort runs because the operation did not complete.
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   while (!live_.empty()) {
     Fom* fom = live_.begin()->second;
     fom->OnAbort();
@@ -35,7 +34,6 @@ FomScheduler& FomScheduler::For(sim::Simulation& simulation) {
 }
 
 void FomScheduler::Register(Fom* fom) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   fom->scheduler_ = this;
   fom->id_ = next_id_++;
   live_.emplace(fom->id_, fom);
@@ -43,7 +41,6 @@ void FomScheduler::Register(Fom* fom) {
 }
 
 void FomScheduler::Start(Fom& fom) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   Enqueue(&fom);
   Drain();
 }
@@ -130,7 +127,7 @@ Fom* FomScheduler::Payload(std::uint64_t id) {
   return it == live_.end() ? nullptr : it->second;
 }
 
-void FomScheduler::WakeLocked(std::uint64_t id, WakeSource source) {
+void FomScheduler::Wake(std::uint64_t id, WakeSource source) {
   Fom* fom = Payload(id);
   if (fom == nullptr) return;  // finished or aborted before the completion
   if (source == WakeSource::kTimer) fom->timer_id_ = 0;
@@ -155,34 +152,25 @@ void FomScheduler::WakeLocked(std::uint64_t id, WakeSource source) {
   Drain();
 }
 
-void FomScheduler::Wake(std::uint64_t id, WakeSource source) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  WakeLocked(id, source);
-}
-
 void FomScheduler::WakeStatus(std::uint64_t id, WakeSource source,
                               Status status) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   if (Fom* fom = Payload(id)) fom->wake_status_ = std::move(status);
-  WakeLocked(id, source);
+  Wake(id, source);
 }
 
 void FomScheduler::WakeValue(std::uint64_t id, WakeSource source,
                              std::uint64_t value) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   if (Fom* fom = Payload(id)) fom->wake_value_ = value;
-  WakeLocked(id, source);
+  Wake(id, source);
 }
 
 void FomScheduler::ArmTimer(Fom& fom, sim::SimDuration delay) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   const std::uint64_t id = fom.id_;
   fom.timer_id_ = simulation_->Schedule(
       delay, [this, id] { Wake(id, WakeSource::kTimer); });
 }
 
 void FomScheduler::Abort(std::uint64_t id) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   Fom* fom = Payload(id);
   if (fom == nullptr) return;
   if (fom->run_state_ == Fom::RunState::kRunning) {
@@ -198,17 +186,12 @@ void FomScheduler::Abort(std::uint64_t id) {
 }
 
 bool FomScheduler::Alive(std::uint64_t id) const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   return live_.count(id) != 0;
 }
 
-std::size_t FomScheduler::live_count() const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  return live_.size();
-}
+std::size_t FomScheduler::live_count() const { return live_.size(); }
 
 std::size_t FomScheduler::waiting_on(WakeSource source) const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   return wait_sets_[static_cast<std::size_t>(source)].size();
 }
 

@@ -19,13 +19,9 @@
 // Determinism digests are byte-identical across the conversion — the Fom
 // equivalence suite (tests/runtime/fom_equivalence_test.cpp) pins that.
 //
-// Threading: one scheduler per Simulation, shared by every locality. A
-// recursive mutex serializes all scheduler state; `Tick()` runs under it, so
-// a synchronous completion that re-wakes the running Fom (or wakes another)
-// nests safely. Converted operations are control-plane (global-affinity)
-// work, so contention is nil; the lock exists for the parallel executor's
-// worker threads delivering completions (fetch finishes, timer fires) from
-// their own localities.
+// Threading: one scheduler per Simulation, driven only from that
+// simulation's event loop. A synchronous completion that re-wakes the
+// running Fom (or wakes another) nests on the same stack.
 //
 // Writing a new Fom:
 //
@@ -57,7 +53,6 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
@@ -110,7 +105,7 @@ class Fom {
  protected:
   explicit Fom(const char* name) : name_(name) {}
 
-  // Runs the current phase. Called only by the scheduler, under its lock.
+  // Runs the current phase. Called only by the scheduler.
   virtual FomStatus Tick() = 0;
 
   // Called once if the Fom is aborted while waiting (Abort()); the
@@ -165,10 +160,7 @@ class FomScheduler {
       : simulation_(simulation) {}
   ~FomScheduler();
 
-  // The scheduler for `simulation`, created on first use. First call must
-  // come from setup or a global-affinity event (true of every conversion
-  // site — the converted operations are control-plane); later calls and all
-  // Wake*() entry points are safe from any locality.
+  // The scheduler for `simulation`, created on first use.
   static FomScheduler& For(sim::Simulation& simulation);
 
   // Allocates a T from the pool and registers it. The Fom does not run
@@ -217,10 +209,8 @@ class FomScheduler {
   void RunOne(Fom* fom);
   void Park(Fom* fom);
   void Destroy(Fom* fom);
-  void WakeLocked(std::uint64_t id, WakeSource source);
   Fom* Payload(std::uint64_t id);  // lookup for Wake{Status,Value}, or null
 
-  mutable std::recursive_mutex mu_;
   sim::Simulation* simulation_;
   std::uint64_t next_id_ = 1;
   std::unordered_map<std::uint64_t, Fom*> live_;

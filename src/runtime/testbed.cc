@@ -8,58 +8,14 @@
 
 namespace dcdo {
 
-namespace {
-// Effective worker-locality count: the cost model's sim_workers, overridable
-// by DCDO_SIM_WORKERS — but only when the resulting configuration is one the
-// parallel executor supports (ValidateCostModel's parallel rules). An unsafe
-// override is refused with a warning rather than silently corrupting a run.
-int ResolveSimWorkers(sim::CostModel* cost) {
-  int workers = cost->sim_workers;
-  if (const char* env = std::getenv("DCDO_SIM_WORKERS")) {
-    char* end = nullptr;
-    long parsed = std::strtol(env, &end, 10);
-    if (end == env || parsed < 1 || parsed > 16) {
-      DCDO_LOG(kWarning) << "testbed: ignoring DCDO_SIM_WORKERS='" << env
-                         << "' (expected an integer in [1, 16])";
-    } else {
-      workers = static_cast<int>(parsed);
-    }
-  }
-  if (workers > 1) {
-    sim::CostModel candidate = *cost;
-    candidate.sim_workers = workers;
-    Status valid = sim::ValidateCostModel(candidate);
-    if (!valid.ok()) {
-      DCDO_LOG(kWarning) << "testbed: cannot run " << workers
-                         << " sim workers with this cost model ("
-                         << valid.message() << "); staying single-threaded";
-      workers = 1;
-    }
-  }
-  cost->sim_workers = workers;
-  return workers;
-}
-}  // namespace
-
-Testbed::Testbed(const Options& options) : cost_model_(options.cost_model) {
-  int sim_workers = ResolveSimWorkers(&cost_model_);
-  if (sim_workers > 1 && options.tracing) {
-    // Span capture mutates the trace buffer from whatever thread fires the
-    // event; the tracing layer is not locality-aware. Traced runs stay on
-    // the legacy engine.
-    DCDO_LOG(kWarning) << "testbed: tracing is incompatible with parallel "
-                          "simulation; staying single-threaded";
-    sim_workers = 1;
-    cost_model_.sim_workers = 1;
-  }
-  if (sim_workers > 1) {
-    Status parallel = simulation_.ConfigureParallel(
-        sim_workers, cost_model_.network_latency);
-    if (!parallel.ok()) {
-      DCDO_LOG(kError) << "testbed: parallel executor rejected: "
-                       << parallel.message();
-      std::abort();
-    }
+Testbed::Testbed(const Options& options) {
+  // A model ValidateCostModel rejects breaks the simulation's arithmetic or
+  // stalls it (zero session slots park every call forever), so refuse it
+  // loudly, like the directory configuration below.
+  Status valid = sim::ValidateCostModel(options.cost_model);
+  if (!valid.ok()) {
+    DCDO_LOG(kError) << "testbed: cost model rejected: " << valid.message();
+    std::abort();
   }
 #if defined(DCDO_CHECK_ENABLED)
   if (options.checking) {
@@ -78,7 +34,8 @@ Testbed::Testbed(const Options& options) : cost_model_(options.cost_model) {
     tracer_->Install();
   }
 #endif
-  network_ = std::make_unique<sim::SimNetwork>(&simulation_, cost_model_);
+  network_ =
+      std::make_unique<sim::SimNetwork>(&simulation_, options.cost_model);
   transport_ = std::make_unique<rpc::RpcTransport>(network_.get());
 #if defined(DCDO_CHECK_ENABLED)
   if (checker_) {
@@ -108,22 +65,22 @@ Testbed::Testbed(const Options& options) : cost_model_(options.cost_model) {
     hosts_.push_back(std::make_unique<sim::SimHost>(
         &simulation_, network_.get(), static_cast<sim::NodeId>(i + 1), arch));
   }
-  if (cost_model_.NamingDirectoryModeled()) {
+  const sim::CostModel& cost = options.cost_model;
+  if (cost.NamingDirectoryModeled()) {
     // The partitioned/leased directory: one dedicated host per shard, with
     // NodeIds stacked above the regular host range so workload hosts keep
     // their legacy ids. With the default cost model this block never runs
     // and the agent stays the unattached monolithic store.
     std::vector<sim::NodeId> shard_nodes;
-    shard_nodes.reserve(
-        static_cast<std::size_t>(cost_model_.naming_shard_count));
-    for (int s = 0; s < cost_model_.naming_shard_count; ++s) {
+    shard_nodes.reserve(static_cast<std::size_t>(cost.naming_shard_count));
+    for (int s = 0; s < cost.naming_shard_count; ++s) {
       auto node = static_cast<sim::NodeId>(options.host_count + 1 + s);
       shard_hosts_.push_back(std::make_unique<sim::SimHost>(
           &simulation_, network_.get(), node, sim::Architecture::kX86Linux));
       shard_nodes.push_back(node);
     }
     Status configured =
-        agent_.Configure(DirectoryConfig::FromCostModel(cost_model_),
+        agent_.Configure(DirectoryConfig::FromCostModel(cost),
                          &simulation_, network_.get(), std::move(shard_nodes));
     // The config came from a cost model the caller controls; surface a bad
     // one loudly instead of silently running the legacy directory.

@@ -4,8 +4,9 @@
 
 namespace dcdo::sim {
 
-// Sanity checks used by tests: a cost model that violates these would make
-// the reproduction's arithmetic meaningless (e.g. negative bandwidth).
+// A cost model that violates these would make the reproduction's arithmetic
+// meaningless (e.g. negative bandwidth) or hang it (no session slots);
+// Testbed refuses such a model at construction.
 Status ValidateCostModel(const CostModel& m) {
   if (m.wire_bandwidth_bytes_per_sec <= 0) {
     return InvalidArgumentError("wire bandwidth must be positive");
@@ -42,27 +43,6 @@ Status ValidateCostModel(const CostModel& m) {
   }
   if (m.binding_lease_duration < SimDuration::Zero()) {
     return InvalidArgumentError("binding lease duration must be non-negative");
-  }
-  if (m.sim_workers < 1 || m.sim_workers > 16) {
-    return InvalidArgumentError("sim workers must be in [1, 16]");
-  }
-  if (m.sim_workers > 1) {
-    // The parallel executor's correctness arguments (DESIGN.md §14) depend
-    // on these: lookahead comes from the link latency, and the in-place
-    // lookup service mutates shard queues from the caller's thread. Send
-    // batching is allowed since PR 9: batches carry per-delivery affinity
-    // and batch state is partitioned per sender node (DESIGN.md §15.4).
-    if (m.network_latency <= SimDuration::Zero()) {
-      return InvalidArgumentError(
-          "parallel simulation requires a positive network latency "
-          "(the conservative lookahead)");
-    }
-    if (m.directory_lookup_service > SimDuration::Zero() &&
-        !m.directory_remote_requests) {
-      return InvalidArgumentError(
-          "parallel simulation with a modelled lookup service requires "
-          "directory_remote_requests");
-    }
   }
   if (m.disk_read_bytes_per_sec <= 0 || m.disk_write_bytes_per_sec <= 0) {
     return InvalidArgumentError("disk bandwidth must be positive");

@@ -51,17 +51,6 @@ struct CostModel {
   // A batch is flushed early once it accumulates this many payload bytes,
   // bounding the latency a full pipeline adds to the first message.
   std::size_t send_batch_max_bytes = 64 * 1024;
-  // Adaptive formation policy over the batching window (cortx-motr
-  // rpc/formation.c shape: form by size, deadline, or urgency). When on,
-  // senders may tag a message urgent — config-plane invocations and
-  // protocol-critical notices — and an urgent message flushes the pending
-  // batch to its destination and ships with it immediately instead of
-  // waiting out the window; bulk traffic keeps coalescing. NOTE: a
-  // deployment knob, NOT a calibration constant — off (with batching off)
-  // reproduces the per-message legacy path byte for byte; EXPERIMENTS.md E16
-  // measures when turning it on wins. No effect while send_batch_window is
-  // zero.
-  bool formation_policy = false;
 
   // --- Binding cache bound (client-side LRU; see naming/binding_cache) ---
   // Generous by default: eviction only matters under millions of distinct
@@ -167,34 +156,6 @@ struct CostModel {
   SimDuration binding_lease_duration = SimDuration::Zero();
   // Wire size of one invalidation notification (ObjectId + address + lease).
   std::size_t invalidation_bytes = 64;
-
-  // --- Parallel simulation localities (src/sim/parallel_sim.*) ---
-  // NOTE: like fetch_concurrency, these are modelled-deployment knobs, NOT
-  // calibration constants: the executor is constrained to produce the same
-  // simulated results at any worker count, so sim_workers changes wall-clock
-  // throughput only. 1 (the default) keeps the byte-identical single-
-  // threaded engine.
-  //
-  // Worker localities (threads) the simulation's hosts are partitioned
-  // across (node % sim_workers), capped at 16. The conservative window
-  // protocol uses network_latency as its lookahead, so parallel execution
-  // requires a positive network latency, and is incompatible with the
-  // in-place modelled lookup service (see directory_remote_requests below);
-  // ValidateCostModel rejects those combinations. Send batching composes
-  // with parallel execution: batches carry each delivery's locality
-  // affinity, batch state is partitioned per sender node (a node's sends
-  // all execute on the locality owning it, or on the coordinator between
-  // worker windows), and cross-node batch deliveries land at least one
-  // network latency (= the lookahead) in the future.
-  int sim_workers = 1;
-  // Route directory lookups as real request messages to the shard's host
-  // instead of mutating the shard's service queue from the client's context.
-  // Required whenever sim_workers > 1 meets directory_lookup_service > 0:
-  // the shard's NIC then serializes concurrent lookups deterministically.
-  // Off by default — the in-place model stays byte-identical to PR 7.
-  bool directory_remote_requests = false;
-  // Wire size of one directory lookup request (ObjectId + holder id).
-  std::size_t directory_request_bytes = 64;
 
   // --- State capture / restore for monolithic evolution ---
   double state_capture_bytes_per_sec = 6.0e6;

@@ -46,14 +46,7 @@ void TraceSendDrop(NodeId from, NodeId to) {
 }
 }  // namespace
 
-void SimNetwork::AddNode(NodeId node) {
-  nodes_.insert(node);
-  // Pre-insert the NIC and batch entries so parallel sends never mutate the
-  // maps' structure: Send from worker threads only touches its own node's
-  // value (distinct keys, no rehash), which is race-free without a lock.
-  nic_busy_until_.try_emplace(node);
-  pending_batches_.try_emplace(node);
-}
+void SimNetwork::AddNode(NodeId node) { nodes_.insert(node); }
 
 void SimNetwork::SetNodeUp(NodeId node, bool up) {
   if (up) {
@@ -82,8 +75,7 @@ bool SimNetwork::Reachable(NodeId from, NodeId to) const {
 }
 
 void SimNetwork::Send(NodeId from, NodeId to, std::size_t bytes,
-                      Delivery on_delivery, std::uint32_t delivery_affinity,
-                      SendClass send_class) {
+                      Delivery on_delivery) {
   if (!Reachable(from, to)) {
     messages_dropped_.Increment();
     TraceSendDrop(from, to);
@@ -94,48 +86,34 @@ void SimNetwork::Send(NodeId from, NodeId to, std::size_t bytes,
   messages_in_flight_.Increment();
   bytes_sent_.Increment(bytes);
   if (cost_.send_batch_window > SimDuration::Zero()) {
-    SenderBatches& sender = pending_batches_[from];
-    auto [it, opened] = sender.by_dest.try_emplace(to);
+    auto [it, opened] = pending_batches_.try_emplace({from, to});
     PendingBatch& batch = it->second;
     if (opened) {
-      batch.id = sender.next_batch_id++;
-      // The flush event carries the sender's affinity: it reads and ships
-      // this node's batch/NIC state, which only the owning locality (or the
-      // coordinator, never concurrently) may touch.
-      simulation_.ScheduleFor(from, cost_.send_batch_window,
-                              [this, from, to, batch_id = batch.id]() {
-                                FlushBatch(from, to, batch_id);
-                              });
+      batch.id = next_batch_id_++;
+      simulation_.Schedule(cost_.send_batch_window,
+                           [this, from, to, batch_id = batch.id]() {
+                             FlushBatch(from, to, batch_id);
+                           });
     } else {
       messages_coalesced_.Increment();
     }
     batch.bytes += bytes;
-    batch.deliveries.push_back({std::move(on_delivery), delivery_affinity});
-    // Formation policy: urgent traffic ships now (the whole pending batch
-    // rides with it); coalesce-class traffic defers even the byte cap to the
-    // window deadline so bulk-adjacent chatter forms the largest batches.
-    const bool urgent =
-        cost_.formation_policy && send_class == SendClass::kUrgent;
-    const bool defer_cap =
-        cost_.formation_policy && send_class == SendClass::kCoalesce;
-    if (urgent || (!defer_cap && batch.bytes >= cost_.send_batch_max_bytes)) {
+    batch.deliveries.push_back(std::move(on_delivery));
+    if (batch.bytes >= cost_.send_batch_max_bytes) {
       FlushBatch(from, to, batch.id);  // the armed window flush will no-op
     }
     return;
   }
   std::uint64_t span = BeginTransferSpan("net.xfer", from, bytes);
   if (from == to) {
-    // Loopback: no NIC serialization, negligible latency. The sub-lookahead
-    // delay is safe under the parallel executor: the delivery lands on the
-    // sender's own locality (same node) or on the global locality (reply
-    // continuations), and neither edge needs lookahead.
-    simulation_.ScheduleFor(delivery_affinity, SimDuration::Micros(5),
-                            [this, span, fn = std::move(on_delivery)]() mutable {
-                              messages_in_flight_.Decrement();
-                              messages_delivered_.Increment();
-                              EndTransferSpan(span, /*delivered=*/true);
-                              fn();
-                            });
+    // Loopback: no NIC serialization, negligible latency.
+    simulation_.Schedule(SimDuration::Micros(5),
+                         [this, span, fn = std::move(on_delivery)]() mutable {
+                           messages_in_flight_.Decrement();
+                           messages_delivered_.Increment();
+                           EndTransferSpan(span, /*delivered=*/true);
+                           fn();
+                         });
     return;
   }
   // NIC serialization: back-to-back sends from one node queue behind each
@@ -148,11 +126,9 @@ void SimNetwork::Send(NodeId from, NodeId to, std::size_t bytes,
   busy_until = start + wire;
   SimTime delivered = busy_until + cost_.network_latency;
   // Re-check reachability at delivery time: a partition that forms while the
-  // message is in flight loses the message. Cross-host delivery is at least
-  // network_latency (= the executor's lookahead) in the future, which is
-  // exactly why firing a worker window below Tmin + lookahead is causal.
-  simulation_.ScheduleAtFor(
-      delivery_affinity, delivered,
+  // message is in flight loses the message.
+  simulation_.ScheduleAt(
+      delivered,
       [this, from, to, span, fn = std::move(on_delivery)]() mutable {
         messages_in_flight_.Decrement();
         if (!Reachable(from, to)) {
@@ -168,60 +144,19 @@ void SimNetwork::Send(NodeId from, NodeId to, std::size_t bytes,
 }
 
 void SimNetwork::FlushBatch(NodeId from, NodeId to, std::uint64_t batch_id) {
-  std::map<NodeId, PendingBatch>& by_dest = pending_batches_[from].by_dest;
-  auto it = by_dest.find(to);
-  // A byte-cap/urgent flush may have shipped this batch already (and a
-  // successor may have opened since); the stale window event must not touch
-  // it.
-  if (it == by_dest.end() || it->second.id != batch_id) return;
+  auto it = pending_batches_.find({from, to});
+  // A byte-cap flush may have shipped this batch already (and a successor
+  // may have opened since); the stale window event must not touch it.
+  if (it == pending_batches_.end() || it->second.id != batch_id) return;
   PendingBatch batch = std::move(it->second);
-  by_dest.erase(it);
+  pending_batches_.erase(it);
   DispatchBatch(from, to, batch.bytes, std::move(batch.deliveries));
 }
 
 void SimNetwork::DispatchBatch(NodeId from, NodeId to, std::size_t bytes,
-                               std::vector<BatchEntry> deliveries) {
+                               std::vector<Delivery> deliveries) {
   batches_sent_.Increment();
   std::uint64_t span = BeginTransferSpan("net.batch", from, bytes);
-  // The batch crosses the NIC as one transfer, but each message must land on
-  // the locality its sender named: group the deliveries by affinity (stable,
-  // first-appearance order — a single-affinity batch stays one event,
-  // byte-identical to the ungrouped behavior) and give each group its own
-  // delivery event at the batch's single arrival instant.
-  struct Group {
-    std::uint32_t affinity;
-    std::vector<Delivery> fns;
-  };
-  std::vector<Group> groups;
-  for (BatchEntry& entry : deliveries) {
-    Group* group = nullptr;
-    for (Group& g : groups) {
-      if (g.affinity == entry.affinity) {
-        group = &g;
-        break;
-      }
-    }
-    if (group == nullptr) {
-      groups.push_back({entry.affinity, {}});
-      group = &groups.back();
-    }
-    group->fns.push_back(std::move(entry.fn));
-  }
-  auto make_deliver = [this, from, to](std::uint64_t group_span,
-                                       std::vector<Delivery> fns) {
-    return [this, from, to, group_span, fns = std::move(fns)]() mutable {
-      messages_in_flight_.Decrement(fns.size());
-      if (!Reachable(from, to)) {
-        messages_dropped_.Increment(fns.size());
-        messages_dropped_in_flight_.Increment(fns.size());
-        EndTransferSpan(group_span, /*delivered=*/false);
-        return;
-      }
-      messages_delivered_.Increment(fns.size());
-      EndTransferSpan(group_span, /*delivered=*/true);
-      for (Delivery& fn : fns) fn();
-    };
-  };
   SimTime arrival;
   if (from == to) {
     arrival = simulation_.Now() + SimDuration::Micros(5);
@@ -234,13 +169,19 @@ void SimNetwork::DispatchBatch(NodeId from, NodeId to, std::size_t bytes,
     busy_until = start + wire;
     arrival = busy_until + cost_.network_latency;
   }
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    // The net.batch span closes with the first group (one span per wire
-    // transfer; every group arrives at the same instant).
-    simulation_.ScheduleAtFor(
-        groups[i].affinity, arrival,
-        make_deliver(i == 0 ? span : 0, std::move(groups[i].fns)));
-  }
+  simulation_.ScheduleAt(
+      arrival, [this, from, to, span, fns = std::move(deliveries)]() mutable {
+        messages_in_flight_.Decrement(fns.size());
+        if (!Reachable(from, to)) {
+          messages_dropped_.Increment(fns.size());
+          messages_dropped_in_flight_.Increment(fns.size());
+          EndTransferSpan(span, /*delivered=*/false);
+          return;
+        }
+        messages_delivered_.Increment(fns.size());
+        EndTransferSpan(span, /*delivered=*/true);
+        for (Delivery& fn : fns) fn();
+      });
 }
 
 void SimNetwork::BulkTransfer(NodeId from, NodeId to, std::size_t bytes,
@@ -258,11 +199,9 @@ void SimNetwork::StreamTransfer(NodeId from, NodeId to, std::size_t bytes,
     TraceSendDrop(from, to);
     // Unlike the fire-and-forget transfer paths, a stream caller is owed an
     // answer either way; defer through the event loop so the failure never
-    // re-enters the caller mid-call. Stream machinery is global-owned
-    // (DESIGN.md §14), so the deferral is pinned there.
-    simulation_.ScheduleGlobal(
-        SimDuration::Zero(),
-        [fn = std::move(on_done)]() mutable { fn(false); });
+    // re-enters the caller mid-call.
+    simulation_.Schedule(SimDuration::Zero(),
+                         [fn = std::move(on_done)]() mutable { fn(false); });
     return;
   }
   messages_sent_.Increment();
@@ -272,7 +211,7 @@ void SimNetwork::StreamTransfer(NodeId from, NodeId to, std::size_t bytes,
   if (from == to || peak_bytes_per_sec <= 0) {
     // Loopback (or a degenerate rate): the whole transfer is the fixed setup
     // duration — no NIC, nothing to share.
-    simulation_.ScheduleGlobal(
+    simulation_.Schedule(
         setup, [this, from, to, span, fn = std::move(on_done)]() mutable {
           messages_in_flight_.Decrement();
           if (!Reachable(from, to)) {
@@ -296,12 +235,7 @@ void SimNetwork::StreamTransfer(NodeId from, NodeId to, std::size_t bytes,
   flow.peak = peak_bytes_per_sec;
   flow.on_done = std::move(on_done);
   flow.span = span;
-  // Stream flow state (stream_flows_, node_stream_counts_, the re-share
-  // sweep) is global-owned: every mutation happens in a global-locality
-  // event, so the fair-share bookkeeping needs no locks under the parallel
-  // executor. Pinning the setup event keeps that true even if a data-plane
-  // event starts a stream.
-  flow.event = simulation_.ScheduleGlobal(
+  flow.event = simulation_.Schedule(
       setup, [this, flow_id]() { StartStreamPhase(flow_id); });
 }
 

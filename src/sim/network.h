@@ -60,41 +60,15 @@ class SimNetwork {
   //
   // When CostModel::send_batch_window is non-zero, back-to-back sends to the
   // same destination are coalesced: the first message opens a batch and arms
-  // a flush at now + window; follow-ups append until the window fires, the
-  // batch reaches send_batch_max_bytes, or (formation_policy) an urgent
-  // message arrives. The whole batch then crosses the NIC as one transfer
-  // (one serialization + one latency), and reachability is re-checked once
-  // at delivery — a partition that forms in flight drops every message in
-  // the batch. Per-message counters are maintained either way. With a zero
-  // window (the default) each message takes the exact legacy path.
-  //
-  // The delivery event is tagged with the destination node's affinity, so
-  // under the parallel executor (DESIGN.md §14) it fires on the locality
-  // that owns `to`'s state. The overload takes an explicit affinity for
-  // callers whose delivery must resume elsewhere (an RPC reply resuming a
-  // control-plane continuation passes kAffinityGlobal). Each message keeps
-  // its own affinity through a batch: at flush, deliveries are grouped by
-  // affinity (first-appearance order) and each group lands as one event on
-  // its own locality, all at the batch's single arrival time — a
-  // single-affinity batch is byte-identical to the pre-grouping behavior.
-  //
-  // SendClass is the adaptive-formation hint (CostModel::formation_policy):
-  // kUrgent marks latency-sensitive traffic (the transport tags config-plane
-  // invocations) that must not sit out a formation window — it flushes the
-  // pending batch immediately, riding along with it. kCoalesce marks
-  // deadline-insensitive traffic (bulk-adjacent control chatter): it never
-  // triggers the byte-cap early flush itself, so larger batches form and
-  // ship on the window deadline (or when normal/urgent traffic arrives
-  // behind it). kNormal obeys the window/byte rules unmodified. With
-  // formation_policy off the class is ignored.
-  enum class SendClass { kNormal, kUrgent, kCoalesce };
-
-  void Send(NodeId from, NodeId to, std::size_t bytes, Delivery on_delivery) {
-    Send(from, to, bytes, std::move(on_delivery), to);
-  }
-  void Send(NodeId from, NodeId to, std::size_t bytes, Delivery on_delivery,
-            std::uint32_t delivery_affinity,
-            SendClass send_class = SendClass::kNormal);
+  // a flush at now + window; follow-ups append until the window fires or the
+  // batch reaches send_batch_max_bytes. The whole batch then crosses the NIC
+  // as one transfer (one serialization + one latency) and lands as one
+  // event that runs the deliveries in send order; reachability is
+  // re-checked once at delivery — a partition that forms in flight drops
+  // every message in the batch. Per-message counters are maintained either
+  // way. With a zero window (the default) each message takes its own
+  // transfer.
+  void Send(NodeId from, NodeId to, std::size_t bytes, Delivery on_delivery);
 
   // Streams `bytes` from -> to through the bulk (file-object) path; `on_done`
   // runs when the last byte lands. Dropped if unreachable at start.
@@ -139,10 +113,7 @@ class SimNetwork {
   // Counters (per run; benches report message counts, the checking layer's
   // message-conservation invariant requires
   //   sent == delivered + dropped-in-flight + in-flight
-  // at all times, and in-flight == 0 once the simulator is idle). Stored as
-  // trace::ShardedCounter — per-locality lanes, so parallel workers bump
-  // message counts without bouncing a cache line; value() folds the lanes,
-  // and snapshots into an installed MetricsRegistry work as before.
+  // at all times, and in-flight == 0 once the simulator is idle).
   std::uint64_t messages_sent() const { return messages_sent_.value(); }
   std::uint64_t messages_delivered() const {
     return messages_delivered_.value();
@@ -163,19 +134,10 @@ class SimNetwork {
   }
 
  private:
-  // One coalesced message: its delivery closure plus the affinity its
-  // delivery event must carry. Batches mix affinities (a node's outbound
-  // traffic interleaves data-plane requests and control-plane replies), so
-  // the affinity must ride per delivery — collapsing a batch to one affinity
-  // would migrate deliveries onto the wrong locality.
-  struct BatchEntry {
-    Delivery fn;
-    std::uint32_t affinity;
-  };
   struct PendingBatch {
     std::uint64_t id = 0;  // guards the armed flush against early flushes
     std::size_t bytes = 0;
-    std::vector<BatchEntry> deliveries;
+    std::vector<Delivery> deliveries;
   };
 
   // One fair-shared bulk stream (StreamTransfer). `remaining`/`rate` are
@@ -197,7 +159,7 @@ class SimNetwork {
 
   // Ships `deliveries` (already counted as sent/in-flight) as one transfer.
   void DispatchBatch(NodeId from, NodeId to, std::size_t bytes,
-                     std::vector<BatchEntry> deliveries);
+                     std::vector<Delivery> deliveries);
   void FlushBatch(NodeId from, NodeId to, std::uint64_t batch_id);
 
   // Stream-phase machinery: move a flow out of setup into the shared phase,
@@ -214,31 +176,22 @@ class SimNetwork {
   std::set<NodeId> down_;
   std::set<std::pair<NodeId, NodeId>> partitions_;  // normalized (min,max)
   std::unordered_map<NodeId, SimTime> nic_busy_until_;
-  // Batch state is partitioned per sender node and pre-inserted in AddNode
-  // (same discipline as nic_busy_until_): a node's sends and its batch-flush
-  // events all execute on the locality owning that node (or the coordinator,
-  // never concurrently with it), so parallel senders touch disjoint
-  // SenderBatches and never mutate the outer map's structure. The batch-id
-  // guard counter lives here too — a global counter would be a cross-node
-  // write race, and the ids only ever compare within one (from, to) lane.
-  struct SenderBatches {
-    std::map<NodeId, PendingBatch> by_dest;
-    std::uint64_t next_batch_id = 1;
-  };
-  std::unordered_map<NodeId, SenderBatches> pending_batches_;
+  // Open batches keyed by (from, to) lane.
+  std::map<std::pair<NodeId, NodeId>, PendingBatch> pending_batches_;
+  std::uint64_t next_batch_id_ = 1;
   // Ordered by flow id (= start order) so re-share sweeps are deterministic.
   std::map<std::uint64_t, StreamFlow> stream_flows_;
   std::unordered_map<NodeId, int> node_stream_counts_;
   std::uint64_t next_stream_id_ = 1;
   std::size_t streaming_count_ = 0;
-  trace::ShardedCounter batches_sent_;
-  trace::ShardedCounter messages_coalesced_;
-  trace::ShardedCounter messages_sent_;
-  trace::ShardedCounter messages_delivered_;
-  trace::ShardedCounter messages_dropped_;            // refused at send time
-  trace::ShardedCounter messages_dropped_in_flight_;  // lost after acceptance
-  trace::ShardedCounter messages_in_flight_;
-  trace::ShardedCounter bytes_sent_;
+  trace::Counter batches_sent_;
+  trace::Counter messages_coalesced_;
+  trace::Counter messages_sent_;
+  trace::Counter messages_delivered_;
+  trace::Counter messages_dropped_;            // refused at send time
+  trace::Counter messages_dropped_in_flight_;  // lost after acceptance
+  trace::Counter messages_in_flight_;
+  trace::Counter bytes_sent_;
 };
 
 }  // namespace dcdo::sim

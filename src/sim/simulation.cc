@@ -3,8 +3,6 @@
 #include <bit>
 #include <utility>
 
-#include "sim/parallel_sim.h"
-
 namespace dcdo::sim {
 namespace {
 
@@ -14,10 +12,6 @@ constexpr int LevelShift(int level) {
 }
 
 }  // namespace
-
-/// Out of line: ~unique_ptr<ParallelExecutor> needs the complete type.
-Simulation::Simulation() { slab_.emplace_back().gen = 1; }
-Simulation::~Simulation() = default;
 
 std::uint32_t Simulation::AllocSlot() {
   if (!free_slots_.empty()) {
@@ -39,34 +33,17 @@ void Simulation::FreeSlot(std::uint32_t slot) {
 }
 
 std::uint64_t Simulation::Schedule(SimDuration delay, Callback fn) {
-  return ScheduleFor(CurrentAffinity(), delay, std::move(fn));
+  if (delay < SimDuration::Zero()) delay = SimDuration::Zero();
+  return ScheduleAt(now_ + delay, std::move(fn));
 }
 
 std::uint64_t Simulation::ScheduleAt(SimTime when, Callback fn) {
-  return ScheduleAtFor(CurrentAffinity(), when, std::move(fn));
-}
-
-std::uint64_t Simulation::ScheduleFor(std::uint32_t affinity,
-                                      SimDuration delay, Callback fn) {
-  if (delay < SimDuration::Zero()) delay = SimDuration::Zero();
-  if (executor_) {
-    // The executor computes `when` from the calling locality's clock, which
-    // is this context's notion of "now".
-    return executor_->Schedule(delay, affinity, std::move(fn));
-  }
-  return ScheduleAtFor(affinity, now_ + delay, std::move(fn));
-}
-
-std::uint64_t Simulation::ScheduleAtFor(std::uint32_t affinity, SimTime when,
-                                        Callback fn) {
-  if (executor_) return executor_->ScheduleAt(when, affinity, std::move(fn));
   if (when < now_) when = now_;
   const std::uint32_t slot = AllocSlot();
   Event& event = slab_[slot];
   event.when = when;
   event.seq = next_seq_++;
   event.fn = std::move(fn);
-  event.affinity = affinity;
   ++live_count_;
   // Near-horizon events (due within one level-0 span of the clock) go to the
   // queue directly: they fire before slot boundaries matter, and skipping the
@@ -217,14 +194,13 @@ bool Simulation::PopAndFire() {
   const QueueKey key = queue_.top();
   queue_.pop();
   now_ = key.when;
-  current_affinity_ = slab_[key.slot].affinity;
   // Free the slot before firing: the callback may schedule new events, which
   // can then recycle it (its generation is already bumped).
   Callback fn = std::move(slab_[key.slot].fn);
   FreeSlot(key.slot);
   if (digest_enabled_) {
-    std::uint64_t& acc = digest_[current_affinity_];
-    acc = DigestStep(acc, key.when.nanos());
+    digest_ = (digest_ ^ static_cast<std::uint64_t>(key.when.nanos())) *
+              1099511628211ull;  // FNV prime
   }
   fn();
   ++events_fired_;
@@ -233,97 +209,28 @@ bool Simulation::PopAndFire() {
 }
 
 std::size_t Simulation::Run() {
-  if (executor_) return executor_->Run();
   std::size_t fired = 0;
   while (PopAndFire()) ++fired;
-  current_affinity_ = kAffinityGlobal;  // back to driver context
   return fired;
 }
 
 std::size_t Simulation::RunUntil(SimTime deadline) {
-  if (executor_) return executor_->RunUntil(deadline);
   std::size_t fired = 0;
   while (PrepareTop() && queue_.top().when <= deadline) {
     if (PopAndFire()) ++fired;
   }
   if (now_ < deadline) now_ = deadline;
-  current_affinity_ = kAffinityGlobal;
   return fired;
 }
 
 bool Simulation::RunWhile(const std::function<bool()>& predicate) {
-  if (executor_) return executor_->RunWhile(predicate);
   while (predicate()) {
-    if (!PopAndFire()) {
-      current_affinity_ = kAffinityGlobal;
-      return false;
-    }
+    if (!PopAndFire()) return false;
   }
-  current_affinity_ = kAffinityGlobal;
   return true;
 }
 
-std::uint32_t Simulation::CurrentAffinity() const {
-  return executor_ ? CurrentThreadAffinity() : current_affinity_;
-}
-
-void Simulation::SetEventObserver(EventObserver observer) {
-  observer_ = std::move(observer);
-  if (executor_) executor_->SetEventObserver(observer_);
-}
-
-Status Simulation::ConfigureParallel(int workers, SimDuration lookahead) {
-  if (executor_ != nullptr) {
-    return InvalidArgumentError("parallel executor already configured");
-  }
-  if (workers < 1 || workers > kMaxSimWorkers) {
-    return InvalidArgumentError("sim workers must be in [1, 16]");
-  }
-  if (lookahead <= SimDuration::Zero()) {
-    return InvalidArgumentError(
-        "parallel lookahead (min link latency) must be positive");
-  }
-  if (live_count_ != 0 || events_fired_ != 0 || next_seq_ != 0 ||
-      now_ != SimTime::Zero()) {
-    return InvalidArgumentError(
-        "ConfigureParallel requires a fresh simulation");
-  }
-  ParallelExecutor::Options options;
-  options.workers = workers;
-  options.lookahead = lookahead;
-  executor_ = std::make_unique<ParallelExecutor>(options);
-  executor_->EnableDigest(digest_enabled_);
-  if (observer_) executor_->SetEventObserver(observer_);
-  return Status::Ok();
-}
-
-void Simulation::EnableDeterminismDigest(bool on) {
-  digest_enabled_ = on;
-  if (executor_) executor_->EnableDigest(on);
-}
-
-std::uint64_t Simulation::DeterminismDigest() const {
-  if (executor_) return executor_->Digest();
-  return CombineDigests(digest_);
-}
-
-SimTime Simulation::ExecutorNow() const { return executor_->Now(); }
-void Simulation::ExecutorAdvance(SimDuration delta) {
-  executor_->AdvanceInline(delta);
-}
-bool Simulation::ExecutorIdle() const { return executor_->Idle(); }
-std::size_t Simulation::ExecutorPending() const {
-  return executor_->PendingEvents();
-}
-std::uint64_t Simulation::ExecutorFired() const {
-  return executor_->TotalFired();
-}
-
 void Simulation::Cancel(std::uint64_t event_id) {
-  if (executor_) {
-    executor_->Cancel(event_id);
-    return;
-  }
   const std::uint32_t slot = static_cast<std::uint32_t>(event_id);
   const std::uint32_t gen = static_cast<std::uint32_t>(event_id >> 32);
   if (slot >= slab_.size()) return;

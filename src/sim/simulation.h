@@ -2,16 +2,13 @@
 //
 // The Legion substrate (hosts, network, RPC, binding agents) runs as event
 // handlers over this engine. Events fire in (time, insertion-sequence) order,
-// so two runs of the same scenario produce identical traces. By default the
-// engine is single-threaded: "threads" executing inside DCDOs are modelled as
-// activity intervals (paper Section 3.2, thread activity monitoring), not OS
-// threads. ConfigureParallel() swaps the execution substrate for the
-// conservative locality executor (parallel_sim.h) — same API, same simulated
-// results at any worker count, wall-clock throughput that scales with cores.
+// so two runs of the same scenario produce identical traces. The engine is
+// single-threaded: "threads" executing inside DCDOs are modelled as activity
+// intervals (paper Section 3.2, thread activity monitoring), not OS threads.
 //
-// Storage layout (legacy single-threaded path): every pending event lives in
-// a slab slot; its id encodes (slot, generation), so Cancel() is a direct
-// array access — no hashing. Two complementary containers order the slots:
+// Storage layout: every pending event lives in a slab slot; its id encodes
+// (slot, generation), so Cancel() is a direct array access — no hashing.
+// Two complementary containers order the slots:
 //   * a hierarchical timing wheel for the common timer shape — armed with a
 //     bounded horizon and almost always cancelled before firing (RPC
 //     invocation timeouts, transport retries, batching flush windows). Arming
@@ -32,17 +29,13 @@
 #include <memory>
 #include <optional>
 #include <queue>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/move_function.h"
-#include "common/status.h"
-#include "sim/locality.h"
 #include "sim/sim_time.h"
 
 namespace dcdo::sim {
-
-class ParallelExecutor;
 
 class Simulation {
  public:
@@ -50,47 +43,22 @@ class Simulation {
   // timer callbacks and network delivery wrappers (this + a Delivery) — which
   // are the per-event conversions on the hot path. Bulky closures (marshaled
   // invocations) fall back to one heap block and then move by pointer, so
-  // relocation never deep-moves big captures. Same instantiation as EventFn
-  // (locality.h).
+  // relocation never deep-moves big captures.
   using Callback = common::MoveFunction<void(), 64>;
 
   // Slot 0 is burned with a non-zero generation so no real event ever gets
   // id 0 — callers use 0 as a "no timer armed" sentinel.
-  // Both out-of-line: ParallelExecutor is incomplete here, and the ctor's
-  // exception-cleanup path needs the member unique_ptr's deleter.
-  Simulation();
-  ~Simulation();
+  Simulation() { slab_.emplace_back().gen = 1; }
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
-  SimTime Now() const { return executor_ ? ExecutorNow() : now_; }
+  SimTime Now() const { return now_; }
 
   // Schedules `fn` to run `delay` from now. Returns an event id usable with
-  // Cancel(). Negative delays are clamped to zero. The event inherits the
-  // scheduling context's affinity (CurrentAffinity below), which is what the
-  // overwhelming majority of call sites want: a handler's follow-up work
-  // runs where the handler ran.
+  // Cancel(). Negative delays are clamped to zero.
   std::uint64_t Schedule(SimDuration delay, Callback fn);
+  // Schedules `fn` at `when`; a time in the past is clamped to now.
   std::uint64_t ScheduleAt(SimTime when, Callback fn);
-
-  // Explicit-affinity variants. `affinity` is either the NodeId whose
-  // locality owns the event's state, or kAffinityGlobal for control-plane
-  // work (lifecycle, config methods, fetch machinery). In the legacy
-  // single-threaded configuration the affinity is recorded (so determinism
-  // digests are comparable across modes) but does not change execution.
-  // Under the parallel executor a cross-locality schedule from a worker
-  // returns id 0 (not cancellable) — see parallel_sim.h.
-  std::uint64_t ScheduleFor(std::uint32_t affinity, SimDuration delay,
-                            Callback fn);
-  std::uint64_t ScheduleAtFor(std::uint32_t affinity, SimTime when,
-                              Callback fn);
-  std::uint64_t ScheduleGlobal(SimDuration delay, Callback fn) {
-    return ScheduleFor(kAffinityGlobal, delay, std::move(fn));
-  }
-
-  // Affinity of the event currently executing (kAffinityGlobal in driver
-  // context between events). What Schedule/ScheduleAt stamp on new events.
-  std::uint32_t CurrentAffinity() const;
 
   // Cancels a pending event; no-op if it already fired or was cancelled.
   // O(1) for both containers: the id addresses the slab slot directly, and
@@ -107,58 +75,33 @@ class Simulation {
 
   // Fires events while `predicate()` returns true (checked before every
   // event). Returns true once the predicate turns false, false if the queue
-  // empties first with the predicate still true. Under the parallel executor
-  // the predicate is re-checked between global events and at every window
-  // barrier — worker windows are not interruptible, so a predicate satisfied
-  // by a worker event is noticed at the next barrier.
+  // empties first with the predicate still true.
   bool RunWhile(const std::function<bool()>& predicate);
 
-  bool Idle() const { return executor_ ? ExecutorIdle() : live_count_ == 0; }
+  bool Idle() const { return live_count_ == 0; }
   // Exact: cancelled events are removed from the count immediately.
-  std::size_t pending_events() const {
-    return executor_ ? ExecutorPending() : live_count_;
-  }
+  std::size_t pending_events() const { return live_count_; }
 
   // Total events fired since construction (monotone; identifies "when" an
   // observation was made independent of the clock, which can stall).
-  std::uint64_t events_fired() const {
-    return executor_ ? ExecutorFired() : events_fired_;
-  }
+  std::uint64_t events_fired() const { return events_fired_; }
 
-  // Observer called with the running event count: after each event in the
-  // legacy configuration; after each global event and each window barrier
-  // under the parallel executor (workers cannot stop mid-window).
+  // Observer called with the running event count after each event.
   // One observer at most (the checking layer); pass nullptr to clear.
   using EventObserver = std::function<void(std::uint64_t)>;
-  void SetEventObserver(EventObserver observer);
-
-  // Advances the clock with no event (used by host-local cost charging when
-  // the caller is executing "inline" rather than via an event). Under the
-  // parallel executor this advances the calling locality's clock only.
-  void AdvanceInline(SimDuration delta) {
-    if (executor_) {
-      ExecutorAdvance(delta);
-    } else {
-      now_ = now_ + delta;
-    }
+  void SetEventObserver(EventObserver observer) {
+    observer_ = std::move(observer);
   }
 
-  // --- Parallel execution (DESIGN.md §14) ---------------------------------
+  // Advances the clock with no event (used by host-local cost charging when
+  // the caller is executing "inline" rather than via an event).
+  void AdvanceInline(SimDuration delta) { now_ = now_ + delta; }
 
-  // Swaps in the conservative locality executor: hosts are partitioned
-  // across `workers` localities (node % workers), each run by a dedicated
-  // thread; `lookahead` must be the minimum cross-host link latency.
-  // Call on a fresh simulation (nothing scheduled or fired yet). The
-  // default (never calling this) keeps the byte-identical legacy path.
-  [[nodiscard]] Status ConfigureParallel(int workers, SimDuration lookahead);
-  bool parallel() const { return executor_ != nullptr; }
-  ParallelExecutor* executor() { return executor_.get(); }
-
-  // Order-hash of fired events, per affinity (see locality.h): identical
-  // across legacy and parallel execution at any worker count iff the
-  // workload is deterministic. Off by default (one map probe per event).
-  void EnableDeterminismDigest(bool on);
-  std::uint64_t DeterminismDigest() const;
+  // Order-hash of fired events: one FNV chain over their timestamps, so two
+  // runs agree iff they fired the same events at the same times in the same
+  // order. Off by default; enable before the first event fires.
+  void EnableDeterminismDigest(bool on) { digest_enabled_ = on; }
+  std::uint64_t DeterminismDigest() const { return digest_; }
 
   // One opaque per-simulation attachment, for layers above the engine that
   // need simulation-lifetime state without the engine depending on them
@@ -183,9 +126,6 @@ class Simulation {
     std::uint8_t wheel_level = 0;
     std::uint8_t wheel_slot = 0;
     bool in_wheel = false;
-    // Locality ownership tag; recorded even on the legacy path so digests
-    // are comparable across execution modes.
-    std::uint32_t affinity = kAffinityGlobal;
   };
   // What the priority queue orders: a trivially-copyable key. Sifts memcpy
   // these instead of moving callbacks.
@@ -246,24 +186,14 @@ class Simulation {
   bool PrepareTop();
   bool PopAndFire();
 
-  // Out-of-line executor shims so this header never needs the executor's
-  // definition (simulation.cc includes parallel_sim.h).
-  SimTime ExecutorNow() const;
-  void ExecutorAdvance(SimDuration delta);
-  bool ExecutorIdle() const;
-  std::size_t ExecutorPending() const;
-  std::uint64_t ExecutorFired() const;
-
   SimTime now_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_fired_ = 0;
   std::size_t live_count_ = 0;
-  std::uint32_t current_affinity_ = kAffinityGlobal;
   bool digest_enabled_ = false;
-  std::unordered_map<std::uint32_t, std::uint64_t> digest_;
+  std::uint64_t digest_ = 1469598103934665603ull;  // FNV offset basis
   EventObserver observer_;
   std::shared_ptr<void> attachment_;
-  std::unique_ptr<ParallelExecutor> executor_;
   std::vector<Event> slab_;
   std::vector<std::uint32_t> free_slots_;
   std::priority_queue<QueueKey, std::vector<QueueKey>, Later> queue_;

@@ -85,12 +85,11 @@ std::vector<std::uint64_t> Histogram::bucket_counts() const {
   return std::vector<std::uint64_t>(buckets_, buckets_ + kBuckets);
 }
 
-ShardedCounter& MetricsRegistry::GetCounter(std::string_view name) {
+Counter& MetricsRegistry::GetCounter(std::string_view name) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = counters_.find(name);
   if (it == counters_.end()) {
-    it = counters_
-             .emplace(std::string(name), std::make_unique<ShardedCounter>())
+    it = counters_.emplace(std::string(name), std::make_unique<Counter>())
              .first;
   }
   return *it->second;
@@ -106,8 +105,7 @@ Histogram& MetricsRegistry::GetHistogram(std::string_view name) {
   return *it->second;
 }
 
-const ShardedCounter* MetricsRegistry::FindCounter(
-    std::string_view name) const {
+const Counter* MetricsRegistry::FindCounter(std::string_view name) const {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = counters_.find(name);
   return it == counters_.end() ? nullptr : it->second.get();
@@ -120,7 +118,7 @@ const Histogram* MetricsRegistry::FindHistogram(std::string_view name) const {
 }
 
 std::uint64_t MetricsRegistry::CounterValue(std::string_view name) const {
-  const ShardedCounter* counter = FindCounter(name);
+  const Counter* counter = FindCounter(name);
   return counter == nullptr ? 0 : counter->value();
 }
 

@@ -1,32 +1,23 @@
 // MetricsRegistry: named counters and sim-time histograms for the tracing
 // layer (Section 5's evaluation numbers, machine-readable).
 //
-// Three pieces:
+// Two pieces:
 //   * trace::Counter — a relaxed atomic counter cheap enough to live inside
 //     hot-path components. Layers that used to keep ad-hoc `std::uint64_t`
 //     statistics (RpcClient, SimNetwork, BindingAgent — whose
 //     `lookups_served_` was a mutable non-atomic increment on a const path,
 //     i.e. a data race under concurrent lookups) hold these instead; their
 //     existing accessors keep working via value().
-//   * trace::ShardedCounter — the same interface with one cache-line-padded
-//     lane per simulation locality. Under the parallel executor
-//     (DESIGN.md §14) every worker thread bumps its own lane, so the hottest
-//     counters (network message counts, registry metrics) never bounce a
-//     shared cache line between cores; value() folds the lanes at read time.
-//     Single-threaded runs touch lane 0 only and behave exactly like Counter.
 //   * MetricsRegistry — the canonical name -> counter/histogram store owned
 //     by the installed TraceContext. Instrumentation sites bump registry
 //     metrics ("rpc.timeouts", "rpc.dedup_hits", "evolve.latency", ...) only
 //     when a context is installed and enabled, so the registry costs nothing
-//     in untraced runs. Registry counters are sharded: per-locality lanes
-//     replace PR 4's single relaxed atomic, and DumpTrace/export reads see
-//     the lane-merged totals.
+//     in untraced runs.
 //
 // Registered objects have stable addresses for the registry's lifetime, so a
 // hot site may look a counter up once and keep the reference.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -51,63 +42,14 @@ class Counter {
     value_.fetch_sub(n, std::memory_order_relaxed);
   }
   std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
+  void Reset() { Set(0); }
+  // Overwrite to an absolute value (snapshot import).
+  void Set(std::uint64_t value) {
+    value_.store(value, std::memory_order_relaxed);
+  }
 
  private:
   std::atomic<std::uint64_t> value_{0};
-};
-
-// One metrics lane per execution context: lane 0 is the single-threaded
-// engine / the parallel coordinator, lanes 1..16 the worker localities.
-// Keep in sync with sim::kMaxSimWorkers (parallel_sim.h) — trace sits below
-// sim in the layering, so the constant cannot be shared directly.
-inline constexpr std::size_t kMetricsLanes = 17;
-
-namespace internal {
-inline thread_local std::size_t tl_metrics_lane = 0;
-}  // namespace internal
-
-// Binds the calling thread to a metrics lane. Called once per worker thread
-// by the parallel executor; everything else stays on lane 0.
-inline void SetMetricsLane(std::size_t lane) {
-  internal::tl_metrics_lane = lane < kMetricsLanes ? lane : 0;
-}
-inline std::size_t CurrentMetricsLane() { return internal::tl_metrics_lane; }
-
-// Counter with per-lane cache-line-padded cells. Increments touch only the
-// calling thread's lane; reads fold all lanes. Decrement works on the local
-// lane too (lanes may go transiently negative in two's complement; the fold
-// is exact because the lanes sum modulo 2^64).
-class ShardedCounter {
- public:
-  void Increment(std::uint64_t n = 1) {
-    lanes_[CurrentMetricsLane()].cell.fetch_add(n, std::memory_order_relaxed);
-  }
-  void Decrement(std::uint64_t n = 1) {
-    lanes_[CurrentMetricsLane()].cell.fetch_sub(n, std::memory_order_relaxed);
-  }
-  std::uint64_t value() const {
-    std::uint64_t total = 0;
-    for (const Lane& lane : lanes_) {
-      total += lane.cell.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-  void Reset() {
-    for (Lane& lane : lanes_) lane.cell.store(0, std::memory_order_relaxed);
-  }
-  // Overwrite to an absolute value (snapshot import): zero every lane, park
-  // the value in lane 0. Only meaningful while no other thread increments.
-  void Set(std::uint64_t value) {
-    Reset();
-    lanes_[0].cell.store(value, std::memory_order_relaxed);
-  }
-
- private:
-  struct alignas(64) Lane {
-    std::atomic<std::uint64_t> cell{0};
-  };
-  std::array<Lane, kMetricsLanes> lanes_;
 };
 
 // Histogram over sim-time durations: exact count/sum/min/max plus log2
@@ -147,11 +89,11 @@ class Histogram {
 class MetricsRegistry {
  public:
   // Finds or creates; the reference stays valid for the registry's lifetime.
-  ShardedCounter& GetCounter(std::string_view name);
+  Counter& GetCounter(std::string_view name);
   Histogram& GetHistogram(std::string_view name);
 
   // Read-only lookups for tests and export; null when never created.
-  const ShardedCounter* FindCounter(std::string_view name) const;
+  const Counter* FindCounter(std::string_view name) const;
   const Histogram* FindHistogram(std::string_view name) const;
   // Convenience: the counter's value, or 0 if it was never created.
   std::uint64_t CounterValue(std::string_view name) const;
@@ -169,8 +111,7 @@ class MetricsRegistry {
   // unique_ptr values: node stability is not enough — GetCounter hands out
   // references that must survive rehash-free, and std::map nodes already do;
   // the indirection keeps Counter/Histogram non-movable types storable.
-  std::map<std::string, std::unique_ptr<ShardedCounter>, std::less<>>
-      counters_;
+  std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
 

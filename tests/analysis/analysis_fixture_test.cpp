@@ -8,9 +8,7 @@
 //
 // The expectations live in the fixtures themselves (the `// expect:`
 // markers), so adding a case means editing one file. The tests drive the
-// dcdo-analyze engine binary; when the clang-tidy plugin is built, the
-// same fixtures can be run through `clang-tidy --load` by hand (the checks
-// share names and NOLINT semantics).
+// dcdo-analyze engine binary.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -143,7 +141,7 @@ INSTANTIATE_TEST_SUITE_P(
                       "dcdo-mutable-nonatomic-in-const",
                       "dcdo-unordered-iteration-schedules",
                       "dcdo-wallclock-in-sim", "dcdo-status-discard",
-                      "dcdo-cross-locality-schedule",
+                      "dcdo-deferred-ref-capture",
                       "dcdo-continuation-chain"),
     [](const ::testing::TestParamInfo<const char*>& info) {
       std::string name = info.param;
@@ -159,7 +157,7 @@ TEST(AnalyzerDriverTest, ListChecksNamesAllSeven) {
   for (const char* check :
        {"dcdo-shared-function-self-capture", "dcdo-mutable-nonatomic-in-const",
         "dcdo-unordered-iteration-schedules", "dcdo-wallclock-in-sim",
-        "dcdo-status-discard", "dcdo-cross-locality-schedule",
+        "dcdo-status-discard", "dcdo-deferred-ref-capture",
         "dcdo-continuation-chain"}) {
     EXPECT_NE(run.output.find(check), std::string::npos) << run.output;
   }

@@ -1,10 +1,9 @@
-// The committed fix patterns (PR 8 Schedule-call audit, DESIGN.md §14):
-// deferred callbacks capture by value — ids, copies, or an owner pointer
-// whose lifetime the scheduler controls (`this` for components torn down
-// only after the simulation drains). By-reference captures remain fine in
-// immediate callers (predicates, comparators) that run inside the
-// capturing frame, and driver code that provably drains the queue before
-// its frame returns may keep one behind a NOLINT with a reason.
+// The committed fix patterns: deferred callbacks capture by value — ids,
+// copies, or an owner pointer whose lifetime the scheduler controls (`this`
+// for components torn down only after the simulation drains). By-reference
+// captures remain fine in immediate callers (predicates, comparators) that
+// run inside the capturing frame, and driver code that provably drains the
+// queue before its frame returns may keep one behind a NOLINT with a reason.
 #include <algorithm>
 #include <cstdint>
 #include <functional>
@@ -14,8 +13,6 @@ namespace fixture {
 
 struct Simulation {
   std::uint64_t Schedule(std::int64_t delay_ns, std::function<void()> fn);
-  std::uint64_t ScheduleFor(std::uint32_t affinity, std::int64_t delay_ns,
-                            std::function<void()> fn);
   bool RunWhile(std::function<bool()> predicate);
 };
 
@@ -47,9 +44,14 @@ class Churn {
   void Probe(Simulation& sim) {
     bool done = false;
     sim.Schedule(500,
-                 // NOLINTNEXTLINE(dcdo-cross-locality-schedule): drained below
+                 // NOLINTNEXTLINE(dcdo-deferred-ref-capture): drained below
                  [&done] { done = true; });
     sim.RunWhile([&] { return !done; });
+  }
+
+  // A by-value delivery callback: the message carries its own payload.
+  void Deliver(Network& net, int from, int to) {
+    net.Send(from, to, 64, [this, to] { seen_ = to; });
   }
 
  private:

@@ -10,9 +10,19 @@
 // with DCDO_EQUIV_CAPTURE=1, which prints each scenario's summary instead
 // of asserting. Any drift in digest / fired / end_ns / state_hash means the
 // conversion changed the simulated execution — an instant failure, not a
-// tolerance band. Scenarios run at sim_workers 1 and 4 with the every-event
-// invariant checker + race detector live (the suite is also in the TSan CI
-// regex at DCDO_SIM_WORKERS=4 DCDO_SIM_THREADS=1).
+// tolerance band. Each scenario runs once, with the every-event invariant
+// checker + race detector live (the suite is also in the TSan CI regex).
+//
+// One deliberate re-pin since then. When the parallel simulation executor
+// was removed, the digest became a single FNV chain over fired-event
+// timestamps (it had been one chain per event affinity), and the rebind
+// storm lost the cost-model knob that sent directory lookups to the shard
+// host as request messages (lookups now always queue in place on their
+// shard). The digest column and all four kRebindStorm columns were
+// re-captured once, with DCDO_EQUIV_CAPTURE=1, from the commit before that
+// removal, patched only to compute the single-chain digest and to turn that
+// knob off; fired, end_ns and state_hash of the other three scenarios are
+// unchanged.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -33,7 +43,6 @@ namespace dcdo {
 namespace {
 
 using check::CheckContext;
-using testing::ClearWorkerOverride;
 using testing::Fnv;
 using testing::RunFetchChurn;
 using testing::RunRebindStorm;
@@ -46,13 +55,11 @@ using testing::RunSummary;
 // succeed). Batch 2 validates but fails at apply time, driving the
 // coordinator's failure spine (apply loop, mid-batch failure, best-effort
 // rollback, refusal notes) under the digest.
-RunSummary RunCoordinatorBatches(int workers) {
-  ClearWorkerOverride();
+RunSummary RunCoordinatorBatches() {
   ObjectId::ResetCounterForTest();
 
   Testbed::Options options;
   options.check_options.cadence = CheckContext::Cadence::kEveryEvent;
-  options.cost_model.sim_workers = workers;
   Testbed testbed(options);
   testbed.simulation().EnableDeterminismDigest(true);
 
@@ -182,53 +189,46 @@ struct Pinned {
 bool CaptureMode() { return std::getenv("DCDO_EQUIV_CAPTURE") != nullptr; }
 
 void ExpectMatchesLegacy(const char* name, const Pinned& pinned,
-                         RunSummary (*run)(int)) {
-  for (int workers : {1, 4}) {
-    const RunSummary actual = run(workers);
-    EXPECT_TRUE(actual.checker_clean)
-        << name << " workers=" << workers << ":\n" << actual.diagnostics;
-    EXPECT_EQ(actual.late_remote, 0u) << name << " workers=" << workers;
-    if (CaptureMode()) {
-      if (workers == 1) {
-        std::printf("constexpr Pinned %s = {%lluull, %lluull, %lld, %lluull};\n",
-                    name,
-                    static_cast<unsigned long long>(actual.digest),
-                    static_cast<unsigned long long>(actual.fired),
-                    static_cast<long long>(actual.end_ns),
-                    static_cast<unsigned long long>(actual.state_hash));
-      }
-      continue;
-    }
-    EXPECT_EQ(actual.digest, pinned.digest) << name << " workers=" << workers;
-    EXPECT_EQ(actual.fired, pinned.fired) << name << " workers=" << workers;
-    EXPECT_EQ(actual.end_ns, pinned.end_ns) << name << " workers=" << workers;
-    EXPECT_EQ(actual.state_hash, pinned.state_hash)
-        << name << " workers=" << workers;
+                         RunSummary (*run)()) {
+  const RunSummary actual = run();
+  EXPECT_TRUE(actual.checker_clean) << name << ":\n" << actual.diagnostics;
+  if (CaptureMode()) {
+    std::printf("constexpr Pinned %s = {%lluull, %lluull, %lld, %lluull};\n",
+                name, static_cast<unsigned long long>(actual.digest),
+                static_cast<unsigned long long>(actual.fired),
+                static_cast<long long>(actual.end_ns),
+                static_cast<unsigned long long>(actual.state_hash));
+    return;
   }
+  EXPECT_EQ(actual.digest, pinned.digest) << name;
+  EXPECT_EQ(actual.fired, pinned.fired) << name;
+  EXPECT_EQ(actual.end_ns, pinned.end_ns) << name;
+  EXPECT_EQ(actual.state_hash, pinned.state_hash) << name;
 }
 
-// Captured from the legacy continuation-chain implementation; see the file
-// comment. Refresh ONLY for a change that deliberately alters the simulated
-// schedule — never to paper over accidental drift from a control-flow edit.
-constexpr Pinned kFetchChurnPipelined = {11990163674873321486ull, 97ull,
+// Captured from the legacy continuation-chain implementation and re-pinned
+// once, as the file comment records. Refresh ONLY for a change that
+// deliberately alters the simulated schedule — never to paper over
+// accidental drift from a control-flow edit.
+constexpr Pinned kFetchChurnPipelined = {3197904562554234779ull, 97ull,
                                          16991345864, 10806504725990349857ull};
-constexpr Pinned kFetchChurnSequential = {7900643515657299457ull, 103ull,
+constexpr Pinned kFetchChurnSequential = {16884809312000356034ull, 103ull,
                                           21134985962, 10806504725990349857ull};
-constexpr Pinned kRebindStorm = {8092399305201976719ull, 144ull, 3586720,
+constexpr Pinned kRebindStorm = {201372523356852099ull, 96ull, 2976480,
                                  5379307963124079595ull};
-constexpr Pinned kCoordinatorBatches = {1602434531113269194ull, 10ull,
+constexpr Pinned kCoordinatorBatches = {4266133573770504761ull, 10ull,
                                         4811245836, 11468531600831910452ull};
 
 TEST(FomEquivalence, FetchChurnPipelinedMatchesLegacy) {
   ExpectMatchesLegacy("kFetchChurnPipelined", kFetchChurnPipelined,
-                      [](int workers) { return RunFetchChurn(workers, 8); });
+                      [] { return RunFetchChurn(8); });
 }
 
 TEST(FomEquivalence, FetchChurnSequentialMatchesLegacy) {
   // fetch_concurrency = 1 drives the sequential fetch path — the
   // SequentialDriver conversion — plus the inline poll/removal chain.
   ExpectMatchesLegacy("kFetchChurnSequential", kFetchChurnSequential,
-                      [](int workers) { return RunFetchChurn(workers, 1); });
+                      [] { return RunFetchChurn(1); });
 }
 
 TEST(FomEquivalence, RebindStormMatchesLegacy) {
@@ -238,6 +238,16 @@ TEST(FomEquivalence, RebindStormMatchesLegacy) {
 TEST(FomEquivalence, CoordinatorBatchesMatchLegacy) {
   ExpectMatchesLegacy("kCoordinatorBatches", kCoordinatorBatches,
                       &RunCoordinatorBatches);
+}
+
+// Run-to-run stability of the instrument itself: two runs of a scenario
+// must agree before a match against the pinned summaries means anything (a
+// global counter or container-order dependence would already break this).
+// The suite name dates from when these scenarios were also compared across
+// simulation worker counts.
+TEST(ParallelDeterminism, LegacyBaselineIsRunToRunStable) {
+  EXPECT_TRUE(RunFetchChurn(8) == RunFetchChurn(8));
+  EXPECT_TRUE(RunRebindStorm() == RunRebindStorm());
 }
 
 }  // namespace

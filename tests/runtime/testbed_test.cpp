@@ -55,6 +55,16 @@ TEST(TestbedTest, RunAllDrainsTheSimulation) {
   EXPECT_TRUE(testbed.simulation().Idle());
 }
 
+// A cost model ValidateCostModel rejects must never reach the simulation:
+// with zero session slots every Invoke would park forever while the run
+// goes idle at t = 0.
+TEST(TestbedDeathTest, RejectsInvalidCostModel) {
+  Testbed::Options options;
+  options.cost_model.session_slots = 0;
+  EXPECT_DEATH({ Testbed testbed(options); },
+               "cost model rejected: session slots must be at least 1");
+}
+
 TEST(TestbedTest, NameServiceIsWired) {
   Testbed testbed;
   ObjectId id = ObjectId::Next(domains::kComponent);

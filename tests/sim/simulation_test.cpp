@@ -334,6 +334,24 @@ TEST(SimulationTest, AlignedSlotsAcrossLevelsFlushTogether) {
   EXPECT_EQ(simulation.Now().nanos(), kAlignedNs + 1000);
 }
 
+// The determinism digest is what the Fom equivalence pins and run-to-run
+// comparisons rest on: it must be reproducible, and a one-nanosecond shift
+// of a single event must change it.
+TEST(SimulationTest, DeterminismDigestSeparatesDivergentWorkloads) {
+  auto digest_with_extra_delay = [](SimDuration extra) {
+    Simulation sim;
+    sim.EnableDeterminismDigest(true);
+    sim.Schedule(SimDuration::Micros(10), [] {});
+    sim.Schedule(SimDuration::Micros(20) + extra, [] {});
+    sim.Run();
+    return sim.DeterminismDigest();
+  };
+  EXPECT_EQ(digest_with_extra_delay(SimDuration::Zero()),
+            digest_with_extra_delay(SimDuration::Zero()));
+  EXPECT_NE(digest_with_extra_delay(SimDuration::Zero()),
+            digest_with_extra_delay(SimDuration::Nanos(1)));
+}
+
 TEST(SimTimeTest, DurationArithmetic) {
   EXPECT_EQ(SimDuration::Seconds(1.5).nanos(), 1'500'000'000);
   EXPECT_EQ((SimDuration::Millis(2) + SimDuration::Micros(500)).ToMillis(),

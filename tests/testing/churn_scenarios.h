@@ -1,19 +1,17 @@
-// Deterministic whole-substrate churn scenarios shared by the parallel-
-// determinism suite (tests/sim) and the Fom equivalence suite (tests/runtime).
+// Deterministic whole-substrate churn scenarios for the Fom equivalence
+// suite (tests/runtime) and the batched-traffic overload test (tests/rpc).
 //
 // Each scenario drives a heavy EXPERIMENTS.md workload to quiescence and
-// folds everything observable into a RunSummary: the per-affinity SimTime
-// event-order digest, total events fired, the final clock, and a final-state
+// folds everything observable into a RunSummary: the SimTime event-order
+// digest, total events fired, the final clock, and a final-state
 // fingerprint. Two runs are "the same execution" iff their summaries are
-// equal — that is the contract both suites assert, across worker counts
-// (DESIGN.md §14) and across the continuation-chain → Fom conversion
-// (DESIGN.md §16).
+// equal — the contract the suites assert across runs and across the
+// continuation-chain → Fom conversion (DESIGN.md §16).
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <random>
@@ -24,7 +22,6 @@
 #include "core/manager.h"
 #include "naming/binding_cache.h"
 #include "runtime/testbed.h"
-#include "sim/parallel_sim.h"
 #include "testing/fixtures.h"
 
 namespace dcdo::testing {
@@ -38,7 +35,6 @@ struct RunSummary {
   std::uint64_t fired = 0;
   std::int64_t end_ns = 0;
   std::uint64_t state_hash = 0;
-  std::uint64_t late_remote = 0;
   bool checker_clean = true;
   std::string diagnostics;
 
@@ -48,24 +44,10 @@ struct RunSummary {
   }
 };
 
-// The suites compare explicit worker counts; a CI-level DCDO_SIM_WORKERS
-// override would collapse them all onto one value and prove nothing.
-// Forcing DCDO_SIM_THREADS=1 keeps the real worker pool (and its barrier
-// protocol) under test even on single-CPU machines, where the executor's
-// auto mode would otherwise run every window inline on the coordinator.
-inline void ClearWorkerOverride() {
-  unsetenv("DCDO_SIM_WORKERS");
-  setenv("DCDO_SIM_THREADS", "1", /*overwrite=*/1);
-}
-
 inline void FinishSummary(Testbed& testbed, RunSummary& summary) {
   summary.digest = testbed.simulation().DeterminismDigest();
   summary.fired = testbed.simulation().events_fired();
   summary.end_ns = testbed.simulation().Now().nanos();
-  if (testbed.simulation().parallel()) {
-    summary.late_remote =
-        testbed.simulation().executor()->late_remote_events();
-  }
   if (check::CheckContext* checker = testbed.checker()) {
     summary.checker_clean = checker->diagnostics().Clean();
     if (!summary.checker_clean) {
@@ -76,14 +58,12 @@ inline void FinishSummary(Testbed& testbed, RunSummary& summary) {
 
 // ===== E13: fetch-churn (concurrent creations, evolutions, migrations) =====
 
-inline RunSummary RunFetchChurn(int workers, int fetch_concurrency = 8) {
-  ClearWorkerOverride();
+inline RunSummary RunFetchChurn(int fetch_concurrency) {
   ObjectId::ResetCounterForTest();
   std::mt19937 rng(1999);
 
   Testbed::Options options;
   options.check_options.cadence = check::CheckContext::Cadence::kEveryEvent;
-  options.cost_model.sim_workers = workers;
   options.cost_model.fetch_concurrency = fetch_concurrency;
   options.cost_model.component_cache_capacity = 4;
   Testbed testbed(options);
@@ -190,23 +170,18 @@ inline RunSummary RunFetchChurn(int workers, int fetch_concurrency = 8) {
   return summary;
 }
 
-// ===== E14: rebind storm over the leased, sharded, remote directory ========
+// ===== E14: rebind storm over the leased, sharded, modelled directory ======
 
-inline RunSummary RunRebindStorm(int workers) {
-  ClearWorkerOverride();
+inline RunSummary RunRebindStorm() {
   ObjectId::ResetCounterForTest();
 
   Testbed::Options options;
   options.host_count = 8;
   options.check_options.cadence = check::CheckContext::Cadence::kEveryEvent;
-  options.cost_model.sim_workers = workers;
   options.cost_model.naming_shard_count = 2;
   options.cost_model.binding_lease_duration = sim::SimDuration::Seconds(60.0);
-  // The modelled per-lookup service time, routed as real request messages to
-  // the shard hosts — the configuration parallel execution requires, applied
-  // at every worker count so the comparison is like for like.
+  // The modelled per-lookup service time: lookups queue on their shard.
   options.cost_model.directory_lookup_service = sim::SimDuration::Micros(100);
-  options.cost_model.directory_remote_requests = true;
   Testbed testbed(options);
   testbed.simulation().EnableDeterminismDigest(true);
   BindingAgent& agent = testbed.agent();

@@ -13,7 +13,7 @@ constexpr const char kMutableConst[] = "dcdo-mutable-nonatomic-in-const";
 constexpr const char kUnorderedSched[] = "dcdo-unordered-iteration-schedules";
 constexpr const char kWallclock[] = "dcdo-wallclock-in-sim";
 constexpr const char kStatusDiscard[] = "dcdo-status-discard";
-constexpr const char kCrossLocality[] = "dcdo-cross-locality-schedule";
+constexpr const char kDeferredRefCapture[] = "dcdo-deferred-ref-capture";
 constexpr const char kContinuation[] = "dcdo-continuation-chain";
 
 void Report(const SourceFile& file, std::size_t offset, const char* check,
@@ -38,7 +38,7 @@ std::string Snippet(std::string_view code, Piece p) {
 const std::vector<std::string>& AllCheckNames() {
   static const std::vector<std::string> kNames = {
       kSelfCapture, kMutableConst, kUnorderedSched, kWallclock,
-      kStatusDiscard, kCrossLocality, kContinuation};
+      kStatusDiscard, kDeferredRefCapture, kContinuation};
   return kNames;
 }
 
@@ -961,27 +961,25 @@ void IndexFile(const SourceFile& file, ProjectIndex* index) {
 }
 
 // ---------------------------------------------------------------------------
-// dcdo-cross-locality-schedule
+// dcdo-deferred-ref-capture
 //
-// The PR 8 parallel-executor hazard class: a callback handed to a deferred
-// scheduling sink (Simulation::Schedule / ScheduleAt / ScheduleFor /
-// ScheduleAtFor / ScheduleGlobal, Locality::PushRemote, SimNetwork::Send)
-// does not run in the enclosing frame — under the locality executor
-// (DESIGN.md §14) it may fire later on a *different worker thread*. A
-// by-reference capture (`[&]` or `[&x]`) then either dangles (the stack
-// frame is long gone by the fire time) or races (the referent is touched
-// concurrently with the locality that owns it). Deferred callbacks must
-// capture by value: ids, copies, or owner pointers whose lifetime the
-// scheduler controls. Driver code that runs the simulation to completion
-// inside the capturing frame can suppress with NOLINT and a reason.
+// A callback handed to a deferred sink (Simulation::Schedule / ScheduleAt,
+// SimNetwork::Send) does not run in the enclosing frame: it fires from the
+// event loop, after the frame that scheduled it has usually returned. A
+// by-reference capture (`[&]` or `[&x]`) then dangles — the stack frame is
+// gone by the fire time. The PR 8 `&source` capture in
+// DcdoManager::MigrateInstance's bulk-transfer callback was one. Deferred
+// callbacks must capture by value: ids, copies, or owner pointers whose
+// lifetime the scheduler controls. Driver code that runs the simulation to
+// completion inside the capturing frame can suppress with NOLINT and a
+// reason.
 // ---------------------------------------------------------------------------
-void CheckCrossLocalitySchedule(const SourceFile& file,
-                                std::vector<Finding>* findings) {
+void CheckDeferredRefCapture(const SourceFile& file,
+                             std::vector<Finding>* findings) {
   std::string_view code = file.code();
 
-  static constexpr std::array<const char*, 7> kSinks = {
-      "Schedule",      "ScheduleAt", "ScheduleFor", "ScheduleAtFor",
-      "ScheduleGlobal", "PushRemote", "Send"};
+  static constexpr std::array<const char*, 3> kSinks = {"Schedule",
+                                                        "ScheduleAt", "Send"};
   for (const char* sink : kSinks) {
     const std::size_t sink_len = std::string_view(sink).size();
     for (std::size_t pos = FindIdent(code, sink);
@@ -1024,13 +1022,12 @@ void CheckCrossLocalitySchedule(const SourceFile& file,
               (t.end - t.begin) == 1
                   ? std::string("default by-reference capture '&'")
                   : "by-reference capture '" + Snippet(code, t) + "'";
-          Report(file, t.begin, kCrossLocality,
+          Report(file, t.begin, kDeferredRefCapture,
                  what + " in a callback passed to deferred sink '" +
                      std::string(sink) +
-                     "' — under the parallel locality executor the callback "
-                     "may fire on another worker thread after this frame "
-                     "returns (dangling reference or cross-locality race); "
-                     "capture by value instead",
+                     "' — the callback fires from the event loop after this "
+                     "frame may have returned, leaving the reference "
+                     "dangling; capture by value instead",
                  findings);
           break;  // one report per lambda
         }
@@ -1119,7 +1116,7 @@ void RunChecks(const SourceFile& file, const ProjectIndex& index,
     if (!allowed) CheckWallclockInSim(file, findings);
   }
   if (enabled(kStatusDiscard)) CheckStatusDiscard(file, index, findings);
-  if (enabled(kCrossLocality)) CheckCrossLocalitySchedule(file, findings);
+  if (enabled(kDeferredRefCapture)) CheckDeferredRefCapture(file, findings);
   if (enabled(kContinuation)) {
     bool allowed = false;
     for (const std::string& prefix : options.continuation_allow_prefixes) {

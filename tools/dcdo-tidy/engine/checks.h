@@ -8,15 +8,13 @@
 //   dcdo-unordered-iteration-schedules  PR 5 determinism hazard class
 //   dcdo-wallclock-in-sim               sim-determinism hazard
 //   dcdo-status-discard                 silently dropped error paths
-//   dcdo-cross-locality-schedule        PR 8 parallel-executor lifetime class
+//   dcdo-deferred-ref-capture           PR 8 dangling-capture class
 //   dcdo-continuation-chain             PR 10 heap-continuation class
 //
-// The same seven checks exist as clang-tidy AST-matcher checks in
-// ../plugin/ (built when LLVM/Clang dev headers are present). This engine
-// is the dependency-free fallback so analysis runs on every machine; it is
+// The engine is dependency-free so analysis runs on every machine; it is
 // deliberately conservative — heuristics are tuned so that everything it
 // reports on this codebase is a true instance of the pattern, with NOLINT
-// comments as the escape hatch.
+// comments (clang-tidy syntax) as the escape hatch.
 #ifndef DCDO_TOOLS_DCDO_TIDY_ENGINE_CHECKS_H_
 #define DCDO_TOOLS_DCDO_TIDY_ENGINE_CHECKS_H_
 
@@ -101,8 +99,8 @@ void CheckWallclockInSim(const SourceFile& file,
                          std::vector<Finding>* findings);
 void CheckStatusDiscard(const SourceFile& file, const ProjectIndex& index,
                         std::vector<Finding>* findings);
-void CheckCrossLocalitySchedule(const SourceFile& file,
-                                std::vector<Finding>* findings);
+void CheckDeferredRefCapture(const SourceFile& file,
+                             std::vector<Finding>* findings);
 void CheckContinuationChain(const SourceFile& file,
                             std::vector<Finding>* findings);
 

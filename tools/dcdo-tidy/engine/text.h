@@ -1,4 +1,4 @@
-// Source-text layer for the dcdo-tidy fallback engine.
+// Source-text layer for the dcdo-tidy engine.
 //
 // The engine is a lexical analyzer, not a parser: it works on a "code view"
 // of each file where comments and string/character literals are blanked out
@@ -6,9 +6,7 @@
 // inside prose, while every offset in the code view still maps 1:1 onto the
 // original file for line/column reporting. Comment text is not discarded —
 // `NOLINT` / `NOLINTNEXTLINE` markers are recorded per line so findings can
-// be suppressed exactly like clang-tidy does (the clang-tidy plugin build of
-// these checks honors the same comments natively, so one suppression works
-// under either implementation).
+// be suppressed exactly like clang-tidy does.
 #ifndef DCDO_TOOLS_DCDO_TIDY_ENGINE_TEXT_H_
 #define DCDO_TOOLS_DCDO_TIDY_ENGINE_TEXT_H_
 
