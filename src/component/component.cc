@@ -25,6 +25,13 @@ Status ImplementationComponent::Validate() const {
                                   "' in component '" + name +
                                   "' has no symbol");
     }
+    for (const std::string& callee : fn.calls) {
+      if (callee.empty()) {
+        return InvalidArgumentError("function '" + fn.function.name +
+                                    "' in component '" + name +
+                                    "' names an empty callee");
+      }
+    }
     if (!seen.insert(fn.function.name).second) {
       return InvalidArgumentError("component '" + name +
                                   "' implements function '" +

@@ -31,8 +31,8 @@ struct ImplementationComponent {
   // Descriptor for `function_name`, or nullptr.
   const FunctionImplDescriptor* Find(const std::string& function_name) const;
 
-  // Structural soundness: unique function names, non-empty symbols, positive
-  // image size when functions exist.
+  // Structural soundness: unique function names, non-empty symbols and
+  // callee names, positive image size when functions exist.
   [[nodiscard]] Status Validate() const;
 
   std::size_t function_count() const { return functions.size(); }

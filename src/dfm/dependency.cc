@@ -112,35 +112,39 @@ Status DependencySet::Remove(const Dependency& dep) {
   return Status::Ok();
 }
 
-bool DependencySet::HeadHolds(const Dependency& dep,
-                              const EnabledSnapshot& snapshot) {
+bool DependencySet::HeadHolds(const Dependency& dep, const EnabledView& view) {
   if (dep.dependent_component.has_value()) {
-    return snapshot.IsEnabled(dep.dependent, *dep.dependent_component);
+    return view.IsEnabled(dep.dependent, *dep.dependent_component);
   }
-  return snapshot.AnyEnabled(dep.dependent);
+  return view.AnyEnabled(dep.dependent);
 }
 
 bool DependencySet::TargetHolds(const Dependency& dep,
-                                const EnabledSnapshot& snapshot) {
+                                const EnabledView& view) {
   if (dep.target_component.has_value()) {
-    return snapshot.IsEnabled(dep.target, *dep.target_component);
+    return view.IsEnabled(dep.target, *dep.target_component);
   }
-  return snapshot.AnyEnabled(dep.target);
+  return view.AnyEnabled(dep.target);
 }
 
-Status DependencySet::Validate(const EnabledSnapshot& snapshot) const {
+Status DependencySet::Check(const Dependency& dep, const EnabledView& view) {
+  if (HeadHolds(dep, view) && !TargetHolds(dep, view)) {
+    return DependencyViolationError("dependency " + dep.ToString() +
+                                    " violated");
+  }
+  return Status::Ok();
+}
+
+Status DependencySet::Validate(const EnabledView& view) const {
   for (const Dependency& dep : deps_) {
-    if (HeadHolds(dep, snapshot) && !TargetHolds(dep, snapshot)) {
-      return DependencyViolationError("dependency " + dep.ToString() +
-                                      " violated");
-    }
+    DCDO_RETURN_IF_ERROR(Check(dep, view));
   }
   return Status::Ok();
 }
 
 std::vector<const Dependency*> DependencySet::BindingDependenciesOn(
     const std::string& function, const ObjectId& component,
-    const EnabledSnapshot& snapshot) const {
+    const EnabledView& view) const {
   std::vector<const Dependency*> out;
   for (const Dependency& dep : deps_) {
     if (dep.target != function) continue;
@@ -148,7 +152,7 @@ std::vector<const Dependency*> DependencySet::BindingDependenciesOn(
         *dep.target_component != component) {
       continue;
     }
-    if (HeadHolds(dep, snapshot)) out.push_back(&dep);
+    if (HeadHolds(dep, view)) out.push_back(&dep);
   }
   return out;
 }

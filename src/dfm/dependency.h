@@ -56,9 +56,23 @@ struct Dependency {
 
 std::ostream& operator<<(std::ostream& os, const Dependency& dep);
 
-// What the dependency checker needs to know about a configuration: the set
-// of enabled (function, component) implementations.
-class EnabledSnapshot {
+// What the dependency checker needs to know about a configuration: which
+// (function, component) implementations are enabled. DfmState::Overlay reads
+// a live table plus a mutation's pending flips through this interface, so
+// validating a mutation copies nothing.
+class EnabledView {
+ public:
+  virtual bool IsEnabled(const std::string& function,
+                         const ObjectId& component) const = 0;
+  virtual bool AnyEnabled(const std::string& function) const = 0;
+
+ protected:
+  ~EnabledView() = default;
+};
+
+// A free-standing, set-backed EnabledView for exercising DependencySet
+// without a DfmState.
+class EnabledSnapshot final : public EnabledView {
  public:
   void Enable(const std::string& function, const ObjectId& component) {
     enabled_.insert({function, component});
@@ -66,11 +80,11 @@ class EnabledSnapshot {
   void Disable(const std::string& function, const ObjectId& component) {
     enabled_.erase({function, component});
   }
-  bool IsEnabled(const std::string& function, const ObjectId& component) const {
+  bool IsEnabled(const std::string& function,
+                 const ObjectId& component) const override {
     return enabled_.contains({function, component});
   }
-  bool AnyEnabled(const std::string& function) const;
-  std::size_t size() const { return enabled_.size(); }
+  bool AnyEnabled(const std::string& function) const override;
 
  private:
   std::set<std::pair<std::string, ObjectId>> enabled_;
@@ -86,22 +100,25 @@ class DependencySet {
   const std::vector<Dependency>& all() const { return deps_; }
   std::size_t size() const { return deps_.size(); }
 
-  // First violated dependency in `snapshot`, or OK. A dependency is violated
-  // when its head condition holds but its target condition does not.
-  [[nodiscard]] Status Validate(const EnabledSnapshot& snapshot) const;
+  // First violated dependency in `view`, or OK. Every dependency is
+  // checked, in insertion order. A dependency is violated when its head
+  // condition holds but its target condition does not.
+  [[nodiscard]] Status Validate(const EnabledView& view) const;
+  // The same check for one dependency, whether or not it is in a set.
+  [[nodiscard]] static Status Check(const Dependency& dep,
+                                    const EnabledView& view);
 
-  // True if some *currently binding* dependency (head enabled in `snapshot`)
+  // True if some *currently binding* dependency (head enabled in `view`)
   // has (function, component) — or any impl of `function` for structural
   // targets — as its target. Used by thread-activity policies: disabling a
   // depended-on implementation can be deferred while dependents are active.
   std::vector<const Dependency*> BindingDependenciesOn(
       const std::string& function, const ObjectId& component,
-      const EnabledSnapshot& snapshot) const;
+      const EnabledView& view) const;
 
  private:
-  static bool HeadHolds(const Dependency& dep, const EnabledSnapshot& snapshot);
-  static bool TargetHolds(const Dependency& dep,
-                          const EnabledSnapshot& snapshot);
+  static bool HeadHolds(const Dependency& dep, const EnabledView& view);
+  static bool TargetHolds(const Dependency& dep, const EnabledView& view);
 
   std::vector<Dependency> deps_;
 };

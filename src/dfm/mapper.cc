@@ -153,32 +153,38 @@ Result<DynamicFunctionMapper::CallGuard> DynamicFunctionMapper::Acquire(
                          : std::string_view(EmptyName()));
 }
 
-void DynamicFunctionMapper::RebuildSlotsLocked() {
-  // Derived from the authoritative DfmState: one slot per interned function
-  // id, summarizing "who services a call to F" for the shared-lock readers.
+void DynamicFunctionMapper::DeriveSlotLocked(const std::string& function) {
+  // Derived from the authoritative DfmState: the slot summarizes "who
+  // services a call to F" for the shared-lock readers.
   FunctionNameTable& names = FunctionNameTable::Global();
-  for (Slot& slot : slots_) {
-    slot = Slot{};
-  }
-  // name_index_ is deliberately NOT cleared: a name's interned id is stable
-  // for the life of the process, and an index entry for a function no longer
-  // present resolves to a slot with any_present=false — the same kMissing a
-  // map miss yields. Keeping entries makes the rebuild's per-name cost a
-  // try_emplace no-op instead of an unordered_map node allocation, which is
-  // what turned incorporate-N-components into O(N^2) heap traffic.
+  FunctionId id = names.Intern(function);
+  if (id.value >= slots_.size()) slots_.resize(id.value + 1);
+  Slot& slot = slots_[id.value];
+  slot = Slot{};
+  if (!state_.AnyImplPresent(function)) return;
+  slot.any_present = true;
+  slot.name = &names.NameOf(id);
+  // name_index_ is insert-only: a name's interned id is stable for the life
+  // of the process, and an index entry for a function no longer present
+  // resolves to a slot with any_present=false — the same kMissing a map
+  // miss yields.
+  name_index_.try_emplace(std::string_view(*slot.name), id);
+  const DfmEntry* entry = state_.EnabledImpl(function);
+  if (entry == nullptr) return;
+  slot.enabled = true;
+  slot.visibility = entry->visibility;
+  slot.component = entry->component;
+  auto impl = impls_.find({function, entry->component});
+  if (impl != impls_.end()) slot.impl = impl->second;
+}
+
+void DynamicFunctionMapper::DeriveAllSlotsLocked() {
+  // Rows arrive grouped by function; derive each function's slot once.
+  const std::string* previous = nullptr;
   for (const DfmEntry* entry : state_.AllEntries()) {
-    FunctionId id = names.Intern(entry->function.name);
-    if (id.value >= slots_.size()) slots_.resize(id.value + 1);
-    Slot& slot = slots_[id.value];
-    slot.any_present = true;
-    slot.name = &names.NameOf(id);
-    name_index_.try_emplace(std::string_view(*slot.name), id);
-    if (!entry->enabled) continue;
-    slot.enabled = true;
-    slot.visibility = entry->visibility;
-    slot.component = entry->component;
-    auto impl = impls_.find({entry->function.name, entry->component});
-    if (impl != impls_.end()) slot.impl = impl->second;
+    if (previous != nullptr && *previous == entry->function.name) continue;
+    previous = &entry->function.name;
+    DeriveSlotLocked(entry->function.name);
   }
 }
 
@@ -202,7 +208,9 @@ Status DynamicFunctionMapper::IncorporateComponent(
   DCDO_RETURN_IF_ERROR(
       state_.IncorporateComponent(meta, auto_structural_deps));
   impls_.merge(resolved);
-  RebuildSlotsLocked();
+  for (const FunctionImplDescriptor& fn : meta.functions) {
+    DeriveSlotLocked(fn.function.name);
+  }
   BumpVersion();
   return Status::Ok();
 }
@@ -212,12 +220,17 @@ Status DynamicFunctionMapper::RemoveComponent(const ObjectId& component,
   bool had_active = false;
   {
     std::unique_lock<std::shared_mutex> lock(mutex_);
-    for (const auto& [key, record] : impls_) {
-      if (key.second != component) continue;
-      int count = record->active->load(std::memory_order_acquire);
+    // Held across the removal: the state drops its reference.
+    std::shared_ptr<const ImplementationComponent> meta =
+        state_.SharedComponent(component);
+    if (meta == nullptr) return state_.RemoveComponent(component);
+    for (const FunctionImplDescriptor& fn : meta->functions) {
+      auto it = impls_.find({fn.function.name, component});
+      if (it == impls_.end()) continue;
+      int count = it->second->active->load(std::memory_order_acquire);
       if (count <= 0) continue;
       if (policy == ActiveThreadPolicy::kError) {
-        return ActiveThreadsError("function '" + key.first +
+        return ActiveThreadsError("function '" + fn.function.name +
                                   "' in component " + component.ToString() +
                                   " has " + std::to_string(count) +
                                   " active thread(s)");
@@ -225,10 +238,10 @@ Status DynamicFunctionMapper::RemoveComponent(const ObjectId& component,
       had_active = true;
     }
     DCDO_RETURN_IF_ERROR(state_.RemoveComponent(component));
-    std::erase_if(impls_, [&component](const auto& kv) {
-      return kv.first.second == component;
-    });
-    RebuildSlotsLocked();
+    for (const FunctionImplDescriptor& fn : meta->functions) {
+      impls_.erase({fn.function.name, component});
+      DeriveSlotLocked(fn.function.name);
+    }
     BumpVersion();
   }
   if (!check_owner_.nil()) {
@@ -243,7 +256,7 @@ Status DynamicFunctionMapper::EnableFunction(const std::string& function,
                                              const ObjectId& component) {
   std::unique_lock<std::shared_mutex> lock(mutex_);
   DCDO_RETURN_IF_ERROR(state_.EnableFunction(function, component));
-  RebuildSlotsLocked();
+  DeriveSlotLocked(function);
   BumpVersion();
   return Status::Ok();
 }
@@ -253,17 +266,16 @@ Status DynamicFunctionMapper::DisableFunction(const std::string& function,
                                               bool respect_active_dependents) {
   std::unique_lock<std::shared_mutex> lock(mutex_);
   if (respect_active_dependents) {
-    EnabledSnapshot snapshot = state_.Snapshot();
     for (const Dependency* dep : state_.dependencies().BindingDependenciesOn(
-             function, component, snapshot)) {
+             function, component, state_.Enabled())) {
       // The dependent function is enabled; is a thread inside it right now?
       const std::string& dependent = dep->dependent;
-      for (const auto& [key, record] : impls_) {
-        if (key.first != dependent) continue;
-        int count = record->active->load(std::memory_order_acquire);
+      for (auto it = impls_.lower_bound({dependent, ObjectId()});
+           it != impls_.end() && it->first.first == dependent; ++it) {
+        int count = it->second->active->load(std::memory_order_acquire);
         if (count <= 0) continue;
         if (dep->dependent_component.has_value() &&
-            *dep->dependent_component != key.second) {
+            *dep->dependent_component != it->first.second) {
           continue;
         }
         return ActiveThreadsError(
@@ -274,7 +286,7 @@ Status DynamicFunctionMapper::DisableFunction(const std::string& function,
     }
   }
   DCDO_RETURN_IF_ERROR(state_.DisableFunction(function, component));
-  RebuildSlotsLocked();
+  DeriveSlotLocked(function);
   BumpVersion();
   return Status::Ok();
 }
@@ -293,7 +305,7 @@ Status DynamicFunctionMapper::SwitchImplementation(
       }
     }
     DCDO_RETURN_IF_ERROR(state_.SwitchImplementation(function, to_component));
-    RebuildSlotsLocked();
+    DeriveSlotLocked(function);
     BumpVersion();
   }
   if (!check_owner_.nil() && !from_component.nil() &&
@@ -309,7 +321,7 @@ Status DynamicFunctionMapper::SetVisibility(const std::string& function,
                                             Visibility visibility) {
   std::unique_lock<std::shared_mutex> lock(mutex_);
   DCDO_RETURN_IF_ERROR(state_.SetVisibility(function, component, visibility));
-  RebuildSlotsLocked();
+  DeriveSlotLocked(function);
   BumpVersion();
   return Status::Ok();
 }
@@ -324,7 +336,7 @@ Status DynamicFunctionMapper::MarkPermanent(const std::string& function,
   std::unique_lock<std::shared_mutex> lock(mutex_);
   // MarkPermanent may switch the enabled implementation as a side effect.
   DCDO_RETURN_IF_ERROR(state_.MarkPermanent(function, component));
-  RebuildSlotsLocked();
+  DeriveSlotLocked(function);
   BumpVersion();
   return Status::Ok();
 }
@@ -343,7 +355,7 @@ Status DynamicFunctionMapper::AdoptConfiguration(const DfmState& target,
                                                  bool enforce_marks) {
   std::unique_lock<std::shared_mutex> lock(mutex_);
   DCDO_RETURN_IF_ERROR(state_.AdoptConfiguration(target, enforce_marks));
-  RebuildSlotsLocked();
+  DeriveAllSlotsLocked();
   BumpVersion();
   return Status::Ok();
 }
@@ -355,7 +367,7 @@ Status DynamicFunctionMapper::SyncMetadata(const DfmState& target) {
   struct Resync {
     DynamicFunctionMapper* self;
     ~Resync() {
-      self->RebuildSlotsLocked();
+      self->DeriveAllSlotsLocked();
       self->BumpVersion();
     }
   } resync{this};
@@ -441,7 +453,7 @@ Status DynamicFunctionMapper::RemapBodies(const NativeCodeRegistry& registry,
     }
   }
   impls_ = std::move(remapped);
-  RebuildSlotsLocked();
+  DeriveAllSlotsLocked();
   BumpVersion();
   return Status::Ok();
 }

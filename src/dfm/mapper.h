@@ -15,17 +15,23 @@
 // and a per-implementation atomic active-thread counter. Acquire on the hot
 // path is a shared-lock slot read plus one relaxed atomic increment; Release
 // is a single atomic decrement with no lock at all. Configuration mutations
-// (incorporate / remove / enable / disable / switch / adopt / remap) take
-// the exclusive side of the same std::shared_mutex, rebuild the slot table
-// from the authoritative DfmState, and bump a version stamp. The paper's
-// semantics are untouched: the error taxonomy (kFunctionMissing /
-// kFunctionDisabled / kActiveThreads), the visibility rules, and the
-// checker hooks all behave exactly as before — only the constant factor of
-// the indirection changed.
+// take the exclusive side of the same std::shared_mutex, re-derive only the
+// slots they touched from the authoritative DfmState, and bump a version
+// stamp: enable / disable / switch / set-visibility / mark-permanent patch
+// one function's slot, incorporate / remove patch the component's
+// functions, and only the wholesale moves (adopt / metadata sync / remap)
+// re-derive every slot — through the same per-function routine. Each
+// mutation validates its dependencies against a zero-copy overlay of the
+// table (DfmState::Overlay), so a single-function change costs
+// O(log n + dependency list), not O(table). The paper's semantics are
+// untouched: the error taxonomy (kFunctionMissing / kFunctionDisabled /
+// kActiveThreads), the visibility rules, and the checker hooks all behave
+// exactly as before — only the constant factor of the indirection changed.
 //
 // The mapper owns a DfmState (the same table type managers use in
-// descriptors) plus what only the runtime needs: resolved bodies from the
-// NativeCodeRegistry, active-thread counts, and call statistics.
+// descriptors; component metadata in it is shared with the descriptor the
+// instance last adopted) plus what only the runtime needs: resolved bodies
+// from the NativeCodeRegistry, active-thread counts, and call statistics.
 #pragma once
 
 #include <atomic>
@@ -227,8 +233,12 @@ class DynamicFunctionMapper {
                                  CallOrigin origin, CallGuard& guard);
   [[nodiscard]] static Status RejectError(AcquireReject reject, std::string_view name);
 
-  // Rebuilds slots_ from state_ + impls_. Caller holds the exclusive lock.
-  void RebuildSlotsLocked();
+  // Re-derives `function`'s slot from state_ + impls_; the one place slots
+  // are written. Caller holds the exclusive lock.
+  void DeriveSlotLocked(const std::string& function);
+  // DeriveSlotLocked for every function the state holds: the full rebuild
+  // behind wholesale moves (adopt, metadata sync, remap).
+  void DeriveAllSlotsLocked();
   void BumpVersion() {
     table_version_.fetch_add(1, std::memory_order_acq_rel);
   }

@@ -14,8 +14,8 @@ Status DfmState::IncorporateComponent(const ImplementationComponent& meta,
   // permanent implementation of F in another component.
   for (const FunctionImplDescriptor& fn : meta.functions) {
     if (fn.constraint != Constraint::kPermanent) continue;
-    for (const auto& [key, entry] : entries_) {
-      if (entry.function.name == fn.function.name && entry.permanent) {
+    for (const auto& [key, entry] : Rows(fn.function.name)) {
+      if (entry.permanent) {
         return PermanentViolationError(
             "component " + meta.name + " carries permanent '" +
             fn.function.name + "' but component " +
@@ -25,20 +25,15 @@ Status DfmState::IncorporateComponent(const ImplementationComponent& meta,
     }
   }
 
-  components_[meta.id] = meta;
+  components_.emplace(meta.id,
+                      std::make_shared<const ImplementationComponent>(meta));
   for (const FunctionImplDescriptor& fn : meta.functions) {
     DfmEntry entry;
     entry.function = fn.function;
     entry.component = meta.id;
     entry.visibility = fn.visibility;
     entry.symbol = fn.symbol;
-    entry.enabled = false;
-    entry.permanent = false;
-    entries_[{fn.function.name, meta.id}] = std::move(entry);
-
-    if (fn.constraint == Constraint::kMandatory) {
-      mandatory_.insert(fn.function.name);
-    }
+    entries_.emplace(EntryKey{fn.function.name, meta.id}, std::move(entry));
   }
   // Permanent markings enable the impl (a permanent impl may never be
   // disabled, so it must be enabled) — done after all rows exist so the
@@ -58,14 +53,18 @@ Status DfmState::IncorporateComponent(const ImplementationComponent& meta,
           "cannot incorporate " + meta.name + ": permanent '" +
           fn.function.name + "' could not be enabled: " + enabled.message());
     }
-    entries_[{fn.function.name, meta.id}].permanent = true;
+    entries_.find({fn.function.name, meta.id})->second.permanent = true;
   }
-  if (auto_structural_deps) {
-    for (const FunctionImplDescriptor& fn : meta.functions) {
-      for (const std::string& callee : fn.calls) {
-        DCDO_RETURN_IF_ERROR(
-            deps_.Add(Dependency::TypeA(fn.function.name, meta.id, callee)));
-      }
+  // Nothing below can fail (Validate rejected empty callees), so a rejected
+  // incorporate leaves no mandatory mark or dependency behind.
+  for (const FunctionImplDescriptor& fn : meta.functions) {
+    if (fn.constraint == Constraint::kMandatory) {
+      mandatory_.insert(fn.function.name);
+    }
+    if (!auto_structural_deps) continue;
+    for (const std::string& callee : fn.calls) {
+      // Cannot fail: both names are non-empty and C1 is set.
+      (void)deps_.Add(Dependency::TypeA(fn.function.name, meta.id, callee));
     }
   }
   return Status::Ok();
@@ -77,46 +76,39 @@ Status DfmState::RemoveComponent(const ObjectId& component) {
     return ComponentMissingError("component " + component.ToString() +
                                  " not incorporated");
   }
+  const ImplementationComponent& meta = *comp_it->second;
   // Permanent implementations pin their component.
-  for (const auto& [key, entry] : entries_) {
-    if (entry.component != component) continue;
-    if (entry.permanent) {
+  for (const FunctionImplDescriptor& fn : meta.functions) {
+    const DfmEntry* entry = FindEntry(fn.function.name, component);
+    if (entry != nullptr && entry->permanent) {
       return PermanentViolationError(
-          "component " + comp_it->second.name + " holds permanent '" +
-          entry.function.name + "' and cannot be removed");
+          "component " + meta.name + " holds permanent '" +
+          fn.function.name + "' and cannot be removed");
     }
   }
   // A mandatory function must keep at least one implementation *present*.
-  for (const auto& [key, entry] : entries_) {
-    if (entry.component != component) continue;
-    if (!mandatory_.contains(entry.function.name)) continue;
+  for (const FunctionImplDescriptor& fn : meta.functions) {
+    if (!mandatory_.contains(fn.function.name)) continue;
     bool other_impl = false;
-    for (const auto& [key2, entry2] : entries_) {
-      if (entry2.function.name == entry.function.name &&
-          entry2.component != component) {
+    for (const auto& [key, entry] : Rows(fn.function.name)) {
+      if (entry.component != component) {
         other_impl = true;
         break;
       }
     }
     if (!other_impl) {
       return MandatoryViolationError(
-          "removing component " + comp_it->second.name +
-          " would leave mandatory '" + entry.function.name +
+          "removing component " + meta.name +
+          " would leave mandatory '" + fn.function.name +
           "' with no implementation");
     }
   }
-  // Dependencies: hypothetically disable everything in the component.
-  EnabledSnapshot proposed = Snapshot();
-  for (const auto& [key, entry] : entries_) {
-    if (entry.component == component && entry.enabled) {
-      proposed.Disable(entry.function.name, entry.component);
-    }
-  }
-  DCDO_RETURN_IF_ERROR(ValidateMutation(proposed));
+  // Dependencies: read every row of the component as disabled.
+  DCDO_RETURN_IF_ERROR(deps_.Validate(Enabled().Drop(component)));
 
-  std::erase_if(entries_, [&component](const auto& kv) {
-    return kv.second.component == component;
-  });
+  for (const FunctionImplDescriptor& fn : meta.functions) {
+    entries_.erase({fn.function.name, component});
+  }
   components_.erase(comp_it);
   return Status::Ok();
 }
@@ -134,9 +126,8 @@ Status DfmState::EnableFunction(const std::string& function,
         "'" + function + "' already enabled from component " +
         current->component.ToString() + "; disable it or use Switch");
   }
-  EnabledSnapshot proposed = Snapshot();
-  proposed.Enable(function, component);
-  DCDO_RETURN_IF_ERROR(ValidateMutation(proposed));
+  DCDO_RETURN_IF_ERROR(
+      deps_.Validate(Enabled().Flip(function, component, true)));
   it->second.enabled = true;
   return Status::Ok();
 }
@@ -162,9 +153,8 @@ Status DfmState::DisableFunction(const std::string& function,
                                    "' is mandatory; switch implementations "
                                    "instead of disabling");
   }
-  EnabledSnapshot proposed = Snapshot();
-  proposed.Disable(function, component);
-  DCDO_RETURN_IF_ERROR(ValidateMutation(proposed));
+  DCDO_RETURN_IF_ERROR(
+      deps_.Validate(Enabled().Flip(function, component, false)));
   it->second.enabled = false;
   return Status::Ok();
 }
@@ -185,12 +175,12 @@ Status DfmState::SwitchImplementation(const std::string& function,
                                    current->component.ToString() +
                                    " is permanent and cannot be replaced");
   }
-  EnabledSnapshot proposed = Snapshot();
-  if (current != nullptr) proposed.Disable(function, current->component);
-  proposed.Enable(function, to_component);
-  DCDO_RETURN_IF_ERROR(ValidateMutation(proposed));
+  Overlay proposed = Enabled();
+  if (current != nullptr) proposed.Flip(function, current->component, false);
+  proposed.Flip(function, to_component, true);
+  DCDO_RETURN_IF_ERROR(deps_.Validate(proposed));
   if (current != nullptr) {
-    entries_[{function, current->component}].enabled = false;
+    entries_.find({function, current->component})->second.enabled = false;
   }
   to_it->second.enabled = true;
   return Status::Ok();
@@ -229,9 +219,8 @@ Status DfmState::MarkPermanent(const std::string& function,
                                 "' in component " + component.ToString());
   }
   // Only one permanent implementation of a function may exist.
-  for (const auto& [key, entry] : entries_) {
-    if (entry.function.name == function && entry.permanent &&
-        entry.component != component) {
+  for (const auto& [key, entry] : Rows(function)) {
+    if (entry.permanent && entry.component != component) {
       return PermanentViolationError(
           "'" + function + "' already permanent in component " +
           entry.component.ToString());
@@ -248,12 +237,12 @@ Status DfmState::MarkPermanent(const std::string& function,
 Status DfmState::AddDependency(Dependency dep) {
   DCDO_RETURN_IF_ERROR(dep.Validate());
   // Adding a dependency must not be retroactively violated by the current
-  // configuration; check before committing.
-  DependencySet trial = deps_;
-  DCDO_RETURN_IF_ERROR(trial.Add(dep));
-  DCDO_RETURN_IF_ERROR(trial.Validate(Snapshot()));
-  deps_ = std::move(trial);
-  return Status::Ok();
+  // configuration; check the list as it would stand (the newcomer goes
+  // last) before committing.
+  const Overlay current = Enabled();
+  DCDO_RETURN_IF_ERROR(deps_.Validate(current));
+  DCDO_RETURN_IF_ERROR(DependencySet::Check(dep, current));
+  return deps_.Add(std::move(dep));
 }
 
 Status DfmState::RemoveDependency(const Dependency& dep) {
@@ -263,7 +252,13 @@ Status DfmState::RemoveDependency(const Dependency& dep) {
 const ImplementationComponent* DfmState::FindComponent(
     const ObjectId& component) const {
   auto it = components_.find(component);
-  return it == components_.end() ? nullptr : &it->second;
+  return it == components_.end() ? nullptr : it->second.get();
+}
+
+std::shared_ptr<const ImplementationComponent> DfmState::SharedComponent(
+    const ObjectId& component) const {
+  auto it = components_.find(component);
+  return it == components_.end() ? nullptr : it->second;
 }
 
 std::vector<ObjectId> DfmState::ComponentIds() const {
@@ -279,18 +274,23 @@ const DfmEntry* DfmState::FindEntry(const std::string& function,
   return it == entries_.end() ? nullptr : &it->second;
 }
 
+std::ranges::subrange<DfmState::EntryMap::const_iterator> DfmState::Rows(
+    const std::string& function) const {
+  auto begin = entries_.lower_bound({function, ObjectId()});
+  auto end = begin;
+  while (end != entries_.end() && end->first.first == function) ++end;
+  return {begin, end};
+}
+
 const DfmEntry* DfmState::EnabledImpl(const std::string& function) const {
-  // Rows for one function are contiguous in the (function, component) map.
-  for (auto it = entries_.lower_bound({function, ObjectId()});
-       it != entries_.end() && it->first.first == function; ++it) {
-    if (it->second.enabled) return &it->second;
+  for (const auto& [key, entry] : Rows(function)) {
+    if (entry.enabled) return &entry;
   }
   return nullptr;
 }
 
 bool DfmState::AnyImplPresent(const std::string& function) const {
-  auto it = entries_.lower_bound({function, ObjectId()});
-  return it != entries_.end() && it->first.first == function;
+  return !Rows(function).empty();
 }
 
 std::vector<FunctionSignature> DfmState::ExportedInterface() const {
@@ -310,12 +310,41 @@ std::vector<const DfmEntry*> DfmState::AllEntries() const {
   return out;
 }
 
-EnabledSnapshot DfmState::Snapshot() const {
-  EnabledSnapshot snapshot;
-  for (const auto& [key, entry] : entries_) {
-    if (entry.enabled) snapshot.Enable(entry.function.name, entry.component);
+DfmState::Overlay& DfmState::Overlay::Flip(const std::string& function,
+                                           const ObjectId& component,
+                                           bool enabled) {
+  flips_.at(flip_count_++) = Pending{&function, &component, enabled};
+  return *this;
+}
+
+DfmState::Overlay& DfmState::Overlay::Drop(const ObjectId& component) {
+  dropped_ = &component;
+  return *this;
+}
+
+bool DfmState::Overlay::RowEnabled(const DfmEntry& row) const {
+  for (std::size_t i = 0; i < flip_count_; ++i) {
+    const Pending& flip = flips_[i];
+    if (*flip.function == row.function.name &&
+        *flip.component == row.component) {
+      return flip.enabled;
+    }
   }
-  return snapshot;
+  if (dropped_ != nullptr && *dropped_ == row.component) return false;
+  return row.enabled;
+}
+
+bool DfmState::Overlay::IsEnabled(const std::string& function,
+                                  const ObjectId& component) const {
+  const DfmEntry* row = state_->FindEntry(function, component);
+  return row != nullptr && RowEnabled(*row);
+}
+
+bool DfmState::Overlay::AnyEnabled(const std::string& function) const {
+  for (const auto& [key, row] : state_->Rows(function)) {
+    if (RowEnabled(row)) return true;
+  }
+  return false;
 }
 
 Status DfmState::AdoptConfiguration(const DfmState& target,
@@ -357,10 +386,9 @@ Status DfmState::AdoptConfiguration(const DfmState& target,
       }
     }
   }
-  // Build the final enabled snapshot and validate the target's dependencies
-  // against it before mutating anything.
-  EnabledSnapshot final_snapshot = target.Snapshot();
-  DCDO_RETURN_IF_ERROR(target.dependencies().Validate(final_snapshot));
+  // Validate the target's dependencies against its enabled set before
+  // mutating anything.
+  DCDO_RETURN_IF_ERROR(target.dependencies().Validate(target.Enabled()));
 
   // Commit: enabled flags + visibility from the target; absent => disabled.
   for (auto& [key, entry] : entries_) {
@@ -381,11 +409,14 @@ Status DfmState::AdoptConfiguration(const DfmState& target,
   }
   mandatory_ = std::move(mandatory);
   deps_ = target.dependencies();
+  // A component id names one immutable metadata record: share the target's.
+  for (auto& [id, meta] : components_) {
+    if (auto theirs = target.components_.find(id);
+        theirs != target.components_.end()) {
+      meta = theirs->second;
+    }
+  }
   return Status::Ok();
-}
-
-Status DfmState::ValidateMutation(const EnabledSnapshot& proposed) const {
-  return deps_.Validate(proposed);
 }
 
 Status DfmState::ValidateComplete() const {
@@ -401,7 +432,7 @@ Status DfmState::ValidateComplete() const {
                                      "' is not enabled");
     }
   }
-  return deps_.Validate(Snapshot());
+  return deps_.Validate(Enabled());
 }
 
 std::vector<std::string> DfmState::CheckIntegrity() const {

@@ -18,8 +18,11 @@
 //     same function (the paper's incorporate-conflict rule).
 #pragma once
 
+#include <array>
 #include <map>
+#include <memory>
 #include <optional>
+#include <ranges>
 #include <set>
 #include <string>
 #include <utility>
@@ -52,7 +55,8 @@ class DfmState {
   // component author's constraint markings: kMandatory marks the function
   // mandatory; kPermanent marks the impl permanent (and enables it, since a
   // permanent impl may never be disabled). If `auto_structural_deps`, the
-  // component's `calls` hints become Type A dependencies.
+  // component's `calls` hints become Type A dependencies. All-or-nothing: a
+  // rejected incorporate leaves no row, mark or dependency behind.
   [[nodiscard]] Status IncorporateComponent(const ImplementationComponent& meta,
                               bool auto_structural_deps = true);
 
@@ -98,6 +102,12 @@ class DfmState {
     return components_.contains(component);
   }
   const ImplementationComponent* FindComponent(const ObjectId& component) const;
+  // The same record, co-owned, for a caller that needs it after the
+  // component is removed. Copies of a configuration (derived versions,
+  // evolution targets, instances that adopted one) share these records
+  // instead of copying each component's function list.
+  std::shared_ptr<const ImplementationComponent> SharedComponent(
+      const ObjectId& component) const;
   std::vector<ObjectId> ComponentIds() const;
   std::size_t component_count() const { return components_.size(); }
 
@@ -122,7 +132,39 @@ class DfmState {
     return mandatory_;
   }
 
-  EnabledSnapshot Snapshot() const;
+  // The enabled set as a mutation proposes to leave it: this table with up
+  // to two pending flips applied and, optionally, one component's rows read
+  // as gone. Every read goes to the live rows, so validating a mutation
+  // copies nothing. The overlay holds references: the state and the flipped
+  // names must outlive it.
+  class Overlay final : public EnabledView {
+   public:
+    explicit Overlay(const DfmState& state) : state_(&state) {}
+    // Reads the existing row (function, component) as `enabled`.
+    Overlay& Flip(const std::string& function, const ObjectId& component,
+                  bool enabled);
+    // Reads every row of `component` as disabled.
+    Overlay& Drop(const ObjectId& component);
+
+    bool IsEnabled(const std::string& function,
+                   const ObjectId& component) const override;
+    bool AnyEnabled(const std::string& function) const override;
+
+   private:
+    struct Pending {
+      const std::string* function = nullptr;
+      const ObjectId* component = nullptr;
+      bool enabled = false;
+    };
+    bool RowEnabled(const DfmEntry& row) const;
+
+    const DfmState* state_;
+    std::array<Pending, 2> flips_{};
+    std::size_t flip_count_ = 0;
+    const ObjectId* dropped_ = nullptr;
+  };
+  // This table's enabled set as it stands.
+  Overlay Enabled() const { return Overlay(*this); }
 
   // Wholesale adoption of `target`'s configuration during evolution, applied
   // atomically so legal version-to-version moves never trip over transient
@@ -130,7 +172,8 @@ class DfmState {
   // target entry already exists here (incorporate new components first).
   // Entries absent from the target are disabled (they belong to components
   // about to be removed). Metadata (visibility, mandatory, permanent,
-  // dependencies) is replaced by the target's.
+  // dependencies) is replaced by the target's, and components both tables
+  // hold share the target's metadata record.
   //
   // With `enforce_marks` (the increasing-version and hybrid policies), the
   // move is rejected if it would disable a currently-permanent
@@ -158,10 +201,15 @@ class DfmState {
   std::vector<std::string> CheckIntegrity() const;
 
  private:
-  [[nodiscard]] Status ValidateMutation(const EnabledSnapshot& proposed) const;
+  using EntryMap = std::map<EntryKey, DfmEntry>;
 
-  std::map<ObjectId, ImplementationComponent> components_;
-  std::map<EntryKey, DfmEntry> entries_;
+  // `function`'s rows, contiguous in the (function, component) order.
+  std::ranges::subrange<EntryMap::const_iterator> Rows(
+      const std::string& function) const;
+
+  std::map<ObjectId, std::shared_ptr<const ImplementationComponent>>
+      components_;
+  EntryMap entries_;
   std::set<std::string> mandatory_;
   DependencySet deps_;
 };

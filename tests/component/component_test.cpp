@@ -58,6 +58,18 @@ TEST(ComponentValidateTest, RejectsEmptySymbol) {
   EXPECT_FALSE(component.ok());
 }
 
+// A `calls` hint becomes a Type A dependency on incorporate; an empty callee
+// is a malformed dependency, so the component is rejected up front (its
+// metadata also arrives over the wire through ParseComponentMeta).
+TEST(ComponentValidateTest, RejectsEmptyCallee) {
+  auto component = ComponentBuilder("lib")
+                       .AddFunction("f", "v()", "lib/f", Visibility::kExported,
+                                    Constraint::kFullyDynamic, {"g", ""})
+                       .Build();
+  ASSERT_FALSE(component.ok());
+  EXPECT_EQ(component.status().code(), ErrorCode::kInvalidArgument);
+}
+
 TEST(ComponentValidateTest, RejectsFunctionsWithoutImage) {
   auto component = ComponentBuilder("lib")
                        .SetCodeBytes(0)

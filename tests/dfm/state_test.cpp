@@ -173,6 +173,49 @@ TEST_F(DfmStateTest, IncorporateConflictingPermanentRejected) {
   EXPECT_FALSE(state_.HasComponent(perm_b->id)) << "incorporate rolled back";
 }
 
+// Incorporate is all-or-nothing: when a component's permanent function
+// cannot be enabled (another component's "f" already is), the rollback must
+// take the component's mandatory mark on "m" with it, or the table would
+// demand an implementation of a function nothing provides.
+TEST_F(DfmStateTest, RejectedIncorporateLeavesNoMandatoryMark) {
+  ASSERT_TRUE(state_.IncorporateComponent(comp_a_).ok());
+  ASSERT_TRUE(state_.EnableFunction("f", comp_a_.id).ok());
+  auto late = ComponentBuilder("libP")
+                  .AddFunction("m", "v()", "libP/m", Visibility::kExported,
+                               Constraint::kMandatory)
+                  .AddFunction("f", "v()", "libP/f", Visibility::kExported,
+                               Constraint::kPermanent)
+                  .Build();
+  ASSERT_TRUE(late.ok());
+  EXPECT_EQ(state_.IncorporateComponent(*late).code(),
+            ErrorCode::kPermanentViolation);
+  EXPECT_FALSE(state_.HasComponent(late->id));
+  EXPECT_EQ(state_.entry_count(), 2u);
+  EXPECT_FALSE(state_.IsMandatory("m"));
+  EXPECT_TRUE(state_.CheckIntegrity().empty());
+  EXPECT_TRUE(state_.ValidateComplete().ok());
+}
+
+// A `calls` hint naming the empty string is a malformed Type A dependency;
+// the component must be refused before any of it is recorded.
+TEST_F(DfmStateTest, EmptyCalleeRejectedBeforeAnyRowIsAdded) {
+  // Assembled by hand: ComponentBuilder::Build would refuse it.
+  ImplementationComponent bad;
+  bad.id = ObjectId::Next(domains::kComponent);
+  bad.name = "libE";
+  bad.code_bytes = 1024;
+  FunctionImplDescriptor fn;
+  fn.function = FunctionSignature{"f", "v()"};
+  fn.symbol = "libE/f";
+  fn.calls = {""};
+  bad.functions.push_back(fn);
+  EXPECT_EQ(state_.IncorporateComponent(bad).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_FALSE(state_.HasComponent(bad.id));
+  EXPECT_EQ(state_.entry_count(), 0u);
+  EXPECT_EQ(state_.dependencies().size(), 0u);
+}
+
 TEST_F(DfmStateTest, ComponentMandatoryMarkingApplies) {
   auto with_mandatory =
       ComponentBuilder("libM")

@@ -16,6 +16,22 @@ namespace dcdo {
 namespace {
 
 // ===== DFM invariants under randomized mutations =====
+//
+// Every op lands on a standalone DfmState and on a DynamicFunctionMapper,
+// which must accept and reject it with the same code. After each op the
+// mapper's slot table, patched one touched slot at a time, must resolve
+// every function exactly as a fresh mapper whose slots were all derived at
+// once (incorporate the same components, then AdoptConfiguration).
+
+constexpr auto kFuzzArch = sim::Architecture::kX86Linux;
+
+// What a call to `function` resolves to: "ok <component>" or the error code.
+std::string AcquireOutcome(DynamicFunctionMapper& mapper,
+                           const std::string& function, CallOrigin origin) {
+  auto guard = mapper.Acquire(function, origin);
+  if (!guard.ok()) return std::string(ErrorCodeName(guard.status().code()));
+  return "ok " + guard->component().ToString();
+}
 
 class DfmFuzzProperty : public ::testing::TestWithParam<int> {};
 
@@ -23,6 +39,7 @@ TEST_P(DfmFuzzProperty, InvariantsHoldUnderRandomMutations) {
   std::mt19937 rng(GetParam());
   NativeCodeRegistry registry;
   DfmState state;
+  DynamicFunctionMapper mapper;
 
   // Pool: 4 components, overlapping function sets.
   std::vector<ImplementationComponent> pool;
@@ -42,7 +59,7 @@ TEST_P(DfmFuzzProperty, InvariantsHoldUnderRandomMutations) {
       EXPECT_LE(enabled, 1) << "function " << fn;
     }
     // Invariant 2: no binding dependency is violated.
-    EXPECT_TRUE(state.dependencies().Validate(state.Snapshot()).ok());
+    EXPECT_TRUE(state.dependencies().Validate(state.Enabled()).ok());
     // Invariant 3: every enabled entry's component is incorporated.
     for (const DfmEntry* entry : state.AllEntries()) {
       EXPECT_TRUE(state.HasComponent(entry->component));
@@ -55,34 +72,110 @@ TEST_P(DfmFuzzProperty, InvariantsHoldUnderRandomMutations) {
     }
   };
 
-  std::uniform_int_distribution<int> op_dist(0, 6);
+  auto check_slots = [&](int step) {
+    DynamicFunctionMapper fresh;
+    for (const ObjectId& id : mapper.state().ComponentIds()) {
+      ASSERT_TRUE(fresh
+                      .IncorporateComponent(*mapper.state().FindComponent(id),
+                                            registry, kFuzzArch,
+                                            /*auto_structural_deps=*/false)
+                      .ok());
+    }
+    ASSERT_TRUE(fresh.AdoptConfiguration(mapper.state(), false).ok());
+    for (const std::string& fn : functions) {
+      for (CallOrigin origin : {CallOrigin::kExternal, CallOrigin::kInternal}) {
+        EXPECT_EQ(AcquireOutcome(mapper, fn, origin),
+                  AcquireOutcome(fresh, fn, origin))
+            << "function " << fn << " at step " << step;
+      }
+    }
+  };
+
+  // Marks are sticky (a permanent impl pins its component, a mandatory
+  // function can only be switched), so they are drawn rarely enough that
+  // most of the run still exercises unconstrained flips.
+  std::discrete_distribution<int> op_dist(
+      {3, 3, 4, 4, 4, 1, 2, 2, 0.5, 0.5, 1, 1, 1});
   std::uniform_int_distribution<std::size_t> comp_dist(0, pool.size() - 1);
   std::uniform_int_distribution<std::size_t> fn_dist(0, functions.size() - 1);
 
   for (int step = 0; step < 300; ++step) {
     const ImplementationComponent& comp = pool[comp_dist(rng)];
     const std::string& fn = functions[fn_dist(rng)];
-    // Statuses are intentionally ignored: illegal mutations must *fail
-    // cleanly* without breaking invariants.
+    const std::string& other_fn = functions[fn_dist(rng)];
+    const ObjectId& other_comp = pool[comp_dist(rng)].id;
+    // Illegal mutations must *fail cleanly* without breaking invariants, and
+    // identically on both tables.
+    Status on_state;
+    Status on_mapper;
+    auto both = [&](auto op) {
+      on_state = op(state);
+      on_mapper = op(mapper);
+    };
     switch (op_dist(rng)) {
-      case 0: (void)state.IncorporateComponent(comp); break;
-      case 1: (void)state.RemoveComponent(comp.id); break;
-      case 2: (void)state.EnableFunction(fn, comp.id); break;
-      case 3: (void)state.DisableFunction(fn, comp.id); break;
-      case 4: (void)state.SwitchImplementation(fn, comp.id); break;
+      case 0:
+        on_state = state.IncorporateComponent(comp);
+        on_mapper = mapper.IncorporateComponent(comp, registry, kFuzzArch);
+        break;
+      case 1:
+        on_state = state.RemoveComponent(comp.id);
+        on_mapper = mapper.RemoveComponent(comp.id);
+        break;
+      case 2:
+        both([&](auto& t) { return t.EnableFunction(fn, comp.id); });
+        break;
+      case 3:
+        both([&](auto& t) { return t.DisableFunction(fn, comp.id); });
+        break;
+      case 4:
+        both([&](auto& t) { return t.SwitchImplementation(fn, comp.id); });
+        break;
       case 5:
-        (void)state.AddDependency(
-            Dependency::TypeD(fn, functions[fn_dist(rng)]));
+        both([&](auto& t) {
+          return t.AddDependency(Dependency::TypeD(fn, other_fn));
+        });
         break;
       case 6: {
         auto deps = state.dependencies().all();
         if (!deps.empty()) {
-          (void)state.RemoveDependency(deps[step % deps.size()]);
+          const Dependency dep = deps[step % deps.size()];
+          both([&](auto& t) { return t.RemoveDependency(dep); });
         }
         break;
       }
+      case 7: {
+        const Visibility visibility =
+            step % 2 == 0 ? Visibility::kInternal : Visibility::kExported;
+        both([&](auto& t) { return t.SetVisibility(fn, comp.id, visibility); });
+        break;
+      }
+      case 8:
+        both([&](auto& t) { return t.MarkPermanent(fn, comp.id); });
+        break;
+      case 9:
+        both([&](auto& t) { return t.MarkMandatory(fn); });
+        break;
+      case 10:
+        both([&](auto& t) {
+          return t.AddDependency(Dependency::TypeA(fn, comp.id, other_fn));
+        });
+        break;
+      case 11:
+        both([&](auto& t) {
+          return t.AddDependency(
+              Dependency::TypeB(fn, comp.id, other_fn, other_comp));
+        });
+        break;
+      case 12:
+        both([&](auto& t) {
+          return t.AddDependency(Dependency::TypeC(fn, other_fn, other_comp));
+        });
+        break;
     }
+    EXPECT_EQ(on_state.code(), on_mapper.code())
+        << "step " << step << ": " << on_state << " vs " << on_mapper;
     check_invariants();
+    check_slots(step);
   }
 }
 
@@ -93,6 +186,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DfmFuzzProperty, ::testing::Range(1, 9));
 struct PolicyCase {
   const char* label;
   std::unique_ptr<EvolutionPolicy> (*make)();
+
+  // gtest would otherwise print the struct's bytes, which begin with the
+  // label's address and so change whenever the binary's read-only data
+  // moves; the printed value is part of each case's ctest name.
+  friend void PrintTo(const PolicyCase& policy, std::ostream* os) {
+    *os << policy.label;
+  }
 };
 
 std::unique_ptr<EvolutionPolicy> MakeLazyK3() {
