@@ -17,12 +17,22 @@
 //     and fewer event-queue round trips is a real-time win even when the
 //     simulated clock is unchanged.
 //
+// The footprint rows (SimTime_E17_InstanceFootprint,
+// SimTime_E17_DeriveVersionFootprint) use the same allocator to report the
+// live heap bytes an operation leaves behind (`live_bytes`, tracked with
+// malloc_usable_size): one instance of a 500-fn / 50-component type created
+// after 0, 4 or 16 earlier types of the same shape, and one DeriveVersion of
+// that type. Per-instance bytes must not grow with the number of earlier
+// types (whose names share the process-global intern table).
+//
 // SimTime_E17_CreateDcdo/500/50/1 must equal SimTime_CreateDcdo/500/50/0 and
 // SimTime_E13_CreateDcdo/500/50/1; SimTime_E17_CoordinatedEvolution/4/1 must
 // equal SimTime_E13_CoordinatedEvolution/4/1. The alloc counters ride along
 // in BENCH_dcdo.json so regressions in allocator discipline show up in
 // review even though bench.sh --compare only gates on time.
 #include <benchmark/benchmark.h>
+
+#include <malloc.h>
 
 #include <atomic>
 #include <cstdlib>
@@ -41,28 +51,45 @@ namespace {
 
 std::atomic<std::uint64_t> g_alloc_count{0};
 std::atomic<std::uint64_t> g_alloc_bytes{0};
+std::atomic<std::int64_t> g_live_bytes{0};
+
+void* Counted(void* p, std::size_t size) {
+  if (p != nullptr) {
+    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+    g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
+    g_live_bytes.fetch_add(static_cast<std::int64_t>(malloc_usable_size(p)),
+                           std::memory_order_relaxed);
+  }
+  return p;
+}
 
 void* CountedAlloc(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
+  return Counted(std::malloc(size == 0 ? 1 : size), size);
 }
 
 void* CountedAllocAligned(std::size_t size, std::size_t alignment) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   std::size_t rounded = (size + alignment - 1) / alignment * alignment;
-  return std::aligned_alloc(alignment, rounded == 0 ? alignment : rounded);
+  return Counted(
+      std::aligned_alloc(alignment, rounded == 0 ? alignment : rounded), size);
+}
+
+void CountedFree(void* p) noexcept {
+  if (p == nullptr) return;
+  g_live_bytes.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  std::free(p);
 }
 
 struct AllocSnapshot {
   std::uint64_t count;
   std::uint64_t bytes;
+  std::int64_t live;
 };
 
 AllocSnapshot TakeAllocSnapshot() {
   return {g_alloc_count.load(std::memory_order_relaxed),
-          g_alloc_bytes.load(std::memory_order_relaxed)};
+          g_alloc_bytes.load(std::memory_order_relaxed),
+          g_live_bytes.load(std::memory_order_relaxed)};
 }
 
 }  // namespace
@@ -93,21 +120,23 @@ void* operator new[](std::size_t size, std::align_val_t align) {
   if (p == nullptr) throw std::bad_alloc{};
   return p;
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete[](void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete(void* p, std::align_val_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { CountedFree(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  CountedFree(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  CountedFree(p);
 }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  CountedFree(p);
+}
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+  CountedFree(p);
 }
 
 namespace dcdo::bench {
@@ -127,6 +156,21 @@ void ReportAllocs(benchmark::State& state, const AllocSnapshot& before,
       static_cast<double>(after.count - before.count), benchmark::Counter::kAvgIterations);
   state.counters["alloc_bytes"] = benchmark::Counter(
       static_cast<double>(after.bytes - before.bytes), benchmark::Counter::kAvgIterations);
+}
+
+// The allocation counters plus the live heap bytes the measured operations
+// left behind, per operation (`per` of them ran in the iteration).
+void ReportFootprint(benchmark::State& state, const AllocSnapshot& before,
+                     const AllocSnapshot& after, double per) {
+  auto per_op = [&](double value) {
+    return benchmark::Counter(value / per, benchmark::Counter::kAvgIterations);
+  };
+  state.counters["allocs"] =
+      per_op(static_cast<double>(after.count - before.count));
+  state.counters["alloc_bytes"] =
+      per_op(static_cast<double>(after.bytes - before.bytes));
+  state.counters["live_bytes"] =
+      per_op(static_cast<double>(after.live - before.live));
 }
 
 // The paper's 500-fn / 50-component cold-cache creation (E13 workload) with
@@ -156,6 +200,85 @@ BENCHMARK(SimTime_E17_CreateDcdo)
     ->UseManualTime()
     ->Iterations(1)
     ->Args({500, 50, 1});
+
+// One instance of a 500-fn / 50-component type, created after `earlier`
+// types of the same shape each created an instance (interning their names)
+// on another host. Every type gets names never interned before in the
+// process, as distinct types would. A first instance of the measured type,
+// on a third host, interns its names outside the measured window, so the
+// window holds what each further instance costs; the measured host's cache
+// is still cold, so its simulated time equals SimTime_E17_CreateDcdo.
+void SimTime_E17_InstanceFootprint(benchmark::State& state) {
+  std::size_t functions = static_cast<std::size_t>(state.range(0));
+  std::size_t components = static_cast<std::size_t>(state.range(1));
+  auto earlier = static_cast<std::size_t>(state.range(2));
+  static int types_made = 0;
+  auto make_type = [&](Testbed& testbed) {
+    std::string type_name = "fp" + std::to_string(types_made++);
+    return MakeManagerWithVersion(
+        testbed, type_name,
+        MakeFunctionGrid(testbed, type_name, functions, components),
+        MakeSingleVersionExplicit());
+  };
+  for (auto _ : state) {
+    Testbed testbed{FomOptions(1)};
+    std::vector<std::unique_ptr<DcdoManager>> others;
+    for (std::size_t t = 0; t < earlier; ++t) {
+      others.push_back(make_type(testbed));
+      (void)CreateInstanceBlocking(testbed, *others.back(), testbed.host(2));
+    }
+    auto manager = make_type(testbed);
+    (void)CreateInstanceBlocking(testbed, *manager, testbed.host(3));
+    AllocSnapshot before = TakeAllocSnapshot();
+    double seconds = SimSeconds(testbed, [&] {
+      (void)CreateInstanceBlocking(testbed, *manager, testbed.host(1));
+    });
+    AllocSnapshot after = TakeAllocSnapshot();
+    ReportFootprint(state, before, after, 1.0);
+    state.SetIterationTime(seconds);
+  }
+  state.SetLabel(std::to_string(functions) + " fns / " +
+                 std::to_string(components) + " comps after " +
+                 std::to_string(earlier) + " earlier types");
+}
+BENCHMARK(SimTime_E17_InstanceFootprint)
+    ->UseManualTime()
+    ->Iterations(1)
+    ->Args({500, 50, 0})
+    ->Args({500, 50, 4})
+    ->Args({500, 50, 16});
+
+// DeriveVersion of the same 500-fn / 50-component type: the paper's
+// "logically copying an existing instantiable one". Eight derived versions
+// stay alive in the manager; counters are per derive. No simulated time
+// passes.
+void SimTime_E17_DeriveVersionFootprint(benchmark::State& state) {
+  std::size_t functions = static_cast<std::size_t>(state.range(0));
+  std::size_t components = static_cast<std::size_t>(state.range(1));
+  constexpr int kDerived = 8;
+  for (auto _ : state) {
+    Testbed testbed{FomOptions(1)};
+    auto grid = MakeFunctionGrid(testbed, "grid", functions, components);
+    auto manager = MakeManagerWithVersion(testbed, "bench", grid,
+                                          MakeSingleVersionExplicit());
+    const VersionId base = manager->current_version();
+    AllocSnapshot before = TakeAllocSnapshot();
+    double seconds = SimSeconds(testbed, [&] {
+      for (int d = 0; d < kDerived; ++d) {
+        if (!manager->DeriveVersion(base).ok()) std::abort();
+      }
+    });
+    AllocSnapshot after = TakeAllocSnapshot();
+    ReportFootprint(state, before, after, kDerived);
+    state.SetIterationTime(seconds);
+  }
+  state.SetLabel(std::to_string(functions) + " fns / " +
+                 std::to_string(components) + " comps, per derive");
+}
+BENCHMARK(SimTime_E17_DeriveVersionFootprint)
+    ->UseManualTime()
+    ->Iterations(1)
+    ->Args({500, 50});
 
 // The 4-type coordinated evolution batch (E13 workload): prefetch + four
 // strictly ordered EvolveInstanceTo applies through UpdateCoordinator.

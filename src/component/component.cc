@@ -111,6 +111,15 @@ Result<ImplementationComponent> ParseComponentMeta(const ByteBuffer& buffer) {
   DCDO_ASSIGN_OR_RETURN(std::uint32_t arch, reader.ReadU32());
   DCDO_ASSIGN_OR_RETURN(std::uint32_t format, reader.ReadU32());
   DCDO_ASSIGN_OR_RETURN(std::uint32_t language, reader.ReadU32());
+  if (arch > static_cast<std::uint32_t>(sim::Architecture::kX86Nt)) {
+    return InvalidArgumentError("bad architecture on the wire");
+  }
+  if (format > static_cast<std::uint32_t>(CodeFormat::kPortableBytecode)) {
+    return InvalidArgumentError("bad code format on the wire");
+  }
+  if (language > static_cast<std::uint32_t>(Language::kAny)) {
+    return InvalidArgumentError("bad language on the wire");
+  }
   component.type.architecture = static_cast<sim::Architecture>(arch);
   component.type.format = static_cast<CodeFormat>(format);
   component.type.language = static_cast<Language>(language);
@@ -122,6 +131,12 @@ Result<ImplementationComponent> ParseComponentMeta(const ByteBuffer& buffer) {
     DCDO_ASSIGN_OR_RETURN(fn.function.signature, reader.ReadString());
     DCDO_ASSIGN_OR_RETURN(std::uint32_t visibility, reader.ReadU32());
     DCDO_ASSIGN_OR_RETURN(std::uint32_t constraint, reader.ReadU32());
+    if (visibility > static_cast<std::uint32_t>(Visibility::kInternal)) {
+      return InvalidArgumentError("bad visibility on the wire");
+    }
+    if (constraint > static_cast<std::uint32_t>(Constraint::kPermanent)) {
+      return InvalidArgumentError("bad constraint on the wire");
+    }
     fn.visibility = static_cast<Visibility>(visibility);
     fn.constraint = static_cast<Constraint>(constraint);
     DCDO_ASSIGN_OR_RETURN(fn.symbol, reader.ReadString());

@@ -561,10 +561,9 @@ Result<ByteBuffer> Dcdo::DispatchConfig(std::string_view method,
     // least one executing thread, with its count.
     Writer writer(rpc::WireBufferPool::Acquire());
     std::vector<std::tuple<std::string, ObjectId, int>> rows;
-    for (const DfmEntry* entry : mapper_.state().AllEntries()) {
-      int count = mapper_.ActiveCount(entry->function.name, entry->component);
-      if (count > 0) rows.emplace_back(entry->function.name,
-                                       entry->component, count);
+    for (const DfmEntry& entry : mapper_.state().entries()) {
+      int count = mapper_.ActiveCount(entry.name(), entry.component);
+      if (count > 0) rows.emplace_back(entry.name(), entry.component, count);
     }
     writer.WriteU64(rows.size());
     for (const auto& [function, component, count] : rows) {

@@ -10,6 +10,12 @@ Status DcdoProxy::RefreshInterface() {
                         client_.InvokeBlocking(target_, "dcdo.getInterface"));
   Reader reader(wire);
   DCDO_ASSIGN_OR_RETURN(std::uint64_t count, reader.ReadU64());
+  // Smallest entry on the wire: two empty strings (their u64 lengths) and
+  // the two flags.
+  constexpr std::size_t kMinEntryBytes = 2 * sizeof(std::uint64_t) + 2;
+  if (count > reader.remaining() / kMinEntryBytes) {
+    return OutOfRangeError("interface entries overrun reply");
+  }
   std::vector<InterfaceEntry> entries;
   entries.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {

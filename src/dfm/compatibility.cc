@@ -66,7 +66,7 @@ CompatibilityReport ClassifyTransition(const DfmState& from,
     const DfmEntry* new_impl = to.EnabledImpl(name);
     if (old_impl != nullptr && new_impl != nullptr &&
         (old_impl->component != new_impl->component ||
-         old_impl->symbol != new_impl->symbol)) {
+         old_impl->symbol() != new_impl->symbol())) {
       report.reimplemented.push_back(name);
     }
   }

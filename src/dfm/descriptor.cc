@@ -91,24 +91,33 @@ EvolutionPlan ComputePlan(const DfmState& from, const DfmState& to) {
   for (const ObjectId& id : from.ComponentIds()) {
     if (!to.HasComponent(id)) plan.remove.push_back(id);
   }
-  // Enable/disable flips. For newly incorporated components, enables are
-  // included too (incorporation leaves functions disabled); removals carry
-  // their disables implicitly.
-  for (const DfmEntry* entry : to.AllEntries()) {
-    if (!entry->enabled) continue;
-    const DfmEntry* before =
-        from.FindEntry(entry->function.name, entry->component);
-    if (before == nullptr || !before->enabled) {
-      plan.enable.push_back({entry->function.name, entry->component});
-    }
-  }
-  for (const DfmEntry* entry : from.AllEntries()) {
-    if (!entry->enabled) continue;
-    if (!to.HasComponent(entry->component)) continue;  // removal handles it
-    const DfmEntry* after =
-        to.FindEntry(entry->function.name, entry->component);
-    if (after == nullptr || !after->enabled) {
-      plan.disable.push_back({entry->function.name, entry->component});
+  // Enable/disable flips, in one merge of the two row arrays. For newly
+  // incorporated components, enables are included too (incorporation leaves
+  // functions disabled); removals carry their disables implicitly.
+  auto key = [](const DfmEntry& entry) {
+    return DfmState::EntryKey{entry.name(), entry.component};
+  };
+  std::span<const DfmEntry> before = from.entries();
+  std::span<const DfmEntry> after = to.entries();
+  auto b = before.begin();
+  auto a = after.begin();
+  while (b != before.end() || a != after.end()) {
+    const int order = b == before.end()  ? 1
+                      : a == after.end() ? -1
+                                         : CompareRows(*b, *a);
+    if (order < 0) {  // only in `from`
+      if (b->enabled && to.HasComponent(b->component)) {
+        plan.disable.push_back(key(*b));
+      }
+      ++b;
+    } else if (order > 0) {  // only in `to`
+      if (a->enabled) plan.enable.push_back(key(*a));
+      ++a;
+    } else {
+      if (a->enabled && !b->enabled) plan.enable.push_back(key(*a));
+      if (b->enabled && !a->enabled) plan.disable.push_back(key(*b));
+      ++b;
+      ++a;
     }
   }
   return plan;

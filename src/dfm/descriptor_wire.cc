@@ -56,14 +56,13 @@ ByteBuffer SerializeDescriptor(const DfmDescriptor& descriptor) {
     writer.WriteBytes(SerializeComponentMeta(*state.FindComponent(id)));
   }
 
-  std::vector<const DfmEntry*> entries = state.AllEntries();
-  writer.WriteU64(entries.size());
-  for (const DfmEntry* entry : entries) {
-    writer.WriteString(entry->function.name);
-    writer.WriteObjectId(entry->component);
-    writer.WriteU32(static_cast<std::uint32_t>(entry->visibility));
-    writer.WriteBool(entry->enabled);
-    writer.WriteBool(entry->permanent);
+  writer.WriteU64(state.entry_count());
+  for (const DfmEntry& entry : state.entries()) {
+    writer.WriteString(entry.name());
+    writer.WriteObjectId(entry.component);
+    writer.WriteU32(static_cast<std::uint32_t>(entry.visibility));
+    writer.WriteBool(entry.enabled);
+    writer.WriteBool(entry.permanent);
   }
 
   writer.WriteU64(state.mandatory_functions().size());
@@ -102,6 +101,14 @@ Result<DfmDescriptor> ParseDescriptor(const ByteBuffer& wire) {
     bool permanent;
   };
   DCDO_ASSIGN_OR_RETURN(std::uint64_t entry_count, reader.ReadU64());
+  // Smallest row on the wire: an empty name (its u64 length), the
+  // component id, the visibility and the two flags.
+  constexpr std::size_t kMinRowBytes = sizeof(std::uint64_t) +
+                                       2 * sizeof(std::uint64_t) +
+                                       sizeof(std::uint32_t) + 2;
+  if (entry_count > reader.remaining() / kMinRowBytes) {
+    return OutOfRangeError("descriptor rows overrun archive");
+  }
   std::vector<Row> rows;
   rows.reserve(entry_count);
   for (std::uint64_t i = 0; i < entry_count; ++i) {

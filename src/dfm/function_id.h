@@ -5,8 +5,9 @@
 // every call. String-keyed lookups pay hashing (or tree walks) and, worse,
 // string copies on every acquire. Interning fixes the unit of work: a name is
 // resolved to a dense FunctionId once (at incorporate time, at proxy-refresh
-// time, at method-table registration), and the call path indexes a flat slot
-// table with it.
+// time, at method-table registration), and the call path finds its slot in
+// each mapper's own id index with it (ids are process-global, but no mapper
+// sizes anything by their range).
 //
 // The table is process-global and append-only: ids are never reused, and the
 // backing strings have stable addresses for the life of the process, so a

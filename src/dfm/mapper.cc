@@ -1,24 +1,51 @@
 #include "dfm/mapper.h"
 
+#include <algorithm>
+#include <bit>
 #include <mutex>
 
 #include "check/check_context.h"
 
 namespace dcdo {
 
-// The body never changes after construction (RemapBodies builds a fresh
-// record), so in-flight guards may read it without synchronization. The
-// counter lives behind its own shared_ptr so RemapBodies can carry it over
-// into the replacement record: remapping does not end in-flight calls, and
-// their active counts must keep showing up in ActiveCount/TotalActive.
-struct DfmImplShared {
-  DfmImplShared(DynamicFn fn, std::shared_ptr<std::atomic<int>> counter)
-      : body(std::move(fn)), active(std::move(counter)) {}
-  const DynamicFn body;
-  const std::shared_ptr<std::atomic<int>> active;
+// Records never change after their block is built (RemapBodies builds a
+// fresh block), so in-flight guards may read a body without synchronization.
+// The counters live in their own array, which RemapBodies hands to the
+// replacement block: remapping does not end in-flight calls, and their
+// active counts must keep showing up in ActiveCount/TotalActive.
+struct DfmImplRecord {
+  DynamicFn body;
+  std::atomic<int>* active;  // into the block's counter array
+};
+
+struct DfmImplBlock {
+  ObjectId component;
+  std::shared_ptr<std::atomic<int>[]> counters;
+  std::vector<DfmImplRecord> records;  // in the component's function order
 };
 
 namespace {
+// Resolves every function of `meta` for `arch` into a fresh block counting
+// with `counters` (a new zeroed array when null). Fails on the first
+// unresolved symbol.
+Result<std::shared_ptr<DfmImplBlock>> BuildBlock(
+    const ImplementationComponent& meta, const NativeCodeRegistry& registry,
+    sim::Architecture arch, std::shared_ptr<std::atomic<int>[]> counters) {
+  auto block = std::make_shared<DfmImplBlock>();
+  block->component = meta.id;
+  block->counters = counters != nullptr
+                        ? std::move(counters)
+                        : std::shared_ptr<std::atomic<int>[]>(
+                              new std::atomic<int>[meta.functions.size()]());
+  block->records.reserve(meta.functions.size());
+  for (const FunctionImplDescriptor& fn : meta.functions) {
+    DCDO_ASSIGN_OR_RETURN(DynamicFn body, registry.Resolve(fn.symbol, arch));
+    block->records.push_back(
+        {std::move(body), &block->counters[block->records.size()]});
+  }
+  return block;
+}
+
 const std::string& EmptyName() {
   static const std::string empty;
   return empty;
@@ -64,23 +91,23 @@ void DynamicFunctionMapper::CallGuard::ReleaseSlow() {
 }
 
 DynamicFunctionMapper::AcquireReject DynamicFunctionMapper::TryAcquireLocked(
-    const Slot* slot, FunctionId id, CallOrigin origin, CallGuard& guard) {
+    const Slot* slot, CallOrigin origin, CallGuard& guard) {
   if (slot == nullptr || !slot->any_present) return AcquireReject::kMissing;
   if (!slot->enabled) return AcquireReject::kDisabled;
   if (origin == CallOrigin::kExternal &&
       slot->visibility != Visibility::kExported) {
     return AcquireReject::kNotExported;
   }
-  if (slot->impl == nullptr) return AcquireReject::kNoBody;
-  // The hot path: one increment on the impl's counter plus one shared_ptr
-  // refcount bump; no string is copied or allocated.
-  slot->impl->active->fetch_add(1, std::memory_order_acq_rel);
+  if (slot->record == nullptr) return AcquireReject::kNoBody;
+  // The hot path: one increment on the record's counter plus one bump of
+  // the block's refcount; no string is copied or allocated.
+  slot->record->active->fetch_add(1, std::memory_order_acq_rel);
   calls_resolved_.fetch_add(1, std::memory_order_relaxed);
   guard.mapper_ = this;
   guard.name_ = slot->name;
-  guard.function_id_ = id;
+  guard.function_id_ = slot->id;
   guard.component_ = slot->component;
-  guard.impl_ = slot->impl;
+  guard.impl_ = std::shared_ptr<const DfmImplRecord>(slot->block, slot->record);
   return AcquireReject::kNone;
 }
 
@@ -108,13 +135,11 @@ Result<DynamicFunctionMapper::CallGuard> DynamicFunctionMapper::Acquire(
   CallGuard guard;
   {
     std::shared_lock<std::shared_mutex> lock(mutex_);
-    // One hash probe against the mapper's own index — no round-trip through
-    // the global intern table on the call path.
-    auto it = name_index_.find(function);
-    reject = it == name_index_.end()
-                 ? AcquireReject::kMissing
-                 : TryAcquireLocked(&slots_[it->second.value], it->second,
-                                    origin, guard);
+    // One probe of the mapper's own name index — no round-trip through the
+    // global intern table on the call path.
+    const std::uint32_t slot = FindSlotLocked(function);
+    reject = TryAcquireLocked(slot == kNoSlot ? nullptr : &slots_[slot],
+                              origin, guard);
   }
   if (reject == AcquireReject::kNone) {
     if (!check_owner_.nil()) {
@@ -133,10 +158,9 @@ Result<DynamicFunctionMapper::CallGuard> DynamicFunctionMapper::Acquire(
   CallGuard guard;
   {
     std::shared_lock<std::shared_mutex> lock(mutex_);
-    const Slot* slot = function.valid() && function.value < slots_.size()
-                           ? &slots_[function.value]
-                           : nullptr;
-    reject = TryAcquireLocked(slot, function, origin, guard);
+    const std::uint32_t slot = FindSlotLocked(function);
+    reject = TryAcquireLocked(slot == kNoSlot ? nullptr : &slots_[slot],
+                              origin, guard);
   }
   if (reject == AcquireReject::kNone) {
     if (!check_owner_.nil()) {
@@ -153,38 +177,113 @@ Result<DynamicFunctionMapper::CallGuard> DynamicFunctionMapper::Acquire(
                          : std::string_view(EmptyName()));
 }
 
-void DynamicFunctionMapper::DeriveSlotLocked(const std::string& function) {
+std::uint32_t DynamicFunctionMapper::FindSlotLocked(FunctionId id) const {
+  if (id_index_.empty()) return kNoSlot;
+  const std::size_t mask = id_index_.size() - 1;
+  for (std::size_t i = Bucket(id.value);; i = (i + 1) & mask) {
+    const std::uint32_t slot = id_index_[i];
+    if (slot == kNoSlot || slots_[slot].id == id) return slot;
+  }
+}
+
+std::uint32_t DynamicFunctionMapper::FindSlotLocked(
+    std::string_view name) const {
+  if (name_index_.empty()) return kNoSlot;
+  const std::size_t mask = name_index_.size() - 1;
+  for (std::size_t i = Bucket(FunctionNameHash{}(name));; i = (i + 1) & mask) {
+    const std::uint32_t slot = name_index_[i];
+    if (slot == kNoSlot || *slots_[slot].name == name) return slot;
+  }
+}
+
+void DynamicFunctionMapper::AddSlotsLocked(
+    const ImplementationComponent& meta) {
+  FunctionNameTable& names = FunctionNameTable::Global();
+  for (const FunctionImplDescriptor& fn : meta.functions) {
+    if (FindSlotLocked(fn.function.name) != kNoSlot) continue;
+    const FunctionId id = names.Intern(fn.function.name);
+    Slot& added = slots_.emplace_back();
+    added.name = &names.NameOf(id);
+    added.id = id;
+    const auto slot = static_cast<std::uint32_t>(slots_.size() - 1);
+    if (slots_.size() * 2 <= id_index_.size()) {
+      IndexSlotLocked(slot);
+      continue;
+    }
+    // Double the indexes (at least 16 buckets) and re-insert every slot.
+    const std::size_t size = std::max<std::size_t>(16, id_index_.size() * 2);
+    index_shift_ = 64 - std::countr_zero(size);
+    id_index_.assign(size, kNoSlot);
+    name_index_.assign(size, kNoSlot);
+    for (std::uint32_t i = 0; i <= slot; ++i) IndexSlotLocked(i);
+  }
+}
+
+void DynamicFunctionMapper::IndexSlotLocked(std::uint32_t slot) {
+  const std::size_t mask = id_index_.size() - 1;
+  std::size_t i = Bucket(slots_[slot].id.value);
+  while (id_index_[i] != kNoSlot) i = (i + 1) & mask;
+  id_index_[i] = slot;
+  i = Bucket(FunctionNameHash{}(*slots_[slot].name));
+  while (name_index_[i] != kNoSlot) i = (i + 1) & mask;
+  name_index_[i] = slot;
+}
+
+const std::shared_ptr<DfmImplBlock>* DynamicFunctionMapper::FindBlockLocked(
+    const ObjectId& component) const {
+  auto it = std::ranges::lower_bound(
+      blocks_, component, {},
+      [](const std::shared_ptr<DfmImplBlock>& block) -> const ObjectId& {
+        return block->component;
+      });
+  return it == blocks_.end() || (*it)->component != component ? nullptr
+                                                              : &*it;
+}
+
+int DynamicFunctionMapper::ActiveLocked(const DfmEntry& row) const {
+  const std::shared_ptr<DfmImplBlock>* block = FindBlockLocked(row.component);
+  if (block == nullptr) return 0;
+  return (*block)->records[state_.FunctionIndex(row)].active->load(
+      std::memory_order_acquire);
+}
+
+void DynamicFunctionMapper::DeriveSlotLocked(Slot& slot,
+                                             std::span<const DfmEntry> rows) {
   // Derived from the authoritative DfmState: the slot summarizes "who
   // services a call to F" for the shared-lock readers.
-  FunctionNameTable& names = FunctionNameTable::Global();
-  FunctionId id = names.Intern(function);
-  if (id.value >= slots_.size()) slots_.resize(id.value + 1);
-  Slot& slot = slots_[id.value];
-  slot = Slot{};
-  if (!state_.AnyImplPresent(function)) return;
-  slot.any_present = true;
-  slot.name = &names.NameOf(id);
-  // name_index_ is insert-only: a name's interned id is stable for the life
-  // of the process, and an index entry for a function no longer present
-  // resolves to a slot with any_present=false — the same kMissing a map
-  // miss yields.
-  name_index_.try_emplace(std::string_view(*slot.name), id);
-  const DfmEntry* entry = state_.EnabledImpl(function);
-  if (entry == nullptr) return;
-  slot.enabled = true;
-  slot.visibility = entry->visibility;
-  slot.component = entry->component;
-  auto impl = impls_.find({function, entry->component});
-  if (impl != impls_.end()) slot.impl = impl->second;
+  Slot derived;
+  derived.name = slot.name;
+  derived.id = slot.id;
+  derived.any_present = !rows.empty();
+  for (const DfmEntry& row : rows) {
+    if (!row.enabled) continue;
+    derived.enabled = true;
+    derived.visibility = row.visibility;
+    derived.component = row.component;
+    if (const auto* block = FindBlockLocked(row.component)) {
+      derived.block = *block;
+      derived.record = &(*block)->records[state_.FunctionIndex(row)];
+    }
+    break;
+  }
+  slot = std::move(derived);
+}
+
+void DynamicFunctionMapper::DeriveSlotLocked(const std::string& function) {
+  const std::uint32_t slot = FindSlotLocked(function);
+  if (slot != kNoSlot) DeriveSlotLocked(slots_[slot], state_.Rows(function));
 }
 
 void DynamicFunctionMapper::DeriveAllSlotsLocked() {
   // Rows arrive grouped by function; derive each function's slot once.
-  const std::string* previous = nullptr;
-  for (const DfmEntry* entry : state_.AllEntries()) {
-    if (previous != nullptr && *previous == entry->function.name) continue;
-    previous = &entry->function.name;
-    DeriveSlotLocked(entry->function.name);
+  // Slots of functions no longer present were reset when they left.
+  std::span<const DfmEntry> rows = state_.entries();
+  for (auto begin = rows.begin(); begin != rows.end();) {
+    auto end = begin + 1;
+    while (end != rows.end() && end->name() == begin->name()) ++end;
+    const std::uint32_t slot = FindSlotLocked(begin->name());
+    if (slot != kNoSlot) DeriveSlotLocked(slots_[slot], {begin, end});
+    begin = end;
   }
 }
 
@@ -199,15 +298,16 @@ Status DynamicFunctionMapper::IncorporateComponent(
         std::string(sim::ArchitectureName(arch)));
   }
   // Resolve every symbol before mutating anything (all-or-nothing).
-  std::map<DfmState::EntryKey, std::shared_ptr<DfmImplShared>> resolved;
-  for (const FunctionImplDescriptor& fn : meta.functions) {
-    DCDO_ASSIGN_OR_RETURN(DynamicFn body, registry.Resolve(fn.symbol, arch));
-    resolved[{fn.function.name, meta.id}] = std::make_shared<DfmImplShared>(
-        std::move(body), std::make_shared<std::atomic<int>>(0));
-  }
+  DCDO_ASSIGN_OR_RETURN(std::shared_ptr<DfmImplBlock> block,
+                        BuildBlock(meta, registry, arch, nullptr));
   DCDO_RETURN_IF_ERROR(
       state_.IncorporateComponent(meta, auto_structural_deps));
-  impls_.merge(resolved);
+  blocks_.insert(std::ranges::upper_bound(
+                     blocks_, meta.id, {},
+                     [](const std::shared_ptr<DfmImplBlock>& b)
+                         -> const ObjectId& { return b->component; }),
+                 std::move(block));
+  AddSlotsLocked(meta);
   for (const FunctionImplDescriptor& fn : meta.functions) {
     DeriveSlotLocked(fn.function.name);
   }
@@ -224,13 +324,14 @@ Status DynamicFunctionMapper::RemoveComponent(const ObjectId& component,
     std::shared_ptr<const ImplementationComponent> meta =
         state_.SharedComponent(component);
     if (meta == nullptr) return state_.RemoveComponent(component);
-    for (const FunctionImplDescriptor& fn : meta->functions) {
-      auto it = impls_.find({fn.function.name, component});
-      if (it == impls_.end()) continue;
-      int count = it->second->active->load(std::memory_order_acquire);
+    const std::shared_ptr<DfmImplBlock>* block = FindBlockLocked(component);
+    for (std::size_t i = 0; block != nullptr && i < meta->functions.size();
+         ++i) {
+      int count = (*block)->records[i].active->load(std::memory_order_acquire);
       if (count <= 0) continue;
       if (policy == ActiveThreadPolicy::kError) {
-        return ActiveThreadsError("function '" + fn.function.name +
+        return ActiveThreadsError("function '" +
+                                  meta->functions[i].function.name +
                                   "' in component " + component.ToString() +
                                   " has " + std::to_string(count) +
                                   " active thread(s)");
@@ -238,8 +339,10 @@ Status DynamicFunctionMapper::RemoveComponent(const ObjectId& component,
       had_active = true;
     }
     DCDO_RETURN_IF_ERROR(state_.RemoveComponent(component));
+    if (block != nullptr) {
+      blocks_.erase(blocks_.begin() + (block - blocks_.data()));
+    }
     for (const FunctionImplDescriptor& fn : meta->functions) {
-      impls_.erase({fn.function.name, component});
       DeriveSlotLocked(fn.function.name);
     }
     BumpVersion();
@@ -270,12 +373,11 @@ Status DynamicFunctionMapper::DisableFunction(const std::string& function,
              function, component, state_.Enabled())) {
       // The dependent function is enabled; is a thread inside it right now?
       const std::string& dependent = dep->dependent;
-      for (auto it = impls_.lower_bound({dependent, ObjectId()});
-           it != impls_.end() && it->first.first == dependent; ++it) {
-        int count = it->second->active->load(std::memory_order_acquire);
+      for (const DfmEntry& row : state_.Rows(dependent)) {
+        int count = ActiveLocked(row);
         if (count <= 0) continue;
         if (dep->dependent_component.has_value() &&
-            *dep->dependent_component != it->first.second) {
+            *dep->dependent_component != row.component) {
           continue;
         }
         return ActiveThreadsError(
@@ -299,10 +401,7 @@ Status DynamicFunctionMapper::SwitchImplementation(
     std::unique_lock<std::shared_mutex> lock(mutex_);
     if (const DfmEntry* enabled = state_.EnabledImpl(function)) {
       from_component = enabled->component;
-      auto it = impls_.find({function, from_component});
-      if (it != impls_.end()) {
-        active_on_from = it->second->active->load(std::memory_order_acquire);
-      }
+      active_on_from = ActiveLocked(*enabled);
     }
     DCDO_RETURN_IF_ERROR(state_.SwitchImplementation(function, to_component));
     DeriveSlotLocked(function);
@@ -377,32 +476,30 @@ Status DynamicFunctionMapper::SyncMetadata(const DfmState& target) {
     return FailedPreconditionError(
         "SyncMetadata: entry/component sets do not match the target");
   }
-  for (const DfmEntry* entry : target.AllEntries()) {
-    const DfmEntry* mine =
-        state_.FindEntry(entry->function.name, entry->component);
+  for (const DfmEntry& entry : target.entries()) {
+    const DfmEntry* mine = state_.FindEntry(entry.name(), entry.component);
     if (mine == nullptr) {
       return FailedPreconditionError("SyncMetadata: missing entry for '" +
-                                     entry->function.name + "'");
+                                     entry.name() + "'");
     }
-    if (mine->enabled != entry->enabled) {
+    if (mine->enabled != entry.enabled) {
       return FailedPreconditionError(
-          "SyncMetadata: enablement of '" + entry->function.name +
+          "SyncMetadata: enablement of '" + entry.name() +
           "' does not match the target (apply the plan first)");
     }
   }
   // Rebuild metadata to match the target exactly. Visibility first, then
   // constraints, then dependencies (validated against the final snapshot).
-  for (const DfmEntry* entry : target.AllEntries()) {
-    DCDO_RETURN_IF_ERROR(state_.SetVisibility(
-        entry->function.name, entry->component, entry->visibility));
+  for (const DfmEntry& entry : target.entries()) {
+    DCDO_RETURN_IF_ERROR(state_.SetVisibility(entry.name(), entry.component,
+                                              entry.visibility));
   }
   for (const std::string& function : target.mandatory_functions()) {
     DCDO_RETURN_IF_ERROR(state_.MarkMandatory(function));
   }
-  for (const DfmEntry* entry : target.AllEntries()) {
-    if (entry->permanent) {
-      DCDO_RETURN_IF_ERROR(
-          state_.MarkPermanent(entry->function.name, entry->component));
+  for (const DfmEntry& entry : target.entries()) {
+    if (entry.permanent) {
+      DCDO_RETURN_IF_ERROR(state_.MarkPermanent(entry.name(), entry.component));
     }
   }
   // Remove dependencies the target no longer has (collect first — removal
@@ -430,7 +527,8 @@ Status DynamicFunctionMapper::SyncMetadata(const DfmState& target) {
 Status DynamicFunctionMapper::RemapBodies(const NativeCodeRegistry& registry,
                                           sim::Architecture arch) {
   std::unique_lock<std::shared_mutex> lock(mutex_);
-  std::map<DfmState::EntryKey, std::shared_ptr<DfmImplShared>> remapped;
+  std::vector<std::shared_ptr<DfmImplBlock>> remapped;
+  remapped.reserve(blocks_.size());
   for (const ObjectId& component_id : state_.ComponentIds()) {
     const ImplementationComponent* meta = state_.FindComponent(component_id);
     if (!meta->type.CompatibleWith(arch)) {
@@ -439,20 +537,17 @@ Status DynamicFunctionMapper::RemapBodies(const NativeCodeRegistry& registry,
                                ") cannot be mapped on " +
                                std::string(sim::ArchitectureName(arch)));
     }
-    for (const FunctionImplDescriptor& fn : meta->functions) {
-      DCDO_ASSIGN_OR_RETURN(DynamicFn body, registry.Resolve(fn.symbol, arch));
-      // Keep the existing counter: remapping does not end in-flight calls,
-      // and their counts must survive into the replacement record.
-      auto existing = impls_.find({fn.function.name, component_id});
-      remapped[{fn.function.name, component_id}] =
-          std::make_shared<DfmImplShared>(
-              std::move(body),
-              existing != impls_.end()
-                  ? existing->second->active
-                  : std::make_shared<std::atomic<int>>(0));
-    }
+    // Keep the existing counters: remapping does not end in-flight calls,
+    // and their counts must survive into the replacement block.
+    const std::shared_ptr<DfmImplBlock>* existing =
+        FindBlockLocked(component_id);
+    DCDO_ASSIGN_OR_RETURN(
+        std::shared_ptr<DfmImplBlock> block,
+        BuildBlock(*meta, registry, arch,
+                   existing != nullptr ? (*existing)->counters : nullptr));
+    remapped.push_back(std::move(block));
   }
-  impls_ = std::move(remapped);
+  blocks_ = std::move(remapped);
   DeriveAllSlotsLocked();
   BumpVersion();
   return Status::Ok();
@@ -461,17 +556,17 @@ Status DynamicFunctionMapper::RemapBodies(const NativeCodeRegistry& registry,
 int DynamicFunctionMapper::ActiveCount(const std::string& function,
                                        const ObjectId& component) const {
   std::shared_lock<std::shared_mutex> lock(mutex_);
-  auto it = impls_.find({function, component});
-  return it == impls_.end()
-             ? 0
-             : it->second->active->load(std::memory_order_acquire);
+  const DfmEntry* row = state_.FindEntry(function, component);
+  return row == nullptr ? 0 : ActiveLocked(*row);
 }
 
 int DynamicFunctionMapper::TotalActive() const {
   std::shared_lock<std::shared_mutex> lock(mutex_);
   int total = 0;
-  for (const auto& [key, record] : impls_) {
-    total += record->active->load(std::memory_order_acquire);
+  for (const std::shared_ptr<DfmImplBlock>& block : blocks_) {
+    for (const DfmImplRecord& record : block->records) {
+      total += record.active->load(std::memory_order_acquire);
+    }
   }
   return total;
 }

@@ -10,12 +10,19 @@
 // nonzero for exactly the duration of the call.
 //
 // The call path is read-mostly and lock-light. Function names are interned
-// into dense FunctionIds (function_id.h); the mapper keeps a flat slot table
-// indexed by FunctionId whose slots hold the enabled body, its visibility,
-// and a per-implementation atomic active-thread counter. Acquire on the hot
-// path is a shared-lock slot read plus one relaxed atomic increment; Release
-// is a single atomic decrement with no lock at all. Configuration mutations
-// take the exclusive side of the same std::shared_mutex, re-derive only the
+// into FunctionIds (function_id.h) when a component is incorporated; the
+// mapper keeps one slot per function it holds, in a dense array sized by
+// its own functions — not by the process-global id range — and reaches a
+// slot through two small open-addressed indexes, one keyed by FunctionId
+// and one by name. A slot holds the enabled implementation's record, its
+// visibility and its component. Implementations live in one record block
+// per component (the resolved bodies, in the component's function order,
+// plus their active-thread counters); a CallGuard pins the block through an
+// aliasing shared_ptr to its own record. Acquire by id is a shared-lock
+// index probe and slot read plus one atomic increment on the record's
+// counter and one on the block's refcount, with no allocation; Release is a
+// single atomic decrement with no lock at all. Configuration mutations take
+// the exclusive side of the same std::shared_mutex, re-derive only the
 // slots they touched from the authoritative DfmState, and bump a version
 // stamp: enable / disable / switch / set-visibility / mark-permanent patch
 // one function's slot, incorporate / remove patch the component's
@@ -29,19 +36,18 @@
 // exactly as before — only the constant factor of the indirection changed.
 //
 // The mapper owns a DfmState (the same table type managers use in
-// descriptors; component metadata in it is shared with the descriptor the
-// instance last adopted) plus what only the runtime needs: resolved bodies
-// from the NativeCodeRegistry, active-thread counts, and call statistics.
+// descriptors; its rows point into component metadata shared with the
+// descriptor the instance last adopted) plus what only the runtime needs:
+// the record blocks, the slots, and call statistics.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -52,10 +58,12 @@
 
 namespace dcdo {
 
-// One incorporated implementation row: the resolved body plus its
-// active-thread counter. Defined in mapper.cc; guards pin a whole record
-// with a single shared_ptr, so acquire/release touch one refcount, not two.
-struct DfmImplShared;
+// One implementation's resolved body and active-thread counter, inside its
+// component's record block. Both are defined in mapper.cc; a guard pins the
+// block with one aliasing shared_ptr to its record, so acquire/release touch
+// one refcount and one counter.
+struct DfmImplRecord;
+struct DfmImplBlock;
 
 // Who is asking: external callers may only reach exported functions.
 enum class CallOrigin : std::uint8_t { kExternal, kInternal };
@@ -76,8 +84,8 @@ class DynamicFunctionMapper {
   // disabled — or its whole component force-removed — mid-call; the paper
   // notes "there is no reason why a thread cannot proceed inside a
   // deactivated function; the code still exists." The guard carries a slot
-  // handle (interned-name pointer, one shared impl record), not owned
-  // strings: constructing and destroying one allocates nothing.
+  // handle (interned-name pointer, a pin on the component's record block),
+  // not owned strings: constructing and destroying one allocates nothing.
   class CallGuard {
    public:
     CallGuard() = default;
@@ -108,8 +116,9 @@ class DynamicFunctionMapper {
     const std::string* name_ = nullptr;  // interned; stable for process life
     FunctionId function_id_;
     ObjectId component_;
-    // One refcount covers both the body and the active counter.
-    std::shared_ptr<DfmImplShared> impl_;
+    // Aliases the record; owns a reference to the whole block, which
+    // carries the body and the counter.
+    std::shared_ptr<const DfmImplRecord> impl_;
   };
 
   // --- The call path ---
@@ -204,18 +213,22 @@ class DynamicFunctionMapper {
 
  private:
   // The per-function slot the hot path reads: a digest of DfmState's answer
-  // to "which implementation services a call to F right now". The impl
-  // record (body + active counter, one shared allocation) lives behind a
-  // shared_ptr so in-flight guards keep it alive across disables, switches,
-  // and even forced removals.
+  // to "which implementation services a call to F right now". The block
+  // pointer keeps the enabled implementation's record alive for in-flight
+  // guards across disables, switches, and even forced removals. A function
+  // keeps its slot after its last implementation leaves (any_present goes
+  // false), so slot indexes never move.
   struct Slot {
+    const std::string* name = nullptr;  // interned; stable for process life
+    FunctionId id;
     bool any_present = false;  // some implementation exists (disabled counts)
     bool enabled = false;      // an implementation is enabled
     Visibility visibility = Visibility::kExported;
-    ObjectId component;                 // of the enabled implementation
-    const std::string* name = nullptr;  // interned name
-    std::shared_ptr<DfmImplShared> impl;  // enabled implementation's record
+    ObjectId component;  // of the enabled implementation
+    std::shared_ptr<const DfmImplBlock> block;  // that component's block
+    const DfmImplRecord* record = nullptr;      // inside `block`
   };
+  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 
   // Why Acquire declined, decided under the shared lock; the error message
   // (which allocates) is built only after the lock is dropped.
@@ -227,15 +240,28 @@ class DynamicFunctionMapper {
     kNoBody,
   };
 
-  // The shared-lock core of both Acquire overloads: classifies `slot` and,
-  // on success, pins the implementation into `guard`.
-  AcquireReject TryAcquireLocked(const Slot* slot, FunctionId id,
-                                 CallOrigin origin, CallGuard& guard);
+  // The shared-lock core of both Acquire overloads: classifies `slot` (null:
+  // no slot) and, on success, pins the implementation into `guard`.
+  AcquireReject TryAcquireLocked(const Slot* slot, CallOrigin origin,
+                                 CallGuard& guard);
   [[nodiscard]] static Status RejectError(AcquireReject reject, std::string_view name);
 
-  // Re-derives `function`'s slot from state_ + impls_; the one place slots
-  // are written. Caller holds the exclusive lock.
+  // Slot lookups through the open-addressed indexes; kNoSlot on a miss.
+  std::uint32_t FindSlotLocked(FunctionId id) const;
+  std::uint32_t FindSlotLocked(std::string_view name) const;
+  std::size_t Bucket(std::uint64_t hash) const {
+    return static_cast<std::size_t>((hash * 0x9E3779B97F4A7C15ull) >>
+                                    index_shift_);
+  }
+  // Gives every function of `meta` a slot, interning names seen for the
+  // first time. Caller holds the exclusive lock.
+  void AddSlotsLocked(const ImplementationComponent& meta);
+  // Enters slots_[slot] into both indexes, which have a free bucket.
+  void IndexSlotLocked(std::uint32_t slot);
+  // Re-derives `function`'s slot from state_ and blocks_; the one place
+  // slots are written. Caller holds the exclusive lock.
   void DeriveSlotLocked(const std::string& function);
+  void DeriveSlotLocked(Slot& slot, std::span<const DfmEntry> rows);
   // DeriveSlotLocked for every function the state holds: the full rebuild
   // behind wholesale moves (adopt, metadata sync, remap).
   void DeriveAllSlotsLocked();
@@ -243,21 +269,28 @@ class DynamicFunctionMapper {
     table_version_.fetch_add(1, std::memory_order_acq_rel);
   }
 
+  // The block of `component`, or null.
+  const std::shared_ptr<DfmImplBlock>* FindBlockLocked(
+      const ObjectId& component) const;
+  // The active-thread count of `row`'s implementation.
+  int ActiveLocked(const DfmEntry& row) const;
+
   ObjectId check_owner_;  // nil: unowned (raw unit-test mappers), no hooks
   mutable std::shared_mutex mutex_;
   DfmState state_;
-  // Mutation-path store, keyed like DfmState rows; the hot path never
-  // touches it — it reads the shared_ptrs out of slots_.
-  std::map<DfmState::EntryKey, std::shared_ptr<DfmImplShared>> impls_;
-  std::vector<Slot> slots_;  // indexed by FunctionId::value
-  // Name-keyed entry to the slot table, so string Acquire pays one hash
-  // lookup under the mapper's own shared lock instead of a second
-  // lock/unlock round-trip through the global intern table. Keys view
-  // interner storage, which is stable for the life of the process. The index
-  // is insert-only: entries for functions no longer present point at slots
-  // with any_present=false, which reject identically to a map miss.
-  std::unordered_map<std::string_view, FunctionId, FunctionNameHash>
-      name_index_;
+  // One record block per incorporated component, sorted by component id.
+  // The hot path never touches this array — it reads the blocks out of
+  // slots_.
+  std::vector<std::shared_ptr<DfmImplBlock>> blocks_;
+  std::vector<Slot> slots_;  // one per function, in first-seen order
+  // Power-of-two tables of slot indexes, at most half full, probed
+  // linearly from a Fibonacci hash of the FunctionId or of the name. Sized
+  // by this mapper's functions, not by the process-global FunctionId range,
+  // so an instance of a late type pays nothing for names other types
+  // interned.
+  std::vector<std::uint32_t> id_index_;
+  std::vector<std::uint32_t> name_index_;
+  int index_shift_ = 64;  // 64 - log2(index size)
   std::atomic<std::uint64_t> table_version_{0};
   std::atomic<std::uint64_t> calls_resolved_{0};
   std::atomic<std::uint64_t> calls_rejected_{0};

@@ -1,11 +1,35 @@
 #include "dfm/state.h"
 
+#include <algorithm>
+#include <map>
+
 namespace dcdo {
+
+int CompareRows(const DfmEntry& a, const DfmEntry& b) {
+  if (a.impl == b.impl) return 0;
+  if (const int order = a.name().compare(b.name()); order != 0) return order;
+  return a.component < b.component ? -1 : (b.component < a.component ? 1 : 0);
+}
+
+namespace {
+
+// Whether two records of one component list the same functions in the same
+// order, so a row may move from one to the other by position.
+bool SameFunctions(const ImplementationComponent& a,
+                   const ImplementationComponent& b) {
+  return std::ranges::equal(a.functions, b.functions,
+                            [](const FunctionImplDescriptor& x,
+                               const FunctionImplDescriptor& y) {
+                              return x.function.name == y.function.name;
+                            });
+}
+
+}  // namespace
 
 Status DfmState::IncorporateComponent(const ImplementationComponent& meta,
                                       bool auto_structural_deps) {
   DCDO_RETURN_IF_ERROR(meta.Validate());
-  if (components_.contains(meta.id)) {
+  if (HasComponent(meta.id)) {
     return AlreadyExistsError("component " + meta.name + " (" +
                               meta.id.ToString() + ") already incorporated");
   }
@@ -14,7 +38,7 @@ Status DfmState::IncorporateComponent(const ImplementationComponent& meta,
   // permanent implementation of F in another component.
   for (const FunctionImplDescriptor& fn : meta.functions) {
     if (fn.constraint != Constraint::kPermanent) continue;
-    for (const auto& [key, entry] : Rows(fn.function.name)) {
+    for (const DfmEntry& entry : Rows(fn.function.name)) {
       if (entry.permanent) {
         return PermanentViolationError(
             "component " + meta.name + " carries permanent '" +
@@ -25,15 +49,25 @@ Status DfmState::IncorporateComponent(const ImplementationComponent& meta,
     }
   }
 
-  components_.emplace(meta.id,
-                      std::make_shared<const ImplementationComponent>(meta));
-  for (const FunctionImplDescriptor& fn : meta.functions) {
-    DfmEntry entry;
-    entry.function = fn.function;
-    entry.component = meta.id;
-    entry.visibility = fn.visibility;
-    entry.symbol = fn.symbol;
-    entries_.emplace(EntryKey{fn.function.name, meta.id}, std::move(entry));
+  auto record = std::make_shared<const ImplementationComponent>(meta);
+  components_.insert(FindComponentRef(meta.id), record);
+  // The component's rows, sorted by name (unique within a component), are
+  // merged into the table in place, from the back.
+  std::vector<DfmEntry> added;
+  added.reserve(record->functions.size());
+  for (const FunctionImplDescriptor& fn : record->functions) {
+    added.push_back(DfmEntry{meta.id, &fn, fn.visibility});
+  }
+  std::ranges::sort(added, [](const DfmEntry& a, const DfmEntry& b) {
+    return CompareRows(a, b) < 0;
+  });
+  auto kept = static_cast<std::ptrdiff_t>(rows_.size());
+  rows_.resize(rows_.size() + added.size());
+  auto out = rows_.end();
+  for (auto next = added.end(); next != added.begin();) {
+    *--out = kept > 0 && CompareRows(rows_[kept - 1], *(next - 1)) > 0
+                 ? rows_[--kept]
+                 : *--next;
   }
   // Permanent markings enable the impl (a permanent impl may never be
   // disabled, so it must be enabled) — done after all rows exist so the
@@ -44,16 +78,15 @@ Status DfmState::IncorporateComponent(const ImplementationComponent& meta,
     // in that case incorporation must be rolled back.
     Status enabled = EnableFunction(fn.function.name, meta.id);
     if (!enabled.ok()) {
-      // Roll back every row we added.
-      for (const FunctionImplDescriptor& added : meta.functions) {
-        entries_.erase({added.function.name, meta.id});
-      }
-      components_.erase(meta.id);
+      std::erase_if(rows_, [&](const DfmEntry& row) {
+        return row.component == meta.id;
+      });
+      components_.erase(FindComponentRef(meta.id));
       return PermanentViolationError(
           "cannot incorporate " + meta.name + ": permanent '" +
           fn.function.name + "' could not be enabled: " + enabled.message());
     }
-    entries_.find({fn.function.name, meta.id})->second.permanent = true;
+    MutableEntry(fn.function.name, meta.id)->permanent = true;
   }
   // Nothing below can fail (Validate rejected empty callees), so a rejected
   // incorporate leaves no mandatory mark or dependency behind.
@@ -71,12 +104,12 @@ Status DfmState::IncorporateComponent(const ImplementationComponent& meta,
 }
 
 Status DfmState::RemoveComponent(const ObjectId& component) {
-  auto comp_it = components_.find(component);
-  if (comp_it == components_.end()) {
+  const ImplementationComponent* found = FindComponent(component);
+  if (found == nullptr) {
     return ComponentMissingError("component " + component.ToString() +
                                  " not incorporated");
   }
-  const ImplementationComponent& meta = *comp_it->second;
+  const ImplementationComponent& meta = *found;
   // Permanent implementations pin their component.
   for (const FunctionImplDescriptor& fn : meta.functions) {
     const DfmEntry* entry = FindEntry(fn.function.name, component);
@@ -89,14 +122,9 @@ Status DfmState::RemoveComponent(const ObjectId& component) {
   // A mandatory function must keep at least one implementation *present*.
   for (const FunctionImplDescriptor& fn : meta.functions) {
     if (!mandatory_.contains(fn.function.name)) continue;
-    bool other_impl = false;
-    for (const auto& [key, entry] : Rows(fn.function.name)) {
-      if (entry.component != component) {
-        other_impl = true;
-        break;
-      }
-    }
-    if (!other_impl) {
+    if (std::ranges::all_of(Rows(fn.function.name), [&](const DfmEntry& row) {
+          return row.component == component;
+        })) {
       return MandatoryViolationError(
           "removing component " + meta.name +
           " would leave mandatory '" + fn.function.name +
@@ -106,21 +134,21 @@ Status DfmState::RemoveComponent(const ObjectId& component) {
   // Dependencies: read every row of the component as disabled.
   DCDO_RETURN_IF_ERROR(deps_.Validate(Enabled().Drop(component)));
 
-  for (const FunctionImplDescriptor& fn : meta.functions) {
-    entries_.erase({fn.function.name, component});
-  }
-  components_.erase(comp_it);
+  std::erase_if(rows_, [&](const DfmEntry& row) {
+    return row.component == component;
+  });
+  components_.erase(FindComponentRef(component));
   return Status::Ok();
 }
 
 Status DfmState::EnableFunction(const std::string& function,
                                 const ObjectId& component) {
-  auto it = entries_.find({function, component});
-  if (it == entries_.end()) {
+  DfmEntry* row = MutableEntry(function, component);
+  if (row == nullptr) {
     return FunctionMissingError("no implementation of '" + function +
                                 "' in component " + component.ToString());
   }
-  if (it->second.enabled) return Status::Ok();  // idempotent
+  if (row->enabled) return Status::Ok();  // idempotent
   if (const DfmEntry* current = EnabledImpl(function); current != nullptr) {
     return FailedPreconditionError(
         "'" + function + "' already enabled from component " +
@@ -128,19 +156,19 @@ Status DfmState::EnableFunction(const std::string& function,
   }
   DCDO_RETURN_IF_ERROR(
       deps_.Validate(Enabled().Flip(function, component, true)));
-  it->second.enabled = true;
+  row->enabled = true;
   return Status::Ok();
 }
 
 Status DfmState::DisableFunction(const std::string& function,
                                  const ObjectId& component) {
-  auto it = entries_.find({function, component});
-  if (it == entries_.end()) {
+  DfmEntry* row = MutableEntry(function, component);
+  if (row == nullptr) {
     return FunctionMissingError("no implementation of '" + function +
                                 "' in component " + component.ToString());
   }
-  if (!it->second.enabled) return Status::Ok();  // idempotent
-  if (it->second.permanent) {
+  if (!row->enabled) return Status::Ok();  // idempotent
+  if (row->permanent) {
     return PermanentViolationError("'" + function + "' in component " +
                                    component.ToString() + " is permanent");
   }
@@ -155,21 +183,19 @@ Status DfmState::DisableFunction(const std::string& function,
   }
   DCDO_RETURN_IF_ERROR(
       deps_.Validate(Enabled().Flip(function, component, false)));
-  it->second.enabled = false;
+  row->enabled = false;
   return Status::Ok();
 }
 
 Status DfmState::SwitchImplementation(const std::string& function,
                                       const ObjectId& to_component) {
-  auto to_it = entries_.find({function, to_component});
-  if (to_it == entries_.end()) {
+  DfmEntry* to = MutableEntry(function, to_component);
+  if (to == nullptr) {
     return FunctionMissingError("no implementation of '" + function +
                                 "' in component " + to_component.ToString());
   }
-  const DfmEntry* current = EnabledImpl(function);
-  if (current != nullptr && current->component == to_component) {
-    return Status::Ok();  // already there
-  }
+  DfmEntry* current = const_cast<DfmEntry*>(EnabledImpl(function));
+  if (current == to) return Status::Ok();  // already there
   if (current != nullptr && current->permanent) {
     return PermanentViolationError("'" + function + "' in component " +
                                    current->component.ToString() +
@@ -179,26 +205,24 @@ Status DfmState::SwitchImplementation(const std::string& function,
   if (current != nullptr) proposed.Flip(function, current->component, false);
   proposed.Flip(function, to_component, true);
   DCDO_RETURN_IF_ERROR(deps_.Validate(proposed));
-  if (current != nullptr) {
-    entries_.find({function, current->component})->second.enabled = false;
-  }
-  to_it->second.enabled = true;
+  if (current != nullptr) current->enabled = false;
+  to->enabled = true;
   return Status::Ok();
 }
 
 Status DfmState::SetVisibility(const std::string& function,
                                const ObjectId& component,
                                Visibility visibility) {
-  auto it = entries_.find({function, component});
-  if (it == entries_.end()) {
+  DfmEntry* row = MutableEntry(function, component);
+  if (row == nullptr) {
     return FunctionMissingError("no implementation of '" + function +
                                 "' in component " + component.ToString());
   }
-  if (it->second.permanent && it->second.visibility != visibility) {
+  if (row->permanent && row->visibility != visibility) {
     return PermanentViolationError("'" + function +
                                    "' is permanent; its interface is frozen");
   }
-  it->second.visibility = visibility;
+  row->visibility = visibility;
   return Status::Ok();
 }
 
@@ -213,13 +237,13 @@ Status DfmState::MarkMandatory(const std::string& function) {
 
 Status DfmState::MarkPermanent(const std::string& function,
                                const ObjectId& component) {
-  auto it = entries_.find({function, component});
-  if (it == entries_.end()) {
+  DfmEntry* row = MutableEntry(function, component);
+  if (row == nullptr) {
     return FunctionMissingError("no implementation of '" + function +
                                 "' in component " + component.ToString());
   }
   // Only one permanent implementation of a function may exist.
-  for (const auto& [key, entry] : Rows(function)) {
+  for (const DfmEntry& entry : Rows(function)) {
     if (entry.permanent && entry.component != component) {
       return PermanentViolationError(
           "'" + function + "' already permanent in component " +
@@ -227,10 +251,10 @@ Status DfmState::MarkPermanent(const std::string& function,
     }
   }
   // A permanent impl is frozen *enabled*; enable it now if necessary.
-  if (!it->second.enabled) {
+  if (!row->enabled) {
     DCDO_RETURN_IF_ERROR(SwitchImplementation(function, component));
   }
-  it->second.permanent = true;
+  row->permanent = true;
   return Status::Ok();
 }
 
@@ -249,41 +273,65 @@ Status DfmState::RemoveDependency(const Dependency& dep) {
   return deps_.Remove(dep);
 }
 
+std::vector<DfmState::ComponentRef>::const_iterator DfmState::FindComponentRef(
+    const ObjectId& component) const {
+  return std::ranges::lower_bound(
+      components_, component, {},
+      [](const ComponentRef& record) -> const ObjectId& { return record->id; });
+}
+
 const ImplementationComponent* DfmState::FindComponent(
     const ObjectId& component) const {
-  auto it = components_.find(component);
-  return it == components_.end() ? nullptr : it->second.get();
+  auto it = FindComponentRef(component);
+  return it == components_.end() || (*it)->id != component ? nullptr
+                                                           : it->get();
 }
 
 std::shared_ptr<const ImplementationComponent> DfmState::SharedComponent(
     const ObjectId& component) const {
-  auto it = components_.find(component);
-  return it == components_.end() ? nullptr : it->second;
+  auto it = FindComponentRef(component);
+  return it == components_.end() || (*it)->id != component ? nullptr : *it;
 }
 
 std::vector<ObjectId> DfmState::ComponentIds() const {
   std::vector<ObjectId> out;
   out.reserve(components_.size());
-  for (const auto& [id, meta] : components_) out.push_back(id);
+  for (const ComponentRef& record : components_) out.push_back(record->id);
   return out;
+}
+
+std::vector<DfmEntry>::const_iterator DfmState::LowerBound(
+    const std::string& function, const ObjectId& component) const {
+  return std::partition_point(
+      rows_.begin(), rows_.end(), [&](const DfmEntry& row) {
+        const int order = row.name().compare(function);
+        return order < 0 || (order == 0 && row.component < component);
+      });
 }
 
 const DfmEntry* DfmState::FindEntry(const std::string& function,
                                     const ObjectId& component) const {
-  auto it = entries_.find({function, component});
-  return it == entries_.end() ? nullptr : &it->second;
+  auto it = LowerBound(function, component);
+  return it == rows_.end() || it->component != component ||
+                 it->name() != function
+             ? nullptr
+             : &*it;
 }
 
-std::ranges::subrange<DfmState::EntryMap::const_iterator> DfmState::Rows(
-    const std::string& function) const {
-  auto begin = entries_.lower_bound({function, ObjectId()});
+std::span<const DfmEntry> DfmState::Rows(const std::string& function) const {
+  auto begin = LowerBound(function, ObjectId());
   auto end = begin;
-  while (end != entries_.end() && end->first.first == function) ++end;
+  while (end != rows_.end() && end->name() == function) ++end;
   return {begin, end};
 }
 
+std::size_t DfmState::FunctionIndex(const DfmEntry& row) const {
+  return static_cast<std::size_t>(
+      row.impl - FindComponent(row.component)->functions.data());
+}
+
 const DfmEntry* DfmState::EnabledImpl(const std::string& function) const {
-  for (const auto& [key, entry] : Rows(function)) {
+  for (const DfmEntry& entry : Rows(function)) {
     if (entry.enabled) return &entry;
   }
   return nullptr;
@@ -295,25 +343,19 @@ bool DfmState::AnyImplPresent(const std::string& function) const {
 
 std::vector<FunctionSignature> DfmState::ExportedInterface() const {
   std::vector<FunctionSignature> out;
-  for (const auto& [key, entry] : entries_) {
+  for (const DfmEntry& entry : rows_) {
     if (entry.enabled && entry.visibility == Visibility::kExported) {
-      out.push_back(entry.function);
+      out.push_back(entry.function());
     }
   }
-  return out;
-}
-
-std::vector<const DfmEntry*> DfmState::AllEntries() const {
-  std::vector<const DfmEntry*> out;
-  out.reserve(entries_.size());
-  for (const auto& [key, entry] : entries_) out.push_back(&entry);
   return out;
 }
 
 DfmState::Overlay& DfmState::Overlay::Flip(const std::string& function,
                                            const ObjectId& component,
                                            bool enabled) {
-  flips_.at(flip_count_++) = Pending{&function, &component, enabled};
+  flips_.at(flip_count_++) =
+      Pending{state_->FindEntry(function, component), enabled};
   return *this;
 }
 
@@ -324,11 +366,7 @@ DfmState::Overlay& DfmState::Overlay::Drop(const ObjectId& component) {
 
 bool DfmState::Overlay::RowEnabled(const DfmEntry& row) const {
   for (std::size_t i = 0; i < flip_count_; ++i) {
-    const Pending& flip = flips_[i];
-    if (*flip.function == row.function.name &&
-        *flip.component == row.component) {
-      return flip.enabled;
-    }
+    if (flips_[i].row == &row) return flips_[i].enabled;
   }
   if (dropped_ != nullptr && *dropped_ == row.component) return false;
   return row.enabled;
@@ -341,7 +379,7 @@ bool DfmState::Overlay::IsEnabled(const std::string& function,
 }
 
 bool DfmState::Overlay::AnyEnabled(const std::string& function) const {
-  for (const auto& [key, row] : state_->Rows(function)) {
+  for (const DfmEntry& row : state_->Rows(function)) {
     if (RowEnabled(row)) return true;
   }
   return false;
@@ -349,32 +387,31 @@ bool DfmState::Overlay::AnyEnabled(const std::string& function) const {
 
 Status DfmState::AdoptConfiguration(const DfmState& target,
                                     bool enforce_marks) {
-  // Every target entry must already exist here with the same symbol.
-  for (const DfmEntry* entry : target.AllEntries()) {
-    const DfmEntry* mine = FindEntry(entry->function.name, entry->component);
-    if (mine == nullptr) {
+  // Every target entry must already exist here with the same symbol. Both
+  // arrays share one order, so one forward pass pairs them up.
+  auto mine = rows_.begin();
+  for (const DfmEntry& entry : target.rows_) {
+    while (mine != rows_.end() && CompareRows(*mine, entry) < 0) ++mine;
+    if (mine == rows_.end() || CompareRows(*mine, entry) != 0) {
       return ComponentMissingError(
-          "AdoptConfiguration: entry '" + entry->function.name +
-          "' of component " + entry->component.ToString() +
+          "AdoptConfiguration: entry '" + entry.name() + "' of component " +
+          entry.component.ToString() +
           " not incorporated; incorporate new components first");
     }
-    if (mine->symbol != entry->symbol) {
+    if (mine->impl != entry.impl && mine->symbol() != entry.symbol()) {
       return FailedPreconditionError(
-          "AdoptConfiguration: symbol mismatch for '" + entry->function.name +
-          "'");
+          "AdoptConfiguration: symbol mismatch for '" + entry.name() + "'");
     }
   }
   if (enforce_marks) {
     // A currently-permanent implementation must stay enabled in the target.
-    for (const auto& [key, entry] : entries_) {
+    for (const DfmEntry& entry : rows_) {
       if (!entry.permanent) continue;
-      const DfmEntry* after =
-          target.FindEntry(entry.function.name, entry.component);
+      const DfmEntry* after = target.FindEntry(entry.name(), entry.component);
       if (after == nullptr || !after->enabled) {
         return PermanentViolationError(
-            "evolution would disable or drop permanent '" +
-            entry.function.name + "' in component " +
-            entry.component.ToString());
+            "evolution would disable or drop permanent '" + entry.name() +
+            "' in component " + entry.component.ToString());
       }
     }
     // A currently-mandatory function must keep an enabled implementation.
@@ -391,17 +428,19 @@ Status DfmState::AdoptConfiguration(const DfmState& target,
   DCDO_RETURN_IF_ERROR(target.dependencies().Validate(target.Enabled()));
 
   // Commit: enabled flags + visibility from the target; absent => disabled.
-  for (auto& [key, entry] : entries_) {
-    const DfmEntry* after = target.FindEntry(entry.function.name,
-                                             entry.component);
-    if (after == nullptr) {
+  auto theirs = target.rows_.begin();
+  for (DfmEntry& entry : rows_) {
+    while (theirs != target.rows_.end() && CompareRows(*theirs, entry) < 0) {
+      ++theirs;
+    }
+    if (theirs == target.rows_.end() || CompareRows(*theirs, entry) != 0) {
       entry.enabled = false;
       entry.permanent = false;  // row is leaving with its component
       continue;
     }
-    entry.enabled = after->enabled;
-    entry.visibility = after->visibility;
-    entry.permanent = after->permanent || (enforce_marks && entry.permanent);
+    entry.enabled = theirs->enabled;
+    entry.visibility = theirs->visibility;
+    entry.permanent = theirs->permanent || (enforce_marks && entry.permanent);
   }
   std::set<std::string> mandatory = target.mandatory_functions();
   if (enforce_marks) {
@@ -409,12 +448,29 @@ Status DfmState::AdoptConfiguration(const DfmState& target,
   }
   mandatory_ = std::move(mandatory);
   deps_ = target.dependencies();
-  // A component id names one immutable metadata record: share the target's.
-  for (auto& [id, meta] : components_) {
-    if (auto theirs = target.components_.find(id);
-        theirs != target.components_.end()) {
-      meta = theirs->second;
+  // A component id names one immutable metadata record: share the target's,
+  // moving each row to the same position in it.
+  std::vector<ComponentRef> adopted(components_.size());
+  bool any_adopted = false;
+  for (std::size_t i = 0; i < components_.size(); ++i) {
+    ComponentRef replacement = target.SharedComponent(components_[i]->id);
+    if (replacement != nullptr && replacement != components_[i] &&
+        SameFunctions(*replacement, *components_[i])) {
+      adopted[i] = std::move(replacement);
+      any_adopted = true;
     }
+  }
+  if (!any_adopted) return Status::Ok();
+  for (DfmEntry& entry : rows_) {
+    const auto i = static_cast<std::size_t>(
+        FindComponentRef(entry.component) - components_.begin());
+    if (adopted[i] != nullptr) {
+      entry.impl = adopted[i]->functions.data() +
+                   (entry.impl - components_[i]->functions.data());
+    }
+  }
+  for (std::size_t i = 0; i < components_.size(); ++i) {
+    if (adopted[i] != nullptr) components_[i] = std::move(adopted[i]);
   }
   return Status::Ok();
 }
@@ -426,9 +482,9 @@ Status DfmState::ValidateComplete() const {
                                      "' has no enabled implementation");
     }
   }
-  for (const auto& [key, entry] : entries_) {
+  for (const DfmEntry& entry : rows_) {
     if (entry.permanent && !entry.enabled) {
-      return PermanentViolationError("permanent '" + entry.function.name +
+      return PermanentViolationError("permanent '" + entry.name() +
                                      "' is not enabled");
     }
   }
@@ -438,15 +494,15 @@ Status DfmState::ValidateComplete() const {
 std::vector<std::string> DfmState::CheckIntegrity() const {
   std::vector<std::string> anomalies;
   std::map<std::string, int> enabled_per_function;
-  for (const auto& [key, entry] : entries_) {
-    if (entry.enabled) ++enabled_per_function[entry.function.name];
+  for (const DfmEntry& entry : rows_) {
+    if (entry.enabled) ++enabled_per_function[entry.name()];
     if (entry.permanent && !entry.enabled) {
-      anomalies.push_back("permanent implementation of '" +
-                          entry.function.name + "' in component " +
-                          entry.component.ToString() + " is disabled");
+      anomalies.push_back("permanent implementation of '" + entry.name() +
+                          "' in component " + entry.component.ToString() +
+                          " is disabled");
     }
-    if (!components_.contains(entry.component)) {
-      anomalies.push_back("entry for '" + entry.function.name +
+    if (!HasComponent(entry.component)) {
+      anomalies.push_back("entry for '" + entry.name() +
                           "' references component " +
                           entry.component.ToString() +
                           " which is not incorporated");

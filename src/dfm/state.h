@@ -16,14 +16,28 @@
 //   * no mutation may leave a binding dependency (Types A-D) violated,
 //   * two components cannot both carry a permanent implementation of the
 //     same function (the paper's incorporate-conflict rule).
+//
+// Layout. The rows are one contiguous array in (function, component)
+// order, and the incorporated components one array of shared metadata
+// records in id order. A row is a component id, a pointer to its
+// FunctionImplDescriptor inside that component's record, and three bits, so
+// a copy — a derived version, an evolution target, the configuration an
+// instance adopted — is a handful of allocations and about 32 bytes a row,
+// whatever the names and symbols weigh. Lookups are binary searches; the
+// table-to-table operations (AdoptConfiguration, ComputePlan) are linear
+// merges of two sorted arrays. A component's rows and its record's function
+// list are the same set, and while a component stays incorporated its
+// functions keep their positions in the record (AdoptConfiguration adopts a
+// target's record only when it lists the same functions in the same order),
+// so FunctionIndex is stable and DynamicFunctionMapper indexes its
+// per-component bodies by it.
 #pragma once
 
 #include <array>
-#include <map>
 #include <memory>
 #include <optional>
-#include <ranges>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,15 +49,28 @@
 
 namespace dcdo {
 
-// One (function, component) implementation row.
+// One (function, component) implementation row. A row holds only what a
+// configuration owns: the enabled, visibility and permanent bits. The
+// function's name, signature, symbol and author's constraint stay in the
+// component's shared metadata record, which `impl` points into, so copying
+// a table copies no string.
 struct DfmEntry {
-  FunctionSignature function;
   ObjectId component;
+  const FunctionImplDescriptor* impl = nullptr;
   Visibility visibility = Visibility::kExported;
   bool enabled = false;
   bool permanent = false;
-  std::string symbol;
+
+  const FunctionSignature& function() const { return impl->function; }
+  const std::string& name() const { return impl->function.name; }
+  const std::string& symbol() const { return impl->symbol; }
 };
+
+// The table's row order: by function name, then component. Negative,
+// zero or positive like std::string::compare. Two rows that share a
+// descriptor are the same row, which settles most comparisons between
+// tables that share metadata without reading a name.
+int CompareRows(const DfmEntry& a, const DfmEntry& b);
 
 class DfmState {
  public:
@@ -99,7 +126,7 @@ class DfmState {
   // --- Status-reporting queries ---
 
   bool HasComponent(const ObjectId& component) const {
-    return components_.contains(component);
+    return FindComponent(component) != nullptr;
   }
   const ImplementationComponent* FindComponent(const ObjectId& component) const;
   // The same record, co-owned, for a caller that needs it after the
@@ -119,13 +146,17 @@ class DfmState {
   bool IsMandatory(const std::string& function) const {
     return mandatory_.contains(function);
   }
+  // `function`'s rows, contiguous in the (function, component) order.
+  std::span<const DfmEntry> Rows(const std::string& function) const;
+  // `row`'s position in its component's function list.
+  std::size_t FunctionIndex(const DfmEntry& row) const;
 
   // Enabled + exported functions: what a client sees when it asks for the
   // object's interface.
   std::vector<FunctionSignature> ExportedInterface() const;
-  // Every row (used to build diffs and by tests).
-  std::vector<const DfmEntry*> AllEntries() const;
-  std::size_t entry_count() const { return entries_.size(); }
+  // Every row, in (function, component) order.
+  std::span<const DfmEntry> entries() const { return rows_; }
+  std::size_t entry_count() const { return rows_.size(); }
 
   const DependencySet& dependencies() const { return deps_; }
   const std::set<std::string>& mandatory_functions() const {
@@ -135,8 +166,8 @@ class DfmState {
   // The enabled set as a mutation proposes to leave it: this table with up
   // to two pending flips applied and, optionally, one component's rows read
   // as gone. Every read goes to the live rows, so validating a mutation
-  // copies nothing. The overlay holds references: the state and the flipped
-  // names must outlive it.
+  // copies nothing. The overlay holds references: the state and the dropped
+  // component id must outlive it.
   class Overlay final : public EnabledView {
    public:
     explicit Overlay(const DfmState& state) : state_(&state) {}
@@ -152,8 +183,7 @@ class DfmState {
 
    private:
     struct Pending {
-      const std::string* function = nullptr;
-      const ObjectId* component = nullptr;
+      const DfmEntry* row = nullptr;  // null: the flipped row does not exist
       bool enabled = false;
     };
     bool RowEnabled(const DfmEntry& row) const;
@@ -173,7 +203,10 @@ class DfmState {
   // Entries absent from the target are disabled (they belong to components
   // about to be removed). Metadata (visibility, mandatory, permanent,
   // dependencies) is replaced by the target's, and components both tables
-  // hold share the target's metadata record.
+  // hold share the target's metadata record wherever it lists the same
+  // functions in the same order (as every copy of one component's metadata
+  // does); the rows are re-pointed into it. One merge pass over the two
+  // row arrays.
   //
   // With `enforce_marks` (the increasing-version and hybrid policies), the
   // move is rejected if it would disable a currently-permanent
@@ -201,15 +234,20 @@ class DfmState {
   std::vector<std::string> CheckIntegrity() const;
 
  private:
-  using EntryMap = std::map<EntryKey, DfmEntry>;
+  using ComponentRef = std::shared_ptr<const ImplementationComponent>;
 
-  // `function`'s rows, contiguous in the (function, component) order.
-  std::ranges::subrange<EntryMap::const_iterator> Rows(
-      const std::string& function) const;
+  // First row not ordered before (function, component).
+  std::vector<DfmEntry>::const_iterator LowerBound(
+      const std::string& function, const ObjectId& component) const;
+  DfmEntry* MutableEntry(const std::string& function,
+                         const ObjectId& component) {
+    return const_cast<DfmEntry*>(FindEntry(function, component));
+  }
+  std::vector<ComponentRef>::const_iterator FindComponentRef(
+      const ObjectId& component) const;
 
-  std::map<ObjectId, std::shared_ptr<const ImplementationComponent>>
-      components_;
-  EntryMap entries_;
+  std::vector<ComponentRef> components_;  // sorted by id
+  std::vector<DfmEntry> rows_;            // sorted by CompareRows
   std::set<std::string> mandatory_;
   DependencySet deps_;
 };

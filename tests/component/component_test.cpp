@@ -114,5 +114,73 @@ TEST(ComponentMetaWireTest, GarbageFailsToParse) {
   EXPECT_FALSE(parsed.ok());
 }
 
+// A one-function component's metadata wire, laid out as
+// SerializeComponentMeta writes it, with every enum field settable.
+struct MetaEnums {
+  std::uint32_t architecture = 0;
+  std::uint32_t format = 0;
+  std::uint32_t language = 0;
+  std::uint32_t visibility = 0;
+  std::uint32_t constraint = 0;
+};
+
+Status ParseWithEnums(const MetaEnums& enums) {
+  Writer writer;
+  writer.WriteObjectId(ObjectId(1, 2));
+  writer.WriteString("libwire");
+  writer.WriteU32(enums.architecture);
+  writer.WriteU32(enums.format);
+  writer.WriteU32(enums.language);
+  writer.WriteU64(4096);  // code bytes
+  writer.WriteU64(1);     // functions
+  writer.WriteString("f");
+  writer.WriteString("i(i)");
+  writer.WriteU32(enums.visibility);
+  writer.WriteU32(enums.constraint);
+  writer.WriteString("libwire/f");
+  writer.WriteU64(0);  // calls
+  return ParseComponentMeta(std::move(writer).Take()).status();
+}
+
+TEST(ComponentMetaWireTest, RejectsOutOfRangeVisibility) {
+  EXPECT_TRUE(ParseWithEnums({.visibility = 1}).ok());
+  EXPECT_EQ(ParseWithEnums({.visibility = 9}).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(ParseWithEnums({.visibility = 256}).code(),
+            ErrorCode::kInvalidArgument);
+}
+
+TEST(ComponentMetaWireTest, RejectsOutOfRangeConstraint) {
+  EXPECT_TRUE(ParseWithEnums({.constraint = 2}).ok());
+  EXPECT_EQ(ParseWithEnums({.constraint = 7}).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(ParseWithEnums({.constraint = 256}).code(),
+            ErrorCode::kInvalidArgument);
+}
+
+TEST(ComponentMetaWireTest, RejectsOutOfRangeArchitecture) {
+  EXPECT_TRUE(ParseWithEnums({.architecture = 3}).ok());
+  EXPECT_EQ(ParseWithEnums({.architecture = 4}).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(ParseWithEnums({.architecture = 256}).code(),
+            ErrorCode::kInvalidArgument);
+}
+
+TEST(ComponentMetaWireTest, RejectsOutOfRangeCodeFormat) {
+  EXPECT_TRUE(ParseWithEnums({.format = 2}).ok());
+  EXPECT_EQ(ParseWithEnums({.format = 3}).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(ParseWithEnums({.format = 256}).code(),
+            ErrorCode::kInvalidArgument);
+}
+
+TEST(ComponentMetaWireTest, RejectsOutOfRangeLanguage) {
+  EXPECT_TRUE(ParseWithEnums({.language = 4}).ok());
+  EXPECT_EQ(ParseWithEnums({.language = 5}).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(ParseWithEnums({.language = 256}).code(),
+            ErrorCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace dcdo

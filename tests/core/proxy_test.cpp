@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/serialize.h"
 #include "component/ico.h"
 #include "core/dcdo.h"
 #include "runtime/testbed.h"
@@ -57,6 +58,22 @@ TEST_F(ProxyTest, MandatoryAndPermanentVisibleToClients) {
   ASSERT_TRUE(object_->MarkPermanent("f", comp_a_.id).ok());
   ASSERT_TRUE(proxy_->RefreshInterface().ok());
   EXPECT_TRUE(proxy_->interface()[0].permanent);
+}
+
+TEST_F(ProxyTest, HugeInterfaceCountRejectedBeforeReserving) {
+  // A getInterface reply that claims 2^61 entries is refused as an overrun
+  // before any entry is read or any storage is reserved for it.
+  testbed_.transport().RegisterEndpoint(
+      2, 9001, 1, [](const rpc::MethodInvocation&, rpc::ReplyFn reply) {
+        Writer writer;
+        writer.WriteU64(std::uint64_t{1} << 61);
+        reply(rpc::MethodResult::Ok(std::move(writer).Take()));
+      });
+  ObjectId liar = ObjectId::Next(domains::kInstance);
+  testbed_.agent().Bind(liar, ObjectAddress{2, 9001, 1});
+  DcdoProxy proxy(client_.get(), liar);
+  EXPECT_EQ(proxy.RefreshInterface().code(), ErrorCode::kOutOfRange);
+  EXPECT_TRUE(proxy.interface().empty());
 }
 
 TEST_F(ProxyTest, CallLazilyFetchesInterface) {

@@ -100,6 +100,19 @@ TEST_F(DescriptorWireTest, TruncationRejectedEverywhere) {
   }
 }
 
+TEST_F(DescriptorWireTest, HugeRowCountRejectedBeforeReserving) {
+  // A descriptor that claims 2^61 rows is refused as an overrun before any
+  // row is read or any storage is reserved for it.
+  Writer writer;
+  writer.WriteVersionId(VersionId::Root());
+  writer.WriteBool(false);
+  writer.WriteU64(0);                       // components
+  writer.WriteU64(std::uint64_t{1} << 61);  // rows
+  auto parsed = ParseDescriptor(std::move(writer).Take());
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), ErrorCode::kOutOfRange);
+}
+
 TEST_F(DescriptorWireTest, InconsistentWireRejectedByValidation) {
   // Hand-craft a wire image whose instantiable flag is set but whose
   // mandatory function has no enabled implementation: reconstruction runs

@@ -1,7 +1,9 @@
 // Stress test of the lock-light dispatch fast path: many OS threads
 // acquiring through both Acquire overloads (by name and by pre-resolved
-// FunctionId) while a churn thread switches implementations, flips enable
-// state, and removes/re-incorporates a whole component. Runs with a
+// FunctionId) and holding their guards across a yield, while a churn thread
+// switches implementations, flips enable state, removes/re-incorporates a
+// whole component, adopts one of two whole configurations, and remaps every
+// body onto fresh record blocks. Runs with a
 // CheckContext installed so every call start/end and configuration change
 // feeds the race detector; at the end the detector's ledgers must balance
 // and all seven built-in invariants must be quiet at error level (the only
@@ -50,7 +52,20 @@ TEST(FastPathStress, AcquirersRaceChurnWithCheckerInstalled) {
   FunctionId f_id = FunctionNameTable::Global().Find("f");
   ASSERT_TRUE(f_id.valid());
 
+  // Two whole configurations for the churn thread to adopt: f served by A,
+  // or by B.
+  DfmState on_a;
+  DfmState on_b;
+  for (DfmState* version : {&on_a, &on_b}) {
+    ASSERT_TRUE(version->IncorporateComponent(comp_a).ok());
+    ASSERT_TRUE(version->IncorporateComponent(comp_b).ok());
+    ASSERT_TRUE(version->EnableFunction("g", comp_a.id).ok());
+  }
+  ASSERT_TRUE(on_a.EnableFunction("f", comp_a.id).ok());
+  ASSERT_TRUE(on_b.EnableFunction("f", comp_b.id).ok());
+
   std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> guards{0};
   std::atomic<std::uint64_t> successes{0};
 
   // Two by-name acquirers and two by-id acquirers. Every outcome must be a
@@ -71,6 +86,10 @@ TEST(FastPathStress, AcquirersRaceChurnWithCheckerInstalled) {
               << guard.status();
           continue;
         }
+        ++guards;
+        // Hold the guard while the churn thread moves on: its body must
+        // still run after a switch, an adoption or a remap.
+        std::this_thread::yield();
         auto result = guard->body()(ctx, args);
         ASSERT_TRUE(result.ok());
         std::string reply = result->ToString();
@@ -80,9 +99,11 @@ TEST(FastPathStress, AcquirersRaceChurnWithCheckerInstalled) {
     });
   }
 
-  // Churn: implementation switches on every step, enable flips, and a full
-  // remove/re-incorporate cycle of component B (quiescence-respecting — the
-  // removal retries until it catches a gap between calls).
+  // Churn: implementation switches on every step, enable flips, wholesale
+  // adoptions alternating between the two versions, remaps onto fresh
+  // record blocks, and a full remove/re-incorporate cycle of component B
+  // (quiescence-respecting — the removal retries until it catches a gap
+  // between calls).
   std::uint64_t version_before = mapper.table_version();
   std::thread churn([&] {
     bool to_b = true;
@@ -97,6 +118,15 @@ TEST(FastPathStress, AcquirersRaceChurnWithCheckerInstalled) {
                                        /*respect_active_dependents=*/false);
           (void)mapper.EnableFunction("f", target);
         }
+      }
+      if (i % 10 == 5) {
+        ASSERT_TRUE(mapper
+                        .AdoptConfiguration(i % 20 == 5 ? on_a : on_b,
+                                            /*enforce_marks=*/false)
+                        .ok());
+      }
+      if (i % 25 == 0) {
+        ASSERT_TRUE(mapper.RemapBodies(registry, kArch).ok());
       }
       if (i % 100 == 0) {
         // Steer calls onto A so B can quiesce, then remove and bring it back.
@@ -121,6 +151,7 @@ TEST(FastPathStress, AcquirersRaceChurnWithCheckerInstalled) {
   for (std::thread& thread : acquirers) thread.join();
 
   EXPECT_GT(successes.load(), 0u);
+  EXPECT_EQ(successes.load(), guards.load()) << "every guard's body ran";
   EXPECT_GT(mapper.table_version(), version_before)
       << "mutations bump the table stamp";
 

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <sstream>
 
 #include "core/manager.h"
+#include "dfm/descriptor_wire.h"
 #include "runtime/testbed.h"
 #include "testing/fixtures.h"
 
@@ -17,13 +19,37 @@ namespace {
 
 // ===== DFM invariants under randomized mutations =====
 //
-// Every op lands on a standalone DfmState and on a DynamicFunctionMapper,
-// which must accept and reject it with the same code. After each op the
-// mapper's slot table, patched one touched slot at a time, must resolve
-// every function exactly as a fresh mapper whose slots were all derived at
-// once (incorporate the same components, then AdoptConfiguration).
+// Every op lands on a standalone DfmState, on a DynamicFunctionMapper and
+// on a configurable DfmDescriptor, which must all accept and reject it with
+// the same code. After each op the mapper's slot table, patched one touched
+// slot at a time, must resolve every function exactly as a fresh mapper
+// whose slots were all derived at once (incorporate the same components,
+// then AdoptConfiguration). Copies never alias: a copy of the state and a
+// version derived from the descriptor (and frozen when complete), both
+// taken before the op, must read exactly as they did when taken.
 
 constexpr auto kFuzzArch = sim::Architecture::kX86Linux;
+
+// Everything a copy of a configuration shows: every row's bits and the
+// exported interface.
+std::string Fingerprint(const DfmState& state) {
+  std::ostringstream out;
+  for (const DfmEntry& entry : state.entries()) {
+    out << entry.name() << '@' << entry.component << ' '
+        << VisibilityName(entry.visibility) << ' ' << entry.enabled << ' '
+        << entry.permanent << ' ' << entry.symbol() << '\n';
+  }
+  for (const FunctionSignature& fn : state.ExportedInterface()) {
+    out << "exported " << fn << '\n';
+  }
+  return out.str();
+}
+
+// ... plus, for a descriptor, its wire image.
+std::string Fingerprint(const DfmDescriptor& descriptor) {
+  return Fingerprint(descriptor.state()) +
+         SerializeDescriptor(descriptor).ToString();
+}
 
 // What a call to `function` resolves to: "ok <component>" or the error code.
 std::string AcquireOutcome(DynamicFunctionMapper& mapper,
@@ -40,6 +66,7 @@ TEST_P(DfmFuzzProperty, InvariantsHoldUnderRandomMutations) {
   NativeCodeRegistry registry;
   DfmState state;
   DynamicFunctionMapper mapper;
+  DfmDescriptor descriptor(VersionId::Root());
 
   // Pool: 4 components, overlapping function sets.
   std::vector<ImplementationComponent> pool;
@@ -53,21 +80,21 @@ TEST_P(DfmFuzzProperty, InvariantsHoldUnderRandomMutations) {
     // Invariant 1: at most one enabled implementation per function.
     for (const std::string& fn : functions) {
       int enabled = 0;
-      for (const DfmEntry* entry : state.AllEntries()) {
-        if (entry->function.name == fn && entry->enabled) ++enabled;
+      for (const DfmEntry& entry : state.entries()) {
+        if (entry.name() == fn && entry.enabled) ++enabled;
       }
       EXPECT_LE(enabled, 1) << "function " << fn;
     }
     // Invariant 2: no binding dependency is violated.
     EXPECT_TRUE(state.dependencies().Validate(state.Enabled()).ok());
     // Invariant 3: every enabled entry's component is incorporated.
-    for (const DfmEntry* entry : state.AllEntries()) {
-      EXPECT_TRUE(state.HasComponent(entry->component));
+    for (const DfmEntry& entry : state.entries()) {
+      EXPECT_TRUE(state.HasComponent(entry.component));
     }
     // Invariant 4: permanent entries are enabled.
-    for (const DfmEntry* entry : state.AllEntries()) {
-      if (entry->permanent) {
-        EXPECT_TRUE(entry->enabled);
+    for (const DfmEntry& entry : state.entries()) {
+      if (entry.permanent) {
+        EXPECT_TRUE(entry.enabled);
       }
     }
   };
@@ -105,33 +132,43 @@ TEST_P(DfmFuzzProperty, InvariantsHoldUnderRandomMutations) {
     const std::string& other_fn = functions[fn_dist(rng)];
     const ObjectId& other_comp = pool[comp_dist(rng)].id;
     // Illegal mutations must *fail cleanly* without breaking invariants, and
-    // identically on both tables.
+    // identically on every table.
     Status on_state;
     Status on_mapper;
-    auto both = [&](auto op) {
+    Status on_descriptor;
+    auto every = [&](auto op) {
       on_state = op(state);
       on_mapper = op(mapper);
+      on_descriptor = op(descriptor);
     };
+    const DfmState copy = state;
+    DfmDescriptor derived =
+        descriptor.DeriveChild(VersionId{1, static_cast<std::uint32_t>(step)});
+    (void)derived.MarkInstantiable();  // frozen whenever it is complete
+    const std::string copy_before = Fingerprint(copy);
+    const std::string derived_before = Fingerprint(derived);
     switch (op_dist(rng)) {
       case 0:
         on_state = state.IncorporateComponent(comp);
         on_mapper = mapper.IncorporateComponent(comp, registry, kFuzzArch);
+        on_descriptor = descriptor.IncorporateComponent(comp);
         break;
       case 1:
         on_state = state.RemoveComponent(comp.id);
         on_mapper = mapper.RemoveComponent(comp.id);
+        on_descriptor = descriptor.RemoveComponent(comp.id);
         break;
       case 2:
-        both([&](auto& t) { return t.EnableFunction(fn, comp.id); });
+        every([&](auto& t) { return t.EnableFunction(fn, comp.id); });
         break;
       case 3:
-        both([&](auto& t) { return t.DisableFunction(fn, comp.id); });
+        every([&](auto& t) { return t.DisableFunction(fn, comp.id); });
         break;
       case 4:
-        both([&](auto& t) { return t.SwitchImplementation(fn, comp.id); });
+        every([&](auto& t) { return t.SwitchImplementation(fn, comp.id); });
         break;
       case 5:
-        both([&](auto& t) {
+        every([&](auto& t) {
           return t.AddDependency(Dependency::TypeD(fn, other_fn));
         });
         break;
@@ -139,41 +176,45 @@ TEST_P(DfmFuzzProperty, InvariantsHoldUnderRandomMutations) {
         auto deps = state.dependencies().all();
         if (!deps.empty()) {
           const Dependency dep = deps[step % deps.size()];
-          both([&](auto& t) { return t.RemoveDependency(dep); });
+          every([&](auto& t) { return t.RemoveDependency(dep); });
         }
         break;
       }
       case 7: {
         const Visibility visibility =
             step % 2 == 0 ? Visibility::kInternal : Visibility::kExported;
-        both([&](auto& t) { return t.SetVisibility(fn, comp.id, visibility); });
+        every([&](auto& t) { return t.SetVisibility(fn, comp.id, visibility); });
         break;
       }
       case 8:
-        both([&](auto& t) { return t.MarkPermanent(fn, comp.id); });
+        every([&](auto& t) { return t.MarkPermanent(fn, comp.id); });
         break;
       case 9:
-        both([&](auto& t) { return t.MarkMandatory(fn); });
+        every([&](auto& t) { return t.MarkMandatory(fn); });
         break;
       case 10:
-        both([&](auto& t) {
+        every([&](auto& t) {
           return t.AddDependency(Dependency::TypeA(fn, comp.id, other_fn));
         });
         break;
       case 11:
-        both([&](auto& t) {
+        every([&](auto& t) {
           return t.AddDependency(
               Dependency::TypeB(fn, comp.id, other_fn, other_comp));
         });
         break;
       case 12:
-        both([&](auto& t) {
+        every([&](auto& t) {
           return t.AddDependency(Dependency::TypeC(fn, other_fn, other_comp));
         });
         break;
     }
     EXPECT_EQ(on_state.code(), on_mapper.code())
         << "step " << step << ": " << on_state << " vs " << on_mapper;
+    EXPECT_EQ(on_state.code(), on_descriptor.code())
+        << "step " << step << ": " << on_state << " vs " << on_descriptor;
+    EXPECT_EQ(Fingerprint(copy), copy_before) << "step " << step;
+    EXPECT_EQ(Fingerprint(derived), derived_before) << "step " << step;
     check_invariants();
     check_slots(step);
   }
