@@ -27,9 +27,9 @@
 //
 // All numbers are SimTime_*: deterministic simulated seconds (manual-time
 // mode), bit-stable on a given host. Arrival schedules derive from Mix64
-// integer hashing (bench_naming_scale idiom), not library RNG state, so the
-// schedule is identical across standard-library versions too. Smoke mode
-// (DCDO_BENCH_SMOKE) shrinks call counts but keeps every code path.
+// integer hashing, not library RNG state, so the schedule is identical
+// across standard-library versions too. Smoke mode (DCDO_BENCH_SMOKE)
+// shrinks call counts but keeps every code path.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -57,8 +57,8 @@ std::uint64_t Mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-// Uniform (0, 1] from an integer hash — same construction as E14's load
-// generator, so arrival schedules are reproducible bit for bit.
+// Uniform (0, 1] from an integer hash, so arrival schedules are
+// reproducible bit for bit.
 double UnitUniform(std::uint64_t seed) {
   return (static_cast<double>(Mix64(seed) >> 11) + 1.0) / 9007199254740993.0;
 }

@@ -9,9 +9,17 @@
 // time is from the first doomed invocation to the successful reply via the
 // refreshed binding. An ablation sweeps the timeout/retry schedule that the
 // 25-35 s band is made of.
+//
+// Lease variants (EXPERIMENTS.md E14): with binding_lease_duration on, the
+// agent pushes the fresh binding to every cache that leased it, so discovery
+// is one network hop, and a storm of holders converges in milliseconds.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <vector>
+
 #include "bench_util.h"
+#include "naming/binding_cache.h"
 #include "rpc/client.h"
 
 namespace dcdo::bench {
@@ -116,6 +124,70 @@ void SimTime_WarmBindingCall(benchmark::State& state) {
   state.SetLabel("healthy binding");
 }
 BENCHMARK(SimTime_WarmBindingCall)->UseManualTime()->Iterations(16);
+
+constexpr sim::SimDuration kLease = sim::SimDuration::Seconds(60.0);
+
+// Discovery under leases: the time from the rebind to the push replacing the
+// warm client's cached binding.
+void SimTime_StaleBindingLeasePush(benchmark::State& state) {
+  for (auto _ : state) {
+    sim::CostModel cost;
+    cost.binding_lease_duration = kLease;
+    StaleScenario scenario(cost);
+    auto client = scenario.testbed.MakeClient(1);
+    if (!client->InvokeBlocking(scenario.target, "warm").ok()) std::abort();
+    scenario.KillCurrentActivation();
+    const ObjectAddress fresh{3, 20, 2};
+    double seconds = SimSeconds(scenario.testbed, [&] {
+      scenario.ServeAt(fresh.node, fresh.pid, fresh.epoch);
+      scenario.testbed.simulation().RunWhile([&] {
+        return client->cache().CachedAddress(scenario.target) != fresh;
+      });
+    });
+    state.SetIterationTime(seconds);
+  }
+  state.SetLabel("lease push");
+}
+BENCHMARK(SimTime_StaleBindingLeasePush)->UseManualTime()->Iterations(1);
+
+// Rebind storm: `holders` caches lease one binding; a single migration
+// pushes the fresh binding to all of them. Iteration time is migration ->
+// last delivery.
+void SimTime_StaleBindingRebindStorm(benchmark::State& state) {
+  const int holders = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    Testbed::Options options = BenchOptions();
+    options.host_count = 24;
+    options.cost_model.binding_lease_duration = kLease;
+    Testbed testbed(options);
+    BindingAgent& agent = testbed.agent();
+    ObjectId target = ObjectId::Next(domains::kInstance);
+    agent.Bind(target, ObjectAddress{2, 7, 1});
+    std::vector<std::unique_ptr<BindingCache>> caches;
+    caches.reserve(static_cast<std::size_t>(holders));
+    for (int i = 0; i < holders; ++i) {
+      caches.push_back(std::make_unique<BindingCache>(
+          &agent, /*capacity=*/16,
+          static_cast<sim::NodeId>(1 + i % options.host_count)));
+      if (!caches.back()->Resolve(target).ok()) std::abort();
+    }
+    const ObjectAddress fresh{3, 8, 2};
+    double seconds = SimSeconds(testbed, [&] {
+      agent.Bind(target, fresh);
+      testbed.RunAll();
+    });
+    for (const auto& cache : caches) {
+      if (cache->CachedAddress(target) != fresh) std::abort();
+    }
+    state.SetIterationTime(seconds);
+  }
+  state.SetLabel(std::to_string(holders) + " leaseholders");
+}
+BENCHMARK(SimTime_StaleBindingRebindStorm)
+    ->UseManualTime()
+    ->Iterations(1)
+    ->Arg(50)
+    ->Arg(500);
 
 }  // namespace
 }  // namespace dcdo::bench

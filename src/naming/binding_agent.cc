@@ -1,72 +1,40 @@
 #include "naming/binding_agent.h"
 
-#include <algorithm>
-#include <utility>
+#include <vector>
 
 #include "trace/trace_context.h"
 
 namespace dcdo {
 
-Status BindingAgent::Configure(const DirectoryConfig& config,
-                               sim::Simulation* simulation,
-                               sim::SimNetwork* network,
-                               std::vector<sim::NodeId> shard_nodes) {
-  if (config.shard_count < 1) {
-    return InvalidArgumentError("directory shard count must be at least 1");
-  }
-  if (config.ring_points_per_shard < 1) {
-    return InvalidArgumentError("ring points per shard must be at least 1");
-  }
-  const bool needs_substrate =
-      config.lease_duration > sim::SimDuration::Zero() ||
-      config.lookup_service > sim::SimDuration::Zero();
-  if (needs_substrate && (simulation == nullptr || network == nullptr)) {
-    return InvalidArgumentError(
-        "leases / modelled lookups need a simulation and a network");
-  }
-  if (needs_substrate &&
-      shard_nodes.size() != static_cast<std::size_t>(config.shard_count)) {
-    return InvalidArgumentError(
-        "expected one sim host per shard (shard_nodes size mismatch)");
-  }
-  if (size() != 0 || !holders_.empty()) {
+Status BindingAgent::Attach(sim::SimNetwork* network, sim::NodeId node) {
+  if (!bindings_.empty() || !holders_.empty()) {
     return FailedPreconditionError(
-        "the directory must be empty when reconfigured (no live resharding)");
+        "the directory must be empty when the agent attaches");
   }
-  config_ = config;
-  simulation_ = simulation;
   network_ = network;
-  map_.Build(config.shard_count, config.ring_points_per_shard);
-  shards_ = std::vector<Shard>(static_cast<std::size_t>(config.shard_count));
-  for (std::size_t i = 0; i < shard_nodes.size(); ++i) {
-    shards_[i].node = shard_nodes[i];
-  }
+  node_ = node;
   return Status::Ok();
 }
 
 void BindingAgent::Bind(const ObjectId& id, const ObjectAddress& address) {
-  Shard& shard = ShardRef(id);
-  auto [it, inserted] = shard.bindings.insert_or_assign(id, address);
+  auto [it, inserted] = bindings_.insert_or_assign(id, address);
   if (!inserted) {
     // A rebind (migration, evolution): current leaseholders are told the
     // fresh address instead of probing the dead one into their timeouts.
-    PushToHolders(shard, id, &address);
+    PushToHolders(id, &address);
   }
 }
 
 void BindingAgent::Unbind(const ObjectId& id) {
-  Shard& shard = ShardRef(id);
-  if (shard.bindings.erase(id) == 0) return;
-  PushToHolders(shard, id, nullptr);
+  if (bindings_.erase(id) == 0) return;
+  PushToHolders(id, nullptr);
 }
 
 Result<ObjectAddress> BindingAgent::Lookup(const ObjectId& id) const {
-  const Shard& shard = ShardRef(id);
-  shard.lookups_served.Increment();
   lookups_served_.Increment();
   DCDO_TRACE_HOOK(metrics().GetCounter("naming.lookups_served").Increment());
-  auto it = shard.bindings.find(id);
-  if (it == shard.bindings.end()) {
+  auto it = bindings_.find(id);
+  if (it == bindings_.end()) {
     return NotFoundError("no binding for object " + id.ToString());
   }
   return it->second;
@@ -75,50 +43,15 @@ Result<ObjectAddress> BindingAgent::Lookup(const ObjectId& id) const {
 Result<ObjectAddress> BindingAgent::LookupWithLease(const ObjectId& id,
                                                     std::uint64_t holder,
                                                     sim::SimTime* expiry) {
-  Shard& shard = ShardRef(id);
-  shard.lookups_served.Increment();
-  lookups_served_.Increment();
-  DCDO_TRACE_HOOK(metrics().GetCounter("naming.lookups_served").Increment());
-  auto it = shard.bindings.find(id);
-  if (it == shard.bindings.end()) {
-    return NotFoundError("no binding for object " + id.ToString());
-  }
+  DCDO_ASSIGN_OR_RETURN(ObjectAddress address, Lookup(id));
   if (leases_enabled() && holder != 0) {
-    sim::SimTime now = simulation_->Now();
-    *expiry = now + config_.lease_duration;
-    shard.leases.Grant(id, holder, now, *expiry);
+    sim::SimTime now = network_->simulation().Now();
+    *expiry = now + network_->cost_model().binding_lease_duration;
+    leases_.Grant(id, holder, now, *expiry);
     leases_granted_.Increment();
     DCDO_TRACE_HOOK(metrics().GetCounter("naming.leases_granted").Increment());
   }
-  return it->second;
-}
-
-void BindingAgent::AsyncLookup(const ObjectId& id, std::uint64_t holder,
-                               LookupCallback done) {
-  if (!lookup_service_modeled()) {
-    // Unmodelled service: resolve immediately, exactly like the sync paths.
-    sim::SimTime expiry{};
-    Result<ObjectAddress> result =
-        holder != 0 ? LookupWithLease(id, holder, &expiry) : Lookup(id);
-    done(std::move(result), expiry);
-    return;
-  }
-  Shard& shard = ShardRef(id);
-  sim::SimTime now = simulation_->Now();
-  sim::SimTime start = std::max(now, shard.busy_until);
-  sim::SimTime complete = start + config_.lookup_service;
-  shard.busy_until = complete;
-  simulation_->Schedule(
-      complete - now,
-      [this, id, holder, issued = now, done = std::move(done)]() mutable {
-        sim::SimTime expiry{};
-        Result<ObjectAddress> result =
-            holder != 0 ? LookupWithLease(id, holder, &expiry) : Lookup(id);
-        DCDO_TRACE_HOOK(metrics()
-                            .GetHistogram("naming.lookup_latency")
-                            .Record(simulation_->Now() - issued));
-        done(std::move(result), expiry);
-      });
+  return address;
 }
 
 std::uint64_t BindingAgent::RegisterHolder(sim::NodeId node,
@@ -130,37 +63,29 @@ std::uint64_t BindingAgent::RegisterHolder(sim::NodeId node,
 
 void BindingAgent::UnregisterHolder(std::uint64_t holder) {
   holders_.erase(holder);
-  for (Shard& shard : shards_) shard.leases.DropHolder(holder);
-}
-
-std::size_t BindingAgent::size() const {
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) total += shard.bindings.size();
-  return total;
+  leases_.DropHolder(holder);
 }
 
 std::size_t BindingAgent::live_leases() const {
-  if (simulation_ == nullptr) return 0;
-  sim::SimTime now = simulation_->Now();
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) total += shard.leases.LiveCount(now);
-  return total;
+  if (network_ == nullptr) return 0;
+  return leases_.LiveCount(network_->simulation().Now());
 }
 
-void BindingAgent::PushToHolders(Shard& shard, const ObjectId& id,
+void BindingAgent::PushToHolders(const ObjectId& id,
                                  const ObjectAddress* fresh) {
   if (!leases_enabled()) return;
-  sim::SimTime now = simulation_->Now();
+  const sim::CostModel& cost = network_->cost_model();
+  sim::SimTime now = network_->simulation().Now();
   // Ordered by holder id (LeaseTable keeps holder sets in std::map), so the
-  // push fan-out hits the shard NIC in a deterministic order.
-  std::vector<std::uint64_t> live = shard.leases.LiveHolders(id, now);
+  // push fan-out hits the agent's NIC in a deterministic order.
+  std::vector<std::uint64_t> live = leases_.LiveHolders(id, now);
   if (fresh == nullptr) {
     // The binding died: consume the leases. Holders that miss the notice
     // (partitioned, message lost) stop trusting the entry at expiry anyway.
-    shard.leases.Drop(id);
+    leases_.Drop(id);
   }
   if (live.empty()) return;
-  sim::SimTime lease_expiry = now + config_.lease_duration;
+  sim::SimTime lease_expiry = now + cost.binding_lease_duration;
   bool has_fresh = fresh != nullptr;
   ObjectAddress address = has_fresh ? *fresh : ObjectAddress::Invalid();
   for (std::uint64_t holder : live) {
@@ -169,7 +94,7 @@ void BindingAgent::PushToHolders(Shard& shard, const ObjectId& id,
     if (has_fresh) {
       // The push renews the lease alongside the fresh binding, so a holder
       // keeps exactly one live lease per entry it trusts.
-      shard.leases.Grant(id, holder, now, lease_expiry);
+      leases_.Grant(id, holder, now, lease_expiry);
     }
     invalidations_sent_.Increment();
     DCDO_TRACE_HOOK(
@@ -177,7 +102,7 @@ void BindingAgent::PushToHolders(Shard& shard, const ObjectId& id,
     // Send() enforces reachability: a partitioned or down holder silently
     // loses the notice, which is precisely the lost-invalidation case lease
     // expiry exists to cover.
-    network_->Send(shard.node, it->second.node, config_.invalidation_bytes,
+    network_->Send(node_, it->second.node, cost.invalidation_bytes,
                    [this, holder, id, address, has_fresh, lease_expiry]() {
                      DeliverInvalidation(holder, id, address, has_fresh,
                                          lease_expiry);

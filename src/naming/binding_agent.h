@@ -1,46 +1,28 @@
-// BindingAgent: the authoritative ObjectId -> ObjectAddress directory,
-// partitioned across shard replicas with lease/invalidation-maintained
-// client caches.
+// BindingAgent: the authoritative ObjectId -> ObjectAddress directory, with
+// lease/invalidation-maintained client caches.
 //
 // Legion resolves LOIDs to object addresses through binding agents; clients
 // cache bindings locally (see BindingCache) and fall back to the agent when a
-// cached binding proves stale. The paper's reproduction started with one
-// monolithic agent and timeout-probed caches (25-35 s stale-binding
-// discovery); this class keeps that exact behavior as its default and layers
-// two opt-in mechanisms over it, both configured from CostModel knobs:
+// cached binding proves stale. By default the agent is one in-memory map with
+// free lookups, and caches discover staleness through the rpc layer's
+// timeout-probe schedule (25-35 s, the paper's number).
 //
-//   * Sharding (naming_shard_count > 1): the namespace is partitioned across
-//     N shard replicas by consistent hashing (ShardMap); each shard owns its
-//     slice of bindings, serves lookups independently, and — when the lookup
-//     service time is modelled (directory_lookup_service > 0) — queues
-//     requests behind its own service loop, so directory throughput scales
-//     with shard count. The public Bind/Unbind/Lookup API is the router:
-//     callers never see shards.
-//
-//   * Leases (binding_lease_duration > 0): a lease-granting lookup records
-//     the calling BindingCache as a leaseholder; when the binding changes,
-//     the owning shard pushes the fresh binding (or a drop notice) to every
-//     live holder over the simulated network, so stale-binding discovery is
-//     one sub-second notification instead of the timeout-probe schedule.
-//     Lease expiry is the fallback when the push is lost (partition, holder
-//     down) — a holder never trusts an entry past its lease.
-//
-// With the default configuration (one shard, leases off, unmodelled service)
-// every call takes the legacy path: no hashing beyond the bindings map, no
-// simulation access, byte-identical sim times.
+// Leases (CostModel::binding_lease_duration > 0, once Attach puts the agent
+// on the simulated network): a lease-granting lookup records the calling
+// BindingCache as a leaseholder; when the binding changes, the agent pushes
+// the fresh binding (or a drop notice) from its node to every live holder,
+// so stale-binding discovery is one network hop instead of the probe
+// schedule. Lease expiry is the fallback when the push is lost (partition,
+// holder down) — a holder never trusts an entry past its lease.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <unordered_map>
-#include <vector>
 
 #include "common/object_id.h"
 #include "common/status.h"
 #include "naming/address.h"
 #include "naming/lease_table.h"
-#include "naming/shard_map.h"
 #include "sim/network.h"
 #include "trace/metrics.h"
 
@@ -62,47 +44,17 @@ class InvalidationSink {
   ~InvalidationSink() = default;
 };
 
-// How a deployment's directory is laid out; derived from CostModel knobs by
-// FromCostModel (the testbed path) or built by hand in tests.
-struct DirectoryConfig {
-  int shard_count = 1;
-  int ring_points_per_shard = 64;
-  sim::SimDuration lookup_service = sim::SimDuration::Zero();  // 0 = unmodelled
-  sim::SimDuration lease_duration = sim::SimDuration::Zero();  // 0 = leases off
-  std::size_t invalidation_bytes = 64;
-
-  static DirectoryConfig FromCostModel(const sim::CostModel& cost) {
-    DirectoryConfig config;
-    config.shard_count = cost.naming_shard_count;
-    config.ring_points_per_shard = cost.naming_ring_points;
-    config.lookup_service = cost.directory_lookup_service;
-    config.lease_duration = cost.binding_lease_duration;
-    config.invalidation_bytes = cost.invalidation_bytes;
-    return config;
-  }
-};
-
 class BindingAgent {
  public:
-  // (result, lease_expiry): expiry is meaningful only when the lookup was
-  // lease-granting (holder != 0) and succeeded.
-  using LookupCallback =
-      std::function<void(Result<ObjectAddress>, sim::SimTime)>;
-
-  // Default: one shard, leases off, unmodelled — the legacy monolithic agent.
+  // Unattached: leases off, no simulation access.
   BindingAgent() = default;
 
-  // Applies a directory layout. Must be called while the directory is empty
-  // (no bindings, no registered holders) — a live resharding would need a
-  // rebalance protocol this reproduction does not model. `simulation` and
-  // `network` are required when leases or the lookup-service model are on
-  // (invalidation pushes travel the simulated network; modelled lookups need
-  // the clock); `shard_nodes` then names the sim host of each shard, in
-  // shard order.
-  [[nodiscard]] Status Configure(const DirectoryConfig& config,
-                                 sim::Simulation* simulation,
-                                 sim::SimNetwork* network,
-                                 std::vector<sim::NodeId> shard_nodes);
+  // Puts the agent on `network` at `node`, the host its invalidation pushes
+  // leave from. The lease duration and push size come from
+  // network->cost_model(), the clock from network->simulation(). Must be
+  // called while the directory is empty (no bindings, no registered
+  // holders): a cache registered earlier would never hold a lease.
+  [[nodiscard]] Status Attach(sim::SimNetwork* network, sim::NodeId node);
 
   // Registers or replaces the authoritative binding for `id`. A replacement
   // (rebind after migration/evolution) pushes the fresh binding to every
@@ -123,45 +75,24 @@ class BindingAgent {
                                                       std::uint64_t holder,
                                                       sim::SimTime* expiry);
 
-  // Modelled lookup: the request queues behind the owning shard's other
-  // in-progress lookups, occupies the shard for lookup_service, and then
-  // completes (`done` runs at completion time). With holder != 0 the lookup
-  // is lease-granting. Falls back to an immediate synchronous resolution
-  // when the service model is off.
-  void AsyncLookup(const ObjectId& id, std::uint64_t holder,
-                   LookupCallback done);
-
   // Leaseholder registry (BindingCache constructor/destructor). The returned
   // handle is never reused; 0 is never a valid handle.
   std::uint64_t RegisterHolder(sim::NodeId node, InvalidationSink* sink);
   void UnregisterHolder(std::uint64_t holder);
 
-  bool Bound(const ObjectId& id) const {
-    return ShardRef(id).bindings.contains(id);
-  }
-  std::size_t size() const;
+  bool Bound(const ObjectId& id) const { return bindings_.contains(id); }
+  std::size_t size() const { return bindings_.size(); }
 
   bool leases_enabled() const {
-    return config_.lease_duration > sim::SimDuration::Zero() &&
-           network_ != nullptr;
+    return network_ != nullptr &&
+           network_->cost_model().binding_lease_duration >
+               sim::SimDuration::Zero();
   }
-  bool lookup_service_modeled() const {
-    return config_.lookup_service > sim::SimDuration::Zero() &&
-           simulation_ != nullptr;
-  }
-  sim::Simulation* simulation() const { return simulation_; }
-  const DirectoryConfig& config() const { return config_; }
-
-  int shard_count() const { return map_.shard_count(); }
-  std::size_t shard_size(int shard) const {
-    return shards_[static_cast<std::size_t>(shard)].bindings.size();
-  }
-  std::uint64_t shard_lookups_served(int shard) const {
-    return shards_[static_cast<std::size_t>(shard)].lookups_served.value();
+  sim::Simulation* simulation() const {
+    return network_ == nullptr ? nullptr : &network_->simulation();
   }
 
-  // Number of Lookup calls served (all shards); benches report agent load
-  // per policy.
+  // Number of Lookup calls served; benches report agent load per policy.
   std::uint64_t lookups_served() const { return lookups_served_.value(); }
   std::uint64_t leases_granted() const { return leases_granted_.value(); }
   std::uint64_t invalidations_sent() const {
@@ -170,56 +101,33 @@ class BindingAgent {
   std::uint64_t invalidations_delivered() const {
     return invalidations_delivered_.value();
   }
-  // Live leases across all shards, judged at the current sim time (0 when
-  // unattached).
+  // Live leases, judged at the current sim time (0 when unattached).
   std::size_t live_leases() const;
 
  private:
-  struct Shard {
-    std::unordered_map<ObjectId, ObjectAddress, ObjectIdHash> bindings;
-    LeaseTable leases;
-    sim::NodeId node = 0;          // sim host serving this shard
-    sim::SimTime busy_until;       // modelled service queue drains here
-    // Atomic (trace::Counter): Lookup is const and callers probe agents from
-    // concurrent test threads — a plain mutable increment would be a race.
-    mutable trace::Counter lookups_served;
-  };
   struct HolderRecord {
     sim::NodeId node = 0;
     InvalidationSink* sink = nullptr;
   };
 
-  std::size_t ShardIndex(const ObjectId& id) const {
-    return static_cast<std::size_t>(map_.ShardFor(id));
-  }
-  const Shard& ShardRef(const ObjectId& id) const {
-    return shards_[ShardIndex(id)];
-  }
-  Shard& ShardRef(const ObjectId& id) { return shards_[ShardIndex(id)]; }
-
   // Pushes `fresh` (or a drop notice when null) to every live leaseholder of
   // `id` over the simulated network. No-op when leases are off.
-  void PushToHolders(Shard& shard, const ObjectId& id,
-                     const ObjectAddress* fresh);
+  void PushToHolders(const ObjectId& id, const ObjectAddress* fresh);
   void DeliverInvalidation(std::uint64_t holder, const ObjectId& id,
                            const ObjectAddress& address, bool has_fresh,
                            sim::SimTime lease_expiry);
 
-  DirectoryConfig config_;
-  ShardMap map_;
-  // Shard holds an atomic counter, so the vector is sized in one shot
-  // (vector(n), default-inserted in place) and never resized afterwards —
-  // which also keeps the shard references captured by in-flight modelled
-  // lookups stable.
-  std::vector<Shard> shards_ = std::vector<Shard>(1);
-  sim::Simulation* simulation_ = nullptr;
-  sim::SimNetwork* network_ = nullptr;
+  std::unordered_map<ObjectId, ObjectAddress, ObjectIdHash> bindings_;
+  LeaseTable leases_;
+  sim::SimNetwork* network_ = nullptr;  // null until Attach
+  sim::NodeId node_ = 0;                // pushes leave from here
   // Holder handles are looked up point-wise (never iterated): registration
   // order must not influence push order, which is fixed by LeaseTable's
   // ordered holder sets instead.
   std::unordered_map<std::uint64_t, HolderRecord> holders_;
   std::uint64_t next_holder_ = 1;
-  // See Shard::lookups_served for why this must be atomic.
+  // Atomic (trace::Counter): Lookup is const and callers probe agents from
+  // concurrent test threads — a plain mutable increment would be a race.
   mutable trace::Counter lookups_served_;
   trace::Counter leases_granted_;
   trace::Counter invalidations_sent_;

@@ -1,7 +1,5 @@
 #include "naming/binding_cache.h"
 
-#include <utility>
-
 #include "check/check_context.h"
 #include "trace/trace_context.h"
 
@@ -99,7 +97,7 @@ void BindingCache::OnBindingInvalidated(const ObjectId& id,
     Invalidate(id);
     return;
   }
-  // The shard pushed the replacement binding along with a renewed lease:
+  // The agent pushed the replacement binding along with a renewed lease:
   // update in place, so the very next Resolve serves the fresh address.
   StoreLeased(id, *fresh, lease_expiry);
   DCDO_CHECK_HOOK(OnBindingRefreshed(id, fresh->node, fresh->pid,
@@ -133,64 +131,30 @@ Result<ObjectAddress> BindingCache::Resolve(const ObjectId& id) {
   }
   misses_.Increment();
   DCDO_TRACE_HOOK(metrics().GetCounter("naming.cache_misses").Increment());
-  if (holder_ != 0) {
-    sim::SimTime expiry{};
-    DCDO_ASSIGN_OR_RETURN(ObjectAddress address,
-                          agent_.LookupWithLease(id, holder_, &expiry));
-    StoreLeased(id, address, expiry);
-    return address;
-  }
-  DCDO_ASSIGN_OR_RETURN(ObjectAddress address, agent_.Lookup(id));
-  Store(id, address);
-  return address;
+  return Fetch(id);
 }
 
 Result<ObjectAddress> BindingCache::RefreshFromAgent(const ObjectId& id) {
   refreshes_.Increment();
   DCDO_TRACE_HOOK(metrics().GetCounter("naming.refreshes").Increment());
   Invalidate(id);  // a failed lookup must not leave the stale entry behind
-  if (holder_ != 0) {
-    sim::SimTime expiry{};
-    DCDO_ASSIGN_OR_RETURN(ObjectAddress address,
-                          agent_.LookupWithLease(id, holder_, &expiry));
-    StoreLeased(id, address, expiry);
-    DCDO_CHECK_HOOK(
-        OnBindingRefreshed(id, address.node, address.pid, address.epoch));
-    return address;
-  }
-  DCDO_ASSIGN_OR_RETURN(ObjectAddress address, agent_.Lookup(id));
-  Store(id, address);
+  DCDO_ASSIGN_OR_RETURN(ObjectAddress address, Fetch(id));
   DCDO_CHECK_HOOK(
       OnBindingRefreshed(id, address.node, address.pid, address.epoch));
   return address;
 }
 
-void BindingCache::RefreshFromAgentAsync(
-    const ObjectId& id, std::function<void(Result<ObjectAddress>)> done) {
-  if (!agent_.lookup_service_modeled()) {
-    done(RefreshFromAgent(id));
-    return;
+Result<ObjectAddress> BindingCache::Fetch(const ObjectId& id) {
+  if (holder_ == 0) {
+    DCDO_ASSIGN_OR_RETURN(ObjectAddress address, agent_.Lookup(id));
+    Store(id, address);
+    return address;
   }
-  refreshes_.Increment();
-  DCDO_TRACE_HOOK(metrics().GetCounter("naming.refreshes").Increment());
-  Invalidate(id);
-  agent_.AsyncLookup(
-      id, holder_,
-      [this, id, done = std::move(done)](Result<ObjectAddress> address,
-                                         sim::SimTime expiry) {
-        if (!address.ok()) {
-          done(std::move(address));
-          return;
-        }
-        if (holder_ != 0) {
-          StoreLeased(id, *address, expiry);
-        } else {
-          Store(id, *address);
-        }
-        DCDO_CHECK_HOOK(OnBindingRefreshed(id, address->node, address->pid,
-                                           address->epoch));
-        done(std::move(address));
-      });
+  sim::SimTime expiry{};
+  DCDO_ASSIGN_OR_RETURN(ObjectAddress address,
+                        agent_.LookupWithLease(id, holder_, &expiry));
+  StoreLeased(id, address, expiry);
+  return address;
 }
 
 }  // namespace dcdo

@@ -9,13 +9,14 @@
 // agent (rebind_query). This class holds the cache and implements the refresh
 // decision; the invoker (rpc layer) drives the retry loop.
 //
-// When the agent grants leases (CostModel::binding_lease_duration > 0) the
-// cache also participates in the invalidation protocol: it registers itself
-// as a leaseholder, every fetched entry carries its lease expiry, a pushed
-// invalidation replaces (or drops) the entry immediately, and an entry whose
-// lease has expired is treated as a miss — never served stale past its
-// lease. With leases off, entries never expire and staleness is discovered
-// by the rpc layer's timeout probing alone (the legacy protocol).
+// When the agent grants leases (it is attached to the simulated network and
+// CostModel::binding_lease_duration > 0) the cache also takes part in the
+// invalidation protocol: it registers itself as a leaseholder, every fetched
+// entry carries its lease expiry, a pushed invalidation replaces (or drops)
+// the entry immediately, and an entry whose lease has expired is treated as
+// a miss — never served stale past its lease. With leases off, entries never
+// expire and staleness is discovered by the rpc layer's timeout probing
+// alone (the paper's protocol).
 //
 // The cache is bounded: entries are kept in LRU order and the least recently
 // used binding is evicted once `capacity` is exceeded (capacity comes from
@@ -25,7 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <optional>
 #include <unordered_map>
@@ -63,13 +63,6 @@ class BindingCache : public InvalidationSink {
   // binding. The caller charges CostModel::rebind_query in sim time.
   [[nodiscard]] Result<ObjectAddress> RefreshFromAgent(const ObjectId& id);
 
-  // Modelled refresh: like RefreshFromAgent, but the fetch queues on the
-  // owning directory shard (BindingAgent::AsyncLookup) and `done` runs at
-  // completion time. Falls back to the synchronous path when the lookup
-  // service is unmodelled.
-  void RefreshFromAgentAsync(const ObjectId& id,
-                             std::function<void(Result<ObjectAddress>)> done);
-
   // The cached address without any side effects: no LRU touch, no stats, no
   // fetch; nullopt when absent or lease-expired. The rpc layer uses this to
   // notice that an invalidation replaced the binding mid-call.
@@ -79,8 +72,8 @@ class BindingCache : public InvalidationSink {
   void Invalidate(const ObjectId& id);
   void InvalidateAll();
 
-  // InvalidationSink: a directory shard pushed a fresh binding (entry is
-  // replaced in place under the renewed lease) or a drop notice.
+  // InvalidationSink: the agent pushed a fresh binding (entry is replaced
+  // in place under the renewed lease) or a drop notice.
   void OnBindingInvalidated(const ObjectId& id, const ObjectAddress* fresh,
                             sim::SimTime lease_expiry) override;
 
@@ -109,6 +102,9 @@ class BindingCache : public InvalidationSink {
     bool leased = false;
   };
 
+  // Authoritative lookup (lease-granting when registered as a holder) that
+  // stores the answer.
+  [[nodiscard]] Result<ObjectAddress> Fetch(const ObjectId& id);
   // Inserts or overwrites `id`, moves it to MRU, and evicts the LRU entry
   // if the bound is now exceeded.
   void Store(const ObjectId& id, const ObjectAddress& address);

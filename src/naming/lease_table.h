@@ -1,14 +1,14 @@
-// LeaseTable: a directory shard's record of who holds each binding.
+// LeaseTable: the binding agent's record of who holds each binding.
 //
 // Every lease-granting lookup records (object, holder, expiry); when the
-// binding changes, the shard collects the live holders and pushes them an
+// binding changes, the agent collects the live holders and pushes them an
 // invalidation (see BindingAgent). The table is pure bookkeeping — no time
 // source, no I/O — so expiry is judged against a caller-supplied `now` and
 // the class is trivial to test.
 //
 // Holder sets are kept in std::map (ordered by holder id) so invalidation
 // pushes iterate in a deterministic order: the simulated network serializes
-// sends behind the shard's NIC, and an unordered walk would let hash-seed
+// sends behind the agent's NIC, and an unordered walk would let hash-seed
 // noise reorder deliveries between runs.
 #pragma once
 

@@ -427,45 +427,39 @@ void RpcClient::OnTimeout(const std::shared_ptr<CallState>& call) {
     sim::Simulation& simulation = transport_.simulation();
     simulation.Schedule(cost.rebind_query, [this, call, rebind_span]() {
       if (call->finished) return;
-      // RefreshFromAgentAsync queues the fetch on the owning directory shard
-      // when the lookup-service model is on; otherwise it resolves
-      // synchronously (the legacy path) before returning.
-      cache_.RefreshFromAgentAsync(
-          call->target, [this, call, rebind_span](Result<ObjectAddress> fresh) {
-            if (call->finished) return;
-            if (!fresh.ok()) {
-              call->finished = true;
-              ReleaseSlots(call);
-              if (auto* tr = trace::ActiveContext()) {
-                tr->EndSpan(rebind_span, "outcome", "unbound");
-                tr->EndSpan(call->span, "outcome", "unavailable");
-              }
-              call->done(UnavailableError("object " + call->target.ToString() +
-                                          " has no current binding"));
-              return;
-            }
-            DCDO_LOG(kDebug) << "rpc: rebound " << call->target << " to "
-                             << fresh->ToString();
-            if (auto* tr = trace::ActiveContext()) {
-              tr->EndSpan(rebind_span, "address", fresh->ToString());
-            }
-            if (*fresh == call->address) {
-              // Same binding reconfirmed: keep the slot (and seq) we hold.
-              Attempt(call);
-              return;
-            }
-            const ObjectAddress stale = call->address;
-            Retarget(call, *fresh);
-            AcquireSlot(call);
-            // Calls parked for a stale slot follow the refreshed answer.
-            // Calls on the wire keep their own schedules: without leases
-            // every stale call pays the stale-binding schedule the paper
-            // measures. Resending them here would give the first discoverer
-            // the full schedule and each sibling anything below it, so the
-            // stale tail's p99 would swing by seconds with how many calls
-            // happened to discover first.
-            ReplaySession(call, stale, /*resend_in_flight=*/false);
-          });
+      // The query's cost is the delay above; the agent answers at once.
+      Result<ObjectAddress> fresh = cache_.RefreshFromAgent(call->target);
+      if (!fresh.ok()) {
+        call->finished = true;
+        ReleaseSlots(call);
+        if (auto* tr = trace::ActiveContext()) {
+          tr->EndSpan(rebind_span, "outcome", "unbound");
+          tr->EndSpan(call->span, "outcome", "unavailable");
+        }
+        call->done(UnavailableError("object " + call->target.ToString() +
+                                    " has no current binding"));
+        return;
+      }
+      DCDO_LOG(kDebug) << "rpc: rebound " << call->target << " to "
+                       << fresh->ToString();
+      if (auto* tr = trace::ActiveContext()) {
+        tr->EndSpan(rebind_span, "address", fresh->ToString());
+      }
+      if (*fresh == call->address) {
+        // Same binding reconfirmed: keep the slot (and seq) we hold.
+        Attempt(call);
+        return;
+      }
+      const ObjectAddress stale = call->address;
+      Retarget(call, *fresh);
+      AcquireSlot(call);
+      // Calls parked for a stale slot follow the refreshed answer. Calls on
+      // the wire keep their own schedules: without leases every stale call
+      // pays the stale-binding schedule the paper measures. Resending them
+      // here would give the first discoverer the full schedule and each
+      // sibling anything below it, so the stale tail's p99 would swing by
+      // seconds with how many calls happened to discover first.
+      ReplaySession(call, stale, /*resend_in_flight=*/false);
     });
     return;
   }

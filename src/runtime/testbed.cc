@@ -1,7 +1,6 @@
 #include "runtime/testbed.h"
 
 #include <cstdlib>
-#include <utility>
 
 #include "common/logging.h"
 #include "trace/chrome_trace.h"
@@ -11,7 +10,7 @@ namespace dcdo {
 Testbed::Testbed(const Options& options) {
   // A model ValidateCostModel rejects breaks the simulation's arithmetic or
   // stalls it (zero session slots park every call forever), so refuse it
-  // loudly, like the directory configuration below.
+  // loudly.
   Status valid = sim::ValidateCostModel(options.cost_model);
   if (!valid.ok()) {
     DCDO_LOG(kError) << "testbed: cost model rejected: " << valid.message();
@@ -65,28 +64,16 @@ Testbed::Testbed(const Options& options) {
     hosts_.push_back(std::make_unique<sim::SimHost>(
         &simulation_, network_.get(), static_cast<sim::NodeId>(i + 1), arch));
   }
-  const sim::CostModel& cost = options.cost_model;
-  if (cost.NamingDirectoryModeled()) {
-    // The partitioned/leased directory: one dedicated host per shard, with
-    // NodeIds stacked above the regular host range so workload hosts keep
-    // their legacy ids. With the default cost model this block never runs
-    // and the agent stays the unattached monolithic store.
-    std::vector<sim::NodeId> shard_nodes;
-    shard_nodes.reserve(static_cast<std::size_t>(cost.naming_shard_count));
-    for (int s = 0; s < cost.naming_shard_count; ++s) {
-      auto node = static_cast<sim::NodeId>(options.host_count + 1 + s);
-      shard_hosts_.push_back(std::make_unique<sim::SimHost>(
-          &simulation_, network_.get(), node, sim::Architecture::kX86Linux));
-      shard_nodes.push_back(node);
-    }
-    Status configured =
-        agent_.Configure(DirectoryConfig::FromCostModel(cost),
-                         &simulation_, network_.get(), std::move(shard_nodes));
-    // The config came from a cost model the caller controls; surface a bad
-    // one loudly instead of silently running the legacy directory.
-    if (!configured.ok()) {
-      DCDO_LOG(kError) << "testbed: directory configuration rejected: "
-                       << configured.message();
+  if (options.cost_model.binding_lease_duration > sim::SimDuration::Zero()) {
+    // Leases: the binding agent pushes invalidations from its own host,
+    // numbered just above the workload hosts so they keep ids 1..host_count.
+    // With leases off the agent stays an unattached in-memory map.
+    const auto agent_node = static_cast<sim::NodeId>(options.host_count + 1);
+    network_->AddNode(agent_node);
+    Status attached = agent_.Attach(network_.get(), agent_node);
+    if (!attached.ok()) {
+      DCDO_LOG(kError) << "testbed: binding agent rejected: "
+                       << attached.message();
       std::abort();
     }
   }

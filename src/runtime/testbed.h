@@ -5,6 +5,10 @@
 // wires up the full substrate — simulation, cost model, network, hosts,
 // binding agent, RPC transport, and the native-code registry — so tests,
 // benches, and examples start from the same environment the paper did.
+//
+// Hosts take NodeIds 1..host_count. When the cost model turns binding leases
+// on, the agent gets one more node, host_count + 1, which its invalidation
+// pushes leave from; it is not one of host(i).
 #pragma once
 
 #include <memory>
@@ -64,14 +68,6 @@ class Testbed {
   sim::SimHost* host(std::size_t index) { return hosts_.at(index).get(); }
   std::size_t host_count() const { return hosts_.size(); }
 
-  // Hosts serving directory shards (empty unless the cost model opts into
-  // the sharded/leased naming directory; see CostModel::NamingDirectoryModeled).
-  // Shard hosts take NodeIds above the regular host range.
-  sim::SimHost* shard_host(std::size_t shard) {
-    return shard_hosts_.at(shard).get();
-  }
-  std::size_t shard_host_count() const { return shard_hosts_.size(); }
-
   // A client running on host `index` with its own binding cache.
   std::unique_ptr<rpc::RpcClient> MakeClient(std::size_t host_index);
 
@@ -97,7 +93,6 @@ class Testbed {
   std::unique_ptr<trace::TraceContext> tracer_;
   std::unique_ptr<sim::SimNetwork> network_;
   std::vector<std::unique_ptr<sim::SimHost>> hosts_;
-  std::vector<std::unique_ptr<sim::SimHost>> shard_hosts_;
   BindingAgent agent_;
   NameService names_;
   std::unique_ptr<rpc::RpcTransport> transport_;

@@ -130,29 +130,18 @@ struct CostModel {
   int stale_retry_count = 2;
   SimDuration rebind_query = SimDuration::Millis(900);
 
-  // --- Naming directory: sharding + binding leases (src/naming) ---
-  // NOTE: like fetch_concurrency, these are modelled-deployment knobs, NOT
-  // calibration constants. The defaults reproduce the paper's single
-  // monolithic binding agent with timeout-probed caches byte for byte;
-  // non-default values opt a deployment into the partitioned directory and
-  // lease/invalidation protocol measured by EXPERIMENTS.md E14.
+  // --- Binding leases (src/naming) ---
+  // NOTE: like fetch_concurrency, a modelled-deployment knob, NOT a
+  // calibration constant. The default reproduces the paper's binding agent
+  // with timeout-probed caches; a positive value opts a deployment into the
+  // lease/invalidation protocol measured next to E5 (EXPERIMENTS.md E14).
   //
-  // Number of directory shard replicas the binding namespace is partitioned
-  // across (consistent hashing). 1 = the legacy single agent.
-  int naming_shard_count = 1;
-  // Ring points per shard in the consistent-hash map; more points = smoother
-  // balance, slightly larger ring. Irrelevant at naming_shard_count = 1.
-  int naming_ring_points = 64;
-  // Service time a directory shard spends on one lookup/rebind request.
-  // Lookups queue behind each other on their shard, which is what makes
-  // directory throughput scale with shard count. Zero = unmodelled (lookups
-  // are instantaneous data-structure probes, the legacy behavior).
-  SimDuration directory_lookup_service = SimDuration::Zero();
   // Lease granted to a BindingCache alongside each binding it fetches. The
-  // shard remembers leaseholders and pushes an invalidation (or the fresh
+  // agent remembers leaseholders and pushes an invalidation (or the fresh
   // binding) when the entry rebinds or dies; expiry is the fallback when the
   // push is lost or the holder partitioned. Zero = leases off: stale
-  // bindings are discovered by the legacy timeout-probe schedule alone.
+  // bindings are discovered by the timeout-probe schedule alone. When it is
+  // positive, Testbed puts the agent on its own host.
   SimDuration binding_lease_duration = SimDuration::Zero();
   // Wire size of one invalidation notification (ObjectId + address + lease).
   std::size_t invalidation_bytes = 64;
@@ -222,15 +211,6 @@ struct CostModel {
   // binding-agent query.
   SimDuration StaleBindingDiscovery() const {
     return invocation_timeout * RetryAttemptsPerBinding() + rebind_query;
-  }
-
-  // True when any non-default naming-directory feature is active (sharding,
-  // modelled lookup service, or leases) — the testbed then attaches the
-  // binding agent to the simulation and spawns per-shard hosts.
-  bool NamingDirectoryModeled() const {
-    return naming_shard_count > 1 ||
-           directory_lookup_service > SimDuration::Zero() ||
-           binding_lease_duration > SimDuration::Zero();
   }
 };
 

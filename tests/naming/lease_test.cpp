@@ -1,22 +1,93 @@
-// Lease/invalidation protocol coverage (DESIGN.md §13): granted leases,
-// invalidation-beats-expiry, lost invalidations falling back to lease
-// expiry, the client's mid-call switch to a pushed binding, a rebind storm
-// against hundreds of leaseholders under the installed checkers, and a
-// partitioned leaseholder reconverging after heal.
+// Lease/invalidation protocol coverage (DESIGN.md §13): LeaseTable's grant/
+// expiry/drop lifecycle, granted leases, invalidation-beats-expiry, lost
+// invalidations falling back to lease expiry, the client's mid-call switch
+// to a pushed binding, a rebind storm against hundreds of leaseholders under
+// the installed checkers, a partitioned leaseholder reconverging after heal,
+// and Testbed's agent host under a partition.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "naming/binding_cache.h"
+#include "naming/lease_table.h"
 #include "rpc/client.h"
 #include "runtime/testbed.h"
 
 namespace dcdo {
 namespace {
 
-constexpr sim::NodeId kShardNode = 9;
+constexpr sim::NodeId kAgentNode = 9;
 constexpr sim::SimDuration kLease = sim::SimDuration::Seconds(60.0);
+
+class LeaseTableTest : public ::testing::Test {
+ protected:
+  static sim::SimTime At(double seconds) {
+    return sim::SimTime{} + sim::SimDuration::Seconds(seconds);
+  }
+
+  LeaseTable table_;
+  ObjectId object_ = ObjectId::Next(domains::kInstance);
+};
+
+TEST_F(LeaseTableTest, LiveHoldersAreOrderedByHolderId) {
+  table_.Grant(object_, 5, At(0), At(60));
+  table_.Grant(object_, 2, At(0), At(60));
+  table_.Grant(object_, 9, At(0), At(60));
+  EXPECT_EQ(table_.LiveHolders(object_, At(1)),
+            (std::vector<std::uint64_t>{2, 5, 9}));
+  EXPECT_EQ(table_.LiveCount(At(1)), 3u);
+}
+
+TEST_F(LeaseTableTest, ExpiredLeasesAreNotLive) {
+  table_.Grant(object_, 1, At(0), At(60));
+  table_.Grant(object_, 2, At(0), At(120));
+  EXPECT_EQ(table_.LiveHolders(object_, At(90)),
+            (std::vector<std::uint64_t>{2}));
+  EXPECT_EQ(table_.LiveCount(At(90)), 1u);
+  EXPECT_TRUE(table_.LiveHolders(object_, At(150)).empty());
+  EXPECT_EQ(table_.LiveCount(At(150)), 0u);
+}
+
+TEST_F(LeaseTableTest, RegrantExtendsTheLease) {
+  table_.Grant(object_, 1, At(0), At(60));
+  table_.Grant(object_, 1, At(30), At(90));  // renewal, not a second lease
+  EXPECT_EQ(table_.LiveHolders(object_, At(75)),
+            (std::vector<std::uint64_t>{1}));
+  EXPECT_EQ(table_.LiveCount(At(75)), 1u);
+}
+
+TEST_F(LeaseTableTest, GrantPurgesExpiredSiblings) {
+  table_.Grant(object_, 1, At(0), At(60));
+  // Holder 1's lease is long dead by the time holder 2 shows up; the grant
+  // sweeps it out so the table holds only live state.
+  table_.Grant(object_, 2, At(100), At(160));
+  EXPECT_EQ(table_.LiveHolders(object_, At(101)),
+            (std::vector<std::uint64_t>{2}));
+  EXPECT_EQ(table_.LiveCount(At(101)), 1u);
+}
+
+TEST_F(LeaseTableTest, DropForgetsTheObject) {
+  table_.Grant(object_, 1, At(0), At(60));
+  table_.Grant(object_, 2, At(0), At(60));
+  table_.Drop(object_);
+  EXPECT_TRUE(table_.LiveHolders(object_, At(1)).empty());
+  EXPECT_TRUE(table_.empty());
+}
+
+TEST_F(LeaseTableTest, DropHolderForgetsOnlyThatHolder) {
+  ObjectId other = ObjectId::Next(domains::kInstance);
+  table_.Grant(object_, 1, At(0), At(60));
+  table_.Grant(object_, 2, At(0), At(60));
+  table_.Grant(other, 1, At(0), At(60));
+  table_.DropHolder(1);
+  EXPECT_EQ(table_.LiveHolders(object_, At(1)),
+            (std::vector<std::uint64_t>{2}));
+  EXPECT_TRUE(table_.LiveHolders(other, At(1)).empty());
+  EXPECT_EQ(table_.LiveCount(At(1)), 1u);
+}
 
 sim::CostModel LeaseModel() {
   sim::CostModel cost;
@@ -28,15 +99,12 @@ class LeaseTest : public ::testing::Test {
  protected:
   LeaseTest() : network_(&simulation_, LeaseModel()), transport_(&network_) {
     for (sim::NodeId n = 1; n <= 5; ++n) network_.AddNode(n);
-    network_.AddNode(kShardNode);
+    network_.AddNode(kAgentNode);
     target_ = ObjectId::Next(domains::kInstance);
   }
 
   void SetUp() override {
-    DirectoryConfig config;
-    config.lease_duration = kLease;
-    ASSERT_TRUE(
-        agent_.Configure(config, &simulation_, &network_, {kShardNode}).ok());
+    ASSERT_TRUE(agent_.Attach(&network_, kAgentNode).ok());
   }
 
   // Lets `duration` of sim time elapse (an empty event pins the clock).
@@ -59,7 +127,7 @@ TEST_F(LeaseTest, ResolveGrantsLeaseAndRebindPushesFreshBinding) {
   EXPECT_EQ(agent_.leases_granted(), 1u);
   EXPECT_EQ(agent_.live_leases(), 1u);
 
-  // Migration: the shard pushes the replacement binding. The notice arrives
+  // Migration: the agent pushes the replacement binding. The notice arrives
   // a network hop later — milliseconds, not the 25-35 s probe schedule, and
   // nowhere near the 60 s lease expiry.
   sim::SimTime migrated_at = simulation_.Now();
@@ -98,9 +166,9 @@ TEST_F(LeaseTest, LostInvalidationFallsBackToLeaseExpiry) {
   BindingCache cache(&agent_, /*capacity=*/16, /*node=*/1);
   ASSERT_TRUE(cache.Resolve(target_).ok());
 
-  // The holder is partitioned from its shard when the binding moves: the
+  // The holder is partitioned from the agent when the binding moves: the
   // push is silently dropped (exactly a real LAN's failure mode).
-  network_.SetPartitioned(1, kShardNode, true);
+  network_.SetPartitioned(1, kAgentNode, true);
   agent_.Bind(target_, ObjectAddress{3, 20, 2});
   simulation_.Run();
   EXPECT_EQ(agent_.invalidations_sent(), 1u);
@@ -114,7 +182,7 @@ TEST_F(LeaseTest, LostInvalidationFallsBackToLeaseExpiry) {
 
   // ...but never past expiry: the entry then misses and the re-fetch (the
   // partition healed meanwhile) returns the fresh binding with a new lease.
-  network_.SetPartitioned(1, kShardNode, false);
+  network_.SetPartitioned(1, kAgentNode, false);
   Advance(kLease + sim::SimDuration::Seconds(1.0));
   EXPECT_EQ(cache.CachedAddress(target_), std::nullopt);
   auto refetched = cache.Resolve(target_);
@@ -131,10 +199,10 @@ TEST_F(LeaseTest, HealedLeaseholderReceivesLaterPushes) {
 
   // Stale across a partition (push lost), then heal and reconverge through
   // expiry + re-fetch...
-  network_.SetPartitioned(1, kShardNode, true);
+  network_.SetPartitioned(1, kAgentNode, true);
   agent_.Bind(target_, ObjectAddress{3, 20, 2});
   simulation_.Run();
-  network_.SetPartitioned(1, kShardNode, false);
+  network_.SetPartitioned(1, kAgentNode, false);
   Advance(kLease + sim::SimDuration::Seconds(1.0));
   ASSERT_TRUE(cache.Resolve(target_).ok());
 
@@ -168,7 +236,7 @@ class LeaseClientTest : public LeaseTest {
  protected:
   void SetUp() override {
     LeaseTest::SetUp();  // the cache registers as a leaseholder only if the
-                         // agent is configured before the client exists
+                         // agent is attached before the client exists
     client_ = std::make_unique<rpc::RpcClient>(&transport_, &agent_,
                                                /*node=*/1);
   }
@@ -277,6 +345,82 @@ TEST(LeaseStormTest, RebindStormConvergesSubSecondUnderChecker) {
     EXPECT_EQ(*pushed, (ObjectAddress{3, 8, 2}));
   }
   // And the storm left every invariant intact.
+  if (auto* checker = testbed.checker()) {
+    EXPECT_EQ(checker->diagnostics().count(), 0u)
+        << checker->diagnostics().DumpText();
+  }
+}
+
+// Testbed's own wiring: with leases on, the agent lives on one extra host,
+// host_count + 1, and pushes from there — so a partition between that host
+// and one client strands only that client, which then falls back to lease
+// expiry. The default model creates no agent host at all.
+TEST(LeaseTestbedTest, PartitionFromAgentHostStrandsOnlyThatHolder) {
+  {
+    Testbed legacy;
+    EXPECT_FALSE(legacy.network().HasNode(
+        static_cast<sim::NodeId>(legacy.host_count() + 1)));
+  }
+
+  Testbed::Options options;
+  options.host_count = 4;
+  options.cost_model.binding_lease_duration = kLease;
+  Testbed testbed(options);
+  constexpr sim::NodeId kTestbedAgentNode = 5;
+  ASSERT_TRUE(testbed.network().HasNode(kTestbedAgentNode));
+  auto& transport = testbed.transport();
+  auto serve = [&transport](const ObjectAddress& address) {
+    transport.RegisterEndpoint(
+        address.node, address.pid, address.epoch,
+        [](const rpc::MethodInvocation& inv, rpc::ReplyFn reply) {
+          reply(rpc::MethodResult::Ok(
+              ByteBuffer::FromString(std::string(inv.method_name()))));
+        });
+  };
+  const ObjectAddress before{3, 7, 1};
+  const ObjectAddress after{4, 8, 2};
+  ObjectId target = ObjectId::Next(domains::kInstance);
+  serve(before);
+  testbed.agent().Bind(target, before);
+
+  auto stranded = testbed.MakeClient(0);  // node 1
+  auto reached = testbed.MakeClient(1);   // node 2
+  sim::SimTime warmed_at = testbed.simulation().Now();
+  ASSERT_TRUE(stranded->InvokeBlocking(target, "warmup").ok());
+  ASSERT_TRUE(reached->InvokeBlocking(target, "warmup").ok());
+
+  testbed.network().SetPartitioned(1, kTestbedAgentNode, true);
+  transport.UnregisterEndpoint(before.node, before.pid);
+  serve(after);
+  sim::SimTime migrated_at = testbed.simulation().Now();
+  testbed.agent().Bind(target, after);
+  testbed.simulation().RunWhile(
+      [&] { return reached->cache().CachedAddress(target) != after; });
+
+  // Host 1 has the fresh binding one network hop after the migration.
+  EXPECT_EQ(reached->cache().CachedAddress(target), after);
+  const sim::CostModel& cost = testbed.cost_model();
+  EXPECT_LE(testbed.simulation().Now() - migrated_at,
+            cost.MessageTime(cost.invalidation_bytes));
+  EXPECT_EQ(testbed.agent().invalidations_sent(), 2u);
+  EXPECT_EQ(testbed.agent().invalidations_delivered(), 1u);
+
+  // Host 0 lost the push: it serves the stale entry until its lease runs
+  // out...
+  auto advance_to = [&testbed](sim::SimTime when) {
+    testbed.simulation().Schedule(when - testbed.simulation().Now(), []() {});
+    testbed.RunAll();
+  };
+  advance_to(warmed_at + (kLease - sim::SimDuration::Seconds(1.0)));
+  EXPECT_EQ(stranded->cache().CachedAddress(target), before);
+
+  // ...and never past it: the next call re-fetches the fresh binding.
+  advance_to(warmed_at + kLease + sim::SimDuration::Seconds(1.0));
+  EXPECT_EQ(stranded->cache().CachedAddress(target), std::nullopt);
+  ASSERT_TRUE(stranded->InvokeBlocking(target, "afterExpiry").ok());
+  EXPECT_EQ(stranded->cache().CachedAddress(target), after);
+  EXPECT_EQ(stranded->cache().lease_expirations(), 1u);
+  EXPECT_EQ(stranded->timeouts(), 0u);
   if (auto* checker = testbed.checker()) {
     EXPECT_EQ(checker->diagnostics().count(), 0u)
         << checker->diagnostics().DumpText();

@@ -41,7 +41,7 @@ namespace dcdo::rpc {
 namespace {
 
 constexpr sim::NodeId kClientNode = 1;
-constexpr sim::NodeId kShardNode = 9;
+constexpr sim::NodeId kAgentNode = 9;
 const ObjectAddress kActivationA{2, 10, 1};
 const ObjectAddress kActivationB{3, 20, 2};
 
@@ -51,16 +51,13 @@ class RebindRegressionTest : public ::testing::TestWithParam<int> {
     network_.AddNode(kClientNode);
     network_.AddNode(2);
     network_.AddNode(3);
-    network_.AddNode(kShardNode);
+    network_.AddNode(kAgentNode);
     target_ = ObjectId::Next(domains::kInstance);
   }
 
   void SetUp() override {
-    DirectoryConfig config;
-    config.lease_duration = sim::SimDuration::Seconds(300.0);
-    ASSERT_TRUE(
-        agent_.Configure(config, &simulation_, &network_, {kShardNode}).ok());
-    // After Configure: the client's cache registers as a leaseholder only if
+    ASSERT_TRUE(agent_.Attach(&network_, kAgentNode).ok());
+    // After Attach: the client's cache registers as a leaseholder only if
     // the agent already grants leases when the client is built.
     client_ = std::make_unique<RpcClient>(&transport_, &agent_, kClientNode);
   }

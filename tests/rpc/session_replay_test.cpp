@@ -25,7 +25,7 @@ namespace dcdo::rpc {
 namespace {
 
 constexpr sim::NodeId kClientNode = 1;
-constexpr sim::NodeId kShardNode = 9;
+constexpr sim::NodeId kAgentNode = 9;
 // The killed activation: never registered with the transport, so every send
 // to it vanishes — the process died just as the calls went out.
 const ObjectAddress kKilled{2, 10, 1};
@@ -55,12 +55,10 @@ ScenarioOutcome RunKillRestart(int stale_retry_count) {
   network.AddNode(kClientNode);
   network.AddNode(kKilled.node);
   network.AddNode(kRestarted.node);
-  network.AddNode(kShardNode);
+  network.AddNode(kAgentNode);
 
   BindingAgent agent;
-  DirectoryConfig config;
-  config.lease_duration = sim::SimDuration::Seconds(300.0);
-  EXPECT_TRUE(agent.Configure(config, &simulation, &network, {kShardNode}).ok());
+  EXPECT_TRUE(agent.Attach(&network, kAgentNode).ok());
   RpcClient client(&transport, &agent, kClientNode);
 
   ObjectId target = ObjectId::Next(domains::kInstance);

@@ -13,16 +13,24 @@
 // tolerance band. Each scenario runs once, with the every-event invariant
 // checker + race detector live (the suite is also in the TSan CI regex).
 //
-// One deliberate re-pin since then. When the parallel simulation executor
+// Two deliberate re-pins since then. When the parallel simulation executor
 // was removed, the digest became a single FNV chain over fired-event
 // timestamps (it had been one chain per event affinity), and the rebind
-// storm lost the cost-model knob that sent directory lookups to the shard
-// host as request messages (lookups now always queue in place on their
-// shard). The digest column and all four kRebindStorm columns were
-// re-captured once, with DCDO_EQUIV_CAPTURE=1, from the commit before that
-// removal, patched only to compute the single-chain digest and to turn that
-// knob off; fired, end_ns and state_hash of the other three scenarios are
-// unchanged.
+// storm lost the cost-model knob that sent directory lookups to the
+// directory's hosts as request messages. The digest column and all four
+// kRebindStorm columns were re-captured once, with DCDO_EQUIV_CAPTURE=1,
+// from the commit before that removal, patched only to compute the
+// single-chain digest and to turn that knob off; fired, end_ns and
+// state_hash of the other three scenarios are unchanged.
+//
+// When the partitioned directory and its modelled lookup queue were
+// deleted, kRebindStorm was re-captured once more (it had been
+// {201372523356852099, 96, 2976480, 5379307963124079595}). Its 24 warm-up
+// lookups no longer queue 100 us each on two directory partitions (24
+// fewer events, 1.8 ms less), and each storm's 24 pushes now leave one
+// agent host instead of two (18 + 6), so a storm's last delivery lands at
+// 422.88 us instead of 392.16 us. state_hash is unchanged: every cache ends
+// on the same binding. The other three pins did not move.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -214,7 +222,7 @@ constexpr Pinned kFetchChurnPipelined = {3197904562554234779ull, 97ull,
                                          16991345864, 10806504725990349857ull};
 constexpr Pinned kFetchChurnSequential = {16884809312000356034ull, 103ull,
                                           21134985962, 10806504725990349857ull};
-constexpr Pinned kRebindStorm = {201372523356852099ull, 96ull, 2976480,
+constexpr Pinned kRebindStorm = {6975268291153852131ull, 72ull, 1268640,
                                  5379307963124079595ull};
 constexpr Pinned kCoordinatorBatches = {4266133573770504761ull, 10ull,
                                         4811245836, 11468531600831910452ull};

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace dcdo::sim {
 namespace {
 
@@ -97,6 +99,13 @@ TEST(CostModelValidate, RejectsNonPositiveBandwidth) {
   CostModel bad;
   bad.wire_bandwidth_bytes_per_sec = 0;
   EXPECT_FALSE(ValidateCostModel(bad).ok());
+  // A zero marshal rate makes every remote call charge 0/0 seconds.
+  bad = CostModel{};
+  bad.marshal_bytes_per_sec = 0;
+  EXPECT_FALSE(ValidateCostModel(bad).ok());
+  bad = CostModel{};
+  bad.wire_bandwidth_bytes_per_sec = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(ValidateCostModel(bad).ok());
 }
 
 TEST(CostModelValidate, RejectsAbsurdEfficiency) {
@@ -104,6 +113,15 @@ TEST(CostModelValidate, RejectsAbsurdEfficiency) {
   bad.bulk_transfer_efficiency = 1.5;
   EXPECT_FALSE(ValidateCostModel(bad).ok());
   bad.bulk_transfer_efficiency = 0.0;
+  EXPECT_FALSE(ValidateCostModel(bad).ok());
+  bad = CostModel{};
+  bad.component_transfer_efficiency = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(ValidateCostModel(bad).ok());
+}
+
+TEST(CostModelValidate, RejectsNegativeDuration) {
+  CostModel bad;
+  bad.rpc_marshal_per_call = SimDuration::Micros(-1);
   EXPECT_FALSE(ValidateCostModel(bad).ok());
 }
 
@@ -144,37 +162,18 @@ TEST_F(CostModelBands, StaleScheduleHelpersTrackTheKnobs) {
   EXPECT_DOUBLE_EQ(cost_.StaleBindingDiscovery().ToSeconds(), 8.5);
 }
 
-// The naming-directory knobs default to "not modeled" (legacy path) and are
+// The lease knob defaults to off (the paper's probe-only protocol) and is
 // validated like every other knob.
 TEST(CostModelValidate, NamingDirectoryKnobs) {
   CostModel cost;
-  EXPECT_FALSE(cost.NamingDirectoryModeled());
-
-  CostModel sharded;
-  sharded.naming_shard_count = 8;
-  EXPECT_TRUE(sharded.NamingDirectoryModeled());
-  EXPECT_TRUE(ValidateCostModel(sharded).ok());
+  EXPECT_EQ(cost.binding_lease_duration, SimDuration::Zero());
 
   CostModel leased;
   leased.binding_lease_duration = SimDuration::Seconds(60.0);
-  EXPECT_TRUE(leased.NamingDirectoryModeled());
   EXPECT_TRUE(ValidateCostModel(leased).ok());
 
-  CostModel modeled;
-  modeled.directory_lookup_service = SimDuration::Micros(100.0);
-  EXPECT_TRUE(modeled.NamingDirectoryModeled());
-
   CostModel bad;
-  bad.naming_shard_count = 0;
-  EXPECT_FALSE(ValidateCostModel(bad).ok());
-  bad = CostModel{};
-  bad.naming_ring_points = 0;
-  EXPECT_FALSE(ValidateCostModel(bad).ok());
-  bad = CostModel{};
   bad.binding_lease_duration = SimDuration::Seconds(-1.0);
-  EXPECT_FALSE(ValidateCostModel(bad).ok());
-  bad = CostModel{};
-  bad.directory_lookup_service = SimDuration::Seconds(-1.0);
   EXPECT_FALSE(ValidateCostModel(bad).ok());
 }
 

@@ -170,7 +170,7 @@ inline RunSummary RunFetchChurn(int fetch_concurrency) {
   return summary;
 }
 
-// ===== E14: rebind storm over the leased, sharded, modelled directory ======
+// ===== E14: rebind storm over the leased directory ==========================
 
 inline RunSummary RunRebindStorm() {
   ObjectId::ResetCounterForTest();
@@ -178,10 +178,7 @@ inline RunSummary RunRebindStorm() {
   Testbed::Options options;
   options.host_count = 8;
   options.check_options.cadence = check::CheckContext::Cadence::kEveryEvent;
-  options.cost_model.naming_shard_count = 2;
   options.cost_model.binding_lease_duration = sim::SimDuration::Seconds(60.0);
-  // The modelled per-lookup service time: lookups queue on their shard.
-  options.cost_model.directory_lookup_service = sim::SimDuration::Micros(100);
   Testbed testbed(options);
   testbed.simulation().EnableDeterminismDigest(true);
   BindingAgent& agent = testbed.agent();
@@ -212,21 +209,14 @@ inline RunSummary RunRebindStorm() {
     serve(t, 1);
   }
   std::vector<std::unique_ptr<BindingCache>> caches;
-  int resolved = 0;
   for (int i = 0; i < kHolders; ++i) {
     caches.push_back(std::make_unique<BindingCache>(
         &agent, /*capacity=*/16,
         static_cast<sim::NodeId>(1 + i % options.host_count)));
-    caches.back()->RefreshFromAgentAsync(targets[i % kTargets],
-                                         [&resolved](Result<ObjectAddress> r) {
-                                           EXPECT_TRUE(r.ok());
-                                           ++resolved;
-                                         });
+    EXPECT_TRUE(caches.back()->RefreshFromAgent(targets[i % kTargets]).ok());
   }
-  testbed.RunAll();
-  EXPECT_EQ(resolved, kHolders);
 
-  // Three storms: every target migrates, the shards fan the fresh bindings
+  // Three storms: every target migrates, the agent fans the fresh bindings
   // out to all leaseholders, the run settles, repeat.
   for (std::uint64_t epoch = 2; epoch <= 4; ++epoch) {
     for (int t = 0; t < kTargets; ++t) {
