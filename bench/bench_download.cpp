@@ -61,7 +61,7 @@ void SimTime_ComponentFetch(benchmark::State& state) {
                                       &testbed.agent(), *comp);
     double seconds = SimSeconds(testbed, [&] {
       bool done = false;
-      ico.FetchTo(testbed.host(1), [&](Status status) {
+      ico.StreamTo(testbed.host(1), [&](Status status) {
         if (!status.ok()) std::abort();
         done = true;
       });
@@ -97,7 +97,7 @@ void SimTime_ComponentFetchCached(benchmark::State& state) {
   for (auto _ : state) {
     double seconds = SimSeconds(testbed, [&] {
       bool done = false;
-      ico.FetchTo(testbed.host(1), [&](Status) { done = true; });
+      ico.StreamTo(testbed.host(1), [&](Status) { done = true; });
       testbed.simulation().RunWhile([&] { return !done; });
     });
     state.SetIterationTime(std::max(seconds, 1e-9));

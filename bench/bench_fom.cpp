@@ -1,8 +1,8 @@
 // E17 — FOM runtime: heap allocations and wall time per operation.
 //
 // The Fom conversion (DESIGN.md §16) changes *control flow*, not simulated
-// cost: every SimTime_* entry must stay byte-identical to the continuation-
-// chain implementation. The win is measured here, in two host-side units:
+// cost: every SimTime_* entry must equal the E3/E13 entry it mirrors (see
+// below). The win is measured here, in two host-side units:
 //
 //   * allocations — this binary replaces global operator new/delete with
 //     counting forwarders, and each workload reports the number of heap

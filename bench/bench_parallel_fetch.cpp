@@ -7,18 +7,17 @@
 //
 //   * SimTime_E13_CreateDcdo — cold-cache creation of the paper's
 //     configuration. Concurrency 1 must reproduce the sequential figure
-//     exactly (it shares the byte-identical legacy path); higher values
-//     overlap the per-component session overhead and fair-share the wire,
-//     so the speedup saturates near
+//     exactly (one stream at a time, and a solo stream charges
+//     ComponentDownloadTime); higher values overlap the per-component
+//     session overhead and fair-share the wire, so the speedup saturates
+//     near
 //       total_seq / max(overhead, sum(stream)) — setup-overhead-bounded,
 //     not 50x.
 //   * SimTime_E13_CoordinatedEvolution — a coordinator batch over several
 //     types, where PrefetchInstanceVersion overlaps every step's downloads
 //     ahead of the strictly ordered apply phase.
 //
-// The concurrency value is the LAST bench argument, so the bench-compare
-// drift allowlist can exempt the opted-in parallel entries while holding
-// the concurrency-1 entries to the zero-drift gate.
+// Every entry is deterministic and under the zero-drift SimTime_* gate.
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
@@ -60,9 +59,10 @@ BENCHMARK(SimTime_E13_CreateDcdo)
     ->Args({500, 50, 16});
 
 // A coordinator batch over `types` object types, each evolving one instance
-// from a 10-component v1 to a v2 that adds 10 more components. With
-// concurrency > 1 the coordinator prefetches every step's additions before
-// the serial apply phase, so the batch's downloads all overlap.
+// from a 10-component v1 to a v2 that adds 10 more components. The
+// coordinator prefetches every step's additions before the serial apply
+// phase, so the batch's downloads overlap. The concurrency bound is per
+// manager's fetcher, so even at 1 each type keeps one stream open.
 void SimTime_E13_CoordinatedEvolution(benchmark::State& state) {
   std::size_t types = static_cast<std::size_t>(state.range(0));
   int concurrency = static_cast<int>(state.range(1));

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Static-analysis driver for the dcdo-tidy checks (DESIGN.md §12).
 #
-# Runs the seven repo-specific checks over src/ against the committed
+# Runs the six repo-specific checks over src/ against the committed
 # suppression baseline (tools/dcdo-tidy/baseline.txt) and fails on any
 # unsuppressed finding — this is what the CI `analyze` job gates on.
 #
@@ -46,10 +46,7 @@ fi
 
 # src/trace/ exports wall-clock timestamps by design (Chrome trace files);
 # bench/ measures real elapsed time. Everything else must use sim time.
-# src/runtime/ implements the Fom machinery that replaces continuation
-# chains, so the continuation-chain check stays quiet there.
-set -- --allow-wallclock=src/trace/ --allow-wallclock=bench/ \
-       --allow-continuation=src/runtime/
+set -- --allow-wallclock=src/trace/ --allow-wallclock=bench/
 
 if [ "$UPDATE_BASELINE" = 1 ]; then
   # shellcheck disable=SC2086

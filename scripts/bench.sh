@@ -11,13 +11,7 @@
 #   scripts/bench.sh --compare OLD.json NEW.json
 #                                    # flag Wall_* regressions > 20% and any
 #                                    # SimTime_* drift between two results
-#                                    # files; exits 1 if anything is flagged.
-#                                    # Entries matching the expected-drift
-#                                    # allowlist regex (DCDO_BENCH_DRIFT_ALLOWLIST,
-#                                    # default: E13 entries at fetch
-#                                    # concurrency > 1, whose whole point is a
-#                                    # different simulated time) are reported
-#                                    # but never gate
+#                                    # files; exits 1 if anything is flagged
 #   scripts/bench.sh --trace-overhead BASE.json TRACED.json
 #                                    # compare a DCDO_TRACING=OFF run against
 #                                    # a tracing-compiled-but-disabled run:
@@ -48,7 +42,6 @@ if [ "${1:-}" = "--compare" ] || [ "${1:-}" = "--trace-overhead" ]; then
   exec python3 - "$MODE" "$OLD_JSON" "$NEW_JSON" <<'PYEOF'
 import json
 import os
-import re
 import sys
 
 # --compare: Wall_* numbers are host time: noisy, so only a > 20% slowdown is
@@ -69,21 +62,6 @@ REPORT_ONLY = mode == "--trace-overhead"
 # runners, where simulated time is deterministic but host time is noise.
 WALL_REPORT_ONLY = os.environ.get("DCDO_BENCH_WALL_REPORT_ONLY") == "1"
 
-# Per-entry expected-drift allowlist: SimTime_* entries whose value is
-# SUPPOSED to change between baselines (a bench that sweeps a modelled
-# hardware knob). Matching entries are reported for visibility but never
-# gate. The default exempts exactly the E13 parallel-acquisition entries
-# whose last argument (fetch concurrency) is > 1. The concurrency-1 entries,
-# the lease entries and every E16 entry stay under the zero-drift gate —
-# they must stay byte-identical to the sequential / default-protocol
-# calibration.
-DRIFT_ALLOWLIST = re.compile(
-    os.environ.get(
-        "DCDO_BENCH_DRIFT_ALLOWLIST",
-        r"^SimTime_E13_.*/(4|8|16)/",
-    )
-)
-
 old_path, new_path = sys.argv[1], sys.argv[2]
 try:
     with open(old_path) as f:
@@ -101,7 +79,6 @@ if not common:
 
 wall_flagged = []
 sim_flagged = []
-allowed = []
 compared = 0
 for name in common:
     old_ns = old[name].get("real_ns")
@@ -124,19 +101,11 @@ for name in common:
     elif base.startswith("SimTime_"):
         compared += 1
         if old_ns != new_ns:
-            if DRIFT_ALLOWLIST.search(name):
-                allowed.append(
-                    f"  expected drift  {name}: {old_ns:g} ns -> {new_ns:g} ns"
-                )
-                continue
             sim_flagged.append(
                 f"  SIMTIME DRIFT   {name}: {old_ns:g} ns -> {new_ns:g} ns"
             )
 
 print(f"bench-compare: {compared} entries compared ({old_path} -> {new_path})")
-if allowed:
-    print(f"bench-compare: {len(allowed)} allowlisted entries drifted (expected):")
-    print("\n".join(allowed))
 if wall_flagged or sim_flagged:
     print("\n".join(wall_flagged + sim_flagged))
     if REPORT_ONLY:

@@ -6,113 +6,9 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "runtime/fom.h"
 #include "trace/trace_context.h"
 
 namespace dcdo {
-
-// ===== Sequential path (fetch_concurrency == 1) =====
-//
-// Byte-identical to the continuation chains this fetcher replaced: one
-// component at a time, back to front, through the fixed-duration FetchTo.
-// One pooled Fom (DESIGN.md §16) carries the whole walk — the FetchTo
-// completion is a 16-byte {scheduler, id} trampoline, and cache hits /
-// resolve failures burn through the queue in a single drain instead of a
-// continuation hop per component.
-namespace {
-
-using runtime::FomStatus;
-using runtime::WakeSource;
-
-class SequentialFetchFom final : public runtime::Fom {
- public:
-  enum Phase { kStep, kFetching };
-
-  SequentialFetchFom(const IcoResolver* resolver, sim::SimHost* dest,
-                     std::vector<ImplementationComponent> queue,
-                     ComponentFetcher::ReadyCallback on_ready,
-                     ComponentFetcher::DoneCallback done,
-                     ComponentFetcher::Options options)
-      : Fom("fetch.sequential"),
-        resolver_(resolver),
-        dest_(dest),
-        queue_(std::move(queue)),  // processed back to front
-        on_ready_(std::move(on_ready)),
-        done_(std::move(done)),
-        options_(options) {}
-
-  FomStatus Tick() override {
-    if (phase() == kFetching) {
-      // A FetchTo settled; its outcome rode in on the wake payload.
-      const Status status = wake_status();
-      if (!status.ok()) {
-        if (options_.fail_fast) {
-          done_(status);
-          return FomStatus::kDone;
-        }
-        DCDO_LOG(kWarning) << "component fetch failed: " << status.ToString();
-      } else {
-        Status ready = on_ready_(current_, /*was_cached=*/false);
-        if (!ready.ok()) {
-          done_(ready);
-          return FomStatus::kDone;
-        }
-      }
-    }
-    EnterPhase(kStep, "step");
-    while (true) {
-      if (queue_.empty()) {
-        done_(Status::Ok());
-        return FomStatus::kDone;
-      }
-      current_ = std::move(queue_.back());
-      queue_.pop_back();
-      if (options_.skip_resolve_when_cached &&
-          dest_->ComponentCached(current_.id)) {
-        Status ready = on_ready_(current_, /*was_cached=*/true);
-        if (!ready.ok()) {
-          done_(ready);
-          return FomStatus::kDone;
-        }
-        continue;
-      }
-      Result<ImplementationComponentObject*> ico =
-          resolver_->FindIco(current_.id);
-      if (!ico.ok()) {
-        done_(ico.status());
-        return FomStatus::kDone;
-      }
-      if (dest_->ComponentCached(current_.id)) {
-        Status ready = on_ready_(current_, /*was_cached=*/true);
-        if (!ready.ok()) {
-          done_(ready);
-          return FomStatus::kDone;
-        }
-        continue;
-      }
-      EnterPhase(kFetching, "fetching");
-      runtime::FomScheduler* scheduler = &this->scheduler();
-      const std::uint64_t id = this->id();
-      (*ico)->FetchTo(dest_, [scheduler, id](Status status) {
-        scheduler->WakeStatus(id, WakeSource::kFetch, std::move(status));
-      });
-      return WaitOn(WakeSource::kFetch);
-    }
-  }
-
- private:
-  const IcoResolver* resolver_;
-  sim::SimHost* dest_;
-  std::vector<ImplementationComponent> queue_;
-  ImplementationComponent current_;  // the component in flight
-  ComponentFetcher::ReadyCallback on_ready_;
-  ComponentFetcher::DoneCallback done_;
-  ComponentFetcher::Options options_;
-};
-
-}  // namespace
-
-// ===== Pipeline path (fetch_concurrency > 1) =====
 
 struct ComponentFetcher::Shared {
   // One AcquireAll batch. `outstanding` counts components not yet settled;
@@ -252,13 +148,6 @@ ComponentFetcher::ComponentFetcher(const IcoResolver* resolver)
 void ComponentFetcher::AcquireAll(
     sim::SimHost* dest, std::vector<ImplementationComponent> components,
     ReadyCallback on_ready, DoneCallback done, Options options) {
-  if (dest->cost_model().fetch_concurrency <= 1) {
-    auto& scheduler = runtime::FomScheduler::For(dest->simulation());
-    scheduler.Start(*scheduler.Create<SequentialFetchFom>(
-        shared_->resolver, dest, std::move(components), std::move(on_ready),
-        std::move(done), options));
-    return;
-  }
   if (components.empty()) {
     done(Status::Ok());
     return;
@@ -276,7 +165,6 @@ void ComponentFetcher::AcquireAll(
 
 void ComponentFetcher::Prefetch(
     sim::SimHost* dest, std::vector<ImplementationComponent> components) {
-  if (dest->cost_model().fetch_concurrency <= 1) return;
   AcquireAll(
       dest, std::move(components),
       [](const ImplementationComponent&, bool) { return Status::Ok(); },

@@ -7,7 +7,8 @@
 // and DcdoManager::MigrateInstance:
 //
 //   * bounded concurrency — at most CostModel::fetch_concurrency ICO streams
-//     in flight per destination host; further requests queue FIFO;
+//     in flight per fetcher per destination host (each DcdoManager owns one
+//     fetcher); further requests queue FIFO;
 //   * single-flight dedup — concurrent requests for the same
 //     (host, component) join the one open stream instead of downloading the
 //     image twice (two DCDOs activating on one host share each transfer);
@@ -15,11 +16,12 @@
 //     lands, not in request-list order; the terminal done runs once every
 //     component in the batch has been dealt with.
 //
-// fetch_concurrency == 1 (the calibrated default) takes a separate sequential
-// path that reproduces the legacy chains' cost accounting byte for byte:
-// components processed back-to-front, one blocking FetchTo at a time, no
-// sharing, no dedup. The pipeline (and SimNetwork's fair-shared streaming)
-// only engages when a deployment opts in with a higher bound.
+// Every fetch streams through ImplementationComponentObject::StreamTo, so a
+// failed transfer still settles its component — a fail-fast batch reports a
+// Status naming it, a best-effort batch logs it and moves on — and `done`
+// always runs. At the calibrated default of 1, one stream at a time per
+// host reproduces the paper's sequential acquisition cost: a solo stream
+// charges exactly ComponentDownloadTime.
 #pragma once
 
 #include <functional>
@@ -91,8 +93,7 @@ class ComponentFetcher {
 
   // Warms `dest`'s cache with `components` ahead of need: best-effort, no
   // completion signal, and a later AcquireAll for the same components joins
-  // the in-flight streams via single-flight. No-op at fetch_concurrency 1 —
-  // the sequential calibration must not see extra transfers.
+  // the in-flight streams via single-flight.
   void Prefetch(sim::SimHost* dest,
                 std::vector<ImplementationComponent> components);
 

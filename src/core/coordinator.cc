@@ -189,8 +189,8 @@ void UpdateCoordinator::Execute(std::vector<Step> steps, DoneCallback done) {
   // Warm every step's host cache before the serial apply phase: the steps'
   // component downloads overlap each other (and step 0's apply) through the
   // fetch pipeline, while the applies themselves stay strictly ordered for
-  // rollback. No-op at fetch_concurrency 1, where the sequential calibration
-  // must not see extra transfers.
+  // rollback. The concurrency bound is per manager's fetcher, so even at
+  // fetch_concurrency 1 the steps of different types stream at once.
   for (const Step& step : steps) {
     step.manager->PrefetchInstanceVersion(step.instance, step.target);
   }

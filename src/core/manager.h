@@ -126,11 +126,11 @@ class DcdoManager {
                        DoneCallback done);
 
   // Warms the instance's host cache with the components `version` would add,
-  // ahead of the evolution that needs them. Best-effort and a no-op at
-  // fetch_concurrency 1; a coordinator calls this for every step of a batch
-  // before the serial apply phase, so the downloads overlap while the
-  // applies stay ordered. A later EvolveInstanceTo joins any still-open
-  // streams via the fetcher's single-flight dedup.
+  // ahead of the evolution that needs them. Best-effort; a coordinator calls
+  // this for every step of a batch before the serial apply phase, so the
+  // downloads overlap while the applies stay ordered. A later
+  // EvolveInstanceTo joins any still-open streams via the fetcher's
+  // single-flight dedup.
   void PrefetchInstanceVersion(const ObjectId& instance,
                                const VersionId& version);
 

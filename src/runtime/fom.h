@@ -2,10 +2,10 @@
 // (DESIGN.md §16; the request-handler shape of cortx-motr's reqh/fom).
 //
 // A long-running operation — evolution incorporation, migration, creation,
-// coordinated update, component fetch, poll/removal — used to run as a
-// hand-rolled `shared_ptr<std::function>` continuation chain: one heap
-// control block plus a closure spill per step, and one event-queue round
-// trip per micro-transition. A Fom reifies the same operation as an explicit
+// coordinated update, poll/removal — used to run as a hand-rolled
+// `shared_ptr<std::function>` continuation chain: one heap control block
+// plus a closure spill per step, and one event-queue round trip per
+// micro-transition. A Fom reifies the same operation as an explicit
 // state machine: its whole state lives in ONE pooled block, `Tick()` runs
 // the current phase and returns what to do next, and the per-simulation
 // FomScheduler drives ready Foms through consecutive same-sim-time

@@ -81,15 +81,16 @@ struct CostModel {
   double component_transfer_efficiency = 0.6;  // of wire bandwidth
 
   // --- Component acquisition pipeline (src/component/fetcher.*) ---
-  // Maximum ICO fetch streams a destination host keeps in flight while
-  // acquiring components (DCDO creation, evolution, migration warm-up).
+  // Maximum ICO fetch streams one fetcher (one per DcdoManager) keeps in
+  // flight per destination host while acquiring components (DCDO creation,
+  // evolution, migration warm-up, coordinator prefetch).
   // NOTE: this is a modelled-hardware/deployment knob, NOT a calibration
-  // constant. 1 (the default) reproduces the paper's strictly sequential
-  // acquisition — and its ~10 s / 50-component creation figure — byte for
-  // byte; values > 1 opt the deployment into the overlapped pipeline
-  // (bounded concurrency, single-flight per-host dedup, fair-shared links)
-  // measured by EXPERIMENTS.md E13. Re-calibrating against the paper never
-  // means touching this field.
+  // constant. 1 (the default) acquires one image at a time per type per
+  // host, the paper's sequential acquisition: a solo stream costs exactly
+  // ComponentDownloadTime, so the ~10 s / 50-component creation figure
+  // holds. Values > 1 overlap more streams, which fair-share the links
+  // (EXPERIMENTS.md E13). Re-calibrating against the paper never means
+  // touching this field.
   int fetch_concurrency = 1;
   // Bound on distinct component images a host caches before LRU eviction
   // (0 = unbounded, mirroring binding_cache_capacity). Eviction is safe by

@@ -75,12 +75,6 @@ class SimNetwork {
   void BulkTransfer(NodeId from, NodeId to, std::size_t bytes,
                     Delivery on_done);
 
-  // Transfer with a caller-computed duration (used by the component-fetch
-  // path, whose cost model differs from the file-object path). Same
-  // reachability semantics as BulkTransfer.
-  void TimedTransfer(NodeId from, NodeId to, std::size_t bytes,
-                     SimDuration duration, Delivery on_done);
-
   // `on_done(delivered)` — unlike Delivery, stream completions also report
   // failure (unreachable at start, dropped in flight) so the component
   // acquisition pipeline can surface the exact failed transfer instead of
@@ -94,10 +88,9 @@ class SimNetwork {
   // divided by the busier of its two endpoints), and each stream is further
   // capped at `peak_bytes_per_sec` (the transfer protocol's efficiency
   // ceiling). Delivery lands `setup + stream + network_latency` after the
-  // call when the stream runs alone, so a solo stream costs exactly what the
-  // caller-computed TimedTransfer path charges. Loopback (from == to) skips
-  // the NIC entirely: the whole transfer is the fixed `setup` (callers pass
-  // the disk-copy time).
+  // call when the stream runs alone. Loopback (from == to) skips the NIC
+  // entirely: the whole transfer is the fixed `setup` (callers pass the
+  // disk-copy time).
   //
   // Determinism: re-shares are recomputed in flow-id (start) order at the
   // instants flows start or finish, from integer-nanosecond inputs — two

@@ -137,8 +137,7 @@ TEST_P(CheckFixtureTest, FixIsCleanUnderAllChecks) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllChecks, CheckFixtureTest,
-    ::testing::Values("dcdo-shared-function-self-capture",
-                      "dcdo-mutable-nonatomic-in-const",
+    ::testing::Values("dcdo-mutable-nonatomic-in-const",
                       "dcdo-unordered-iteration-schedules",
                       "dcdo-wallclock-in-sim", "dcdo-status-discard",
                       "dcdo-deferred-ref-capture",
@@ -151,11 +150,11 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-TEST(AnalyzerDriverTest, ListChecksNamesAllSeven) {
+TEST(AnalyzerDriverTest, ListChecksNamesAllSix) {
   RunResult run = RunAnalyzer("--list-checks");
   EXPECT_EQ(run.exit_code, 0);
   for (const char* check :
-       {"dcdo-shared-function-self-capture", "dcdo-mutable-nonatomic-in-const",
+       {"dcdo-mutable-nonatomic-in-const",
         "dcdo-unordered-iteration-schedules", "dcdo-wallclock-in-sim",
         "dcdo-status-discard", "dcdo-deferred-ref-capture",
         "dcdo-continuation-chain"}) {
@@ -183,14 +182,6 @@ TEST(AnalyzerDriverTest, WallclockAllowlistSilencesTraceStylePaths) {
   const std::string bug = FixturePath("dcdo-wallclock-in-sim", "bug.cc");
   RunResult run = RunAnalyzer(
       "--checks=dcdo-wallclock-in-sim --allow-wallclock=" +
-      std::string(DCDO_ANALYSIS_FIXTURE_DIR) + " " + bug);
-  EXPECT_EQ(run.exit_code, 0) << run.output;
-}
-
-TEST(AnalyzerDriverTest, ContinuationAllowlistSilencesFomRuntimePaths) {
-  const std::string bug = FixturePath("dcdo-continuation-chain", "bug.cc");
-  RunResult run = RunAnalyzer(
-      "--checks=dcdo-continuation-chain --allow-continuation=" +
       std::string(DCDO_ANALYSIS_FIXTURE_DIR) + " " + bug);
   EXPECT_EQ(run.exit_code, 0) << run.output;
 }

@@ -4,7 +4,8 @@
 // (weak self-capture, strong refs riding pending continuations) allocate a
 // closure per hop and scatter one operation's state across capture lists —
 // the shape the pooled runtime::Fom state machines replaced. The check
-// flags the pattern itself, not just the self-capture cycles.
+// flags the pattern itself, so the leaking self-capture cycles built from
+// it (RunAliased) are caught at their heap cells too.
 //
 // The expectation markers drive tests/analysis/analysis_fixture_test.cpp.
 #include <cstddef>
@@ -33,6 +34,23 @@ void RunChain(std::vector<Step> steps, std::function<void()> done) {
     (*strong_next)(index - 1);
   };
   (*next)(steps.size());
+}
+
+// Shape A with a leak: the closure stored in *apply captures its own owner
+// through an init-capture alias, a shared_ptr cycle, so the whole capture
+// set — the caller's `done` included — outlives every run.
+void RunAliased(std::vector<Step> steps, std::function<void()> done) {
+  auto shared_done = std::make_shared<std::function<void()>>(std::move(done));  // expect: dcdo-continuation-chain
+  std::shared_ptr<std::function<void(std::size_t)>> apply =
+      std::make_shared<std::function<void(std::size_t)>>();  // expect: dcdo-continuation-chain
+  *apply = [self = apply, shared_done](std::size_t index) {
+    if (index == 0) {
+      (*shared_done)();
+      return;
+    }
+    (*self)(index - 1);
+  };
+  (*apply)(steps.size());
 }
 
 // Shape B: the driver struct keeping itself alive through

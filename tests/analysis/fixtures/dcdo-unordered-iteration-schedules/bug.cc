@@ -4,6 +4,7 @@
 // across libstdc++ versions, platforms, and insertion histories — so the
 // byte-identical SimTime_* baselines drift. PR 5's SimNetwork fair-share
 // recompute had to impose flow-id ordering for exactly this reason.
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
@@ -13,6 +14,11 @@ namespace fixture {
 
 struct Simulation {
   std::uint64_t Schedule(std::int64_t delay_ns, std::function<void()> fn);
+};
+
+struct Network {
+  void BulkTransfer(int from, int to, std::size_t bytes,
+                    std::function<void()> on_done);
 };
 
 struct Flow {
@@ -36,11 +42,20 @@ class FlowTable {
     }
   }
 
+  // Same hazard through a bulk-transfer sink: transfers started at one
+  // instant land at equal timestamps in hash order.
+  void PushStateAll(Network& network) {
+    for (const auto& [node, bytes] : pending_state_) {  // expect: dcdo-unordered-iteration-schedules
+      network.BulkTransfer(0, node, bytes, [] {});
+    }
+  }
+
   void Send(int node);
 
  private:
   std::unordered_map<int, Flow> flows_;
   std::unordered_set<int> dirty_nodes_;
+  std::unordered_map<int, std::size_t> pending_state_;
 };
 
 }  // namespace fixture

@@ -1,11 +1,11 @@
 // Randomized churn with the parallel fetch pipeline engaged: concurrent
 // creations, evolutions, and migrations at fetch_concurrency 8 over a small
 // bounded component cache, with the checker at every-event cadence and the
-// race detector watching. The pipeline reorders component arrivals relative
-// to the sequential path, so this is the test that proves completion-order
-// incorporation never violates the dependency/permanence invariants or the
-// happens-before rules — a long run of legal operations must end with zero
-// reports.
+// race detector watching. With eight streams open per host, components
+// arrive in completion order rather than request order, so this is the test
+// that proves completion-order incorporation never violates the
+// dependency/permanence invariants or the happens-before rules — a long run
+// of legal operations must end with zero reports.
 #include <gtest/gtest.h>
 
 #include <optional>

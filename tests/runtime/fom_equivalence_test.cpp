@@ -1,6 +1,6 @@
 // Fom conversion equivalence (DESIGN.md §16): the converted operations —
 // creation, evolution incorporation, poll/removal, migration, coordinated
-// update, sequential fetch — must replay the *byte-identical* simulated
+// update — must replay the *byte-identical* simulated
 // execution the legacy continuation chains produced. Control flow moved out
 // of `shared_ptr<std::function>` chains into pooled Foms; every Schedule
 // call, every simulated cost, every event timestamp stays exactly the same.
@@ -31,6 +31,17 @@
 // agent host instead of two (18 + 6), so a storm's last delivery lands at
 // 422.88 us instead of 392.16 us. state_hash is unchanged: every cache ends
 // on the same binding. The other three pins did not move.
+//
+// When the separate sequential fetch driver was deleted, so that every
+// acquisition streams through the pipeline at every concurrency,
+// kFetchChurnSequential and kCoordinatorBatches were re-captured once
+// (they had been {16884809312000356034, 103, 21134985962, ...} and
+// {4266133573770504761, 10, 4811245836, ...}). A stream fires two events
+// (setup, then the fair-shared transfer) where the fixed-duration transfer
+// fired one, and concurrent streams now share link bandwidth: 167 events
+// ending at 22.564 s. The coordinator batch now prefetches at concurrency 1
+// as well: 16 events ending at 4.462 s. state_hash is unchanged in both;
+// kFetchChurnPipelined and kRebindStorm did not move.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -220,12 +231,12 @@ void ExpectMatchesLegacy(const char* name, const Pinned& pinned,
 // accidental drift from a control-flow edit.
 constexpr Pinned kFetchChurnPipelined = {3197904562554234779ull, 97ull,
                                          16991345864, 10806504725990349857ull};
-constexpr Pinned kFetchChurnSequential = {16884809312000356034ull, 103ull,
-                                          21134985962, 10806504725990349857ull};
+constexpr Pinned kFetchChurnSequential = {3527288389339501946ull, 167ull,
+                                          22563854143, 10806504725990349857ull};
 constexpr Pinned kRebindStorm = {6975268291153852131ull, 72ull, 1268640,
                                  5379307963124079595ull};
-constexpr Pinned kCoordinatorBatches = {4266133573770504761ull, 10ull,
-                                        4811245836, 11468531600831910452ull};
+constexpr Pinned kCoordinatorBatches = {4823757918474177131ull, 16ull,
+                                        4461575212, 11468531600831910452ull};
 
 TEST(FomEquivalence, FetchChurnPipelinedMatchesLegacy) {
   ExpectMatchesLegacy("kFetchChurnPipelined", kFetchChurnPipelined,
@@ -233,8 +244,8 @@ TEST(FomEquivalence, FetchChurnPipelinedMatchesLegacy) {
 }
 
 TEST(FomEquivalence, FetchChurnSequentialMatchesLegacy) {
-  // fetch_concurrency = 1 drives the sequential fetch path — the
-  // SequentialDriver conversion — plus the inline poll/removal chain.
+  // fetch_concurrency = 1: one stream per destination host, plus the
+  // inline poll/removal chain.
   ExpectMatchesLegacy("kFetchChurnSequential", kFetchChurnSequential,
                       [] { return RunFetchChurn(1); });
 }

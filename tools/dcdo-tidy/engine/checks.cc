@@ -8,7 +8,6 @@ namespace dcdo_tidy {
 
 namespace {
 
-constexpr const char kSelfCapture[] = "dcdo-shared-function-self-capture";
 constexpr const char kMutableConst[] = "dcdo-mutable-nonatomic-in-const";
 constexpr const char kUnorderedSched[] = "dcdo-unordered-iteration-schedules";
 constexpr const char kWallclock[] = "dcdo-wallclock-in-sim";
@@ -37,197 +36,9 @@ std::string Snippet(std::string_view code, Piece p) {
 
 const std::vector<std::string>& AllCheckNames() {
   static const std::vector<std::string> kNames = {
-      kSelfCapture, kMutableConst, kUnorderedSched, kWallclock,
-      kStatusDiscard, kDeferredRefCapture, kContinuation};
+      kMutableConst, kUnorderedSched, kWallclock, kStatusDiscard,
+      kDeferredRefCapture, kContinuation};
   return kNames;
-}
-
-// ---------------------------------------------------------------------------
-// dcdo-shared-function-self-capture
-//
-// The historical bug (fixed in the PR 3 review pass, and chased out of the
-// coordinator again in PR 5): a continuation loop written as
-//
-//   auto next = std::make_shared<std::function<void()>>();
-//   *next = [next, ...] { ... (*next)(); ... };
-//
-// The closure stored inside *next owns a shared_ptr to itself, so the
-// refcount can never reach zero: the whole capture set (often including the
-// caller's `done` callback) leaks after every run. The accepted fixes — and
-// what this check must stay quiet on — are (a) the weak self-capture form
-//   *next = [weak = std::weak_ptr<...>(next), ...] { ... }
-// and (b) `enable_shared_from_this` driver structs whose methods capture
-// `self = shared_from_this()` into *pending continuations* (strong ref rides
-// the in-flight operation, not the stored closure).
-// ---------------------------------------------------------------------------
-void CheckSharedFunctionSelfCapture(const SourceFile& file,
-                                    std::vector<Finding>* findings) {
-  std::string_view code = file.code();
-
-  // 1. Collect names of shared-pointer-to-callable variables.
-  struct SharedFn {
-    std::string name;
-    std::size_t decl_offset;
-  };
-  std::vector<SharedFn> vars;
-
-  auto type_is_callable = [&](std::size_t lt, std::size_t gt) {
-    std::string_view inner = code.substr(lt, gt - lt);
-    return inner.find("function") != std::string_view::npos ||
-           inner.find("MoveFunction") != std::string_view::npos;
-  };
-
-  // Form A: `NAME = std::make_shared<std::function<...>>(...)`.
-  for (std::size_t pos = FindIdent(code, "make_shared");
-       pos != std::string_view::npos;
-       pos = FindIdent(code, "make_shared", pos + 1)) {
-    std::size_t lt = pos + std::string_view("make_shared").size();
-    if (lt >= code.size() || code[lt] != '<') continue;
-    std::size_t gt = MatchForward(code, lt);
-    if (gt == std::string_view::npos || !type_is_callable(lt + 1, gt)) continue;
-    // Walk back over "std::" and '=' to the variable name.
-    std::size_t back = pos;
-    while (back > 0 && (code[back - 1] == ':' || IsIdentChar(code[back - 1]))) {
-      --back;  // skip std:: qualification
-    }
-    std::size_t eq = SkipWsBack(code, back == 0 ? 0 : back - 1);
-    if (eq == std::string_view::npos || code[eq] != '=') continue;
-    std::size_t name_end = SkipWsBack(code, eq == 0 ? 0 : eq - 1);
-    if (name_end == std::string_view::npos || !IsIdentChar(code[name_end])) {
-      continue;
-    }
-    std::size_t name_begin = name_end;
-    while (name_begin > 0 && IsIdentChar(code[name_begin - 1])) --name_begin;
-    vars.push_back(SharedFn{
-        std::string(code.substr(name_begin, name_end - name_begin + 1)),
-        name_begin});
-  }
-
-  // Form B: `std::shared_ptr<std::function<...>> NAME`.
-  for (std::size_t pos = FindIdent(code, "shared_ptr");
-       pos != std::string_view::npos;
-       pos = FindIdent(code, "shared_ptr", pos + 1)) {
-    std::size_t lt = pos + std::string_view("shared_ptr").size();
-    if (lt >= code.size() || code[lt] != '<') continue;
-    std::size_t gt = MatchForward(code, lt);
-    if (gt == std::string_view::npos || !type_is_callable(lt + 1, gt)) continue;
-    std::size_t name_pos = SkipWs(code, gt + 1);
-    if (name_pos == std::string_view::npos) continue;
-    std::string_view name = IdentAt(code, name_pos);
-    if (name.empty()) continue;
-    vars.push_back(SharedFn{std::string(name), name_pos});
-  }
-
-  // A `shared_ptr<function<...>> x = make_shared<...>()` declaration matches
-  // both forms; keep one entry per name (earliest declaration wins) so each
-  // bad capture is reported once.
-  std::sort(vars.begin(), vars.end(), [](const SharedFn& a, const SharedFn& b) {
-    return a.name != b.name ? a.name < b.name : a.decl_offset < b.decl_offset;
-  });
-  vars.erase(std::unique(vars.begin(), vars.end(),
-                         [](const SharedFn& a, const SharedFn& b) {
-                           return a.name == b.name;
-                         }),
-             vars.end());
-
-  // 2. For each variable, find `*NAME =` / `(*NAME) =` assignments and
-  //    inspect every lambda capture list inside the assigned expression.
-  for (const SharedFn& var : vars) {
-    for (std::size_t pos = FindIdent(code, var.name, var.decl_offset);
-         pos != std::string_view::npos;
-         pos = FindIdent(code, var.name, pos + 1)) {
-      // Must be dereferenced: *NAME or *(NAME) or (*NAME).
-      std::size_t before = SkipWsBack(code, pos == 0 ? 0 : pos - 1);
-      if (before == std::string_view::npos) continue;
-      bool deref = false;
-      if (code[before] == '*') deref = true;
-      if (code[before] == '(' && before > 0) {
-        std::size_t b2 = SkipWsBack(code, before - 1);
-        if (b2 != std::string_view::npos && code[b2] == '*') deref = true;
-      }
-      if (!deref) continue;
-      // Followed (after optional close-paren) by '='.
-      std::size_t after = pos + var.name.size();
-      std::size_t eq = SkipWs(code, after);
-      if (eq != std::string_view::npos && code[eq] == ')') {
-        eq = SkipWs(code, eq + 1);
-      }
-      if (eq == std::string_view::npos || code[eq] != '=' ||
-          (eq + 1 < code.size() && code[eq + 1] == '=')) {
-        continue;
-      }
-      // Statement extent: to the ';' that closes the assignment (top-level).
-      std::size_t stmt_end = eq;
-      {
-        int paren = 0, brace = 0, bracket = 0;
-        for (std::size_t i = eq + 1; i < code.size(); ++i) {
-          char c = code[i];
-          if (c == '(') ++paren;
-          else if (c == ')') --paren;
-          else if (c == '{') ++brace;
-          else if (c == '}') --brace;
-          else if (c == '[') ++bracket;
-          else if (c == ']') --bracket;
-          else if (c == ';' && paren == 0 && brace == 0 && bracket == 0) {
-            stmt_end = i;
-            break;
-          }
-        }
-        if (stmt_end == eq) stmt_end = code.size();
-      }
-      // Every lambda introducer inside the assigned expression.
-      for (std::size_t lb = eq; lb < stmt_end; ++lb) {
-        if (code[lb] != '[') continue;
-        // Heuristic lambda-vs-subscript test: '[' at expression start.
-        std::size_t prev = SkipWsBack(code, lb == 0 ? 0 : lb - 1);
-        if (prev != std::string_view::npos &&
-            (IsIdentChar(code[prev]) || code[prev] == ')' ||
-             code[prev] == ']')) {
-          continue;  // subscript or attribute-ish
-        }
-        std::size_t rb = MatchForward(code, lb);
-        if (rb == std::string_view::npos || rb > stmt_end) continue;
-        for (Piece item : SplitTopLevel(code, lb + 1, rb)) {
-          if (item.begin >= item.end) continue;
-          // Plain capture `NAME` -> shared_ptr copy into the stored closure.
-          if (PieceEquals(code, item, var.name)) {
-            Report(file, item.begin, kSelfCapture,
-                   "closure stored in shared callable '" + var.name +
-                       "' captures its own owner by value (shared_ptr "
-                       "cycle: the stored closure can never be freed); "
-                       "capture a std::weak_ptr and keep the strong "
-                       "reference in each pending continuation instead",
-                   findings);
-            continue;
-          }
-          // Init-capture `x = NAME` -> same cycle under an alias.
-          std::size_t eq_in = std::string_view::npos;
-          int angle = 0;
-          for (std::size_t i = item.begin; i < item.end; ++i) {
-            char c = code[i];
-            if (c == '<') ++angle;
-            else if (c == '>' && angle > 0) --angle;
-            else if (c == '=' && angle == 0 && code[i + 1] != '=' &&
-                     (i == 0 || code[i - 1] != '!')) {
-              eq_in = i;
-              break;
-            }
-          }
-          if (eq_in != std::string_view::npos) {
-            Piece rhs = Trim(code, eq_in + 1, item.end);
-            if (PieceEquals(code, rhs, var.name)) {
-              Report(file, item.begin, kSelfCapture,
-                     "init-capture copies shared callable '" + var.name +
-                         "' into its own stored closure (shared_ptr "
-                         "cycle); capture std::weak_ptr<...>(" + var.name +
-                         ") instead",
-                     findings);
-            }
-          }
-        }
-      }
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -625,10 +436,9 @@ void CheckUnorderedIterationSchedules(const SourceFile& file,
     }
   }
 
-  static constexpr std::array<const char*, 9> kSinks = {
-      "Schedule",    "ScheduleAt",     "Send",    "SendMessage",
-      "Transfer",    "TimedTransfer",  "StreamTransfer",
-      "FetchTo",     "StreamTo"};
+  static constexpr std::array<const char*, 8> kSinks = {
+      "Schedule", "ScheduleAt",   "Send",           "SendMessage",
+      "Transfer", "BulkTransfer", "StreamTransfer", "StreamTo"};
 
   for (std::size_t pos = FindIdent(code, "for");
        pos != std::string_view::npos; pos = FindIdent(code, "for", pos + 1)) {
@@ -1044,12 +854,13 @@ void CheckDeferredRefCapture(const SourceFile& file,
 // `std::make_shared<std::function<void(...)>>()` self-referencing closure
 // loops, or as `enable_shared_from_this` driver structs whose methods chain
 // through `shared_from_this()` captures. Both shapes heap-allocate every
-// hop, scatter one operation's state across closures, and were the source
-// of the self-capture leaks the older check hunts case by case. The repo's
-// replacement is the pooled runtime::Fom state machine (DESIGN.md §16):
-// one phase enum, one Tick(), one pooled allocation for the whole
-// operation. New code outside src/runtime/ (which implements the Fom
-// machinery itself) should not introduce either shape.
+// hop and scatter one operation's state across closures. They were also
+// the source of this repo's self-capture leaks — a closure stored in *next
+// capturing `next` by value, a shared_ptr cycle — which this check covers
+// by flagging every heap cell such a cycle needs. The repo's replacement
+// is the pooled runtime::Fom state machine (DESIGN.md §16): one phase enum,
+// one Tick(), one pooled allocation for the whole operation. No code in
+// src/, the Fom machinery included, introduces either shape.
 // ---------------------------------------------------------------------------
 void CheckContinuationChain(const SourceFile& file,
                             std::vector<Finding>* findings) {
@@ -1097,7 +908,6 @@ void RunChecks(const SourceFile& file, const ProjectIndex& index,
   auto enabled = [&](const char* name) {
     return options.enabled.empty() || options.enabled.count(name) != 0;
   };
-  if (enabled(kSelfCapture)) CheckSharedFunctionSelfCapture(file, findings);
   if (enabled(kMutableConst)) {
     CheckMutableNonatomicInConst(file, index, findings);
   }
@@ -1117,17 +927,7 @@ void RunChecks(const SourceFile& file, const ProjectIndex& index,
   }
   if (enabled(kStatusDiscard)) CheckStatusDiscard(file, index, findings);
   if (enabled(kDeferredRefCapture)) CheckDeferredRefCapture(file, findings);
-  if (enabled(kContinuation)) {
-    bool allowed = false;
-    for (const std::string& prefix : options.continuation_allow_prefixes) {
-      if (file.path().rfind(prefix, 0) == 0 ||
-          file.path().find("/" + prefix) != std::string::npos) {
-        allowed = true;
-        break;
-      }
-    }
-    if (!allowed) CheckContinuationChain(file, findings);
-  }
+  if (enabled(kContinuation)) CheckContinuationChain(file, findings);
   std::sort(findings->begin(), findings->end());
 }
 

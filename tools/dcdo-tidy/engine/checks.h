@@ -1,15 +1,16 @@
-// The seven dcdo-tidy checks, lexical-engine implementation.
+// The six dcdo-tidy checks, lexical-engine implementation.
 //
 // Each check mechanizes a bug class this repo has fixed by hand at least
 // once (see DESIGN.md §12 for the catalogue and the history behind each):
 //
-//   dcdo-shared-function-self-capture   PR 3 review / PR 5 leak class
 //   dcdo-mutable-nonatomic-in-const     PR 4 `lookups_served_` race class
 //   dcdo-unordered-iteration-schedules  PR 5 determinism hazard class
 //   dcdo-wallclock-in-sim               sim-determinism hazard
 //   dcdo-status-discard                 silently dropped error paths
 //   dcdo-deferred-ref-capture           PR 8 dangling-capture class
 //   dcdo-continuation-chain             PR 10 heap-continuation class
+//                                       (and the self-capture leaks built
+//                                       from it)
 //
 // The engine is dependency-free so analysis runs on every machine; it is
 // deliberately conservative — heuristics are tuned so that everything it
@@ -77,10 +78,6 @@ struct CheckOptions {
   // Path prefixes where dcdo-wallclock-in-sim stays quiet (wall-stamp code
   // like src/trace, and the bench harness).
   std::vector<std::string> wallclock_allow_prefixes;
-  // Path prefixes where dcdo-continuation-chain stays quiet — the Fom
-  // runtime itself (src/runtime/), which is the sanctioned replacement for
-  // the patterns the check flags.
-  std::vector<std::string> continuation_allow_prefixes;
 };
 
 // Runs all enabled checks over `file`, appending unsuppressed findings.
@@ -88,8 +85,6 @@ void RunChecks(const SourceFile& file, const ProjectIndex& index,
                const CheckOptions& options, std::vector<Finding>* findings);
 
 // Individual checks (exposed for the unit/fixture tests).
-void CheckSharedFunctionSelfCapture(const SourceFile& file,
-                                    std::vector<Finding>* findings);
 void CheckMutableNonatomicInConst(const SourceFile& file,
                                   const ProjectIndex& index,
                                   std::vector<Finding>* findings);

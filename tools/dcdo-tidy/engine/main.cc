@@ -6,9 +6,6 @@
 //     --allow-wallclock=PFX   path prefix where dcdo-wallclock-in-sim is
 //                             quiet (repeatable; scripts/analyze.sh passes
 //                             src/trace/ and bench/)
-//     --allow-continuation=PFX  path prefix where dcdo-continuation-chain
-//                             is quiet (repeatable; scripts/analyze.sh
-//                             passes src/runtime/, the Fom machinery)
 //     --baseline=FILE         suppress findings listed in FILE
 //     --write-baseline=FILE   write current findings to FILE and exit 0
 //     --list-checks           print check names and exit
@@ -70,9 +67,6 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--allow-wallclock=", 0) == 0) {
       options.wallclock_allow_prefixes.push_back(
           value_of("--allow-wallclock="));
-    } else if (arg.rfind("--allow-continuation=", 0) == 0) {
-      options.continuation_allow_prefixes.push_back(
-          value_of("--allow-continuation="));
     } else if (arg.rfind("--baseline=", 0) == 0) {
       baseline_path = value_of("--baseline=");
     } else if (arg.rfind("--write-baseline=", 0) == 0) {

@@ -381,14 +381,4 @@ Piece Trim(std::string_view code, std::size_t begin, std::size_t end) {
   return {begin, end};
 }
 
-bool PieceEquals(std::string_view code, Piece p, std::string_view want) {
-  std::string collapsed;
-  for (std::size_t i = p.begin; i < p.end && i < code.size(); ++i) {
-    if (!std::isspace(static_cast<unsigned char>(code[i]))) {
-      collapsed.push_back(code[i]);
-    }
-  }
-  return collapsed == want;
-}
-
 }  // namespace dcdo_tidy

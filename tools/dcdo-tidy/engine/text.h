@@ -102,9 +102,6 @@ std::vector<Piece> SplitTopLevel(std::string_view code, std::size_t begin,
 // Trims ASCII whitespace from both ends of [begin, end).
 Piece Trim(std::string_view code, std::size_t begin, std::size_t end);
 
-// True if [begin,end) of `code`, with whitespace collapsed, equals `want`.
-bool PieceEquals(std::string_view code, Piece p, std::string_view want);
-
 }  // namespace dcdo_tidy
 
 #endif  // DCDO_TOOLS_DCDO_TIDY_ENGINE_TEXT_H_
