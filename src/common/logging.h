@@ -3,6 +3,10 @@
 // The runtime and benches log object lifecycle events (creation, evolution,
 // rebinds). Logging defaults to kWarning so tests and benchmarks stay quiet;
 // examples raise it to kInfo to narrate what the system is doing.
+//
+// A line below the level costs one level check: DCDO_LOG tests the level
+// before it builds a LogLine, so neither the stream nor the operands of a
+// suppressed line are ever evaluated.
 #pragma once
 
 #include <sstream>
@@ -20,15 +24,14 @@ LogLevel GetLogLevel();
 void LogMessage(LogLevel level, const std::string& message);
 
 namespace internal {
+// One line at or above the level, emitted when the statement ends.
 class LogLine {
  public:
   explicit LogLine(LogLevel level) : level_(level) {}
-  ~LogLine() {
-    if (level_ >= GetLogLevel()) LogMessage(level_, stream_.str());
-  }
+  ~LogLine() { LogMessage(level_, stream_.str()); }
   template <typename T>
   LogLine& operator<<(const T& value) {
-    if (level_ >= GetLogLevel()) stream_ << value;
+    stream_ << value;
     return *this;
   }
 
@@ -36,9 +39,20 @@ class LogLine {
   LogLevel level_;
   std::ostringstream stream_;
 };
+
+// Turns the streamed LogLine into void, so both arms of DCDO_LOG's
+// conditional have one type. `&` binds looser than `<<`, so the whole
+// stream chain is its operand.
+struct LogVoidify {
+  void operator&(const LogLine&) {}
+};
 }  // namespace internal
 
-#define DCDO_LOG(level) \
-  ::dcdo::internal::LogLine(::dcdo::LogLevel::level)
+// Usable anywhere a statement is, including an unbraced if/else.
+#define DCDO_LOG(level)                                          \
+  (::dcdo::LogLevel::level < ::dcdo::GetLogLevel())              \
+      ? (void)0                                                  \
+      : ::dcdo::internal::LogVoidify() &                         \
+            ::dcdo::internal::LogLine(::dcdo::LogLevel::level)
 
 }  // namespace dcdo

@@ -1,6 +1,7 @@
 #include "component/component.h"
 
-#include <set>
+#include <algorithm>
+#include <numeric>
 
 namespace dcdo {
 
@@ -12,10 +13,39 @@ const FunctionImplDescriptor* ImplementationComponent::Find(
   return nullptr;
 }
 
+namespace {
+
+// Position of the first function whose name repeats an earlier one, or
+// functions.size() when every name is unique. Sorting the positions by
+// (name, position) puts each repeat right after an equal name; the smallest
+// such position is the first repeat a front-to-back scan would meet.
+std::size_t FirstRepeatedName(
+    const std::vector<FunctionImplDescriptor>& functions) {
+  auto name = [&](std::size_t i) -> const std::string& {
+    return functions[i].function.name;
+  };
+  std::vector<std::size_t> order(functions.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::ranges::sort(order, [&](std::size_t a, std::size_t b) {
+    const int by_name = name(a).compare(name(b));
+    return by_name < 0 || (by_name == 0 && a < b);
+  });
+  std::size_t first = functions.size();
+  for (std::size_t i = 1; i < order.size(); ++i) {
+    if (name(order[i]) == name(order[i - 1])) {
+      first = std::min(first, order[i]);
+    }
+  }
+  return first;
+}
+
+}  // namespace
+
 Status ImplementationComponent::Validate() const {
   if (name.empty()) return InvalidArgumentError("component has no name");
-  std::set<std::string> seen;
-  for (const FunctionImplDescriptor& fn : functions) {
+  const std::size_t repeat = FirstRepeatedName(functions);
+  for (std::size_t i = 0; i < functions.size(); ++i) {
+    const FunctionImplDescriptor& fn = functions[i];
     if (fn.function.name.empty()) {
       return InvalidArgumentError("component '" + name +
                                   "' has a function with an empty name");
@@ -32,7 +62,7 @@ Status ImplementationComponent::Validate() const {
                                     "' names an empty callee");
       }
     }
-    if (!seen.insert(fn.function.name).second) {
+    if (i == repeat) {
       return InvalidArgumentError("component '" + name +
                                   "' implements function '" +
                                   fn.function.name + "' twice");

@@ -9,6 +9,7 @@
 // DFM-descriptor machinery must honour on incorporate (Section 3.2).
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -37,6 +38,13 @@ struct ImplementationComponent {
 
   std::size_t function_count() const { return functions.size(); }
 };
+
+// One component's metadata, immutable and co-owned. A version's descriptor
+// holds one record per component, and everything that acquires the
+// component for an instance of that version — creation, evolution,
+// prefetch, migration warm-up — passes that record along, so the instance
+// shares it instead of copying the function list.
+using ComponentRecord = std::shared_ptr<const ImplementationComponent>;
 
 // Fluent builder used by examples/tests to assemble components.
 class ComponentBuilder {

@@ -25,7 +25,7 @@ struct ComponentFetcher::Shared {
 
   struct Item {
     std::shared_ptr<Request> request;
-    ImplementationComponent meta;
+    ComponentRecord meta;
   };
 
   struct HostState {
@@ -86,7 +86,7 @@ struct ComponentFetcher::Shared {
       Settle(item, Status::Ok(), /*was_cached=*/false);
       return;
     }
-    const ObjectId id = item.meta.id;
+    const ObjectId id = item.meta->id;
     if (item.request->options.skip_resolve_when_cached &&
         dest->ComponentCached(id)) {
       Settle(item, Status::Ok(), /*was_cached=*/true);
@@ -146,7 +146,7 @@ ComponentFetcher::ComponentFetcher(const IcoResolver* resolver)
 }
 
 void ComponentFetcher::AcquireAll(
-    sim::SimHost* dest, std::vector<ImplementationComponent> components,
+    sim::SimHost* dest, std::vector<ComponentRecord> components,
     ReadyCallback on_ready, DoneCallback done, Options options) {
   if (components.empty()) {
     done(Status::Ok());
@@ -157,17 +157,17 @@ void ComponentFetcher::AcquireAll(
   request->done = std::move(done);
   request->options = options;
   request->outstanding = components.size();
-  for (ImplementationComponent& meta : components) {
+  for (ComponentRecord& meta : components) {
     shared_->Enqueue(dest, Shared::Item{request, std::move(meta)});
   }
   shared_->Pump(shared_, dest);
 }
 
-void ComponentFetcher::Prefetch(
-    sim::SimHost* dest, std::vector<ImplementationComponent> components) {
+void ComponentFetcher::Prefetch(sim::SimHost* dest,
+                                std::vector<ComponentRecord> components) {
   AcquireAll(
       dest, std::move(components),
-      [](const ImplementationComponent&, bool) { return Status::Ok(); },
+      [](const ComponentRecord&, bool) { return Status::Ok(); },
       [](Status) {}, Options{.fail_fast = false});
 }
 

@@ -16,6 +16,11 @@
 //     lands, not in request-list order; the terminal done runs once every
 //     component in the batch has been dealt with.
 //
+// Components travel as shared records (ComponentRecord): each queued or
+// in-flight item and each on_ready call carries the caller's record, so the
+// instance that incorporates a component shares its version's metadata
+// rather than a copy made along the way.
+//
 // Every fetch streams through ImplementationComponentObject::StreamTo, so a
 // failed transfer still settles its component — a fail-fast batch reports a
 // Status naming it, a best-effort batch logs it and moves on — and `done`
@@ -53,8 +58,7 @@ class ComponentFetcher {
   // migration path charges map time only for hits, evolution incorporates
   // either way). Returning an error aborts the whole acquisition with it.
   using ReadyCallback =
-      std::function<Status(const ImplementationComponent& meta,
-                           bool was_cached)>;
+      std::function<Status(const ComponentRecord& meta, bool was_cached)>;
   using DoneCallback = std::function<void(Status)>;
 
   struct Options {
@@ -80,12 +84,10 @@ class ComponentFetcher {
   // Acquires every component in `components` onto `dest`, calling `on_ready`
   // per component and `done(overall)` once all are settled. With an empty
   // list, `done` runs synchronously (as the legacy chains did).
-  void AcquireAll(sim::SimHost* dest,
-                  std::vector<ImplementationComponent> components,
+  void AcquireAll(sim::SimHost* dest, std::vector<ComponentRecord> components,
                   ReadyCallback on_ready, DoneCallback done,
                   Options options);
-  void AcquireAll(sim::SimHost* dest,
-                  std::vector<ImplementationComponent> components,
+  void AcquireAll(sim::SimHost* dest, std::vector<ComponentRecord> components,
                   ReadyCallback on_ready, DoneCallback done) {
     AcquireAll(dest, std::move(components), std::move(on_ready),
                std::move(done), Options{});
@@ -94,8 +96,7 @@ class ComponentFetcher {
   // Warms `dest`'s cache with `components` ahead of need: best-effort, no
   // completion signal, and a later AcquireAll for the same components joins
   // the in-flight streams via single-flight.
-  void Prefetch(sim::SimHost* dest,
-                std::vector<ImplementationComponent> components);
+  void Prefetch(sim::SimHost* dest, std::vector<ComponentRecord> components);
 
   // Streams opened / requests that joined an existing stream instead.
   std::uint64_t fetches_issued() const;

@@ -42,8 +42,11 @@ class ImplementationComponentObject {
   ImplementationComponentObject& operator=(
       const ImplementationComponentObject&) = delete;
 
-  const ObjectId& id() const { return component_.id; }
-  const ImplementationComponent& component() const { return component_; }
+  const ObjectId& id() const { return component_->id; }
+  const ImplementationComponent& component() const { return *component_; }
+  // The same metadata as a shared record: an incorporate that names this
+  // ICO shares it instead of copying the function list.
+  const ComponentRecord& record() const { return component_; }
   sim::NodeId node() const { return host_.node(); }
 
   // Streams the component image to `dest`'s component cache through
@@ -60,7 +63,7 @@ class ImplementationComponentObject {
   sim::SimHost& host_;
   rpc::RpcTransport& transport_;
   BindingAgent& agent_;
-  ImplementationComponent component_;
+  ComponentRecord component_;
   sim::ProcessId pid_ = 0;
   trace::Counter fetches_served_;
 };

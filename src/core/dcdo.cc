@@ -247,20 +247,20 @@ void Dcdo::BlockOnOutcall(double sim_seconds) {
 
 // ===== Configuration functions =====
 
-Status Dcdo::IncorporateCached(const ImplementationComponent& meta,
+Status Dcdo::IncorporateCached(ComponentRecord meta,
                                bool auto_structural_deps) {
-  if (!host_->ComponentCached(meta.id)) {
-    return ComponentMissingError("component " + meta.name +
+  if (!host_->ComponentCached(meta->id)) {
+    return ComponentMissingError("component " + meta->name +
                                  " is not cached on node " +
                                  std::to_string(host_->node()));
   }
+  const auto functions = static_cast<std::int64_t>(meta->functions.size());
   DCDO_RETURN_IF_ERROR(mapper_.IncorporateComponent(
-      meta, registry_, host_->architecture(), auto_structural_deps));
+      std::move(meta), registry_, host_->architecture(),
+      auto_structural_deps));
   // Map the cached image into the address space + register each function.
-  simulation().AdvanceInline(
-      cost().component_map_cached +
-      cost().dfm_register_per_function *
-          static_cast<std::int64_t>(meta.functions.size()));
+  simulation().AdvanceInline(cost().component_map_cached +
+                             cost().dfm_register_per_function * functions);
   return Status::Ok();
 }
 
@@ -275,8 +275,8 @@ void Dcdo::IncorporateComponent(const ObjectId& component_id,
   // map. Routing even a single incorporate through the fetcher is what lets
   // two co-hosted DCDOs incorporating the same component share one stream.
   fetcher_->AcquireAll(
-      host_, {(*ico)->component()},
-      [this](const ImplementationComponent& meta, bool /*was_cached*/) {
+      host_, {(*ico)->record()},
+      [this](const ComponentRecord& meta, bool /*was_cached*/) {
         return IncorporateCached(meta);
       },
       std::move(done));
@@ -400,7 +400,7 @@ class EvolveFom final : public runtime::Fom {
       Dcdo* object = object_;
       object_->fetcher_->AcquireAll(
           object_->host_, std::move(incorporate_),
-          [object](const ImplementationComponent& meta, bool /*was_cached*/) {
+          [object](const ComponentRecord& meta, bool /*was_cached*/) {
             // During evolution, dependencies come from the target's
             // metadata, not from auto-derived hints.
             return object->IncorporateCached(meta,
@@ -477,7 +477,7 @@ class EvolveFom final : public runtime::Fom {
   VersionId target_version_;
   DfmState target_state_;  // snapshot: the caller's descriptor need not
                            // outlive the operation
-  std::vector<ImplementationComponent> incorporate_;
+  std::vector<ComponentRecord> incorporate_;  // the target's records
   std::vector<ObjectId> remove_queue_;
   std::size_t flip_count_;
   Dcdo::RemovalPolicy removal_;

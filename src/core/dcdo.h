@@ -83,10 +83,18 @@ class Dcdo final : public CallContext {
 
   // ===== Configuration functions =====
 
-  // Incorporates the component whose image is already in the host cache.
-  // Charges component_map_cached + per-function DFM registration.
+  // Incorporates the component whose image is already in the host cache,
+  // keeping `meta` as the DFM's record of it. Charges component_map_cached
+  // + per-function DFM registration.
+  [[nodiscard]] Status IncorporateCached(ComponentRecord meta,
+                                         bool auto_structural_deps = true);
+  // The same, for metadata held by value: makes its record, once.
   [[nodiscard]] Status IncorporateCached(const ImplementationComponent& meta,
-                           bool auto_structural_deps = true);
+                                         bool auto_structural_deps = true) {
+    return IncorporateCached(
+        std::make_shared<const ImplementationComponent>(meta),
+        auto_structural_deps);
+  }
 
   // Full incorporate: resolves the ICO, fetches the image if not cached
   // (bulk download), then maps it. `done` runs when incorporated.

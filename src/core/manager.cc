@@ -165,12 +165,8 @@ class MigrateInstanceFom final : public runtime::Fom {
         // (best-effort — a failed fetch is re-pulled lazily after the
         // move), then re-bind and re-map. Cached images charge their map
         // cost here; fetched ones are mapped by RemapForHost below.
-        std::vector<ImplementationComponent> metas;
-        for (const ObjectId& component_id : object->GetComponents()) {
-          const ImplementationComponent* meta =
-              object->mapper().state().FindComponent(component_id);
-          if (meta != nullptr) metas.push_back(*meta);
-        }
+        std::span<const ComponentRecord> records =
+            object->mapper().state().components();
         ComponentFetcher::Options options;
         options.fail_fast = false;
         options.skip_resolve_when_cached = true;
@@ -178,8 +174,9 @@ class MigrateInstanceFom final : public runtime::Fom {
         runtime::FomScheduler* scheduler = &this->scheduler();
         const std::uint64_t id = this->id();
         mgr->fetcher_.AcquireAll(
-            dest_, std::move(metas),
-            [mgr, instance = instance_](const ImplementationComponent&,
+            dest_,
+            std::vector<ComponentRecord>(records.begin(), records.end()),
+            [mgr, instance = instance_](const ComponentRecord&,
                                         bool was_cached) {
               if (!mgr->instances_.contains(instance)) {
                 return NotFoundError("instance destroyed during migration");
@@ -575,10 +572,8 @@ void DcdoManager::MigrateInstance(const ObjectId& instance,
 
   // Every incorporated component must be mappable on the destination before
   // we commit to moving.
-  for (const ObjectId& component_id : object->GetComponents()) {
-    const ImplementationComponent* meta =
-        object->mapper().state().FindComponent(component_id);
-    if (meta != nullptr && !meta->type.CompatibleWith(dest->architecture())) {
+  for (const ComponentRecord& meta : object->mapper().state().components()) {
+    if (!meta->type.CompatibleWith(dest->architecture())) {
       done(ArchMismatchError("component " + meta->name +
                              " has no build for the destination host"));
       return;

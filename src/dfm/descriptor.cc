@@ -83,13 +83,11 @@ DfmDescriptor DfmDescriptor::DeriveChild(const VersionId& child_version) const {
 
 EvolutionPlan ComputePlan(const DfmState& from, const DfmState& to) {
   EvolutionPlan plan;
-  for (const ObjectId& id : to.ComponentIds()) {
-    if (!from.HasComponent(id)) {
-      plan.incorporate.push_back(*to.FindComponent(id));
-    }
+  for (const ComponentRecord& record : to.components()) {
+    if (!from.HasComponent(record->id)) plan.incorporate.push_back(record);
   }
-  for (const ObjectId& id : from.ComponentIds()) {
-    if (!to.HasComponent(id)) plan.remove.push_back(id);
+  for (const ComponentRecord& record : from.components()) {
+    if (!to.HasComponent(record->id)) plan.remove.push_back(record->id);
   }
   // Enable/disable flips, in one merge of the two row arrays. For newly
   // incorporated components, enables are included too (incorporation leaves

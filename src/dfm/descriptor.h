@@ -65,7 +65,9 @@ class DfmDescriptor {
 
 // The delta a DCDO must apply to move between two configurations.
 struct EvolutionPlan {
-  std::vector<ImplementationComponent> incorporate;  // full meta (for fetch)
+  // The target's own records of the components to add: fetching and
+  // incorporating them shares the target's metadata, copying nothing.
+  std::vector<ComponentRecord> incorporate;
   std::vector<ObjectId> remove;
   // Enables/disables among components present in both configurations.
   std::vector<DfmState::EntryKey> enable;

@@ -50,10 +50,9 @@ ByteBuffer SerializeDescriptor(const DfmDescriptor& descriptor) {
   writer.WriteBool(descriptor.instantiable());
   const DfmState& state = descriptor.state();
 
-  std::vector<ObjectId> components = state.ComponentIds();
-  writer.WriteU64(components.size());
-  for (const ObjectId& id : components) {
-    writer.WriteBytes(SerializeComponentMeta(*state.FindComponent(id)));
+  writer.WriteU64(state.component_count());
+  for (const ComponentRecord& record : state.components()) {
+    writer.WriteBytes(SerializeComponentMeta(*record));
   }
 
   writer.WriteU64(state.entry_count());

@@ -196,27 +196,28 @@ std::uint32_t DynamicFunctionMapper::FindSlotLocked(
   }
 }
 
-void DynamicFunctionMapper::AddSlotsLocked(
-    const ImplementationComponent& meta) {
-  FunctionNameTable& names = FunctionNameTable::Global();
-  for (const FunctionImplDescriptor& fn : meta.functions) {
-    if (FindSlotLocked(fn.function.name) != kNoSlot) continue;
-    const FunctionId id = names.Intern(fn.function.name);
-    Slot& added = slots_.emplace_back();
-    added.name = &names.NameOf(id);
-    added.id = id;
-    const auto slot = static_cast<std::uint32_t>(slots_.size() - 1);
-    if (slots_.size() * 2 <= id_index_.size()) {
-      IndexSlotLocked(slot);
-      continue;
-    }
-    // Double the indexes (at least 16 buckets) and re-insert every slot.
-    const std::size_t size = std::max<std::size_t>(16, id_index_.size() * 2);
-    index_shift_ = 64 - std::countr_zero(size);
-    id_index_.assign(size, kNoSlot);
-    name_index_.assign(size, kNoSlot);
-    for (std::uint32_t i = 0; i <= slot; ++i) IndexSlotLocked(i);
+std::uint32_t DynamicFunctionMapper::SlotForLocked(
+    const std::string& function) {
+  if (const std::uint32_t found = FindSlotLocked(function); found != kNoSlot) {
+    return found;
   }
+  FunctionNameTable& names = FunctionNameTable::Global();
+  const FunctionId id = names.Intern(function);
+  Slot& added = slots_.emplace_back();
+  added.name = &names.NameOf(id);
+  added.id = id;
+  const auto slot = static_cast<std::uint32_t>(slots_.size() - 1);
+  if (slots_.size() * 2 <= id_index_.size()) {
+    IndexSlotLocked(slot);
+    return slot;
+  }
+  // Double the indexes (at least 16 buckets) and re-insert every slot.
+  const std::size_t size = std::max<std::size_t>(16, id_index_.size() * 2);
+  index_shift_ = 64 - std::countr_zero(size);
+  id_index_.assign(size, kNoSlot);
+  name_index_.assign(size, kNoSlot);
+  for (std::uint32_t i = 0; i <= slot; ++i) IndexSlotLocked(i);
+  return slot;
 }
 
 void DynamicFunctionMapper::IndexSlotLocked(std::uint32_t slot) {
@@ -288,9 +289,10 @@ void DynamicFunctionMapper::DeriveAllSlotsLocked() {
 }
 
 Status DynamicFunctionMapper::IncorporateComponent(
-    const ImplementationComponent& meta, const NativeCodeRegistry& registry,
+    ComponentRecord record, const NativeCodeRegistry& registry,
     sim::Architecture arch, bool auto_structural_deps) {
   std::unique_lock<std::shared_mutex> lock(mutex_);
+  const ImplementationComponent& meta = *record;
   if (!meta.type.CompatibleWith(arch)) {
     return ArchMismatchError(
         "component " + meta.name + " (" + meta.type.ToString() +
@@ -300,16 +302,24 @@ Status DynamicFunctionMapper::IncorporateComponent(
   // Resolve every symbol before mutating anything (all-or-nothing).
   DCDO_ASSIGN_OR_RETURN(std::shared_ptr<DfmImplBlock> block,
                         BuildBlock(meta, registry, arch, nullptr));
+  // The table co-owns the record from here on, so `meta` stays valid.
   DCDO_RETURN_IF_ERROR(
-      state_.IncorporateComponent(meta, auto_structural_deps));
+      state_.IncorporateComponent(std::move(record), auto_structural_deps));
   blocks_.insert(std::ranges::upper_bound(
                      blocks_, meta.id, {},
                      [](const std::shared_ptr<DfmImplBlock>& b)
                          -> const ObjectId& { return b->component; }),
                  std::move(block));
-  AddSlotsLocked(meta);
+  // The new rows are disabled, so a call still resolves as before except
+  // that an implementation is now present; only a permanent row, which the
+  // state enabled, can change who services a call.
   for (const FunctionImplDescriptor& fn : meta.functions) {
-    DeriveSlotLocked(fn.function.name);
+    Slot& slot = slots_[SlotForLocked(fn.function.name)];
+    if (fn.constraint == Constraint::kPermanent) {
+      DeriveSlotLocked(slot, state_.Rows(fn.function.name));
+    } else {
+      slot.any_present = true;
+    }
   }
   BumpVersion();
   return Status::Ok();
@@ -529,8 +539,7 @@ Status DynamicFunctionMapper::RemapBodies(const NativeCodeRegistry& registry,
   std::unique_lock<std::shared_mutex> lock(mutex_);
   std::vector<std::shared_ptr<DfmImplBlock>> remapped;
   remapped.reserve(blocks_.size());
-  for (const ObjectId& component_id : state_.ComponentIds()) {
-    const ImplementationComponent* meta = state_.FindComponent(component_id);
+  for (const ComponentRecord& meta : state_.components()) {
     if (!meta->type.CompatibleWith(arch)) {
       return ArchMismatchError("component " + meta->name + " (" +
                                meta->type.ToString() +
@@ -539,8 +548,7 @@ Status DynamicFunctionMapper::RemapBodies(const NativeCodeRegistry& registry,
     }
     // Keep the existing counters: remapping does not end in-flight calls,
     // and their counts must survive into the replacement block.
-    const std::shared_ptr<DfmImplBlock>* existing =
-        FindBlockLocked(component_id);
+    const std::shared_ptr<DfmImplBlock>* existing = FindBlockLocked(meta->id);
     DCDO_ASSIGN_OR_RETURN(
         std::shared_ptr<DfmImplBlock> block,
         BuildBlock(*meta, registry, arch,

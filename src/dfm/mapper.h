@@ -36,9 +36,10 @@
 // exactly as before — only the constant factor of the indirection changed.
 //
 // The mapper owns a DfmState (the same table type managers use in
-// descriptors; its rows point into component metadata shared with the
-// descriptor the instance last adopted) plus what only the runtime needs:
-// the record blocks, the slots, and call statistics.
+// descriptors; its rows point into the component records it was handed,
+// which on every acquisition path are the version descriptor's own) plus
+// what only the runtime needs: the record blocks, the slots, and call
+// statistics.
 #pragma once
 
 #include <atomic>
@@ -138,11 +139,24 @@ class DynamicFunctionMapper {
 
   // Incorporates `meta`, resolving every symbol against `registry` for
   // `arch`. All-or-nothing: a single unresolved or arch-incompatible symbol
-  // fails the whole incorporate.
+  // fails the whole incorporate. The table keeps `meta` itself as the
+  // component's record (state().SharedComponent returns it). Only the
+  // slots whose answer changes are re-derived: a new row is disabled, so
+  // its function's slot just learns an implementation is present — unless
+  // the author marked it permanent, which incorporate enables.
+  [[nodiscard]] Status IncorporateComponent(ComponentRecord meta,
+                                            const NativeCodeRegistry& registry,
+                                            sim::Architecture arch,
+                                            bool auto_structural_deps = true);
+  // The same, for metadata held by value: makes its record, once.
   [[nodiscard]] Status IncorporateComponent(const ImplementationComponent& meta,
-                              const NativeCodeRegistry& registry,
-                              sim::Architecture arch,
-                              bool auto_structural_deps = true);
+                                            const NativeCodeRegistry& registry,
+                                            sim::Architecture arch,
+                                            bool auto_structural_deps = true) {
+    return IncorporateComponent(
+        std::make_shared<const ImplementationComponent>(meta), registry, arch,
+        auto_structural_deps);
+  }
 
   // Removes a component. With kError, fails with kActiveThreads if any of
   // the component's implementations has a thread inside it (the
@@ -253,13 +267,14 @@ class DynamicFunctionMapper {
     return static_cast<std::size_t>((hash * 0x9E3779B97F4A7C15ull) >>
                                     index_shift_);
   }
-  // Gives every function of `meta` a slot, interning names seen for the
-  // first time. Caller holds the exclusive lock.
-  void AddSlotsLocked(const ImplementationComponent& meta);
+  // `function`'s slot, added (and its name interned) on first sight.
+  // Caller holds the exclusive lock.
+  std::uint32_t SlotForLocked(const std::string& function);
   // Enters slots_[slot] into both indexes, which have a free bucket.
   void IndexSlotLocked(std::uint32_t slot);
-  // Re-derives `function`'s slot from state_ and blocks_; the one place
-  // slots are written. Caller holds the exclusive lock.
+  // Re-derives `function`'s slot from state_ and blocks_; apart from the
+  // presence bit incorporate sets, the one place slots are written. Caller
+  // holds the exclusive lock.
   void DeriveSlotLocked(const std::string& function);
   void DeriveSlotLocked(Slot& slot, std::span<const DfmEntry> rows);
   // DeriveSlotLocked for every function the state holds: the full rebuild

@@ -26,8 +26,9 @@ bool SameFunctions(const ImplementationComponent& a,
 
 }  // namespace
 
-Status DfmState::IncorporateComponent(const ImplementationComponent& meta,
+Status DfmState::IncorporateComponent(ComponentRecord record,
                                       bool auto_structural_deps) {
+  const ImplementationComponent& meta = *record;
   DCDO_RETURN_IF_ERROR(meta.Validate());
   if (HasComponent(meta.id)) {
     return AlreadyExistsError("component " + meta.name + " (" +
@@ -49,26 +50,32 @@ Status DfmState::IncorporateComponent(const ImplementationComponent& meta,
     }
   }
 
-  auto record = std::make_shared<const ImplementationComponent>(meta);
-  components_.insert(FindComponentRef(meta.id), record);
   // The component's rows, sorted by name (unique within a component), are
-  // merged into the table in place, from the back.
+  // merged into the table in place, from the back: each new row's place
+  // among the old rows is a binary search, and the old rows after it move
+  // up as one block.
   std::vector<DfmEntry> added;
-  added.reserve(record->functions.size());
-  for (const FunctionImplDescriptor& fn : record->functions) {
+  added.reserve(meta.functions.size());
+  for (const FunctionImplDescriptor& fn : meta.functions) {
     added.push_back(DfmEntry{meta.id, &fn, fn.visibility});
   }
-  std::ranges::sort(added, [](const DfmEntry& a, const DfmEntry& b) {
+  auto before = [](const DfmEntry& a, const DfmEntry& b) {
     return CompareRows(a, b) < 0;
-  });
-  auto kept = static_cast<std::ptrdiff_t>(rows_.size());
-  rows_.resize(rows_.size() + added.size());
+  };
+  std::ranges::sort(added, before);
+  const std::size_t old_size = rows_.size();
+  rows_.resize(old_size + added.size());
+  auto kept = rows_.begin() + static_cast<std::ptrdiff_t>(old_size);
   auto out = rows_.end();
-  for (auto next = added.end(); next != added.begin();) {
-    *--out = kept > 0 && CompareRows(rows_[kept - 1], *(next - 1)) > 0
-                 ? rows_[--kept]
-                 : *--next;
+  for (auto next = added.rbegin(); next != added.rend(); ++next) {
+    auto place = std::upper_bound(rows_.begin(), kept, *next, before);
+    out = std::move_backward(place, kept, out);
+    kept = place;
+    *--out = *next;
   }
+  // Copied, not moved: a rolled-back incorporate still reads `meta` after
+  // erasing the table's reference.
+  components_.insert(FindComponentRef(meta.id), record);
   // Permanent markings enable the impl (a permanent impl may never be
   // disabled, so it must be enabled) — done after all rows exist so the
   // dependency check sees the whole component.
@@ -273,11 +280,13 @@ Status DfmState::RemoveDependency(const Dependency& dep) {
   return deps_.Remove(dep);
 }
 
-std::vector<DfmState::ComponentRef>::const_iterator DfmState::FindComponentRef(
+std::vector<ComponentRecord>::const_iterator DfmState::FindComponentRef(
     const ObjectId& component) const {
   return std::ranges::lower_bound(
       components_, component, {},
-      [](const ComponentRef& record) -> const ObjectId& { return record->id; });
+      [](const ComponentRecord& record) -> const ObjectId& {
+        return record->id;
+      });
 }
 
 const ImplementationComponent* DfmState::FindComponent(
@@ -287,8 +296,7 @@ const ImplementationComponent* DfmState::FindComponent(
                                                            : it->get();
 }
 
-std::shared_ptr<const ImplementationComponent> DfmState::SharedComponent(
-    const ObjectId& component) const {
+ComponentRecord DfmState::SharedComponent(const ObjectId& component) const {
   auto it = FindComponentRef(component);
   return it == components_.end() || (*it)->id != component ? nullptr : *it;
 }
@@ -296,7 +304,7 @@ std::shared_ptr<const ImplementationComponent> DfmState::SharedComponent(
 std::vector<ObjectId> DfmState::ComponentIds() const {
   std::vector<ObjectId> out;
   out.reserve(components_.size());
-  for (const ComponentRef& record : components_) out.push_back(record->id);
+  for (const ComponentRecord& record : components_) out.push_back(record->id);
   return out;
 }
 
@@ -448,19 +456,27 @@ Status DfmState::AdoptConfiguration(const DfmState& target,
   }
   mandatory_ = std::move(mandatory);
   deps_ = target.dependencies();
-  // A component id names one immutable metadata record: share the target's,
-  // moving each row to the same position in it.
-  std::vector<ComponentRef> adopted(components_.size());
-  bool any_adopted = false;
+  // A component id names one immutable metadata record. A component
+  // incorporated from the target's record already shares it; one that
+  // arrived by value takes the target's, each row moving to the same
+  // position in it. One merge over the two id-sorted record arrays.
+  std::vector<ComponentRecord> adopted;  // by position in components_
+  auto theirs_record = target.components_.begin();
   for (std::size_t i = 0; i < components_.size(); ++i) {
-    ComponentRef replacement = target.SharedComponent(components_[i]->id);
-    if (replacement != nullptr && replacement != components_[i] &&
-        SameFunctions(*replacement, *components_[i])) {
-      adopted[i] = std::move(replacement);
-      any_adopted = true;
+    const ComponentRecord& mine = components_[i];
+    while (theirs_record != target.components_.end() &&
+           (*theirs_record)->id < mine->id) {
+      ++theirs_record;
     }
+    if (theirs_record == target.components_.end() ||
+        (*theirs_record)->id != mine->id || *theirs_record == mine ||
+        !SameFunctions(**theirs_record, *mine)) {
+      continue;
+    }
+    if (adopted.empty()) adopted.resize(components_.size());
+    adopted[i] = *theirs_record;
   }
-  if (!any_adopted) return Status::Ok();
+  if (adopted.empty()) return Status::Ok();
   for (DfmEntry& entry : rows_) {
     const auto i = static_cast<std::size_t>(
         FindComponentRef(entry.component) - components_.begin());

@@ -23,14 +23,19 @@
 // FunctionImplDescriptor inside that component's record, and three bits, so
 // a copy — a derived version, an evolution target, the configuration an
 // instance adopted — is a handful of allocations and about 32 bytes a row,
-// whatever the names and symbols weigh. Lookups are binary searches; the
-// table-to-table operations (AdoptConfiguration, ComputePlan) are linear
-// merges of two sorted arrays. A component's rows and its record's function
-// list are the same set, and while a component stays incorporated its
-// functions keep their positions in the record (AdoptConfiguration adopts a
-// target's record only when it lists the same functions in the same order),
-// so FunctionIndex is stable and DynamicFunctionMapper indexes its
-// per-component bodies by it.
+// whatever the names and symbols weigh. Incorporate keeps the record it is
+// given: an instance acquiring a component of its version is handed the
+// version's own record, so every instance of a version shares one copy of
+// each component's metadata from its first incorporate on. Each new row
+// finds its place by binary search and the rows after it move as one
+// block. Lookups are binary searches; the table-to-table operations
+// (AdoptConfiguration, ComputePlan) are linear merges of two sorted arrays.
+// A component's rows and its record's function list are the same set, and
+// while a component stays incorporated its functions keep their positions
+// in the record (AdoptConfiguration swaps in a target's record — for a
+// component that arrived by value — only when it lists the same functions
+// in the same order), so FunctionIndex is stable and DynamicFunctionMapper
+// indexes its per-component bodies by it.
 #pragma once
 
 #include <array>
@@ -78,14 +83,23 @@ class DfmState {
 
   // --- Configuration functions (mirror a DCDO's external interface) ---
 
-  // Adds all of `meta`'s function implementations, disabled. Honours the
-  // component author's constraint markings: kMandatory marks the function
-  // mandatory; kPermanent marks the impl permanent (and enables it, since a
-  // permanent impl may never be disabled). If `auto_structural_deps`, the
-  // component's `calls` hints become Type A dependencies. All-or-nothing: a
-  // rejected incorporate leaves no row, mark or dependency behind.
+  // Adds all of `meta`'s function implementations, disabled, keeping
+  // `meta` itself as the component's record (SharedComponent returns it).
+  // Honours the component author's constraint markings: kMandatory marks
+  // the function mandatory; kPermanent marks the impl permanent (and
+  // enables it, since a permanent impl may never be disabled). If
+  // `auto_structural_deps`, the component's `calls` hints become Type A
+  // dependencies. All-or-nothing: a rejected incorporate leaves no row,
+  // mark or dependency behind.
+  [[nodiscard]] Status IncorporateComponent(ComponentRecord meta,
+                                            bool auto_structural_deps = true);
+  // The same, for metadata held by value: makes its record, once.
   [[nodiscard]] Status IncorporateComponent(const ImplementationComponent& meta,
-                              bool auto_structural_deps = true);
+                                            bool auto_structural_deps = true) {
+    return IncorporateComponent(
+        std::make_shared<const ImplementationComponent>(meta),
+        auto_structural_deps);
+  }
 
   // Removes the component and all its rows. Fails on permanent impls,
   // on mandatory functions whose only implementation lives here, and on
@@ -131,10 +145,11 @@ class DfmState {
   const ImplementationComponent* FindComponent(const ObjectId& component) const;
   // The same record, co-owned, for a caller that needs it after the
   // component is removed. Copies of a configuration (derived versions,
-  // evolution targets, instances that adopted one) share these records
+  // evolution targets, the instances of a version) share these records
   // instead of copying each component's function list.
-  std::shared_ptr<const ImplementationComponent> SharedComponent(
-      const ObjectId& component) const;
+  ComponentRecord SharedComponent(const ObjectId& component) const;
+  // Every incorporated component's record, in id order.
+  std::span<const ComponentRecord> components() const { return components_; }
   std::vector<ObjectId> ComponentIds() const;
   std::size_t component_count() const { return components_.size(); }
 
@@ -203,10 +218,11 @@ class DfmState {
   // Entries absent from the target are disabled (they belong to components
   // about to be removed). Metadata (visibility, mandatory, permanent,
   // dependencies) is replaced by the target's, and components both tables
-  // hold share the target's metadata record wherever it lists the same
-  // functions in the same order (as every copy of one component's metadata
-  // does); the rows are re-pointed into it. One merge pass over the two
-  // row arrays.
+  // hold share the target's metadata record. Components incorporated from
+  // the target's own records already do; one that arrived by value takes
+  // the target's record wherever it lists the same functions in the same
+  // order (as every copy of one component's metadata does), and its rows
+  // are re-pointed into it. One merge pass over the two row arrays.
   //
   // With `enforce_marks` (the increasing-version and hybrid policies), the
   // move is rejected if it would disable a currently-permanent
@@ -234,8 +250,6 @@ class DfmState {
   std::vector<std::string> CheckIntegrity() const;
 
  private:
-  using ComponentRef = std::shared_ptr<const ImplementationComponent>;
-
   // First row not ordered before (function, component).
   std::vector<DfmEntry>::const_iterator LowerBound(
       const std::string& function, const ObjectId& component) const;
@@ -243,11 +257,11 @@ class DfmState {
                          const ObjectId& component) {
     return const_cast<DfmEntry*>(FindEntry(function, component));
   }
-  std::vector<ComponentRef>::const_iterator FindComponentRef(
+  std::vector<ComponentRecord>::const_iterator FindComponentRef(
       const ObjectId& component) const;
 
-  std::vector<ComponentRef> components_;  // sorted by id
-  std::vector<DfmEntry> rows_;            // sorted by CompareRows
+  std::vector<ComponentRecord> components_;  // sorted by id
+  std::vector<DfmEntry> rows_;               // sorted by CompareRows
   std::set<std::string> mandatory_;
   DependencySet deps_;
 };

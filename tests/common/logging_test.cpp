@@ -22,19 +22,40 @@ TEST_F(LoggingTest, LevelRoundTrips) {
 
 TEST_F(LoggingTest, DefaultSuppressesInfo) {
   SetLogLevel(LogLevel::kWarning);
-  // The streaming form must be side-effect free when suppressed: the
-  // expression below would throw if evaluated eagerly on a null pointer,
-  // so stream a computed value and rely on level gating for cheapness.
   int evaluations = 0;
   auto expensive = [&evaluations]() {
     ++evaluations;
     return std::string("costly");
   };
-  // Suppressed: operator<< short-circuits the formatting (though the
-  // argument expression itself is still evaluated by C++ rules).
+  // Suppressed: the level check comes first, so the operand is never
+  // evaluated and no stream is built.
   DCDO_LOG(kDebug) << expensive();
-  EXPECT_EQ(evaluations, 1) << "argument evaluation is unavoidable";
-  SUCCEED();
+  EXPECT_EQ(evaluations, 0) << "a suppressed line must not evaluate operands";
+}
+
+TEST_F(LoggingTest, EmittedLineEvaluatesEachOperandOnce) {
+  SetLogLevel(LogLevel::kWarning);
+  int evaluations = 0;
+  auto expensive = [&evaluations]() {
+    ++evaluations;
+    return std::string("costly");
+  };
+  DCDO_LOG(kWarning) << "emitted: " << expensive();
+  EXPECT_EQ(evaluations, 1);
+}
+
+TEST_F(LoggingTest, ExpandsSafelyInsideUnbracedIfElse) {
+  SetLogLevel(LogLevel::kError);
+  int branch = 0;
+  // The macro must not capture the else: a dangling-else expansion would
+  // attach it to the macro's own condition.
+  for (bool take : {true, false}) {
+    if (take)
+      DCDO_LOG(kDebug) << "suppressed";
+    else
+      branch = 2;
+  }
+  EXPECT_EQ(branch, 2);
 }
 
 TEST_F(LoggingTest, ErrorAlwaysFormats) {

@@ -53,6 +53,49 @@ TEST(ComponentValidateTest, RejectsDuplicateFunction) {
   EXPECT_EQ(component.status().code(), ErrorCode::kInvalidArgument);
 }
 
+TEST(ComponentValidateTest, RejectsDuplicateAtTheEndOfALargeComponent) {
+  ComponentBuilder builder("big");
+  for (int i = 0; i < 999; ++i) {
+    const std::string name = "fn" + std::to_string(i);
+    builder.AddFunction(name, "v()", "big/" + name);
+  }
+  builder.AddFunction("fn512", "v()", "big/again");
+  auto component = builder.Build();
+  ASSERT_FALSE(component.ok());
+  EXPECT_EQ(component.status().code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(component.status().message(),
+            "component 'big' implements function 'fn512' twice");
+}
+
+// Functions are checked front to back, each for an empty name, an empty
+// symbol, an empty callee and then a repeated name, so the first faulty
+// function decides the error.
+TEST(ComponentValidateTest, FirstFaultyFunctionDecidesTheError) {
+  auto repeat_first = ComponentBuilder("lib")
+                          .AddFunction("f", "v()", "lib/f1")
+                          .AddFunction("f", "v()", "lib/f2")
+                          .AddFunction("g", "v()", "")
+                          .Build();
+  ASSERT_FALSE(repeat_first.ok());
+  EXPECT_EQ(repeat_first.status().message(),
+            "component 'lib' implements function 'f' twice");
+  auto symbol_first = ComponentBuilder("lib")
+                          .AddFunction("f", "v()", "lib/f1")
+                          .AddFunction("g", "v()", "")
+                          .AddFunction("f", "v()", "lib/f2")
+                          .Build();
+  ASSERT_FALSE(symbol_first.ok());
+  EXPECT_EQ(symbol_first.status().message(),
+            "function 'g' in component 'lib' has no symbol");
+  auto repeat_with_empty_symbol = ComponentBuilder("lib")
+                                      .AddFunction("f", "v()", "lib/f1")
+                                      .AddFunction("f", "v()", "")
+                                      .Build();
+  ASSERT_FALSE(repeat_with_empty_symbol.ok());
+  EXPECT_EQ(repeat_with_empty_symbol.status().message(),
+            "function 'f' in component 'lib' has no symbol");
+}
+
 TEST(ComponentValidateTest, RejectsEmptySymbol) {
   auto component = ComponentBuilder("lib").AddFunction("f", "v()", "").Build();
   EXPECT_FALSE(component.ok());

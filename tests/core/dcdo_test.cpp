@@ -296,6 +296,46 @@ TEST_F(DcdoTest, ActiveCountsReportedOverRpc) {
   EXPECT_EQ(reader.ReadU64().value_or(99), 0u);
 }
 
+// Evolution hands the instance the target descriptor's own records from the
+// first incorporate on, not copies for AdoptConfiguration to swap out later.
+TEST_F(DcdoTest, EvolveSharesTheTargetsRecordsWhileAcquiring) {
+  DfmDescriptor target(VersionId::Root().Child(1));
+  std::vector<std::unique_ptr<ImplementationComponentObject>> icos;
+  for (int i = 0; i < 50; ++i) {
+    const std::string name = "lib" + std::to_string(i);
+    const ImplementationComponent comp = testing::MakeEchoComponent(
+        testbed_.registry(), name, {name + "_f", name + "_g"});
+    icos.push_back(std::make_unique<ImplementationComponentObject>(
+        testbed_.host(0), &testbed_.transport(), &testbed_.agent(), comp));
+    icos_.Register(icos.back().get());
+    ASSERT_TRUE(target.IncorporateComponent(comp).ok());
+    ASSERT_TRUE(target.EnableFunction(name + "_f", comp.id).ok());
+  }
+  ASSERT_TRUE(target.MarkInstantiable().ok());
+  auto shares_target_records = [&] {
+    for (const ComponentRecord& record :
+         object_->mapper().state().components()) {
+      if (record != target.state().SharedComponent(record->id)) return false;
+    }
+    return true;
+  };
+
+  std::optional<Status> evolved;
+  object_->EvolveTo(target, Dcdo::RemovalPolicy::Error(),
+                    [&](Status status) { evolved = status; });
+  ASSERT_TRUE(testbed_.simulation().RunWhile(
+      [&] { return object_->mapper().state().component_count() < 20; }));
+  EXPECT_FALSE(evolved.has_value()) << "still acquiring, nothing adopted";
+  EXPECT_EQ(object_->mapper().state().EnabledImpl("lib0_f"), nullptr);
+  EXPECT_TRUE(shares_target_records());
+
+  testbed_.simulation().RunWhile([&] { return !evolved.has_value(); });
+  ASSERT_TRUE(evolved.has_value());
+  ASSERT_TRUE(evolved->ok()) << evolved->ToString();
+  EXPECT_EQ(object_->mapper().state().component_count(), 50u);
+  EXPECT_TRUE(shares_target_records());
+}
+
 // --- Removal policies (Section 3.2 thread-activity options) ---
 
 TEST_F(DcdoTest, RemovalPolicyErrorRejectsOnActiveThreads) {

@@ -291,6 +291,34 @@ TEST_F(ManagerTest, MigrationMovesAndKeepsServing) {
   EXPECT_EQ(result->ToString(), "core-v1.serve:post-move");
 }
 
+// Creation, evolution and migration all leave the instance on its version
+// descriptor's own component records.
+TEST_F(ManagerTest, InstancesShareTheirVersionsRecords) {
+  Init(MakeMultiVersionIncreasing());
+  auto instance = CreateBlocking();
+  ASSERT_TRUE(instance.ok());
+  Dcdo* object = manager_->FindInstance(*instance);
+  auto shares_records_of = [&](const VersionId& version) {
+    const DfmState& descriptor = (*manager_->Descriptor(version))->state();
+    const DfmState& state = object->mapper().state();
+    if (state.component_count() != descriptor.component_count()) return false;
+    for (const ComponentRecord& record : state.components()) {
+      if (record != descriptor.SharedComponent(record->id)) return false;
+    }
+    return true;
+  };
+  EXPECT_TRUE(shares_records_of(v1_));
+  ASSERT_TRUE(RunBlocking([&](DcdoManager::DoneCallback done) {
+                manager_->EvolveInstanceTo(*instance, v11_, std::move(done));
+              }).ok());
+  EXPECT_TRUE(shares_records_of(v11_));
+  ASSERT_TRUE(RunBlocking([&](DcdoManager::DoneCallback done) {
+                manager_->MigrateInstance(*instance, testbed_.host(7),
+                                          std::move(done));
+              }).ok());
+  EXPECT_TRUE(shares_records_of(v11_));
+}
+
 TEST_F(ManagerTest, LazyOnMigrateUpdatesDuringMigration) {
   Init(MakeSingleVersionLazyOnMigrate());
   auto instance = CreateBlocking(1);

@@ -99,11 +99,29 @@ TEST_F(DescriptorTest, PlanDetectsIncorporateAndEnable) {
 
   EvolutionPlan plan = ComputePlan(from, to);
   ASSERT_EQ(plan.incorporate.size(), 1u);
-  EXPECT_EQ(plan.incorporate[0].id, comp_a_.id);
+  EXPECT_EQ(plan.incorporate[0]->id, comp_a_.id);
   ASSERT_EQ(plan.enable.size(), 1u);
   EXPECT_EQ(plan.enable[0].first, "f");
   EXPECT_TRUE(plan.remove.empty());
   EXPECT_TRUE(plan.NeedsNewComponents());
+}
+
+// A plan hands out the target's own records, so the instance that applies
+// it shares the target's metadata instead of a copy.
+TEST_F(DescriptorTest, PlanIncorporatesTheTargetsRecords) {
+  DfmState from;
+  ASSERT_TRUE(from.IncorporateComponent(comp_a_).ok());
+  DfmState to = from;
+  ASSERT_TRUE(to.IncorporateComponent(comp_b_).ok());
+  const ImplementationComponent comp_c =
+      testing::MakeEchoComponent(registry_, "libC", {"h"});
+  ASSERT_TRUE(to.IncorporateComponent(comp_c).ok());
+
+  EvolutionPlan plan = ComputePlan(from, to);
+  ASSERT_EQ(plan.incorporate.size(), 2u);
+  for (const ComponentRecord& record : plan.incorporate) {
+    EXPECT_EQ(record, to.SharedComponent(record->id));
+  }
 }
 
 TEST_F(DescriptorTest, PlanDetectsRemovalWithoutExplicitDisables) {

@@ -101,6 +101,99 @@ TEST_F(MapperTest, IncorporateRejectsIncompatibleArchitecture) {
   EXPECT_EQ(status.code(), ErrorCode::kArchMismatch);
 }
 
+TEST_F(MapperTest, IncorporateKeepsTheGivenRecord) {
+  auto record = std::make_shared<const ImplementationComponent>(comp_a_);
+  ASSERT_TRUE(mapper_.IncorporateComponent(record, registry_, kArch).ok());
+  EXPECT_EQ(mapper_.state().SharedComponent(comp_a_.id).get(), record.get());
+}
+
+// Incorporate re-derives only the slots whose answer changes; these pin the
+// answers that must come out of that shortcut.
+TEST_F(MapperTest, IncorporatedOnlyImplementationAcquiresAsDisabled) {
+  ASSERT_TRUE(mapper_.IncorporateComponent(comp_b_, registry_, kArch).ok());
+  EXPECT_EQ(mapper_.Acquire("f", CallOrigin::kExternal).status().code(),
+            ErrorCode::kFunctionDisabled);
+  // A second, disabled implementation leaves an enabled one in service.
+  ASSERT_TRUE(mapper_.EnableFunction("f", comp_b_.id).ok());
+  ASSERT_TRUE(mapper_.IncorporateComponent(comp_a_, registry_, kArch).ok());
+  EXPECT_EQ(CallThrough("f"), "libB.f:x");
+  EXPECT_EQ(mapper_.Acquire("g", CallOrigin::kExternal).status().code(),
+            ErrorCode::kFunctionDisabled);
+}
+
+TEST_F(MapperTest, PermanentImplementationCallableRightAfterIncorporate) {
+  auto pinned = ComponentBuilder("libP")
+                    .AddFunction("p", "v()", "libP/p", Visibility::kExported,
+                                 Constraint::kPermanent)
+                    .AddFunction("q", "v()", "libP/q")
+                    .Build();
+  ASSERT_TRUE(pinned.ok());
+  testing::RegisterEcho(registry_, "libP/p", "libP.p");
+  testing::RegisterEcho(registry_, "libP/q", "libP.q");
+  ASSERT_TRUE(mapper_.IncorporateComponent(*pinned, registry_, kArch).ok());
+  EXPECT_EQ(CallThrough("p"), "libP.p:x");
+  EXPECT_EQ(mapper_.Acquire("q", CallOrigin::kExternal).status().code(),
+            ErrorCode::kFunctionDisabled);
+}
+
+TEST_F(MapperTest, RemovedThenReincorporatedFunctionReadsDisabled) {
+  ASSERT_TRUE(mapper_.IncorporateComponent(comp_a_, registry_, kArch).ok());
+  ASSERT_TRUE(mapper_.EnableFunction("f", comp_a_.id).ok());
+  ASSERT_TRUE(mapper_.RemoveComponent(comp_a_.id).ok());
+  EXPECT_EQ(mapper_.Acquire("f", CallOrigin::kExternal).status().code(),
+            ErrorCode::kFunctionMissing);
+  ASSERT_TRUE(mapper_.IncorporateComponent(comp_a_, registry_, kArch).ok());
+  EXPECT_EQ(mapper_.Acquire("f", CallOrigin::kExternal).status().code(),
+            ErrorCode::kFunctionDisabled);
+}
+
+TEST_F(MapperTest, TableVersionBumpsOncePerIncorporate) {
+  const std::uint64_t start = mapper_.table_version();
+  ASSERT_TRUE(mapper_.IncorporateComponent(comp_a_, registry_, kArch).ok());
+  EXPECT_EQ(mapper_.table_version(), start + 1);
+  ASSERT_TRUE(mapper_.IncorporateComponent(comp_b_, registry_, kArch).ok());
+  EXPECT_EQ(mapper_.table_version(), start + 2);
+  // A rejected incorporate changes nothing, the stamp included.
+  EXPECT_FALSE(mapper_.IncorporateComponent(comp_b_, registry_, kArch).ok());
+  EXPECT_EQ(mapper_.table_version(), start + 2);
+}
+
+// Sixty components arriving in a shuffled order, their names interleaving:
+// after every incorporate the rows stay sorted and findable, and every
+// function acquires as the table says.
+TEST_F(MapperTest, ShuffledIncorporatesKeepRowsSortedAndSlotsCurrent) {
+  const std::vector<ImplementationComponent> components =
+      testing::MakeInterleavedComponents(registry_, 60, /*seed=*/11);
+  for (std::size_t step = 0; step < components.size(); ++step) {
+    const ImplementationComponent& added = components[step];
+    ASSERT_TRUE(mapper_.IncorporateComponent(added, registry_, kArch).ok());
+    ASSERT_TRUE(
+        mapper_.EnableFunction(added.functions[0].function.name, added.id)
+            .ok());
+    std::span<const DfmEntry> rows = mapper_.state().entries();
+    for (std::size_t i = 1; i < rows.size(); ++i) {
+      ASSERT_LT(CompareRows(rows[i - 1], rows[i]), 0) << "step " << step;
+    }
+    for (std::size_t done = 0; done <= step; ++done) {
+      const ImplementationComponent& c = components[done];
+      for (const FunctionImplDescriptor& fn : c.functions) {
+        ASSERT_NE(mapper_.state().FindEntry(fn.function.name, c.id), nullptr)
+            << fn.function.name << " lost at step " << step;
+      }
+      const std::string& enabled = c.functions[0].function.name;
+      EXPECT_EQ(CallThrough(enabled), c.name + "." + enabled + ":x");
+      for (const std::string& disabled :
+           {c.functions[1].function.name, c.functions[2].function.name}) {
+        EXPECT_EQ(mapper_.Acquire(disabled, CallOrigin::kExternal)
+                      .status()
+                      .code(),
+                  ErrorCode::kFunctionDisabled)
+            << disabled;
+      }
+    }
+  }
+}
+
 // --- Thread activity monitoring ---
 
 TEST_F(MapperTest, GuardTracksActiveThreadCounts) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <tuple>
+#include <vector>
+
 #include "testing/fixtures.h"
 
 namespace dcdo {
@@ -389,6 +393,93 @@ TEST_F(DfmStateTest, AdoptReplacesDependencySet) {
   ASSERT_TRUE(state_.AdoptConfiguration(target, true).ok());
   EXPECT_EQ(state_.dependencies().size(), 0u);
   EXPECT_NE(state_.EnabledImpl("f"), nullptr);
+}
+
+TEST_F(DfmStateTest, IncorporateKeepsTheGivenRecord) {
+  auto record = std::make_shared<const ImplementationComponent>(comp_a_);
+  ASSERT_TRUE(state_.IncorporateComponent(record).ok());
+  EXPECT_EQ(state_.SharedComponent(comp_a_.id).get(), record.get());
+  EXPECT_EQ(state_.FindComponent(comp_a_.id), record.get());
+  EXPECT_EQ(state_.FindEntry("f", comp_a_.id)->impl,
+            &record->functions[0]);
+}
+
+// Every row as the configuration sees it, for before/after comparisons.
+using RowView = std::tuple<const FunctionImplDescriptor*, ObjectId, bool,
+                           bool, Visibility>;
+std::vector<RowView> RowSnapshot(const DfmState& state) {
+  std::vector<RowView> rows;
+  for (const DfmEntry& row : state.entries()) {
+    rows.emplace_back(row.impl, row.component, row.enabled, row.permanent,
+                      row.visibility);
+  }
+  return rows;
+}
+
+// Rows placed by binary search stay in CompareRows order however the
+// components arrive, and every row stays findable.
+TEST_F(DfmStateTest, IncorporateKeepsRowsSortedInAnyOrder) {
+  const std::vector<ImplementationComponent> components =
+      testing::MakeInterleavedComponents(registry_, 60, /*seed=*/7);
+  std::size_t expected_rows = 0;
+  for (std::size_t step = 0; step < components.size(); ++step) {
+    ASSERT_TRUE(state_.IncorporateComponent(components[step]).ok());
+    expected_rows += components[step].functions.size();
+    std::span<const DfmEntry> rows = state_.entries();
+    ASSERT_EQ(rows.size(), expected_rows);
+    for (std::size_t i = 1; i < rows.size(); ++i) {
+      ASSERT_LT(CompareRows(rows[i - 1], rows[i]), 0)
+          << "step " << step << ": rows " << i - 1 << " and " << i
+          << " out of order";
+    }
+    for (std::size_t done = 0; done <= step; ++done) {
+      for (const FunctionImplDescriptor& fn : components[done].functions) {
+        const DfmEntry* row =
+            state_.FindEntry(fn.function.name, components[done].id);
+        ASSERT_NE(row, nullptr) << fn.function.name << " lost at step " << step;
+        EXPECT_EQ(row->impl->symbol, fn.symbol);
+      }
+    }
+  }
+  EXPECT_EQ(state_.Rows("shared0").size(), 12u);
+  EXPECT_TRUE(state_.CheckIntegrity().empty());
+}
+
+// Both ways a permanent conflict rejects an incorporate — another component
+// already holds the permanent implementation, or already has the function
+// enabled so the permanent one cannot be — leave the rows as they were.
+TEST_F(DfmStateTest, PermanentConflictLeavesRowsUnchanged) {
+  for (const ImplementationComponent& component :
+       testing::MakeInterleavedComponents(registry_, 20, /*seed=*/3)) {
+    ASSERT_TRUE(state_.IncorporateComponent(component).ok());
+  }
+  auto permanent = [](const std::string& name, const std::string& function) {
+    return ComponentBuilder(name)
+        .AddFunction(name + "_x", "v()", name + "/x")
+        .AddFunction(function, "v()", name + "/" + function,
+                     Visibility::kExported, Constraint::kPermanent)
+        .Build();
+  };
+  auto holder = permanent("p1", "shared1");
+  ASSERT_TRUE(holder.ok());
+  ASSERT_TRUE(state_.IncorporateComponent(*holder).ok());
+  const auto before_rival = RowSnapshot(state_);
+  auto rival = permanent("p2", "shared1");
+  ASSERT_TRUE(rival.ok());
+  EXPECT_EQ(state_.IncorporateComponent(*rival).code(),
+            ErrorCode::kPermanentViolation);
+  EXPECT_EQ(RowSnapshot(state_), before_rival);
+
+  const ObjectId enabled_first = state_.Rows("shared2")[0].component;
+  ASSERT_TRUE(state_.EnableFunction("shared2", enabled_first).ok());
+  const auto before_blocked = RowSnapshot(state_);
+  auto blocked = permanent("p3", "shared2");
+  ASSERT_TRUE(blocked.ok());
+  EXPECT_EQ(state_.IncorporateComponent(*blocked).code(),
+            ErrorCode::kPermanentViolation);
+  EXPECT_EQ(RowSnapshot(state_), before_blocked);
+  EXPECT_FALSE(state_.HasComponent(blocked->id));
+  EXPECT_TRUE(state_.CheckIntegrity().empty());
 }
 
 }  // namespace

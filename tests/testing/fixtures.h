@@ -1,6 +1,9 @@
 // Shared helpers for building components and registering bodies in tests.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -50,6 +53,25 @@ inline ImplementationComponent MakeEchoComponent(
                              built.status().ToString());
   }
   return *built;
+}
+
+// `count` echo components "c1".."c<count>", in an order shuffled by `seed`.
+// Component ci implements "ci_a", "ci_b" and "shared<i % 5>", so its rows
+// interleave with other components' rows by name ("c1_a" < "c10_a" <
+// "c2_a") and five functions have many implementations.
+inline std::vector<ImplementationComponent> MakeInterleavedComponents(
+    NativeCodeRegistry& registry, int count, std::uint32_t seed) {
+  std::vector<ImplementationComponent> components;
+  for (int i = 1; i <= count; ++i) {
+    std::string name = "c";
+    name += std::to_string(i);
+    components.push_back(MakeEchoComponent(
+        registry, name,
+        {name + "_a", name + "_b", "shared" + std::to_string(i % 5)}));
+  }
+  std::mt19937 rng(seed);
+  std::shuffle(components.begin(), components.end(), rng);
+  return components;
 }
 
 }  // namespace dcdo::testing
