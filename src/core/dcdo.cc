@@ -247,20 +247,40 @@ void Dcdo::BlockOnOutcall(double sim_seconds) {
 
 // ===== Configuration functions =====
 
+Status Dcdo::CheckCached(const ImplementationComponent& meta) const {
+  if (host_->ComponentCached(meta.id)) return Status::Ok();
+  return ComponentMissingError("component " + meta.name +
+                               " is not cached on node " +
+                               std::to_string(host_->node()));
+}
+
+void Dcdo::ChargeMapping(std::size_t functions) {
+  simulation().AdvanceInline(
+      cost().component_map_cached +
+      cost().dfm_register_per_function * static_cast<std::int64_t>(functions));
+}
+
 Status Dcdo::IncorporateCached(ComponentRecord meta,
                                bool auto_structural_deps) {
-  if (!host_->ComponentCached(meta->id)) {
-    return ComponentMissingError("component " + meta->name +
-                                 " is not cached on node " +
-                                 std::to_string(host_->node()));
-  }
-  const auto functions = static_cast<std::int64_t>(meta->functions.size());
+  DCDO_RETURN_IF_ERROR(CheckCached(*meta));
+  const std::size_t functions = meta->functions.size();
   DCDO_RETURN_IF_ERROR(mapper_.IncorporateComponent(
       std::move(meta), registry_, host_->architecture(),
       auto_structural_deps));
-  // Map the cached image into the address space + register each function.
-  simulation().AdvanceInline(cost().component_map_cached +
-                             cost().dfm_register_per_function * functions);
+  ChargeMapping(functions);
+  return Status::Ok();
+}
+
+Status Dcdo::StageCached(
+    const ImplementationComponent& meta,
+    std::vector<DynamicFunctionMapper::ResolvedComponent>& staged) {
+  DCDO_RETURN_IF_ERROR(CheckCached(meta));
+  DCDO_ASSIGN_OR_RETURN(
+      DynamicFunctionMapper::ResolvedComponent resolved,
+      DynamicFunctionMapper::ResolveComponent(meta, registry_,
+                                              host_->architecture()));
+  staged.push_back(std::move(resolved));
+  ChargeMapping(meta.functions.size());
   return Status::Ok();
 }
 
@@ -363,6 +383,13 @@ Status Dcdo::RemoveDependency(const Dependency& dep) {
 // What used to be two shared_ptr stages, a shared DfmState snapshot, a
 // shared remove queue, and a self-owning RemovalDriver is now one block;
 // every completion callback is a 16-byte {scheduler, id} trampoline.
+//
+// An evolution that starts on a table holding no component — every
+// creation — installs instead of incorporating (DESIGN.md §7): stage 1
+// only resolves each component's bodies as its image lands, charged as an
+// incorporate, and stage 2 moves the target snapshot into the mapper whole
+// where it would adopt. A failure discards the staged bodies with the Fom,
+// leaving the table empty.
 class EvolveFom final : public runtime::Fom {
  public:
   enum Phase { kAcquire, kRemoveNext, kRemovalSettled };
@@ -398,14 +425,26 @@ class EvolveFom final : public runtime::Fom {
       runtime::FomScheduler* scheduler = &this->scheduler();
       const std::uint64_t id = this->id();
       Dcdo* object = object_;
+      install_ = object_->mapper_.state().component_count() == 0;
+      ComponentFetcher::ReadyCallback ready;
+      if (install_) {
+        staged_.reserve(incorporate_.size());
+        // The Fom outlives every on_ready: it waits for the acquisition's
+        // done, which runs after the last of them.
+        ready = [object, staged = &staged_](const ComponentRecord& meta,
+                                            bool /*was_cached*/) {
+          return object->StageCached(*meta, *staged);
+        };
+      } else {
+        ready = [object](const ComponentRecord& meta, bool /*was_cached*/) {
+          // During evolution, dependencies come from the target's
+          // metadata, not from auto-derived hints.
+          return object->IncorporateCached(meta,
+                                           /*auto_structural_deps=*/false);
+        };
+      }
       object_->fetcher_->AcquireAll(
-          object_->host_, std::move(incorporate_),
-          [object](const ComponentRecord& meta, bool /*was_cached*/) {
-            // During evolution, dependencies come from the target's
-            // metadata, not from auto-derived hints.
-            return object->IncorporateCached(meta,
-                                             /*auto_structural_deps=*/false);
-          },
+          object_->host_, std::move(incorporate_), std::move(ready),
           [scheduler, id](Status status) {
             scheduler->WakeStatus(id, WakeSource::kFetch, std::move(status));
           });
@@ -421,7 +460,10 @@ class EvolveFom final : public runtime::Fom {
           object_->cost().dfm_register_per_function *
           static_cast<std::int64_t>(flip_count_));
       Status adopted =
-          object_->mapper_.AdoptConfiguration(target_state_, enforce_marks_);
+          install_ ? object_->mapper_.InstallConfiguration(
+                         std::move(target_state_), std::move(staged_))
+                   : object_->mapper_.AdoptConfiguration(target_state_,
+                                                         enforce_marks_);
       if (!adopted.ok()) return Finish(std::move(adopted));
       EnterPhase(kRemoveNext, "removals");
       return FomStatus::kRunAgain;
@@ -478,6 +520,8 @@ class EvolveFom final : public runtime::Fom {
   DfmState target_state_;  // snapshot: the caller's descriptor need not
                            // outlive the operation
   std::vector<ComponentRecord> incorporate_;  // the target's records
+  bool install_ = false;  // the table held no component at the start
+  std::vector<DynamicFunctionMapper::ResolvedComponent> staged_;  // install
   std::vector<ObjectId> remove_queue_;
   std::size_t flip_count_;
   Dcdo::RemovalPolicy removal_;

@@ -128,7 +128,9 @@ class Dcdo final : public CallContext {
   // removes dropped ones (with `removal`), applies enable/disable flips,
   // adopts the target's constraint/dependency metadata, and finally takes on
   // the target's version id. This is "evolving the DCDO" — sub-second unless
-  // components must be downloaded.
+  // components must be downloaded. An object whose table holds no component
+  // (a new instance) installs the target's table whole once every
+  // component is in, with the same charges and errors.
   // `enforce_marks` is the policy's enforce_marks_on_evolve(): when set,
   // moves that would break a mandatory/permanent rule are rejected.
   void EvolveTo(const DfmDescriptor& target, const RemovalPolicy& removal,
@@ -205,6 +207,16 @@ class Dcdo final : public CallContext {
   // Runs the evolution stages against mapper_/version_ directly.
   friend class EvolveFom;
 
+  // Fails unless `meta`'s image is in this host's component cache.
+  [[nodiscard]] Status CheckCached(const ImplementationComponent& meta) const;
+  // Charges mapping a cached image into the address space and registering
+  // its `functions` with the DFM.
+  void ChargeMapping(std::size_t functions);
+  // Creation's half of IncorporateCached: resolves `meta`'s bodies into
+  // `staged` for an install, with the same checks, errors and charge.
+  [[nodiscard]] Status StageCached(
+      const ImplementationComponent& meta,
+      std::vector<DynamicFunctionMapper::ResolvedComponent>& staged);
   void RegisterEndpoint();
   void HandleInvocation(const rpc::MethodInvocation& invocation,
                         rpc::ReplyFn reply);

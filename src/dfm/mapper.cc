@@ -196,28 +196,27 @@ std::uint32_t DynamicFunctionMapper::FindSlotLocked(
   }
 }
 
-std::uint32_t DynamicFunctionMapper::SlotForLocked(
-    const std::string& function) {
-  if (const std::uint32_t found = FindSlotLocked(function); found != kNoSlot) {
+std::uint32_t DynamicFunctionMapper::SlotForLocked(FunctionId id) {
+  if (const std::uint32_t found = FindSlotLocked(id); found != kNoSlot) {
     return found;
   }
-  FunctionNameTable& names = FunctionNameTable::Global();
-  const FunctionId id = names.Intern(function);
+  ReserveIndexLocked(slots_.size() + 1);
   Slot& added = slots_.emplace_back();
-  added.name = &names.NameOf(id);
+  added.name = &FunctionNameTable::Global().NameOf(id);
   added.id = id;
   const auto slot = static_cast<std::uint32_t>(slots_.size() - 1);
-  if (slots_.size() * 2 <= id_index_.size()) {
-    IndexSlotLocked(slot);
-    return slot;
-  }
-  // Double the indexes (at least 16 buckets) and re-insert every slot.
-  const std::size_t size = std::max<std::size_t>(16, id_index_.size() * 2);
+  IndexSlotLocked(slot);
+  return slot;
+}
+
+void DynamicFunctionMapper::ReserveIndexLocked(std::size_t slots) {
+  if (slots * 2 <= id_index_.size()) return;
+  // The next power of two at least twice `slots`, and at least 16 buckets.
+  const std::size_t size = std::max<std::size_t>(16, std::bit_ceil(slots * 2));
   index_shift_ = 64 - std::countr_zero(size);
   id_index_.assign(size, kNoSlot);
   name_index_.assign(size, kNoSlot);
-  for (std::uint32_t i = 0; i <= slot; ++i) IndexSlotLocked(i);
-  return slot;
+  for (std::uint32_t i = 0; i < slots_.size(); ++i) IndexSlotLocked(i);
 }
 
 void DynamicFunctionMapper::IndexSlotLocked(std::uint32_t slot) {
@@ -276,32 +275,75 @@ void DynamicFunctionMapper::DeriveSlotLocked(const std::string& function) {
 }
 
 void DynamicFunctionMapper::DeriveAllSlotsLocked() {
-  // Rows arrive grouped by function; derive each function's slot once.
-  // Slots of functions no longer present were reset when they left.
+  // Rows arrive grouped by function; derive each function's slot once,
+  // adding it on first sight (only an install meets a function it has no
+  // slot for). Slots of functions no longer present were reset when they
+  // left.
   std::span<const DfmEntry> rows = state_.entries();
   for (auto begin = rows.begin(); begin != rows.end();) {
     auto end = begin + 1;
-    while (end != rows.end() && end->name() == begin->name()) ++end;
-    const std::uint32_t slot = FindSlotLocked(begin->name());
-    if (slot != kNoSlot) DeriveSlotLocked(slots_[slot], {begin, end});
+    while (end != rows.end() && end->function_id == begin->function_id) ++end;
+    DeriveSlotLocked(slots_[SlotForLocked(begin->function_id)], {begin, end});
     begin = end;
   }
 }
 
-Status DynamicFunctionMapper::IncorporateComponent(
-    ComponentRecord record, const NativeCodeRegistry& registry,
-    sim::Architecture arch, bool auto_structural_deps) {
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  const ImplementationComponent& meta = *record;
+Result<DynamicFunctionMapper::ResolvedComponent>
+DynamicFunctionMapper::ResolveComponent(const ImplementationComponent& meta,
+                                        const NativeCodeRegistry& registry,
+                                        sim::Architecture arch) {
   if (!meta.type.CompatibleWith(arch)) {
     return ArchMismatchError(
         "component " + meta.name + " (" + meta.type.ToString() +
         ") is incompatible with host architecture " +
         std::string(sim::ArchitectureName(arch)));
   }
+  return BuildBlock(meta, registry, arch, nullptr);
+}
+
+Status DynamicFunctionMapper::InstallConfiguration(
+    DfmState target, std::vector<ResolvedComponent> components) {
+  auto block_id = [](const ResolvedComponent& block) -> const ObjectId& {
+    return block->component;
+  };
+  std::ranges::sort(components, {}, block_id);
+  if (!std::ranges::equal(components, target.components(), {}, block_id,
+                          [](const ComponentRecord& record)
+                              -> const ObjectId& { return record->id; })) {
+    return FailedPreconditionError(
+        "InstallConfiguration: the resolved components are not the "
+        "target's");
+  }
+  // Rows arrive grouped by function: count the functions, so the slot
+  // array and both indexes are sized once.
+  std::span<const DfmEntry> rows = target.entries();
+  std::size_t functions = 0;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (i == 0 || rows[i].function_id != rows[i - 1].function_id) ++functions;
+  }
+  std::unique_lock<std::shared_mutex> lock(mutex_);
+  if (state_.component_count() != 0) {
+    return FailedPreconditionError(
+        "InstallConfiguration: the table already holds components; "
+        "incorporate them and adopt instead");
+  }
+  state_ = std::move(target);
+  blocks_ = std::move(components);
+  ReserveIndexLocked(slots_.size() + functions);
+  slots_.reserve(slots_.size() + functions);
+  DeriveAllSlotsLocked();
+  BumpVersion();
+  return Status::Ok();
+}
+
+Status DynamicFunctionMapper::IncorporateComponent(
+    ComponentRecord record, const NativeCodeRegistry& registry,
+    sim::Architecture arch, bool auto_structural_deps) {
+  const ImplementationComponent& meta = *record;
   // Resolve every symbol before mutating anything (all-or-nothing).
-  DCDO_ASSIGN_OR_RETURN(std::shared_ptr<DfmImplBlock> block,
-                        BuildBlock(meta, registry, arch, nullptr));
+  DCDO_ASSIGN_OR_RETURN(ResolvedComponent block,
+                        ResolveComponent(meta, registry, arch));
+  std::unique_lock<std::shared_mutex> lock(mutex_);
   // The table co-owns the record from here on, so `meta` stays valid.
   DCDO_RETURN_IF_ERROR(
       state_.IncorporateComponent(std::move(record), auto_structural_deps));
@@ -314,7 +356,8 @@ Status DynamicFunctionMapper::IncorporateComponent(
   // that an implementation is now present; only a permanent row, which the
   // state enabled, can change who services a call.
   for (const FunctionImplDescriptor& fn : meta.functions) {
-    Slot& slot = slots_[SlotForLocked(fn.function.name)];
+    const DfmEntry& row = *state_.FindEntry(fn.function.name, meta.id);
+    Slot& slot = slots_[SlotForLocked(row.function_id)];
     if (fn.constraint == Constraint::kPermanent) {
       DeriveSlotLocked(slot, state_.Rows(fn.function.name));
     } else {

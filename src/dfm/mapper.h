@@ -10,11 +10,13 @@
 // nonzero for exactly the duration of the call.
 //
 // The call path is read-mostly and lock-light. Function names are interned
-// into FunctionIds (function_id.h) when a component is incorporated; the
-// mapper keeps one slot per function it holds, in a dense array sized by
-// its own functions — not by the process-global id range — and reaches a
-// slot through two small open-addressed indexes, one keyed by FunctionId
-// and one by name. A slot holds the enabled implementation's record, its
+// into FunctionIds (function_id.h) once, when a component joins a table,
+// and every row carries its id; the mapper keeps one slot per function it
+// holds, in a dense array sized by its own functions — not by the
+// process-global id range — finds and adds slots by the rows' ids, and
+// reaches a slot through two small open-addressed indexes, one keyed by
+// FunctionId and one by name. A slot holds the enabled implementation's
+// record, its
 // visibility and its component. Implementations live in one record block
 // per component (the resolved bodies, in the component's function order,
 // plus their active-thread counters); a CallGuard pins the block through an
@@ -26,7 +28,7 @@
 // slots they touched from the authoritative DfmState, and bump a version
 // stamp: enable / disable / switch / set-visibility / mark-permanent patch
 // one function's slot, incorporate / remove patch the component's
-// functions, and only the wholesale moves (adopt / metadata sync / remap)
+// functions, and only the wholesale moves (install / adopt / sync / remap)
 // re-derive every slot — through the same per-function routine. Each
 // mutation validates its dependencies against a zero-copy overlay of the
 // table (DfmState::Overlay), so a single-function change costs
@@ -34,6 +36,15 @@
 // untouched: the error taxonomy (kFunctionMissing / kFunctionDisabled /
 // kActiveThreads), the visibility rules, and the checker hooks all behave
 // exactly as before — only the constant factor of the indirection changed.
+//
+// A new instance does not build its table row by row. Its version's
+// descriptor already holds the table the paper says a DFM mirrors, so
+// creation resolves each component's bodies as its image lands
+// (ResolveComponent) and then installs the descriptor's table whole
+// (InstallConfiguration): the snapshot moves in, and every slot is derived
+// in one pass over its rows, with the slot array and both indexes sized
+// once. A live object keeps incorporating component by component, because
+// its callers may read the table while components are still arriving.
 //
 // The mapper owns a DfmState (the same table type managers use in
 // descriptors; its rows point into the component records it was handed,
@@ -158,6 +169,30 @@ class DynamicFunctionMapper {
         auto_structural_deps);
   }
 
+  // A component's bodies resolved for one architecture, waiting to be
+  // installed; opaque outside the mapper.
+  using ResolvedComponent = std::shared_ptr<DfmImplBlock>;
+
+  // Resolves every symbol of `meta` for `arch` with IncorporateComponent's
+  // checks and errors — kArchMismatch for a component built for another
+  // architecture, the registry's error for a symbol without a usable body —
+  // and touches no table.
+  [[nodiscard]] static Result<ResolvedComponent> ResolveComponent(
+      const ImplementationComponent& meta, const NativeCodeRegistry& registry,
+      sim::Architecture arch);
+
+  // A new instance's table in one step: `target` becomes the table, whole,
+  // with `components` (one per target component, in any order) as its
+  // bodies, and every slot is derived in one pass. `target` must be a
+  // complete configuration (an instantiable version's, as EvolveTo
+  // requires); the end state is then exactly that of incorporating each of
+  // its components and adopting it, since every table already carries the
+  // marks its components' authors set. Fails with kFailedPrecondition,
+  // changing nothing, unless the table holds no component and `components`
+  // are the target's.
+  [[nodiscard]] Status InstallConfiguration(
+      DfmState target, std::vector<ResolvedComponent> components);
+
   // Removes a component. With kError, fails with kActiveThreads if any of
   // the component's implementations has a thread inside it (the
   // disappearing-component guard); kForce removes regardless.
@@ -267,9 +302,12 @@ class DynamicFunctionMapper {
     return static_cast<std::size_t>((hash * 0x9E3779B97F4A7C15ull) >>
                                     index_shift_);
   }
-  // `function`'s slot, added (and its name interned) on first sight.
-  // Caller holds the exclusive lock.
-  std::uint32_t SlotForLocked(const std::string& function);
+  // Function `id`'s slot, added on first sight. Caller holds the exclusive
+  // lock.
+  std::uint32_t SlotForLocked(FunctionId id);
+  // Grows both indexes, if needed, to hold `slots` slots at most half full,
+  // re-entering every slot.
+  void ReserveIndexLocked(std::size_t slots);
   // Enters slots_[slot] into both indexes, which have a free bucket.
   void IndexSlotLocked(std::uint32_t slot);
   // Re-derives `function`'s slot from state_ and blocks_; apart from the
@@ -277,8 +315,9 @@ class DynamicFunctionMapper {
   // holds the exclusive lock.
   void DeriveSlotLocked(const std::string& function);
   void DeriveSlotLocked(Slot& slot, std::span<const DfmEntry> rows);
-  // DeriveSlotLocked for every function the state holds: the full rebuild
-  // behind wholesale moves (adopt, metadata sync, remap).
+  // DeriveSlotLocked for every function the state holds, adding the slots
+  // an install meets first: the full rebuild behind wholesale moves
+  // (install, adopt, metadata sync, remap).
   void DeriveAllSlotsLocked();
   void BumpVersion() {
     table_version_.fetch_add(1, std::memory_order_acq_rel);

@@ -56,8 +56,10 @@ Status DfmState::IncorporateComponent(ComponentRecord record,
   // up as one block.
   std::vector<DfmEntry> added;
   added.reserve(meta.functions.size());
+  FunctionNameTable& names = FunctionNameTable::Global();
   for (const FunctionImplDescriptor& fn : meta.functions) {
-    added.push_back(DfmEntry{meta.id, &fn, fn.visibility});
+    added.push_back(DfmEntry{meta.id, &fn, names.Intern(fn.function.name),
+                             fn.visibility});
   }
   auto before = [](const DfmEntry& a, const DfmEntry& b) {
     return CompareRows(a, b) < 0;

@@ -20,10 +20,13 @@
 // Layout. The rows are one contiguous array in (function, component)
 // order, and the incorporated components one array of shared metadata
 // records in id order. A row is a component id, a pointer to its
-// FunctionImplDescriptor inside that component's record, and three bits, so
-// a copy — a derived version, an evolution target, the configuration an
-// instance adopted — is a handful of allocations and about 32 bytes a row,
-// whatever the names and symbols weigh. Incorporate keeps the record it is
+// FunctionImplDescriptor inside that component's record, the function's
+// interned FunctionId and three bits, so a copy — a derived version, an
+// evolution target, the configuration an instance installed or adopted —
+// is a handful of allocations and 32 bytes a row, whatever the names and
+// symbols weigh. Incorporate interns each name once, and every copy of a
+// row carries the id, so the runtime DFM finds a function's slot by id.
+// Incorporate keeps the record it is
 // given: an instance acquiring a component of its version is handed the
 // version's own record, so every instance of a version shares one copy of
 // each component's metadata from its first incorporate on. Each new row
@@ -51,6 +54,7 @@
 #include "common/status.h"
 #include "component/component.h"
 #include "dfm/dependency.h"
+#include "dfm/function_id.h"
 
 namespace dcdo {
 
@@ -62,6 +66,7 @@ namespace dcdo {
 struct DfmEntry {
   ObjectId component;
   const FunctionImplDescriptor* impl = nullptr;
+  FunctionId function_id;  // name() interned; rows of one function share it
   Visibility visibility = Visibility::kExported;
   bool enabled = false;
   bool permanent = false;
@@ -70,6 +75,8 @@ struct DfmEntry {
   const std::string& name() const { return impl->function.name; }
   const std::string& symbol() const { return impl->symbol; }
 };
+static_assert(sizeof(DfmEntry) == 32,
+              "a row is copied with every table: keep it at 32 bytes");
 
 // The table's row order: by function name, then component. Negative,
 // zero or positive like std::string::compare. Two rows that share a
@@ -84,7 +91,8 @@ class DfmState {
   // --- Configuration functions (mirror a DCDO's external interface) ---
 
   // Adds all of `meta`'s function implementations, disabled, keeping
-  // `meta` itself as the component's record (SharedComponent returns it).
+  // `meta` itself as the component's record (SharedComponent returns it)
+  // and interning each function's name into its rows' function_id.
   // Honours the component author's constraint markings: kMandatory marks
   // the function mandatory; kPermanent marks the impl permanent (and
   // enables it, since a permanent impl may never be disabled). If

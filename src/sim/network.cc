@@ -46,7 +46,10 @@ void TraceSendDrop(NodeId from, NodeId to) {
 }
 }  // namespace
 
-void SimNetwork::AddNode(NodeId node) { nodes_.insert(node); }
+void SimNetwork::AddNode(NodeId node) {
+  nodes_.insert(node);
+  if (node >= nic_streams_.size()) nic_streams_.resize(node + std::size_t{1});
+}
 
 void SimNetwork::SetNodeUp(NodeId node, bool up) {
   if (up) {
@@ -232,11 +235,15 @@ void SimNetwork::StreamTransfer(NodeId from, NodeId to, std::size_t bytes,
   messages_in_flight_.Increment();
   bytes_sent_.Increment(bytes);
   std::uint64_t span = BeginTransferSpan("net.stream", from, bytes);
-  if (from == to || peak_bytes_per_sec <= 0) {
+  const bool empty = bytes == 0 && from != to;
+  if (from == to || peak_bytes_per_sec <= 0 || empty) {
     // Loopback (or a degenerate rate): the whole transfer is the fixed setup
-    // duration — no NIC, nothing to share.
+    // duration — no NIC, nothing to share. An empty stream between two
+    // nodes also crosses the wire's latency, but never takes a share: with
+    // no byte left to stream, a share would never arm its completion.
     simulation_.Schedule(
-        setup, [this, from, to, span, fn = std::move(on_done)]() mutable {
+        empty ? setup + cost_.network_latency : setup,
+        [this, from, to, span, fn = std::move(on_done)]() mutable {
           messages_in_flight_.Decrement();
           if (!Reachable(from, to)) {
             messages_dropped_.Increment();
@@ -253,6 +260,7 @@ void SimNetwork::StreamTransfer(NodeId from, NodeId to, std::size_t bytes,
   }
   std::uint64_t flow_id = next_stream_id_++;
   StreamFlow& flow = stream_flows_[flow_id];
+  flow.id = flow_id;
   flow.from = from;
   flow.to = to;
   flow.remaining = static_cast<double>(bytes);
@@ -267,11 +275,15 @@ void SimNetwork::StartStreamPhase(std::uint64_t flow_id) {
   auto it = stream_flows_.find(flow_id);
   if (it == stream_flows_.end()) return;
   StreamFlow& flow = it->second;
-  flow.streaming = true;
   flow.event = 0;  // the setup event just fired
   flow.last_update = simulation_.Now();
-  ++node_stream_counts_[flow.from];
-  ++node_stream_counts_[flow.to];
+  // Setups differ in length, so a flow may start streaming after a later
+  // one did: insert by id to keep each list in start order.
+  for (NodeId node : {flow.from, flow.to}) {
+    std::vector<StreamFlow*>& nic = nic_streams_[node];
+    nic.insert(std::ranges::upper_bound(nic, flow_id, {}, &StreamFlow::id),
+               &flow);
+  }
   ++streaming_count_;
   // The new membership changes every fair share touching either endpoint —
   // including this flow's own (its rate moves 0 -> share, arming completion).
@@ -280,16 +292,12 @@ void SimNetwork::StartStreamPhase(std::uint64_t flow_id) {
 }
 
 void SimNetwork::ReshareStreams(NodeId node) {
-  // Flow-id order == start order: the sweep is deterministic regardless of
-  // container hashing or event interleaving.
-  for (auto& [id, flow] : stream_flows_) {
-    if (!flow.streaming) continue;
-    if (flow.from != node && flow.to != node) continue;
-    UpdateFlowRate(id, flow);
-  }
+  // Flow-id order == start order: deterministic regardless of event
+  // interleaving. Updating a rate reschedules events but leaves the lists.
+  for (StreamFlow* flow : nic_streams_[node]) UpdateFlowRate(*flow);
 }
 
-void SimNetwork::UpdateFlowRate(std::uint64_t flow_id, StreamFlow& flow) {
+void SimNetwork::UpdateFlowRate(StreamFlow& flow) {
   SimTime now = simulation_.Now();
   // Settle progress at the old rate before the share changes, so the rate
   // history integrates exactly no matter how many membership changes the
@@ -297,9 +305,10 @@ void SimNetwork::UpdateFlowRate(std::uint64_t flow_id, StreamFlow& flow) {
   double elapsed = (now - flow.last_update).ToSeconds();
   flow.remaining = std::max(0.0, flow.remaining - flow.rate * elapsed);
   flow.last_update = now;
-  int busiest = std::max(node_stream_counts_[flow.from],
-                         node_stream_counts_[flow.to]);
-  double share = cost_.wire_bandwidth_bytes_per_sec / busiest;
+  const std::size_t busiest = std::max(nic_streams_[flow.from].size(),
+                                       nic_streams_[flow.to].size());
+  double share =
+      cost_.wire_bandwidth_bytes_per_sec / static_cast<double>(busiest);
   double new_rate = std::min(flow.peak, share);
   if (new_rate == flow.rate) return;  // unchanged share: event stands
   bool mid_stream = flow.rate > 0;
@@ -309,7 +318,7 @@ void SimNetwork::UpdateFlowRate(std::uint64_t flow_id, StreamFlow& flow) {
   flow.event = simulation_.ScheduleAt(
       now + SimDuration::Seconds(flow.remaining / new_rate) +
           cost_.network_latency,
-      [this, flow_id]() { FinishStream(flow_id); });
+      [this, flow_id = flow.id]() { FinishStream(flow_id); });
   if (mid_stream) {
     if (auto* tr = trace::ActiveContext()) {
       tr->Instant("fetch.share", {.category = "net", .node = flow.from});
@@ -324,9 +333,8 @@ void SimNetwork::FinishStream(std::uint64_t flow_id) {
   NodeId to = it->second.to;
   std::uint64_t span = it->second.span;
   StreamDone on_done = std::move(it->second.on_done);
+  for (NodeId node : {from, to}) std::erase(nic_streams_[node], &it->second);
   stream_flows_.erase(it);
-  if (--node_stream_counts_[from] == 0) node_stream_counts_.erase(from);
-  if (--node_stream_counts_[to] == 0) node_stream_counts_.erase(to);
   --streaming_count_;
   // The freed share speeds up whoever is left on these NICs.
   ReshareStreams(from);

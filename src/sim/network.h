@@ -94,7 +94,13 @@ class SimNetwork {
   //
   // Determinism: re-shares are recomputed in flow-id (start) order at the
   // instants flows start or finish, from integer-nanosecond inputs — two
-  // runs of one scenario produce identical completion times.
+  // runs of one scenario produce identical completion times. A re-share is
+  // per NIC: a stream that starts or finishes visits only the streaming
+  // flows on its own two endpoints, the only shares its membership moves.
+  //
+  // An empty stream (`bytes` == 0) between two nodes has nothing to share
+  // the wire with: it lands `setup + network_latency` after the call and
+  // never joins a NIC's share.
   void StreamTransfer(NodeId from, NodeId to, std::size_t bytes,
                       SimDuration setup, double peak_bytes_per_sec,
                       StreamDone on_done);
@@ -138,12 +144,12 @@ class SimNetwork {
   // integer sim clock at every re-share, so drift cannot accumulate between
   // membership changes.
   struct StreamFlow {
+    std::uint64_t id = 0;  // start order: the key of stream_flows_
     NodeId from = 0;
     NodeId to = 0;
     double remaining = 0.0;  // bytes left in the stream phase
     double rate = 0.0;       // current bytes/sec; 0 while in setup
     double peak = 0.0;       // efficiency ceiling, bytes/sec
-    bool streaming = false;  // false while in the fixed setup phase
     SimTime last_update;
     std::uint64_t event = 0;  // pending completion event (post-setup)
     StreamDone on_done;
@@ -156,11 +162,11 @@ class SimNetwork {
   void FlushBatch(NodeId from, NodeId to, std::uint64_t batch_id);
 
   // Stream-phase machinery: move a flow out of setup into the shared phase,
-  // re-derive the fair share of every streaming flow touching `node`, and
+  // re-derive the fair share of every streaming flow on `node`'s NIC, and
   // settle/deliver a finished flow.
   void StartStreamPhase(std::uint64_t flow_id);
   void ReshareStreams(NodeId node);
-  void UpdateFlowRate(std::uint64_t flow_id, StreamFlow& flow);
+  void UpdateFlowRate(StreamFlow& flow);
   void FinishStream(std::uint64_t flow_id);
 
   Simulation& simulation_;
@@ -172,9 +178,14 @@ class SimNetwork {
   // Open batches keyed by (from, to) lane.
   std::map<std::pair<NodeId, NodeId>, PendingBatch> pending_batches_;
   std::uint64_t next_batch_id_ = 1;
-  // Ordered by flow id (= start order) so re-share sweeps are deterministic.
+  // Every open stream, setup phase included, by flow id. Map nodes never
+  // move, so the per-NIC lists below point into it.
   std::map<std::uint64_t, StreamFlow> stream_flows_;
-  std::unordered_map<NodeId, int> node_stream_counts_;
+  // Per NIC, indexed by NodeId (AddNode sizes it; node ids are small host
+  // numbers): the streaming flows with an endpoint there, in ascending flow
+  // id, so a re-share visits them in start order. A list's size is the
+  // count its NIC's fair share divides by.
+  std::vector<std::vector<StreamFlow*>> nic_streams_;
   std::uint64_t next_stream_id_ = 1;
   std::size_t streaming_count_ = 0;
   trace::Counter batches_sent_;

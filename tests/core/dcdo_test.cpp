@@ -298,7 +298,10 @@ TEST_F(DcdoTest, ActiveCountsReportedOverRpc) {
 
 // Evolution hands the instance the target descriptor's own records from the
 // first incorporate on, not copies for AdoptConfiguration to swap out later.
+// The object is live (its table already holds libA), so the evolution
+// incorporates each component as it lands, and callers see them arrive.
 TEST_F(DcdoTest, EvolveSharesTheTargetsRecordsWhileAcquiring) {
+  ASSERT_TRUE(IncorporateBlocking(comp_a_.id).ok());
   DfmDescriptor target(VersionId::Root().Child(1));
   std::vector<std::unique_ptr<ImplementationComponentObject>> icos;
   for (int i = 0; i < 50; ++i) {
@@ -315,6 +318,7 @@ TEST_F(DcdoTest, EvolveSharesTheTargetsRecordsWhileAcquiring) {
   auto shares_target_records = [&] {
     for (const ComponentRecord& record :
          object_->mapper().state().components()) {
+      if (record->id == comp_a_.id) continue;  // not the target's; leaving
       if (record != target.state().SharedComponent(record->id)) return false;
     }
     return true;
@@ -324,7 +328,7 @@ TEST_F(DcdoTest, EvolveSharesTheTargetsRecordsWhileAcquiring) {
   object_->EvolveTo(target, Dcdo::RemovalPolicy::Error(),
                     [&](Status status) { evolved = status; });
   ASSERT_TRUE(testbed_.simulation().RunWhile(
-      [&] { return object_->mapper().state().component_count() < 20; }));
+      [&] { return object_->mapper().state().component_count() < 21; }));
   EXPECT_FALSE(evolved.has_value()) << "still acquiring, nothing adopted";
   EXPECT_EQ(object_->mapper().state().EnabledImpl("lib0_f"), nullptr);
   EXPECT_TRUE(shares_target_records());
@@ -334,6 +338,174 @@ TEST_F(DcdoTest, EvolveSharesTheTargetsRecordsWhileAcquiring) {
   ASSERT_TRUE(evolved->ok()) << evolved->ToString();
   EXPECT_EQ(object_->mapper().state().component_count(), 50u);
   EXPECT_TRUE(shares_target_records());
+}
+
+// A fresh instance takes its version's table whole: the descriptor's rows
+// (pointing into the same metadata, with the same bits), marks,
+// dependencies and records; every enabled function acquires by name and by
+// id; and the evolution lands at the simulated instant that incorporating
+// each component and adopting the configuration took.
+TEST_F(DcdoTest, FreshInstanceInstallsItsVersionsTable) {
+  DfmDescriptor target(VersionId::Root().Child(1));
+  std::vector<std::unique_ptr<ImplementationComponentObject>> icos;
+  std::vector<ObjectId> ids;
+  for (int i = 0; i < 12; ++i) {
+    const std::string name = "lib" + std::to_string(i);
+    const ImplementationComponent comp = testing::MakeEchoComponent(
+        testbed_.registry(), name, {name + "_f", name + "_g", "shared"});
+    icos.push_back(std::make_unique<ImplementationComponentObject>(
+        testbed_.host(0), &testbed_.transport(), &testbed_.agent(), comp));
+    icos_.Register(icos.back().get());
+    ids.push_back(comp.id);
+    ASSERT_TRUE(target.IncorporateComponent(comp).ok());
+    ASSERT_TRUE(target.EnableFunction(name + "_f", comp.id).ok());
+  }
+  ASSERT_TRUE(target.EnableFunction("shared", ids[3]).ok());
+  ASSERT_TRUE(target.EnableFunction("lib5_g", ids[5]).ok());
+  ASSERT_TRUE(
+      target.SetVisibility("lib5_g", ids[5], Visibility::kInternal).ok());
+  ASSERT_TRUE(target.MarkMandatory("lib0_f").ok());
+  ASSERT_TRUE(target.MarkPermanent("lib4_f", ids[4]).ok());
+  ASSERT_TRUE(target.AddDependency(Dependency::TypeD("lib1_f", "lib2_f")).ok());
+  ASSERT_TRUE(target.MarkInstantiable().ok());
+
+  std::optional<Status> evolved;
+  object_->EvolveTo(target, Dcdo::RemovalPolicy::Error(),
+                    [&](Status status) { evolved = status; });
+  testbed_.simulation().RunWhile([&] { return !evolved.has_value(); });
+  ASSERT_TRUE(evolved.has_value());
+  ASSERT_TRUE(evolved->ok()) << evolved->ToString();
+  EXPECT_EQ(testbed_.simulation().Now().nanos(), 2'031'607'596);
+
+  const DfmState& mine = object_->mapper().state();
+  const DfmState& theirs = target.state();
+  ASSERT_EQ(mine.entry_count(), theirs.entry_count());
+  for (std::size_t i = 0; i < mine.entry_count(); ++i) {
+    const DfmEntry& a = mine.entries()[i];
+    const DfmEntry& b = theirs.entries()[i];
+    EXPECT_EQ(a.component, b.component);
+    EXPECT_EQ(a.impl, b.impl) << a.name();
+    EXPECT_EQ(a.function_id, b.function_id) << a.name();
+    EXPECT_EQ(a.visibility, b.visibility) << a.name();
+    EXPECT_EQ(a.enabled, b.enabled) << a.name();
+    EXPECT_EQ(a.permanent, b.permanent) << a.name();
+  }
+  EXPECT_EQ(mine.mandatory_functions(), theirs.mandatory_functions());
+  EXPECT_EQ(mine.dependencies().all(), theirs.dependencies().all());
+  ASSERT_EQ(mine.component_count(), theirs.component_count());
+  for (std::size_t i = 0; i < mine.component_count(); ++i) {
+    EXPECT_EQ(mine.components()[i], theirs.components()[i]);
+  }
+  for (const DfmEntry& row : theirs.entries()) {
+    if (!row.enabled) continue;
+    // The echo body names the component that serviced the call.
+    const std::string serviced =
+        theirs.FindComponent(row.component)->name + "." + row.name() + ":x";
+    auto by_name =
+        object_->CallInternal(row.name(), ByteBuffer::FromString("x"));
+    ASSERT_TRUE(by_name.ok()) << row.name() << ": " << by_name.status();
+    EXPECT_EQ(by_name->ToString(), serviced);
+    auto by_id =
+        object_->CallInternal(row.function_id, ByteBuffer::FromString("x"));
+    ASSERT_TRUE(by_id.ok()) << row.name() << ": " << by_id.status();
+    EXPECT_EQ(by_id->ToString(), serviced);
+  }
+  EXPECT_EQ(object_->Call("lib5_g", ByteBuffer{}).status().code(),
+            ErrorCode::kFunctionMissing);
+  EXPECT_EQ(object_->Call("lib6_g", ByteBuffer{}).status().code(),
+            ErrorCode::kFunctionDisabled);
+  auto shared = object_->Call("shared", ByteBuffer::FromString("s"));
+  ASSERT_TRUE(shared.ok());
+  EXPECT_EQ(shared->ToString(), "lib3.shared:s");
+}
+
+// A fresh instance whose version cannot be mapped fails exactly as
+// incorporating would have — same error, same simulated instant — and its
+// table stays untouched, so the object can then take a good version.
+TEST_F(DcdoTest, FreshInstallFailureMatchesIncorporate) {
+  auto unresolved = ComponentBuilder("unresolved")
+                        .AddFunction("u", "b(b)", "nowhere/u")
+                        .Build();
+  ASSERT_TRUE(unresolved.ok());
+  testbed_.registry().Register(
+      "sparc/s", ImplementationType::Native(sim::Architecture::kSparcSolaris),
+      [](CallContext&, const ByteBuffer&) {
+        return Result<ByteBuffer>(ByteBuffer{});
+      });
+  auto sparc = ComponentBuilder("sparc")
+                   .SetType(ImplementationType::Native(
+                       sim::Architecture::kSparcSolaris))
+                   .AddFunction("s", "b(b)", "sparc/s")
+                   .Build();
+  ASSERT_TRUE(sparc.ok());
+  std::vector<std::unique_ptr<ImplementationComponentObject>> icos;
+  for (const ImplementationComponent* comp : {&*unresolved, &*sparc}) {
+    icos.push_back(std::make_unique<ImplementationComponentObject>(
+        testbed_.host(0), &testbed_.transport(), &testbed_.agent(), *comp));
+    icos_.Register(icos.back().get());
+  }
+  struct Case {
+    const ImplementationComponent* bad;
+    const char* function;
+    ErrorCode code;
+    std::string message;
+    std::int64_t failed_after;  // ns of simulated time
+  };
+  const Case cases[] = {
+      // Fetches libA, then the bad image, whose symbol fails to resolve.
+      {&*unresolved, "u", ErrorCode::kNotFound,
+       "unresolved symbol 'nowhere/u'", 331'752'666},
+      // libA is cached by now: one fetch, then the arch check fails.
+      {&*sparc, "s", ErrorCode::kArchMismatch,
+       "component sparc (sparc-solaris/elf-so/c++) is incompatible with host "
+       "architecture x86-linux",
+       162'714'533},
+  };
+  int child = 1;
+  for (const Case& c : cases) {
+    DfmDescriptor target(VersionId::Root().Child(child++));
+    ASSERT_TRUE(target.IncorporateComponent(comp_a_).ok());
+    ASSERT_TRUE(target.IncorporateComponent(*c.bad).ok());
+    ASSERT_TRUE(target.EnableFunction("f", comp_a_.id).ok());
+    ASSERT_TRUE(target.EnableFunction(c.function, c.bad->id).ok());
+    ASSERT_TRUE(target.MarkInstantiable().ok());
+    Dcdo fresh("fresh", testbed_.host(1), &testbed_.transport(),
+               &testbed_.agent(), &testbed_.registry(), &icos_,
+               VersionId::Root());
+    std::optional<Status> evolved;
+    const sim::SimTime start = testbed_.simulation().Now();
+    fresh.EvolveTo(target, Dcdo::RemovalPolicy::Error(),
+                   [&](Status status) { evolved = status; });
+    testbed_.simulation().RunWhile([&] { return !evolved.has_value(); });
+    ASSERT_TRUE(evolved.has_value());
+    EXPECT_EQ(evolved->code(), c.code) << evolved->ToString();
+    EXPECT_EQ(evolved->message(), c.message);
+    EXPECT_EQ((testbed_.simulation().Now() - start).nanos(), c.failed_after);
+    // Nothing was incorporated: the resolved bodies staged so far went with
+    // the failed evolution.
+    EXPECT_EQ(fresh.mapper().state().component_count(), 0u);
+
+    DfmDescriptor good(VersionId::Root().Child(child++));
+    ASSERT_TRUE(good.IncorporateComponent(comp_a_).ok());
+    ASSERT_TRUE(good.IncorporateComponent(comp_b_).ok());
+    ASSERT_TRUE(good.EnableFunction("f", comp_b_.id).ok());
+    ASSERT_TRUE(good.EnableFunction("g", comp_a_.id).ok());
+    ASSERT_TRUE(good.MarkInstantiable().ok());
+    evolved.reset();
+    fresh.EvolveTo(good, Dcdo::RemovalPolicy::Error(),
+                   [&](Status status) { evolved = status; });
+    testbed_.simulation().RunWhile([&] { return !evolved.has_value(); });
+    ASSERT_TRUE(evolved.has_value());
+    ASSERT_TRUE(evolved->ok()) << evolved->ToString();
+    EXPECT_EQ(fresh.mapper().state().component_count(), 2u);
+    EXPECT_FALSE(fresh.mapper().state().HasComponent(c.bad->id));
+    auto f = fresh.Call("f", ByteBuffer::FromString("x"));
+    ASSERT_TRUE(f.ok());
+    EXPECT_EQ(f->ToString(), "libB.f:x");
+    auto g = fresh.Call("g", ByteBuffer::FromString("y"));
+    ASSERT_TRUE(g.ok());
+    EXPECT_EQ(g->ToString(), "libA.g:y");
+  }
 }
 
 // --- Removal policies (Section 3.2 thread-activity options) ---

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dfm/descriptor.h"
 #include "dfm/mapper.h"
 #include "testing/fixtures.h"
 
@@ -137,6 +138,88 @@ TEST(MapperConcurrency, RemovalRacesActiveGuards) {
   }
   EXPECT_FALSE(mapper.state().HasComponent(comp.id));
   EXPECT_GT(removed_attempts, 0);
+}
+
+// Callers acquire by name and by id while a whole version's table is
+// installed into their empty mapper: every acquire sees either the empty
+// table (kFunctionMissing) or the complete installed one, never a
+// half-derived slot table, and once a caller has reached the installed
+// table it never loses a function again.
+TEST(MapperConcurrency, AcquireRacesInstall) {
+  NativeCodeRegistry registry;
+  DfmDescriptor version(VersionId::Root().Child(1));
+  std::vector<std::string> functions;
+  for (int c = 0; c < 40; ++c) {
+    const std::string name = "ci" + std::to_string(c);
+    auto comp = testing::MakeEchoComponent(registry, name,
+                                           {name + "_f", name + "_g"});
+    ASSERT_TRUE(version.IncorporateComponent(comp).ok());
+    ASSERT_TRUE(version.EnableFunction(name + "_f", comp.id).ok());
+    functions.push_back(name + "_f");
+  }
+  ASSERT_TRUE(version.MarkInstantiable().ok());
+  std::vector<DynamicFunctionMapper::ResolvedComponent> resolved;
+  for (const ComponentRecord& record : version.state().components()) {
+    auto bodies =
+        DynamicFunctionMapper::ResolveComponent(*record, registry, kArch);
+    ASSERT_TRUE(bodies.ok()) << bodies.status();
+    resolved.push_back(*std::move(bodies));
+  }
+
+  DynamicFunctionMapper mapper;
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> missing{0};
+  std::atomic<std::uint64_t> served{0};
+  std::atomic<int> failures{0};
+  std::atomic<int> running{4};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 4; ++t) {
+    callers.emplace_back([&, t] {
+      NullCtx ctx;
+      const ByteBuffer args = ByteBuffer::FromString("x");
+      bool installed = false;
+      for (std::size_t i = t; !stop.load(std::memory_order_relaxed); ++i) {
+        const std::string& fn = functions[i % functions.size()];
+        auto guard = i % 2 == 0
+                         ? mapper.Acquire(fn, CallOrigin::kExternal)
+                         : mapper.Acquire(FunctionNameTable::Global().Find(fn),
+                                          CallOrigin::kExternal);
+        if (!guard.ok()) {
+          if (installed ||
+              guard.status().code() != ErrorCode::kFunctionMissing) {
+            ADD_FAILURE() << fn << ": " << guard.status();
+            ++failures;
+            break;
+          }
+          ++missing;
+          continue;
+        }
+        installed = true;
+        auto result = guard->body()(ctx, args);
+        const std::string component = fn.substr(0, fn.size() - 2);
+        if (!result.ok() || result->ToString() != component + "." + fn + ":x") {
+          ADD_FAILURE() << fn << " ran the wrong body";
+          ++failures;
+          break;
+        }
+        ++served;
+      }
+      --running;
+    });
+  }
+  // Let the callers meet the empty table, install, and let them read the
+  // installed one for a while.
+  while (missing.load() < 100 && running.load() == 4) std::this_thread::yield();
+  EXPECT_TRUE(
+      mapper.InstallConfiguration(version.state(), std::move(resolved)).ok());
+  while (served.load() < 4000 && running.load() == 4) std::this_thread::yield();
+  stop.store(true);
+  for (std::thread& thread : callers) thread.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GE(served.load(), 4000u);
+  EXPECT_EQ(mapper.TotalActive(), 0) << "all guards released";
+  EXPECT_EQ(mapper.state().entry_count(), version.state().entry_count());
 }
 
 }  // namespace

@@ -222,6 +222,187 @@ TEST_P(DfmFuzzProperty, InvariantsHoldUnderRandomMutations) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DfmFuzzProperty, ::testing::Range(1, 9));
 
+// ===== Installing a version's table =====
+//
+// A new instance installs its version's table whole instead of
+// incorporating component by component and adopting. Over random
+// instantiable descriptors — overlapping function sets, author marks,
+// structural hints, enables, visibilities, marks and dependencies — the two
+// routes must end in the same table: rows, marks, dependencies, records,
+// exported interface, and the outcome of every acquire by name and by id.
+// A mapper that installs may already hold slots (a component came and
+// went), as a live object emptied by evolution does.
+
+// What a call to `function`'s id resolves to, like AcquireOutcome.
+std::string AcquireByIdOutcome(DynamicFunctionMapper& mapper,
+                               const std::string& function,
+                               CallOrigin origin) {
+  auto guard =
+      mapper.Acquire(FunctionNameTable::Global().Find(function), origin);
+  if (!guard.ok()) return std::string(ErrorCodeName(guard.status().code()));
+  return "ok " + guard->component().ToString();
+}
+
+std::string Rows(const DfmState& state) {
+  std::ostringstream out;
+  for (const DfmEntry& entry : state.entries()) {
+    out << entry.name() << '@' << entry.component << ' ' << entry.impl << ' '
+        << entry.function_id.value << ' ' << VisibilityName(entry.visibility)
+        << ' ' << entry.enabled << ' ' << entry.permanent << '\n';
+  }
+  for (const std::string& function : state.mandatory_functions()) {
+    out << "mandatory " << function << '\n';
+  }
+  for (const Dependency& dep : state.dependencies().all()) {
+    out << "dep " << dep << '\n';
+  }
+  for (const ComponentRecord& record : state.components()) {
+    out << "record " << record.get() << '\n';
+  }
+  for (const FunctionSignature& fn : state.ExportedInterface()) {
+    out << "exported " << fn << '\n';
+  }
+  return out.str();
+}
+
+class InstallProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(InstallProperty, MatchesIncorporateThenAdopt) {
+  std::mt19937 rng(GetParam());
+  NativeCodeRegistry registry;
+  const std::vector<std::string> names{"a", "b", "c", "d", "e", "f", "g"};
+  auto coin = [&](double p) {
+    return std::bernoulli_distribution(p)(rng);
+  };
+  auto pick = [&](std::size_t n) {
+    return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
+  };
+  // A leftover component whose slots an emptied mapper keeps.
+  const ImplementationComponent leftover =
+      testing::MakeEchoComponent(registry, "leftover", {"a", "g", "zz"});
+
+  int compared = 0;
+  for (int round = 0; round < 24; ++round) {
+    DfmDescriptor target(VersionId::Root().Child(round + 1));
+    const std::size_t components = 2 + pick(6);
+    for (std::size_t c = 0; c < components; ++c) {
+      const std::string name =
+          "r" + std::to_string(round) + "c" + std::to_string(c);
+      ComponentBuilder builder(name);
+      for (const std::string& fn : names) {
+        if (!coin(0.45)) continue;
+        const std::string symbol = name + "/" + fn;
+        testing::RegisterEcho(registry, symbol, name + "." + fn);
+        const Constraint constraint =
+            coin(0.08)   ? Constraint::kPermanent
+            : coin(0.08) ? Constraint::kMandatory
+                         : Constraint::kFullyDynamic;
+        std::vector<std::string> calls;
+        if (coin(0.1)) calls.push_back(names[pick(names.size())]);
+        builder.AddFunction(fn, "b(b)", symbol,
+                            coin(0.3) ? Visibility::kInternal
+                                      : Visibility::kExported,
+                            constraint, std::move(calls));
+      }
+      auto built = builder.Build();
+      if (!built.ok()) continue;  // drew no function
+      (void)target.IncorporateComponent(*built, coin(0.5));
+    }
+    const std::vector<ObjectId> ids = target.state().ComponentIds();
+    if (ids.empty()) continue;
+    // Rejected configuration calls are part of the draw: whatever the
+    // descriptor accepts is a configuration some version could have.
+    for (int op = 0; op < 24; ++op) {
+      const std::string& fn = names[pick(names.size())];
+      const std::string& other = names[pick(names.size())];
+      const ObjectId& comp = ids[pick(ids.size())];
+      switch (pick(8)) {
+        case 0:
+        case 1:
+        case 2:
+          (void)target.EnableFunction(fn, comp);
+          break;
+        case 3:
+          (void)target.SwitchImplementation(fn, comp);
+          break;
+        case 4:
+          (void)target.SetVisibility(fn, comp,
+                                     coin(0.5) ? Visibility::kInternal
+                                               : Visibility::kExported);
+          break;
+        case 5:
+          (void)target.MarkMandatory(fn);
+          break;
+        case 6:
+          (void)target.MarkPermanent(fn, comp);
+          break;
+        case 7:
+          (void)target.AddDependency(coin(0.5)
+                                         ? Dependency::TypeD(fn, other)
+                                         : Dependency::TypeC(fn, other, comp));
+          break;
+      }
+    }
+    // An author-marked mandatory function starts disabled: enable one of
+    // its implementations where the dependencies allow.
+    for (const std::string& fn : target.state().mandatory_functions()) {
+      for (const DfmEntry& row : target.state().Rows(fn)) {
+        if (target.EnableFunction(fn, row.component).ok()) break;
+      }
+    }
+    if (!target.MarkInstantiable().ok()) continue;
+    const bool enforce_marks = coin(0.5);
+
+    DynamicFunctionMapper adopted;
+    DynamicFunctionMapper installed;
+    for (DynamicFunctionMapper* mapper : {&adopted, &installed}) {
+      if (!coin(0.5)) continue;
+      ASSERT_TRUE(
+          mapper->IncorporateComponent(leftover, registry, kFuzzArch).ok());
+      ASSERT_TRUE(mapper->RemoveComponent(leftover.id).ok());
+    }
+    for (const ComponentRecord& record : target.state().components()) {
+      ASSERT_TRUE(adopted
+                      .IncorporateComponent(record, registry, kFuzzArch,
+                                            /*auto_structural_deps=*/false)
+                      .ok());
+    }
+    ASSERT_TRUE(
+        adopted.AdoptConfiguration(target.state(), enforce_marks).ok());
+    std::vector<DynamicFunctionMapper::ResolvedComponent> resolved;
+    for (const ComponentRecord& record : target.state().components()) {
+      auto bodies =
+          DynamicFunctionMapper::ResolveComponent(*record, registry, kFuzzArch);
+      ASSERT_TRUE(bodies.ok()) << bodies.status();
+      resolved.push_back(*std::move(bodies));
+    }
+    std::shuffle(resolved.begin(), resolved.end(), rng);  // landing order
+    ASSERT_TRUE(
+        installed.InstallConfiguration(target.state(), std::move(resolved))
+            .ok());
+
+    EXPECT_EQ(Rows(installed.state()), Rows(adopted.state()))
+        << "round " << round;
+    std::vector<std::string> probes = names;
+    probes.push_back("zz");
+    probes.push_back("never-incorporated");
+    for (const std::string& fn : probes) {
+      for (CallOrigin origin : {CallOrigin::kExternal, CallOrigin::kInternal}) {
+        EXPECT_EQ(AcquireOutcome(installed, fn, origin),
+                  AcquireOutcome(adopted, fn, origin))
+            << "function " << fn << " in round " << round;
+        EXPECT_EQ(AcquireByIdOutcome(installed, fn, origin),
+                  AcquireByIdOutcome(adopted, fn, origin))
+            << "function " << fn << " in round " << round;
+      }
+    }
+    ++compared;
+  }
+  EXPECT_GE(compared, 12) << "too few draws were instantiable";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, InstallProperty, ::testing::Range(1, 9));
+
 // ===== Policy convergence =====
 
 struct PolicyCase {

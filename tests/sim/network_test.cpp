@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <ostream>
+#include <vector>
+
 namespace dcdo::sim {
 namespace {
 
@@ -325,6 +329,89 @@ TEST_F(NetworkTest, SharingIsPerEndpoint) {
                           });
   simulation_.Run();
   EXPECT_NEAR(disjoint, 6'250'000 / 7.5e6 + 300e-6, 1e-5);
+}
+
+// One stream completion: which stream, when, and whether it was delivered.
+struct Landing {
+  int stream = 0;
+  std::int64_t nanos = 0;
+  bool delivered = false;
+  bool operator==(const Landing&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Landing& l) {
+  return os << "{" << l.stream << ", " << l.nanos << ", "
+            << (l.delivered ? "true" : "false") << "}";
+}
+
+// Pins the whole fair-share schedule to the nanosecond: staggered starts
+// and setups, a shared source (node 1), a shared destination (node 2), a
+// reverse stream that loads both, mixed peaks (capped below and above the
+// wire share) and a partition that forms while a stream is on the wire.
+// Every completion's order, time and outcome is exact, so a change to how
+// re-shares are found must reproduce the schedule bit for bit.
+TEST_F(NetworkTest, ReshareScheduleIsExact) {
+  network_.AddNode(4);
+  std::vector<Landing> landings;
+  auto start = [&](int stream, SimDuration at, NodeId from, NodeId to,
+                   std::size_t bytes, SimDuration setup, double peak) {
+    simulation_.Schedule(at, [&, stream, from, to, bytes, setup, peak] {
+      network_.StreamTransfer(from, to, bytes, setup, peak,
+                              [&, stream](bool delivered) {
+                                landings.push_back({stream,
+                                                    simulation_.Now().nanos(),
+                                                    delivered});
+                              });
+    });
+  };
+  start(0, SimDuration::Zero(), 1, 2, 5'000'000, SimDuration::Millis(160),
+        7.5e6);
+  start(1, SimDuration::Millis(50), 1, 3, 3'000'000, SimDuration::Millis(100),
+        1e9);
+  start(2, SimDuration::Millis(120), 4, 2, 2'000'000, SimDuration::Millis(20),
+        3e6);
+  start(3, SimDuration::Millis(300), 1, 4, 4'000'000, SimDuration::Zero(),
+        1e9);
+  start(4, SimDuration::Millis(400), 3, 2, 1'500'000, SimDuration::Millis(60),
+        7.5e6);
+  start(5, SimDuration::Millis(700), 2, 1, 2'500'000, SimDuration::Millis(10),
+        1e9);
+  // Stream 1 is on the wire: it keeps its share until it lands, then drops.
+  simulation_.Schedule(SimDuration::Millis(500),
+                       [&] { network_.SetPartitioned(1, 3, true); });
+  simulation_.Run();
+  const std::vector<Landing> expected = {
+      {1, 803'633'333, false}, {2, 806'966'666, true},
+      {4, 844'541'666, true},  {3, 1'283'708'333, true},
+      {0, 1'304'363'888, true}, {5, 1'311'180'555, true},
+  };
+  EXPECT_EQ(landings, expected);
+  EXPECT_EQ(network_.active_streams(), 0u);
+  EXPECT_EQ(network_.messages_in_flight(), 0u);
+}
+
+// An empty stream (a component with no code) lands after setup plus
+// latency and never takes a share: a concurrent stream out of the same NIC
+// runs at the full wire rate, and nothing is left in flight.
+TEST_F(NetworkTest, ZeroByteStreamCompletesWithoutHoldingAShare) {
+  std::int64_t empty_done = -1, full_done = -1;
+  network_.StreamTransfer(1, 2, 0, SimDuration::Millis(160), 7.5e6,
+                          [&](bool ok) {
+                            EXPECT_TRUE(ok);
+                            empty_done = simulation_.Now().nanos();
+                          });
+  // 6.25 MB at the whole 12.5 MB/s wire: 0.5 s, plus latency.
+  network_.StreamTransfer(1, 3, 6'250'000, SimDuration::Zero(), 1e9,
+                          [&](bool ok) {
+                            EXPECT_TRUE(ok);
+                            full_done = simulation_.Now().nanos();
+                          });
+  simulation_.Run();
+  EXPECT_EQ(empty_done, 160'300'000);
+  EXPECT_EQ(full_done, 500'300'000);
+  EXPECT_EQ(network_.active_streams(), 0u);
+  EXPECT_EQ(network_.messages_in_flight(), 0u);
+  EXPECT_EQ(network_.messages_delivered(), 2u);
 }
 
 TEST_F(NetworkTest, StreamToUnreachableNodeFails) {
