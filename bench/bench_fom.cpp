@@ -142,8 +142,6 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
 namespace dcdo::bench {
 namespace {
 
-bool SmokeMode() { return std::getenv("DCDO_BENCH_SMOKE") != nullptr; }
-
 Testbed::Options FomOptions(int fetch_concurrency) {
   Testbed::Options options = BenchOptions();
   options.cost_model.fetch_concurrency = fetch_concurrency;
@@ -350,7 +348,7 @@ BENCHMARK(SimTime_E17_CoordinatedEvolution)
 // round trips and allocations per round.
 void Wall_E17_FetchChurnInline(benchmark::State& state) {
   int concurrency = static_cast<int>(state.range(0));
-  std::size_t rounds = SmokeMode() ? 4 : 24;
+  constexpr std::size_t kRounds = 24;
   constexpr std::size_t kComponents = 6;
   constexpr std::size_t kFunctions = 36;
   std::uint64_t total_allocs = 0;
@@ -374,7 +372,7 @@ void Wall_E17_FetchChurnInline(benchmark::State& state) {
     }
     std::mt19937 rng(1999);
     AllocSnapshot before = TakeAllocSnapshot();
-    for (std::size_t round = 0; round < rounds; ++round) {
+    for (std::size_t round = 0; round < kRounds; ++round) {
       const ObjectId& instance = instances[rng() % instances.size()];
       bool done = false;
       // Policy-refused transitions (downgrades under the increasing policy)

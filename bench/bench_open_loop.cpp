@@ -28,8 +28,7 @@
 // All numbers are SimTime_*: deterministic simulated seconds (manual-time
 // mode), bit-stable on a given host. Arrival schedules derive from Mix64
 // integer hashing, not library RNG state, so the schedule is identical
-// across standard-library versions too. Smoke mode (DCDO_BENCH_SMOKE)
-// shrinks call counts but keeps every code path.
+// across standard-library versions too.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -47,8 +46,6 @@
 
 namespace dcdo::bench {
 namespace {
-
-bool Smoke() { return std::getenv("DCDO_BENCH_SMOKE") != nullptr; }
 
 std::uint64_t Mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
@@ -168,22 +165,21 @@ void ReportLatency(benchmark::State& state, const trace::Histogram& latency) {
 // + wire time, so calls queue at the client for a slot.
 
 constexpr double kOpenLoopGapMicros = 500.0;
-
-int OpenLoopCalls() { return Smoke() ? 6 : 8; }
-int OpenLoopClients() { return Smoke() ? 8 : 1000; }
+constexpr int kOpenLoopCalls = 8;
+constexpr int kOpenLoopClients = 1000;
 
 std::vector<std::vector<sim::SimDuration>> OpenLoopSchedule() {
   std::vector<std::vector<sim::SimDuration>> schedule;
-  schedule.reserve(static_cast<std::size_t>(OpenLoopClients()));
-  for (int c = 0; c < OpenLoopClients(); ++c) {
-    schedule.push_back(PoissonArrivals(OpenLoopCalls(), kOpenLoopGapMicros,
+  schedule.reserve(static_cast<std::size_t>(kOpenLoopClients));
+  for (int c = 0; c < kOpenLoopClients; ++c) {
+    schedule.push_back(PoissonArrivals(kOpenLoopCalls, kOpenLoopGapMicros,
                                        0xE16 + static_cast<std::uint64_t>(c)));
   }
   return schedule;
 }
 
 void RunOpenLoopScenario(benchmark::State& state, Testbed::Options options) {
-  options.host_count = OpenLoopClients() + 2;
+  options.host_count = kOpenLoopClients + 2;
   const auto schedule = OpenLoopSchedule();
   trace::Histogram latency;
   std::uint64_t backpressure = 0;
@@ -192,7 +188,7 @@ void RunOpenLoopScenario(benchmark::State& state, Testbed::Options options) {
   for (auto _ : state) {
     // Fresh rig per iteration: every iteration replays the identical
     // schedule from t=0, so the reported time is the same number repeated.
-    OpenLoopRig rig(options, OpenLoopClients(), sim::SimDuration::Millis(2));
+    OpenLoopRig rig(options, kOpenLoopClients, sim::SimDuration::Millis(2));
     state.SetIterationTime(rig.Run(schedule, latency));
     backpressure = rig.BackpressureWaits();
     batches = rig.testbed.network().batches_sent();
@@ -229,7 +225,7 @@ BENCHMARK(SimTime_E16_OpenLoopBatched)->UseManualTime()->Iterations(4);
 void SimTime_E16_SlowServer(benchmark::State& state) {
   Testbed::Options options = BenchOptions();
   options.cost_model.session_slots = 2;
-  const int clients = Smoke() ? 2 : 8;
+  const int clients = 8;
   const int calls = 3;  // > slots: the third call waits for admission
   std::vector<std::vector<sim::SimDuration>> schedule;
   for (int c = 0; c < clients; ++c) {
@@ -259,8 +255,8 @@ BENCHMARK(SimTime_E16_SlowServer)->UseManualTime()->Iterations(4);
 void SimTime_E16_Incast(benchmark::State& state) {
   Testbed::Options options = BenchOptions();
   options.cost_model.session_slots = 2;
-  const int clients = Smoke() ? 4 : 12;
-  const int calls = Smoke() ? 3 : 6;
+  const int clients = 12;
+  const int calls = 6;
   std::vector<std::vector<sim::SimDuration>> schedule;
   for (int c = 0; c < clients; ++c) {
     std::vector<sim::SimDuration> mine;
@@ -299,7 +295,7 @@ BENCHMARK(SimTime_E16_Incast)->UseManualTime()->Iterations(4);
 void SimTime_E16_RetryStorm(benchmark::State& state) {
   Testbed::Options options = BenchOptions();
   options.cost_model.session_slots = 2;
-  const int clients = Smoke() ? 2 : 6;
+  const int clients = 6;
   std::vector<std::vector<sim::SimDuration>> schedule;
   for (int c = 0; c < clients; ++c) {
     schedule.push_back({sim::SimDuration::Micros(static_cast<std::int64_t>(

@@ -31,8 +31,8 @@
 
 namespace dcdo::bench {
 
-// Benches measure the raw runtime: invariant checking stays off so the
-// numbers are comparable whether or not the build compiled it in.
+// Benches measure the raw runtime: no checker is installed, so each check
+// hook is a null test.
 inline Testbed::Options BenchOptions() {
   Testbed::Options options;
   options.checking = false;

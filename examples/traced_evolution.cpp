@@ -40,12 +40,6 @@ int main(int argc, char** argv) {
   Testbed::Options options;
   options.tracing = true;
   Testbed testbed(options);
-  if (testbed.tracer() == nullptr) {
-    std::fprintf(stderr,
-                 "traced_evolution: this build has DCDO_TRACING off; "
-                 "reconfigure with -DDCDO_TRACING=ON\n");
-    return 1;
-  }
 
   // --- Act 1: a DCDO service evolves on the fly (E6, DCDO side) ---------
   testbed.registry().Register(

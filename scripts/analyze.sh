@@ -5,10 +5,9 @@
 # suppression baseline (tools/dcdo-tidy/baseline.txt) and fails on any
 # unsuppressed finding — this is what the CI `analyze` job gates on.
 #
-# The checks run in dcdo-analyze, the dependency-free engine built under
-# -DDCDO_ANALYSIS=ON (the default), so analysis works on every machine. It
-# honors clang-tidy NOLINT comments; tests/analysis/fixtures/ pins each
-# check's behavior.
+# The checks run in dcdo-analyze, the dependency-free engine every build
+# compiles, so analysis works on every machine. It honors clang-tidy NOLINT
+# comments; tests/analysis/fixtures/ pins each check's behavior.
 #
 # Usage:
 #   scripts/analyze.sh                    # analyze src/, gate on baseline
@@ -28,10 +27,10 @@ for arg in "$@"; do
   esac
 done
 
-# --- Ensure a configured build with the analysis tooling ------------------
+# --- Ensure a configured build ---------------------------------------------
 if [ ! -f "$BUILD_DIR/CMakeCache.txt" ]; then
   echo "analyze: configuring $BUILD_DIR"
-  cmake -B "$BUILD_DIR" -S . -DDCDO_ANALYSIS=ON >/dev/null \
+  cmake -B "$BUILD_DIR" -S . >/dev/null \
     || { echo "analyze: cmake configure failed" >&2; exit 1; }
 fi
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
-# Benchmark driver: builds the nocheck preset (invariant checking compiled
-# out, so the numbers measure the runtime itself) and runs every bench
-# binary, merging results into the regression-tracking JSON file.
+# Benchmark driver: builds the default preset (into build/) and runs every
+# bench binary, merging results into the regression-tracking JSON file. The
+# benches install no checker, so the numbers measure the runtime itself.
 #
 # Usage:
 #   scripts/bench.sh                 # full run, updates BENCH_dcdo.json
@@ -12,51 +12,32 @@
 #                                    # flag Wall_* regressions > 20% and any
 #                                    # SimTime_* drift between two results
 #                                    # files; exits 1 if anything is flagged
-#   scripts/bench.sh --trace-overhead BASE.json TRACED.json
-#                                    # compare a DCDO_TRACING=OFF run against
-#                                    # a tracing-compiled-but-disabled run:
-#                                    # report Wall_* overhead > 5% and any
-#                                    # SimTime_* drift. Report-only — always
-#                                    # exits 0 when both files are readable
-#                                    # (wall numbers are too host-noisy to
-#                                    # gate CI on a 5% band)
 #
 # Environment:
 #   DCDO_BENCH_JSON    output file (default: BENCH_dcdo.json at the repo root
 #                      for full runs; unset for --smoke so CI runs do not
 #                      produce machine-dependent diffs)
-#   DCDO_BENCH_PRESET  configure/build preset to run benches from (default:
-#                      nocheck; use notrace for the tracing-overhead baseline)
 set -u
 
 cd "$(dirname "$0")/.." || exit 1
 
-if [ "${1:-}" = "--compare" ] || [ "${1:-}" = "--trace-overhead" ]; then
-  MODE=$1
+if [ "${1:-}" = "--compare" ]; then
   OLD_JSON=${2:-}
   NEW_JSON=${3:-}
   if [ -z "$OLD_JSON" ] || [ -z "$NEW_JSON" ]; then
-    echo "usage: $0 $MODE OLD.json NEW.json" >&2
+    echo "usage: $0 --compare OLD.json NEW.json" >&2
     exit 2
   fi
-  exec python3 - "$MODE" "$OLD_JSON" "$NEW_JSON" <<'PYEOF'
+  exec python3 - "$OLD_JSON" "$NEW_JSON" <<'PYEOF'
 import json
 import os
 import sys
 
-# --compare: Wall_* numbers are host time: noisy, so only a > 20% slowdown is
-# flagged (exit 1). SimTime_* numbers are simulated time: deterministic by
-# design, so ANY drift is flagged — an unintended change to the cost model or
-# event ordering.
-#
-# --trace-overhead: OLD is a DCDO_TRACING=OFF build, NEW has tracing compiled
-# in but no context installed. The acceptance band is 5% on Wall_*; SimTime_*
-# must not move at all (the tracing layer schedules no events). Report-only:
-# wall numbers on shared CI hosts are too noisy to hard-gate a 5% band, so
-# overhead is printed but never fails the run.
-mode = sys.argv.pop(1)
-WALL_REGRESSION_RATIO = 1.05 if mode == "--trace-overhead" else 1.20
-REPORT_ONLY = mode == "--trace-overhead"
+# Wall_* numbers are host time: noisy, so only a > 20% slowdown is flagged
+# (exit 1). SimTime_* numbers are simulated time: deterministic by design, so
+# ANY drift is flagged — an unintended change to the cost model or event
+# ordering.
+WALL_REGRESSION_RATIO = 1.20
 # DCDO_BENCH_WALL_REPORT_ONLY=1 keeps the hard gate on SimTime_* drift but
 # demotes Wall_* regressions to a printed report — what CI wants on shared
 # runners, where simulated time is deterministic but host time is noise.
@@ -89,11 +70,7 @@ for name in common:
     if base.startswith("Wall_"):
         compared += 1
         if old_ns > 0 and new_ns / old_ns > WALL_REGRESSION_RATIO:
-            label = (
-                "WALL OVERHEAD  "
-                if REPORT_ONLY or WALL_REPORT_ONLY
-                else "WALL REGRESSION"
-            )
+            label = "WALL OVERHEAD  " if WALL_REPORT_ONLY else "WALL REGRESSION"
             wall_flagged.append(
                 f"  {label} {name}: {old_ns:g} ns -> {new_ns:g} ns "
                 f"({new_ns / old_ns:.2f}x)"
@@ -108,13 +85,6 @@ for name in common:
 print(f"bench-compare: {compared} entries compared ({old_path} -> {new_path})")
 if wall_flagged or sim_flagged:
     print("\n".join(wall_flagged + sim_flagged))
-    if REPORT_ONLY:
-        print(
-            f"bench-compare: tracing overhead above "
-            f"{(WALL_REGRESSION_RATIO - 1) * 100:.0f}% on the entries above "
-            "(report-only; not failing the run)"
-        )
-        sys.exit(0)
     if sim_flagged or not WALL_REPORT_ONLY:
         sys.exit(1)
     print(
@@ -137,21 +107,16 @@ for arg in "$@"; do
   esac
 done
 
-# Build (RelWithDebInfo, DCDO_CHECKING=OFF; preset overridable for the
-# tracing-overhead baseline).
-PRESET=${DCDO_BENCH_PRESET:-nocheck}
-BUILD_DIR="build-$PRESET"
-cmake --preset "$PRESET" >/dev/null || exit 1
+# Build (RelWithDebInfo, the one build the tests and examples use too).
+BUILD_DIR=build
+cmake --preset default >/dev/null || exit 1
 cmake --build "$BUILD_DIR" -j "$(nproc)" || exit 1
 
 if [ "$SMOKE" = 1 ]; then
   # Smoke mode: prove every bench still runs, not collect stable numbers.
-  # DCDO_BENCH_SMOKE shrinks the heavyweight benches (bench_fom and
-  # bench_open_loop run fewer operations), so CI exercises the same code
-  # paths at miniature scale.
+  # Every bench keeps its full size, so each SimTime_* row must still match
+  # the committed value; only the Wall_* repetitions shrink.
   EXTRA_ARGS="--benchmark_min_time=0.01"
-  DCDO_BENCH_SMOKE=1
-  export DCDO_BENCH_SMOKE
 else
   EXTRA_ARGS=""
   DCDO_BENCH_JSON=${DCDO_BENCH_JSON:-$PWD/BENCH_dcdo.json}

@@ -1,5 +1,6 @@
 #include "check/check_context.h"
 
+#include <atomic>
 #include <utility>
 
 namespace dcdo::check {
@@ -14,7 +15,7 @@ std::atomic<CheckContext*> g_current{nullptr};
 CheckContext::CheckContext() : CheckContext(Options{}) {}
 
 CheckContext::CheckContext(const Options& options)
-    : options_(options), enabled_(options.enabled), races_(&diagnostics_) {
+    : options_(options), races_(&diagnostics_) {
   RegisterBuiltinInvariants(*this);
 }
 
@@ -38,17 +39,14 @@ void CheckContext::AttachSimulation(sim::Simulation* simulation) {
   std::lock_guard<std::recursive_mutex> lock(mutex_);
   simulation_ = simulation;
   if (simulation_ != nullptr) {
-    simulation_->SetEventObserver([this](std::uint64_t) {
-      if (enabled()) OnSimulationEvent();
-    });
+    simulation_->SetEventObserver(
+        [this](std::uint64_t) { OnSimulationEvent(); });
   }
 }
 
 void CheckContext::OnSimulationEvent() {
-  if (options_.cadence == Cadence::kEndOfRun) return;
   std::uint64_t fired = simulation_ != nullptr ? simulation_->events_fired() : 0;
-  if (options_.cadence == Cadence::kEveryN &&
-      (options_.every_n == 0 || fired % options_.every_n != 0)) {
+  if (options_.cadence == Cadence::kEveryN && fired % kEvaluateEvery != 0) {
     return;
   }
   Evaluate();

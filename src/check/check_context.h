@@ -11,8 +11,8 @@
 //     endpoint open/close, binding refresh), which also drive the logical
 //     race detector (see race_detector.h);
 //   invariants      — named predicates over the registered probes, evaluated
-//     at configurable points: every simulation event, every N events, or
-//     only at end-of-run.
+//     every simulation event or every kEvaluateEvery events, and once more
+//     at end of run.
 //
 // Shipped invariants (registered by the constructor; see invariants.cc):
 //
@@ -39,13 +39,10 @@
 //                                 queued, and nothing is still queued once
 //                                 the simulator goes idle.
 //
-// Zero cost when disabled: instrumentation sites compile to nothing unless
-// DCDO_CHECK_ENABLED is defined (CMake option DCDO_CHECKING, on by default),
-// and even then are a single null/flag test unless a context is installed
-// and enabled (the runtime toggle benchmarks use).
+// Cost when not installed: every instrumentation site is one null test on
+// Current(); a Testbed built with Options::checking = false installs none.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -108,12 +105,12 @@ struct Invariant {
 
 class CheckContext {
  public:
-  enum class Cadence : std::uint8_t { kEveryEvent, kEveryN, kEndOfRun };
+  enum class Cadence : std::uint8_t { kEveryEvent, kEveryN };
+  // kEveryN: evaluate every kEvaluateEvery sim events.
+  static constexpr std::uint64_t kEvaluateEvery = 64;
 
   struct Options {
-    bool enabled = true;
     Cadence cadence = Cadence::kEveryN;
-    std::uint64_t every_n = 64;  // kEveryN: evaluate every N sim events
   };
 
   CheckContext();
@@ -131,11 +128,6 @@ class CheckContext {
   // Installs the per-event observer on `simulation` and uses it as the time
   // and event-count source for stamps.
   void AttachSimulation(sim::Simulation* simulation);
-
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void set_enabled(bool enabled) {
-    enabled_.store(enabled, std::memory_order_relaxed);
-  }
 
   Diagnostics& diagnostics() { return diagnostics_; }
   const Diagnostics& diagnostics() const { return diagnostics_; }
@@ -221,7 +213,6 @@ class CheckContext {
   void OnSimulationEvent();
 
   Options options_;
-  std::atomic<bool> enabled_;
   mutable std::recursive_mutex mutex_;
   sim::Simulation* simulation_ = nullptr;
 
@@ -247,21 +238,14 @@ class CheckContext {
 // CheckContext constructor.
 void RegisterBuiltinInvariants(CheckContext& ctx);
 
-// The hook macro instrumentation sites use. Compiles to nothing without
-// DCDO_CHECK_ENABLED; otherwise a null test + enabled test before the call.
-#if defined(DCDO_CHECK_ENABLED)
-#define DCDO_CHECK_HOOK(call)                                       \
-  do {                                                              \
-    ::dcdo::check::CheckContext* dcdo_check_ctx_ =                  \
-        ::dcdo::check::CheckContext::Current();                     \
-    if (dcdo_check_ctx_ != nullptr && dcdo_check_ctx_->enabled()) { \
-      dcdo_check_ctx_->call;                                        \
-    }                                                               \
+// The hook macro instrumentation sites use: a null test before the call.
+#define DCDO_CHECK_HOOK(call)                      \
+  do {                                             \
+    ::dcdo::check::CheckContext* dcdo_check_ctx_ = \
+        ::dcdo::check::CheckContext::Current();    \
+    if (dcdo_check_ctx_ != nullptr) {              \
+      dcdo_check_ctx_->call;                       \
+    }                                              \
   } while (false)
-#else
-#define DCDO_CHECK_HOOK(call) \
-  do {                        \
-  } while (false)
-#endif
 
 }  // namespace dcdo::check

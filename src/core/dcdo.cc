@@ -102,7 +102,6 @@ Dcdo::Dcdo(std::string name, sim::SimHost* host, rpc::RpcTransport* transport,
   address_.epoch = 1;
   agent_.Bind(id_, address_);
   RegisterEndpoint();
-#if defined(DCDO_CHECK_ENABLED)
   mapper_.SetCheckOwner(id_);
   // Expose this object's live state to the checker's invariants. The probe
   // holds a raw `this`; the destructor unregisters first.
@@ -122,15 +121,12 @@ Dcdo::Dcdo(std::string name, sim::SimHost* host, rpc::RpcTransport* transport,
       return snapshot;
     });
   }
-#endif
 }
 
 Dcdo::~Dcdo() {
-#if defined(DCDO_CHECK_ENABLED)
   if (auto* ctx = check::CheckContext::Current()) {
     ctx->UnregisterObject(id_);
   }
-#endif
   transport_.UnregisterEndpoint(address_.node, address_.pid);
   agent_.Unbind(id_);
   (void)host_->KillProcess(address_.pid);

@@ -11,7 +11,6 @@ BindingCache::BindingCache(BindingAgent* agent, std::size_t capacity,
   if (agent_.leases_enabled()) {
     holder_ = agent_.RegisterHolder(node_, this);
   }
-#if defined(DCDO_CHECK_ENABLED)
   // Expose the cache contents to the binding-coherence invariant. The probe
   // holds a raw `this`; the destructor unregisters before the cache dies.
   if (auto* ctx = check::CheckContext::Current()) {
@@ -25,18 +24,15 @@ BindingCache::BindingCache(BindingAgent* agent, std::size_t capacity,
       return entries;
     });
   }
-#endif
 }
 
 BindingCache::~BindingCache() {
   if (holder_ != 0) agent_.UnregisterHolder(holder_);
-#if defined(DCDO_CHECK_ENABLED)
   if (check_handle_ != 0) {
     if (auto* ctx = check::CheckContext::Current()) {
       ctx->UnregisterBindingCache(check_handle_);
     }
   }
-#endif
 }
 
 bool BindingCache::Expired(const Entry& entry) const {

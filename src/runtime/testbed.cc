@@ -16,7 +16,6 @@ Testbed::Testbed(const Options& options) {
     DCDO_LOG(kError) << "testbed: cost model rejected: " << valid.message();
     std::abort();
   }
-#if defined(DCDO_CHECK_ENABLED)
   if (options.checking) {
     // Installed before anything else exists, so every binding cache and
     // DCDO constructed over this testbed registers its probe.
@@ -24,19 +23,15 @@ Testbed::Testbed(const Options& options) {
     checker_->Install();
     checker_->AttachSimulation(&simulation_);
   }
-#endif
-#if defined(DCDO_TRACE_ENABLED)
   if (options.tracing) {
     // Before the network exists: the first spans come from the substrate.
-    tracer_ = std::make_unique<trace::TraceContext>(options.trace_options);
+    tracer_ = std::make_unique<trace::TraceContext>();
     tracer_->AttachSimulation(&simulation_);
     tracer_->Install();
   }
-#endif
   network_ =
       std::make_unique<sim::SimNetwork>(&simulation_, options.cost_model);
   transport_ = std::make_unique<rpc::RpcTransport>(network_.get());
-#if defined(DCDO_CHECK_ENABLED)
   if (checker_) {
     checker_->SetEndpointLiveness(
         [this](std::uint32_t node, std::uint64_t pid, std::uint64_t epoch) {
@@ -54,7 +49,6 @@ Testbed::Testbed(const Options& options) {
       return counters;
     });
   }
-#endif
   static constexpr sim::Architecture kRotation[] = {
       sim::Architecture::kX86Linux, sim::Architecture::kSparcSolaris,
       sim::Architecture::kAlphaOsf, sim::Architecture::kX86Nt};
@@ -92,8 +86,7 @@ Testbed::~Testbed() {
 Status Testbed::DumpTrace(const std::string& path) {
   if (!tracer_) {
     return FailedPreconditionError(
-        "tracing is not installed on this testbed (Options::tracing, build "
-        "option DCDO_TRACING)");
+        "tracing is not installed on this testbed (Options::tracing)");
   }
   // Substrate totals that live as component members rather than registry
   // metrics: snapshot them into the registry at export time so the JSON

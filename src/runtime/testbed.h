@@ -37,18 +37,15 @@ class Testbed {
     // set true to alternate architectures for heterogeneity experiments.
     bool heterogeneous = false;
     sim::CostModel cost_model = {};
-    // Install an always-on CheckContext (invariants + race detection) over
-    // this testbed. Default on — tests run checked; benches measuring the
-    // raw runtime turn it off. No effect when the build has DCDO_CHECKING
-    // off.
+    // Install a CheckContext (invariants + race detection) over this
+    // testbed. Default on — tests run checked; benches measuring the raw
+    // runtime turn it off, leaving each check hook a null test.
     bool checking = true;
     check::CheckContext::Options check_options = {};
     // Install a TraceContext (causal spans + metrics) over this testbed.
-    // Default off — tracing is opt-in per scenario so benches and the bulk
-    // of the suite measure the uninstrumented fast path. No effect when the
-    // build has DCDO_TRACING off.
+    // Default off — tracing is opt-in per scenario, so benches and the bulk
+    // of the suite pay only each trace hook's null test.
     bool tracing = false;
-    trace::TraceContext::Options trace_options = {};
   };
 
   explicit Testbed(const Options& options);
@@ -74,12 +71,11 @@ class Testbed {
   // Drives the simulation until idle.
   void RunAll() { simulation_.Run(); }
 
-  // The installed checking context, or nullptr when checking is off (by
-  // option or because the build has DCDO_CHECKING off).
+  // The installed checking context, or nullptr when Options::checking is
+  // off.
   check::CheckContext* checker() { return checker_.get(); }
 
-  // The installed tracing context, or nullptr when tracing is off (by
-  // option or because the build has DCDO_TRACING off).
+  // The installed tracing context, or nullptr when Options::tracing is off.
   trace::TraceContext* tracer() { return tracer_.get(); }
 
   // Exports the collected trace as Chrome trace-event JSON (chrome://tracing

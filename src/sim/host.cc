@@ -1,7 +1,6 @@
 #include "sim/host.h"
 
 #include "common/logging.h"
-#include "trace/trace_context.h"
 
 namespace dcdo::sim {
 
@@ -79,8 +78,6 @@ void SimHost::CacheComponent(const ObjectId& component, std::size_t bytes) {
     component_cache_.erase(victim);
     component_lru_.pop_back();
     component_evictions_.Increment();
-    DCDO_TRACE_HOOK(
-        metrics().GetCounter("host.component_cache_evictions").Increment());
   }
 }
 

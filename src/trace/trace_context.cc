@@ -1,5 +1,6 @@
 #include "trace/trace_context.h"
 
+#include <atomic>
 #include <chrono>
 
 #include "sim/simulation.h"
@@ -21,16 +22,14 @@ std::int64_t SteadyNowNanos() {
 
 }  // namespace
 
-TraceContext::TraceContext(const Options& options)
-    : options_(options),
-      enabled_(options.enabled),
-      wall_origin_ns_(SteadyNowNanos()) {}
-
-TraceContext::~TraceContext() { Uninstall(); }
-
-TraceContext* TraceContext::Current() {
+TraceContext* ActiveContext() {
   return g_current.load(std::memory_order_acquire);
 }
+
+TraceContext::TraceContext(const Options& options)
+    : options_(options), wall_origin_ns_(SteadyNowNanos()) {}
+
+TraceContext::~TraceContext() { Uninstall(); }
 
 void TraceContext::Install() {
   g_current.store(this, std::memory_order_release);

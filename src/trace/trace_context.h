@@ -1,11 +1,11 @@
 // TraceContext: the causal tracing layer of the simulator.
 //
 // One TraceContext is installed per testbed (process-globally reachable via
-// Current(), exactly like check::CheckContext — instrumentation sites deep in
-// the stack need no plumbing). Instrumented layers record *spans*: named
-// intervals stamped with both sim time (the clock the paper's evaluation
-// runs on) and wall time, linked parent -> child so a remote call's full
-// causal path is reconstructible:
+// ActiveContext(), like check::CheckContext::Current() — instrumentation
+// sites deep in the stack need no plumbing). Instrumented layers record
+// *spans*: named intervals stamped with both sim time (the clock the paper's
+// evaluation runs on) and wall time, linked parent -> child so a remote
+// call's full causal path is reconstructible:
 //
 //   rpc.call (client)                       the whole invocation, keyed by
 //     rpc.attempt [attempt=1]               (origin node, call_id)
@@ -32,14 +32,10 @@
 // sim-time histograms replacing the ad-hoc statistics of RpcClient /
 // SimNetwork / BindingAgent.
 //
-// Zero cost when disabled: instrumentation sites guard on ActiveContext(),
-// which is a compile-time nullptr unless DCDO_TRACE_ENABLED is defined
-// (CMake option DCDO_TRACING, on by default) and otherwise a single
-// null + flag test; nothing is recorded unless a context is installed and
-// enabled.
+// Cost when not installed: instrumentation sites guard on ActiveContext(),
+// a single null test; nothing is recorded unless a context is installed.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -94,7 +90,6 @@ struct Span {
 class TraceContext {
  public:
   struct Options {
-    bool enabled = true;
     // Hard cap on retained spans; beyond it new spans are dropped (counted
     // in dropped_spans()) so a runaway workload cannot eat the heap.
     std::size_t max_spans = 1u << 20;
@@ -108,18 +103,12 @@ class TraceContext {
 
   // --- global installation (how instrumentation sites find the context) ---
 
-  static TraceContext* Current();
   void Install();    // makes this the process-current context
   void Uninstall();  // clears it, if this is the current one
 
   // Uses `simulation` as the sim-time source for stamps. Header-only use of
   // Simulation::Now(); the trace library does not link against dcdo_sim.
   void AttachSimulation(sim::Simulation* simulation);
-
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void set_enabled(bool enabled) {
-    enabled_.store(enabled, std::memory_order_relaxed);
-  }
 
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
@@ -156,7 +145,6 @@ class TraceContext {
   std::int64_t WallNowNanos() const;
 
   Options options_;
-  std::atomic<bool> enabled_;
   sim::Simulation* simulation_ = nullptr;
   std::int64_t wall_origin_ns_ = 0;
 
@@ -168,34 +156,20 @@ class TraceContext {
   MetricsRegistry metrics_;
 };
 
-// The guard instrumentation sites branch on. Compiled out (constant nullptr,
-// so the whole `if (auto* tr = ...)` body is dead code) without
-// DCDO_TRACE_ENABLED; otherwise one load + two tests.
-inline TraceContext* ActiveContext() {
-#if defined(DCDO_TRACE_ENABLED)
-  TraceContext* ctx = TraceContext::Current();
-  return (ctx != nullptr && ctx->enabled()) ? ctx : nullptr;
-#else
-  return nullptr;
-#endif
-}
+// The process-current context, or nullptr: the guard instrumentation sites
+// branch on.
+TraceContext* ActiveContext();
 
 // Statement form for one-shot sites, mirroring DCDO_CHECK_HOOK:
 //   DCDO_TRACE_HOOK(metrics().GetCounter("rpc.timeouts").Increment());
-#if defined(DCDO_TRACE_ENABLED)
-#define DCDO_TRACE_HOOK(call)                                        \
-  do {                                                               \
-    ::dcdo::trace::TraceContext* dcdo_trace_ctx_ =                   \
-        ::dcdo::trace::ActiveContext();                              \
-    if (dcdo_trace_ctx_ != nullptr) {                                \
-      dcdo_trace_ctx_->call;                                         \
-    }                                                                \
+#define DCDO_TRACE_HOOK(call)                      \
+  do {                                             \
+    ::dcdo::trace::TraceContext* dcdo_trace_ctx_ = \
+        ::dcdo::trace::ActiveContext();            \
+    if (dcdo_trace_ctx_ != nullptr) {              \
+      dcdo_trace_ctx_->call;                       \
+    }                                              \
   } while (false)
-#else
-#define DCDO_TRACE_HOOK(call) \
-  do {                        \
-  } while (false)
-#endif
 
 // RAII synchronous span: begins on construction, pushes itself as the
 // default parent for spans begun beneath it, pops + ends on destruction.

@@ -26,8 +26,8 @@ namespace {
 #ifndef DCDO_ANALYZE_BIN
 #error "build must define DCDO_ANALYZE_BIN"
 #endif
-#ifndef DCDO_ANALYSIS_FIXTURE_DIR
-#error "build must define DCDO_ANALYSIS_FIXTURE_DIR"
+#ifndef DCDO_TIDY_FIXTURE_DIR
+#error "build must define DCDO_TIDY_FIXTURE_DIR"
 #endif
 
 struct RunResult {
@@ -102,7 +102,7 @@ std::set<std::pair<int, std::string>> ParseFindings(
 }
 
 std::string FixturePath(const std::string& check, const std::string& leaf) {
-  return std::string(DCDO_ANALYSIS_FIXTURE_DIR) + "/" + check + "/" + leaf;
+  return std::string(DCDO_TIDY_FIXTURE_DIR) + "/" + check + "/" + leaf;
 }
 
 class CheckFixtureTest : public ::testing::TestWithParam<const char*> {};
@@ -182,7 +182,7 @@ TEST(AnalyzerDriverTest, WallclockAllowlistSilencesTraceStylePaths) {
   const std::string bug = FixturePath("dcdo-wallclock-in-sim", "bug.cc");
   RunResult run = RunAnalyzer(
       "--checks=dcdo-wallclock-in-sim --allow-wallclock=" +
-      std::string(DCDO_ANALYSIS_FIXTURE_DIR) + " " + bug);
+      std::string(DCDO_TIDY_FIXTURE_DIR) + " " + bug);
   EXPECT_EQ(run.exit_code, 0) << run.output;
 }
 

@@ -24,8 +24,8 @@ namespace {
 #ifndef DCDO_RACE_FIXTURE_BIN
 #error "build must define DCDO_RACE_FIXTURE_BIN"
 #endif
-#ifndef DCDO_ANALYSIS_FIXTURE_DIR
-#error "build must define DCDO_ANALYSIS_FIXTURE_DIR"
+#ifndef DCDO_TIDY_FIXTURE_DIR
+#error "build must define DCDO_TIDY_FIXTURE_DIR"
 #endif
 
 #if defined(__SANITIZE_THREAD__)
@@ -60,7 +60,7 @@ RunResult RunCommand(const std::string& command) {
 
 TEST(TsanInterplayTest, StaticCheckFlagsTheRacyFixture) {
   const std::string header =
-      std::string(DCDO_ANALYSIS_FIXTURE_DIR) + "/mutable-race/racy_service.h";
+      std::string(DCDO_TIDY_FIXTURE_DIR) + "/mutable-race/racy_service.h";
   RunResult run = RunCommand(
       std::string(DCDO_ANALYZE_BIN) +
       " --checks=dcdo-mutable-nonatomic-in-const " + header);

@@ -311,7 +311,7 @@ class CheckedRuntimeTest : public ::testing::Test {
 
 TEST_F(CheckedRuntimeTest, CleanLifecycleLeavesNoDiagnostics) {
   CheckContext* checker = testbed_.checker();
-  if (checker == nullptr) GTEST_SKIP() << "checking compiled out";
+  ASSERT_NE(checker, nullptr);
 
   ASSERT_TRUE(IncorporateBlocking(comp_a_.id).ok());
   ASSERT_TRUE(object_->EnableFunction("f", comp_a_.id).ok());
@@ -347,7 +347,7 @@ TEST_F(CheckedRuntimeTest, CleanLifecycleLeavesNoDiagnostics) {
 
 TEST_F(CheckedRuntimeTest, ForcedRemovalUnderParkedCallIsDetected) {
   CheckContext* checker = testbed_.checker();
-  if (checker == nullptr) GTEST_SKIP() << "checking compiled out";
+  ASSERT_NE(checker, nullptr);
 
   // A body that parks for 2 s on an outcall, leaving its thread live inside
   // the component.
@@ -381,28 +381,6 @@ TEST_F(CheckedRuntimeTest, ForcedRemovalUnderParkedCallIsDetected) {
   ASSERT_GE(checker->diagnostics().CountFor("dfm-no-dangling"), 1u);
   EXPECT_EQ(checker->diagnostics().For("dfm-no-dangling")[0]->severity,
             Severity::kWarning);
-}
-
-TEST_F(CheckedRuntimeTest, RuntimeToggleSuppressesInstrumentation) {
-  CheckContext* checker = testbed_.checker();
-  if (checker == nullptr) GTEST_SKIP() << "checking compiled out";
-
-  ASSERT_TRUE(IncorporateBlocking(comp_a_.id).ok());
-  ASSERT_TRUE(object_->EnableFunction("f", comp_a_.id).ok());
-
-  checker->set_enabled(false);
-  std::uint64_t evaluations_before = checker->evaluations();
-  ASSERT_TRUE(object_->Call("f", ByteBuffer{}).ok());
-  EXPECT_EQ(checker->races().in_flight().size(), 0u)
-      << "disabled checker must not collect call records";
-  EXPECT_EQ(checker->evaluations(), evaluations_before);
-
-  checker->set_enabled(true);
-  ASSERT_TRUE(object_->Call("f", ByteBuffer{}).ok());
-  testbed_.RunAll();
-  checker->EvaluateAtEnd();
-  EXPECT_TRUE(checker->diagnostics().Clean())
-      << checker->diagnostics().DumpText();
 }
 
 }  // namespace

@@ -128,11 +128,11 @@ TEST_F(RemoteChurnTest, ConcurrentCallsVersusEvolutionChurnStayClean) {
 
   // The checking layer watched every event: zero diagnostics of any
   // severity, from the invariants and from the race detector alike.
-  if (auto* checker = testbed_.checker()) {
-    checker->Evaluate();
-    EXPECT_EQ(checker->diagnostics().count(), 0u)
-        << checker->diagnostics().DumpText();
-  }
+  auto* checker = testbed_.checker();
+  ASSERT_NE(checker, nullptr);
+  checker->Evaluate();
+  EXPECT_EQ(checker->diagnostics().count(), 0u)
+      << checker->diagnostics().DumpText();
 }
 
 }  // namespace

@@ -345,10 +345,10 @@ TEST(LeaseStormTest, RebindStormConvergesSubSecondUnderChecker) {
     EXPECT_EQ(*pushed, (ObjectAddress{3, 8, 2}));
   }
   // And the storm left every invariant intact.
-  if (auto* checker = testbed.checker()) {
-    EXPECT_EQ(checker->diagnostics().count(), 0u)
-        << checker->diagnostics().DumpText();
-  }
+  auto* checker = testbed.checker();
+  ASSERT_NE(checker, nullptr);
+  EXPECT_EQ(checker->diagnostics().count(), 0u)
+      << checker->diagnostics().DumpText();
 }
 
 // Testbed's own wiring: with leases on, the agent lives on one extra host,
@@ -421,10 +421,10 @@ TEST(LeaseTestbedTest, PartitionFromAgentHostStrandsOnlyThatHolder) {
   EXPECT_EQ(stranded->cache().CachedAddress(target), after);
   EXPECT_EQ(stranded->cache().lease_expirations(), 1u);
   EXPECT_EQ(stranded->timeouts(), 0u);
-  if (auto* checker = testbed.checker()) {
-    EXPECT_EQ(checker->diagnostics().count(), 0u)
-        << checker->diagnostics().DumpText();
-  }
+  auto* checker = testbed.checker();
+  ASSERT_NE(checker, nullptr);
+  EXPECT_EQ(checker->diagnostics().count(), 0u)
+      << checker->diagnostics().DumpText();
 }
 
 // Legacy guard: with leases off (the default cost model) nothing registers,

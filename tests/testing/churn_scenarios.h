@@ -48,11 +48,11 @@ inline void FinishSummary(Testbed& testbed, RunSummary& summary) {
   summary.digest = testbed.simulation().DeterminismDigest();
   summary.fired = testbed.simulation().events_fired();
   summary.end_ns = testbed.simulation().Now().nanos();
-  if (check::CheckContext* checker = testbed.checker()) {
-    summary.checker_clean = checker->diagnostics().Clean();
-    if (!summary.checker_clean) {
-      summary.diagnostics = checker->diagnostics().DumpText();
-    }
+  check::CheckContext* checker = testbed.checker();
+  ASSERT_NE(checker, nullptr);
+  summary.checker_clean = checker->diagnostics().Clean();
+  if (!summary.checker_clean) {
+    summary.diagnostics = checker->diagnostics().DumpText();
   }
 }
 

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "rpc/client.h"
@@ -37,11 +38,7 @@ class CausalityTest : public ::testing::Test {
   }
   ~CausalityTest() override { ctx_.Uninstall(); }
 
-  void SetUp() override {
-    if (ActiveContext() == nullptr) {
-      GTEST_SKIP() << "tracing compiled out; no spans to assert on";
-    }
-  }
+  void SetUp() override { ASSERT_EQ(ActiveContext(), &ctx_); }
 
   std::vector<Span> SpansNamed(const std::vector<Span>& spans,
                                std::string_view name) {
@@ -186,7 +183,7 @@ TEST(TestbedTracingTest, DumpTraceExportsSpansAndMetrics) {
     Testbed::Options options;
     options.tracing = true;
     Testbed bed(options);
-    if (bed.tracer() == nullptr) GTEST_SKIP() << "tracing compiled out";
+    ASSERT_NE(bed.tracer(), nullptr);
 
     bed.transport().RegisterEndpoint(
         2, 10, 1, [](const MethodInvocation& inv, ReplyFn reply) {
@@ -208,6 +205,29 @@ TEST(TestbedTracingTest, DumpTraceExportsSpansAndMetrics) {
   EXPECT_NE(contents.str().find("\"net.messages_sent\""), std::string::npos);
   EXPECT_NE(contents.str().find("\"rpc.invocations_delivered\": 1"),
             std::string::npos);
+  std::remove(path.c_str());
+}
+
+// Hosts count their own component-cache evictions; DumpTrace exports the sum.
+TEST(TestbedTracingTest, DumpTraceExportsHostCacheEvictions) {
+  std::string path = ::testing::TempDir() + "/dcdo_testbed_evictions.json";
+  {
+    Testbed::Options options;
+    options.tracing = true;
+    options.cost_model.component_cache_capacity = 1;
+    Testbed bed(options);
+    bed.host(0)->CacheComponent(ObjectId::Next(domains::kComponent), 100);
+    bed.host(0)->CacheComponent(ObjectId::Next(domains::kComponent), 200);
+    ASSERT_TRUE(bed.DumpTrace(path).ok());
+  }
+  std::ifstream file(path);
+  ASSERT_TRUE(file.good());
+  std::stringstream contents;
+  contents << file.rdbuf();
+  const std::string key = "\"host.component_cache_evictions\": ";
+  std::size_t at = contents.str().find(key);
+  ASSERT_NE(at, std::string::npos);
+  EXPECT_EQ(std::stoull(contents.str().substr(at + key.size())), 1u);
   std::remove(path.c_str());
 }
 
