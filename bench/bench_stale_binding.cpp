@@ -167,8 +167,7 @@ void SimTime_StaleBindingRebindStorm(benchmark::State& state) {
     caches.reserve(static_cast<std::size_t>(holders));
     for (int i = 0; i < holders; ++i) {
       caches.push_back(std::make_unique<BindingCache>(
-          &agent, /*capacity=*/16,
-          static_cast<sim::NodeId>(1 + i % options.host_count)));
+          &agent, static_cast<sim::NodeId>(1 + i % options.host_count)));
       if (!caches.back()->Resolve(target).ok()) std::abort();
     }
     const ObjectAddress fresh{3, 8, 2};

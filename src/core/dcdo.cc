@@ -653,27 +653,8 @@ Result<ByteBuffer> Dcdo::DispatchConfig(std::string_view method,
     return ByteBuffer{};
   }
   if (method == "dcdo.addDependency" || method == "dcdo.removeDependency") {
-    // Wire form: kind u32, dependent, has-c1/c1, target, has-c2/c2 —
-    // the same layout descriptor_wire uses.
     Reader reader(args);
-    Dependency dep;
-    DCDO_ASSIGN_OR_RETURN(std::uint32_t kind, reader.ReadU32());
-    if (kind > static_cast<std::uint32_t>(DependencyKind::kTypeD)) {
-      return InvalidArgumentError("bad dependency kind");
-    }
-    dep.kind = static_cast<DependencyKind>(kind);
-    DCDO_ASSIGN_OR_RETURN(dep.dependent, reader.ReadString());
-    DCDO_ASSIGN_OR_RETURN(bool has_c1, reader.ReadBool());
-    if (has_c1) {
-      DCDO_ASSIGN_OR_RETURN(ObjectId c1, reader.ReadObjectId());
-      dep.dependent_component = c1;
-    }
-    DCDO_ASSIGN_OR_RETURN(dep.target, reader.ReadString());
-    DCDO_ASSIGN_OR_RETURN(bool has_c2, reader.ReadBool());
-    if (has_c2) {
-      DCDO_ASSIGN_OR_RETURN(ObjectId c2, reader.ReadObjectId());
-      dep.target_component = c2;
-    }
+    DCDO_ASSIGN_OR_RETURN(Dependency dep, ReadDependency(reader));
     if (method == "dcdo.addDependency") {
       DCDO_RETURN_IF_ERROR(AddDependency(std::move(dep)));
     } else {

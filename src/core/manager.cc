@@ -80,16 +80,8 @@ class CreateInstanceFom final : public runtime::Fom {
           return FomStatus::kDone;
         }
         if (mgr->names_ != nullptr) {
-          auto bound = mgr->names_->BindInterned(
-              mgr->NamePrefix() + "/instances/" +
-                  std::to_string(instance_id_.instance()),
-              instance_id_);
-          if (bound.ok()) {
-            auto rec = mgr->instances_.find(instance_id_);
-            if (rec != mgr->instances_.end()) {
-              rec->second.name = *bound;
-            }
-          }
+          (void)mgr->names_->Bind(mgr->InstanceName(instance_id_),
+                                  instance_id_);
         }
         // Activation handshake completes creation.
         EnterPhase(kHandshake, "handshake");
@@ -343,12 +335,8 @@ Status DcdoManager::AttachNameService(NameService* names) {
     DCDO_RETURN_IF_ERROR(names_->Bind(
         NamePrefix() + "/components/" + ico->component().name, ico->id()));
   }
-  for (auto& [instance_id, record] : instances_) {
-    DCDO_ASSIGN_OR_RETURN(
-        record.name,
-        names_->BindInterned(
-            NamePrefix() + "/instances/" + std::to_string(instance_id.instance()),
-            instance_id));
+  for (const auto& entry : instances_) {
+    DCDO_RETURN_IF_ERROR(names_->Bind(InstanceName(entry.first), entry.first));
   }
   return Status::Ok();
 }
@@ -684,18 +672,8 @@ Status DcdoManager::DestroyInstance(const ObjectId& instance) {
   if (it == instances_.end()) {
     return NotFoundError("no instance " + instance.ToString());
   }
-  NameId name = it->second.name;
   instances_.erase(it);
-  if (names_ != nullptr) {
-    if (name.valid()) {
-      (void)names_->Unbind(name);
-    } else {
-      // Bound before interning existed (or the bind failed): fall back to
-      // the path form.
-      (void)names_->Unbind(NamePrefix() + "/instances/" +
-                           std::to_string(instance.instance()));
-    }
-  }
+  if (names_ != nullptr) (void)names_->Unbind(InstanceName(instance));
   return Status::Ok();
 }
 

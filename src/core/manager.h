@@ -190,9 +190,6 @@ class DcdoManager {
     std::unique_ptr<Dcdo> object;
     std::uint64_t calls_at_last_check = 0;
     sim::SimTime last_check;
-    // Interned context-space name ("/types/<T>/instances/<n>"), so destroy
-    // unbinds by id instead of rebuilding and rehashing the path string.
-    NameId name;
   };
 
   // Applies the descriptor of `version` to the (fresh or existing) DCDO.
@@ -211,6 +208,9 @@ class DcdoManager {
   sim::ProcessId pid_ = 0;
 
   std::string NamePrefix() const { return "/types/" + type_name_; }
+  std::string InstanceName(const ObjectId& instance) const {
+    return NamePrefix() + "/instances/" + std::to_string(instance.instance());
+  }
 
   std::vector<std::unique_ptr<ImplementationComponentObject>> published_;
   IcoDirectory icos_;

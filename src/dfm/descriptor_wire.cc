@@ -3,7 +3,6 @@
 #include "common/serialize.h"
 
 namespace dcdo {
-namespace {
 
 void WriteDependency(Writer& writer, const Dependency& dep) {
   writer.WriteU32(static_cast<std::uint32_t>(dep.kind));
@@ -41,8 +40,6 @@ Result<Dependency> ReadDependency(Reader& reader) {
   DCDO_RETURN_IF_ERROR(dep.Validate());
   return dep;
 }
-
-}  // namespace
 
 ByteBuffer SerializeDescriptor(const DfmDescriptor& descriptor) {
   Writer writer;

@@ -19,7 +19,17 @@
 
 namespace dcdo {
 
+class Reader;
+class Writer;
+
 ByteBuffer SerializeDescriptor(const DfmDescriptor& descriptor);
 [[nodiscard]] Result<DfmDescriptor> ParseDescriptor(const ByteBuffer& wire);
+
+// One dependency: kind u32, dependent, has-c1/c1, target, has-c2/c2. The
+// descriptor's dependency set and the remote dcdo.addDependency /
+// dcdo.removeDependency arguments share this form. Reading validates the
+// dependency (Dependency::Validate), so a malformed one is kInvalidArgument.
+void WriteDependency(Writer& writer, const Dependency& dep);
+[[nodiscard]] Result<Dependency> ReadDependency(Reader& reader);
 
 }  // namespace dcdo

@@ -512,71 +512,6 @@ Status DynamicFunctionMapper::AdoptConfiguration(const DfmState& target,
   return Status::Ok();
 }
 
-Status DynamicFunctionMapper::SyncMetadata(const DfmState& target) {
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  // Whatever happens below, leave the slot table mirroring state_: a failed
-  // sync may have applied some visibilities before erroring out.
-  struct Resync {
-    DynamicFunctionMapper* self;
-    ~Resync() {
-      self->DeriveAllSlotsLocked();
-      self->BumpVersion();
-    }
-  } resync{this};
-  // Precondition: component and entry sets match the target.
-  if (state_.component_count() != target.component_count() ||
-      state_.entry_count() != target.entry_count()) {
-    return FailedPreconditionError(
-        "SyncMetadata: entry/component sets do not match the target");
-  }
-  for (const DfmEntry& entry : target.entries()) {
-    const DfmEntry* mine = state_.FindEntry(entry.name(), entry.component);
-    if (mine == nullptr) {
-      return FailedPreconditionError("SyncMetadata: missing entry for '" +
-                                     entry.name() + "'");
-    }
-    if (mine->enabled != entry.enabled) {
-      return FailedPreconditionError(
-          "SyncMetadata: enablement of '" + entry.name() +
-          "' does not match the target (apply the plan first)");
-    }
-  }
-  // Rebuild metadata to match the target exactly. Visibility first, then
-  // constraints, then dependencies (validated against the final snapshot).
-  for (const DfmEntry& entry : target.entries()) {
-    DCDO_RETURN_IF_ERROR(state_.SetVisibility(entry.name(), entry.component,
-                                              entry.visibility));
-  }
-  for (const std::string& function : target.mandatory_functions()) {
-    DCDO_RETURN_IF_ERROR(state_.MarkMandatory(function));
-  }
-  for (const DfmEntry& entry : target.entries()) {
-    if (entry.permanent) {
-      DCDO_RETURN_IF_ERROR(state_.MarkPermanent(entry.name(), entry.component));
-    }
-  }
-  // Remove dependencies the target no longer has (collect first — removal
-  // mutates the set being iterated).
-  std::vector<Dependency> stale;
-  for (const Dependency& dep : state_.dependencies().all()) {
-    bool in_target = false;
-    for (const Dependency& tdep : target.dependencies().all()) {
-      if (tdep == dep) {
-        in_target = true;
-        break;
-      }
-    }
-    if (!in_target) stale.push_back(dep);
-  }
-  for (const Dependency& dep : stale) {
-    DCDO_RETURN_IF_ERROR(state_.RemoveDependency(dep));
-  }
-  for (const Dependency& dep : target.dependencies().all()) {
-    DCDO_RETURN_IF_ERROR(state_.AddDependency(dep));
-  }
-  return Status::Ok();
-}
-
 Status DynamicFunctionMapper::RemapBodies(const NativeCodeRegistry& registry,
                                           sim::Architecture arch) {
   std::unique_lock<std::shared_mutex> lock(mutex_);

@@ -28,7 +28,7 @@
 // slots they touched from the authoritative DfmState, and bump a version
 // stamp: enable / disable / switch / set-visibility / mark-permanent patch
 // one function's slot, incorporate / remove patch the component's
-// functions, and only the wholesale moves (install / adopt / sync / remap)
+// functions, and only the wholesale moves (install / adopt / remap)
 // re-derive every slot — through the same per-function routine. Each
 // mutation validates its dependencies against a zero-copy overlay of the
 // table (DfmState::Overlay), so a single-function change costs
@@ -222,12 +222,6 @@ class DynamicFunctionMapper {
   // incorporated; see DfmState::AdoptConfiguration for semantics.
   [[nodiscard]] Status AdoptConfiguration(const DfmState& target, bool enforce_marks);
 
-  // After an evolution plan has been applied, adopts the target
-  // configuration's metadata wholesale: mandatory markings, permanent flags,
-  // visibilities, and the dependency set. The entry/component sets must
-  // already match the target; kFailedPrecondition otherwise.
-  [[nodiscard]] Status SyncMetadata(const DfmState& target);
-
   // Re-resolves every incorporated implementation against `registry` for a
   // (possibly different) architecture — the re-mapping step of migration.
   // Fails with kArchMismatch if any incorporated component has no build
@@ -317,7 +311,7 @@ class DynamicFunctionMapper {
   void DeriveSlotLocked(Slot& slot, std::span<const DfmEntry> rows);
   // DeriveSlotLocked for every function the state holds, adding the slots
   // an install meets first: the full rebuild behind wholesale moves
-  // (install, adopt, metadata sync, remap).
+  // (install, adopt, remap).
   void DeriveAllSlotsLocked();
   void BumpVersion() {
     table_version_.fetch_add(1, std::memory_order_acq_rel);

@@ -5,9 +5,8 @@
 
 namespace dcdo {
 
-BindingCache::BindingCache(BindingAgent* agent, std::size_t capacity,
-                           sim::NodeId node)
-    : agent_(*agent), capacity_(capacity), node_(node) {
+BindingCache::BindingCache(BindingAgent* agent, sim::NodeId node)
+    : agent_(*agent), node_(node) {
   if (agent_.leases_enabled()) {
     holder_ = agent_.RegisterHolder(node_, this);
   }
@@ -41,45 +40,9 @@ bool BindingCache::Expired(const Entry& entry) const {
   return sim != nullptr && entry.lease_expiry <= sim->Now();
 }
 
-void BindingCache::Store(const ObjectId& id, const ObjectAddress& address) {
-  auto it = cache_.find(id);
-  if (it != cache_.end()) {
-    it->second.address = address;
-    it->second.leased = false;
-    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-    return;
-  }
-  lru_.push_front(id);
-  cache_.emplace(id, Entry{address, lru_.begin(), sim::SimTime{}, false});
-  if (capacity_ != 0 && cache_.size() > capacity_) {
-    const ObjectId& victim = lru_.back();
-    cache_.erase(victim);
-    lru_.pop_back();
-    evictions_.Increment();
-    DCDO_TRACE_HOOK(metrics().GetCounter("naming.cache_evictions").Increment());
-  }
-}
+void BindingCache::Invalidate(const ObjectId& id) { cache_.erase(id); }
 
-void BindingCache::StoreLeased(const ObjectId& id, const ObjectAddress& address,
-                               sim::SimTime lease_expiry) {
-  Store(id, address);
-  auto it = cache_.find(id);
-  if (it == cache_.end()) return;  // capacity 1 corner: evicted immediately
-  it->second.leased = true;
-  it->second.lease_expiry = lease_expiry;
-}
-
-void BindingCache::Invalidate(const ObjectId& id) {
-  auto it = cache_.find(id);
-  if (it == cache_.end()) return;
-  lru_.erase(it->second.lru_it);
-  cache_.erase(it);
-}
-
-void BindingCache::InvalidateAll() {
-  cache_.clear();
-  lru_.clear();
-}
+void BindingCache::InvalidateAll() { cache_.clear(); }
 
 void BindingCache::OnBindingInvalidated(const ObjectId& id,
                                         const ObjectAddress* fresh,
@@ -95,7 +58,7 @@ void BindingCache::OnBindingInvalidated(const ObjectId& id,
   }
   // The agent pushed the replacement binding along with a renewed lease:
   // update in place, so the very next Resolve serves the fresh address.
-  StoreLeased(id, *fresh, lease_expiry);
+  cache_.insert_or_assign(id, Entry{*fresh, lease_expiry, true});
   DCDO_CHECK_HOOK(OnBindingRefreshed(id, fresh->node, fresh->pid,
                                      fresh->epoch));
 }
@@ -113,7 +76,6 @@ Result<ObjectAddress> BindingCache::Resolve(const ObjectId& id) {
     if (!Expired(it->second)) {
       hits_.Increment();
       DCDO_TRACE_HOOK(metrics().GetCounter("naming.cache_hits").Increment());
-      lru_.splice(lru_.begin(), lru_, it->second.lru_it);
       return it->second.address;
     }
     // The lease ran out with no invalidation seen (lost push, partition, or
@@ -122,7 +84,6 @@ Result<ObjectAddress> BindingCache::Resolve(const ObjectId& id) {
     lease_expirations_.Increment();
     DCDO_TRACE_HOOK(
         metrics().GetCounter("naming.lease_expirations").Increment());
-    lru_.erase(it->second.lru_it);
     cache_.erase(it);
   }
   misses_.Increment();
@@ -141,15 +102,12 @@ Result<ObjectAddress> BindingCache::RefreshFromAgent(const ObjectId& id) {
 }
 
 Result<ObjectAddress> BindingCache::Fetch(const ObjectId& id) {
-  if (holder_ == 0) {
-    DCDO_ASSIGN_OR_RETURN(ObjectAddress address, agent_.Lookup(id));
-    Store(id, address);
-    return address;
-  }
   sim::SimTime expiry{};
   DCDO_ASSIGN_OR_RETURN(ObjectAddress address,
-                        agent_.LookupWithLease(id, holder_, &expiry));
-  StoreLeased(id, address, expiry);
+                        holder_ == 0
+                            ? agent_.Lookup(id)
+                            : agent_.LookupWithLease(id, holder_, &expiry));
+  cache_.insert_or_assign(id, Entry{address, expiry, holder_ != 0});
   return address;
 }
 

@@ -18,15 +18,12 @@
 // expire and staleness is discovered by the rpc layer's timeout probing
 // alone (the paper's protocol).
 //
-// The cache is bounded: entries are kept in LRU order and the least recently
-// used binding is evicted once `capacity` is exceeded (capacity comes from
-// CostModel::binding_cache_capacity; 0 means unbounded). Eviction is safe by
-// construction — a dropped binding is re-fetched from the agent on the next
-// miss, exactly like first contact.
+// The cache is one unbounded map: a client holds a binding for every object
+// it has talked to, and an entry leaves only when it is invalidated, fails a
+// refresh or outlives its lease.
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <optional>
 #include <unordered_map>
 
@@ -41,15 +38,10 @@ namespace dcdo {
 
 class BindingCache : public InvalidationSink {
  public:
-  // Generous default; real clients pass CostModel::binding_cache_capacity.
-  static constexpr std::size_t kDefaultCapacity = 65536;
-
   // `node` is the sim host this cache lives on — the destination for pushed
   // invalidations. Callers outside the simulated cluster (unit tests of the
   // bare cache) may leave it 0; with leases off it is never used.
-  explicit BindingCache(BindingAgent* agent,
-                        std::size_t capacity = kDefaultCapacity,
-                        sim::NodeId node = 0);
+  explicit BindingCache(BindingAgent* agent, sim::NodeId node = 0);
   ~BindingCache();
   BindingCache(const BindingCache&) = delete;
   BindingCache& operator=(const BindingCache&) = delete;
@@ -63,8 +55,8 @@ class BindingCache : public InvalidationSink {
   // binding. The caller charges CostModel::rebind_query in sim time.
   [[nodiscard]] Result<ObjectAddress> RefreshFromAgent(const ObjectId& id);
 
-  // The cached address without any side effects: no LRU touch, no stats, no
-  // fetch; nullopt when absent or lease-expired. The rpc layer uses this to
+  // The cached address without any side effects: no stats, no fetch;
+  // nullopt when absent or lease-expired. The rpc layer uses this to
   // notice that an invalidation replaced the binding mid-call.
   [[nodiscard]] std::optional<ObjectAddress> CachedAddress(
       const ObjectId& id) const;
@@ -79,12 +71,10 @@ class BindingCache : public InvalidationSink {
 
   bool Cached(const ObjectId& id) const { return cache_.contains(id); }
   std::size_t size() const { return cache_.size(); }
-  std::size_t capacity() const { return capacity_; }
 
   std::uint64_t hits() const { return hits_.value(); }
   std::uint64_t misses() const { return misses_.value(); }
   std::uint64_t refreshes() const { return refreshes_.value(); }
-  std::uint64_t evictions() const { return evictions_.value(); }
   std::uint64_t invalidations_received() const {
     return invalidations_received_.value();
   }
@@ -95,7 +85,6 @@ class BindingCache : public InvalidationSink {
  private:
   struct Entry {
     ObjectAddress address;
-    std::list<ObjectId>::iterator lru_it;  // position in lru_ (front = MRU)
     // Leases: the entry is trusted until `lease_expiry`; `leased` is false
     // for entries stored while leases are off (never expire).
     sim::SimTime lease_expiry;
@@ -105,25 +94,17 @@ class BindingCache : public InvalidationSink {
   // Authoritative lookup (lease-granting when registered as a holder) that
   // stores the answer.
   [[nodiscard]] Result<ObjectAddress> Fetch(const ObjectId& id);
-  // Inserts or overwrites `id`, moves it to MRU, and evicts the LRU entry
-  // if the bound is now exceeded.
-  void Store(const ObjectId& id, const ObjectAddress& address);
-  void StoreLeased(const ObjectId& id, const ObjectAddress& address,
-                   sim::SimTime lease_expiry);
   // True when the entry's lease (if any) has run out at the current sim time.
   bool Expired(const Entry& entry) const;
 
   BindingAgent& agent_;
-  std::size_t capacity_;
   sim::NodeId node_ = 0;
-  std::list<ObjectId> lru_;  // front = most recently used
   std::unordered_map<ObjectId, Entry, ObjectIdHash> cache_;
   // trace::Counter (atomic): stats siblings of BindingAgent::lookups_served_,
   // readable race-free from concurrent test threads.
   trace::Counter hits_;
   trace::Counter misses_;
   trace::Counter refreshes_;
-  trace::Counter evictions_;
   trace::Counter invalidations_received_;
   trace::Counter lease_expirations_;
   std::uint64_t check_handle_ = 0;  // binding-coherence probe registration

@@ -1,5 +1,7 @@
 #include "naming/lease_table.h"
 
+#include <iterator>
+
 namespace dcdo {
 
 void LeaseTable::Grant(const ObjectId& id, std::uint64_t holder,
@@ -8,20 +10,10 @@ void LeaseTable::Grant(const ObjectId& id, std::uint64_t holder,
   // Opportunistic purge: leases already expired at `now` would never be
   // pushed anyway (LiveHolders filters them), so drop them while we hold the
   // entry instead of letting dead generations accumulate.
-  for (auto it = holders.begin(); it != holders.end();) {
-    if (it->second <= now && it->first != holder) {
-      auto rev = by_holder_.find(it->first);
-      if (rev != by_holder_.end()) {
-        rev->second.erase(id);
-        if (rev->second.empty()) by_holder_.erase(rev);
-      }
-      it = holders.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  std::erase_if(holders, [&](const auto& lease) {
+    return lease.second <= now && lease.first != holder;
+  });
   holders[holder] = expiry;
-  by_holder_[holder].insert(id);
 }
 
 std::vector<std::uint64_t> LeaseTable::LiveHolders(const ObjectId& id,
@@ -36,28 +28,13 @@ std::vector<std::uint64_t> LeaseTable::LiveHolders(const ObjectId& id,
   return out;
 }
 
-void LeaseTable::Drop(const ObjectId& id) {
-  auto it = leases_.find(id);
-  if (it == leases_.end()) return;
-  for (const auto& [holder, expiry] : it->second) {
-    auto rev = by_holder_.find(holder);
-    if (rev == by_holder_.end()) continue;
-    rev->second.erase(id);
-    if (rev->second.empty()) by_holder_.erase(rev);
-  }
-  leases_.erase(it);
-}
+void LeaseTable::Drop(const ObjectId& id) { leases_.erase(id); }
 
 void LeaseTable::DropHolder(std::uint64_t holder) {
-  auto rev = by_holder_.find(holder);
-  if (rev == by_holder_.end()) return;
-  for (const ObjectId& id : rev->second) {
-    auto it = leases_.find(id);
-    if (it == leases_.end()) continue;
+  for (auto it = leases_.begin(); it != leases_.end();) {
     it->second.erase(holder);
-    if (it->second.empty()) leases_.erase(it);
+    it = it->second.empty() ? leases_.erase(it) : std::next(it);
   }
-  by_holder_.erase(rev);
 }
 
 std::size_t LeaseTable::LiveCount(sim::SimTime now) const {

@@ -6,16 +6,17 @@
 // source, no I/O — so expiry is judged against a caller-supplied `now` and
 // the class is trivial to test.
 //
-// Holder sets are kept in std::map (ordered by holder id) so invalidation
-// pushes iterate in a deterministic order: the simulated network serializes
-// sends behind the agent's NIC, and an unordered walk would let hash-seed
-// noise reorder deliveries between runs.
+// The table is one map from object to its holders. Holder sets are kept in
+// std::map (ordered by holder id) so invalidation pushes iterate in a
+// deterministic order: the simulated network serializes sends behind the
+// agent's NIC, and an unordered walk would let hash-seed noise reorder
+// deliveries between runs. Tearing down a holder walks every object; a
+// holder goes only when its cache is destroyed.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/object_id.h"
@@ -54,10 +55,6 @@ class LeaseTable {
   std::unordered_map<ObjectId, std::map<std::uint64_t, sim::SimTime>,
                      ObjectIdHash>
       leases_;
-  // Reverse index so DropHolder is proportional to the holder's own leases,
-  // not the whole table.
-  std::unordered_map<std::uint64_t, std::unordered_set<ObjectId, ObjectIdHash>>
-      by_holder_;
 };
 
 }  // namespace dcdo

@@ -1,7 +1,5 @@
 #include "naming/name_service.h"
 
-#include <algorithm>
-
 namespace dcdo {
 
 Result<std::string> NameService::Normalize(const std::string& path) {
@@ -20,22 +18,12 @@ Result<std::string> NameService::Normalize(const std::string& path) {
   return path;
 }
 
-Result<NameId> NameService::Intern(const std::string& path) {
-  DCDO_ASSIGN_OR_RETURN(std::string normalized, Normalize(path));
-  if (normalized == "/") {
-    return InvalidArgumentError("the root directory has no name id");
-  }
-  return ObjectNameTable::Global().Intern(normalized);
-}
-
 bool NameService::DirectoryUnderlies(std::string_view prefix_with_slash) const {
-  auto it = ordered_.lower_bound(prefix_with_slash);
-  return it != ordered_.end() &&
-         it->first.substr(0, prefix_with_slash.size()) == prefix_with_slash;
+  auto it = names_.lower_bound(prefix_with_slash);
+  return it != names_.end() && it->first.starts_with(prefix_with_slash);
 }
 
-Result<NameId> NameService::BindInterned(const std::string& raw_path,
-                                         const ObjectId& id) {
+Status NameService::Bind(const std::string& raw_path, const ObjectId& id) {
   DCDO_ASSIGN_OR_RETURN(std::string path, Normalize(raw_path));
   if (path == "/") {
     return InvalidArgumentError("the root directory cannot be bound");
@@ -43,83 +31,44 @@ Result<NameId> NameService::BindInterned(const std::string& raw_path,
   if (id.nil()) {
     return InvalidArgumentError("cannot bind '" + path + "' to the nil id");
   }
-  NameId name = ObjectNameTable::Global().Intern(path);
-  if (names_by_id_.contains(name)) {
+  if (names_.contains(path)) {
     return AlreadyExistsError("'" + path + "' is already bound");
   }
-  if (DirectoryUnderlies(std::string(path) + "/")) {
+  if (DirectoryUnderlies(path + "/")) {
     return AlreadyExistsError("'" + path + "' is a directory");
   }
-  // No ancestor of the new name may itself be a bound name. Ancestor probes
-  // go through the intern table's Find (no allocation); an ancestor that was
-  // never interned was certainly never bound.
+  // No ancestor of the new name may itself be a bound name.
   std::string_view view(path);
   for (std::size_t slash = view.rfind('/'); slash > 0;
        slash = view.rfind('/', slash - 1)) {
-    NameId ancestor = ObjectNameTable::Global().Find(view.substr(0, slash));
-    if (ancestor.valid() && names_by_id_.contains(ancestor)) {
+    if (names_.contains(view.substr(0, slash))) {
       return AlreadyExistsError("'" + std::string(view.substr(0, slash)) +
                                 "' is a name, not a directory");
     }
   }
-  names_by_id_[name] = id;
-  ordered_[std::string_view(ObjectNameTable::Global().NameOf(name))] = name;
-  return name;
-}
-
-Status NameService::Bind(const std::string& raw_path, const ObjectId& id) {
-  return BindInterned(raw_path, id).status();
-}
-
-Status NameService::Unbind(NameId name) {
-  auto it = names_by_id_.find(name);
-  if (it == names_by_id_.end()) {
-    return NotFoundError(
-        name.valid()
-            ? "'" + ObjectNameTable::Global().NameOf(name) + "' is not bound"
-            : std::string("invalid name id"));
-  }
-  names_by_id_.erase(it);
-  ordered_.erase(std::string_view(ObjectNameTable::Global().NameOf(name)));
+  names_.emplace(std::move(path), id);
   return Status::Ok();
 }
 
 Status NameService::Unbind(const std::string& raw_path) {
   DCDO_ASSIGN_OR_RETURN(std::string path, Normalize(raw_path));
-  NameId name = ObjectNameTable::Global().Find(path);
-  if (!name.valid()) {
+  if (names_.erase(path) == 0) {
     return NotFoundError("'" + path + "' is not bound");
   }
-  return Unbind(name);
-}
-
-Result<ObjectId> NameService::Lookup(NameId name) const {
-  auto it = names_by_id_.find(name);
-  if (it == names_by_id_.end()) {
-    return NotFoundError(
-        name.valid()
-            ? "'" + ObjectNameTable::Global().NameOf(name) + "' is not bound"
-            : std::string("invalid name id"));
-  }
-  return it->second;
+  return Status::Ok();
 }
 
 Result<ObjectId> NameService::Lookup(const std::string& raw_path) const {
-  // Fast path: one FNV-1a probe of the intern table, no allocation. A path
-  // that was never interned was never bound anywhere; only then pay the
-  // Normalize walk to produce the precise error.
-  NameId name = ObjectNameTable::Global().Find(raw_path);
-  if (name.valid()) {
-    auto it = names_by_id_.find(name);
-    if (it != names_by_id_.end()) return it->second;
-  }
+  // Only normalized paths are ever bound, so a hit needs no Normalize walk;
+  // a miss pays it to produce the precise error.
+  auto it = names_.find(raw_path);
+  if (it != names_.end()) return it->second;
   DCDO_ASSIGN_OR_RETURN(std::string path, Normalize(raw_path));
   return NotFoundError("'" + path + "' is not bound");
 }
 
 bool NameService::IsName(const std::string& raw_path) const {
-  NameId name = ObjectNameTable::Global().Find(raw_path);
-  return name.valid() && names_by_id_.contains(name);
+  return names_.contains(raw_path);
 }
 
 bool NameService::IsDirectory(const std::string& raw_path) const {
@@ -139,14 +88,11 @@ Result<std::vector<std::string>> NameService::List(
     return NotFoundError("'" + directory + "' does not exist");
   }
   std::string prefix = directory == "/" ? "/" : directory + "/";
-  std::string_view prefix_view(prefix);
   std::vector<std::string> out;
-  for (auto it = ordered_.lower_bound(prefix_view);
-       it != ordered_.end() &&
-       it->first.substr(0, prefix_view.size()) == prefix_view;
-       ++it) {
-    std::string_view rest = it->first;
-    rest.remove_prefix(prefix_view.size());
+  for (auto it = names_.lower_bound(prefix);
+       it != names_.end() && it->first.starts_with(prefix); ++it) {
+    std::string_view rest(it->first);
+    rest.remove_prefix(prefix.size());
     std::size_t slash = rest.find('/');
     std::string child = slash == std::string_view::npos
                             ? std::string(rest)

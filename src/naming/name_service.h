@@ -7,13 +7,9 @@
 // to ObjectIds, with listing by directory. Managers publish components under
 // paths like /components/libsort/2 so tools and humans can find them.
 //
-// Names are interned (NameId, the ObjectNameTable sibling of FunctionId):
-// the binding map is keyed by the 4-byte id, so a by-name lookup pays one
-// FNV-1a probe of the intern table and zero string copies, and a caller that
-// holds a NameId (Bind returns it; Intern() resolves one) looks up with no
-// string hashing at all. The ordered directory index — what List and
-// IsDirectory walk — stores string_views into the intern table's stable
-// storage, never a second copy of the path.
+// One ordered map from path to object serves every operation: Bind, Unbind,
+// Lookup and IsName probe it by key, and IsDirectory and List walk the
+// contiguous run of keys under a directory's "<dir>/" prefix.
 //
 // Rules (kept deliberately simple):
 //   * paths are absolute ("/a/b/c"), segments are non-empty and contain no
@@ -23,15 +19,14 @@
 //   * Unbind removes a name; empty directories vanish with their last name.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/object_id.h"
 #include "common/status.h"
-#include "naming/name_id.h"
 
 namespace dcdo {
 
@@ -42,21 +37,9 @@ class NameService {
   // explicit Unbind first (accidental shadowing is an error, not a feature).
   [[nodiscard]] Status Bind(const std::string& path, const ObjectId& id);
 
-  // Like Bind, but also returns the bound path's NameId so the caller can
-  // hold it for id-keyed Lookup/Unbind later (managers do).
-  [[nodiscard]] Result<NameId> BindInterned(const std::string& path,
-                                            const ObjectId& id);
-
   [[nodiscard]] Status Unbind(const std::string& path);
-  [[nodiscard]] Status Unbind(NameId name);
 
   [[nodiscard]] Result<ObjectId> Lookup(const std::string& path) const;
-  // The hot path: no hashing of strings, one probe of an id-keyed map.
-  [[nodiscard]] Result<ObjectId> Lookup(NameId name) const;
-
-  // The NameId of a (normalized) path, interning it if new. Useful for
-  // callers that resolve a name once and look it up repeatedly.
-  [[nodiscard]] static Result<NameId> Intern(const std::string& path);
 
   bool IsName(const std::string& path) const;
   bool IsDirectory(const std::string& path) const;
@@ -65,7 +48,7 @@ class NameService {
   // as bare segments; sub-directories carry a trailing '/'.
   [[nodiscard]] Result<std::vector<std::string>> List(const std::string& directory) const;
 
-  std::size_t size() const { return names_by_id_.size(); }
+  std::size_t size() const { return names_.size(); }
 
   // Validates and canonicalizes a path (collapses nothing — rejects
   // malformed input instead). Exposed for tests.
@@ -74,11 +57,9 @@ class NameService {
  private:
   bool DirectoryUnderlies(std::string_view prefix_with_slash) const;
 
-  // The binding map — id-keyed, so lookups never hash a string.
-  std::unordered_map<NameId, ObjectId> names_by_id_;
-  // Ordered index for List/IsDirectory prefix scans. Keys are views into
-  // ObjectNameTable's stable storage (interned strings never move or die).
-  std::map<std::string_view, NameId> ordered_;
+  // Normalized path -> object. Transparent ordering, so string_view probes
+  // (ancestors, directory prefixes) never build a std::string.
+  std::map<std::string, ObjectId, std::less<>> names_;
 };
 
 }  // namespace dcdo

@@ -85,7 +85,7 @@ class RpcClient {
   // as a leaseholder (and lease-granting lookups record it).
   RpcClient(RpcTransport* transport, BindingAgent* agent, sim::NodeId node)
       : transport_(*transport),
-        cache_(agent, transport->cost_model().binding_cache_capacity, node),
+        cache_(agent, node),
         node_(node),
         sessions_(transport->cost_model().session_slots) {}
 

@@ -52,11 +52,6 @@ struct CostModel {
   // bounding the latency a full pipeline adds to the first message.
   std::size_t send_batch_max_bytes = 64 * 1024;
 
-  // --- Binding cache bound (client-side LRU; see naming/binding_cache) ---
-  // Generous by default: eviction only matters under millions of distinct
-  // targets. Zero means unbounded.
-  std::size_t binding_cache_capacity = 65536;
-
   // --- Dynamic configurability mechanism (paper: 10-15 us per call) ---
   SimDuration dfm_lookup = SimDuration::Micros(12);
   // Registering one dynamic function into a DFM during incorporate.
@@ -93,8 +88,8 @@ struct CostModel {
   // touching this field.
   int fetch_concurrency = 1;
   // Bound on distinct component images a host caches before LRU eviction
-  // (0 = unbounded, mirroring binding_cache_capacity). Eviction is safe by
-  // construction: a dropped image is re-fetched from its ICO on next use.
+  // (0 = unbounded). Eviction is safe by construction: a dropped image is
+  // re-fetched from its ICO on next use.
   std::size_t component_cache_capacity = 65536;
 
   // --- Disk ---

@@ -154,6 +154,9 @@ Status WriteChromeTrace(const TraceContext& ctx, const std::string& path) {
     return InternalError("cannot open trace output file " + path);
   }
   file << json;
+  // Flush before judging: a trace smaller than the stream buffer is still
+  // unwritten after operator<<, and a failure in the destructor is lost.
+  file.flush();
   if (!file.good()) {
     return InternalError("failed writing trace to " + path);
   }

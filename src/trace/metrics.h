@@ -11,8 +11,8 @@
 //   * MetricsRegistry — the canonical name -> counter/histogram store owned
 //     by the installed TraceContext. Instrumentation sites bump registry
 //     metrics ("rpc.timeouts", "rpc.dedup_hits", "evolve.latency", ...) only
-//     when a context is installed and enabled, so the registry costs nothing
-//     in untraced runs.
+//     when a context is installed, so the registry costs nothing in untraced
+//     runs.
 //
 // Registered objects have stable addresses for the registry's lifetime, so a
 // hot site may look a counter up once and keep the reference.

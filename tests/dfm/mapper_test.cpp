@@ -304,19 +304,6 @@ TEST_F(MapperTest, SwitchChangesWhichBodyRuns) {
   EXPECT_EQ(CallThrough("f"), "libB.f:x");
 }
 
-TEST_F(MapperTest, SyncMetadataAdoptsMarksAndDeps) {
-  ASSERT_TRUE(mapper_.IncorporateComponent(comp_a_, registry_, kArch).ok());
-  ASSERT_TRUE(mapper_.EnableFunction("f", comp_a_.id).ok());
-
-  DfmState target;
-  ASSERT_TRUE(target.IncorporateComponent(comp_a_).ok());
-  ASSERT_TRUE(target.EnableFunction("f", comp_a_.id).ok());
-  ASSERT_TRUE(target.MarkMandatory("f").ok());
-
-  ASSERT_TRUE(mapper_.SyncMetadata(target).ok());
-  EXPECT_TRUE(mapper_.state().IsMandatory("f"));
-}
-
 TEST_F(MapperTest, RemapBodiesForNewArchitecture) {
   // A symbol with two native builds.
   auto dual = ComponentBuilder("dual")

@@ -26,13 +26,7 @@ ByteBuffer WireFunctionComponent(const std::string& function,
 
 ByteBuffer WireDependency(const Dependency& dep) {
   Writer writer;
-  writer.WriteU32(static_cast<std::uint32_t>(dep.kind));
-  writer.WriteString(dep.dependent);
-  writer.WriteBool(dep.dependent_component.has_value());
-  if (dep.dependent_component) writer.WriteObjectId(*dep.dependent_component);
-  writer.WriteString(dep.target);
-  writer.WriteBool(dep.target_component.has_value());
-  if (dep.target_component) writer.WriteObjectId(*dep.target_component);
+  WriteDependency(writer, dep);
   return std::move(writer).Take();
 }
 
@@ -193,6 +187,15 @@ TEST_F(RemoteConfigTest, MalformedConfigArgsRejected) {
   bad_kind.WriteU32(99);
   auto r3 = Config("dcdo.addDependency", std::move(bad_kind).Take());
   EXPECT_FALSE(r3.ok());
+  // A Type B dependency names both components; one with neither is
+  // malformed, not merely absent from the set.
+  Dependency no_components;
+  no_components.kind = DependencyKind::kTypeB;
+  no_components.dependent = "f";
+  no_components.target = "g";
+  auto r4 = Config("dcdo.removeDependency", WireDependency(no_components));
+  ASSERT_FALSE(r4.ok());
+  EXPECT_EQ(r4.status().code(), ErrorCode::kInvalidArgument);
 }
 
 }  // namespace

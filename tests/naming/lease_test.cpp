@@ -122,7 +122,7 @@ class LeaseTest : public ::testing::Test {
 
 TEST_F(LeaseTest, ResolveGrantsLeaseAndRebindPushesFreshBinding) {
   agent_.Bind(target_, ObjectAddress{2, 10, 1});
-  BindingCache cache(&agent_, /*capacity=*/16, /*node=*/1);
+  BindingCache cache(&agent_, /*node=*/1);
   ASSERT_TRUE(cache.Resolve(target_).ok());
   EXPECT_EQ(agent_.leases_granted(), 1u);
   EXPECT_EQ(agent_.live_leases(), 1u);
@@ -149,7 +149,7 @@ TEST_F(LeaseTest, ResolveGrantsLeaseAndRebindPushesFreshBinding) {
 
 TEST_F(LeaseTest, UnbindPushesDropNotice) {
   agent_.Bind(target_, ObjectAddress{2, 10, 1});
-  BindingCache cache(&agent_, /*capacity=*/16, /*node=*/1);
+  BindingCache cache(&agent_, /*node=*/1);
   ASSERT_TRUE(cache.Resolve(target_).ok());
 
   agent_.Unbind(target_);
@@ -163,7 +163,7 @@ TEST_F(LeaseTest, UnbindPushesDropNotice) {
 
 TEST_F(LeaseTest, LostInvalidationFallsBackToLeaseExpiry) {
   agent_.Bind(target_, ObjectAddress{2, 10, 1});
-  BindingCache cache(&agent_, /*capacity=*/16, /*node=*/1);
+  BindingCache cache(&agent_, /*node=*/1);
   ASSERT_TRUE(cache.Resolve(target_).ok());
 
   // The holder is partitioned from the agent when the binding moves: the
@@ -194,7 +194,7 @@ TEST_F(LeaseTest, LostInvalidationFallsBackToLeaseExpiry) {
 
 TEST_F(LeaseTest, HealedLeaseholderReceivesLaterPushes) {
   agent_.Bind(target_, ObjectAddress{2, 10, 1});
-  BindingCache cache(&agent_, /*capacity=*/16, /*node=*/1);
+  BindingCache cache(&agent_, /*node=*/1);
   ASSERT_TRUE(cache.Resolve(target_).ok());
 
   // Stale across a partition (push lost), then heal and reconverge through
@@ -219,7 +219,7 @@ TEST_F(LeaseTest, HealedLeaseholderReceivesLaterPushes) {
 TEST_F(LeaseTest, DestroyedCacheStopsReceivingPushes) {
   agent_.Bind(target_, ObjectAddress{2, 10, 1});
   {
-    BindingCache cache(&agent_, /*capacity=*/16, /*node=*/1);
+    BindingCache cache(&agent_, /*node=*/1);
     ASSERT_TRUE(cache.Resolve(target_).ok());
   }  // unregisters its holder handle; its leases die with it
   EXPECT_EQ(agent_.live_leases(), 0u);
@@ -436,7 +436,7 @@ TEST(LeaseOffTest, DefaultModelTakesLegacyPath) {
   EXPECT_FALSE(agent.leases_enabled());
   ObjectId target = ObjectId::Next(domains::kInstance);
   agent.Bind(target, ObjectAddress{2, 10, 1});
-  BindingCache cache(&agent, /*capacity=*/16, /*node=*/1);
+  BindingCache cache(&agent, /*node=*/1);
   ASSERT_TRUE(cache.Resolve(target).ok());
   EXPECT_EQ(agent.leases_granted(), 0u);
   agent.Bind(target, ObjectAddress{3, 20, 2});

@@ -103,70 +103,18 @@ TEST_F(NameServiceTest, PrefixSiblingsDoNotCollide) {
   EXPECT_EQ(*ab, (std::vector<std::string>{"x"}));
 }
 
-// ===== Interned (NameId-keyed) paths =====
-
-TEST_F(NameServiceTest, BindInternedReturnsUsableId) {
-  ObjectId id = NewId();
-  auto bound = names_.BindInterned("/c/libsort/3", id);
-  ASSERT_TRUE(bound.ok());
-  ASSERT_TRUE(bound->valid());
-
-  // Id-keyed lookup resolves without any string in sight...
-  auto by_id = names_.Lookup(*bound);
-  ASSERT_TRUE(by_id.ok());
-  EXPECT_EQ(*by_id, id);
-  // ...and agrees with the by-name path.
-  auto by_name = names_.Lookup("/c/libsort/3");
-  ASSERT_TRUE(by_name.ok());
-  EXPECT_EQ(*by_name, id);
-
-  // Interning the same path again yields the same id.
-  auto again = NameService::Intern("/c/libsort/3");
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(*again, *bound);
-}
-
-TEST_F(NameServiceTest, UnbindByIdRemovesTheName) {
-  auto bound = names_.BindInterned("/u/leaf", NewId());
-  ASSERT_TRUE(bound.ok());
-  ASSERT_TRUE(names_.Unbind(*bound).ok());
-  EXPECT_FALSE(names_.IsName("/u/leaf"));
-  EXPECT_EQ(names_.size(), 0u);
-  EXPECT_EQ(names_.Unbind(*bound).code(), ErrorCode::kNotFound);
-  EXPECT_EQ(names_.Lookup(*bound).status().code(), ErrorCode::kNotFound);
-}
-
-TEST_F(NameServiceTest, InvalidIdLookupsFailCleanly) {
-  EXPECT_EQ(names_.Lookup(NameId::Invalid()).status().code(),
+// Services are independent namespaces: a path bound in one does not
+// resolve, list or unbind in another.
+TEST_F(NameServiceTest, ServicesAreIndependentNamespaces) {
+  NameService other;
+  ASSERT_TRUE(other.Bind("/only/in/other", NewId()).ok());
+  EXPECT_EQ(names_.Lookup("/only/in/other").status().code(),
             ErrorCode::kNotFound);
-  EXPECT_EQ(names_.Unbind(NameId::Invalid()).code(), ErrorCode::kNotFound);
-}
-
-// A name interned process-wide but never bound in *this* service instance
-// must not resolve here (services are independent namespaces).
-TEST_F(NameServiceTest, InternedButUnboundDoesNotResolve) {
-  auto interned = NameService::Intern("/interned/but/not/bound");
-  ASSERT_TRUE(interned.ok());
-  EXPECT_EQ(names_.Lookup(*interned).status().code(), ErrorCode::kNotFound);
-  EXPECT_EQ(names_.Lookup("/interned/but/not/bound").status().code(),
-            ErrorCode::kNotFound);
-  EXPECT_FALSE(names_.IsName("/interned/but/not/bound"));
-}
-
-TEST_F(NameServiceTest, InternRejectsMalformedPaths) {
-  EXPECT_FALSE(NameService::Intern("no/leading/slash").ok());
-  EXPECT_FALSE(NameService::Intern("/trailing/").ok());
-}
-
-TEST(ObjectNameTableTest, FindNeverCreates) {
-  ObjectNameTable& table = ObjectNameTable::Global();
-  EXPECT_FALSE(table.Find("/object-name-table-test/never-interned").valid());
-  NameId id = table.Intern("/object-name-table-test/interned");
-  ASSERT_TRUE(id.valid());
-  EXPECT_EQ(table.Find("/object-name-table-test/interned"), id);
-  EXPECT_EQ(table.NameOf(id), "/object-name-table-test/interned");
-  // Re-interning is idempotent.
-  EXPECT_EQ(table.Intern("/object-name-table-test/interned"), id);
+  EXPECT_FALSE(names_.IsName("/only/in/other"));
+  EXPECT_FALSE(names_.IsDirectory("/only"));
+  EXPECT_EQ(names_.List("/only").status().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(names_.Unbind("/only/in/other").code(), ErrorCode::kNotFound);
+  EXPECT_TRUE(other.IsName("/only/in/other"));
 }
 
 }  // namespace

@@ -211,8 +211,7 @@ inline RunSummary RunRebindStorm() {
   std::vector<std::unique_ptr<BindingCache>> caches;
   for (int i = 0; i < kHolders; ++i) {
     caches.push_back(std::make_unique<BindingCache>(
-        &agent, /*capacity=*/16,
-        static_cast<sim::NodeId>(1 + i % options.host_count)));
+        &agent, static_cast<sim::NodeId>(1 + i % options.host_count)));
     EXPECT_TRUE(caches.back()->RefreshFromAgent(targets[i % kTargets]).ok());
   }
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -106,6 +107,16 @@ TEST(ChromeTraceTest, WriteToUnwritablePathFails) {
   TraceContext ctx;
   ctx.AttachSimulation(&simulation);
   EXPECT_FALSE(WriteChromeTrace(ctx, "/nonexistent-dir/trace.json").ok());
+}
+
+// A device that accepts the open but fails every write: the small trace sits
+// in the stream buffer until the flush, which must be judged too.
+TEST(ChromeTraceTest, WriteToFullDeviceFails) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  sim::Simulation simulation;
+  TraceContext ctx;
+  ctx.AttachSimulation(&simulation);
+  EXPECT_FALSE(WriteChromeTrace(ctx, "/dev/full").ok());
 }
 
 }  // namespace
