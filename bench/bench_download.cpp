@@ -26,7 +26,10 @@ void SimTime_ExecutableDownload(benchmark::State& state) {
       bool done = false;
       testbed.network().BulkTransfer(testbed.host(0)->node(),
                                      testbed.host(1)->node(), bytes,
-                                     [&] { done = true; });
+                                     [&](bool delivered) {
+                                       if (!delivered) std::abort();
+                                       done = true;
+                                     });
       testbed.simulation().RunWhile([&] { return !done; });
     });
     state.SetIterationTime(seconds);

@@ -1,5 +1,5 @@
-// E16 — Heavy-traffic open loop: sessions, flow control, and send batching
-// under load (DESIGN.md §9.2, EXPERIMENTS.md E16).
+// E16 — Heavy-traffic open loop: sessions and flow control under load
+// (DESIGN.md §9.2, EXPERIMENTS.md E16).
 //
 // Closed-loop benches (E2, E11) re-issue a call only after the previous one
 // answers, so they can never observe queueing: offered load self-throttles
@@ -14,8 +14,6 @@
 //   OpenLoopSessions  — session_slots=4: client-side slot admission queues
 //                       the overflow (rpc.backpressure) instead of landing it
 //                       on the server; p99 trades against bounded in-flight.
-//   OpenLoopBatched   — sessions + a 1 ms send_batch_window: back-to-back
-//                       sends to the server coalesce into one transfer.
 //   SlowServer        — service time exceeds invocation_timeout: every call's
 //                       retry lands while the body is parked; exactly-once
 //                       must hold (the bench aborts if any body re-runs).
@@ -159,7 +157,7 @@ void ReportLatency(benchmark::State& state, const trace::Histogram& latency) {
       benchmark::Counter(static_cast<double>(latency.count()));
 }
 
-// --- The saturated open loop (Sessions / Batched) ---------------------------
+// --- The saturated open loop (Sessions) ------------------------------------
 // A thousand clients (each on its own simulated host), Poisson arrivals at
 // ~2x each client's slot capacity: mean gap 500 us against ~2 ms of service
 // + wire time, so calls queue at the client for a slot.
@@ -183,24 +181,16 @@ void RunOpenLoopScenario(benchmark::State& state, Testbed::Options options) {
   const auto schedule = OpenLoopSchedule();
   trace::Histogram latency;
   std::uint64_t backpressure = 0;
-  std::uint64_t batches = 0;
-  std::uint64_t coalesced = 0;
   for (auto _ : state) {
     // Fresh rig per iteration: every iteration replays the identical
     // schedule from t=0, so the reported time is the same number repeated.
     OpenLoopRig rig(options, kOpenLoopClients, sim::SimDuration::Millis(2));
     state.SetIterationTime(rig.Run(schedule, latency));
     backpressure = rig.BackpressureWaits();
-    batches = rig.testbed.network().batches_sent();
-    coalesced = rig.testbed.network().messages_coalesced();
   }
   ReportLatency(state, latency);
   state.counters["backpressure"] =
       benchmark::Counter(static_cast<double>(backpressure));
-  state.counters["batches_sent"] =
-      benchmark::Counter(static_cast<double>(batches));
-  state.counters["coalesced"] =
-      benchmark::Counter(static_cast<double>(coalesced));
 }
 
 void SimTime_E16_OpenLoopSessions(benchmark::State& state) {
@@ -209,14 +199,6 @@ void SimTime_E16_OpenLoopSessions(benchmark::State& state) {
   RunOpenLoopScenario(state, options);
 }
 BENCHMARK(SimTime_E16_OpenLoopSessions)->UseManualTime()->Iterations(4);
-
-void SimTime_E16_OpenLoopBatched(benchmark::State& state) {
-  Testbed::Options options = BenchOptions();
-  options.cost_model.session_slots = 4;
-  options.cost_model.send_batch_window = sim::SimDuration::Millis(1);
-  RunOpenLoopScenario(state, options);
-}
-BENCHMARK(SimTime_E16_OpenLoopBatched)->UseManualTime()->Iterations(4);
 
 // --- SlowServer: service time > invocation_timeout -------------------------
 // Every call's first retry fires while the body is still parked; the

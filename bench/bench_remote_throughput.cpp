@@ -13,10 +13,8 @@
 // number of bare simulation events, so (loopback - floor) isolates the
 // RPC-layer overhead.
 //
-// SimTime_RemoteCallBatchedWindow is deterministic simulated time: it turns
-// the (default-off) per-destination send batching on and reports how a
-// pipelined burst coalesces. It must NOT change any other SimTime_* number —
-// batching is opt-in via CostModel::send_batch_window.
+// SimTime_RemoteCallBurst is deterministic simulated time: a pipelined burst
+// of calls over a real link, admitted in waves by the session slots.
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
@@ -125,15 +123,11 @@ void Wall_RemoteEventFloor(benchmark::State& state) {
 }
 BENCHMARK(Wall_RemoteEventFloor);
 
-// Deterministic: a pipelined burst over a real (non-loopback) link with the
-// send-batching window enabled. Reports simulated seconds for the burst and
-// how many wire transfers carried it.
-void SimTime_RemoteCallBatchedWindow(benchmark::State& state) {
+// Deterministic: a pipelined burst over a real (non-loopback) link. Reports
+// simulated seconds for the burst.
+void SimTime_RemoteCallBurst(benchmark::State& state) {
   constexpr int kBurst = 32;
-  Testbed::Options options = BenchOptions();
-  options.cost_model.send_batch_window =
-      sim::SimDuration::Micros(state.range(0));
-  Testbed testbed{options};
+  Testbed testbed{BenchOptions()};
   auto grid = MakeFunctionGrid(testbed, "grid", 10, 1);
   auto manager = MakeManagerWithVersion(testbed, "bench", grid,
                                         MakeSingleVersionExplicit());
@@ -158,17 +152,9 @@ void SimTime_RemoteCallBatchedWindow(benchmark::State& state) {
     });
     state.SetIterationTime(seconds);
   }
-  state.counters["batches_sent"] =
-      benchmark::Counter(static_cast<double>(testbed.network().batches_sent()));
-  state.SetLabel("window " + std::to_string(state.range(0)) + " us, burst " +
-                 std::to_string(kBurst));
+  state.SetLabel("burst " + std::to_string(kBurst));
 }
-BENCHMARK(SimTime_RemoteCallBatchedWindow)
-    ->UseManualTime()
-    ->Iterations(8)
-    ->Arg(0)
-    ->Arg(100)
-    ->Arg(500);
+BENCHMARK(SimTime_RemoteCallBurst)->UseManualTime()->Iterations(8);
 
 }  // namespace
 }  // namespace dcdo::bench

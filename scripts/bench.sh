@@ -9,9 +9,11 @@
 #                                    # update unless DCDO_BENCH_JSON is set)
 #   scripts/bench.sh [--smoke] REGEX # only benches whose name matches REGEX
 #   scripts/bench.sh --compare OLD.json NEW.json
-#                                    # flag Wall_* regressions > 20% and any
+#                                    # flag Wall_* regressions > 20%, any
 #                                    # SimTime_* drift between two results
-#                                    # files; exits 1 if anything is flagged
+#                                    # files and any SimTime_* entry only one
+#                                    # file has; exits 1 if anything in OLD
+#                                    # drifted or is missing from NEW
 #
 # Environment:
 #   DCDO_BENCH_JSON    output file (default: BENCH_dcdo.json at the repo root
@@ -53,10 +55,15 @@ except (OSError, json.JSONDecodeError) as err:
     print(f"bench-compare: cannot read results: {err}", file=sys.stderr)
     sys.exit(2)
 
+# A SimTime_* row that a change deletes or renames would otherwise drop out
+# of the drift gate unseen: every row only one file has is listed, and one
+# the committed (OLD) file has but NEW lacks fails the compare.
+def sim_rows(rows):
+    return {name for name in rows if name.startswith("SimTime_")}
+
+missing = sorted(sim_rows(old) - sim_rows(new))
+added = sorted(sim_rows(new) - sim_rows(old))
 common = sorted(set(old) & set(new))
-if not common:
-    print("bench-compare: no common benchmark entries; nothing to compare")
-    sys.exit(0)
 
 wall_flagged = []
 sim_flagged = []
@@ -82,7 +89,12 @@ for name in common:
                 f"  SIMTIME DRIFT   {name}: {old_ns:g} ns -> {new_ns:g} ns"
             )
 
+sim_flagged += [f"  SIMTIME MISSING {name}: only in {old_path}" for name in missing]
+only_new = [f"  SIMTIME NEW     {name}: only in {new_path}" for name in added]
+
 print(f"bench-compare: {compared} entries compared ({old_path} -> {new_path})")
+if only_new:
+    print("\n".join(only_new))
 if wall_flagged or sim_flagged:
     print("\n".join(wall_flagged + sim_flagged))
     if sim_flagged or not WALL_REPORT_ONLY:
@@ -93,7 +105,10 @@ if wall_flagged or sim_flagged:
     )
     sys.exit(0)
 threshold = f"{(WALL_REGRESSION_RATIO - 1) * 100:.0f}%"
-print(f"bench-compare: no Wall_* slowdowns > {threshold}, no SimTime_* drift")
+print(
+    f"bench-compare: no Wall_* slowdowns > {threshold}, "
+    "no SimTime_* drift or missing row"
+)
 PYEOF
 fi
 

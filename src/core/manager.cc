@@ -141,12 +141,21 @@ class MigrateInstanceFom final : public runtime::Fom {
         runtime::FomScheduler* scheduler = &this->scheduler();
         const std::uint64_t id = this->id();
         source_->network().BulkTransfer(
-            source_->node(), dest_->node(), state_bytes_, [scheduler, id] {
-              scheduler->Wake(id, WakeSource::kChild);
+            source_->node(), dest_->node(), state_bytes_,
+            [scheduler, id](bool delivered) {
+              scheduler->WakeValue(id, WakeSource::kChild, delivered);
             });
         return WaitOn(WakeSource::kChild);
       }
       case kTransfer: {
+        if (wake_value() == 0) {
+          // Nothing has moved yet: the instance is rebound only after its
+          // state lands, so it keeps serving at its source.
+          done_(UnavailableError("state transfer of " + instance_.ToString() +
+                                 " to node " +
+                                 std::to_string(dest_->node()) + " failed"));
+          return FomStatus::kDone;
+        }
         auto it = mgr->instances_.find(instance_);
         if (it == mgr->instances_.end()) {
           done_(NotFoundError("instance destroyed during migration"));
@@ -455,8 +464,8 @@ void DcdoManager::ApplyVersion(Dcdo* object, const VersionId& version,
     done(descriptor.status());
     return;
   }
-  object->EvolveTo(**descriptor, removal_policy_, std::move(done),
-                   policy_->enforce_marks_on_evolve());
+  object->EvolveTo(**descriptor, Dcdo::RemovalPolicy::Error(),
+                   std::move(done), policy_->enforce_marks_on_evolve());
 }
 
 void DcdoManager::CreateInstance(sim::SimHost* host, CreateCallback done) {

@@ -176,11 +176,6 @@ class DcdoManager {
   std::uint64_t lazy_checks() const { return lazy_checks_; }
   std::uint64_t lazy_updates() const { return lazy_updates_; }
 
-  // Removal policy applied when evolution drops components from instances.
-  void SetRemovalPolicy(const Dcdo::RemovalPolicy& policy) {
-    removal_policy_ = policy;
-  }
-
  private:
   // Drive the multi-step instance operations against the manager's tables.
   friend class CreateInstanceFom;
@@ -224,7 +219,6 @@ class DcdoManager {
   VersionId current_version_;
 
   std::map<ObjectId, InstanceRecord> instances_;
-  Dcdo::RemovalPolicy removal_policy_ = Dcdo::RemovalPolicy::Error();
 
   std::uint64_t updates_pushed_ = 0;
   std::uint64_t lazy_checks_ = 0;

@@ -60,6 +60,4 @@ void WireBufferPool::Release(ByteBuffer buffer) {
   pool.push_back(std::move(buffer));
 }
 
-std::size_t WireBufferPool::PooledCount() { return Pool().size(); }
-
 }  // namespace dcdo::rpc

@@ -127,9 +127,6 @@ class WireBufferPool {
   // Returns `buffer` to the pool for reuse; drops it if the pool is full.
   static void Release(ByteBuffer buffer);
 
-  // Buffers currently parked in this thread's pool (for tests/benches).
-  static std::size_t PooledCount();
-
  private:
   static constexpr std::size_t kMaxPooled = 8;
 };

@@ -61,7 +61,12 @@ void ClassObject::EnsureExecutableOnHost(sim::SimHost* host,
                    << bytes << "B) to node " << host->node();
   home_.network().BulkTransfer(
       home_.node(), host->node(), bytes,
-      [host, file, bytes, done = std::move(done)]() {
+      [host, file, bytes, done = std::move(done)](bool delivered) {
+        if (!delivered) {
+          done(UnavailableError("executable '" + file + "' download to node " +
+                                std::to_string(host->node()) + " failed"));
+          return;
+        }
         host->StoreFile(file, bytes);
         done(Status::Ok());
       });
@@ -254,7 +259,15 @@ void ClassObject::MigrateInstance(const ObjectId& instance_id,
         source->network().BulkTransfer(
             source->node(), dest->node(), state_bytes,
             [this, instance_id, dest, executable_index, state_bytes,
-             done = std::move(done)]() mutable {
+             done = std::move(done)](bool delivered) mutable {
+              if (!delivered) {
+                // The old process is gone: the instance stays deactivated.
+                done(UnavailableError("state transfer of " +
+                                      instance_id.ToString() + " to node " +
+                                      std::to_string(dest->node()) +
+                                      " failed"));
+                return;
+              }
               EnsureExecutableOnHost(
                   dest, executable_index,
                   [this, instance_id, dest, executable_index, state_bytes,
@@ -312,15 +325,6 @@ Result<sim::NodeId> ClassObject::InstanceNode(const ObjectId& instance) const {
     return NotFoundError("no instance " + instance.ToString());
   }
   return it->second.host->node();
-}
-
-Result<InstanceState*> ClassObject::MutableInstanceState(
-    const ObjectId& instance) {
-  auto it = instances_.find(instance);
-  if (it == instances_.end()) {
-    return NotFoundError("no instance " + instance.ToString());
-  }
-  return &it->second.state;
 }
 
 }  // namespace dcdo

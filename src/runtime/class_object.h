@@ -96,9 +96,6 @@ class ClassObject {
   [[nodiscard]] Result<std::size_t> InstanceExecutable(const ObjectId& instance) const;
   [[nodiscard]] Result<sim::NodeId> InstanceNode(const ObjectId& instance) const;
 
-  // Direct (test-only) access to an instance's state.
-  [[nodiscard]] Result<InstanceState*> MutableInstanceState(const ObjectId& instance);
-
  private:
   struct Instance {
     sim::SimHost* host = nullptr;

@@ -48,7 +48,6 @@ Status ValidateCostModel(const CostModel& m) {
       {"transfer setup", m.transfer_setup},
       {"rpc marshal per call", m.rpc_marshal_per_call},
       {"rpc dispatch", m.rpc_dispatch},
-      {"send batch window", m.send_batch_window},
       {"dfm lookup", m.dfm_lookup},
       {"dfm register per function", m.dfm_register_per_function},
       {"process spawn", m.process_spawn},

@@ -41,17 +41,6 @@ struct CostModel {
   SimDuration rpc_dispatch = SimDuration::Micros(350);
   double marshal_bytes_per_sec = 40.0e6;  // memcpy-bound marshaling
 
-  // --- Send batching (per-destination coalescing in SimNetwork) ---
-  // Back-to-back small messages from one node to one destination are held
-  // for up to this window and shipped as a single NIC transfer. Zero (the
-  // calibrated default) disables batching entirely: every message takes the
-  // exact legacy path, so paper-calibrated sim times are unchanged unless a
-  // workload opts in.
-  SimDuration send_batch_window = SimDuration::Zero();
-  // A batch is flushed early once it accumulates this many payload bytes,
-  // bounding the latency a full pipeline adds to the first message.
-  std::size_t send_batch_max_bytes = 64 * 1024;
-
   // --- Dynamic configurability mechanism (paper: 10-15 us per call) ---
   SimDuration dfm_lookup = SimDuration::Micros(12);
   // Registering one dynamic function into a DFM during incorporate.

@@ -1,6 +1,7 @@
 #include "sim/network.h"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 
 #include "common/logging.h"
@@ -10,39 +11,6 @@ namespace dcdo::sim {
 namespace {
 std::pair<NodeId, NodeId> Normalize(NodeId a, NodeId b) {
   return {std::min(a, b), std::max(a, b)};
-}
-
-// A net.xfer / net.batch / net.bulk span covering wire time. Opened at send
-// (so it nests under the transport's rpc.send scope), closed at delivery.
-// Returns 0 with tracing off — every downstream use tolerates a zero id.
-std::uint64_t BeginTransferSpan(const char* name, NodeId from,
-                                std::size_t bytes) {
-  auto* tr = trace::ActiveContext();
-  if (tr == nullptr) return 0;
-  std::uint64_t span =
-      tr->BeginSpan(name, {.category = "net", .node = from});
-  tr->Annotate(span, "bytes", std::to_string(bytes));
-  return span;
-}
-
-void EndTransferSpan(std::uint64_t span, bool delivered) {
-  if (span == 0) return;
-  auto* tr = trace::ActiveContext();
-  if (tr == nullptr) return;
-  if (delivered) {
-    tr->EndSpan(span);
-  } else {
-    tr->EndSpan(span, "outcome", "dropped-in-flight");
-    tr->metrics().GetCounter("net.drops").Increment();
-  }
-}
-
-void TraceSendDrop(NodeId from, NodeId to) {
-  auto* tr = trace::ActiveContext();
-  if (tr == nullptr) return;
-  tr->Instant("net.drop", {.category = "net", .node = from});
-  tr->metrics().GetCounter("net.drops").Increment();
-  (void)to;
 }
 }  // namespace
 
@@ -77,185 +45,115 @@ bool SimNetwork::Reachable(NodeId from, NodeId to) const {
   return !partitions_.contains(Normalize(from, to));
 }
 
-void SimNetwork::Send(NodeId from, NodeId to, std::size_t bytes,
-                      Delivery on_delivery) {
+std::optional<std::uint64_t> SimNetwork::Admit(NodeId from, NodeId to,
+                                               std::size_t bytes,
+                                               const char* span_name) {
+  auto* tr = trace::ActiveContext();
   if (!Reachable(from, to)) {
     messages_dropped_.Increment();
-    TraceSendDrop(from, to);
+    if (tr != nullptr) {
+      tr->Instant("net.drop", {.category = "net", .node = from});
+      tr->metrics().GetCounter("net.drops").Increment();
+    }
     DCDO_LOG(kDebug) << "net: dropped " << bytes << "B " << from << "->" << to;
-    return;
+    return std::nullopt;
   }
   messages_sent_.Increment();
   messages_in_flight_.Increment();
   bytes_sent_.Increment(bytes);
-  if (cost_.send_batch_window > SimDuration::Zero()) {
-    auto [it, opened] = pending_batches_.try_emplace({from, to});
-    PendingBatch& batch = it->second;
-    if (opened) {
-      batch.id = next_batch_id_++;
-      simulation_.Schedule(cost_.send_batch_window,
-                           [this, from, to, batch_id = batch.id]() {
-                             FlushBatch(from, to, batch_id);
-                           });
+  // The span covers wire time: opened here, so it nests under the
+  // transport's rpc.send scope, and closed by Land (0 with tracing off).
+  if (tr == nullptr) return 0;
+  std::uint64_t span =
+      tr->BeginSpan(span_name, {.category = "net", .node = from});
+  tr->Annotate(span, "bytes", std::to_string(bytes));
+  return span;
+}
+
+void SimNetwork::Refuse(StreamDone on_done) {
+  simulation_.Schedule(SimDuration::Zero(),
+                       [fn = std::move(on_done)]() mutable { fn(false); });
+}
+
+bool SimNetwork::Land(NodeId from, NodeId to, std::uint64_t span) {
+  messages_in_flight_.Decrement();
+  const bool delivered = Reachable(from, to);
+  if (delivered) {
+    messages_delivered_.Increment();
+  } else {
+    messages_dropped_.Increment();
+    messages_dropped_in_flight_.Increment();
+  }
+  auto* tr = span != 0 ? trace::ActiveContext() : nullptr;
+  if (tr != nullptr) {
+    if (delivered) {
+      tr->EndSpan(span);
     } else {
-      messages_coalesced_.Increment();
+      tr->EndSpan(span, "outcome", "dropped-in-flight");
+      tr->metrics().GetCounter("net.drops").Increment();
     }
-    batch.bytes += bytes;
-    batch.deliveries.push_back(std::move(on_delivery));
-    if (batch.bytes >= cost_.send_batch_max_bytes) {
-      FlushBatch(from, to, batch.id);  // the armed window flush will no-op
-    }
-    return;
   }
-  std::uint64_t span = BeginTransferSpan("net.xfer", from, bytes);
-  if (from == to) {
-    // Loopback: no NIC serialization, negligible latency.
-    simulation_.Schedule(SimDuration::Micros(5),
-                         [this, span, fn = std::move(on_delivery)]() mutable {
-                           messages_in_flight_.Decrement();
-                           messages_delivered_.Increment();
-                           EndTransferSpan(span, /*delivered=*/true);
-                           fn();
-                         });
-    return;
-  }
-  // NIC serialization: back-to-back sends from one node queue behind each
-  // other at wire speed.
-  SimTime now = simulation_.Now();
-  SimTime& busy_until = nic_busy_until_[from];
-  SimTime start = std::max(now, busy_until);
-  SimDuration wire = SimDuration::Seconds(
-      static_cast<double>(bytes) / cost_.wire_bandwidth_bytes_per_sec);
-  busy_until = start + wire;
-  SimTime delivered = busy_until + cost_.network_latency;
-  // Re-check reachability at delivery time: a partition that forms while the
-  // message is in flight loses the message.
-  simulation_.ScheduleAt(
-      delivered,
-      [this, from, to, span, fn = std::move(on_delivery)]() mutable {
-        messages_in_flight_.Decrement();
-        if (!Reachable(from, to)) {
-          messages_dropped_.Increment();
-          messages_dropped_in_flight_.Increment();
-          EndTransferSpan(span, /*delivered=*/false);
-          return;
-        }
-        messages_delivered_.Increment();
-        EndTransferSpan(span, /*delivered=*/true);
-        fn();
-      });
+  return delivered;
 }
 
-void SimNetwork::FlushBatch(NodeId from, NodeId to, std::uint64_t batch_id) {
-  auto it = pending_batches_.find({from, to});
-  // A byte-cap flush may have shipped this batch already (and a successor
-  // may have opened since); the stale window event must not touch it.
-  if (it == pending_batches_.end() || it->second.id != batch_id) return;
-  PendingBatch batch = std::move(it->second);
-  pending_batches_.erase(it);
-  DispatchBatch(from, to, batch.bytes, std::move(batch.deliveries));
-}
-
-void SimNetwork::DispatchBatch(NodeId from, NodeId to, std::size_t bytes,
-                               std::vector<Delivery> deliveries) {
-  batches_sent_.Increment();
-  std::uint64_t span = BeginTransferSpan("net.batch", from, bytes);
+void SimNetwork::Send(NodeId from, NodeId to, std::size_t bytes,
+                      Delivery on_delivery) {
+  std::optional<std::uint64_t> span = Admit(from, to, bytes, "net.xfer");
+  if (!span) return;
   SimTime arrival;
   if (from == to) {
+    // Loopback: no NIC serialization, negligible latency.
     arrival = simulation_.Now() + SimDuration::Micros(5);
   } else {
-    SimTime now = simulation_.Now();
+    // NIC serialization: back-to-back sends from one node queue behind each
+    // other at wire speed.
     SimTime& busy_until = nic_busy_until_[from];
-    SimTime start = std::max(now, busy_until);
     SimDuration wire = SimDuration::Seconds(
         static_cast<double>(bytes) / cost_.wire_bandwidth_bytes_per_sec);
-    busy_until = start + wire;
+    busy_until = std::max(simulation_.Now(), busy_until) + wire;
     arrival = busy_until + cost_.network_latency;
   }
   simulation_.ScheduleAt(
-      arrival, [this, from, to, span, fns = std::move(deliveries)]() mutable {
-        messages_in_flight_.Decrement(fns.size());
-        if (!Reachable(from, to)) {
-          messages_dropped_.Increment(fns.size());
-          messages_dropped_in_flight_.Increment(fns.size());
-          EndTransferSpan(span, /*delivered=*/false);
-          return;
-        }
-        messages_delivered_.Increment(fns.size());
-        EndTransferSpan(span, /*delivered=*/true);
-        for (Delivery& fn : fns) fn();
+      arrival, [this, from, to, span = *span,
+                fn = std::move(on_delivery)]() mutable {
+        if (Land(from, to, span)) fn();
       });
 }
 
 void SimNetwork::BulkTransfer(NodeId from, NodeId to, std::size_t bytes,
-                              Delivery on_done) {
-  if (!Reachable(from, to)) {
-    messages_dropped_.Increment();
-    TraceSendDrop(from, to);
+                              StreamDone on_done) {
+  std::optional<std::uint64_t> span = Admit(from, to, bytes, "net.bulk");
+  if (!span) {
+    Refuse(std::move(on_done));
     return;
   }
-  // Same accounting as Send(): bulk transfers are messages too, and the
-  // message-conservation invariant (sent == delivered + dropped-in-flight +
-  // in-flight) must hold across both traffic classes.
-  messages_sent_.Increment();
-  messages_in_flight_.Increment();
-  bytes_sent_.Increment(bytes);
-  std::uint64_t span = BeginTransferSpan("net.bulk", from, bytes);
   SimDuration duration = (from == to) ? cost_.DiskRead(bytes)  // local copy
                                       : cost_.DownloadTime(bytes);
-  simulation_.Schedule(
-      duration, [this, from, to, span, fn = std::move(on_done)]() mutable {
-        messages_in_flight_.Decrement();
-        if (!Reachable(from, to)) {
-          messages_dropped_.Increment();
-          messages_dropped_in_flight_.Increment();
-          EndTransferSpan(span, /*delivered=*/false);
-          return;
-        }
-        messages_delivered_.Increment();
-        EndTransferSpan(span, /*delivered=*/true);
-        fn();
-      });
+  simulation_.Schedule(duration, [this, from, to, span = *span,
+                                  fn = std::move(on_done)]() mutable {
+    fn(Land(from, to, span));
+  });
 }
 
 void SimNetwork::StreamTransfer(NodeId from, NodeId to, std::size_t bytes,
                                 SimDuration setup, double peak_bytes_per_sec,
                                 StreamDone on_done) {
-  if (!Reachable(from, to)) {
-    messages_dropped_.Increment();
-    TraceSendDrop(from, to);
-    // Unlike the fire-and-forget transfer paths, a stream caller is owed an
-    // answer either way; defer through the event loop so the failure never
-    // re-enters the caller mid-call.
-    simulation_.Schedule(SimDuration::Zero(),
-                         [fn = std::move(on_done)]() mutable { fn(false); });
+  std::optional<std::uint64_t> span = Admit(from, to, bytes, "net.stream");
+  if (!span) {
+    Refuse(std::move(on_done));
     return;
   }
-  messages_sent_.Increment();
-  messages_in_flight_.Increment();
-  bytes_sent_.Increment(bytes);
-  std::uint64_t span = BeginTransferSpan("net.stream", from, bytes);
   const bool empty = bytes == 0 && from != to;
   if (from == to || peak_bytes_per_sec <= 0 || empty) {
     // Loopback (or a degenerate rate): the whole transfer is the fixed setup
     // duration — no NIC, nothing to share. An empty stream between two
     // nodes also crosses the wire's latency, but never takes a share: with
     // no byte left to stream, a share would never arm its completion.
-    simulation_.Schedule(
-        empty ? setup + cost_.network_latency : setup,
-        [this, from, to, span, fn = std::move(on_done)]() mutable {
-          messages_in_flight_.Decrement();
-          if (!Reachable(from, to)) {
-            messages_dropped_.Increment();
-            messages_dropped_in_flight_.Increment();
-            EndTransferSpan(span, /*delivered=*/false);
-            fn(false);
-            return;
-          }
-          messages_delivered_.Increment();
-          EndTransferSpan(span, /*delivered=*/true);
-          fn(true);
-        });
+    simulation_.Schedule(empty ? setup + cost_.network_latency : setup,
+                         [this, from, to, span = *span,
+                          fn = std::move(on_done)]() mutable {
+                           fn(Land(from, to, span));
+                         });
     return;
   }
   std::uint64_t flow_id = next_stream_id_++;
@@ -266,7 +164,7 @@ void SimNetwork::StreamTransfer(NodeId from, NodeId to, std::size_t bytes,
   flow.remaining = static_cast<double>(bytes);
   flow.peak = peak_bytes_per_sec;
   flow.on_done = std::move(on_done);
-  flow.span = span;
+  flow.span = *span;
   flow.event = simulation_.Schedule(
       setup, [this, flow_id]() { StartStreamPhase(flow_id); });
 }
@@ -339,19 +237,7 @@ void SimNetwork::FinishStream(std::uint64_t flow_id) {
   // The freed share speeds up whoever is left on these NICs.
   ReshareStreams(from);
   ReshareStreams(to);
-  messages_in_flight_.Decrement();
-  // Same delivery-time recheck as every other path: a partition that formed
-  // while the stream was in flight loses the payload.
-  if (!Reachable(from, to)) {
-    messages_dropped_.Increment();
-    messages_dropped_in_flight_.Increment();
-    EndTransferSpan(span, /*delivered=*/false);
-    on_done(false);
-    return;
-  }
-  messages_delivered_.Increment();
-  EndTransferSpan(span, /*delivered=*/true);
-  on_done(true);
+  on_done(Land(from, to, span));
 }
 
 }  // namespace dcdo::sim

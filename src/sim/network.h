@@ -6,14 +6,16 @@
 //   * BulkTransfer(): implementation/component/state downloads — session
 //                     setup + goodput-limited streaming (CostModel).
 //
-// Failure injection: nodes can be marked down and node pairs partitioned;
-// traffic to an unreachable destination is silently dropped (the sender's
-// RPC timeout, not the network, reports the failure — as on a real LAN).
+// Failure injection: nodes can be marked down and node pairs partitioned.
+// A control message to an unreachable destination is silently dropped (the
+// sender's RPC timeout, not the network, reports the failure — as on a real
+// LAN); bulk and stream transfers report the drop to their callback.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <unordered_map>
 #include <utility>
@@ -55,31 +57,22 @@ class SimNetwork {
   bool Reachable(NodeId from, NodeId to) const;
 
   // Delivers a control message of `bytes` from -> to, then runs `on_delivery`
-  // at the destination's sim time. Dropped (never delivered) if unreachable.
-  // Messages on the same sender NIC serialize behind each other.
-  //
-  // When CostModel::send_batch_window is non-zero, back-to-back sends to the
-  // same destination are coalesced: the first message opens a batch and arms
-  // a flush at now + window; follow-ups append until the window fires or the
-  // batch reaches send_batch_max_bytes. The whole batch then crosses the NIC
-  // as one transfer (one serialization + one latency) and lands as one
-  // event that runs the deliveries in send order; reachability is
-  // re-checked once at delivery — a partition that forms in flight drops
-  // every message in the batch. Per-message counters are maintained either
-  // way. With a zero window (the default) each message takes its own
-  // transfer.
+  // at the destination's sim time. Dropped (never delivered) if unreachable
+  // at send time or at delivery time. Messages on the same sender NIC
+  // serialize behind each other; a loopback message skips the NIC.
   void Send(NodeId from, NodeId to, std::size_t bytes, Delivery on_delivery);
 
-  // Streams `bytes` from -> to through the bulk (file-object) path; `on_done`
-  // runs when the last byte lands. Dropped if unreachable at start.
-  void BulkTransfer(NodeId from, NodeId to, std::size_t bytes,
-                    Delivery on_done);
-
-  // `on_done(delivered)` — unlike Delivery, stream completions also report
-  // failure (unreachable at start, dropped in flight) so the component
-  // acquisition pipeline can surface the exact failed transfer instead of
-  // hanging on a silent drop.
+  // `on_done(delivered)` — unlike Delivery, bulk and stream completions also
+  // report failure (unreachable at start, dropped in flight) so callers can
+  // surface the exact failed transfer instead of hanging on a silent drop.
+  // A transfer refused at start reports through the event loop, never from
+  // inside the call.
   using StreamDone = common::MoveFunction<void(bool), 32>;
+
+  // Streams `bytes` from -> to through the bulk (file-object) path; `on_done`
+  // runs when the last byte lands.
+  void BulkTransfer(NodeId from, NodeId to, std::size_t bytes,
+                    StreamDone on_done);
 
   // Bulk stream with link-aware fair sharing: after a fixed `setup` phase,
   // `bytes` flow from -> to at a rate recomputed whenever a stream touching
@@ -125,20 +118,8 @@ class SimNetwork {
     return messages_in_flight_.value();
   }
   std::uint64_t bytes_sent() const { return bytes_sent_.value(); }
-  // Batching telemetry: NIC transfers that carried a batch, and messages
-  // that rode along in one (i.e. avoided their own transfer).
-  std::uint64_t batches_sent() const { return batches_sent_.value(); }
-  std::uint64_t messages_coalesced() const {
-    return messages_coalesced_.value();
-  }
 
  private:
-  struct PendingBatch {
-    std::uint64_t id = 0;  // guards the armed flush against early flushes
-    std::size_t bytes = 0;
-    std::vector<Delivery> deliveries;
-  };
-
   // One fair-shared bulk stream (StreamTransfer). `remaining`/`rate` are
   // doubles because shares are fractional; progress is settled against the
   // integer sim clock at every re-share, so drift cannot accumulate between
@@ -156,10 +137,19 @@ class SimNetwork {
     std::uint64_t span = 0;
   };
 
-  // Ships `deliveries` (already counted as sent/in-flight) as one transfer.
-  void DispatchBatch(NodeId from, NodeId to, std::size_t bytes,
-                     std::vector<Delivery> deliveries);
-  void FlushBatch(NodeId from, NodeId to, std::uint64_t batch_id);
+  // The one prologue of every transfer: refuses it (counted dropped, never
+  // sent) if `to` is unreachable, else counts it sent and in flight and
+  // returns its `span_name` span (0 with tracing off).
+  std::optional<std::uint64_t> Admit(NodeId from, NodeId to,
+                                     std::size_t bytes, const char* span_name);
+  // Answers a transfer Admit refused with on_done(false), deferred through
+  // the event loop so the failure never re-enters the caller mid-call.
+  void Refuse(StreamDone on_done);
+  // The one delivery epilogue: takes the transfer out of flight, re-checks
+  // reachability (a partition or a down host that formed in flight loses
+  // the payload), counts it delivered or dropped in flight, closes its span
+  // and returns whether the payload landed.
+  bool Land(NodeId from, NodeId to, std::uint64_t span);
 
   // Stream-phase machinery: move a flow out of setup into the shared phase,
   // re-derive the fair share of every streaming flow on `node`'s NIC, and
@@ -175,9 +165,6 @@ class SimNetwork {
   std::set<NodeId> down_;
   std::set<std::pair<NodeId, NodeId>> partitions_;  // normalized (min,max)
   std::unordered_map<NodeId, SimTime> nic_busy_until_;
-  // Open batches keyed by (from, to) lane.
-  std::map<std::pair<NodeId, NodeId>, PendingBatch> pending_batches_;
-  std::uint64_t next_batch_id_ = 1;
   // Every open stream, setup phase included, by flow id. Map nodes never
   // move, so the per-NIC lists below point into it.
   std::map<std::uint64_t, StreamFlow> stream_flows_;
@@ -188,11 +175,9 @@ class SimNetwork {
   std::vector<std::vector<StreamFlow*>> nic_streams_;
   std::uint64_t next_stream_id_ = 1;
   std::size_t streaming_count_ = 0;
-  trace::Counter batches_sent_;
-  trace::Counter messages_coalesced_;
   trace::Counter messages_sent_;
   trace::Counter messages_delivered_;
-  trace::Counter messages_dropped_;            // refused at send time
+  trace::Counter messages_dropped_;  // refused at start or lost in flight
   trace::Counter messages_dropped_in_flight_;  // lost after acceptance
   trace::Counter messages_in_flight_;
   trace::Counter bytes_sent_;

@@ -11,10 +11,10 @@
 // Two complementary containers order the slots:
 //   * a hierarchical timing wheel for the common timer shape — armed with a
 //     bounded horizon and almost always cancelled before firing (RPC
-//     invocation timeouts, transport retries, batching flush windows). Arming
-//     is O(1) (a slot push), and Cancel() unlinks the entry immediately, so a
-//     cancelled timer's callback is reclaimed at cancel time instead of
-//     surviving in a heap until its deadline surfaces;
+//     invocation timeouts, transport retries). Arming is O(1) (a slot
+//     push), and Cancel() unlinks the entry immediately, so a cancelled
+//     timer's callback is reclaimed at cancel time instead of surviving in
+//     a heap until its deadline surfaces;
 //   * a priority queue of small POD keys for near-horizon and long-range
 //     events, and as the ordered staging area: wheel slots that come due are
 //     flushed into the queue, which restores exact (time, seq) order. FIFO

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/manager.h"
+#include "rpc/client.h"
 #include "runtime/testbed.h"
 #include "testing/fixtures.h"
 
@@ -185,6 +186,37 @@ TEST_F(MigrationTest, MigrationFetchesComponentsAtDestination) {
   EXPECT_GT(cold_seconds, warm_seconds + 0.5)
       << "cold migration pays the 5.1 MB component stream";
   EXPECT_LT(cold_seconds, 10.0);
+}
+
+// A state transfer that cannot land fails the migration with a typed error
+// instead of leaving it pending. The instance is rebound only once its
+// state lands, so it keeps serving at its source.
+TEST_F(MigrationTest, MigrationAcrossPartitionFailsAndKeepsServingAtSource) {
+  InitManager(MakeSingleVersionExplicit());
+  auto comp = testing::MakeEchoComponent(testbed_.registry(), "portable",
+                                         {"serve"});
+  ASSERT_TRUE(manager_->PublishComponent(comp).ok());
+  VersionId v1 = *manager_->CreateRootVersion();
+  auto d1 = *manager_->MutableDescriptor(v1);
+  ASSERT_TRUE(d1->IncorporateComponent(comp).ok());
+  ASSERT_TRUE(d1->EnableFunction("serve", comp.id).ok());
+  ASSERT_TRUE(manager_->MarkInstantiable(v1).ok());
+  ASSERT_TRUE(manager_->SetCurrentVersion(v1).ok());
+
+  auto instance = CreateBlocking(4);
+  ASSERT_TRUE(instance.ok());
+  testbed_.network().SetPartitioned(testbed_.host(4)->node(),
+                                    testbed_.host(1)->node(), true);
+  Status status = MigrateBlocking(*instance, 1);
+  EXPECT_EQ(status.code(), ErrorCode::kUnavailable) << status.ToString();
+
+  Dcdo* object = manager_->FindInstance(*instance);
+  EXPECT_EQ(object->address().node, testbed_.host(4)->node());
+  auto client = testbed_.MakeClient(2);
+  auto reply = client->InvokeBlocking(*instance, "serve",
+                                      ByteBuffer::FromString("hi"));
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->ToString(), "portable.serve:hi");
 }
 
 }  // namespace

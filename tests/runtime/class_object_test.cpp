@@ -87,6 +87,18 @@ TEST_F(ClassObjectTest, CreateOnRemoteHostPaysExecutableDownload) {
   EXPECT_LT((testbed_.simulation().Now() - start).ToSeconds(), 2.6);
 }
 
+// The executable download to a host cut off from the class's home cannot
+// land: the create fails with a typed error instead of never calling back,
+// and leaves no instance behind.
+TEST_F(ClassObjectTest, CreateOnHostCutOffFromHomeFails) {
+  testbed_.network().SetPartitioned(testbed_.host(0)->node(),
+                                    testbed_.host(5)->node(), true);
+  auto instance = CreateBlocking(testbed_.host(5));
+  EXPECT_EQ(instance.status().code(), ErrorCode::kUnavailable)
+      << instance.status().ToString();
+  EXPECT_EQ(class_object_.instance_count(), 0u);
+}
+
 TEST_F(ClassObjectTest, InstanceServesMethodCalls) {
   auto instance = CreateBlocking(testbed_.host(1));
   ASSERT_TRUE(instance.ok());

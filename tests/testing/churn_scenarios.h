@@ -1,5 +1,5 @@
 // Deterministic whole-substrate churn scenarios for the Fom equivalence
-// suite (tests/runtime) and the batched-traffic overload test (tests/rpc).
+// suite (tests/runtime) and the mixed-plane overload test (tests/rpc).
 //
 // Each scenario drives a heavy EXPERIMENTS.md workload to quiescence and
 // folds everything observable into a RunSummary: the SimTime event-order
