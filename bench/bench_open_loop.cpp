@@ -39,8 +39,8 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "instrument/metrics.h"
 #include "rpc/client.h"
-#include "trace/metrics.h"
 
 namespace dcdo::bench {
 namespace {

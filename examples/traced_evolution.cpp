@@ -9,8 +9,9 @@
 //   rpc.call ── rpc.attempt[1] ─ rpc.timeout ─ rpc.attempt[2] ─ ... ─
 //              rpc.rebind ─ rpc.attempt (rebound) ─ rpc.dispatch ─ reply
 //
-// while the DCDO evolution shows up as a sub-second `evolve` span with the
-// service's dfm.call traffic flowing uninterrupted around it.
+// while the DCDO evolution shows up as a sub-second `evolve` span, its Fom
+// phases (acquire, removals) nested beneath it, with the service's dfm.call
+// traffic flowing uninterrupted around it.
 //
 //   ./build/examples/traced_evolution [output.json]
 #include <cstdio>
@@ -139,15 +140,12 @@ int main(int argc, char** argv) {
 
   Check(testbed.DumpTrace(out_path), "export trace");
 
-  const trace::MetricsRegistry& metrics = testbed.tracer()->metrics();
   std::printf("traced_evolution: DCDO evolution took %s; the stale-binding\n"
               "recovery took %s (%llu timeouts, %llu rebind)\n",
               HumanSeconds(evolve_seconds).c_str(),
               HumanSeconds(stale_seconds).c_str(),
-              static_cast<unsigned long long>(
-                  metrics.CounterValue("rpc.timeouts")),
-              static_cast<unsigned long long>(
-                  metrics.CounterValue("rpc.rebinds")));
+              static_cast<unsigned long long>(client->timeouts()),
+              static_cast<unsigned long long>(client->rebinds()));
   std::printf("traced_evolution: %zu spans exported to %s\n",
               testbed.tracer()->span_count(), out_path.c_str());
   return 0;

@@ -43,9 +43,10 @@ if [ ! -x "$DCDO_ANALYZE" ]; then
     || { echo "analyze: build failed" >&2; exit 1; }
 fi
 
-# src/trace/ exports wall-clock timestamps by design (Chrome trace files);
-# bench/ measures real elapsed time. Everything else must use sim time.
-set -- --allow-wallclock=src/trace/ --allow-wallclock=bench/
+# The span recorder stamps wall-clock time beside sim time by design (Chrome
+# trace files); bench/ measures real elapsed time. Everything else must use
+# sim time.
+set -- --allow-wallclock=src/instrument/spans. --allow-wallclock=bench/
 
 if [ "$UPDATE_BASELINE" = 1 ]; then
   # shellcheck disable=SC2086

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "trace/trace_context.h"
 
 namespace dcdo {
 
@@ -110,7 +109,6 @@ struct ComponentFetcher::Shared {
       // Single-flight: someone is already streaming this image here — ride
       // along instead of opening a duplicate transfer.
       coalesced.Increment();
-      DCDO_TRACE_HOOK(metrics().GetCounter("ico.fetch_coalesced").Increment());
       flight->second.push_back(std::move(item));
       return;
     }

@@ -36,8 +36,8 @@
 #include "common/status.h"
 #include "component/component.h"
 #include "component/ico.h"
+#include "instrument/metrics.h"
 #include "sim/host.h"
-#include "trace/metrics.h"
 
 namespace dcdo {
 

@@ -2,7 +2,6 @@
 
 #include "common/logging.h"
 #include "common/serialize.h"
-#include "trace/trace_context.h"
 
 namespace dcdo {
 
@@ -53,7 +52,6 @@ void ImplementationComponentObject::StreamTo(sim::SimHost* dest,
     return;
   }
   fetches_served_.Increment();
-  DCDO_TRACE_HOOK(metrics().GetCounter("ico.fetches_served").Increment());
   DCDO_LOG(kDebug) << "ico " << component_->name << ": streaming "
                    << component_->code_bytes << "B to node " << dest->node();
   const std::size_t bytes = component_->code_bytes;

@@ -16,10 +16,10 @@
 #include <functional>
 
 #include "component/component.h"
+#include "instrument/metrics.h"
 #include "naming/binding_agent.h"
 #include "rpc/transport.h"
 #include "sim/host.h"
-#include "trace/metrics.h"
 
 namespace dcdo {
 

@@ -3,10 +3,9 @@
 #include <memory>
 #include <utility>
 
-#include "check/check_context.h"
 #include "common/logging.h"
+#include "instrument/context.h"
 #include "runtime/fom.h"
-#include "trace/trace_context.h"
 
 namespace dcdo {
 
@@ -76,13 +75,7 @@ class CoordinatedUpdateFom final : public runtime::Fom {
   FomStatus StartApply() {
     if (index_ == steps_.size()) {
       outcome_.status = Status::Ok();
-      DCDO_CHECK_HOOK(Note("coordinated-update",
-                           "batch applied (" +
-                               std::to_string(outcome_.applied) +
-                               " step(s))"));
-      if (auto* tr = trace::ActiveContext()) {
-        tr->Instant("update.applied", {.category = "evolve"});
-      }
+      DCDO_INSTRUMENT(UpdateApplied(outcome_.applied));
       done_(std::move(outcome_));
       return FomStatus::kDone;
     }
@@ -100,16 +93,7 @@ class CoordinatedUpdateFom final : public runtime::Fom {
   FomStatus StartRollback() {
     if (rollback_upto_ == 0) {
       outcome_.status = failure_;
-      DCDO_CHECK_HOOK(Note("coordinated-update",
-                           "batch rolled back (" +
-                               std::to_string(outcome_.rolled_back) +
-                               " step(s) undone): " + failure_.ToString()));
-      if (auto* tr = trace::ActiveContext()) {
-        std::uint64_t mark =
-            tr->Instant("update.rollback", {.category = "evolve"});
-        tr->Annotate(mark, "cause", failure_.ToString());
-        tr->metrics().GetCounter("update.rollbacks").Increment();
-      }
+      DCDO_INSTRUMENT(UpdateRolledBack(outcome_.rolled_back, failure_));
       done_(std::move(outcome_));
       return FomStatus::kDone;
     }
@@ -194,23 +178,13 @@ void UpdateCoordinator::Execute(std::vector<Step> steps, DoneCallback done) {
   for (const Step& step : steps) {
     step.manager->PrefetchInstanceVersion(step.instance, step.target);
   }
-  DCDO_CHECK_HOOK(Note("coordinated-update",
-                       "batch of " + std::to_string(steps.size()) +
-                           " step(s) begins"));
-  if (auto* tr = trace::ActiveContext()) {
-    std::uint64_t mark = tr->Instant("update.batch", {.category = "evolve"});
-    tr->Annotate(mark, "steps", std::to_string(steps.size()));
-    tr->metrics().GetCounter("update.batches").Increment();
-  }
+  DCDO_INSTRUMENT(UpdateBegun(steps.size()));
 
   if (steps.empty()) {
     // Nothing to drive; report the empty batch as applied, as the serial
     // loop always has.
     outcome.status = Status::Ok();
-    DCDO_CHECK_HOOK(Note("coordinated-update", "batch applied (0 step(s))"));
-    if (auto* tr = trace::ActiveContext()) {
-      tr->Instant("update.applied", {.category = "evolve"});
-    }
+    DCDO_INSTRUMENT(UpdateApplied(0));
     done(std::move(outcome));
     return;
   }

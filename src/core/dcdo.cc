@@ -2,12 +2,11 @@
 
 #include <memory>
 
-#include "check/check_context.h"
 #include "common/logging.h"
 #include "common/serialize.h"
 #include "dfm/descriptor_wire.h"
+#include "instrument/context.h"
 #include "runtime/fom.h"
-#include "trace/trace_context.h"
 
 namespace dcdo {
 
@@ -105,8 +104,8 @@ Dcdo::Dcdo(std::string name, sim::SimHost* host, rpc::RpcTransport* transport,
   mapper_.SetCheckOwner(id_);
   // Expose this object's live state to the checker's invariants. The probe
   // holds a raw `this`; the destructor unregisters first.
-  if (auto* ctx = check::CheckContext::Current()) {
-    ctx->RegisterObject(id_, [this]() {
+  if (check::Checker* probes = instrument::Probes()) {
+    probes->RegisterObject(id_, [this]() {
       check::ObjectStatusSnapshot snapshot;
       snapshot.id = id_;
       snapshot.name = name_;
@@ -124,8 +123,8 @@ Dcdo::Dcdo(std::string name, sim::SimHost* host, rpc::RpcTransport* transport,
 }
 
 Dcdo::~Dcdo() {
-  if (auto* ctx = check::CheckContext::Current()) {
-    ctx->UnregisterObject(id_);
+  if (check::Checker* probes = instrument::Probes()) {
+    probes->UnregisterObject(id_);
   }
   transport_.UnregisterEndpoint(address_.node, address_.pid);
   agent_.Unbind(id_);
@@ -173,61 +172,54 @@ void Dcdo::Rebind(sim::SimHost* new_host) {
 
 // ===== User-defined function invocation =====
 
-Result<ByteBuffer> Dcdo::Call(const std::string& function,
-                              const ByteBuffer& args) {
-  if (!active_) {
-    return UnavailableError(name_ + " is deactivated");
+namespace {
+std::string_view FunctionName(std::string_view name) { return name; }
+std::string_view FunctionName(FunctionId id) {
+  return FunctionNameTable::Global().NameOf(id);
+}
+}  // namespace
+
+template <CallOrigin kOrigin, typename Function>
+Result<ByteBuffer> Dcdo::Dispatch(Function function, const ByteBuffer& args) {
+  if constexpr (kOrigin == CallOrigin::kExternal) {
+    if (!active_) {
+      return UnavailableError(name_ + " is deactivated");
+    }
+    if (pre_call_hook_) pre_call_hook_();
+    ++user_calls_;
   }
-  if (pre_call_hook_) pre_call_hook_();
-  ++user_calls_;
   // dfm.call covers the DFM indirection + acquire + the body itself; when
   // the call arrived remotely it nests under the transport's rpc.dispatch
   // span via the scope stack.
-  trace::SpanScope span("dfm.call", {.category = "dfm", .node = address_.node});
-  if (span) span.Annotate("function", function);
+  instrument::SpanScope span("dfm.call",
+                             {.category = "dfm", .node = address_.node});
+  if (span) span.Annotate("function", FunctionName(function));
   // The paper's measured DFM indirection: every dynamic call pays it.
   simulation().AdvanceInline(cost().dfm_lookup);
   DCDO_ASSIGN_OR_RETURN(DynamicFunctionMapper::CallGuard guard,
-                        mapper_.Acquire(std::string_view(function),
-                                        CallOrigin::kExternal));
+                        mapper_.Acquire(function, kOrigin));
   return guard.body()(*this, args);
+}
+
+Result<ByteBuffer> Dcdo::Call(const std::string& function,
+                              const ByteBuffer& args) {
+  return Dispatch<CallOrigin::kExternal>(std::string_view(function), args);
 }
 
 Result<ByteBuffer> Dcdo::Call(FunctionId function, const ByteBuffer& args) {
-  if (!active_) {
-    return UnavailableError(name_ + " is deactivated");
-  }
-  if (pre_call_hook_) pre_call_hook_();
-  ++user_calls_;
-  trace::SpanScope span("dfm.call", {.category = "dfm", .node = address_.node});
-  if (span) span.Annotate("function", FunctionNameTable::Global().NameOf(function));
-  simulation().AdvanceInline(cost().dfm_lookup);
-  DCDO_ASSIGN_OR_RETURN(DynamicFunctionMapper::CallGuard guard,
-                        mapper_.Acquire(function, CallOrigin::kExternal));
-  return guard.body()(*this, args);
+  return Dispatch<CallOrigin::kExternal>(function, args);
 }
 
+// Intra-object calls go through the DFM too — same indirection cost for
+// self-calls, intra-component, and inter-component calls alike.
 Result<ByteBuffer> Dcdo::CallInternal(const std::string& function,
                                       const ByteBuffer& args) {
-  // Intra-object calls go through the DFM too — same indirection cost for
-  // self-calls, intra-component, and inter-component calls alike.
-  trace::SpanScope span("dfm.call", {.category = "dfm", .node = address_.node});
-  if (span) span.Annotate("function", function);
-  simulation().AdvanceInline(cost().dfm_lookup);
-  DCDO_ASSIGN_OR_RETURN(DynamicFunctionMapper::CallGuard guard,
-                        mapper_.Acquire(std::string_view(function),
-                                        CallOrigin::kInternal));
-  return guard.body()(*this, args);
+  return Dispatch<CallOrigin::kInternal>(std::string_view(function), args);
 }
 
 Result<ByteBuffer> Dcdo::CallInternal(FunctionId function,
                                       const ByteBuffer& args) {
-  trace::SpanScope span("dfm.call", {.category = "dfm", .node = address_.node});
-  if (span) span.Annotate("function", FunctionNameTable::Global().NameOf(function));
-  simulation().AdvanceInline(cost().dfm_lookup);
-  DCDO_ASSIGN_OR_RETURN(DynamicFunctionMapper::CallGuard guard,
-                        mapper_.Acquire(function, CallOrigin::kInternal));
-  return guard.body()(*this, args);
+  return Dispatch<CallOrigin::kInternal>(function, args);
 }
 
 ObjectId Dcdo::self_id() const { return id_; }
@@ -393,7 +385,7 @@ class EvolveFom final : public runtime::Fom {
   EvolveFom(Dcdo* object, VersionId target_version, DfmState target_state,
             EvolutionPlan plan, Dcdo::RemovalPolicy removal,
             bool enforce_marks, Dcdo::DoneCallback done,
-            std::uint64_t evolve_span, sim::SimTime evolve_begin)
+            trace::SpanId evolve_span)
       : Fom("dcdo.evolve"),
         object_(object),
         target_version_(std::move(target_version)),
@@ -404,8 +396,9 @@ class EvolveFom final : public runtime::Fom {
         removal_(removal),
         enforce_marks_(enforce_marks),
         done_(std::move(done)),
-        evolve_span_(evolve_span),
-        evolve_begin_(evolve_begin) {}
+        evolve_span_(evolve_span) {
+    set_phase_parent(evolve_span);
+  }
 
   runtime::FomStatus Tick() override {
     using runtime::FomStatus;
@@ -484,30 +477,15 @@ class EvolveFom final : public runtime::Fom {
   }
 
  private:
-  // Stage 3: close the span, tell the checker, take on the version (on
-  // success), and report — same bookkeeping order as the legacy
-  // stage3_finish.
+  // Stage 3: take on the version (on success), report the outcome to the
+  // instrumentation stream (the checker's version record, the evolve
+  // span), then to the caller.
   runtime::FomStatus Finish(Status status) {
-    if (!status.ok()) {
-      DCDO_CHECK_HOOK(OnEvolveEnd(object_->id_, /*ok=*/false));
-      if (auto* tr = trace::ActiveContext()) {
-        tr->metrics().GetCounter("evolve.failed").Increment();
-        tr->EndSpan(evolve_span_, "outcome", status.ToString());
-      }
-      done_(status);
-      return runtime::FomStatus::kDone;
-    }
-    VersionId previous = object_->version_;
-    object_->version_ = target_version_;
-    DCDO_CHECK_HOOK(OnVersionChanged(object_->id_, previous, target_version_));
-    DCDO_CHECK_HOOK(OnEvolveEnd(object_->id_, /*ok=*/true));
-    if (auto* tr = trace::ActiveContext()) {
-      tr->metrics().GetCounter("evolve.committed").Increment();
-      tr->metrics().GetHistogram("evolve.latency")
-          .Record(object_->simulation().Now() - evolve_begin_);
-      tr->EndSpan(evolve_span_, "outcome", "committed");
-    }
-    done_(Status::Ok());
+    const VersionId previous = object_->version_;
+    if (status.ok()) object_->version_ = target_version_;
+    DCDO_INSTRUMENT(EvolveEnd(object_->id_, evolve_span_, previous,
+                              target_version_, status));
+    done_(std::move(status));
     return runtime::FomStatus::kDone;
   }
 
@@ -523,8 +501,7 @@ class EvolveFom final : public runtime::Fom {
   Dcdo::RemovalPolicy removal_;
   bool enforce_marks_;
   Dcdo::DoneCallback done_;
-  std::uint64_t evolve_span_;
-  sim::SimTime evolve_begin_;
+  trace::SpanId evolve_span_;
 };
 
 void Dcdo::EvolveTo(const DfmDescriptor& target, const RemovalPolicy& removal,
@@ -539,24 +516,18 @@ void Dcdo::EvolveTo(const DfmDescriptor& target, const RemovalPolicy& removal,
                    << target.version().ToString() << " (" << plan.TotalSteps()
                    << " steps, " << plan.incorporate.size()
                    << " new components)";
-  DCDO_CHECK_HOOK(OnEvolveBegin(id_, version_, target.version()));
-  // The evolution span rides in the Fom (id + begin time) and is closed by
-  // EvolveFom::Finish — the same place the checker learns the outcome.
-  std::uint64_t evolve_span = 0;
-  sim::SimTime evolve_begin = simulation().Now();
-  if (auto* tr = trace::ActiveContext()) {
-    evolve_span = tr->BeginSpan(
-        "evolve", {.category = "evolve", .node = address_.node});
-    tr->Annotate(evolve_span, "object", name_);
-    tr->Annotate(evolve_span, "from", version_.ToString());
-    tr->Annotate(evolve_span, "to", target.version().ToString());
-    tr->metrics().GetCounter("evolve.begun").Increment();
+  // The evolution's span rides in the Fom, parents its phase spans and is
+  // closed by EvolveFom::Finish, where the outcome is known.
+  trace::SpanId evolve_span = 0;
+  if (auto* context = instrument::Context::Current()) {
+    evolve_span = context->EvolveBegin(id_, name_, address_.node, version_,
+                                       target.version());
   }
 
   auto& scheduler = runtime::FomScheduler::For(simulation());
   scheduler.Start(*scheduler.Create<EvolveFom>(
       this, target.version(), target.state(), std::move(plan), removal,
-      enforce_marks, std::move(done), evolve_span, evolve_begin));
+      enforce_marks, std::move(done), evolve_span));
 }
 
 // ===== RPC dispatch =====

@@ -207,6 +207,11 @@ class Dcdo final : public CallContext {
   // Runs the evolution stages against mapper_/version_ directly.
   friend class EvolveFom;
 
+  // The one DFM call path behind Call and CallInternal: the dfm.call span,
+  // the lookup charge, acquire and the body.
+  template <CallOrigin kOrigin, typename Function>
+  Result<ByteBuffer> Dispatch(Function function, const ByteBuffer& args);
+
   // Fails unless `meta`'s image is in this host's component cache.
   [[nodiscard]] Status CheckCached(const ImplementationComponent& meta) const;
   // Charges mapping a cached image into the address space and registering

@@ -4,7 +4,7 @@
 #include <bit>
 #include <mutex>
 
-#include "check/check_context.h"
+#include "instrument/context.h"
 
 namespace dcdo {
 
@@ -82,7 +82,7 @@ void DynamicFunctionMapper::CallGuard::ReleaseSlow() {
   // invocation already ended, or a quiescence-respecting removal would be
   // misreported as overlapping a live call.
   if (!mapper->check_owner_.nil()) {
-    DCDO_CHECK_HOOK(OnCallEnd(mapper->check_owner_, *name_, component_));
+    DCDO_INSTRUMENT(CallEnd(mapper->check_owner_, *name_, component_));
   }
   // Lock-free: the guard owns a reference to its implementation record,
   // which outlives even a forced removal of the component.
@@ -143,8 +143,8 @@ Result<DynamicFunctionMapper::CallGuard> DynamicFunctionMapper::Acquire(
   }
   if (reject == AcquireReject::kNone) {
     if (!check_owner_.nil()) {
-      DCDO_CHECK_HOOK(OnCallStart(check_owner_, *guard.name_,
-                                  guard.component_));
+      DCDO_INSTRUMENT(CallStart(check_owner_, *guard.name_,
+                                guard.component_));
     }
     return guard;
   }
@@ -164,8 +164,8 @@ Result<DynamicFunctionMapper::CallGuard> DynamicFunctionMapper::Acquire(
   }
   if (reject == AcquireReject::kNone) {
     if (!check_owner_.nil()) {
-      DCDO_CHECK_HOOK(OnCallStart(check_owner_, *guard.name_,
-                                  guard.component_));
+      DCDO_INSTRUMENT(CallStart(check_owner_, *guard.name_,
+                                guard.component_));
     }
     return guard;
   }
@@ -403,7 +403,7 @@ Status DynamicFunctionMapper::RemoveComponent(const ObjectId& component,
   if (!check_owner_.nil()) {
     // "forced" means the removal actually overrode live threads, not merely
     // that the caller passed kForce.
-    DCDO_CHECK_HOOK(OnComponentRemoved(check_owner_, component, had_active));
+    DCDO_INSTRUMENT(ComponentRemoved(check_owner_, component, had_active));
   }
   return Status::Ok();
 }
@@ -462,8 +462,8 @@ Status DynamicFunctionMapper::SwitchImplementation(
   }
   if (!check_owner_.nil() && !from_component.nil() &&
       from_component != to_component) {
-    DCDO_CHECK_HOOK(OnImplSwapped(check_owner_, function, from_component,
-                                  to_component, active_on_from));
+    DCDO_INSTRUMENT(ImplSwapped(check_owner_, function, from_component,
+                                to_component, active_on_from));
   }
   return Status::Ok();
 }

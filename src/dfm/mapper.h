@@ -247,9 +247,9 @@ class DynamicFunctionMapper {
     return table_version_.load(std::memory_order_acquire);
   }
 
-  // Names the DCDO this mapper belongs to for the checking layer; while set
-  // (non-nil), call starts/ends, removals and implementation swaps are
-  // reported to the installed CheckContext. Hooks fire after the table lock
+  // Names the DCDO this mapper belongs to for the instrumentation stream;
+  // while set (non-nil), call starts/ends, removals and implementation swaps
+  // are reported to the installed context. Facts fire after the table lock
   // is released, so checker evaluations may call back into const accessors.
   void SetCheckOwner(const ObjectId& owner) { check_owner_ = owner; }
   const ObjectId& check_owner() const { return check_owner_; }

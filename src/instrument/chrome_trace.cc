@@ -1,4 +1,4 @@
-#include "trace/chrome_trace.h"
+#include "instrument/chrome_trace.h"
 
 #include <cstdio>
 #include <fstream>
@@ -147,8 +147,8 @@ std::string ToChromeTraceJson(const std::vector<Span>& spans,
   return out;
 }
 
-Status WriteChromeTrace(const TraceContext& ctx, const std::string& path) {
-  std::string json = ToChromeTraceJson(ctx.SnapshotSpans(), &ctx.metrics());
+Status WriteChromeTrace(const SpanRecorder& spans, const std::string& path) {
+  std::string json = ToChromeTraceJson(spans.SnapshotSpans(), &spans.metrics());
   std::ofstream file(path, std::ios::binary | std::ios::trunc);
   if (!file) {
     return InternalError("cannot open trace output file " + path);

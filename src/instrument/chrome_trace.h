@@ -17,8 +17,8 @@
 #include <vector>
 
 #include "common/status.h"
-#include "trace/metrics.h"
-#include "trace/trace_context.h"
+#include "instrument/metrics.h"
+#include "instrument/spans.h"
 
 namespace dcdo::trace {
 
@@ -27,6 +27,7 @@ std::string ToChromeTraceJson(const std::vector<Span>& spans,
                               const MetricsRegistry* metrics = nullptr);
 
 // Snapshot + render + write to `path`.
-[[nodiscard]] Status WriteChromeTrace(const TraceContext& ctx, const std::string& path);
+[[nodiscard]] Status WriteChromeTrace(const SpanRecorder& spans,
+                                      const std::string& path);
 
 }  // namespace dcdo::trace

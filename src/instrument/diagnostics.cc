@@ -1,4 +1,4 @@
-#include "check/diagnostics.h"
+#include "instrument/diagnostics.h"
 
 #include <sstream>
 

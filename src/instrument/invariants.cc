@@ -1,37 +1,23 @@
-// The shipped invariant set (see check_context.h for the catalogue).
+// The shipped invariant set (see checker.h for the catalogue).
 //
-// Each invariant is a predicate over the context's registered probes; all are
-// written to be re-evaluated arbitrarily often (every simulation event at the
-// tightest cadence), so every one dedupes through ctx.Report and, where the
+// Each invariant is a predicate over the checker's registered probes; all are
+// written to be re-evaluated arbitrarily often (after every simulation
+// event), so every one dedupes through ctx.Report and, where the
 // offending state keeps mutating (counters), through a coarse first-report
 // key so one broken condition yields one diagnostic, not a flood.
 #include <algorithm>
 #include <string>
 
-#include "check/check_context.h"
+#include "instrument/checker.h"
 
 namespace dcdo::check {
 namespace {
 
-Diagnostic MakeDiagnostic(CheckContext& ctx, Severity severity,
-                          std::string invariant, const ObjectId& object,
-                          std::string message) {
-  Diagnostic d;
-  d.severity = severity;
-  d.invariant = std::move(invariant);
-  Stamp stamp = ctx.NowStamp();
-  d.time = stamp.time;
-  d.event_id = stamp.event_id;
-  d.object = object;
-  d.message = std::move(message);
-  return d;
-}
-
 // version-monotonic: the live version of every registered object equals the
 // version the checker recorded causally (seeded at registration, advanced
-// only by the OnVersionChanged hook). Any other movement means the version
+// only by a committed EvolveEnd fact). Any other movement means the version
 // changed outside an instrumented evolution — or moved backwards.
-void CheckVersionMonotonic(CheckContext& ctx) {
+void CheckVersionMonotonic(Checker& ctx) {
   for (const ObjectId& id : ctx.RegisteredObjects()) {
     ObjectStatusSnapshot snapshot;
     if (!ctx.Probe(id, &snapshot)) continue;
@@ -41,8 +27,8 @@ void CheckVersionMonotonic(CheckContext& ctx) {
     if (!ctx.races().FirstReport("version-monotonic|" + id.ToString())) {
       continue;
     }
-    Diagnostic d = MakeDiagnostic(
-        ctx, Severity::kError, "version-monotonic", id,
+    Diagnostic d = ctx.MakeDiagnostic(
+        Severity::kError, "version-monotonic", id,
         "live version " + snapshot.version.ToString() +
             " diverged from the causally recorded version " +
             recorded.ToString() +
@@ -54,16 +40,16 @@ void CheckVersionMonotonic(CheckContext& ctx) {
 
 // single-evolution: at most one EvolveTo in flight per object. The race
 // detector reports the precise overlap at OnEvolveBegin; this predicate is
-// the steady-state restatement so end-of-run-only cadences still catch it.
-void CheckSingleEvolution(CheckContext& ctx) {
+// the steady-state restatement, so an on-demand Evaluate() still catches it.
+void CheckSingleEvolution(Checker& ctx) {
   for (const ObjectId& id : ctx.RegisteredObjects()) {
     int open = ctx.races().OpenEvolutions(id);
     if (open <= 1) continue;
     if (!ctx.races().FirstReport("single-evolution|steady|" + id.ToString())) {
       continue;
     }
-    ctx.Report(MakeDiagnostic(
-        ctx, Severity::kError, "single-evolution", id,
+    ctx.Report(ctx.MakeDiagnostic(
+        Severity::kError, "single-evolution", id,
         std::to_string(open) +
             " evolutions are simultaneously in flight; the paper's update "
             "protocol serialises evolutions per object"));
@@ -75,7 +61,7 @@ void CheckSingleEvolution(CheckContext& ctx) {
 // instrumented removal is a known (paper-legal) overlap — the thread may
 // proceed inside the deactivated function — and warns; a component that
 // vanished with no removal ever instrumented is true dangling state.
-void CheckDfmNoDangling(CheckContext& ctx) {
+void CheckDfmNoDangling(Checker& ctx) {
   for (const RaceDetector::InFlightCall& call : ctx.races().in_flight()) {
     ObjectStatusSnapshot snapshot;
     if (!ctx.Probe(call.object, &snapshot)) continue;
@@ -88,8 +74,8 @@ void CheckDfmNoDangling(CheckContext& ctx) {
                                  std::to_string(call.token))) {
       continue;
     }
-    ctx.Report(MakeDiagnostic(
-        ctx, explained ? Severity::kWarning : Severity::kError,
+    ctx.Report(ctx.MakeDiagnostic(
+        explained ? Severity::kWarning : Severity::kError,
         "dfm-no-dangling", call.object,
         "invocation of '" + call.function + "' is executing in component " +
             call.component.ToString() +
@@ -103,14 +89,14 @@ void CheckDfmNoDangling(CheckContext& ctx) {
 
 // dfm-integrity: the object's DFM table is self-consistent, as reported by
 // DfmState::CheckIntegrity() through the object probe.
-void CheckDfmIntegrity(CheckContext& ctx) {
+void CheckDfmIntegrity(Checker& ctx) {
   for (const ObjectId& id : ctx.RegisteredObjects()) {
     ObjectStatusSnapshot snapshot;
     if (!ctx.Probe(id, &snapshot)) continue;
     for (const std::string& anomaly : snapshot.config_anomalies) {
       // ctx.Report's (invariant, object, message) key dedupes re-evaluation.
-      ctx.Report(MakeDiagnostic(ctx, Severity::kError, "dfm-integrity", id,
-                                anomaly));
+      ctx.Report(ctx.MakeDiagnostic(Severity::kError, "dfm-integrity", id,
+                                    anomaly));
     }
   }
 }
@@ -120,7 +106,7 @@ void CheckDfmIntegrity(CheckContext& ctx) {
 // executing in a component that is no longer incorporated are excluded: a
 // forced removal drops the mapper's entries (and their counts) while the
 // thread keeps running — that overlap is dfm-no-dangling's to report.
-void CheckThreadAccounting(CheckContext& ctx) {
+void CheckThreadAccounting(Checker& ctx) {
   for (const ObjectId& id : ctx.RegisteredObjects()) {
     ObjectStatusSnapshot snapshot;
     if (!ctx.Probe(id, &snapshot)) continue;
@@ -137,8 +123,8 @@ void CheckThreadAccounting(CheckContext& ctx) {
     if (!ctx.races().FirstReport("thread-accounting|" + id.ToString())) {
       continue;
     }
-    ctx.Report(MakeDiagnostic(
-        ctx, Severity::kError, "thread-accounting", id,
+    ctx.Report(ctx.MakeDiagnostic(
+        Severity::kError, "thread-accounting", id,
         "mapper reports " + std::to_string(snapshot.total_active_threads) +
             " active thread(s) but the invocation ledger holds " +
             std::to_string(ledger) +
@@ -150,7 +136,7 @@ void CheckThreadAccounting(CheckContext& ctx) {
 // live right now or was once live and has been retired (in which case the
 // stale-binding fault protocol will repair the cache on next use). An address
 // that is dead and was never retired cannot be explained by any fault.
-void CheckBindingCoherence(CheckContext& ctx) {
+void CheckBindingCoherence(Checker& ctx) {
   for (const CacheEntrySnapshot& entry : ctx.ProbeCaches()) {
     if (ctx.EndpointLive(entry.node, entry.pid, entry.epoch)) continue;
     if (ctx.EndpointWasClosed(entry.node, entry.pid)) continue;
@@ -160,8 +146,8 @@ void CheckBindingCoherence(CheckContext& ctx) {
             "/" + std::to_string(entry.epoch))) {
       continue;
     }
-    ctx.Report(MakeDiagnostic(
-        ctx, Severity::kError, "binding-coherence", entry.object,
+    ctx.Report(ctx.MakeDiagnostic(
+        Severity::kError, "binding-coherence", entry.object,
         "cached binding points at node=" + std::to_string(entry.node) +
             " pid=" + std::to_string(entry.pid) +
             " epoch=" + std::to_string(entry.epoch) +
@@ -173,15 +159,15 @@ void CheckBindingCoherence(CheckContext& ctx) {
 // message-conservation: control messages are conserved — every message sent
 // is delivered, dropped in flight, or still queued; and once the simulator
 // goes idle (end-of-run), nothing may remain queued.
-void CheckMessageConservation(CheckContext& ctx) {
+void CheckMessageConservation(Checker& ctx) {
   NetworkCounters counters;
   if (!ctx.ProbeNetwork(&counters)) return;
   std::uint64_t accounted =
       counters.delivered + counters.dropped_in_flight + counters.in_flight;
   if (counters.sent != accounted &&
       ctx.races().FirstReport("message-conservation|balance")) {
-    ctx.Report(MakeDiagnostic(
-        ctx, Severity::kError, "message-conservation", ObjectId(),
+    ctx.Report(ctx.MakeDiagnostic(
+        Severity::kError, "message-conservation", ObjectId(),
         "sent=" + std::to_string(counters.sent) +
             " != delivered=" + std::to_string(counters.delivered) +
             " + dropped-in-flight=" +
@@ -190,8 +176,8 @@ void CheckMessageConservation(CheckContext& ctx) {
   }
   if (ctx.at_end() && counters.in_flight != 0 &&
       ctx.races().FirstReport("message-conservation|quiescence")) {
-    ctx.Report(MakeDiagnostic(
-        ctx, Severity::kError, "message-conservation", ObjectId(),
+    ctx.Report(ctx.MakeDiagnostic(
+        Severity::kError, "message-conservation", ObjectId(),
         std::to_string(counters.in_flight) +
             " message(s) still in flight at end of run: the simulator went "
             "idle with undelivered traffic"));
@@ -200,7 +186,7 @@ void CheckMessageConservation(CheckContext& ctx) {
 
 }  // namespace
 
-void RegisterBuiltinInvariants(CheckContext& ctx) {
+void RegisterBuiltinInvariants(Checker& ctx) {
   ctx.RegisterInvariant(
       {"version-monotonic", "core",
        "Section 4: version identifiers grow monotonically along the "

@@ -1,4 +1,4 @@
-#include "trace/metrics.h"
+#include "instrument/metrics.h"
 
 #include <algorithm>
 #include <bit>

@@ -1,18 +1,18 @@
-// MetricsRegistry: named counters and sim-time histograms for the tracing
-// layer (Section 5's evaluation numbers, machine-readable).
+// MetricsRegistry: named counters and sim-time histograms for the span
+// recorder (Section 5's evaluation numbers, machine-readable).
 //
 // Two pieces:
 //   * trace::Counter — a relaxed atomic counter cheap enough to live inside
-//     hot-path components. Layers that used to keep ad-hoc `std::uint64_t`
-//     statistics (RpcClient, SimNetwork, BindingAgent — whose
-//     `lookups_served_` was a mutable non-atomic increment on a const path,
-//     i.e. a data race under concurrent lookups) hold these instead; their
-//     existing accessors keep working via value().
-//   * MetricsRegistry — the canonical name -> counter/histogram store owned
-//     by the installed TraceContext. Instrumentation sites bump registry
-//     metrics ("rpc.timeouts", "rpc.dedup_hits", "evolve.latency", ...) only
-//     when a context is installed, so the registry costs nothing in untraced
-//     runs.
+//     hot-path components. Layers keep their statistics in these members
+//     (RpcClient, SimNetwork, BindingAgent — whose `lookups_served_` was once
+//     a mutable non-atomic increment on a const path, i.e. a data race under
+//     concurrent lookups); their accessors read value().
+//   * MetricsRegistry — the name -> counter/histogram store owned by the
+//     span recorder. Sites record what no span and no member counter holds
+//     ("fom.wait_time", "fom.created", "fom.completed") only when a
+//     recorder is installed, so the registry costs nothing in untraced runs;
+//     Testbed::DumpTrace copies the member totals of what the testbed owns
+//     in at export time.
 //
 // Registered objects have stable addresses for the registry's lifetime, so a
 // hot site may look a counter up once and keep the reference.
@@ -42,7 +42,6 @@ class Counter {
     value_.fetch_sub(n, std::memory_order_relaxed);
   }
   std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { Set(0); }
   // Overwrite to an absolute value (snapshot import).
   void Set(std::uint64_t value) {
     value_.store(value, std::memory_order_relaxed);

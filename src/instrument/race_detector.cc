@@ -1,4 +1,4 @@
-#include "check/race_detector.h"
+#include "instrument/race_detector.h"
 
 #include <algorithm>
 #include <sstream>

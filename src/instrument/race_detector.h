@@ -40,9 +40,9 @@
 #include <string>
 #include <vector>
 
-#include "check/diagnostics.h"
 #include "common/object_id.h"
 #include "common/version_id.h"
+#include "instrument/diagnostics.h"
 
 namespace dcdo::check {
 
@@ -79,7 +79,7 @@ class RaceDetector {
                         const VersionId& to, const Stamp& stamp);
   void OnEvolveEnd(const ObjectId& object, bool ok, const Stamp& stamp);
 
-  // --- queries (used by CheckContext invariants and tests) ---
+  // --- queries (used by Checker invariants and tests) ---
   int InFlightCalls(const ObjectId& object) const;
   int OpenEvolutions(const ObjectId& object) const;
 

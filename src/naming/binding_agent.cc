@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "trace/trace_context.h"
 
 namespace dcdo {
 
@@ -32,7 +31,6 @@ void BindingAgent::Unbind(const ObjectId& id) {
 
 Result<ObjectAddress> BindingAgent::Lookup(const ObjectId& id) const {
   lookups_served_.Increment();
-  DCDO_TRACE_HOOK(metrics().GetCounter("naming.lookups_served").Increment());
   auto it = bindings_.find(id);
   if (it == bindings_.end()) {
     return NotFoundError("no binding for object " + id.ToString());
@@ -49,7 +47,6 @@ Result<ObjectAddress> BindingAgent::LookupWithLease(const ObjectId& id,
     *expiry = now + network_->cost_model().binding_lease_duration;
     leases_.Grant(id, holder, now, *expiry);
     leases_granted_.Increment();
-    DCDO_TRACE_HOOK(metrics().GetCounter("naming.leases_granted").Increment());
   }
   return address;
 }
@@ -97,8 +94,6 @@ void BindingAgent::PushToHolders(const ObjectId& id,
       leases_.Grant(id, holder, now, lease_expiry);
     }
     invalidations_sent_.Increment();
-    DCDO_TRACE_HOOK(
-        metrics().GetCounter("naming.invalidations_sent").Increment());
     // Send() enforces reachability: a partitioned or down holder silently
     // loses the notice, which is precisely the lost-invalidation case lease
     // expiry exists to cover.
@@ -118,8 +113,6 @@ void BindingAgent::DeliverInvalidation(std::uint64_t holder,
   auto it = holders_.find(holder);
   if (it == holders_.end()) return;  // holder died while the notice flew
   invalidations_delivered_.Increment();
-  DCDO_TRACE_HOOK(
-      metrics().GetCounter("naming.invalidations_delivered").Increment());
   it->second.sink->OnBindingInvalidated(id, has_fresh ? &address : nullptr,
                                         lease_expiry);
 }

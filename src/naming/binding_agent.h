@@ -21,10 +21,10 @@
 
 #include "common/object_id.h"
 #include "common/status.h"
+#include "instrument/metrics.h"
 #include "naming/address.h"
 #include "naming/lease_table.h"
 #include "sim/network.h"
-#include "trace/metrics.h"
 
 namespace dcdo {
 

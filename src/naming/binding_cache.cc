@@ -1,7 +1,6 @@
 #include "naming/binding_cache.h"
 
-#include "check/check_context.h"
-#include "trace/trace_context.h"
+#include "instrument/context.h"
 
 namespace dcdo {
 
@@ -12,8 +11,8 @@ BindingCache::BindingCache(BindingAgent* agent, sim::NodeId node)
   }
   // Expose the cache contents to the binding-coherence invariant. The probe
   // holds a raw `this`; the destructor unregisters before the cache dies.
-  if (auto* ctx = check::CheckContext::Current()) {
-    check_handle_ = ctx->RegisterBindingCache([this]() {
+  if (check::Checker* probes = instrument::Probes()) {
+    check_handle_ = probes->RegisterBindingCache([this]() {
       std::vector<check::CacheEntrySnapshot> entries;
       entries.reserve(cache_.size());
       for (const auto& [id, entry] : cache_) {
@@ -27,10 +26,9 @@ BindingCache::BindingCache(BindingAgent* agent, sim::NodeId node)
 
 BindingCache::~BindingCache() {
   if (holder_ != 0) agent_.UnregisterHolder(holder_);
-  if (check_handle_ != 0) {
-    if (auto* ctx = check::CheckContext::Current()) {
-      ctx->UnregisterBindingCache(check_handle_);
-    }
+  check::Checker* probes = instrument::Probes();
+  if (probes != nullptr && check_handle_ != 0) {
+    probes->UnregisterBindingCache(check_handle_);
   }
 }
 
@@ -48,8 +46,6 @@ void BindingCache::OnBindingInvalidated(const ObjectId& id,
                                         const ObjectAddress* fresh,
                                         sim::SimTime lease_expiry) {
   invalidations_received_.Increment();
-  DCDO_TRACE_HOOK(
-      metrics().GetCounter("naming.invalidations_received").Increment());
   if (fresh == nullptr || !fresh->valid()) {
     // The binding died with no forwarding address: stop serving it. The next
     // Resolve misses and consults the agent like first contact.
@@ -59,8 +55,8 @@ void BindingCache::OnBindingInvalidated(const ObjectId& id,
   // The agent pushed the replacement binding along with a renewed lease:
   // update in place, so the very next Resolve serves the fresh address.
   cache_.insert_or_assign(id, Entry{*fresh, lease_expiry, true});
-  DCDO_CHECK_HOOK(OnBindingRefreshed(id, fresh->node, fresh->pid,
-                                     fresh->epoch));
+  DCDO_INSTRUMENT(BindingRefreshed(node_, id, fresh->node, fresh->pid,
+                                   fresh->epoch));
 }
 
 std::optional<ObjectAddress> BindingCache::CachedAddress(
@@ -75,29 +71,24 @@ Result<ObjectAddress> BindingCache::Resolve(const ObjectId& id) {
   if (it != cache_.end()) {
     if (!Expired(it->second)) {
       hits_.Increment();
-      DCDO_TRACE_HOOK(metrics().GetCounter("naming.cache_hits").Increment());
       return it->second.address;
     }
     // The lease ran out with no invalidation seen (lost push, partition, or
     // plain disuse): the entry can no longer be trusted. Drop it and fall
     // through to the authoritative fetch.
     lease_expirations_.Increment();
-    DCDO_TRACE_HOOK(
-        metrics().GetCounter("naming.lease_expirations").Increment());
     cache_.erase(it);
   }
   misses_.Increment();
-  DCDO_TRACE_HOOK(metrics().GetCounter("naming.cache_misses").Increment());
   return Fetch(id);
 }
 
 Result<ObjectAddress> BindingCache::RefreshFromAgent(const ObjectId& id) {
   refreshes_.Increment();
-  DCDO_TRACE_HOOK(metrics().GetCounter("naming.refreshes").Increment());
   Invalidate(id);  // a failed lookup must not leave the stale entry behind
   DCDO_ASSIGN_OR_RETURN(ObjectAddress address, Fetch(id));
-  DCDO_CHECK_HOOK(
-      OnBindingRefreshed(id, address.node, address.pid, address.epoch));
+  DCDO_INSTRUMENT(BindingRefreshed(node_, id, address.node, address.pid,
+                                   address.epoch));
   return address;
 }
 

@@ -29,10 +29,10 @@
 
 #include "common/object_id.h"
 #include "common/status.h"
+#include "instrument/metrics.h"
 #include "naming/address.h"
 #include "naming/binding_agent.h"
 #include "sim/simulation.h"
-#include "trace/metrics.h"
 
 namespace dcdo {
 

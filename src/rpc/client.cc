@@ -7,7 +7,7 @@
 
 #include "common/logging.h"
 #include "common/pool_allocator.h"
-#include "trace/trace_context.h"
+#include "instrument/context.h"
 
 namespace dcdo::rpc {
 namespace {
@@ -17,14 +17,6 @@ namespace {
 // two clients share a node. Atomic: threaded stress tests drive clients from
 // several OS threads.
 std::atomic<std::uint64_t> g_next_call_id{1};
-
-// Records the per-method latency histogram name without allocating in the
-// common case of short method names.
-std::string LatencyMetricName(std::string_view method) {
-  std::string name = "rpc.latency.";
-  name.append(method);
-  return name;
-}
 
 }  // namespace
 
@@ -62,12 +54,10 @@ struct RpcClient::CallState {
   bool parked = false;
   std::uint64_t call_id = 0;
   std::uint64_t timer_id = 0;
-  // Trace carriage (0 = untraced): the whole-call span, the span of the
-  // attempt currently on the wire, and the call's sim start for the
-  // per-method latency histogram.
+  // Trace carriage (0 = untraced): the whole-call span and the span of the
+  // attempt currently on the wire.
   std::uint64_t span = 0;
   std::uint64_t attempt_span = 0;
-  sim::SimTime started_at;
 
   std::string_view method_name() const {
     if (!method.empty()) return method;
@@ -131,22 +121,22 @@ void RpcClient::Invoke(const ObjectId& target, FunctionId method,
 void RpcClient::StartCall(const std::shared_ptr<CallState>& call) {
   calls_started_.Increment();
   call->call_id = g_next_call_id.fetch_add(1, std::memory_order_relaxed);
-  if (auto* tr = trace::ActiveContext()) {
+  if (auto* tr = instrument::Spans()) {
     // The whole-call span, keyed (origin node, call_id). Parent: whatever
     // scope is active — a call issued from inside a server handler (an
     // outcall) nests under that handler's dispatch span.
-    call->span = tr->BeginSpan("rpc.call",
-                               {.category = "client",
-                                .node = static_cast<std::uint32_t>(node_),
-                                .call_id = call->call_id});
-    tr->Annotate(call->span, "method", call->method_name());
-    tr->Annotate(call->span, "target", call->target.ToString());
-    tr->metrics().GetCounter("rpc.calls_started").Increment();
-    call->started_at = transport_.simulation().Now();
+    call->span = tr->BeginSpan(
+        "rpc.call",
+        {.category = "client",
+         .node = static_cast<std::uint32_t>(node_),
+         .call_id = call->call_id},
+        {{"method", call->method_name()}, {"target", call->target.ToString()}});
   }
   Result<ObjectAddress> address = cache_.Resolve(call->target);
   if (!address.ok()) {
-    DCDO_TRACE_HOOK(EndSpan(call->span, "outcome", "unresolved"));
+    if (auto* tr = instrument::Spans()) {
+      tr->EndSpan(call->span, "outcome", "unresolved");
+    }
     call->done(address.status());
     return;
   }
@@ -204,14 +194,13 @@ void RpcClient::ReplaySession(const std::shared_ptr<CallState>& mover,
     call->attempt_in_flight = false;
     DCDO_LOG(kDebug) << "rpc: session replay of " << call->method_name()
                      << " at " << mover->address.ToString();
-    if (auto* tr = trace::ActiveContext()) {
+    if (auto* tr = instrument::Spans()) {
       tr->Instant("rpc.session_replay",
                   {.category = "client",
                    .parent = call->span,
                    .node = static_cast<std::uint32_t>(node_),
                    .call_id = call->call_id});
       tr->EndSpan(call->attempt_span, "outcome", "replayed");
-      tr->metrics().GetCounter("rpc.session_replays").Increment();
     }
     // Same mechanics as the mover's own switch: restart the retry round at
     // the fresh activation.
@@ -273,7 +262,7 @@ void RpcClient::Attempt(const std::shared_ptr<CallState>& call) {
   ++call->attempts_this_binding;
   call->attempt_in_flight = true;
 
-  auto* tr = trace::ActiveContext();
+  auto* tr = instrument::Spans();
   if (tr != nullptr) {
     call->attempt_span =
         tr->BeginSpan("rpc.attempt",
@@ -321,7 +310,7 @@ void RpcClient::Attempt(const std::shared_ptr<CallState>& call) {
           call->finished = true;
           transport_.simulation().Cancel(call->timer_id);
           ReleaseSlots(call);
-          if (auto* tr2 = trace::ActiveContext()) {
+          if (auto* tr2 = instrument::Spans()) {
             // attempt_span is captured by value: a late reply from an earlier
             // attempt must close THAT attempt's span (a no-op if OnTimeout
             // already did), never the newer attempt's span that has since
@@ -333,12 +322,6 @@ void RpcClient::Attempt(const std::shared_ptr<CallState>& call) {
               // answer (the server dedups it); close its span honestly.
               tr2->EndSpan(call->attempt_span, "outcome", "superseded");
             }
-            if (call->span != 0) {
-              tr2->metrics()
-                  .GetHistogram(LatencyMetricName(call->method_name()))
-                  .Record(transport_.simulation().Now() - call->started_at);
-            }
-            tr2->metrics().GetCounter("rpc.replies").Increment();
             tr2->EndSpan(call->span);
           }
           if (result.status.ok()) {
@@ -359,14 +342,13 @@ void RpcClient::OnTimeout(const std::shared_ptr<CallState>& call) {
   call->attempt_in_flight = false;
   timeouts_.Increment();
   const sim::CostModel& cost = transport_.cost_model();
-  if (auto* tr = trace::ActiveContext()) {
+  if (auto* tr = instrument::Spans()) {
     tr->Instant("rpc.timeout", {.category = "client",
                                 .parent = call->attempt_span,
                                 .node = static_cast<std::uint32_t>(node_),
                                 .call_id = call->call_id,
                                 .attempt = call->attempts_this_binding});
     tr->EndSpan(call->attempt_span, "outcome", "timeout");
-    tr->metrics().GetCounter("rpc.timeouts").Increment();
   }
 
   if (cost.binding_lease_duration > sim::SimDuration::Zero() &&
@@ -384,13 +366,12 @@ void RpcClient::OnTimeout(const std::shared_ptr<CallState>& call) {
       lease_rebinds_.Increment();
       DCDO_LOG(kDebug) << "rpc: lease push rebound " << call->target << " to "
                        << pushed->ToString();
-      if (auto* tr = trace::ActiveContext()) {
+      if (auto* tr = instrument::Spans()) {
         tr->Instant("rpc.lease_rebind",
                     {.category = "client",
                      .parent = call->span,
                      .node = static_cast<std::uint32_t>(node_),
                      .call_id = call->call_id});
-        tr->metrics().GetCounter("rpc.lease_rebinds").Increment();
       }
       const ObjectAddress stale = call->address;
       Retarget(call, *pushed);
@@ -416,13 +397,12 @@ void RpcClient::OnTimeout(const std::shared_ptr<CallState>& call) {
     call->attempts_this_binding = 0;
     rebinds_.Increment();
     std::uint64_t rebind_span = 0;
-    if (auto* tr = trace::ActiveContext()) {
+    if (auto* tr = instrument::Spans()) {
       rebind_span =
           tr->BeginSpan("rpc.rebind", {.category = "client",
                                        .parent = call->span,
                                        .node = static_cast<std::uint32_t>(node_),
                                        .call_id = call->call_id});
-      tr->metrics().GetCounter("rpc.rebinds").Increment();
     }
     sim::Simulation& simulation = transport_.simulation();
     simulation.Schedule(cost.rebind_query, [this, call, rebind_span]() {
@@ -432,7 +412,7 @@ void RpcClient::OnTimeout(const std::shared_ptr<CallState>& call) {
       if (!fresh.ok()) {
         call->finished = true;
         ReleaseSlots(call);
-        if (auto* tr = trace::ActiveContext()) {
+        if (auto* tr = instrument::Spans()) {
           tr->EndSpan(rebind_span, "outcome", "unbound");
           tr->EndSpan(call->span, "outcome", "unavailable");
         }
@@ -442,7 +422,7 @@ void RpcClient::OnTimeout(const std::shared_ptr<CallState>& call) {
       }
       DCDO_LOG(kDebug) << "rpc: rebound " << call->target << " to "
                        << fresh->ToString();
-      if (auto* tr = trace::ActiveContext()) {
+      if (auto* tr = instrument::Spans()) {
         tr->EndSpan(rebind_span, "address", fresh->ToString());
       }
       if (*fresh == call->address) {
@@ -466,7 +446,9 @@ void RpcClient::OnTimeout(const std::shared_ptr<CallState>& call) {
 
   call->finished = true;
   ReleaseSlots(call);
-  DCDO_TRACE_HOOK(EndSpan(call->span, "outcome", "timeout"));
+  if (auto* tr = instrument::Spans()) {
+    tr->EndSpan(call->span, "outcome", "timeout");
+  }
   call->done(TimeoutError("invocation of " +
                           std::string(call->method_name()) + " on " +
                           call->target.ToString() + " timed out after rebind"));

@@ -70,10 +70,10 @@
 #include "common/object_id.h"
 #include "common/status.h"
 #include "dfm/function_id.h"
+#include "instrument/metrics.h"
 #include "naming/binding_cache.h"
 #include "rpc/session.h"
 #include "rpc/transport.h"
-#include "trace/metrics.h"
 
 namespace dcdo::rpc {
 

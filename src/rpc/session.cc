@@ -3,8 +3,6 @@
 #include <atomic>
 #include <utility>
 
-#include "trace/trace_context.h"
-
 namespace dcdo::rpc {
 namespace {
 
@@ -50,7 +48,6 @@ void SessionPool::Park(const ObjectAddress& address, GrantFn fn) {
   // Slot-saturated: park the caller instead of putting more on the wire.
   backpressure_waits_.Increment();
   ++queued_;
-  DCDO_TRACE_HOOK(metrics().GetCounter("rpc.backpressure").Increment());
   SessionFor(address).waiting.push_back(std::move(fn));
 }
 

@@ -36,11 +36,11 @@
 #include <unordered_map>
 #include <vector>
 
+#include "instrument/metrics.h"
 #include "naming/address.h"
 #include "rpc/message.h"
 #include "sim/host.h"
 #include "sim/network.h"
-#include "trace/metrics.h"
 
 namespace dcdo::rpc {
 

@@ -3,11 +3,10 @@
 #include <memory>
 #include <string>
 
-#include "check/check_context.h"
 #include "common/logging.h"
 #include "common/pool_allocator.h"
+#include "instrument/context.h"
 #include "rpc/session.h"
-#include "trace/trace_context.h"
 
 namespace dcdo::rpc {
 
@@ -47,12 +46,12 @@ void RpcTransport::RegisterEndpoint(sim::NodeId node, sim::ProcessId pid,
                                     std::uint64_t epoch, Handler handler) {
   endpoints_[{node, pid}] = Endpoint{epoch, std::move(handler),
                                      std::make_shared<ServerSessionTable>()};
-  DCDO_CHECK_HOOK(OnEndpointOpened(node, pid, epoch));
+  DCDO_INSTRUMENT(EndpointOpened(node, pid, epoch));
 }
 
 void RpcTransport::UnregisterEndpoint(sim::NodeId node, sim::ProcessId pid) {
   endpoints_.erase({node, pid});
-  DCDO_CHECK_HOOK(OnEndpointClosed(node, pid));
+  DCDO_INSTRUMENT(EndpointClosed(node, pid));
 }
 
 void RpcTransport::Invoke(sim::NodeId from_node, sim::NodeId to_node,
@@ -66,7 +65,7 @@ void RpcTransport::Invoke(sim::NodeId from_node, sim::NodeId to_node,
   // stack. Its id travels in the InFlight block so the server-side dispatch
   // span can name it as parent — the cross-node causal edge.
   std::uint64_t send_span = 0;
-  if (auto* tr = trace::ActiveContext()) {
+  if (auto* tr = instrument::Spans()) {
     send_span = tr->BeginSpan(
         "rpc.send", {.category = "transport",
                      .node = static_cast<std::uint32_t>(from_node),
@@ -92,7 +91,7 @@ void RpcTransport::Invoke(sim::NodeId from_node, sim::NodeId to_node,
                                               /*sessions=*/nullptr});
   } catch (...) {
     common::PoolFree<sizeof(InFlight)>(block);
-    if (auto* tr = trace::ActiveContext()) {
+    if (auto* tr = instrument::Spans()) {
       tr->PopScope();
       tr->EndSpan(send_span, "outcome", "marshal-failed");
     }
@@ -116,9 +115,6 @@ void RpcTransport::Invoke(sim::NodeId from_node, sim::NodeId to_node,
           // invocation is silently discarded, exactly like a message to a
           // dead address.
           epoch_rejections_.Increment();
-          DCDO_TRACE_HOOK(metrics()
-                              .GetCounter("rpc.epoch_rejections")
-                              .Increment());
           DCDO_LOG(kDebug) << "rpc: epoch mismatch at node " << call->to_node
                            << " for " << call->invocation.method_name();
           return;
@@ -140,8 +136,7 @@ void RpcTransport::Invoke(sim::NodeId from_node, sim::NodeId to_node,
           auto count_duplicate = [this, send_span = call->send_span,
                                   node = call->to_node, call_id]() {
             dedup_hits_.Increment();
-            if (auto* tr = trace::ActiveContext()) {
-              tr->metrics().GetCounter("rpc.dedup_hits").Increment();
+            if (auto* tr = instrument::Spans()) {
               tr->Instant("rpc.dedup",
                           {.category = "server",
                            .parent = send_span,
@@ -155,8 +150,6 @@ void RpcTransport::Invoke(sim::NodeId from_node, sim::NodeId to_node,
               // of a call the client already abandoned. Its answer can no
               // longer matter, so drop without replying.
               session_stale_drops_.Increment();
-              DCDO_TRACE_HOOK(
-                  metrics().GetCounter("rpc.session_stale").Increment());
               DCDO_LOG(kDebug)
                   << "rpc: stale session delivery for call " << call_id
                   << " from node " << call->from_node << " dropped";
@@ -198,16 +191,15 @@ void RpcTransport::Invoke(sim::NodeId from_node, sim::NodeId to_node,
         invocations_delivered_.Increment();
         network_.simulation().AdvanceInline(cost_model().rpc_dispatch);
         std::uint64_t dispatch_span = 0;
-        auto* tr = trace::ActiveContext();
+        auto* tr = instrument::Spans();
         if (tr != nullptr) {
           dispatch_span = tr->BeginSpan(
               "rpc.dispatch",
               {.category = "server",
                .parent = call->send_span,
                .node = static_cast<std::uint32_t>(call->to_node),
-               .call_id = call_id});
-          tr->Annotate(dispatch_span, "method",
-                       call->invocation.method_name());
+               .call_id = call_id},
+              {{"method", call->invocation.method_name()}});
           call->dispatch_span = dispatch_span;
           // Handler-internal spans (dfm.call, nested outcalls) nest here.
           tr->PushScope(dispatch_span);
@@ -231,7 +223,7 @@ void RpcTransport::Invoke(sim::NodeId from_node, sim::NodeId to_node,
                                      call->invocation.session_slot,
                                      call->invocation.session_seq, result);
           }
-          if (auto* tr2 = trace::ActiveContext()) {
+          if (auto* tr2 = instrument::Spans()) {
             tr2->EndSpan(call->dispatch_span, "status",
                          result.status.ok() ? "ok" : result.status.ToString());
           }
@@ -248,7 +240,7 @@ void RpcTransport::Invoke(sim::NodeId from_node, sim::NodeId to_node,
         it->second.handler(invocation, std::move(wire_reply));
         if (tr != nullptr) tr->PopScope();
       });
-  if (auto* tr = trace::ActiveContext()) {
+  if (auto* tr = instrument::Spans()) {
     tr->PopScope();
     tr->EndSpan(send_span);
   }

@@ -29,10 +29,10 @@
 
 #include "common/move_function.h"
 #include "common/status.h"
+#include "instrument/metrics.h"
 #include "rpc/message.h"
 #include "sim/host.h"
 #include "sim/network.h"
-#include "trace/metrics.h"
 
 namespace dcdo::rpc {
 

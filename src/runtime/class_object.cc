@@ -56,19 +56,29 @@ void ClassObject::EnsureExecutableOnHost(sim::SimHost* host,
     done(Status::Ok());
     return;
   }
+  // Single-flight: a download of this file to this host already under way
+  // answers this request too.
+  std::vector<DoneCallback>& waiters = downloads_[{host->node(), file}];
+  waiters.push_back(std::move(done));
+  if (waiters.size() > 1) return;
   std::size_t bytes = executables_[executable_index].bytes;
   DCDO_LOG(kDebug) << class_name_ << ": downloading " << file << " ("
                    << bytes << "B) to node " << host->node();
   home_.network().BulkTransfer(
       home_.node(), host->node(), bytes,
-      [host, file, bytes, done = std::move(done)](bool delivered) {
-        if (!delivered) {
-          done(UnavailableError("executable '" + file + "' download to node " +
-                                std::to_string(host->node()) + " failed"));
-          return;
+      [this, host, file, bytes](bool delivered) {
+        auto it = downloads_.find({host->node(), file});
+        std::vector<DoneCallback> landed = std::move(it->second);
+        downloads_.erase(it);
+        Status status = Status::Ok();
+        if (delivered) {
+          host->StoreFile(file, bytes);
+        } else {
+          status = UnavailableError("executable '" + file +
+                                    "' download to node " +
+                                    std::to_string(host->node()) + " failed");
         }
-        host->StoreFile(file, bytes);
-        done(Status::Ok());
+        for (DoneCallback& waiter : landed) waiter(status);
       });
 }
 
@@ -111,6 +121,11 @@ void ClassObject::ActivateInstance(const ObjectId& instance_id,
                                    sim::SimHost* host,
                                    std::size_t executable_index,
                                    DoneCallback done) {
+  if (!host->up()) {
+    done(UnavailableError("node " + std::to_string(host->node()) +
+                          " is down"));
+    return;
+  }
   std::size_t exec_bytes = executables_[executable_index].bytes;
   host->SpawnProcess(
       instance_id, exec_bytes,
@@ -132,6 +147,29 @@ void ClassObject::ActivateInstance(const ObjectId& instance_id,
       });
 }
 
+void ClassObject::RestoreInstance(const ObjectId& instance_id,
+                                  sim::SimHost* host,
+                                  std::size_t executable_index,
+                                  std::size_t state_bytes, Status outcome,
+                                  DoneCallback done) {
+  ActivateInstance(
+      instance_id, host, executable_index,
+      [this, state_bytes, outcome = std::move(outcome),
+       done = std::move(done)](Status status) mutable {
+        // A down host leaves the instance deactivated; the earlier failure,
+        // if any, is the one reported.
+        if (!status.ok()) {
+          done(outcome.ok() ? std::move(status) : std::move(outcome));
+          return;
+        }
+        home_.simulation().Schedule(
+            home_.cost_model().StateRestore(state_bytes),
+            [outcome = std::move(outcome), done = std::move(done)]() {
+              done(outcome);
+            });
+      });
+}
+
 void ClassObject::CreateInstance(sim::SimHost* host,
                                  std::size_t initial_state_bytes,
                                  CreateCallback done) {
@@ -148,14 +186,16 @@ void ClassObject::CreateInstance(sim::SimHost* host,
           done(status);
           return;
         }
-        ActivateInstance(instance_id, host, executable_index,
-                         [instance_id, done = std::move(done)](Status status) {
-                           if (!status.ok()) {
-                             done(status);
-                           } else {
-                             done(instance_id);
-                           }
-                         });
+        ActivateInstance(
+            instance_id, host, executable_index,
+            [this, instance_id, done = std::move(done)](Status status) {
+              if (!status.ok()) {
+                instances_.erase(instance_id);
+                done(status);
+                return;
+              }
+              done(instance_id);
+            });
       });
 }
 
@@ -191,6 +231,7 @@ void ClassObject::EvolveInstance(const ObjectId& instance_id,
     // 2. Deactivate the old process. The binding agent keeps no entry for
     //    the object until reactivation; clients' cached bindings are stale.
     Instance& instance = it->second;
+    const std::size_t old_index = instance.executable_index;
     transport_.UnregisterEndpoint(instance.host->node(), instance.pid);
     (void)instance.host->KillProcess(instance.pid);
     instance.active = false;
@@ -201,27 +242,14 @@ void ClassObject::EvolveInstance(const ObjectId& instance_id,
     // 3. Download the new executable to the host (if absent).
     EnsureExecutableOnHost(
         host, executable_index,
-        [this, instance_id, host, executable_index, state_bytes,
+        [this, instance_id, host, executable_index, old_index, state_bytes,
          done = std::move(done)](Status status) mutable {
-          if (!status.ok()) {
-            done(status);
-            return;
-          }
-          // 4. Spawn the new process (reloads the executable)...
-          ActivateInstance(
-              instance_id, host, executable_index,
-              [this, instance_id, state_bytes,
-               done = std::move(done)](Status status) {
-                if (!status.ok()) {
-                  done(status);
-                  return;
-                }
-                // 5. ...and read the captured state back in.
-                sim::Simulation& simulation = home_.simulation();
-                simulation.Schedule(
-                    home_.cost_model().StateRestore(state_bytes),
-                    [done = std::move(done)]() { done(Status::Ok()); });
-              });
+          // 4. Spawn the new process (reloads the executable) and read the
+          //    captured state back in — or, when the download failed, bring
+          //    the old executable back up with it.
+          const std::size_t index = status.ok() ? executable_index : old_index;
+          RestoreInstance(instance_id, host, index, state_bytes,
+                          std::move(status), std::move(done));
         });
   });
 }
@@ -256,40 +284,30 @@ void ClassObject::MigrateInstance(const ObjectId& instance_id,
         agent_.Unbind(instance_id);
 
         // State travels to the destination while the executable is fetched.
+        // Either failing brings the instance back up at its source.
         source->network().BulkTransfer(
             source->node(), dest->node(), state_bytes,
-            [this, instance_id, dest, executable_index, state_bytes,
+            [this, instance_id, source, dest, executable_index, state_bytes,
              done = std::move(done)](bool delivered) mutable {
               if (!delivered) {
-                // The old process is gone: the instance stays deactivated.
-                done(UnavailableError("state transfer of " +
-                                      instance_id.ToString() + " to node " +
-                                      std::to_string(dest->node()) +
-                                      " failed"));
+                RestoreInstance(instance_id, source, executable_index,
+                                state_bytes,
+                                UnavailableError("state transfer of " +
+                                                 instance_id.ToString() +
+                                                 " to node " +
+                                                 std::to_string(dest->node()) +
+                                                 " failed"),
+                                std::move(done));
                 return;
               }
               EnsureExecutableOnHost(
                   dest, executable_index,
-                  [this, instance_id, dest, executable_index, state_bytes,
-                   done = std::move(done)](Status status) mutable {
-                    if (!status.ok()) {
-                      done(status);
-                      return;
-                    }
-                    ActivateInstance(
-                        instance_id, dest, executable_index,
-                        [this, instance_id, state_bytes,
-                         done = std::move(done)](Status status) {
-                          if (!status.ok()) {
-                            done(status);
-                            return;
-                          }
-                          home_.simulation().Schedule(
-                              home_.cost_model().StateRestore(state_bytes),
-                              [done = std::move(done)]() {
-                                done(Status::Ok());
-                              });
-                        });
+                  [this, instance_id, source, dest, executable_index,
+                   state_bytes, done = std::move(done)](Status status) mutable {
+                    sim::SimHost* host = status.ok() ? dest : source;
+                    RestoreInstance(instance_id, host, executable_index,
+                                    state_bytes, std::move(status),
+                                    std::move(done));
                   });
             });
       });

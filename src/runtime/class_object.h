@@ -22,6 +22,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/object_id.h"
 #include "common/status.h"
@@ -76,12 +78,17 @@ class ClassObject {
 
   // Evolves `instance` to the executable at `executable_index` via the full
   // monolithic pipeline described above. The instance's address changes;
-  // client binding caches are NOT updated (that is the point).
+  // client binding caches are NOT updated (that is the point). When the
+  // download fails, the instance comes back up on its host with its old
+  // executable; when the host itself is down, it stays deactivated.
   void EvolveInstance(const ObjectId& instance, std::size_t executable_index,
                       DoneCallback done);
 
   // Moves `instance` to `dest`: capture state -> transfer state + download
-  // executable at dest (if absent) -> spawn -> restore -> rebind.
+  // executable at dest (if absent) -> spawn -> restore -> rebind. When a
+  // transfer or download of either fails, the instance is reactivated where
+  // it was (host, old executable, captured state) before `done` reports it;
+  // when that host is down too, it stays deactivated.
   void MigrateInstance(const ObjectId& instance, sim::SimHost* dest,
                        DoneCallback done);
 
@@ -107,10 +114,20 @@ class ClassObject {
   };
 
   // Ensures `executable` is in `host`'s file store; `done` runs when it is.
+  // Overlapping requests for one file on one host share one download.
   void EnsureExecutableOnHost(sim::SimHost* host, std::size_t executable_index,
                               DoneCallback done);
+  // Spawns the instance's process on `host`, binds it and runs the
+  // activation handshake; fails with kUnavailable at once when `host` is
+  // down.
   void ActivateInstance(const ObjectId& instance_id, sim::SimHost* host,
                         std::size_t executable_index, DoneCallback done);
+  // Activates the instance on `host` and reads `state_bytes` of captured
+  // state back in, then reports `outcome`. When `host` is down the instance
+  // stays deactivated and the first failure is reported at once.
+  void RestoreInstance(const ObjectId& instance_id, sim::SimHost* host,
+                       std::size_t executable_index, std::size_t state_bytes,
+                       Status outcome, DoneCallback done);
   std::string ExecutableFileName(std::size_t index) const;
   void RegisterEndpoint(const ObjectId& instance_id);
 
@@ -124,6 +141,9 @@ class ClassObject {
   std::size_t current_executable_ = 0;
   std::map<ObjectId, Instance> instances_;
   std::uint64_t next_epoch_ = 1;
+  // Executable downloads in flight, by (host, file): everyone waiting.
+  std::map<std::pair<sim::NodeId, std::string>, std::vector<DoneCallback>>
+      downloads_;
 };
 
 }  // namespace dcdo

@@ -8,11 +8,12 @@ namespace dcdo::runtime {
 void Fom::EnterPhase(int phase, const char* phase_name) {
   phase_ = phase;
   phase_name_ = phase_name;
-  DCDO_TRACE_HOOK(EndSpan(phase_span_));
-  phase_span_ = 0;
-  if (auto* tr = trace::ActiveContext()) {
-    phase_span_ = tr->BeginSpan(name_, {.category = "fom"});
-  }
+  trace::SpanRecorder* spans = instrument::Spans();
+  if (spans == nullptr) return;
+  spans->EndSpan(phase_span_);
+  phase_span_ = spans->BeginSpan(
+      name_, {.category = "fom", .parent = phase_parent_},
+      {{"phase", phase_name}});
 }
 
 FomScheduler::~FomScheduler() {
@@ -37,7 +38,9 @@ void FomScheduler::Register(Fom* fom) {
   fom->scheduler_ = this;
   fom->id_ = next_id_++;
   live_.emplace(fom->id_, fom);
-  DCDO_TRACE_HOOK(metrics().GetCounter("fom.created").Increment());
+  if (auto* spans = instrument::Spans()) {
+    spans->metrics().GetCounter("fom.created").Increment();
+  }
 }
 
 void FomScheduler::Start(Fom& fom) {
@@ -48,9 +51,6 @@ void FomScheduler::Start(Fom& fom) {
 void FomScheduler::Enqueue(Fom* fom) {
   fom->run_state_ = Fom::RunState::kQueued;
   run_queue_.push_back(fom);
-  DCDO_TRACE_HOOK(metrics()
-                      .GetHistogram("fom.run_queue_depth")
-                      .RecordNanos(static_cast<std::int64_t>(run_queue_.size())));
 }
 
 void FomScheduler::Drain() {
@@ -113,8 +113,10 @@ void FomScheduler::Destroy(Fom* fom) {
       set.pop_back();
     }
   }
-  DCDO_TRACE_HOOK(EndSpan(fom->phase_span_));
-  DCDO_TRACE_HOOK(metrics().GetCounter("fom.completed").Increment());
+  if (auto* spans = instrument::Spans()) {
+    spans->EndSpan(fom->phase_span_);
+    spans->metrics().GetCounter("fom.completed").Increment();
+  }
   live_.erase(fom->id_);
   void (*dealloc)(void*) = fom->dealloc_;
   void* block = fom->block_;
@@ -146,8 +148,10 @@ void FomScheduler::Wake(std::uint64_t id, WakeSource source) {
     set.pop_back();
   }
   fom->awaited_ = WakeSource::kNone;
-  DCDO_TRACE_HOOK(metrics().GetHistogram("fom.wait_time").Record(
-      simulation_->Now() - fom->wait_started_));
+  if (auto* spans = instrument::Spans()) {
+    spans->metrics().GetHistogram("fom.wait_time").Record(
+        simulation_->Now() - fom->wait_started_);
+  }
   Enqueue(fom);
   Drain();
 }

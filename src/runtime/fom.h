@@ -60,8 +60,8 @@
 
 #include "common/pool_allocator.h"
 #include "common/status.h"
+#include "instrument/context.h"
 #include "sim/simulation.h"
-#include "trace/trace_context.h"
 
 namespace dcdo::runtime {
 
@@ -113,8 +113,13 @@ class Fom {
   virtual void OnAbort() {}
 
   // Records a phase transition: closes the previous phase's trace span and
-  // opens the next (span name = the Fom's name, "phase" note = phase_name).
+  // opens the next (span name = the Fom's name, "phase" note = phase_name),
+  // under the phase parent.
   void EnterPhase(int phase, const char* phase_name);
+
+  // The span the phase spans nest under (default: the scope innermost when
+  // each phase begins). A Fom that carries its operation's span sets it.
+  void set_phase_parent(trace::SpanId parent) { phase_parent_ = parent; }
 
   // Declares what the Fom sleeps on and returns kWait; use as
   // `return WaitOn(WakeSource::kFetch);`.
@@ -146,6 +151,7 @@ class Fom {
   std::uint64_t timer_id_ = 0;  // outstanding ArmTimer event (0 = none)
   sim::SimTime wait_started_;
   trace::SpanId phase_span_ = 0;
+  trace::SpanId phase_parent_ = trace::kScopeParent;
   // Pooled-block bookkeeping: Create<T>() records how to return the block.
   void (*dealloc_)(void*) = nullptr;
   void* block_ = nullptr;

@@ -3,7 +3,7 @@
 #include <cstdlib>
 
 #include "common/logging.h"
-#include "trace/chrome_trace.h"
+#include "instrument/chrome_trace.h"
 
 namespace dcdo {
 
@@ -16,31 +16,28 @@ Testbed::Testbed(const Options& options) {
     DCDO_LOG(kError) << "testbed: cost model rejected: " << valid.message();
     std::abort();
   }
-  if (options.checking) {
+  if (options.checking || options.tracing) {
     // Installed before anything else exists, so every binding cache and
-    // DCDO constructed over this testbed registers its probe.
-    checker_ = std::make_unique<check::CheckContext>(options.check_options);
-    checker_->Install();
-    checker_->AttachSimulation(&simulation_);
-  }
-  if (options.tracing) {
-    // Before the network exists: the first spans come from the substrate.
-    tracer_ = std::make_unique<trace::TraceContext>();
-    tracer_->AttachSimulation(&simulation_);
-    tracer_->Install();
+    // DCDO constructed over this testbed registers its probe, and the first
+    // spans come from the substrate.
+    instrument_ = std::make_unique<instrument::Context>(
+        instrument::Context::Options{.checking = options.checking,
+                                     .tracing = options.tracing});
+    instrument_->AttachSimulation(&simulation_);
+    instrument_->Install();
   }
   network_ =
       std::make_unique<sim::SimNetwork>(&simulation_, options.cost_model);
   transport_ = std::make_unique<rpc::RpcTransport>(network_.get());
-  if (checker_) {
-    checker_->SetEndpointLiveness(
+  if (check::Checker* checker = this->checker()) {
+    checker->SetEndpointLiveness(
         [this](std::uint32_t node, std::uint64_t pid, std::uint64_t epoch) {
           return transport_->EndpointEpoch(static_cast<sim::NodeId>(node),
                                            static_cast<sim::ProcessId>(pid)) ==
                      epoch &&
                  epoch != 0;
         });
-    checker_->SetNetworkProbe([this]() {
+    checker->SetNetworkProbe([this]() {
       check::NetworkCounters counters;
       counters.sent = network_->messages_sent();
       counters.delivered = network_->messages_delivered();
@@ -74,36 +71,39 @@ Testbed::Testbed(const Options& options) {
 }
 
 Testbed::~Testbed() {
-  if (checker_) {
-    // Final sweep: catches quiescence-only violations (messages still in
-    // flight) and anything an every-N cadence stepped over.
-    checker_->EvaluateAtEnd();
-    checker_->Uninstall();
-  }
-  if (tracer_) tracer_->Uninstall();
+  // Final sweep: catches quiescence-only violations (messages still in
+  // flight).
+  if (check::Checker* checker = this->checker()) checker->EvaluateAtEnd();
+  if (instrument_) instrument_->Uninstall();
 }
 
 Status Testbed::DumpTrace(const std::string& path) {
-  if (!tracer_) {
+  trace::SpanRecorder* spans = tracer();
+  if (spans == nullptr) {
     return FailedPreconditionError(
         "tracing is not installed on this testbed (Options::tracing)");
   }
-  // Substrate totals that live as component members rather than registry
-  // metrics: snapshot them into the registry at export time so the JSON
-  // carries the complete picture. (Registry-native metrics — rpc.dedup_hits,
-  // rpc.timeouts, net.drops, evolve.* — are already live-incremented; only
-  // the member-counter mirrors are set here.)
-  trace::MetricsRegistry& m = tracer_->metrics();
+  // Each count lives once, in its owner's member counter or in the spans;
+  // copy the totals of what the testbed owns in so the JSON carries them.
+  trace::MetricsRegistry& m = spans->metrics();
   m.SetCounter("net.messages_sent", network_->messages_sent());
   m.SetCounter("net.messages_delivered", network_->messages_delivered());
   m.SetCounter("net.messages_dropped", network_->messages_dropped());
   m.SetCounter("net.bytes_sent", network_->bytes_sent());
   m.SetCounter("rpc.invocations_delivered",
                transport_->invocations_delivered());
+  m.SetCounter("rpc.epoch_rejections", transport_->epoch_rejections());
+  m.SetCounter("rpc.dedup_hits", transport_->dedup_hits());
+  m.SetCounter("rpc.session_stale", transport_->session_stale_drops());
+  m.SetCounter("naming.lookups_served", agent_.lookups_served());
+  m.SetCounter("naming.leases_granted", agent_.leases_granted());
+  m.SetCounter("naming.invalidations_sent", agent_.invalidations_sent());
+  m.SetCounter("naming.invalidations_delivered",
+               agent_.invalidations_delivered());
   std::uint64_t evictions = 0;
   for (const auto& host : hosts_) evictions += host->component_evictions();
   m.SetCounter("host.component_cache_evictions", evictions);
-  return trace::WriteChromeTrace(*tracer_, path);
+  return trace::WriteChromeTrace(*spans, path);
 }
 
 std::unique_ptr<rpc::RpcClient> Testbed::MakeClient(std::size_t host_index) {

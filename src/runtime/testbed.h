@@ -15,9 +15,9 @@
 #include <string>
 #include <vector>
 
-#include "check/check_context.h"
 #include "common/status.h"
 #include "component/native_code_registry.h"
+#include "instrument/context.h"
 #include "naming/binding_agent.h"
 #include "naming/name_service.h"
 #include "rpc/client.h"
@@ -25,7 +25,6 @@
 #include "sim/host.h"
 #include "sim/network.h"
 #include "sim/simulation.h"
-#include "trace/trace_context.h"
 
 namespace dcdo {
 
@@ -37,14 +36,13 @@ class Testbed {
     // set true to alternate architectures for heterogeneity experiments.
     bool heterogeneous = false;
     sim::CostModel cost_model = {};
-    // Install a CheckContext (invariants + race detection) over this
-    // testbed. Default on — tests run checked; benches measuring the raw
-    // runtime turn it off, leaving each check hook a null test.
+    // The testbed installs one instrument::Context when either consumer is
+    // on; with both off, every instrumentation site is one null test.
+    // checking: the invariant checker and race detector. Default on — tests
+    // run checked; benches measuring the raw runtime turn it off.
     bool checking = true;
-    check::CheckContext::Options check_options = {};
-    // Install a TraceContext (causal spans + metrics) over this testbed.
-    // Default off — tracing is opt-in per scenario, so benches and the bulk
-    // of the suite pay only each trace hook's null test.
+    // tracing: the span recorder (causal spans + metrics). Default off —
+    // tracing is opt-in per scenario.
     bool tracing = false;
   };
 
@@ -71,22 +69,24 @@ class Testbed {
   // Drives the simulation until idle.
   void RunAll() { simulation_.Run(); }
 
-  // The installed checking context, or nullptr when Options::checking is
-  // off.
-  check::CheckContext* checker() { return checker_.get(); }
+  // The installed checker, or nullptr when Options::checking is off.
+  check::Checker* checker() {
+    return instrument_ ? instrument_->checker() : nullptr;
+  }
 
-  // The installed tracing context, or nullptr when Options::tracing is off.
-  trace::TraceContext* tracer() { return tracer_.get(); }
+  // The installed span recorder, or nullptr when Options::tracing is off.
+  trace::SpanRecorder* tracer() {
+    return instrument_ ? instrument_->spans() : nullptr;
+  }
 
   // Exports the collected trace as Chrome trace-event JSON (chrome://tracing
-  // / Perfetto). Snapshots the substrate counters into the metrics registry
-  // first so the export carries them. Fails when tracing is not installed.
+  // / Perfetto), with the member totals of the network, transport, hosts and
+  // binding agent copied in. Fails when tracing is not installed.
   [[nodiscard]] Status DumpTrace(const std::string& path);
 
  private:
   sim::Simulation simulation_;
-  std::unique_ptr<check::CheckContext> checker_;
-  std::unique_ptr<trace::TraceContext> tracer_;
+  std::unique_ptr<instrument::Context> instrument_;
   std::unique_ptr<sim::SimNetwork> network_;
   std::vector<std::unique_ptr<sim::SimHost>> hosts_;
   BindingAgent agent_;

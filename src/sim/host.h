@@ -18,9 +18,9 @@
 
 #include "common/object_id.h"
 #include "common/status.h"
+#include "instrument/metrics.h"
 #include "sim/network.h"
 #include "sim/simulation.h"
-#include "trace/metrics.h"
 
 namespace dcdo::sim {
 

@@ -5,7 +5,7 @@
 #include <string>
 
 #include "common/logging.h"
-#include "trace/trace_context.h"
+#include "instrument/context.h"
 
 namespace dcdo::sim {
 namespace {
@@ -48,12 +48,11 @@ bool SimNetwork::Reachable(NodeId from, NodeId to) const {
 std::optional<std::uint64_t> SimNetwork::Admit(NodeId from, NodeId to,
                                                std::size_t bytes,
                                                const char* span_name) {
-  auto* tr = trace::ActiveContext();
+  trace::SpanRecorder* tr = instrument::Spans();
   if (!Reachable(from, to)) {
     messages_dropped_.Increment();
     if (tr != nullptr) {
       tr->Instant("net.drop", {.category = "net", .node = from});
-      tr->metrics().GetCounter("net.drops").Increment();
     }
     DCDO_LOG(kDebug) << "net: dropped " << bytes << "B " << from << "->" << to;
     return std::nullopt;
@@ -64,10 +63,8 @@ std::optional<std::uint64_t> SimNetwork::Admit(NodeId from, NodeId to,
   // The span covers wire time: opened here, so it nests under the
   // transport's rpc.send scope, and closed by Land (0 with tracing off).
   if (tr == nullptr) return 0;
-  std::uint64_t span =
-      tr->BeginSpan(span_name, {.category = "net", .node = from});
-  tr->Annotate(span, "bytes", std::to_string(bytes));
-  return span;
+  return tr->BeginSpan(span_name, {.category = "net", .node = from},
+                       {{"bytes", std::to_string(bytes)}});
 }
 
 void SimNetwork::Refuse(StreamDone on_done) {
@@ -84,13 +81,12 @@ bool SimNetwork::Land(NodeId from, NodeId to, std::uint64_t span) {
     messages_dropped_.Increment();
     messages_dropped_in_flight_.Increment();
   }
-  auto* tr = span != 0 ? trace::ActiveContext() : nullptr;
+  trace::SpanRecorder* tr = span != 0 ? instrument::Spans() : nullptr;
   if (tr != nullptr) {
     if (delivered) {
       tr->EndSpan(span);
     } else {
       tr->EndSpan(span, "outcome", "dropped-in-flight");
-      tr->metrics().GetCounter("net.drops").Increment();
     }
   }
   return delivered;
@@ -218,7 +214,7 @@ void SimNetwork::UpdateFlowRate(StreamFlow& flow) {
           cost_.network_latency,
       [this, flow_id = flow.id]() { FinishStream(flow_id); });
   if (mid_stream) {
-    if (auto* tr = trace::ActiveContext()) {
+    if (auto* tr = instrument::Spans()) {
       tr->Instant("fetch.share", {.category = "net", .node = flow.from});
     }
   }

@@ -22,9 +22,9 @@
 #include <vector>
 
 #include "common/status.h"
+#include "instrument/metrics.h"
 #include "sim/cost_model.h"
 #include "sim/simulation.h"
-#include "trace/metrics.h"
 
 namespace dcdo::sim {
 

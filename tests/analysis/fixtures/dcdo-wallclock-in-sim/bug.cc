@@ -2,7 +2,7 @@
 // the same scenario must produce byte-identical SimTime_* results; a
 // std::chrono clock read, rand(), or std::random_device seed makes the
 // outcome depend on the host instead of the event queue. (Wall stamps are
-// legitimate in src/trace — spans carry both sim and wall time — which is
+// legitimate in the span recorder — spans carry sim and wall time — which is
 // why scripts/analyze.sh allowlists that path prefix.)
 #include <chrono>
 #include <cstdint>

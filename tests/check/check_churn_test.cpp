@@ -13,24 +13,18 @@
 #include <random>
 #include <vector>
 
-#include "check/check_context.h"
 #include "component/ico.h"
 #include "core/dcdo.h"
 #include "core/manager.h"
+#include "instrument/context.h"
 #include "runtime/testbed.h"
 #include "testing/fixtures.h"
 
 namespace dcdo {
 namespace {
 
-using check::CheckContext;
+using check::Checker;
 using check::Severity;
-
-Testbed::Options EveryEventOptions() {
-  Testbed::Options options;
-  options.check_options.cadence = CheckContext::Cadence::kEveryEvent;
-  return options;
-}
 
 // ===== The overlapping-evolution race =====
 //
@@ -49,8 +43,8 @@ Testbed::Options EveryEventOptions() {
 // and nothing else at error level, because every transition went through an
 // instrumented path.
 TEST(CheckChurnTest, EvolutionOverParkedCallReportsTheRace) {
-  Testbed testbed{EveryEventOptions()};
-  CheckContext* checker = testbed.checker();
+  Testbed testbed;
+  Checker* checker = testbed.checker();
   ASSERT_NE(checker, nullptr);
 
   testbed.registry().Register(
@@ -132,8 +126,8 @@ class CheckedChurn : public ::testing::TestWithParam<int> {};
 
 TEST_P(CheckedChurn, LegalOperationsLeaveNoErrors) {
   std::mt19937 rng(GetParam());
-  Testbed testbed{EveryEventOptions()};
-  CheckContext* checker = testbed.checker();
+  Testbed testbed;
+  Checker* checker = testbed.checker();
   ASSERT_NE(checker, nullptr);
 
   DcdoManager manager("churn", testbed.host(0), &testbed.transport(),

@@ -7,9 +7,9 @@
 #include <optional>
 #include <vector>
 
-#include "check/check_context.h"
 #include "component/ico.h"
 #include "core/dcdo.h"
+#include "instrument/context.h"
 #include "runtime/testbed.h"
 #include "testing/fixtures.h"
 
@@ -17,12 +17,12 @@ namespace dcdo {
 namespace {
 
 using check::CacheEntrySnapshot;
-using check::CheckContext;
+using check::Checker;
 using check::NetworkCounters;
 using check::ObjectStatusSnapshot;
 using check::Severity;
 
-// ===== Synthetic-probe tests: a standalone (uninstalled) context fed by
+// ===== Synthetic-probe tests: a standalone (uninstalled) checker fed by
 // probes the test controls, so each invariant can be violated in isolation.
 
 class SyntheticInvariantTest : public ::testing::Test {
@@ -40,7 +40,10 @@ class SyntheticInvariantTest : public ::testing::Test {
     });
   }
 
-  CheckContext ctx_;
+  // Facts go through the context (`facts_`), state and verdicts through its
+  // checker (`ctx_`).
+  instrument::Context facts_{{.checking = true}};
+  Checker& ctx_ = *facts_.checker();
   ObjectId object_ = ObjectId::Next(domains::kInstance);
   ObjectId comp_a_ = ObjectId::Next(domains::kComponent);
   ObjectId comp_b_ = ObjectId::Next(domains::kComponent);
@@ -73,7 +76,7 @@ TEST_F(SyntheticInvariantTest, VersionMonotonicFlagsUninstrumentedChange) {
   ctx_.Evaluate();
   EXPECT_TRUE(ctx_.diagnostics().Clean());
 
-  // The version moves with no OnVersionChanged hook: not a legal evolution.
+  // The version moves with no committed evolution: not a legal one.
   live_version_ = VersionId::Root().Child(1);
   ctx_.Evaluate();
   ASSERT_EQ(ctx_.diagnostics().CountFor("version-monotonic"), 1u);
@@ -87,8 +90,12 @@ TEST_F(SyntheticInvariantTest, VersionMonotonicFlagsUninstrumentedChange) {
 
 TEST_F(SyntheticInvariantTest, VersionMonotonicAcceptsInstrumentedChange) {
   RegisterSyntheticObject();
-  // The hook and the live state advance together, as a real evolution does.
-  ctx_.OnVersionChanged(object_, live_version_, VersionId::Root().Child(1));
+  // The committed evolution and the live state advance together, as a real
+  // evolution does.
+  facts_.EvolveBegin(object_, "obj", 0, live_version_,
+                     VersionId::Root().Child(1));
+  facts_.EvolveEnd(object_, 0, live_version_, VersionId::Root().Child(1),
+                   Status::Ok());
   live_version_ = VersionId::Root().Child(1);
   ctx_.Evaluate();
   EXPECT_EQ(ctx_.diagnostics().CountFor("version-monotonic"), 0u);
@@ -125,10 +132,10 @@ TEST_F(SyntheticInvariantTest, ThreadAccountingFlagsLedgerMismatch) {
 TEST_F(SyntheticInvariantTest, ThreadAccountingAcceptsBalancedLedger) {
   components_ = {comp_a_};
   RegisterSyntheticObject();
-  ctx_.OnCallStart(object_, "f", comp_a_);
+  facts_.CallStart(object_, "f", comp_a_);
   active_threads_ = 1;
   ctx_.Evaluate();
-  ctx_.OnCallEnd(object_, "f", comp_a_);
+  facts_.CallEnd(object_, "f", comp_a_);
   active_threads_ = 0;
   ctx_.Evaluate();
   EXPECT_EQ(ctx_.diagnostics().CountFor("thread-accounting"), 0u);
@@ -140,7 +147,7 @@ TEST_F(SyntheticInvariantTest, DanglingCallWithoutRemovalIsError) {
   RegisterSyntheticObject();
   // The in-flight call claims a component the DFM never listed and no
   // instrumented removal retired: truly dangling state.
-  ctx_.OnCallStart(object_, "f", comp_b_);
+  facts_.CallStart(object_, "f", comp_b_);
   active_threads_ = 1;
   ctx_.Evaluate();
   ASSERT_EQ(ctx_.diagnostics().CountFor("dfm-no-dangling"), 1u);
@@ -152,15 +159,15 @@ TEST_F(SyntheticInvariantTest, DanglingCallWithoutRemovalIsError) {
 TEST_F(SyntheticInvariantTest, DanglingCallAfterInstrumentedRemovalWarns) {
   components_ = {comp_a_};
   RegisterSyntheticObject();
-  ctx_.OnCallStart(object_, "f", comp_a_);
+  facts_.CallStart(object_, "f", comp_a_);
   active_threads_ = 1;
   ctx_.Evaluate();
   EXPECT_EQ(ctx_.diagnostics().CountFor("dfm-no-dangling"), 0u);
 
-  // The component is retired through the hook while the call runs: the
+  // The component is retired through the fact while the call runs: the
   // paper-legal "thread proceeds inside a deactivated function" overlap.
   // The mapper's entries (and their thread counts) go with the component.
-  ctx_.OnComponentRemoved(object_, comp_a_, /*forced=*/false);
+  facts_.ComponentRemoved(object_, comp_a_, /*forced=*/false);
   components_.clear();
   active_threads_ = 0;
   ctx_.Evaluate();
@@ -190,8 +197,8 @@ TEST_F(SyntheticInvariantTest, BindingCoherenceAcceptsRetiredAddress) {
   });
   // The address was once a live activation and has been closed: the
   // stale-binding fault protocol will repair the cache on next use.
-  ctx_.OnEndpointOpened(9, 9, 9);
-  ctx_.OnEndpointClosed(9, 9);
+  facts_.EndpointOpened(9, 9, 9);
+  facts_.EndpointClosed(9, 9);
   ctx_.Evaluate();
   EXPECT_EQ(ctx_.diagnostics().CountFor("binding-coherence"), 0u);
 }
@@ -199,8 +206,8 @@ TEST_F(SyntheticInvariantTest, BindingCoherenceAcceptsRetiredAddress) {
 TEST_F(SyntheticInvariantTest, BindingRefreshOntoDeadAddressReportsAtOnce) {
   ctx_.SetEndpointLiveness(
       [](std::uint32_t, std::uint64_t, std::uint64_t) { return false; });
-  // No Evaluate needed: the refresh hook reports the incoherence directly.
-  ctx_.OnBindingRefreshed(object_, 1, 2, 3);
+  // No Evaluate needed: the refresh fact reports the incoherence directly.
+  facts_.BindingRefreshed(4, object_, 1, 2, 3);
   ASSERT_EQ(ctx_.diagnostics().CountFor("binding-coherence"), 1u);
   EXPECT_NE(ctx_.diagnostics().For("binding-coherence")[0]->message.find(
                 "binding refresh"),
@@ -235,8 +242,10 @@ TEST_F(SyntheticInvariantTest, MessageConservationQuiescenceOnlyAtEnd) {
 
 TEST_F(SyntheticInvariantTest, SingleEvolutionFlagsOverlapTwice) {
   RegisterSyntheticObject();
-  ctx_.OnEvolveBegin(object_, VersionId::Root(), VersionId::Root().Child(1));
-  ctx_.OnEvolveBegin(object_, VersionId::Root(), VersionId::Root().Child(2));
+  facts_.EvolveBegin(object_, "obj", 0, VersionId::Root(),
+                     VersionId::Root().Child(1));
+  facts_.EvolveBegin(object_, "obj", 0, VersionId::Root(),
+                     VersionId::Root().Child(2));
   ctx_.Evaluate();
   // Once from the race detector at the second begin, once from the
   // steady-state invariant restatement.
@@ -257,7 +266,7 @@ TEST_F(SyntheticInvariantTest, ReportDedupesIdenticalDiagnostics) {
 TEST_F(SyntheticInvariantTest, CustomInvariantsJoinTheEvaluationLoop) {
   int runs = 0;
   ctx_.RegisterInvariant(
-      {"test-custom", "test", "n/a", [&](CheckContext&) { ++runs; }});
+      {"test-custom", "test", "n/a", [&](Checker&) { ++runs; }});
   std::uint64_t before = ctx_.evaluations();
   ctx_.Evaluate();
   EXPECT_EQ(runs, 1);
@@ -269,15 +278,7 @@ TEST_F(SyntheticInvariantTest, CustomInvariantsJoinTheEvaluationLoop) {
 
 class CheckedRuntimeTest : public ::testing::Test {
  protected:
-  static Testbed::Options MakeOptions() {
-    Testbed::Options options;
-    // Evaluate on every simulation event so mid-run states (a parked call
-    // overlapping a removal) are deterministically observed.
-    options.check_options.cadence = CheckContext::Cadence::kEveryEvent;
-    return options;
-  }
-
-  CheckedRuntimeTest() : testbed_(MakeOptions()) {
+  CheckedRuntimeTest() {
     comp_a_ = testing::MakeEchoComponent(testbed_.registry(), "libA", {"f"});
     comp_b_ = testing::MakeEchoComponent(testbed_.registry(), "libB", {"f"});
     ico_a_ = std::make_unique<ImplementationComponentObject>(
@@ -310,7 +311,7 @@ class CheckedRuntimeTest : public ::testing::Test {
 };
 
 TEST_F(CheckedRuntimeTest, CleanLifecycleLeavesNoDiagnostics) {
-  CheckContext* checker = testbed_.checker();
+  Checker* checker = testbed_.checker();
   ASSERT_NE(checker, nullptr);
 
   ASSERT_TRUE(IncorporateBlocking(comp_a_.id).ok());
@@ -346,7 +347,7 @@ TEST_F(CheckedRuntimeTest, CleanLifecycleLeavesNoDiagnostics) {
 }
 
 TEST_F(CheckedRuntimeTest, ForcedRemovalUnderParkedCallIsDetected) {
-  CheckContext* checker = testbed_.checker();
+  Checker* checker = testbed_.checker();
   ASSERT_NE(checker, nullptr);
 
   // A body that parks for 2 s on an outcall, leaving its thread live inside

@@ -1,10 +1,10 @@
 // Direct unit tests of the logical race detector: each ledger, each
 // diagnostic it can produce, and the happens-before bookkeeping behind them.
-#include "check/race_detector.h"
+#include "instrument/race_detector.h"
 
 #include <gtest/gtest.h>
 
-#include "check/diagnostics.h"
+#include "instrument/diagnostics.h"
 
 namespace dcdo::check {
 namespace {

@@ -3,9 +3,11 @@
 // FunctionId) and holding their guards across a yield, while a churn thread
 // switches implementations, flips enable state, removes/re-incorporates a
 // whole component, adopts one of two whole configurations, and remaps every
-// body onto fresh record blocks. Runs with a
-// CheckContext installed so every call start/end and configuration change
-// feeds the race detector; at the end the detector's ledgers must balance
+// body onto fresh record blocks. Runs with the instrumentation context
+// installed, checker and span recorder both, so every call start/end and
+// configuration change feeds the race detector from several threads while
+// the churn thread's removals and swaps land as instants; at the end the
+// detector's ledgers must balance
 // and all seven built-in invariants must be quiet at error level (the only
 // legal noise is race-unquiesced-swap / dfm-no-dangling warnings, which the
 // paper explicitly permits: threads may proceed inside deactivated code).
@@ -15,8 +17,8 @@
 
 #include <gtest/gtest.h>
 
-#include "check/check_context.h"
 #include "dfm/mapper.h"
+#include "instrument/context.h"
 #include "testing/fixtures.h"
 
 namespace dcdo {
@@ -35,8 +37,9 @@ class NullCtx : public CallContext {
 };
 
 TEST(FastPathStress, AcquirersRaceChurnWithCheckerInstalled) {
-  check::CheckContext checker;
-  checker.Install();
+  instrument::Context context({.checking = true, .tracing = true});
+  context.Install();
+  check::Checker& checker = *context.checker();
 
   NativeCodeRegistry registry;
   auto comp_a = testing::MakeEchoComponent(registry, "sa", {"f", "g"});
@@ -169,7 +172,8 @@ TEST(FastPathStress, AcquirersRaceChurnWithCheckerInstalled) {
       << checker.diagnostics().DumpText();
   EXPECT_EQ(checker.diagnostics().CountFor("race-forced-removal"), 0u);
   EXPECT_EQ(checker.diagnostics().CountFor("thread-accounting"), 0u);
-  checker.Uninstall();
+  EXPECT_GT(context.spans()->span_count(), 0u);
+  context.Uninstall();
 }
 
 // The by-id fast path sees configuration changes exactly like the by-name

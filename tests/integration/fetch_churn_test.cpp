@@ -12,19 +12,18 @@
 #include <random>
 #include <vector>
 
-#include "check/check_context.h"
 #include "core/manager.h"
+#include "instrument/context.h"
 #include "runtime/testbed.h"
 #include "testing/fixtures.h"
 
 namespace dcdo {
 namespace {
 
-using check::CheckContext;
+using check::Checker;
 
 Testbed::Options PipelineChurnOptions() {
   Testbed::Options options;
-  options.check_options.cadence = CheckContext::Cadence::kEveryEvent;
   options.cost_model.fetch_concurrency = 8;
   // Small enough that churn keeps evicting and re-fetching images.
   options.cost_model.component_cache_capacity = 4;
@@ -36,7 +35,7 @@ class FetchChurn : public ::testing::TestWithParam<int> {};
 TEST_P(FetchChurn, PipelinedChurnLeavesNoReports) {
   std::mt19937 rng(GetParam());
   Testbed testbed{PipelineChurnOptions()};
-  CheckContext* checker = testbed.checker();
+  Checker* checker = testbed.checker();
   ASSERT_NE(checker, nullptr);
 
   DcdoManager manager("fetchchurn", testbed.host(0), &testbed.transport(),

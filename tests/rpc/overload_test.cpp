@@ -16,20 +16,18 @@
 #include <string>
 #include <vector>
 
-#include "check/check_context.h"
+#include "instrument/context.h"
 #include "runtime/testbed.h"
 #include "testing/churn_scenarios.h"
 
 namespace dcdo::rpc {
 namespace {
 
-using check::CheckContext;
 
 class OverloadTest : public ::testing::TestWithParam<int> {
  protected:
   Testbed::Options MakeOptions() const {
     Testbed::Options options;
-    options.check_options.cadence = CheckContext::Cadence::kEveryEvent;
     options.cost_model.session_slots = GetParam();
     return options;
   }
@@ -240,7 +238,6 @@ testing::RunSummary RunMixedPlaneSessionTraffic() {
 
   Testbed::Options options;
   options.host_count = 8;
-  options.check_options.cadence = CheckContext::Cadence::kEveryEvent;
   options.cost_model.session_slots = 2;
   Testbed testbed(options);
   testbed.simulation().EnableDeterminismDigest(true);

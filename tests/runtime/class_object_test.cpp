@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "rpc/client.h"
 #include "runtime/testbed.h"
 
@@ -88,15 +91,52 @@ TEST_F(ClassObjectTest, CreateOnRemoteHostPaysExecutableDownload) {
 }
 
 // The executable download to a host cut off from the class's home cannot
-// land: the create fails with a typed error instead of never calling back,
-// and leaves no instance behind.
+// land: every create waiting on it (two overlap here) fails with a typed
+// error instead of never calling back, and no instance is left behind.
 TEST_F(ClassObjectTest, CreateOnHostCutOffFromHomeFails) {
   testbed_.network().SetPartitioned(testbed_.host(0)->node(),
                                     testbed_.host(5)->node(), true);
+  std::vector<std::optional<Result<ObjectId>>> out(2);
+  for (auto& slot : out) {
+    class_object_.CreateInstance(
+        testbed_.host(5), 0,
+        [&slot](Result<ObjectId> result) { slot.emplace(std::move(result)); });
+  }
+  testbed_.simulation().Run();
+  for (const auto& slot : out) {
+    ASSERT_TRUE(slot.has_value());
+    EXPECT_EQ(slot->status().code(), ErrorCode::kUnavailable)
+        << slot->status().ToString();
+  }
+  EXPECT_EQ(class_object_.instance_count(), 0u);
+}
+
+// With the executable already on a host that is down, nothing can be
+// spawned there: the create fails at once and leaves no instance behind.
+TEST_F(ClassObjectTest, CreateOnDownHostFails) {
+  ASSERT_TRUE(CreateBlocking(testbed_.host(5)).ok());
+  testbed_.host(5)->SetUp(false);
   auto instance = CreateBlocking(testbed_.host(5));
   EXPECT_EQ(instance.status().code(), ErrorCode::kUnavailable)
-      << instance.status().ToString();
-  EXPECT_EQ(class_object_.instance_count(), 0u);
+      << instance.status();
+  EXPECT_EQ(class_object_.instance_count(), 1u);
+}
+
+// Overlapping creates on one host share one executable download.
+TEST_F(ClassObjectTest, OverlappingCreatesOnOneHostDownloadOnce) {
+  const std::uint64_t before = testbed_.network().bytes_sent();
+  std::vector<std::optional<Result<ObjectId>>> out(2);
+  for (auto& slot : out) {
+    class_object_.CreateInstance(
+        testbed_.host(5), 0,
+        [&slot](Result<ObjectId> result) { slot.emplace(std::move(result)); });
+  }
+  testbed_.simulation().RunWhile(
+      [&] { return !out[0].has_value() || !out[1].has_value(); });
+  ASSERT_TRUE(out[0]->ok()) << out[0]->status().ToString();
+  ASSERT_TRUE(out[1]->ok()) << out[1]->status().ToString();
+  EXPECT_NE(**out[0], **out[1]);
+  EXPECT_EQ(testbed_.network().bytes_sent() - before, kTypicalExecutable);
 }
 
 TEST_F(ClassObjectTest, InstanceServesMethodCalls) {
@@ -175,6 +215,77 @@ TEST_F(ClassObjectTest, MigrationMovesInstance) {
             testbed_.host(3)->node());
   auto client = testbed_.MakeClient(4);
   EXPECT_TRUE(client->InvokeBlocking(*instance, "whoami").ok());
+}
+
+// A migration whose state cannot reach the destination fails with a typed
+// error, and the instance comes back up at its source (same executable,
+// captured state) instead of staying deactivated.
+TEST_F(ClassObjectTest, FailedMigrationReactivatesAtSource) {
+  auto instance = CreateBlocking(testbed_.host(1), /*state=*/512 * 1024);
+  ASSERT_TRUE(instance.ok());
+  testbed_.network().SetPartitioned(testbed_.host(1)->node(),
+                                    testbed_.host(3)->node(), true);
+  std::optional<Status> migrated;
+  class_object_.MigrateInstance(*instance, testbed_.host(3),
+                                [&](Status status) { migrated = status; });
+  testbed_.simulation().RunWhile([&] { return !migrated.has_value(); });
+  ASSERT_TRUE(migrated.has_value());
+  EXPECT_EQ(migrated->code(), ErrorCode::kUnavailable) << *migrated;
+  EXPECT_EQ(class_object_.InstanceNode(*instance).value_or(0),
+            testbed_.host(1)->node());
+  auto client = testbed_.MakeClient(4);
+  auto reply = client->InvokeBlocking(*instance, "whoami");
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  EXPECT_EQ(reply->ToString(), "v1");
+}
+
+// The same for an evolution whose executable download fails: the instance
+// is reactivated on its own host with its old executable.
+TEST_F(ClassObjectTest, FailedEvolutionDownloadReactivatesOldExecutable) {
+  auto instance = CreateBlocking(testbed_.host(1), /*state=*/1 << 20);
+  ASSERT_TRUE(instance.ok());
+  testbed_.network().SetPartitioned(testbed_.host(0)->node(),
+                                    testbed_.host(1)->node(), true);
+  Status evolved = EvolveBlocking(*instance, v2_);
+  EXPECT_EQ(evolved.code(), ErrorCode::kUnavailable) << evolved;
+  EXPECT_EQ(class_object_.InstanceExecutable(*instance).value_or(99), v1_);
+  auto client = testbed_.MakeClient(2);
+  auto reply = client->InvokeBlocking(*instance, "whoami");
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  EXPECT_EQ(reply->ToString(), "v1");
+}
+
+// When the instance's own host goes down during the executable download,
+// nothing can be reactivated there: the evolution still reports kUnavailable
+// and the instance stays deactivated.
+TEST_F(ClassObjectTest, EvolutionWhoseHostDiesMidDownloadFails) {
+  auto instance = CreateBlocking(testbed_.host(1), /*state=*/1 << 20);
+  ASSERT_TRUE(instance.ok());
+  testbed_.simulation().Schedule(sim::SimDuration::Seconds(5), [&] {
+    testbed_.host(1)->SetUp(false);
+  });
+  Status evolved = EvolveBlocking(*instance, v2_);
+  EXPECT_EQ(evolved.code(), ErrorCode::kUnavailable) << evolved;
+  EXPECT_TRUE(class_object_.HasInstance(*instance));
+  EXPECT_FALSE(testbed_.agent().Bound(*instance));
+}
+
+// The same for a migration whose source goes down during the state
+// transfer: no reactivation at the source, and `done` still runs.
+TEST_F(ClassObjectTest, MigrationWhoseSourceDiesMidTransferFails) {
+  auto instance = CreateBlocking(testbed_.host(1), /*state=*/512 * 1024);
+  ASSERT_TRUE(instance.ok());
+  testbed_.simulation().Schedule(sim::SimDuration::Seconds(1), [&] {
+    testbed_.host(1)->SetUp(false);
+  });
+  std::optional<Status> migrated;
+  class_object_.MigrateInstance(*instance, testbed_.host(3),
+                                [&](Status status) { migrated = status; });
+  testbed_.simulation().Run();
+  ASSERT_TRUE(migrated.has_value());
+  EXPECT_EQ(migrated->code(), ErrorCode::kUnavailable) << *migrated;
+  EXPECT_TRUE(class_object_.HasInstance(*instance));
+  EXPECT_FALSE(testbed_.agent().Bound(*instance));
 }
 
 TEST_F(ClassObjectTest, DestroyInstanceUnbinds) {

@@ -51,9 +51,9 @@
 #include <string>
 #include <vector>
 
-#include "check/check_context.h"
 #include "core/coordinator.h"
 #include "core/manager.h"
+#include "instrument/context.h"
 #include "runtime/testbed.h"
 #include "testing/churn_scenarios.h"
 #include "testing/fixtures.h"
@@ -61,7 +61,6 @@
 namespace dcdo {
 namespace {
 
-using check::CheckContext;
 using testing::Fnv;
 using testing::RunFetchChurn;
 using testing::RunRebindStorm;
@@ -77,9 +76,7 @@ using testing::RunSummary;
 RunSummary RunCoordinatorBatches() {
   ObjectId::ResetCounterForTest();
 
-  Testbed::Options options;
-  options.check_options.cadence = CheckContext::Cadence::kEveryEvent;
-  Testbed testbed(options);
+  Testbed testbed;
   testbed.simulation().EnableDeterminismDigest(true);
 
   struct Type {

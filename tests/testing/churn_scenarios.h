@@ -18,8 +18,8 @@
 #include <string>
 #include <vector>
 
-#include "check/check_context.h"
 #include "core/manager.h"
+#include "instrument/context.h"
 #include "naming/binding_cache.h"
 #include "runtime/testbed.h"
 #include "testing/fixtures.h"
@@ -48,7 +48,7 @@ inline void FinishSummary(Testbed& testbed, RunSummary& summary) {
   summary.digest = testbed.simulation().DeterminismDigest();
   summary.fired = testbed.simulation().events_fired();
   summary.end_ns = testbed.simulation().Now().nanos();
-  check::CheckContext* checker = testbed.checker();
+  check::Checker* checker = testbed.checker();
   ASSERT_NE(checker, nullptr);
   summary.checker_clean = checker->diagnostics().Clean();
   if (!summary.checker_clean) {
@@ -63,7 +63,6 @@ inline RunSummary RunFetchChurn(int fetch_concurrency) {
   std::mt19937 rng(1999);
 
   Testbed::Options options;
-  options.check_options.cadence = check::CheckContext::Cadence::kEveryEvent;
   options.cost_model.fetch_concurrency = fetch_concurrency;
   options.cost_model.component_cache_capacity = 4;
   Testbed testbed(options);
@@ -177,7 +176,6 @@ inline RunSummary RunRebindStorm() {
 
   Testbed::Options options;
   options.host_count = 8;
-  options.check_options.cadence = check::CheckContext::Cadence::kEveryEvent;
   options.cost_model.binding_lease_duration = sim::SimDuration::Seconds(60.0);
   Testbed testbed(options);
   testbed.simulation().EnableDeterminismDigest(true);

@@ -7,13 +7,19 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "component/ico.h"
+#include "core/dcdo.h"
+#include "core/ico_directory.h"
+#include "instrument/context.h"
 #include "rpc/client.h"
 #include "runtime/testbed.h"
-#include "trace/trace_context.h"
+#include "testing/fixtures.h"
 
 namespace dcdo::trace {
 namespace {
@@ -29,16 +35,16 @@ class CausalityTest : public ::testing::Test {
       : network_(&simulation_, sim::CostModel{}),
         transport_(&network_),
         client_(&transport_, &agent_, /*node=*/1) {
-    ctx_.AttachSimulation(&simulation_);
-    ctx_.Install();
+    context_.AttachSimulation(&simulation_);
+    context_.Install();
     network_.AddNode(1);
     network_.AddNode(2);
     network_.AddNode(3);
     target_ = ObjectId::Next(domains::kInstance);
   }
-  ~CausalityTest() override { ctx_.Uninstall(); }
+  ~CausalityTest() override { context_.Uninstall(); }
 
-  void SetUp() override { ASSERT_EQ(ActiveContext(), &ctx_); }
+  void SetUp() override { ASSERT_EQ(instrument::Spans(), &ctx_); }
 
   std::vector<Span> SpansNamed(const std::vector<Span>& spans,
                                std::string_view name) {
@@ -64,7 +70,8 @@ class CausalityTest : public ::testing::Test {
     }
   }
 
-  TraceContext ctx_;
+  instrument::Context context_{{.tracing = true}};
+  SpanRecorder& ctx_ = *context_.spans();
   sim::Simulation simulation_;
   sim::SimNetwork network_;
   rpc::RpcTransport transport_;
@@ -121,10 +128,11 @@ TEST_F(CausalityTest, RetriesAndRebindShareOneRoot) {
   ASSERT_EQ(SpansNamed(spans, "rpc.rebind").size(), 1u);
   EXPECT_EQ(SpansNamed(spans, "rpc.rebind")[0].root, recovery.root);
 
-  // The registry saw the same story the spans tell.
-  EXPECT_EQ(ctx_.metrics().CounterValue("rpc.timeouts"), 3u);
-  EXPECT_EQ(ctx_.metrics().CounterValue("rpc.rebinds"), 1u);
-  EXPECT_EQ(ctx_.metrics().CounterValue("rpc.calls_started"), 2u);
+  // The client's own counters tell the same story the spans tell.
+  EXPECT_EQ(client_.timeouts(), 3u);
+  EXPECT_EQ(client_.rebinds(), 1u);
+  EXPECT_EQ(client_.calls_started(), 2u);
+  EXPECT_EQ(SpansNamed(spans, "rpc.call").size(), client_.calls_started());
 }
 
 // The dedup replay scenario, traced: the rpc.dedup marker is causally
@@ -171,12 +179,13 @@ TEST_F(CausalityTest, DedupReplayIsCausallyChainedToTheRetry) {
   EXPECT_EQ(retry_send.name, "rpc.send");
   EXPECT_GE(retry_send.sim_begin_ns, 10'000'000'000);
 
-  EXPECT_EQ(ctx_.metrics().CounterValue("rpc.dedup_hits"), 1u);
+  EXPECT_EQ(transport_.dedup_hits(), 1u);
 }
 
 // Testbed-level integration: Options::tracing installs a context over the
-// whole substrate and DumpTrace exports a loadable file with the network
-// totals snapshotted in.
+// whole substrate and DumpTrace exports a loadable file with the member
+// totals of what the testbed owns (network, transport, binding agent)
+// copied in.
 TEST(TestbedTracingTest, DumpTraceExportsSpansAndMetrics) {
   std::string path = ::testing::TempDir() + "/dcdo_testbed_trace.json";
   {
@@ -203,8 +212,14 @@ TEST(TestbedTracingTest, DumpTraceExportsSpansAndMetrics) {
   contents << file.rdbuf();
   EXPECT_NE(contents.str().find("\"rpc.call\""), std::string::npos);
   EXPECT_NE(contents.str().find("\"net.messages_sent\""), std::string::npos);
-  EXPECT_NE(contents.str().find("\"rpc.invocations_delivered\": 1"),
-            std::string::npos);
+  for (const char* counter :
+       {"\"rpc.invocations_delivered\": 1", "\"rpc.dedup_hits\": 0",
+        "\"rpc.epoch_rejections\": 0", "\"rpc.session_stale\": 0",
+        "\"naming.lookups_served\": 1", "\"naming.leases_granted\": 0",
+        "\"naming.invalidations_sent\": 0",
+        "\"naming.invalidations_delivered\": 0"}) {
+    EXPECT_NE(contents.str().find(counter), std::string::npos) << counter;
+  }
   std::remove(path.c_str());
 }
 
@@ -229,6 +244,101 @@ TEST(TestbedTracingTest, DumpTraceExportsHostCacheEvictions) {
   ASSERT_NE(at, std::string::npos);
   EXPECT_EQ(std::stoull(contents.str().substr(at + key.size())), 1u);
   std::remove(path.c_str());
+}
+
+// The configuration plane, the endpoint lifecycle and binding refreshes
+// reach the trace as instants, one per typed fact.
+TEST(TestbedTracingTest, ExportCarriesTypedFactInstants) {
+  std::string path = ::testing::TempDir() + "/dcdo_testbed_facts.json";
+  {
+    Testbed::Options options;
+    options.tracing = true;
+    Testbed bed(options);
+    auto comp_a = testing::MakeEchoComponent(bed.registry(), "facts-a", {"f"});
+    auto comp_b = testing::MakeEchoComponent(bed.registry(), "facts-b", {"f"});
+    IcoDirectory icos;
+    auto object = std::make_unique<Dcdo>(
+        "obj", bed.host(1), &bed.transport(), &bed.agent(), &bed.registry(),
+        &icos, VersionId::Root());  // opens its endpoint
+    for (const ImplementationComponent& comp : {comp_a, comp_b}) {
+      bed.host(1)->CacheComponent(comp.id, comp.code_bytes);
+      ASSERT_TRUE(object->IncorporateCached(comp).ok());
+    }
+    ASSERT_TRUE(object->EnableFunction("f", comp_a.id).ok());
+    ASSERT_TRUE(object->SwitchImplementation("f", comp_b.id).ok());
+    ASSERT_TRUE(object->RemoveComponent(comp_a.id).ok());
+    auto client = bed.MakeClient(0);
+    ASSERT_TRUE(client->cache().RefreshFromAgent(object->id()).ok());
+    object.reset();  // closes its endpoint
+    ASSERT_TRUE(bed.DumpTrace(path).ok());
+  }
+  std::ifstream file(path);
+  std::stringstream contents;
+  contents << file.rdbuf();
+  const std::string json = contents.str();
+  for (const char* instant :
+       {"\"name\": \"dfm.swap\", \"cat\": \"dfm\", \"ph\": \"i\"",
+        "\"name\": \"dfm.remove\", \"cat\": \"dfm\", \"ph\": \"i\"",
+        "\"name\": \"rpc.endpoint_open\", \"cat\": \"transport\", "
+        "\"ph\": \"i\"",
+        "\"name\": \"rpc.endpoint_close\", \"cat\": \"transport\", "
+        "\"ph\": \"i\"",
+        "\"name\": \"naming.refresh\", \"cat\": \"naming\", \"ph\": \"i\""}) {
+    EXPECT_NE(json.find(instant), std::string::npos) << instant;
+  }
+  EXPECT_NE(json.find("\"forced\": \"false\""), std::string::npos);
+  std::remove(path.c_str());
+}
+
+// An evolution's Fom phase spans name their phase and nest, in order, under
+// the one evolve span that roots the operation.
+TEST(TestbedTracingTest, EvolvePhasesAreNamedAndNestUnderTheEvolveSpan) {
+  Testbed::Options options;
+  options.tracing = true;
+  Testbed bed(options);
+  auto comp_a = testing::MakeEchoComponent(bed.registry(), "phase-a", {"f"});
+  auto comp_b = testing::MakeEchoComponent(bed.registry(), "phase-b", {"f"});
+  ImplementationComponentObject ico_b(bed.host(0), &bed.transport(),
+                                      &bed.agent(), comp_b);
+  IcoDirectory icos;
+  icos.Register(&ico_b);
+  Dcdo object("obj", bed.host(1), &bed.transport(), &bed.agent(),
+              &bed.registry(), &icos, VersionId::Root());
+  bed.host(1)->CacheComponent(comp_a.id, comp_a.code_bytes);
+  ASSERT_TRUE(object.IncorporateCached(comp_a).ok());
+  ASSERT_TRUE(object.EnableFunction("f", comp_a.id).ok());
+
+  // B replaces A: acquire B, adopt, then remove A.
+  DfmDescriptor target(VersionId::Root().Child(1));
+  ASSERT_TRUE(target.IncorporateComponent(comp_b).ok());
+  ASSERT_TRUE(target.EnableFunction("f", comp_b.id).ok());
+  ASSERT_TRUE(target.MarkInstantiable().ok());
+  std::optional<Status> evolved;
+  object.EvolveTo(target, Dcdo::RemovalPolicy::Delay(),
+                  [&](Status status) { evolved = status; });
+  bed.simulation().RunWhile([&] { return !evolved.has_value(); });
+  ASSERT_TRUE(evolved.has_value() && evolved->ok());
+
+  std::vector<Span> spans = bed.tracer()->SnapshotSpans();
+  std::vector<Span> evolves;
+  std::vector<Span> phases;
+  for (const Span& span : spans) {
+    if (span.name == "evolve") evolves.push_back(span);
+    if (span.name == "dcdo.evolve") phases.push_back(span);
+  }
+  ASSERT_EQ(evolves.size(), 1u);
+  EXPECT_EQ(evolves[0].root, evolves[0].id);
+  std::vector<std::string> names;
+  for (const Span& phase : phases) {
+    EXPECT_EQ(phase.parent, evolves[0].id);
+    EXPECT_EQ(phase.root, evolves[0].id);
+    EXPECT_FALSE(phase.open());
+    ASSERT_EQ(phase.notes.size(), 1u);
+    EXPECT_EQ(phase.notes[0].first, "phase");
+    names.push_back(phase.notes[0].second);
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"acquire", "removals", "removal",
+                                             "removals"}));
 }
 
 // Without the option, the testbed stays untraced and DumpTrace refuses.

@@ -6,9 +6,9 @@
 #include <fstream>
 #include <sstream>
 
+#include "instrument/chrome_trace.h"
+#include "instrument/context.h"
 #include "sim/simulation.h"
-#include "trace/chrome_trace.h"
-#include "trace/trace_context.h"
 
 namespace dcdo::trace {
 namespace {
@@ -83,8 +83,9 @@ TEST(ChromeTraceTest, MetricsRideInSideChannel) {
 
 TEST(ChromeTraceTest, WriteChromeTraceRoundTrips) {
   sim::Simulation simulation;
-  TraceContext ctx;
-  ctx.AttachSimulation(&simulation);
+  instrument::Context context({.tracing = true});
+  context.AttachSimulation(&simulation);
+  SpanRecorder& ctx = *context.spans();
   SpanId id = ctx.BeginSpan("rpc.call", {.category = "client"});
   ctx.EndSpan(id);
   ctx.metrics().GetCounter("rpc.calls_started").Increment();
@@ -103,9 +104,7 @@ TEST(ChromeTraceTest, WriteChromeTraceRoundTrips) {
 }
 
 TEST(ChromeTraceTest, WriteToUnwritablePathFails) {
-  sim::Simulation simulation;
-  TraceContext ctx;
-  ctx.AttachSimulation(&simulation);
+  SpanRecorder ctx(/*max_spans=*/16);
   EXPECT_FALSE(WriteChromeTrace(ctx, "/nonexistent-dir/trace.json").ok());
 }
 
@@ -113,9 +112,7 @@ TEST(ChromeTraceTest, WriteToUnwritablePathFails) {
 // in the stream buffer until the flush, which must be judged too.
 TEST(ChromeTraceTest, WriteToFullDeviceFails) {
   if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
-  sim::Simulation simulation;
-  TraceContext ctx;
-  ctx.AttachSimulation(&simulation);
+  SpanRecorder ctx(/*max_spans=*/16);
   EXPECT_FALSE(WriteChromeTrace(ctx, "/dev/full").ok());
 }
 

@@ -4,7 +4,7 @@
 #include <thread>
 #include <vector>
 
-#include "trace/metrics.h"
+#include "instrument/metrics.h"
 
 namespace dcdo::trace {
 namespace {
@@ -17,7 +17,7 @@ TEST(CounterTest, IncrementDecrementValue) {
   EXPECT_EQ(c.value(), 42u);
   c.Decrement(2);
   EXPECT_EQ(c.value(), 40u);
-  c.Reset();
+  c.Set(0);
   EXPECT_EQ(c.value(), 0u);
 }
 

@@ -1,31 +1,41 @@
-// TraceContext units: span lifecycle, the scope stack, installation, caps.
+// Span recorder units: span lifecycle, the scope stack, installation of the
+// instrumentation context, caps.
 #include <gtest/gtest.h>
 
+#include "instrument/context.h"
 #include "sim/simulation.h"
-#include "trace/trace_context.h"
 
 namespace dcdo::trace {
 namespace {
 
-// Installs a fresh context per test and guarantees Uninstall on exit, so a
-// failing test cannot leak a process-global context into its neighbors.
+using instrument::Context;
+using instrument::SpanScope;
+
+// Installs a fresh tracing context per test and guarantees Uninstall on
+// exit, so a failing test cannot leak a process-global context into its
+// neighbors.
 class TraceContextTest : public ::testing::Test {
  protected:
   TraceContextTest() {
-    ctx_.AttachSimulation(&simulation_);
-    ctx_.Install();
+    context_.AttachSimulation(&simulation_);
+    context_.Install();
   }
-  ~TraceContextTest() override { ctx_.Uninstall(); }
+  ~TraceContextTest() override { context_.Uninstall(); }
 
   sim::Simulation simulation_;
-  TraceContext ctx_;
+  Context context_{{.tracing = true}};
+  SpanRecorder& ctx_ = *context_.spans();
 };
 
 TEST_F(TraceContextTest, InstallMakesContextCurrent) {
-  EXPECT_EQ(ActiveContext(), &ctx_);
-  ctx_.Uninstall();
-  EXPECT_EQ(ActiveContext(), nullptr);
-  ctx_.Install();  // restore for the fixture dtor
+  EXPECT_EQ(Context::Current(), &context_);
+  EXPECT_EQ(instrument::Spans(), &ctx_);
+  // Tracing alone installs no checker.
+  EXPECT_EQ(instrument::Probes(), nullptr);
+  context_.Uninstall();
+  EXPECT_EQ(Context::Current(), nullptr);
+  EXPECT_EQ(instrument::Spans(), nullptr);
+  context_.Install();  // restore for the fixture dtor
 }
 
 TEST_F(TraceContextTest, SpanLifecycleStampsSimTime) {
@@ -125,10 +135,9 @@ TEST_F(TraceContextTest, ZeroIdIsToleratedEverywhere) {
 }
 
 TEST_F(TraceContextTest, MaxSpansCapDropsAndCounts) {
-  TraceContext::Options options;
-  options.max_spans = 2;
-  TraceContext small(options);
-  small.AttachSimulation(&simulation_);
+  Context capped({.tracing = true, .max_spans = 2});
+  capped.AttachSimulation(&simulation_);
+  SpanRecorder& small = *capped.spans();
   EXPECT_NE(small.BeginSpan("a"), 0u);
   EXPECT_NE(small.BeginSpan("b"), 0u);
   EXPECT_EQ(small.BeginSpan("c"), 0u);  // dropped
@@ -138,13 +147,15 @@ TEST_F(TraceContextTest, MaxSpansCapDropsAndCounts) {
 }
 
 TEST_F(TraceContextTest, UninstalledContextRecordsNothing) {
-  ctx_.Uninstall();
-  // Instrumentation sites guard on ActiveContext(); emulate one.
-  if (auto* tr = ActiveContext()) {
+  context_.Uninstall();
+  // Instrumentation sites guard on the installed context; emulate both
+  // forms.
+  if (auto* tr = instrument::Spans()) {
     tr->BeginSpan("never");
+    tr->metrics().GetCounter("never.metric").Increment();
   }
-  DCDO_TRACE_HOOK(metrics().GetCounter("never.metric").Increment());
-  ctx_.Install();  // restore for the fixture dtor
+  DCDO_INSTRUMENT(EndpointOpened(1, 2, 3));
+  context_.Install();  // restore for the fixture dtor
   EXPECT_EQ(ctx_.span_count(), 0u);
   EXPECT_EQ(ctx_.metrics().CounterValue("never.metric"), 0u);
 }
@@ -173,7 +184,7 @@ TEST_F(TraceContextTest, SpanScopeRaii) {
 }
 
 TEST(SpanScopeNoContextTest, IsANoOp) {
-  ASSERT_EQ(ActiveContext(), nullptr);
+  ASSERT_EQ(Context::Current(), nullptr);
   SpanScope scope("orphan");
   EXPECT_FALSE(static_cast<bool>(scope));
   EXPECT_EQ(scope.id(), 0u);

@@ -76,7 +76,7 @@ struct CheckOptions {
   // Checks to run (names from AllCheckNames()); empty = all.
   std::set<std::string> enabled;
   // Path prefixes where dcdo-wallclock-in-sim stays quiet (wall-stamp code
-  // like src/trace, and the bench harness).
+  // like the span recorder, and the bench harness).
   std::vector<std::string> wallclock_allow_prefixes;
 };
 

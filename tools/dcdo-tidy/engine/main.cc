@@ -5,7 +5,7 @@
 //     --checks=a,b,...        run only the named checks (default: all)
 //     --allow-wallclock=PFX   path prefix where dcdo-wallclock-in-sim is
 //                             quiet (repeatable; scripts/analyze.sh passes
-//                             src/trace/ and bench/)
+//                             src/instrument/spans. and bench/)
 //     --baseline=FILE         suppress findings listed in FILE
 //     --write-baseline=FILE   write current findings to FILE and exit 0
 //     --list-checks           print check names and exit
