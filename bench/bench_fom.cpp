@@ -18,12 +18,14 @@
 //     simulated clock is unchanged.
 //
 // The footprint rows (SimTime_E17_InstanceFootprint,
-// SimTime_E17_DeriveVersionFootprint) use the same allocator to report the
-// live heap bytes an operation leaves behind (`live_bytes`, tracked with
-// malloc_usable_size): one instance of a 500-fn / 50-component type created
-// after 0, 4 or 16 earlier types of the same shape, and one DeriveVersion of
-// that type. Per-instance bytes must not grow with the number of earlier
-// types (whose names share the process-global intern table).
+// SimTime_E17_DeriveVersionFootprint, SimTime_E17_DefineTypeFootprint) use
+// the same allocator to report the live heap bytes an operation leaves
+// behind (`live_bytes`, tracked with malloc_usable_size): one instance of a
+// 500-fn / 50-component type created after 0, 4 or 16 earlier types of the
+// same shape, one DeriveVersion of that type, and the whole definition of a
+// type shaped like the benchmark's evolve_under_calls types. Per-instance
+// bytes must not grow with the number of earlier types (whose names share
+// the process-global intern table).
 //
 // SimTime_E17_CreateDcdo/500/50/1 must equal SimTime_CreateDcdo/500/50/0 and
 // SimTime_E13_CreateDcdo/500/50/1; SimTime_E17_CoordinatedEvolution/4/1 must
@@ -277,6 +279,53 @@ BENCHMARK(SimTime_E17_DeriveVersionFootprint)
     ->UseManualTime()
     ->Iterations(1)
     ->Args({500, 50});
+
+// Defining a type at the scale of the benchmark's evolve_under_calls
+// workload: 50 components of 10 functions built (their bodies registered),
+// published, incorporated and enabled into the root version, then 32
+// derived versions that each add one published component of 5 functions
+// (that workload's extras carry 2 to 8). Counters are per type; no
+// simulated time passes.
+void SimTime_E17_DefineTypeFootprint(benchmark::State& state) {
+  constexpr std::size_t kComponents = 50;
+  constexpr std::size_t kFunctions = 10;
+  constexpr int kDerived = 32;
+  constexpr std::size_t kAddedFunctions = 5;
+  for (auto _ : state) {
+    Testbed testbed{FomOptions(1)};
+    std::unique_ptr<DcdoManager> manager;
+    AllocSnapshot before = TakeAllocSnapshot();
+    double seconds = SimSeconds(testbed, [&] {
+      manager = MakeManagerWithVersion(
+          testbed, "deftype",
+          MakeFunctionGrid(testbed, "deftype", kComponents * kFunctions,
+                           kComponents),
+          MakeMultiVersionHybrid());
+      const VersionId base = manager->current_version();
+      for (int d = 0; d < kDerived; ++d) {
+        const ImplementationComponent added =
+            MakeFunctionGrid(testbed, "deftype-x" + std::to_string(d),
+                             kAddedFunctions, 1)
+                .front();
+        if (!manager->PublishComponent(added).ok()) std::abort();
+        const VersionId child = *manager->DeriveVersion(base);
+        DfmDescriptor* descriptor = *manager->MutableDescriptor(child);
+        if (!descriptor->IncorporateComponent(added).ok()) std::abort();
+        for (const FunctionImplDescriptor& fn : added.functions) {
+          if (!descriptor->EnableFunction(fn.function.name, added.id).ok()) {
+            std::abort();
+          }
+        }
+        if (!manager->MarkInstantiable(child).ok()) std::abort();
+      }
+    });
+    AllocSnapshot after = TakeAllocSnapshot();
+    ReportFootprint(state, before, after, 1.0);
+    state.SetIterationTime(seconds);
+  }
+  state.SetLabel("50 comps x 10 fns + 32 derived x 5 fns, per type");
+}
+BENCHMARK(SimTime_E17_DefineTypeFootprint)->UseManualTime()->Iterations(1);
 
 // The 4-type coordinated evolution batch (E13 workload): prefetch + four
 // strictly ordered EvolveInstanceTo applies through UpdateCoordinator.

@@ -5,6 +5,15 @@
 
 namespace dcdo {
 
+void FunctionList::push_back(FunctionImplDescriptor fn) {
+  if (list_ == nullptr) {
+    list_ = std::make_shared<std::vector<FunctionImplDescriptor>>();
+  } else if (list_.use_count() > 1) {
+    list_ = std::make_shared<std::vector<FunctionImplDescriptor>>(*list_);
+  }
+  list_->push_back(std::move(fn));
+}
+
 const FunctionImplDescriptor* ImplementationComponent::Find(
     const std::string& function_name) const {
   for (const FunctionImplDescriptor& fn : functions) {
@@ -19,8 +28,7 @@ namespace {
 // functions.size() when every name is unique. Sorting the positions by
 // (name, position) puts each repeat right after an equal name; the smallest
 // such position is the first repeat a front-to-back scan would meet.
-std::size_t FirstRepeatedName(
-    const std::vector<FunctionImplDescriptor>& functions) {
+std::size_t FirstRepeatedName(const FunctionList& functions) {
   auto name = [&](std::size_t i) -> const std::string& {
     return functions[i].function.name;
   };

@@ -7,6 +7,11 @@
 // NativeCodeRegistry), and descriptors for every function implementation it
 // defines — including the author's mandatory/permanent markings, which the
 // DFM-descriptor machinery must honour on incorporate (Section 3.2).
+//
+// A component's function list is built once and then shared: every copy of
+// the component — the builder's result, the ICO's metadata, each version's
+// record, a caller's own copy — holds the same immutable list, so copying a
+// component copies no descriptor and no string.
 #pragma once
 
 #include <memory>
@@ -22,12 +27,38 @@
 
 namespace dcdo {
 
+// One component's function descriptors, read-only and co-owned by every
+// copy. Appending (the builder, the wire parser, hand-assembled tests) first
+// copies the list when another copy shares it, so no copy ever sees another
+// change; a list is assembled by one thread before it is shared.
+class FunctionList {
+ public:
+  using value_type = FunctionImplDescriptor;
+  using const_iterator = const FunctionImplDescriptor*;
+
+  const FunctionImplDescriptor* data() const {
+    return list_ == nullptr ? nullptr : list_->data();
+  }
+  std::size_t size() const { return list_ == nullptr ? 0 : list_->size(); }
+  bool empty() const { return size() == 0; }
+  const_iterator begin() const { return data(); }
+  const_iterator end() const { return data() + size(); }
+  const FunctionImplDescriptor& operator[](std::size_t i) const {
+    return (*list_)[i];
+  }
+
+  void push_back(FunctionImplDescriptor fn);
+
+ private:
+  std::shared_ptr<std::vector<FunctionImplDescriptor>> list_;
+};
+
 struct ImplementationComponent {
   ObjectId id;        // global name (ObjectId of the owning ICO)
   std::string name;   // human label, e.g. "libsort-v2"
   ImplementationType type;
   std::size_t code_bytes = 0;  // size of the executable image
-  std::vector<FunctionImplDescriptor> functions;
+  FunctionList functions;      // shared by every copy of the component
 
   // Descriptor for `function_name`, or nullptr.
   const FunctionImplDescriptor* Find(const std::string& function_name) const;
@@ -42,8 +73,9 @@ struct ImplementationComponent {
 // One component's metadata, immutable and co-owned. A version's descriptor
 // holds one record per component, and everything that acquires the
 // component for an instance of that version — creation, evolution,
-// prefetch, migration warm-up — passes that record along, so the instance
-// shares it instead of copying the function list.
+// prefetch, migration warm-up — passes that record along. Records of one
+// component made from different copies share its function list too, so a
+// row's descriptor pointer is the same whichever record it came through.
 using ComponentRecord = std::shared_ptr<const ImplementationComponent>;
 
 // Fluent builder used by examples/tests to assemble components.

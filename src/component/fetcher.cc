@@ -17,6 +17,7 @@ struct ComponentFetcher::Shared {
     ReadyCallback on_ready;
     DoneCallback done;
     Options options;
+    trace::SpanId requester = 0;
     std::size_t outstanding = 0;
     Status failure = Status::Ok();
     bool aborted = false;
@@ -112,15 +113,18 @@ struct ComponentFetcher::Shared {
       flight->second.push_back(std::move(item));
       return;
     }
+    const trace::SpanId requester = item.request->requester;
     host.flights[id].push_back(std::move(item));
     ++host.in_flight;
     issued.Increment();
-    (*ico)->StreamTo(dest, [weak = std::weak_ptr<Shared>(self), dest,
-                            id](Status status) {
-      std::shared_ptr<Shared> self = weak.lock();
-      if (self == nullptr) return;  // fetcher destroyed; image is cached
-      self->OnStreamDone(self, dest, id, std::move(status));
-    });
+    (*ico)->StreamTo(
+        dest,
+        [weak = std::weak_ptr<Shared>(self), dest, id](Status status) {
+          std::shared_ptr<Shared> self = weak.lock();
+          if (self == nullptr) return;  // fetcher destroyed; image is cached
+          self->OnStreamDone(self, dest, id, std::move(status));
+        },
+        requester);
   }
 
   void OnStreamDone(const std::shared_ptr<Shared>& self, sim::SimHost* dest,
@@ -145,7 +149,8 @@ ComponentFetcher::ComponentFetcher(const IcoResolver* resolver)
 
 void ComponentFetcher::AcquireAll(
     sim::SimHost* dest, std::vector<ComponentRecord> components,
-    ReadyCallback on_ready, DoneCallback done, Options options) {
+    ReadyCallback on_ready, DoneCallback done, Options options,
+    trace::SpanId requester) {
   if (components.empty()) {
     done(Status::Ok());
     return;
@@ -154,6 +159,7 @@ void ComponentFetcher::AcquireAll(
   request->on_ready = std::move(on_ready);
   request->done = std::move(done);
   request->options = options;
+  request->requester = requester;
   request->outstanding = components.size();
   for (ComponentRecord& meta : components) {
     shared_->Enqueue(dest, Shared::Item{request, std::move(meta)});

@@ -37,6 +37,7 @@
 #include "component/component.h"
 #include "component/ico.h"
 #include "instrument/metrics.h"
+#include "instrument/spans.h"
 #include "sim/host.h"
 
 namespace dcdo {
@@ -83,14 +84,18 @@ class ComponentFetcher {
 
   // Acquires every component in `components` onto `dest`, calling `on_ready`
   // per component and `done(overall)` once all are settled. With an empty
-  // list, `done` runs synchronously (as the legacy chains did).
+  // list, `done` runs synchronously (as the legacy chains did). Each stream
+  // the request opens nests its span under `requester`, the span of the
+  // operation that asked (0: none); a request that joins another's open
+  // stream rides that stream.
+  void AcquireAll(sim::SimHost* dest, std::vector<ComponentRecord> components,
+                  ReadyCallback on_ready, DoneCallback done, Options options,
+                  trace::SpanId requester = 0);
   void AcquireAll(sim::SimHost* dest, std::vector<ComponentRecord> components,
                   ReadyCallback on_ready, DoneCallback done,
-                  Options options);
-  void AcquireAll(sim::SimHost* dest, std::vector<ComponentRecord> components,
-                  ReadyCallback on_ready, DoneCallback done) {
+                  trace::SpanId requester = 0) {
     AcquireAll(dest, std::move(components), std::move(on_ready),
-               std::move(done), Options{});
+               std::move(done), Options{}, requester);
   }
 
   // Warms `dest`'s cache with `components` ahead of need: best-effort, no

@@ -46,7 +46,8 @@ ImplementationComponentObject::~ImplementationComponentObject() {
 }
 
 void ImplementationComponentObject::StreamTo(sim::SimHost* dest,
-                                             std::function<void(Status)> done) {
+                                             std::function<void(Status)> done,
+                                             trace::SpanId requester) {
   if (dest->ComponentCached(component_->id)) {
     done(Status::Ok());
     return;
@@ -78,7 +79,8 @@ void ImplementationComponentObject::StreamTo(sim::SimHost* dest,
         }
         dest->CacheComponent(record->id, record->code_bytes);
         done(Status::Ok());
-      });
+      },
+      requester);
 }
 
 }  // namespace dcdo

@@ -17,6 +17,7 @@
 
 #include "component/component.h"
 #include "instrument/metrics.h"
+#include "instrument/spans.h"
 #include "naming/binding_agent.h"
 #include "rpc/transport.h"
 #include "sim/host.h"
@@ -54,8 +55,10 @@ class ImplementationComponentObject {
   // `done` runs when the image is cached there (or immediately if already
   // cached). A solo stream costs the download time the paper describes for
   // non-cached components. A failure (unreachable, dropped in flight) comes
-  // back as a Status naming this component and the destination node.
-  void StreamTo(sim::SimHost* dest, std::function<void(Status)> done);
+  // back as a Status naming this component and the destination node. The
+  // stream's span nests under `requester` when it is not 0.
+  void StreamTo(sim::SimHost* dest, std::function<void(Status)> done,
+                trace::SpanId requester = 0);
 
   std::uint64_t fetches_served() const { return fetches_served_.value(); }
 

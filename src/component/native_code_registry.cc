@@ -5,14 +5,19 @@ namespace dcdo {
 void NativeCodeRegistry::Register(const std::string& symbol,
                                   const ImplementationType& type,
                                   DynamicFn body) {
-  auto& builds = bodies_[symbol];
-  for (Entry& entry : builds) {
+  auto [it, inserted] = bodies_.try_emplace(symbol);
+  Builds& builds = it->second;
+  if (inserted || builds.first.type == type) {
+    builds.first = Entry{type, std::move(body)};
+    return;
+  }
+  for (Entry& entry : builds.more) {
     if (entry.type == type) {
       entry.body = std::move(body);
       return;
     }
   }
-  builds.push_back(Entry{type, std::move(body)});
+  builds.more.push_back(Entry{type, std::move(body)});
 }
 
 Result<DynamicFn> NativeCodeRegistry::Resolve(const std::string& symbol,
@@ -22,12 +27,17 @@ Result<DynamicFn> NativeCodeRegistry::Resolve(const std::string& symbol,
     return NotFoundError("unresolved symbol '" + symbol + "'");
   }
   const DynamicFn* portable = nullptr;
-  for (const Entry& entry : it->second) {
+  auto native = [&](const Entry& entry) {
     if (entry.type.format == CodeFormat::kPortableBytecode) {
       portable = &entry.body;
-      continue;
+      return false;
     }
-    if (entry.type.CompatibleWith(arch)) return entry.body;
+    return entry.type.CompatibleWith(arch);
+  };
+  const Builds& builds = it->second;
+  if (native(builds.first)) return builds.first.body;
+  for (const Entry& entry : builds.more) {
+    if (native(entry)) return entry.body;
   }
   if (portable != nullptr) return *portable;
   return ArchMismatchError("symbol '" + symbol + "' has no build for " +

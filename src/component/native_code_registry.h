@@ -17,6 +17,7 @@
 
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "common/status.h"
 #include "component/dynamic_function.h"
@@ -48,8 +49,14 @@ class NativeCodeRegistry {
     ImplementationType type;
     DynamicFn body;
   };
-  // symbol -> builds (usually 1-2 entries; linear scan is fine).
-  std::unordered_map<std::string, std::vector<Entry>> bodies_;
+  // A symbol's builds: nearly always one, held in the map's own node; the
+  // rest (native builds for more architectures) in `more`, scanned
+  // linearly.
+  struct Builds {
+    Entry first;
+    std::vector<Entry> more;
+  };
+  std::unordered_map<std::string, Builds> bodies_;
 };
 
 }  // namespace dcdo

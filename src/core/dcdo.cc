@@ -436,7 +436,8 @@ class EvolveFom final : public runtime::Fom {
           object_->host_, std::move(incorporate_), std::move(ready),
           [scheduler, id](Status status) {
             scheduler->WakeStatus(id, WakeSource::kFetch, std::move(status));
-          });
+          },
+          evolve_span_);
       return WaitOn(WakeSource::kFetch);
     }
     if (phase() == kAcquire) {

@@ -41,14 +41,25 @@ class CreateInstanceFom final : public runtime::Fom {
         EnterPhase(kSpawn, "spawn");
         runtime::FomScheduler* scheduler = &this->scheduler();
         const std::uint64_t id = this->id();
-        host_->SpawnProcess(mgr->id_, DcdoManager::kShellExecutableBytes,
-                            [scheduler, id](sim::ProcessId shell_pid) {
-                              scheduler->WakeValue(id, WakeSource::kChild,
-                                                   shell_pid);
-                            });
+        host_->SpawnProcess(
+            mgr->id_, DcdoManager::kShellExecutableBytes,
+            [scheduler, id](Result<sim::ProcessId> shell_pid) {
+              if (shell_pid.ok()) {
+                scheduler->WakeValue(id, WakeSource::kChild, *shell_pid);
+              } else {
+                scheduler->WakeStatus(id, WakeSource::kChild,
+                                      shell_pid.status());
+              }
+            });
         return WaitOn(WakeSource::kChild);
       }
       case kSpawn: {
+        // A host that went down during the spawn leaves nothing to undo:
+        // the instance is made only once its shell runs.
+        if (!wake_status().ok()) {
+          done_(wake_status());
+          return FomStatus::kDone;
+        }
         // The Dcdo object adopts its own process entry; retire the shell's.
         (void)host_->KillProcess(static_cast<sim::ProcessId>(wake_value()));
         auto object = std::make_unique<Dcdo>(
@@ -382,9 +393,16 @@ Result<VersionId> DcdoManager::DeriveVersion(const VersionId& parent) {
     return NotFoundError("no version " + parent.ToString() + " in the DFM "
                          "store of " + type_name_);
   }
-  // Next free ordinal under `parent`.
+  // Next free ordinal under `parent`: one past its last child. Children
+  // are derived in ordinal order from 1 and never deleted, and the store's
+  // order puts `parent`'s descendants right after it, each child before
+  // its own descendants, so the last descendant carries the last child's
+  // ordinal at `parent`'s depth.
   std::uint32_t ordinal = 1;
-  while (dfm_store_.contains(parent.Child(ordinal))) ++ordinal;
+  auto last = dfm_store_.lower_bound(parent.Child(UINT32_MAX));
+  if (--last != it && last->first.IsStrictlyDerivedFrom(parent)) {
+    ordinal = last->first.parts()[parent.depth()] + 1;
+  }
   VersionId child = parent.Child(ordinal);
   dfm_store_.emplace(child, it->second.DeriveChild(child));
   DCDO_LOG(kDebug) << type_name_ << ": derived version " << child.ToString()
@@ -647,14 +665,20 @@ void DcdoManager::ReactivateInstance(const ObjectId& instance,
   sim::SimHost& host = object->host();
   host.SpawnProcess(
       instance, kShellExecutableBytes,
-      [this, instance, done = std::move(done)](sim::ProcessId shell_pid) {
+      [this, instance, &host,
+       done = std::move(done)](Result<sim::ProcessId> shell_pid) {
+        // The instance stays deactivated when its host went down.
+        if (!shell_pid.ok()) {
+          done(shell_pid.status());
+          return;
+        }
+        (void)host.KillProcess(*shell_pid);
         auto it = instances_.find(instance);
         if (it == instances_.end()) {
           done(NotFoundError("instance destroyed during reactivation"));
           return;
         }
         Dcdo* object = it->second.object.get();
-        (void)object->host().KillProcess(shell_pid);
         // Re-map each (cached) component, read the state back, re-bind.
         const sim::CostModel& cost = home_.cost_model();
         std::size_t components = object->GetComponents().size();

@@ -104,7 +104,8 @@ class DcdoManager {
 
   // Creates an instance of the current version on `host`: spawns a shell
   // process, then incorporates every component of the version's descriptor
-  // (fetching images not cached on `host`).
+  // (fetching images not cached on `host`). A host that goes down during
+  // the spawn fails the create with kUnavailable and leaves no instance.
   void CreateInstance(sim::SimHost* host, CreateCallback done);
 
   // Multi-version managers: create at a specific instantiable version.
@@ -138,6 +139,8 @@ class DcdoManager {
   // host's store and its process exits; the binding disappears. Reactivation
   // pays a fresh shell spawn, cached component re-maps, and state restore —
   // and yields a new address, so pre-deactivation client bindings go stale.
+  // A reactivation whose host goes down during the spawn fails with
+  // kUnavailable and leaves the instance deactivated.
   void DeactivateInstance(const ObjectId& instance, DoneCallback done);
   void ReactivateInstance(const ObjectId& instance, DoneCallback done);
 

@@ -76,8 +76,8 @@ Status DfmDescriptor::MarkInstantiable() {
 
 DfmDescriptor DfmDescriptor::DeriveChild(const VersionId& child_version) const {
   DfmDescriptor child(child_version);
-  child.state_ = state_;       // logical copy
-  child.instantiable_ = false; // the copy is configurable
+  child.state_ = state_.CopyWithRoom();  // logical copy
+  child.instantiable_ = false;           // the copy is configurable
   return child;
 }
 
@@ -93,7 +93,7 @@ EvolutionPlan ComputePlan(const DfmState& from, const DfmState& to) {
   // incorporated components, enables are included too (incorporation leaves
   // functions disabled); removals carry their disables implicitly.
   auto key = [](const DfmEntry& entry) {
-    return DfmState::EntryKey{entry.name(), entry.component};
+    return EvolutionPlan::Flip{entry.name(), entry.component};
   };
   std::span<const DfmEntry> before = from.entries();
   std::span<const DfmEntry> after = to.entries();

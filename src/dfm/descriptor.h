@@ -14,6 +14,8 @@
 // evolution-cost accounting (cached map vs. download per component).
 #pragma once
 
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -65,13 +67,18 @@ class DfmDescriptor {
 
 // The delta a DCDO must apply to move between two configurations.
 struct EvolutionPlan {
+  // One enable or disable: (function, component). The name views the
+  // component's function list, so it is valid while the configuration
+  // holding that component (`from` or `to`) lives.
+  using Flip = std::pair<std::string_view, ObjectId>;
+
   // The target's own records of the components to add: fetching and
   // incorporating them shares the target's metadata, copying nothing.
   std::vector<ComponentRecord> incorporate;
   std::vector<ObjectId> remove;
   // Enables/disables among components present in both configurations.
-  std::vector<DfmState::EntryKey> enable;
-  std::vector<DfmState::EntryKey> disable;
+  std::vector<Flip> enable;
+  std::vector<Flip> disable;
 
   bool NeedsNewComponents() const { return !incorporate.empty(); }
   bool Empty() const {

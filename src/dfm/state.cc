@@ -14,14 +14,22 @@ int CompareRows(const DfmEntry& a, const DfmEntry& b) {
 namespace {
 
 // Whether two records of one component list the same functions in the same
-// order, so a row may move from one to the other by position.
+// order, so a row may move from one to the other by position. Copies of a
+// component share one list; only a list parsed anew is compared by name.
 bool SameFunctions(const ImplementationComponent& a,
                    const ImplementationComponent& b) {
-  return std::ranges::equal(a.functions, b.functions,
+  return a.functions.data() == b.functions.data() ||
+         std::ranges::equal(a.functions, b.functions,
                             [](const FunctionImplDescriptor& x,
                                const FunctionImplDescriptor& y) {
                               return x.function.name == y.function.name;
                             });
+}
+
+Status NoImplementationError(const std::string& function,
+                             const ObjectId& component) {
+  return FunctionMissingError("no implementation of '" + function +
+                              "' in component " + component.ToString());
 }
 
 }  // namespace
@@ -95,7 +103,7 @@ Status DfmState::IncorporateComponent(ComponentRecord record,
           "cannot incorporate " + meta.name + ": permanent '" +
           fn.function.name + "' could not be enabled: " + enabled.message());
     }
-    MutableEntry(fn.function.name, meta.id)->permanent = true;
+    Locate(fn.function.name, meta.id).row->permanent = true;
   }
   // Nothing below can fail (Validate rejected empty callees), so a rejected
   // incorporate leaves no mandatory mark or dependency behind.
@@ -152,30 +160,24 @@ Status DfmState::RemoveComponent(const ObjectId& component) {
 
 Status DfmState::EnableFunction(const std::string& function,
                                 const ObjectId& component) {
-  DfmEntry* row = MutableEntry(function, component);
-  if (row == nullptr) {
-    return FunctionMissingError("no implementation of '" + function +
-                                "' in component " + component.ToString());
-  }
+  const FunctionRows found = Locate(function, component);
+  DfmEntry* row = found.row;
+  if (row == nullptr) return NoImplementationError(function, component);
   if (row->enabled) return Status::Ok();  // idempotent
-  if (const DfmEntry* current = EnabledImpl(function); current != nullptr) {
+  if (found.enabled != nullptr) {
     return FailedPreconditionError(
         "'" + function + "' already enabled from component " +
-        current->component.ToString() + "; disable it or use Switch");
+        found.enabled->component.ToString() + "; disable it or use Switch");
   }
-  DCDO_RETURN_IF_ERROR(
-      deps_.Validate(Enabled().Flip(function, component, true)));
+  DCDO_RETURN_IF_ERROR(deps_.Validate(Enabled().Flip(*row, true)));
   row->enabled = true;
   return Status::Ok();
 }
 
 Status DfmState::DisableFunction(const std::string& function,
                                  const ObjectId& component) {
-  DfmEntry* row = MutableEntry(function, component);
-  if (row == nullptr) {
-    return FunctionMissingError("no implementation of '" + function +
-                                "' in component " + component.ToString());
-  }
+  DfmEntry* row = Locate(function, component).row;
+  if (row == nullptr) return NoImplementationError(function, component);
   if (!row->enabled) return Status::Ok();  // idempotent
   if (row->permanent) {
     return PermanentViolationError("'" + function + "' in component " +
@@ -190,20 +192,17 @@ Status DfmState::DisableFunction(const std::string& function,
                                    "' is mandatory; switch implementations "
                                    "instead of disabling");
   }
-  DCDO_RETURN_IF_ERROR(
-      deps_.Validate(Enabled().Flip(function, component, false)));
+  DCDO_RETURN_IF_ERROR(deps_.Validate(Enabled().Flip(*row, false)));
   row->enabled = false;
   return Status::Ok();
 }
 
 Status DfmState::SwitchImplementation(const std::string& function,
                                       const ObjectId& to_component) {
-  DfmEntry* to = MutableEntry(function, to_component);
-  if (to == nullptr) {
-    return FunctionMissingError("no implementation of '" + function +
-                                "' in component " + to_component.ToString());
-  }
-  DfmEntry* current = const_cast<DfmEntry*>(EnabledImpl(function));
+  const FunctionRows found = Locate(function, to_component);
+  DfmEntry* to = found.row;
+  if (to == nullptr) return NoImplementationError(function, to_component);
+  DfmEntry* current = found.enabled;
   if (current == to) return Status::Ok();  // already there
   if (current != nullptr && current->permanent) {
     return PermanentViolationError("'" + function + "' in component " +
@@ -211,8 +210,8 @@ Status DfmState::SwitchImplementation(const std::string& function,
                                    " is permanent and cannot be replaced");
   }
   Overlay proposed = Enabled();
-  if (current != nullptr) proposed.Flip(function, current->component, false);
-  proposed.Flip(function, to_component, true);
+  if (current != nullptr) proposed.Flip(*current, false);
+  proposed.Flip(*to, true);
   DCDO_RETURN_IF_ERROR(deps_.Validate(proposed));
   if (current != nullptr) current->enabled = false;
   to->enabled = true;
@@ -222,11 +221,8 @@ Status DfmState::SwitchImplementation(const std::string& function,
 Status DfmState::SetVisibility(const std::string& function,
                                const ObjectId& component,
                                Visibility visibility) {
-  DfmEntry* row = MutableEntry(function, component);
-  if (row == nullptr) {
-    return FunctionMissingError("no implementation of '" + function +
-                                "' in component " + component.ToString());
-  }
+  DfmEntry* row = Locate(function, component).row;
+  if (row == nullptr) return NoImplementationError(function, component);
   if (row->permanent && row->visibility != visibility) {
     return PermanentViolationError("'" + function +
                                    "' is permanent; its interface is frozen");
@@ -246,13 +242,11 @@ Status DfmState::MarkMandatory(const std::string& function) {
 
 Status DfmState::MarkPermanent(const std::string& function,
                                const ObjectId& component) {
-  DfmEntry* row = MutableEntry(function, component);
-  if (row == nullptr) {
-    return FunctionMissingError("no implementation of '" + function +
-                                "' in component " + component.ToString());
-  }
+  const FunctionRows found = Locate(function, component);
+  DfmEntry* row = found.row;
+  if (row == nullptr) return NoImplementationError(function, component);
   // Only one permanent implementation of a function may exist.
-  for (const DfmEntry& entry : Rows(function)) {
+  for (const DfmEntry& entry : found.rows) {
     if (entry.permanent && entry.component != component) {
       return PermanentViolationError(
           "'" + function + "' already permanent in component " +
@@ -335,6 +329,18 @@ std::span<const DfmEntry> DfmState::Rows(const std::string& function) const {
   return {begin, end};
 }
 
+DfmState::FunctionRows DfmState::Locate(const std::string& function,
+                                        const ObjectId& component) {
+  const std::span<const DfmEntry> rows = Rows(function);
+  FunctionRows found{
+      {rows_.data() + (rows.data() - rows_.data()), rows.size()}};
+  for (DfmEntry& row : found.rows) {
+    if (row.component == component) found.row = &row;
+    if (row.enabled && found.enabled == nullptr) found.enabled = &row;
+  }
+  return found;
+}
+
 std::size_t DfmState::FunctionIndex(const DfmEntry& row) const {
   return static_cast<std::size_t>(
       row.impl - FindComponent(row.component)->functions.data());
@@ -361,11 +367,9 @@ std::vector<FunctionSignature> DfmState::ExportedInterface() const {
   return out;
 }
 
-DfmState::Overlay& DfmState::Overlay::Flip(const std::string& function,
-                                           const ObjectId& component,
+DfmState::Overlay& DfmState::Overlay::Flip(const DfmEntry& row,
                                            bool enabled) {
-  flips_.at(flip_count_++) =
-      Pending{state_->FindEntry(function, component), enabled};
+  flips_.at(flip_count_++) = Pending{&row, enabled};
   return *this;
 }
 
@@ -393,6 +397,22 @@ bool DfmState::Overlay::AnyEnabled(const std::string& function) const {
     if (RowEnabled(row)) return true;
   }
   return false;
+}
+
+DfmState DfmState::CopyWithRoom() const {
+  DfmState copy;
+  const std::size_t per_component =
+      components_.empty()
+          ? 0
+          : (rows_.size() + components_.size() - 1) / components_.size();
+  copy.rows_.reserve(rows_.size() + per_component);
+  copy.rows_.insert(copy.rows_.end(), rows_.begin(), rows_.end());
+  copy.components_.reserve(components_.size() + 1);
+  copy.components_.insert(copy.components_.end(), components_.begin(),
+                          components_.end());
+  copy.mandatory_ = mandatory_;
+  copy.deps_ = deps_;
+  return copy;
 }
 
 Status DfmState::AdoptConfiguration(const DfmState& target,

@@ -20,22 +20,25 @@
 // Layout. The rows are one contiguous array in (function, component)
 // order, and the incorporated components one array of shared metadata
 // records in id order. A row is a component id, a pointer to its
-// FunctionImplDescriptor inside that component's record, the function's
-// interned FunctionId and three bits, so a copy — a derived version, an
-// evolution target, the configuration an instance installed or adopted —
-// is a handful of allocations and 32 bytes a row, whatever the names and
-// symbols weigh. Incorporate interns each name once, and every copy of a
-// row carries the id, so the runtime DFM finds a function's slot by id.
-// Incorporate keeps the record it is
-// given: an instance acquiring a component of its version is handed the
-// version's own record, so every instance of a version shares one copy of
-// each component's metadata from its first incorporate on. Each new row
-// finds its place by binary search and the rows after it move as one
-// block. Lookups are binary searches; the table-to-table operations
+// FunctionImplDescriptor inside that component's function list, the
+// function's interned FunctionId and three bits, so a copy — a derived
+// version, an evolution target, the configuration an instance installed or
+// adopted — is a handful of allocations and 32 bytes a row, whatever the
+// names and symbols weigh. Incorporate interns each name once, and every
+// copy of a row carries the id, so the runtime DFM finds a function's slot
+// by id. Incorporate keeps the record it is given: an instance acquiring a
+// component of its version is handed the version's own record, so every
+// instance of a version shares one copy of each component's metadata from
+// its first incorporate on, and a record made from a by-value copy still
+// shares the component's one function list. Each new row finds its place
+// by binary search and the rows after it move as one block. Lookups are
+// binary searches, one per mutation: a mutation of (function, component)
+// finds the function's rows once and reads the component's row and the
+// enabled one from them. The table-to-table operations
 // (AdoptConfiguration, ComputePlan) are linear merges of two sorted arrays.
 // A component's rows and its record's function list are the same set, and
 // while a component stays incorporated its functions keep their positions
-// in the record (AdoptConfiguration swaps in a target's record — for a
+// in the list (AdoptConfiguration swaps in a target's record — for a
 // component that arrived by value — only when it lists the same functions
 // in the same order), so FunctionIndex is stable and DynamicFunctionMapper
 // indexes its per-component bodies by it.
@@ -61,7 +64,7 @@ namespace dcdo {
 // One (function, component) implementation row. A row holds only what a
 // configuration owns: the enabled, visibility and permanent bits. The
 // function's name, signature, symbol and author's constraint stay in the
-// component's shared metadata record, which `impl` points into, so copying
+// component's shared function list, which `impl` points into, so copying
 // a table copies no string.
 struct DfmEntry {
   ObjectId component;
@@ -86,8 +89,6 @@ int CompareRows(const DfmEntry& a, const DfmEntry& b);
 
 class DfmState {
  public:
-  using EntryKey = std::pair<std::string, ObjectId>;  // (function, component)
-
   // --- Configuration functions (mirror a DCDO's external interface) ---
 
   // Adds all of `meta`'s function implementations, disabled, keeping
@@ -194,9 +195,8 @@ class DfmState {
   class Overlay final : public EnabledView {
    public:
     explicit Overlay(const DfmState& state) : state_(&state) {}
-    // Reads the existing row (function, component) as `enabled`.
-    Overlay& Flip(const std::string& function, const ObjectId& component,
-                  bool enabled);
+    // Reads `row`, one of the state's rows, as `enabled`.
+    Overlay& Flip(const DfmEntry& row, bool enabled);
     // Reads every row of `component` as disabled.
     Overlay& Drop(const ObjectId& component);
 
@@ -206,7 +206,7 @@ class DfmState {
 
    private:
     struct Pending {
-      const DfmEntry* row = nullptr;  // null: the flipped row does not exist
+      const DfmEntry* row = nullptr;
       bool enabled = false;
     };
     bool RowEnabled(const DfmEntry& row) const;
@@ -218,6 +218,11 @@ class DfmState {
   };
   // This table's enabled set as it stands.
   Overlay Enabled() const { return Overlay(*this); }
+
+  // A copy with room for one more component of this table's average size:
+  // a derived version usually gains one, and its first incorporate then
+  // moves no existing row.
+  DfmState CopyWithRoom() const;
 
   // Wholesale adoption of `target`'s configuration during evolution, applied
   // atomically so legal version-to-version moves never trip over transient
@@ -261,10 +266,15 @@ class DfmState {
   // First row not ordered before (function, component).
   std::vector<DfmEntry>::const_iterator LowerBound(
       const std::string& function, const ObjectId& component) const;
-  DfmEntry* MutableEntry(const std::string& function,
-                         const ObjectId& component) {
-    return const_cast<DfmEntry*>(FindEntry(function, component));
-  }
+  // What a mutation of (function, component) reads, from one search:
+  // `function`'s rows, and among them `component`'s row and the enabled
+  // one (either null when absent).
+  struct FunctionRows {
+    std::span<DfmEntry> rows;
+    DfmEntry* row = nullptr;
+    DfmEntry* enabled = nullptr;
+  };
+  FunctionRows Locate(const std::string& function, const ObjectId& component);
   std::vector<ComponentRecord>::const_iterator FindComponentRef(
       const ObjectId& component) const;
 

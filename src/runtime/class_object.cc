@@ -130,8 +130,22 @@ void ClassObject::ActivateInstance(const ObjectId& instance_id,
   host->SpawnProcess(
       instance_id, exec_bytes,
       [this, instance_id, host, executable_index,
-       done = std::move(done)](sim::ProcessId pid) {
-        Instance& instance = instances_[instance_id];
+       done = std::move(done)](Result<sim::ProcessId> spawned) {
+        if (!spawned.ok()) {
+          done(spawned.status());
+          return;
+        }
+        const sim::ProcessId pid = *spawned;
+        // A destroy while the process spawned wins: nothing brings the
+        // instance back.
+        auto it = instances_.find(instance_id);
+        if (it == instances_.end()) {
+          (void)host->KillProcess(pid);
+          done(NotFoundError("instance " + instance_id.ToString() +
+                             " destroyed during activation"));
+          return;
+        }
+        Instance& instance = it->second;
         instance.host = host;
         instance.pid = pid;
         instance.epoch = next_epoch_++;

@@ -118,8 +118,9 @@ class ClassObject {
   void EnsureExecutableOnHost(sim::SimHost* host, std::size_t executable_index,
                               DoneCallback done);
   // Spawns the instance's process on `host`, binds it and runs the
-  // activation handshake; fails with kUnavailable at once when `host` is
-  // down.
+  // activation handshake. Fails with kUnavailable when `host` is down, at
+  // once or as the spawn completes, and with kNotFound (killing the new
+  // process) when the instance was destroyed meanwhile.
   void ActivateInstance(const ObjectId& instance_id, sim::SimHost* host,
                         std::size_t executable_index, DoneCallback done);
   // Activates the instance on `host` and reads `state_bytes` of captured

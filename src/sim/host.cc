@@ -15,11 +15,15 @@ std::string_view ArchitectureName(Architecture arch) {
 }
 
 void SimHost::SpawnProcess(ObjectId owner, std::size_t executable_bytes,
-                           std::function<void(ProcessId)> on_ready) {
+                           std::function<void(Result<ProcessId>)> on_ready) {
   const CostModel& cost = cost_model();
   SimDuration total = cost.process_spawn + cost.DiskRead(executable_bytes);
   simulation_.Schedule(total, [this, owner, fn = std::move(on_ready)]() {
-    if (!up()) return;  // host died while spawning
+    if (!up()) {
+      fn(UnavailableError("node " + std::to_string(node_) +
+                          " went down while spawning a process"));
+      return;
+    }
     ProcessId pid = next_pid_++;
     processes_[pid] = Process{owner, simulation_.Now()};
     DCDO_LOG(kDebug) << "host " << node_ << ": spawned pid " << pid

@@ -54,9 +54,10 @@ class SimHost {
 
   // Spawns a process for `owner` after CostModel::process_spawn; calls
   // `on_ready(pid)`. The process also charges executable load time for
-  // `executable_bytes` read from the local file store.
+  // `executable_bytes` read from the local file store. A host that is down
+  // when the spawn completes starts no process and answers kUnavailable.
   void SpawnProcess(ObjectId owner, std::size_t executable_bytes,
-                    std::function<void(ProcessId)> on_ready);
+                    std::function<void(Result<ProcessId>)> on_ready);
 
   // Registers a process immediately, with no spawn cost. Used for long-lived
   // service objects (binding agents, ICOs, managers) whose startup predates

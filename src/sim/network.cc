@@ -47,7 +47,8 @@ bool SimNetwork::Reachable(NodeId from, NodeId to) const {
 
 std::optional<std::uint64_t> SimNetwork::Admit(NodeId from, NodeId to,
                                                std::size_t bytes,
-                                               const char* span_name) {
+                                               const char* span_name,
+                                               std::uint64_t requester) {
   trace::SpanRecorder* tr = instrument::Spans();
   if (!Reachable(from, to)) {
     messages_dropped_.Increment();
@@ -61,10 +62,15 @@ std::optional<std::uint64_t> SimNetwork::Admit(NodeId from, NodeId to,
   messages_in_flight_.Increment();
   bytes_sent_.Increment(bytes);
   // The span covers wire time: opened here, so it nests under the
-  // transport's rpc.send scope, and closed by Land (0 with tracing off).
+  // requester or the transport's rpc.send scope, and closed by Land (0
+  // with tracing off).
   if (tr == nullptr) return 0;
-  return tr->BeginSpan(span_name, {.category = "net", .node = from},
-                       {{"bytes", std::to_string(bytes)}});
+  return tr->BeginSpan(
+      span_name,
+      {.category = "net",
+       .parent = requester != 0 ? requester : trace::kScopeParent,
+       .node = from},
+      {{"bytes", std::to_string(bytes)}});
 }
 
 void SimNetwork::Refuse(StreamDone on_done) {
@@ -133,8 +139,9 @@ void SimNetwork::BulkTransfer(NodeId from, NodeId to, std::size_t bytes,
 
 void SimNetwork::StreamTransfer(NodeId from, NodeId to, std::size_t bytes,
                                 SimDuration setup, double peak_bytes_per_sec,
-                                StreamDone on_done) {
-  std::optional<std::uint64_t> span = Admit(from, to, bytes, "net.stream");
+                                StreamDone on_done, std::uint64_t requester) {
+  std::optional<std::uint64_t> span =
+      Admit(from, to, bytes, "net.stream", requester);
   if (!span) {
     Refuse(std::move(on_done));
     return;

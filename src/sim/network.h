@@ -94,9 +94,13 @@ class SimNetwork {
   // An empty stream (`bytes` == 0) between two nodes has nothing to share
   // the wire with: it lands `setup + network_latency` after the call and
   // never joins a NIC's share.
+  //
+  // The stream's `net.stream` span nests under `requester` (the span of the
+  // operation that asked for the bytes), or under the innermost open scope
+  // when it is 0.
   void StreamTransfer(NodeId from, NodeId to, std::size_t bytes,
                       SimDuration setup, double peak_bytes_per_sec,
-                      StreamDone on_done);
+                      StreamDone on_done, std::uint64_t requester = 0);
 
   // Streams currently in their shared (post-setup) phase; tests use this to
   // prove the acquisition pipeline's concurrency bound.
@@ -139,9 +143,11 @@ class SimNetwork {
 
   // The one prologue of every transfer: refuses it (counted dropped, never
   // sent) if `to` is unreachable, else counts it sent and in flight and
-  // returns its `span_name` span (0 with tracing off).
+  // returns its `span_name` span (0 with tracing off), a child of
+  // `requester` when that is not 0.
   std::optional<std::uint64_t> Admit(NodeId from, NodeId to,
-                                     std::size_t bytes, const char* span_name);
+                                     std::size_t bytes, const char* span_name,
+                                     std::uint64_t requester = 0);
   // Answers a transfer Admit refused with on_done(false), deferred through
   // the event loop so the failure never re-enters the caller mid-call.
   void Refuse(StreamDone on_done);

@@ -468,6 +468,49 @@ TEST_F(ManagerTest, DeactivateRefusedWhileThreadsExecute) {
   EXPECT_TRUE(object->active());
 }
 
+// A host that goes down while an instance's shell spawns starts nothing:
+// the create reports kUnavailable, once, and leaves no instance behind.
+TEST_F(ManagerTest, CreateWhoseHostDiesMidSpawnFails) {
+  Init(MakeSingleVersionExplicit());
+  testbed_.simulation().Schedule(sim::SimDuration::Seconds(0.5), [&] {
+    testbed_.host(1)->SetUp(false);
+  });
+  int calls = 0;
+  Status status;
+  manager_->CreateInstance(testbed_.host(1), [&](Result<ObjectId> result) {
+    ++calls;
+    status = result.status();
+  });
+  testbed_.simulation().Run();
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(status.code(), ErrorCode::kUnavailable) << status;
+  EXPECT_EQ(manager_->instance_count(), 0u);
+}
+
+// The same for a reactivation: the instance stays deactivated and unbound.
+TEST_F(ManagerTest, ReactivateWhoseHostDiesMidSpawnFails) {
+  Init(MakeSingleVersionExplicit());
+  auto instance = CreateBlocking();
+  ASSERT_TRUE(instance.ok());
+  ASSERT_TRUE(RunBlocking([&](DcdoManager::DoneCallback done) {
+                manager_->DeactivateInstance(*instance, std::move(done));
+              }).ok());
+  testbed_.simulation().Schedule(sim::SimDuration::Seconds(0.5), [&] {
+    testbed_.host(1)->SetUp(false);
+  });
+  int calls = 0;
+  Status status;
+  manager_->ReactivateInstance(*instance, [&](Status result) {
+    ++calls;
+    status = result;
+  });
+  testbed_.simulation().Run();
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(status.code(), ErrorCode::kUnavailable) << status;
+  EXPECT_FALSE(manager_->FindInstance(*instance)->active());
+  EXPECT_FALSE(testbed_.agent().Bound(*instance));
+}
+
 TEST_F(ManagerTest, DestroyInstanceRemovesFromTable) {
   Init(MakeSingleVersionExplicit());
   auto instance = CreateBlocking();

@@ -36,18 +36,28 @@ TEST(MapperConcurrency, CallersRaceConfigurationSafely) {
   ASSERT_TRUE(mapper.IncorporateComponent(comp_b, registry, kArch).ok());
   ASSERT_TRUE(mapper.EnableFunction("f", comp_a.id).ok());
 
-  std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> successes{0};
   std::atomic<std::uint64_t> typed_failures{0};
+  // Every thread does a fixed amount of work, so the test's run time does
+  // not depend on how the host schedules the callers against the
+  // configurator; they start together so the two kinds of work overlap.
+  constexpr int kThreads = 5;
+  constexpr int kCallsPerCaller = 3000;
+  std::atomic<int> ready{0};
+  auto start_together = [&ready] {
+    ready.fetch_add(1);
+    while (ready.load() < kThreads) std::this_thread::yield();
+  };
 
   // 4 caller threads: every outcome must be success or a typed evolution
   // error; anything else (crash, data race, wrong payload) fails the test.
   std::vector<std::thread> callers;
-  for (int t = 0; t < 4; ++t) {
+  for (int t = 0; t < kThreads - 1; ++t) {
     callers.emplace_back([&] {
       NullCtx ctx;
       ByteBuffer args = ByteBuffer::FromString("x");
-      while (!stop.load(std::memory_order_relaxed)) {
+      start_together();
+      for (int call = 0; call < kCallsPerCaller; ++call) {
         auto guard = mapper.Acquire("f", CallOrigin::kExternal);
         if (!guard.ok()) {
           ASSERT_TRUE(guard.status().code() == ErrorCode::kFunctionDisabled ||
@@ -68,6 +78,7 @@ TEST(MapperConcurrency, CallersRaceConfigurationSafely) {
   // 1 configurator thread: keeps switching f's implementation and
   // occasionally disables/re-enables it.
   std::thread configurator([&] {
+    start_together();
     bool to_b = true;
     for (int i = 0; i < 3000; ++i) {
       ObjectId target = to_b ? comp_b.id : comp_a.id;
@@ -84,11 +95,9 @@ TEST(MapperConcurrency, CallersRaceConfigurationSafely) {
         }
       }
     }
-    stop.store(true, std::memory_order_relaxed);
   });
 
   configurator.join();
-  stop.store(true);
   for (std::thread& thread : callers) thread.join();
 
   EXPECT_GT(successes.load(), 0u);

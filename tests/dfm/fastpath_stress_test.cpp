@@ -141,8 +141,10 @@ TEST(FastPathStress, AcquirersRaceChurnWithCheckerInstalled) {
           ASSERT_EQ(removed.code(), ErrorCode::kActiveThreads) << removed;
         }
         if (removed.ok()) {
-          ASSERT_TRUE(
-              mapper.IncorporateComponent(comp_b, registry, kArch).ok());
+          // Every copy of B shares one function list: the one incorporated
+          // here is dropped at once, leaving the mapper's record to hold it.
+          const ImplementationComponent copy = comp_b;
+          ASSERT_TRUE(mapper.IncorporateComponent(copy, registry, kArch).ok());
         }
       }
     }

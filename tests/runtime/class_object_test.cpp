@@ -122,6 +122,25 @@ TEST_F(ClassObjectTest, CreateOnDownHostFails) {
   EXPECT_EQ(class_object_.instance_count(), 1u);
 }
 
+// A host that goes down while the instance's process spawns starts nothing:
+// the create reports kUnavailable, once, and leaves no instance behind.
+TEST_F(ClassObjectTest, CreateWhoseHostDiesMidSpawnFails) {
+  testbed_.simulation().Schedule(sim::SimDuration::Seconds(1), [&] {
+    testbed_.host(0)->SetUp(false);
+  });
+  int calls = 0;
+  Status status;
+  class_object_.CreateInstance(testbed_.host(0), 0,
+                               [&](Result<ObjectId> result) {
+                                 ++calls;
+                                 status = result.status();
+                               });
+  testbed_.simulation().Run();
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(status.code(), ErrorCode::kUnavailable) << status;
+  EXPECT_EQ(class_object_.instance_count(), 0u);
+}
+
 // Overlapping creates on one host share one executable download.
 TEST_F(ClassObjectTest, OverlappingCreatesOnOneHostDownloadOnce) {
   const std::uint64_t before = testbed_.network().bytes_sent();
@@ -285,6 +304,21 @@ TEST_F(ClassObjectTest, MigrationWhoseSourceDiesMidTransferFails) {
   ASSERT_TRUE(migrated.has_value());
   EXPECT_EQ(migrated->code(), ErrorCode::kUnavailable) << *migrated;
   EXPECT_TRUE(class_object_.HasInstance(*instance));
+  EXPECT_FALSE(testbed_.agent().Bound(*instance));
+}
+
+// A destroy during an evolution's executable download wins: the evolution
+// reports kNotFound and nothing brings the instance back or binds it.
+TEST_F(ClassObjectTest, DestroyDuringEvolutionStaysDestroyed) {
+  auto instance = CreateBlocking(testbed_.host(1), /*state=*/1 << 20);
+  ASSERT_TRUE(instance.ok());
+  testbed_.simulation().Schedule(sim::SimDuration::Seconds(5), [&] {
+    EXPECT_TRUE(class_object_.DestroyInstance(*instance).ok());
+  });
+  Status evolved = EvolveBlocking(*instance, v2_);
+  EXPECT_EQ(evolved.code(), ErrorCode::kNotFound) << evolved;
+  EXPECT_FALSE(class_object_.HasInstance(*instance));
+  EXPECT_EQ(class_object_.instance_count(), 0u);
   EXPECT_FALSE(testbed_.agent().Bound(*instance));
 }
 

@@ -28,7 +28,10 @@ TEST_F(HostTest, ArchitectureNames) {
 TEST_F(HostTest, SpawnChargesProcessCost) {
   ObjectId owner = ObjectId::Next(domains::kInstance);
   ProcessId pid = 0;
-  host_.SpawnProcess(owner, 550'000, [&](ProcessId p) { pid = p; });
+  host_.SpawnProcess(owner, 550'000, [&](Result<ProcessId> p) {
+    ASSERT_TRUE(p.ok());
+    pid = *p;
+  });
   EXPECT_EQ(pid, 0u);  // not yet
   simulation_.Run();
   ASSERT_NE(pid, 0u);
@@ -53,13 +56,18 @@ TEST_F(HostTest, KillProcessRemoves) {
   EXPECT_EQ(host_.KillProcess(pid).code(), ErrorCode::kNotFound);
 }
 
-TEST_F(HostTest, SpawnOnDeadHostNeverCompletes) {
+TEST_F(HostTest, SpawnOnDeadHostFailsUnavailable) {
   host_.SetUp(false);
-  bool spawned = false;
+  int calls = 0;
+  Status status;
   host_.SpawnProcess(ObjectId::Next(domains::kInstance), 1024,
-                     [&](ProcessId) { spawned = true; });
+                     [&](Result<ProcessId> pid) {
+                       ++calls;
+                       status = pid.status();
+                     });
   simulation_.Run();
-  EXPECT_FALSE(spawned);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(status.code(), ErrorCode::kUnavailable);
 }
 
 TEST_F(HostTest, FileStore) {

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "component/fetcher.h"
 #include "component/ico.h"
 #include "core/dcdo.h"
 #include "core/ico_directory.h"
@@ -339,6 +340,61 @@ TEST(TestbedTracingTest, EvolvePhasesAreNamedAndNestUnderTheEvolveSpan) {
   }
   EXPECT_EQ(names, (std::vector<std::string>{"acquire", "removals", "removal",
                                              "removals"}));
+}
+
+// A component stream nests under the evolve span that asked for it. A
+// second evolution on the same host joins the open stream and rides it:
+// one net.stream, a child of the first evolve.
+TEST(TestbedTracingTest, ComponentStreamsNestUnderTheirEvolveSpan) {
+  Testbed::Options options;
+  options.tracing = true;
+  Testbed bed(options);
+  auto comp_a = testing::MakeEchoComponent(bed.registry(), "stream-a", {"f"});
+  auto comp_b = testing::MakeEchoComponent(bed.registry(), "stream-b", {"g"});
+  ImplementationComponentObject ico_b(bed.host(0), &bed.transport(),
+                                      &bed.agent(), comp_b);
+  IcoDirectory icos;
+  icos.Register(&ico_b);
+  ComponentFetcher fetcher(&icos);
+  bed.host(1)->CacheComponent(comp_a.id, comp_a.code_bytes);
+  std::vector<std::unique_ptr<Dcdo>> objects;
+  for (const char* name : {"leader", "follower"}) {
+    objects.push_back(std::make_unique<Dcdo>(
+        name, bed.host(1), &bed.transport(), &bed.agent(), &bed.registry(),
+        &icos, VersionId::Root(), &fetcher));
+    ASSERT_TRUE(objects.back()->IncorporateCached(comp_a).ok());
+    ASSERT_TRUE(objects.back()->EnableFunction("f", comp_a.id).ok());
+  }
+
+  DfmDescriptor target(VersionId::Root().Child(1));
+  ASSERT_TRUE(target.IncorporateComponent(comp_a).ok());
+  ASSERT_TRUE(target.EnableFunction("f", comp_a.id).ok());
+  ASSERT_TRUE(target.IncorporateComponent(comp_b).ok());
+  ASSERT_TRUE(target.EnableFunction("g", comp_b.id).ok());
+  ASSERT_TRUE(target.MarkInstantiable().ok());
+  int evolved = 0;
+  for (const auto& object : objects) {
+    object->EvolveTo(target, Dcdo::RemovalPolicy::Error(), [&](Status status) {
+      EXPECT_TRUE(status.ok()) << status;
+      ++evolved;
+    });
+  }
+  bed.simulation().RunWhile([&] { return evolved < 2; });
+  ASSERT_EQ(evolved, 2);
+
+  std::map<std::string, Span> evolves;  // by object name
+  std::vector<Span> streams;
+  for (const Span& span : bed.tracer()->SnapshotSpans()) {
+    if (span.name == "net.stream") streams.push_back(span);
+    if (span.name != "evolve") continue;
+    for (const auto& [key, value] : span.notes) {
+      if (key == "object") evolves[value] = span;
+    }
+  }
+  ASSERT_EQ(evolves.size(), 2u);
+  ASSERT_EQ(streams.size(), 1u);
+  EXPECT_EQ(streams[0].parent, evolves["leader"].id);
+  EXPECT_EQ(streams[0].root, evolves["leader"].id);
 }
 
 // Without the option, the testbed stays untraced and DumpTrace refuses.
