@@ -1,6 +1,7 @@
 #include "core/dcdo.h"
 
 #include <memory>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/serialize.h"
@@ -10,75 +11,94 @@
 
 namespace dcdo {
 
+// An operation that reaches its Dcdo across simulated time: an evolution,
+// or an attempt waiting under a Delay/Timeout policy. It links itself into
+// its object's list, and ~Dcdo clears `object_` in each, so an operation
+// that outlives its object finds it gone instead of reading freed memory.
+class DcdoOp : public runtime::Fom {
+ public:
+  ~DcdoOp() override {
+    if (object_ == nullptr) return;
+    DcdoOp** link = &object_->ops_;
+    while (*link != this) link = &(*link)->next_;
+    *link = next_;
+  }
+
+ protected:
+  DcdoOp(const char* name, Dcdo* object)
+      : Fom(name), object_(object), object_id_(object->id_),
+        next_(std::exchange(object->ops_, this)) {}
+
+  // The outcome of an operation whose object was destroyed.
+  Status Gone() const {
+    return NotFoundError("object " + object_id_.ToString() +
+                         " was destroyed during the operation");
+  }
+
+  Dcdo* object_;  // null once the object is destroyed
+  const ObjectId object_id_;
+
+ private:
+  friend class Dcdo;
+  DcdoOp* next_;
+};
+
 namespace {
 
 using runtime::FomStatus;
 using runtime::WakeSource;
 
-// Removal under kDelay/kTimeout once the synchronous first attempt failed on
-// active threads: one pooled Fom polls on the policy cadence until the
-// counts drain (or the deadline forces). Replaces the self-owning
-// enable_shared_from_this PollDriver — the timer wake is the scheduler's own
-// 16-byte trampoline, so a full poll cycle allocates nothing.
-class RemovalPollFom final : public runtime::Fom {
+// How often a change waiting under kDelay/kTimeout retries.
+constexpr sim::SimDuration kRemovalPoll = sim::SimDuration::Millis(50);
+
+// An attempt under kDelay/kTimeout once the synchronous first one met
+// active threads — a removal, or an evolution's commit: one pooled Fom
+// retries every kRemovalPoll until the counts drain (or the deadline
+// forces). The timer wake is the scheduler's own 16-byte trampoline, so a
+// full poll cycle allocates nothing.
+class RemovalPollFom final : public DcdoOp {
  public:
   enum Phase { kPoll };
 
-  RemovalPollFom(Dcdo* object, ObjectId component_id,
-                 Dcdo::RemovalPolicy policy, sim::SimTime deadline,
+  RemovalPollFom(Dcdo* object, Dcdo::Attempt attempt, sim::SimTime deadline,
                  bool has_deadline, Dcdo::DoneCallback done)
-      : Fom("dcdo.removal_poll"),
-        object_(object),
-        component_id_(component_id),
-        policy_(policy),
+      : DcdoOp("dcdo.removal_poll", object),
+        attempt_(std::move(attempt)),
         deadline_(deadline),
         has_deadline_(has_deadline),
         done_(std::move(done)) {}
 
   FomStatus Tick() override {
     if (phase() == kPoll) {
-      Status attempt =
-          object_->RemoveComponent(component_id_, ActiveThreadPolicy::kError);
-      if (attempt.ok() || attempt.code() != ErrorCode::kActiveThreads) {
+      if (object_ == nullptr) {
+        done_(Gone());
+        return FomStatus::kDone;
+      }
+      Status attempt = attempt_(*object_, ActiveThreadPolicy::kError);
+      if (attempt.code() != ErrorCode::kActiveThreads) {
         done_(attempt);
         return FomStatus::kDone;
       }
       if (has_deadline_ && simulation().Now() >= deadline_) {
         // "Simply go ahead with the operation after some time-out period."
-        done_(object_->RemoveComponent(component_id_,
-                                       ActiveThreadPolicy::kForce));
+        done_(attempt_(*object_, ActiveThreadPolicy::kForce));
         return FomStatus::kDone;
       }
     } else {
       EnterPhase(kPoll, "poll");
     }
-    scheduler().ArmTimer(*this, policy_.poll);
+    scheduler().ArmTimer(*this, kRemovalPoll);
     return WaitOn(WakeSource::kTimer);
   }
 
  private:
-  Dcdo* object_;
-  ObjectId component_id_;
-  Dcdo::RemovalPolicy policy_;
+  Dcdo::Attempt attempt_;
   sim::SimTime deadline_;
   bool has_deadline_;
   Dcdo::DoneCallback done_;
 };
 
 }  // namespace
-
-Dcdo::RemovalPolicy Dcdo::RemovalPolicy::Delay() {
-  RemovalPolicy policy;
-  policy.kind = Kind::kDelay;
-  return policy;
-}
-
-Dcdo::RemovalPolicy Dcdo::RemovalPolicy::Timeout(sim::SimDuration deadline) {
-  RemovalPolicy policy;
-  policy.kind = Kind::kTimeout;
-  policy.timeout = deadline;
-  return policy;
-}
 
 Dcdo::Dcdo(std::string name, sim::SimHost* host, rpc::RpcTransport* transport,
            BindingAgent* agent, const NativeCodeRegistry* registry,
@@ -123,6 +143,7 @@ Dcdo::Dcdo(std::string name, sim::SimHost* host, rpc::RpcTransport* transport,
 }
 
 Dcdo::~Dcdo() {
+  for (DcdoOp* op = ops_; op != nullptr; op = op->next_) op->object_ = nullptr;
   if (check::Checker* probes = instrument::Probes()) {
     probes->UnregisterObject(id_);
   }
@@ -298,29 +319,29 @@ Status Dcdo::RemoveComponent(const ObjectId& component_id,
 void Dcdo::RemoveComponentWithPolicy(const ObjectId& component_id,
                                      const RemovalPolicy& policy,
                                      DoneCallback done) {
-  switch (policy.kind) {
-    case RemovalPolicy::Kind::kError:
-      done(mapper_.RemoveComponent(component_id, ActiveThreadPolicy::kError));
-      return;
-    case RemovalPolicy::Kind::kDelay:
-    case RemovalPolicy::Kind::kTimeout: {
-      Status attempt =
-          mapper_.RemoveComponent(component_id, ActiveThreadPolicy::kError);
-      if (attempt.ok() || attempt.code() != ErrorCode::kActiveThreads) {
-        done(attempt);
-        return;
-      }
-      // Threads are inside the component: poll until they drain — and, for
-      // kTimeout, force the removal at the deadline. The Fom's first Tick
-      // only arms the timer, so the first real attempt happens one poll
-      // interval from now, exactly like the chain it replaced.
-      auto& scheduler = runtime::FomScheduler::For(simulation());
-      scheduler.Start(*scheduler.Create<RemovalPollFom>(
-          this, component_id, policy, simulation().Now() + policy.timeout,
-          policy.kind == RemovalPolicy::Kind::kTimeout, std::move(done)));
-      return;
-    }
+  AttemptUnderPolicy(
+      policy,
+      [component_id](Dcdo& object, ActiveThreadPolicy threads) {
+        return object.RemoveComponent(component_id, threads);
+      },
+      std::move(done));
+}
+
+void Dcdo::AttemptUnderPolicy(const RemovalPolicy& policy, Attempt attempt,
+                              DoneCallback done) {
+  Status first = attempt(*this, ActiveThreadPolicy::kError);
+  if (policy.kind == RemovalPolicy::Kind::kError ||
+      first.code() != ErrorCode::kActiveThreads) {
+    done(std::move(first));
+    return;
   }
+  // Threads are inside: retry until they drain — and, for kTimeout, force
+  // at the deadline. The Fom's first Tick only arms the timer, so the first
+  // retry happens one poll interval from now.
+  auto& scheduler = runtime::FomScheduler::For(simulation());
+  scheduler.Start(*scheduler.Create<RemovalPollFom>(
+      this, std::move(attempt), simulation().Now() + policy.timeout,
+      policy.kind == RemovalPolicy::Kind::kTimeout, std::move(done)));
 }
 
 Status Dcdo::EnableFunction(const std::string& function,
@@ -364,34 +385,24 @@ Status Dcdo::RemoveDependency(const Dependency& dep) {
 
 // ===== Evolution =====
 
-// The whole evolution — acquire, configuration flip, sequential removals,
-// commit — as one pooled Fom (DESIGN.md §16). Namespace scope (not
-// anonymous) so Dcdo can befriend it: stage 2 adopts into mapper_ and the
-// commit rewrites version_ directly, as the lambda chain it replaced did.
-// What used to be two shared_ptr stages, a shared DfmState snapshot, a
-// shared remove queue, and a self-owning RemovalDriver is now one block;
-// every completion callback is a 16-byte {scheduler, id} trampoline.
-//
-// An evolution that starts on a table holding no component — every
-// creation — installs instead of incorporating (DESIGN.md §7): stage 1
-// only resolves each component's bodies as its image lands, charged as an
-// incorporate, and stage 2 moves the target snapshot into the mapper whole
-// where it would adopt. A failure discards the staged bodies with the Fom,
-// leaving the table empty.
-class EvolveFom final : public runtime::Fom {
+// The whole evolution — acquire, then commit — as one pooled Fom (DESIGN.md
+// §7, §16). Namespace scope (not anonymous) so Dcdo can befriend it: stage 2
+// commits into mapper_ and Finish rewrites version_ directly. Every
+// completion callback is a 16-byte {scheduler, id} trampoline. A failure
+// discards the staged bodies with the Fom and leaves the object as it was.
+class EvolveFom final : public DcdoOp {
  public:
-  enum Phase { kAcquire, kRemoveNext, kRemovalSettled };
+  enum Phase { kAcquire, kCommit };
 
   EvolveFom(Dcdo* object, VersionId target_version, DfmState target_state,
             EvolutionPlan plan, Dcdo::RemovalPolicy removal,
             bool enforce_marks, Dcdo::DoneCallback done,
             trace::SpanId evolve_span)
-      : Fom("dcdo.evolve"),
-        object_(object),
+      : DcdoOp("dcdo.evolve", object),
+        host_(object->host_),
         target_version_(std::move(target_version)),
         target_state_(std::move(target_state)),
         incorporate_(std::move(plan.incorporate)),
-        remove_queue_(std::move(plan.remove)),
         flip_count_(plan.enable.size() + plan.disable.size()),
         removal_(removal),
         enforce_marks_(enforce_marks),
@@ -407,71 +418,51 @@ class EvolveFom final : public runtime::Fom {
       // Stage 1: acquire the new components through the fetch pipeline. At
       // the calibrated fetch_concurrency of 1 this is the paper's
       // one-at-a-time sequence; above it, fetches overlap (bounded,
-      // single-flighted) and each image incorporates as it lands. Either way
-      // stage 2 — the configuration flip and removals — starts only once
-      // every component is in.
+      // single-flighted) and each image is staged as it lands. Either way
+      // stage 2 starts only once every component is in.
       EnterPhase(kAcquire, "acquire");
       runtime::FomScheduler* scheduler = &this->scheduler();
       const std::uint64_t id = this->id();
-      Dcdo* object = object_;
-      install_ = object_->mapper_.state().component_count() == 0;
-      ComponentFetcher::ReadyCallback ready;
-      if (install_) {
-        staged_.reserve(incorporate_.size());
-        // The Fom outlives every on_ready: it waits for the acquisition's
-        // done, which runs after the last of them.
-        ready = [object, staged = &staged_](const ComponentRecord& meta,
-                                            bool /*was_cached*/) {
-          return object->StageCached(*meta, *staged);
-        };
-      } else {
-        ready = [object](const ComponentRecord& meta, bool /*was_cached*/) {
-          // During evolution, dependencies come from the target's
-          // metadata, not from auto-derived hints.
-          return object->IncorporateCached(meta,
-                                           /*auto_structural_deps=*/false);
-        };
-      }
+      // Room for every target component: the commit adds the kept blocks.
+      staged_.reserve(target_state_.component_count());
       object_->fetcher_->AcquireAll(
-          object_->host_, std::move(incorporate_), std::move(ready),
+          object_->host_, std::move(incorporate_),
+          // The Fom outlives every on_ready: it waits for the acquisition's
+          // done, which runs after the last of them.
+          [fom = this](const ComponentRecord& meta, bool /*was_cached*/) {
+            if (fom->object_ == nullptr) return fom->Gone();
+            return fom->object_->StageCached(*meta, fom->staged_);
+          },
           [scheduler, id](Status status) {
             scheduler->WakeStatus(id, WakeSource::kFetch, std::move(status));
           },
           evolve_span_);
       return WaitOn(WakeSource::kFetch);
     }
-    if (phase() == kAcquire) {
-      // Stage 2 (runs after incorporations): adopt the target
-      // configuration, then drain removals under the removal policy.
-      Status status = wake_status();
-      if (!status.ok()) return Finish(std::move(status));
-      // Flips + metadata, atomically; charge per-flip DFM update cost.
-      object_->simulation().AdvanceInline(
-          object_->cost().dfm_register_per_function *
-          static_cast<std::int64_t>(flip_count_));
-      Status adopted =
-          install_ ? object_->mapper_.InstallConfiguration(
-                         std::move(target_state_), std::move(staged_))
-                   : object_->mapper_.AdoptConfiguration(target_state_,
-                                                         enforce_marks_);
-      if (!adopted.ok()) return Finish(std::move(adopted));
-      EnterPhase(kRemoveNext, "removals");
-      return FomStatus::kRunAgain;
+    if (object_ == nullptr) return Finish(Gone());
+    if (phase() == kCommit) return Finish(wake_status());
+    // Stage 2: every component is staged.
+    Status status = wake_status();
+    if (!status.ok()) return Finish(std::move(status));
+    if (object_->host_ != host_) {  // its staged bodies belong to host_
+      return Finish(FailedPreconditionError(object_->name_ +
+                                            " moved during its evolution"));
     }
-    if (phase() == kRemovalSettled) {
-      Status status = wake_status();
-      if (!status.ok()) return Finish(std::move(status));
-      EnterPhase(kRemoveNext, "removals");
-    }
-    // kRemoveNext: removals, sequentially under the policy, back to front.
-    if (remove_queue_.empty()) return Finish(Status::Ok());
-    ObjectId next = remove_queue_.back();
-    remove_queue_.pop_back();
-    EnterPhase(kRemovalSettled, "removal");
+    // Charge the per-flip DFM update, then commit, draining first under
+    // kDelay/kTimeout.
+    object_->simulation().AdvanceInline(
+        object_->cost().dfm_register_per_function *
+        static_cast<std::int64_t>(flip_count_));
+    EnterPhase(kCommit, "commit");
     runtime::FomScheduler* scheduler = &this->scheduler();
     const std::uint64_t id = this->id();
-    object_->RemoveComponentWithPolicy(
-        next, removal_, [scheduler, id](Status status) {
+    object_->AttemptUnderPolicy(
+        removal_,
+        [fom = this](Dcdo& object, ActiveThreadPolicy threads) {
+          return object.mapper_.CommitConfiguration(
+              fom->target_state_, fom->staged_, fom->enforce_marks_, threads);
+        },
+        [scheduler, id](Status status) {
           scheduler->WakeStatus(id, WakeSource::kChild, std::move(status));
         });
     return WaitOn(WakeSource::kChild);
@@ -482,22 +473,22 @@ class EvolveFom final : public runtime::Fom {
   // instrumentation stream (the checker's version record, the evolve
   // span), then to the caller.
   runtime::FomStatus Finish(Status status) {
-    const VersionId previous = object_->version_;
+    // Only a commit, which needs the object, succeeds.
+    const VersionId previous =
+        object_ != nullptr ? object_->version_ : VersionId();
     if (status.ok()) object_->version_ = target_version_;
-    DCDO_INSTRUMENT(EvolveEnd(object_->id_, evolve_span_, previous,
+    DCDO_INSTRUMENT(EvolveEnd(object_id_, evolve_span_, previous,
                               target_version_, status));
     done_(std::move(status));
     return runtime::FomStatus::kDone;
   }
 
-  Dcdo* object_;
+  sim::SimHost* host_;  // where stage 1 resolves bodies
   VersionId target_version_;
   DfmState target_state_;  // snapshot: the caller's descriptor need not
                            // outlive the operation
   std::vector<ComponentRecord> incorporate_;  // the target's records
-  bool install_ = false;  // the table held no component at the start
-  std::vector<DynamicFunctionMapper::ResolvedComponent> staged_;  // install
-  std::vector<ObjectId> remove_queue_;
+  std::vector<DynamicFunctionMapper::ResolvedComponent> staged_;
   std::size_t flip_count_;
   Dcdo::RemovalPolicy removal_;
   bool enforce_marks_;

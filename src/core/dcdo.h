@@ -42,24 +42,30 @@
 
 namespace dcdo {
 
+class DcdoOp;     // dcdo.cc: an operation that reaches a Dcdo across time
 class EvolveFom;  // dcdo.cc: the pooled state machine behind EvolveTo
 
 class Dcdo final : public CallContext {
  public:
-  // What to do when removeComponent meets active threads (Section 3.2):
-  // fail, wait for the counts to drain, or wait up to a deadline then force.
+  // What to do when a removal, or an evolution's commit, meets active
+  // threads (Section 3.2): fail, wait for the counts to drain, or wait up
+  // to a deadline then force.
   struct RemovalPolicy {
     enum class Kind : std::uint8_t { kError, kDelay, kTimeout };
     Kind kind = Kind::kError;
     sim::SimDuration timeout = sim::SimDuration::Seconds(5);  // kTimeout only
-    sim::SimDuration poll = sim::SimDuration::Millis(50);
 
     static RemovalPolicy Error() { return RemovalPolicy{}; }
-    static RemovalPolicy Delay();
-    static RemovalPolicy Timeout(sim::SimDuration deadline);
+    static RemovalPolicy Delay() { return {.kind = Kind::kDelay}; }
+    static RemovalPolicy Timeout(sim::SimDuration deadline) {
+      return {.kind = Kind::kTimeout, .timeout = deadline};
+    }
   };
 
   using DoneCallback = std::function<void(Status)>;
+  // One attempt at a change that may meet active threads (a removal, an
+  // evolution's commit), made with kError or, at a deadline, kForce.
+  using Attempt = std::function<Status(Dcdo&, ActiveThreadPolicy)>;
 
   // Activates the DCDO on `host` as a fresh process (no spawn cost charged —
   // managers charge creation explicitly; see DcdoManager::CreateInstance).
@@ -124,13 +130,16 @@ class Dcdo final : public CallContext {
   [[nodiscard]] Status AddDependency(Dependency dep);
   [[nodiscard]] Status RemoveDependency(const Dependency& dep);
 
-  // Applies the delta to `target`: fetches and incorporates new components,
-  // removes dropped ones (with `removal`), applies enable/disable flips,
-  // adopts the target's constraint/dependency metadata, and finally takes on
-  // the target's version id. This is "evolving the DCDO" — sub-second unless
-  // components must be downloaded. An object whose table holds no component
-  // (a new instance) installs the target's table whole once every
-  // component is in, with the same charges and errors.
+  // Evolves the object to `target`, a whole instantiable descriptor: stage 1
+  // fetches the components the table lacks and resolves each one's bodies
+  // as it lands, charged as an incorporate, changing nothing live; stage 2
+  // charges the flips, commits the target in one step
+  // (DynamicFunctionMapper::CommitConfiguration) and takes on its version
+  // id. So the object ends at its old version or its new one. This is
+  // "evolving the DCDO" — sub-second unless components must be downloaded —
+  // and, on a new instance's empty table, its creation. A thread inside a
+  // component the target drops fails the commit under `removal`'s kError;
+  // kDelay/kTimeout drain it first. A destroy meanwhile ends it kNotFound.
   // `enforce_marks` is the policy's enforce_marks_on_evolve(): when set,
   // moves that would break a mandatory/permanent rule are rejected.
   void EvolveTo(const DfmDescriptor& target, const RemovalPolicy& removal,
@@ -206,6 +215,13 @@ class Dcdo final : public CallContext {
  private:
   // Runs the evolution stages against mapper_/version_ directly.
   friend class EvolveFom;
+  friend class DcdoOp;  // links itself into ops_
+
+  // Runs `attempt` with kError and, when it meets active threads under
+  // kDelay/kTimeout, again every kRemovalPoll until it does not (kTimeout:
+  // with kForce at its deadline). `done` gets the last attempt's status.
+  void AttemptUnderPolicy(const RemovalPolicy& policy, Attempt attempt,
+                          DoneCallback done);
 
   // The one DFM call path behind Call and CallInternal: the dfm.call span,
   // the lookup charge, acquire and the body.
@@ -217,8 +233,8 @@ class Dcdo final : public CallContext {
   // Charges mapping a cached image into the address space and registering
   // its `functions` with the DFM.
   void ChargeMapping(std::size_t functions);
-  // Creation's half of IncorporateCached: resolves `meta`'s bodies into
-  // `staged` for an install, with the same checks, errors and charge.
+  // Stage 1's half of IncorporateCached: resolves `meta`'s bodies into
+  // `staged` for a commit, with the same checks, errors and charge.
   [[nodiscard]] Status StageCached(
       const ImplementationComponent& meta,
       std::vector<DynamicFunctionMapper::ResolvedComponent>& staged);
@@ -246,6 +262,7 @@ class Dcdo final : public CallContext {
   std::uint64_t user_calls_ = 0;
   std::function<void()> pre_call_hook_;
   bool active_ = true;
+  DcdoOp* ops_ = nullptr;  // operations in flight; the destructor detaches
 };
 
 }  // namespace dcdo

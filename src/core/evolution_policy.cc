@@ -131,7 +131,7 @@ class MultiVersionHybrid final : public EvolutionPolicy {
  public:
   std::string_view name() const override { return "multi/hybrid"; }
   bool single_version() const override { return false; }
-  // enforce_marks_on_evolve stays true: AdoptConfiguration rejects moves
+  // enforce_marks_on_evolve stays true: the evolution's commit rejects moves
   // that break mandatory/permanent rules.
   Status CheckEvolution(const VersionId&, const VersionId&,
                         const VersionId&) const override {

@@ -73,8 +73,8 @@ class CreateInstanceFom final : public runtime::Fom {
         record.object = std::move(object);
         record.last_check = mgr->home_.simulation().Now();
         mgr->InstallLazyHook(instance_id_);
-        // ...then bring it to the requested version (incorporates and
-        // enables every component of the version's descriptor).
+        // ...then bring it to the requested version (acquires every
+        // component of the version's descriptor and commits its table).
         EnterPhase(kApply, "apply");
         runtime::FomScheduler* scheduler = &this->scheduler();
         const std::uint64_t id = this->id();
@@ -101,6 +101,11 @@ class CreateInstanceFom final : public runtime::Fom {
         return WaitOn(WakeSource::kTimer);
       }
       case kHandshake:
+        // A destroy during the handshake wins.
+        if (!mgr->instances_.contains(instance_id_)) {
+          done_(NotFoundError("instance destroyed during creation"));
+          return FomStatus::kDone;
+        }
         done_(instance_id_);
         return FomStatus::kDone;
     }

@@ -103,9 +103,10 @@ class DcdoManager {
   // ===== The DCDO table: instance management =====
 
   // Creates an instance of the current version on `host`: spawns a shell
-  // process, then incorporates every component of the version's descriptor
-  // (fetching images not cached on `host`). A host that goes down during
-  // the spawn fails the create with kUnavailable and leaves no instance.
+  // process, then evolves it to the version (fetching images not cached on
+  // `host`). A host that goes down during the spawn fails the create with
+  // kUnavailable, and a destroy before it completes with kNotFound; either
+  // way no instance is left.
   void CreateInstance(sim::SimHost* host, CreateCallback done);
 
   // Multi-version managers: create at a specific instantiable version.

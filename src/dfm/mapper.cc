@@ -50,6 +50,21 @@ const std::string& EmptyName() {
   static const std::string empty;
   return empty;
 }
+
+// kActiveThreads naming the first of `meta`'s implementations with a
+// thread inside it, per `block`'s counters; Ok when none has.
+Status CheckIdle(const DfmImplBlock& block,
+                 const ImplementationComponent& meta) {
+  for (std::size_t i = 0; i < block.records.size(); ++i) {
+    const int count = block.records[i].active->load(std::memory_order_acquire);
+    if (count <= 0) continue;
+    return ActiveThreadsError("function '" + meta.functions[i].function.name +
+                              "' in component " + meta.id.ToString() +
+                              " has " + std::to_string(count) +
+                              " active thread(s)");
+  }
+  return Status::Ok();
+}
 }  // namespace
 
 DynamicFunctionMapper::CallGuard& DynamicFunctionMapper::CallGuard::operator=(
@@ -276,7 +291,7 @@ void DynamicFunctionMapper::DeriveSlotLocked(const std::string& function) {
 
 void DynamicFunctionMapper::DeriveAllSlotsLocked() {
   // Rows arrive grouped by function; derive each function's slot once,
-  // adding it on first sight (only an install meets a function it has no
+  // adding it on first sight (only a commit meets a function it has no
   // slot for). Slots of functions no longer present were reset when they
   // left.
   std::span<const DfmEntry> rows = state_.entries();
@@ -301,19 +316,13 @@ DynamicFunctionMapper::ResolveComponent(const ImplementationComponent& meta,
   return BuildBlock(meta, registry, arch, nullptr);
 }
 
-Status DynamicFunctionMapper::InstallConfiguration(
-    DfmState target, std::vector<ResolvedComponent> components) {
+Status DynamicFunctionMapper::CommitConfiguration(
+    DfmState& target, std::vector<ResolvedComponent>& staged,
+    bool enforce_marks, ActiveThreadPolicy policy) {
   auto block_id = [](const ResolvedComponent& block) -> const ObjectId& {
     return block->component;
   };
-  std::ranges::sort(components, {}, block_id);
-  if (!std::ranges::equal(components, target.components(), {}, block_id,
-                          [](const ComponentRecord& record)
-                              -> const ObjectId& { return record->id; })) {
-    return FailedPreconditionError(
-        "InstallConfiguration: the resolved components are not the "
-        "target's");
-  }
+  std::ranges::sort(staged, {}, block_id);
   // Rows arrive grouped by function: count the functions, so the slot
   // array and both indexes are sized once.
   std::span<const DfmEntry> rows = target.entries();
@@ -321,18 +330,71 @@ Status DynamicFunctionMapper::InstallConfiguration(
   for (std::size_t i = 0; i < rows.size(); ++i) {
     if (i == 0 || rows[i].function_id != rows[i - 1].function_id) ++functions;
   }
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  if (state_.component_count() != 0) {
-    return FailedPreconditionError(
-        "InstallConfiguration: the table already holds components; "
-        "incorporate them and adopt instead");
+  // Dropped components and whether each had a thread inside it.
+  std::vector<std::pair<ObjectId, bool>> dropped;
+  {
+    std::unique_lock<std::shared_mutex> lock(mutex_);
+    // Every target component, and only those, is staged or still
+    // incorporated: a configuration call may have removed a kept one.
+    auto next_staged = staged.begin();
+    for (const ComponentRecord& record : target.components()) {
+      if (next_staged != staged.end() &&
+          (*next_staged)->component == record->id) {
+        ++next_staged;
+      } else if (FindBlockLocked(record->id) == nullptr) {
+        return ComponentMissingError("component " + record->name + " (" +
+                                     record->id.ToString() +
+                                     ") is neither staged nor incorporated");
+      }
+    }
+    if (next_staged != staged.end()) {
+      return FailedPreconditionError("staged component " +
+                                     (*next_staged)->component.ToString() +
+                                     " is not the target's");
+    }
+    DCDO_ASSIGN_OR_RETURN(DfmState next,
+                          state_.EvolvedTo(std::move(target), enforce_marks));
+    for (const ResolvedComponent& block : blocks_) {
+      if (next.HasComponent(block->component)) continue;
+      Status idle = CheckIdle(*block, *state_.FindComponent(block->component));
+      if (!idle.ok() && policy == ActiveThreadPolicy::kError) {
+        target = std::move(next);  // back to the caller, for a retry
+        return idle;
+      }
+      dropped.emplace_back(block->component, !idle.ok());
+    }
+    // The next blocks, in id order: the staged ones, and each kept
+    // component's own, which carries its in-flight counts.
+    const auto staged_end = static_cast<std::ptrdiff_t>(staged.size());
+    for (const ComponentRecord& record : next.components()) {
+      const ResolvedComponent* kept = FindBlockLocked(record->id);
+      if (kept == nullptr) continue;
+      auto it = std::ranges::lower_bound(staged.begin(),
+                                         staged.begin() + staged_end,
+                                         record->id, {}, block_id);
+      if (it != staged.begin() + staged_end && (*it)->component == record->id) {
+        *it = *kept;  // incorporated during stage 1 as well
+      } else {
+        staged.push_back(*kept);
+      }
+    }
+    std::ranges::sort(staged, {}, block_id);
+    state_ = std::move(next);
+    blocks_ = std::move(staged);
+    staged.clear();
+    // Every slot is re-derived: a function the target lacks keeps its slot
+    // with no implementation present.
+    for (Slot& slot : slots_) DeriveSlotLocked(slot, {});
+    ReserveIndexLocked(functions);
+    slots_.reserve(functions);
+    DeriveAllSlotsLocked();
+    BumpVersion();
   }
-  state_ = std::move(target);
-  blocks_ = std::move(components);
-  ReserveIndexLocked(slots_.size() + functions);
-  slots_.reserve(slots_.size() + functions);
-  DeriveAllSlotsLocked();
-  BumpVersion();
+  if (!check_owner_.nil()) {
+    for (const auto& [component, forced] : dropped) {
+      DCDO_INSTRUMENT(ComponentRemoved(check_owner_, component, forced));
+    }
+  }
   return Status::Ok();
 }
 
@@ -378,19 +440,9 @@ Status DynamicFunctionMapper::RemoveComponent(const ObjectId& component,
         state_.SharedComponent(component);
     if (meta == nullptr) return state_.RemoveComponent(component);
     const std::shared_ptr<DfmImplBlock>* block = FindBlockLocked(component);
-    for (std::size_t i = 0; block != nullptr && i < meta->functions.size();
-         ++i) {
-      int count = (*block)->records[i].active->load(std::memory_order_acquire);
-      if (count <= 0) continue;
-      if (policy == ActiveThreadPolicy::kError) {
-        return ActiveThreadsError("function '" +
-                                  meta->functions[i].function.name +
-                                  "' in component " + component.ToString() +
-                                  " has " + std::to_string(count) +
-                                  " active thread(s)");
-      }
-      had_active = true;
-    }
+    Status idle = block == nullptr ? Status::Ok() : CheckIdle(**block, *meta);
+    if (!idle.ok() && policy == ActiveThreadPolicy::kError) return idle;
+    had_active = !idle.ok();
     DCDO_RETURN_IF_ERROR(state_.RemoveComponent(component));
     if (block != nullptr) {
       blocks_.erase(blocks_.begin() + (block - blocks_.data()));
@@ -501,15 +553,6 @@ Status DynamicFunctionMapper::AddDependency(Dependency dep) {
 Status DynamicFunctionMapper::RemoveDependency(const Dependency& dep) {
   std::unique_lock<std::shared_mutex> lock(mutex_);
   return state_.RemoveDependency(dep);
-}
-
-Status DynamicFunctionMapper::AdoptConfiguration(const DfmState& target,
-                                                 bool enforce_marks) {
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  DCDO_RETURN_IF_ERROR(state_.AdoptConfiguration(target, enforce_marks));
-  DeriveAllSlotsLocked();
-  BumpVersion();
-  return Status::Ok();
 }
 
 Status DynamicFunctionMapper::RemapBodies(const NativeCodeRegistry& registry,

@@ -28,23 +28,21 @@
 // slots they touched from the authoritative DfmState, and bump a version
 // stamp: enable / disable / switch / set-visibility / mark-permanent patch
 // one function's slot, incorporate / remove patch the component's
-// functions, and only the wholesale moves (install / adopt / remap)
-// re-derive every slot — through the same per-function routine. Each
-// mutation validates its dependencies against a zero-copy overlay of the
-// table (DfmState::Overlay), so a single-function change costs
-// O(log n + dependency list), not O(table). The paper's semantics are
-// untouched: the error taxonomy (kFunctionMissing / kFunctionDisabled /
-// kActiveThreads), the visibility rules, and the checker hooks all behave
-// exactly as before — only the constant factor of the indirection changed.
+// functions, and only the wholesale moves (commit / remap) re-derive every
+// slot — through the same per-function routine. Each mutation validates its
+// dependencies against a zero-copy overlay of the table
+// (DfmState::Overlay), so a single-function change costs O(log n +
+// dependency list), not O(table). The paper's semantics are untouched: the
+// error taxonomy (kFunctionMissing / kFunctionDisabled / kActiveThreads),
+// the visibility rules, and the checker hooks all behave exactly as before
+// — only the constant factor of the indirection changed.
 //
-// A new instance does not build its table row by row. Its version's
-// descriptor already holds the table the paper says a DFM mirrors, so
-// creation resolves each component's bodies as its image lands
-// (ResolveComponent) and then installs the descriptor's table whole
-// (InstallConfiguration): the snapshot moves in, and every slot is derived
-// in one pass over its rows, with the slot array and both indexes sized
-// once. A live object keeps incorporating component by component, because
-// its callers may read the table while components are still arriving.
+// An evolution, creation included, does not touch the table while its
+// components arrive: its target descriptor already holds the table the
+// paper says a DFM mirrors, so each added component's bodies are resolved
+// as its image lands (ResolveComponent), and one commit then swaps the
+// whole target in (CommitConfiguration). Callers see the old configuration
+// or the new one, never a mix.
 //
 // The mapper owns a DfmState (the same table type managers use in
 // descriptors; its rows point into the component records it was handed,
@@ -170,7 +168,7 @@ class DynamicFunctionMapper {
   }
 
   // A component's bodies resolved for one architecture, waiting to be
-  // installed; opaque outside the mapper.
+  // committed; opaque outside the mapper.
   using ResolvedComponent = std::shared_ptr<DfmImplBlock>;
 
   // Resolves every symbol of `meta` for `arch` with IncorporateComponent's
@@ -181,17 +179,22 @@ class DynamicFunctionMapper {
       const ImplementationComponent& meta, const NativeCodeRegistry& registry,
       sim::Architecture arch);
 
-  // A new instance's table in one step: `target` becomes the table, whole,
-  // with `components` (one per target component, in any order) as its
-  // bodies, and every slot is derived in one pass. `target` must be a
-  // complete configuration (an instantiable version's, as EvolveTo
-  // requires); the end state is then exactly that of incorporating each of
-  // its components and adopting it, since every table already carries the
-  // marks its components' authors set. Fails with kFailedPrecondition,
-  // changing nothing, unless the table holds no component and `components`
-  // are the target's.
-  [[nodiscard]] Status InstallConfiguration(
-      DfmState target, std::vector<ResolvedComponent> components);
+  // Moves the table to `target`, a complete configuration, in one step;
+  // `staged` holds the bodies resolved for the target components the table
+  // lacks, in any order. Validates first, against the table as it stands:
+  // every target component is staged or still incorporated, the marks and
+  // kept records pass DfmState::EvolvedTo, and, with kError, no component
+  // the target drops has a thread inside it (kActiveThreads). Then, under
+  // one writer lock, the target and its records become the table, kept
+  // components keep their blocks (and in-flight counts), every slot is
+  // re-derived (a function that left answers kFunctionMissing) and each
+  // dropped component is reported removed. On success the table takes
+  // `target` and `staged` over; on failure nothing changes and both still
+  // describe the move, so a caller may retry it.
+  [[nodiscard]] Status CommitConfiguration(
+      DfmState& target, std::vector<ResolvedComponent>& staged,
+      bool enforce_marks,
+      ActiveThreadPolicy policy = ActiveThreadPolicy::kError);
 
   // Removes a component. With kError, fails with kActiveThreads if any of
   // the component's implementations has a thread inside it (the
@@ -216,11 +219,6 @@ class DynamicFunctionMapper {
   [[nodiscard]] Status MarkPermanent(const std::string& function, const ObjectId& component);
   [[nodiscard]] Status AddDependency(Dependency dep);
   [[nodiscard]] Status RemoveDependency(const Dependency& dep);
-
-  // Atomic wholesale move to `target`'s configuration (enabled flags,
-  // visibility, marks, dependencies) after new components have been
-  // incorporated; see DfmState::AdoptConfiguration for semantics.
-  [[nodiscard]] Status AdoptConfiguration(const DfmState& target, bool enforce_marks);
 
   // Re-resolves every incorporated implementation against `registry` for a
   // (possibly different) architecture — the re-mapping step of migration.
@@ -310,8 +308,8 @@ class DynamicFunctionMapper {
   void DeriveSlotLocked(const std::string& function);
   void DeriveSlotLocked(Slot& slot, std::span<const DfmEntry> rows);
   // DeriveSlotLocked for every function the state holds, adding the slots
-  // an install meets first: the full rebuild behind wholesale moves
-  // (install, adopt, remap).
+  // a commit meets first: the full rebuild behind wholesale moves (commit,
+  // remap).
   void DeriveAllSlotsLocked();
   void BumpVersion() {
     table_version_.fetch_add(1, std::memory_order_acq_rel);

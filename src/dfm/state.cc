@@ -13,16 +13,18 @@ int CompareRows(const DfmEntry& a, const DfmEntry& b) {
 
 namespace {
 
-// Whether two records of one component list the same functions in the same
-// order, so a row may move from one to the other by position. Copies of a
-// component share one list; only a list parsed anew is compared by name.
+// Whether two records of one component list the same functions with the
+// same symbols in the same order, so bodies resolved for one serve the
+// other by position. Copies of a component share one list; only a list
+// parsed anew is compared.
 bool SameFunctions(const ImplementationComponent& a,
                    const ImplementationComponent& b) {
   return a.functions.data() == b.functions.data() ||
          std::ranges::equal(a.functions, b.functions,
                             [](const FunctionImplDescriptor& x,
                                const FunctionImplDescriptor& y) {
-                              return x.function.name == y.function.name;
+                              return x.function.name == y.function.name &&
+                                     x.symbol == y.symbol;
                             });
 }
 
@@ -415,22 +417,20 @@ DfmState DfmState::CopyWithRoom() const {
   return copy;
 }
 
-Status DfmState::AdoptConfiguration(const DfmState& target,
-                                    bool enforce_marks) {
-  // Every target entry must already exist here with the same symbol. Both
-  // arrays share one order, so one forward pass pairs them up.
-  auto mine = rows_.begin();
-  for (const DfmEntry& entry : target.rows_) {
-    while (mine != rows_.end() && CompareRows(*mine, entry) < 0) ++mine;
-    if (mine == rows_.end() || CompareRows(*mine, entry) != 0) {
-      return ComponentMissingError(
-          "AdoptConfiguration: entry '" + entry.name() + "' of component " +
-          entry.component.ToString() +
-          " not incorporated; incorporate new components first");
+Result<DfmState> DfmState::EvolvedTo(DfmState&& target,
+                                     bool enforce_marks) const {
+  // A component both tables hold keeps its resolved bodies, which follow
+  // this table's record. One merge over the two id-sorted record arrays.
+  auto theirs = target.components_.begin();
+  for (const ComponentRecord& mine : components_) {
+    while (theirs != target.components_.end() && (*theirs)->id < mine->id) {
+      ++theirs;
     }
-    if (mine->impl != entry.impl && mine->symbol() != entry.symbol()) {
+    if (theirs != target.components_.end() && (*theirs)->id == mine->id &&
+        !SameFunctions(**theirs, *mine)) {
       return FailedPreconditionError(
-          "AdoptConfiguration: symbol mismatch for '" + entry.name() + "'");
+          "component " + mine->name + " (" + mine->id.ToString() +
+          ") lists other functions or symbols in the target");
     }
   }
   if (enforce_marks) {
@@ -452,65 +452,15 @@ Status DfmState::AdoptConfiguration(const DfmState& target,
             "' with no enabled implementation");
       }
     }
-  }
-  // Validate the target's dependencies against its enabled set before
-  // mutating anything.
-  DCDO_RETURN_IF_ERROR(target.dependencies().Validate(target.Enabled()));
-
-  // Commit: enabled flags + visibility from the target; absent => disabled.
-  auto theirs = target.rows_.begin();
-  for (DfmEntry& entry : rows_) {
-    while (theirs != target.rows_.end() && CompareRows(*theirs, entry) < 0) {
-      ++theirs;
+    // Carry the marks forward.
+    for (const DfmEntry& entry : rows_) {
+      if (entry.permanent) {
+        target.Locate(entry.name(), entry.component).row->permanent = true;
+      }
     }
-    if (theirs == target.rows_.end() || CompareRows(*theirs, entry) != 0) {
-      entry.enabled = false;
-      entry.permanent = false;  // row is leaving with its component
-      continue;
-    }
-    entry.enabled = theirs->enabled;
-    entry.visibility = theirs->visibility;
-    entry.permanent = theirs->permanent || (enforce_marks && entry.permanent);
+    target.mandatory_.insert(mandatory_.begin(), mandatory_.end());
   }
-  std::set<std::string> mandatory = target.mandatory_functions();
-  if (enforce_marks) {
-    mandatory.insert(mandatory_.begin(), mandatory_.end());
-  }
-  mandatory_ = std::move(mandatory);
-  deps_ = target.dependencies();
-  // A component id names one immutable metadata record. A component
-  // incorporated from the target's record already shares it; one that
-  // arrived by value takes the target's, each row moving to the same
-  // position in it. One merge over the two id-sorted record arrays.
-  std::vector<ComponentRecord> adopted;  // by position in components_
-  auto theirs_record = target.components_.begin();
-  for (std::size_t i = 0; i < components_.size(); ++i) {
-    const ComponentRecord& mine = components_[i];
-    while (theirs_record != target.components_.end() &&
-           (*theirs_record)->id < mine->id) {
-      ++theirs_record;
-    }
-    if (theirs_record == target.components_.end() ||
-        (*theirs_record)->id != mine->id || *theirs_record == mine ||
-        !SameFunctions(**theirs_record, *mine)) {
-      continue;
-    }
-    if (adopted.empty()) adopted.resize(components_.size());
-    adopted[i] = *theirs_record;
-  }
-  if (adopted.empty()) return Status::Ok();
-  for (DfmEntry& entry : rows_) {
-    const auto i = static_cast<std::size_t>(
-        FindComponentRef(entry.component) - components_.begin());
-    if (adopted[i] != nullptr) {
-      entry.impl = adopted[i]->functions.data() +
-                   (entry.impl - components_[i]->functions.data());
-    }
-  }
-  for (std::size_t i = 0; i < components_.size(); ++i) {
-    if (adopted[i] != nullptr) components_[i] = std::move(adopted[i]);
-  }
-  return Status::Ok();
+  return std::move(target);
 }
 
 Status DfmState::ValidateComplete() const {

@@ -22,26 +22,25 @@
 // records in id order. A row is a component id, a pointer to its
 // FunctionImplDescriptor inside that component's function list, the
 // function's interned FunctionId and three bits, so a copy — a derived
-// version, an evolution target, the configuration an instance installed or
-// adopted — is a handful of allocations and 32 bytes a row, whatever the
-// names and symbols weigh. Incorporate interns each name once, and every
-// copy of a row carries the id, so the runtime DFM finds a function's slot
-// by id. Incorporate keeps the record it is given: an instance acquiring a
-// component of its version is handed the version's own record, so every
-// instance of a version shares one copy of each component's metadata from
-// its first incorporate on, and a record made from a by-value copy still
+// version, an evolution target, the configuration an instance committed —
+// is a handful of allocations and 32 bytes a row, whatever the names and
+// symbols weigh. Incorporate interns each name once, and every copy of a
+// row carries the id, so the runtime DFM finds a function's slot by id.
+// Incorporate keeps the record it is given, and an evolution commits its
+// target's records, so every instance of a version shares one copy of each
+// component's metadata, and a record made from a by-value copy still
 // shares the component's one function list. Each new row finds its place
 // by binary search and the rows after it move as one block. Lookups are
 // binary searches, one per mutation: a mutation of (function, component)
 // finds the function's rows once and reads the component's row and the
-// enabled one from them. The table-to-table operations
-// (AdoptConfiguration, ComputePlan) are linear merges of two sorted arrays.
-// A component's rows and its record's function list are the same set, and
-// while a component stays incorporated its functions keep their positions
-// in the list (AdoptConfiguration swaps in a target's record — for a
-// component that arrived by value — only when it lists the same functions
-// in the same order), so FunctionIndex is stable and DynamicFunctionMapper
-// indexes its per-component bodies by it.
+// enabled one from them. The table-to-table operations (EvolvedTo,
+// ComputePlan) are linear merges of two sorted arrays. A component's rows
+// and its record's function list are the same set, and while a component
+// stays incorporated its functions keep their positions in the list (an
+// evolution takes the target's record of a component it keeps only when
+// that record lists the same functions and symbols in the same order), so
+// FunctionIndex is stable and DynamicFunctionMapper indexes its
+// per-component bodies by it.
 #pragma once
 
 #include <array>
@@ -224,27 +223,18 @@ class DfmState {
   // moves no existing row.
   DfmState CopyWithRoom() const;
 
-  // Wholesale adoption of `target`'s configuration during evolution, applied
-  // atomically so legal version-to-version moves never trip over transient
-  // orderings of individual enable/disable calls. Preconditions: every
-  // target entry already exists here (incorporate new components first).
-  // Entries absent from the target are disabled (they belong to components
-  // about to be removed). Metadata (visibility, mandatory, permanent,
-  // dependencies) is replaced by the target's, and components both tables
-  // hold share the target's metadata record. Components incorporated from
-  // the target's own records already do; one that arrived by value takes
-  // the target's record wherever it lists the same functions in the same
-  // order (as every copy of one component's metadata does), and its rows
-  // are re-pointed into it. One merge pass over the two row arrays.
-  //
-  // With `enforce_marks` (the increasing-version and hybrid policies), the
-  // move is rejected if it would disable a currently-permanent
-  // implementation or leave a currently-mandatory function without an
-  // enabled implementation; marks are then carried forward (union). Without
-  // it (the general-evolution policy), the target's marks replace the
-  // current ones outright — the paper notes general evolution "undermines
-  // the use of mandatory and permanent functions".
-  [[nodiscard]] Status AdoptConfiguration(const DfmState& target, bool enforce_marks);
+  // The table an evolution from this configuration to `target` commits:
+  // `target` itself, with this table's marks carried forward when
+  // `enforce_marks` (the increasing-version and hybrid policies). Without
+  // it (the general-evolution policy) the target's marks replace the
+  // current ones — the paper notes general evolution "undermines the use
+  // of mandatory and permanent functions". Fails, taking nothing from
+  // `target`, when a component both tables hold lists other functions or
+  // symbols in the target (a DFM's bodies for it follow this table's
+  // record), or, with `enforce_marks`, when the move would disable or drop
+  // a permanent implementation or leave a mandatory function disabled.
+  [[nodiscard]] Result<DfmState> EvolvedTo(DfmState&& target,
+                                           bool enforce_marks) const;
 
   // Full-configuration validation, required before a version may be marked
   // instantiable: every mandatory function has an enabled implementation,

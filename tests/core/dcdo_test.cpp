@@ -296,13 +296,17 @@ TEST_F(DcdoTest, ActiveCountsReportedOverRpc) {
   EXPECT_EQ(reader.ReadU64().value_or(99), 0u);
 }
 
-// Evolution hands the instance the target descriptor's own records from the
-// first incorporate on, not copies for AdoptConfiguration to swap out later.
-// The object is live (its table already holds libA), so the evolution
-// incorporates each component as it lands, and callers see them arrive.
+// Evolution acquires the target's components without touching the live
+// table, then commits the target's table with the target's own records.
+// The object is live (its table holds libA, which the target keeps), and
+// callers see nothing change before the commit: not the component list,
+// not the table's stamp, not which implementation answers.
 TEST_F(DcdoTest, EvolveSharesTheTargetsRecordsWhileAcquiring) {
   ASSERT_TRUE(IncorporateBlocking(comp_a_.id).ok());
+  ASSERT_TRUE(object_->EnableFunction("f", comp_a_.id).ok());
   DfmDescriptor target(VersionId::Root().Child(1));
+  ASSERT_TRUE(target.IncorporateComponent(comp_a_).ok());
+  ASSERT_TRUE(target.EnableFunction("g", comp_a_.id).ok());
   std::vector<std::unique_ptr<ImplementationComponentObject>> icos;
   for (int i = 0; i < 50; ++i) {
     const std::string name = "lib" + std::to_string(i);
@@ -315,29 +319,38 @@ TEST_F(DcdoTest, EvolveSharesTheTargetsRecordsWhileAcquiring) {
     ASSERT_TRUE(target.EnableFunction(name + "_f", comp.id).ok());
   }
   ASSERT_TRUE(target.MarkInstantiable().ok());
-  auto shares_target_records = [&] {
-    for (const ComponentRecord& record :
-         object_->mapper().state().components()) {
-      if (record->id == comp_a_.id) continue;  // not the target's; leaving
-      if (record != target.state().SharedComponent(record->id)) return false;
-    }
-    return true;
+  const std::vector<ObjectId> components_before = object_->GetComponents();
+  const std::uint64_t stamp_before = object_->mapper().table_version();
+  auto call = [&](const std::string& function) {
+    auto result = object_->Call(function, ByteBuffer::FromString("x"));
+    return result.ok() ? result->ToString()
+                       : std::string(ErrorCodeName(result.status().code()));
   };
 
   std::optional<Status> evolved;
   object_->EvolveTo(target, Dcdo::RemovalPolicy::Error(),
                     [&](Status status) { evolved = status; });
   ASSERT_TRUE(testbed_.simulation().RunWhile(
-      [&] { return object_->mapper().state().component_count() < 21; }));
-  EXPECT_FALSE(evolved.has_value()) << "still acquiring, nothing adopted";
-  EXPECT_EQ(object_->mapper().state().EnabledImpl("lib0_f"), nullptr);
-  EXPECT_TRUE(shares_target_records());
+      [&] { return testbed_.host(1)->cached_component_count() < 21; }));
+  EXPECT_FALSE(evolved.has_value()) << "still acquiring, nothing committed";
+  EXPECT_EQ(object_->GetComponents(), components_before);
+  EXPECT_EQ(object_->mapper().table_version(), stamp_before);
+  EXPECT_EQ(call("f"), "libA.f:x");
+  EXPECT_EQ(call("g"), "FUNCTION_DISABLED");
+  EXPECT_EQ(call("lib0_f"), "FUNCTION_MISSING");
 
   testbed_.simulation().RunWhile([&] { return !evolved.has_value(); });
   ASSERT_TRUE(evolved.has_value());
   ASSERT_TRUE(evolved->ok()) << evolved->ToString();
-  EXPECT_EQ(object_->mapper().state().component_count(), 50u);
-  EXPECT_TRUE(shares_target_records());
+  EXPECT_EQ(object_->mapper().state().component_count(), 51u);
+  for (const ComponentRecord& record :
+       object_->mapper().state().components()) {
+    EXPECT_EQ(record, target.state().SharedComponent(record->id))
+        << record->name;
+  }
+  EXPECT_EQ(call("f"), "FUNCTION_DISABLED");
+  EXPECT_EQ(call("g"), "libA.g:x");
+  EXPECT_EQ(call("lib0_f"), "lib0.lib0_f:x");
 }
 
 // A fresh instance takes its version's table whole: the descriptor's rows
@@ -506,6 +519,135 @@ TEST_F(DcdoTest, FreshInstallFailureMatchesIncorporate) {
     ASSERT_TRUE(g.ok());
     EXPECT_EQ(g->ToString(), "libA.g:y");
   }
+}
+
+// An evolution that drops a component with a call parked inside it. libA's
+// "f" parks for 2 s when asked to; the target keeps libB alone and serves
+// "f" from it.
+class ParkedEvolutionTest : public DcdoTest {
+ protected:
+  ParkedEvolutionTest() {
+    testbed_.registry().Register(
+        "libA/f", ImplementationType::Portable(),
+        [](CallContext& ctx, const ByteBuffer& args) {
+          if (args.ToString() == "park") ctx.BlockOnOutcall(2.0);
+          return Result<ByteBuffer>(
+              ByteBuffer::FromString("libA.f:" + args.ToString()));
+        });
+  }
+
+  void SetUp() override {
+    ASSERT_TRUE(IncorporateBlocking(comp_a_.id).ok());
+    ASSERT_TRUE(IncorporateBlocking(comp_b_.id).ok());
+    ASSERT_TRUE(object_->EnableFunction("f", comp_a_.id).ok());
+    ASSERT_TRUE(object_->EnableFunction("g", comp_a_.id).ok());
+    ASSERT_TRUE(target_.IncorporateComponent(comp_b_).ok());
+    ASSERT_TRUE(target_.EnableFunction("f", comp_b_.id).ok());
+    ASSERT_TRUE(target_.MarkInstantiable().ok());
+  }
+
+  // What a caller can observe: the version, the components, each
+  // function's enabled implementation and each call's outcome.
+  std::string Observe() {
+    std::string seen = object_->version().ToString();
+    for (const ObjectId& id : object_->GetComponents()) {
+      seen += " " + id.ToString();
+    }
+    for (const std::string function : {"f", "g"}) {
+      const DfmEntry* impl = object_->mapper().state().EnabledImpl(function);
+      seen += " " + function + "@" +
+              (impl == nullptr ? "none" : impl->component.ToString());
+      auto result = object_->Call(function, ByteBuffer::FromString("x"));
+      seen += "=" + (result.ok() ? result->ToString()
+                                 : result.status().ToString());
+    }
+    return seen;
+  }
+
+  DfmDescriptor target_{VersionId::Root().Child(1)};
+};
+
+// Under Error() a thread inside a dropped component fails the evolution
+// before anything changes.
+TEST_F(ParkedEvolutionTest, ErrorPolicyFailureChangesNothing) {
+  const std::string before = Observe();
+  std::optional<Status> evolved;
+  std::string after;
+  testbed_.simulation().Schedule(sim::SimDuration::Seconds(0.5), [&] {
+    object_->EvolveTo(target_, Dcdo::RemovalPolicy::Error(),
+                      [&](Status status) {
+                        evolved = status;
+                        after = Observe();
+                      });
+  });
+  ASSERT_TRUE(object_->Call("f", ByteBuffer::FromString("park")).ok());
+  testbed_.simulation().Run();
+  ASSERT_TRUE(evolved.has_value());
+  EXPECT_EQ(evolved->code(), ErrorCode::kActiveThreads) << *evolved;
+  EXPECT_EQ(after, before);
+  EXPECT_EQ(Observe(), before);
+}
+
+// Under Delay() the drain comes before the commit: the evolution commits
+// only once the parked call returns, and until then "f" answers from libA.
+TEST_F(ParkedEvolutionTest, DelayPolicyCommitsOnceTheCallReturns) {
+  const sim::SimTime start = testbed_.simulation().Now();
+  const std::string before = Observe();
+  std::optional<Status> evolved;
+  sim::SimTime evolved_at;
+  std::string during;
+  testbed_.simulation().Schedule(sim::SimDuration::Seconds(0.5), [&] {
+    object_->EvolveTo(target_, Dcdo::RemovalPolicy::Delay(),
+                      [&](Status status) {
+                        evolved = status;
+                        evolved_at = testbed_.simulation().Now();
+                      });
+  });
+  testbed_.simulation().Schedule(sim::SimDuration::Seconds(1.0),
+                                 [&] { during = Observe(); });
+  ASSERT_TRUE(object_->Call("f", ByteBuffer::FromString("park")).ok());
+  testbed_.simulation().Run();
+  ASSERT_TRUE(evolved.has_value());
+  ASSERT_TRUE(evolved->ok()) << *evolved;
+  EXPECT_EQ(during, before);
+  EXPECT_GE((evolved_at - start).ToSeconds(), 2.0) << "waited for the call";
+  EXPECT_EQ(object_->version(), VersionId::Root().Child(1));
+  EXPECT_EQ(object_->GetComponents(), std::vector<ObjectId>{comp_b_.id});
+  auto f = object_->Call("f", ByteBuffer::FromString("x"));
+  ASSERT_TRUE(f.ok());
+  EXPECT_EQ(f->ToString(), "libB.f:x");
+  EXPECT_EQ(object_->Call("g", ByteBuffer{}).status().code(),
+            ErrorCode::kFunctionMissing);
+}
+
+// Under Timeout() the commit waits for the drain up to its deadline, then
+// goes ahead with kForce: the parked call finishes inside libA's body,
+// which its guard keeps alive.
+TEST_F(ParkedEvolutionTest, TimeoutPolicyForcesTheCommitAtItsDeadline) {
+  const sim::SimTime start = testbed_.simulation().Now();
+  std::optional<Status> evolved;
+  sim::SimTime evolved_at;
+  testbed_.simulation().Schedule(sim::SimDuration::Seconds(0.5), [&] {
+    object_->EvolveTo(
+        target_, Dcdo::RemovalPolicy::Timeout(sim::SimDuration::Seconds(1.0)),
+        [&](Status status) {
+          evolved = status;
+          evolved_at = testbed_.simulation().Now();
+        });
+  });
+  auto parked = object_->Call("f", ByteBuffer::FromString("park"));
+  ASSERT_TRUE(parked.ok());
+  EXPECT_EQ(parked->ToString(), "libA.f:park");
+  testbed_.simulation().Run();
+  ASSERT_TRUE(evolved.has_value());
+  ASSERT_TRUE(evolved->ok()) << *evolved;
+  const double seconds = (evolved_at - start).ToSeconds();
+  EXPECT_GE(seconds, 1.5) << "waited until the deadline";
+  EXPECT_LT(seconds, 2.0) << "forced before the call returned";
+  EXPECT_EQ(object_->GetComponents(), std::vector<ObjectId>{comp_b_.id});
+  auto f = object_->Call("f", ByteBuffer::FromString("x"));
+  ASSERT_TRUE(f.ok());
+  EXPECT_EQ(f->ToString(), "libB.f:x");
 }
 
 // --- Removal policies (Section 3.2 thread-activity options) ---

@@ -67,6 +67,29 @@ class ManagerTest : public ::testing::Test {
     return out.value_or(InternalError("operation never completed"));
   }
 
+  // Destroys every instance, in flight or not, `seconds` from now.
+  void DestroyAllAfter(double seconds) {
+    testbed_.simulation().Schedule(sim::SimDuration::Seconds(seconds), [&] {
+      for (const DcdoManager::TableEntry& entry : manager_->Table()) {
+        ASSERT_TRUE(manager_->DestroyInstance(entry.id).ok());
+      }
+    });
+  }
+
+  // Creates an instance on host 1 and expects a destroy to end it.
+  void ExpectCreateEndsNotFound() {
+    int calls = 0;
+    Status status;
+    manager_->CreateInstance(testbed_.host(1), [&](Result<ObjectId> result) {
+      ++calls;
+      status = result.status();
+    });
+    testbed_.simulation().Run();
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(status.code(), ErrorCode::kNotFound) << status;
+    EXPECT_EQ(manager_->instance_count(), 0u);
+  }
+
   Testbed testbed_;
   std::unique_ptr<DcdoManager> manager_;
   ImplementationComponent comp_v1_;
@@ -509,6 +532,74 @@ TEST_F(ManagerTest, ReactivateWhoseHostDiesMidSpawnFails) {
   EXPECT_EQ(status.code(), ErrorCode::kUnavailable) << status;
   EXPECT_FALSE(manager_->FindInstance(*instance)->active());
   EXPECT_FALSE(testbed_.agent().Bound(*instance));
+}
+
+// A destroy during an operation on the instance wins: the operation ends
+// kNotFound, once, and touches nothing of the destroyed object. Creation
+// spawns its shell until 1.62 s, applies its version until 1.79 s (core-v1
+// streams in) and completes its activation handshake at 2.04 s.
+TEST_F(ManagerTest, DestroyDuringColdEvolutionEndsNotFound) {
+  Init(MakeSingleVersionExplicit());
+  auto instance = CreateBlocking();
+  ASSERT_TRUE(instance.ok());
+  ASSERT_TRUE(manager_->SetCurrentVersion(v11_).ok());
+  // 10 ms in, core-v2 is still streaming to the instance's host.
+  DestroyAllAfter(0.01);
+  int calls = 0;
+  Status status;
+  manager_->EvolveInstanceTo(*instance, v11_, [&](Status result) {
+    ++calls;
+    status = result;
+  });
+  testbed_.simulation().Run();
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(status.code(), ErrorCode::kNotFound) << status;
+  EXPECT_EQ(manager_->instance_count(), 0u);
+}
+
+TEST_F(ManagerTest, DestroyDuringCreationApplyEndsNotFound) {
+  Init(MakeSingleVersionExplicit());
+  DestroyAllAfter(1.7);
+  ExpectCreateEndsNotFound();
+}
+
+TEST_F(ManagerTest, DestroyDuringActivationHandshakeEndsNotFound) {
+  Init(MakeSingleVersionExplicit());
+  DestroyAllAfter(2.0);
+  ExpectCreateEndsNotFound();
+}
+
+// An instance that moves while its evolution acquires fails the evolution:
+// its staged bodies belong to the host it left. It stays at its version and
+// serves from its new host.
+TEST_F(ManagerTest, MigrationDuringEvolutionFailsTheEvolution) {
+  Init(MakeSingleVersionExplicit());
+  auto instance = CreateBlocking();
+  ASSERT_TRUE(instance.ok());
+  ASSERT_TRUE(manager_->SetCurrentVersion(v11_).ok());
+  // The move rebinds the instance 1.80 s in; the evolution starts 0.1 s
+  // before that, and core-v2 lands at the source 0.07 s after it. Both
+  // images wait at the destination, so core-v2 still stages there.
+  testbed_.host(2)->CacheComponent(comp_v1_.id, comp_v1_.code_bytes);
+  testbed_.host(2)->CacheComponent(comp_v2_.id, comp_v2_.code_bytes);
+  std::optional<Status> evolved;
+  std::optional<Status> migrated;
+  manager_->MigrateInstance(*instance, testbed_.host(2),
+                            [&](Status status) { migrated = status; });
+  testbed_.simulation().Schedule(sim::SimDuration::Seconds(1.7), [&] {
+    manager_->EvolveInstanceTo(*instance, v11_,
+                               [&](Status status) { evolved = status; });
+  });
+  testbed_.simulation().Run();
+  ASSERT_TRUE(migrated.has_value() && evolved.has_value());
+  EXPECT_TRUE(migrated->ok()) << *migrated;
+  EXPECT_EQ(evolved->code(), ErrorCode::kFailedPrecondition) << *evolved;
+  EXPECT_EQ(manager_->InstanceVersion(*instance).value_or(VersionId()), v1_);
+  Dcdo* object = manager_->FindInstance(*instance);
+  EXPECT_EQ(&object->host(), testbed_.host(2));
+  auto served = object->Call("serve", ByteBuffer::FromString("x"));
+  ASSERT_TRUE(served.ok()) << served.status();
+  EXPECT_EQ(served->ToString(), "core-v1.serve:x");
 }
 
 TEST_F(ManagerTest, DestroyInstanceRemovesFromTable) {

@@ -150,9 +150,9 @@ TEST(MapperConcurrency, RemovalRacesActiveGuards) {
 }
 
 // Callers acquire by name and by id while a whole version's table is
-// installed into their empty mapper: every acquire sees either the empty
-// table (kFunctionMissing) or the complete installed one, never a
-// half-derived slot table, and once a caller has reached the installed
+// committed onto their empty mapper: every acquire sees either the empty
+// table (kFunctionMissing) or the complete committed one, never a
+// half-derived slot table, and once a caller has reached the committed
 // table it never loses a function again.
 TEST(MapperConcurrency, AcquireRacesInstall) {
   NativeCodeRegistry registry;
@@ -216,11 +216,11 @@ TEST(MapperConcurrency, AcquireRacesInstall) {
       --running;
     });
   }
-  // Let the callers meet the empty table, install, and let them read the
-  // installed one for a while.
+  // Let the callers meet the empty table, commit, and let them read the
+  // committed one for a while.
   while (missing.load() < 100 && running.load() == 4) std::this_thread::yield();
-  EXPECT_TRUE(
-      mapper.InstallConfiguration(version.state(), std::move(resolved)).ok());
+  DfmState target = version.state();
+  EXPECT_TRUE(mapper.CommitConfiguration(target, resolved, false).ok());
   while (served.load() < 4000 && running.load() == 4) std::this_thread::yield();
   stop.store(true);
   for (std::thread& thread : callers) thread.join();

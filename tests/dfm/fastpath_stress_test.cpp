@@ -2,8 +2,8 @@
 // acquiring through both Acquire overloads (by name and by pre-resolved
 // FunctionId) and holding their guards across a yield, while a churn thread
 // switches implementations, flips enable state, removes/re-incorporates a
-// whole component, adopts one of two whole configurations, and remaps every
-// body onto fresh record blocks. Runs with the instrumentation context
+// whole component, commits one of two whole configurations, and remaps
+// every body onto fresh record blocks. Runs with the instrumentation context
 // installed, checker and span recorder both, so every call start/end and
 // configuration change feeds the race detector from several threads while
 // the churn thread's removals and swaps land as instants; at the end the
@@ -55,8 +55,8 @@ TEST(FastPathStress, AcquirersRaceChurnWithCheckerInstalled) {
   FunctionId f_id = FunctionNameTable::Global().Find("f");
   ASSERT_TRUE(f_id.valid());
 
-  // Two whole configurations for the churn thread to adopt: f served by A,
-  // or by B.
+  // Two whole configurations for the churn thread to commit: f served by
+  // A, or by B.
   DfmState on_a;
   DfmState on_b;
   for (DfmState* version : {&on_a, &on_b}) {
@@ -91,7 +91,7 @@ TEST(FastPathStress, AcquirersRaceChurnWithCheckerInstalled) {
         }
         ++guards;
         // Hold the guard while the churn thread moves on: its body must
-        // still run after a switch, an adoption or a remap.
+        // still run after a switch, a commit or a remap.
         std::this_thread::yield();
         auto result = guard->body()(ctx, args);
         ASSERT_TRUE(result.ok());
@@ -103,7 +103,7 @@ TEST(FastPathStress, AcquirersRaceChurnWithCheckerInstalled) {
   }
 
   // Churn: implementation switches on every step, enable flips, wholesale
-  // adoptions alternating between the two versions, remaps onto fresh
+  // commits alternating between the two versions, remaps onto fresh
   // record blocks, and a full remove/re-incorporate cycle of component B
   // (quiescence-respecting — the removal retries until it catches a gap
   // between calls).
@@ -123,9 +123,12 @@ TEST(FastPathStress, AcquirersRaceChurnWithCheckerInstalled) {
         }
       }
       if (i % 10 == 5) {
+        // Both keep A and B, whose blocks and counts carry over.
+        DfmState target = i % 20 == 5 ? on_a : on_b;
+        std::vector<DynamicFunctionMapper::ResolvedComponent> none;
         ASSERT_TRUE(mapper
-                        .AdoptConfiguration(i % 20 == 5 ? on_a : on_b,
-                                            /*enforce_marks=*/false)
+                        .CommitConfiguration(target, none,
+                                             /*enforce_marks=*/false)
                         .ok());
       }
       if (i % 25 == 0) {

@@ -35,6 +35,19 @@ class MapperTest : public ::testing::Test {
     return result.ok() ? result->ToString() : result.status().ToString();
   }
 
+  // Commits `target`, staging bodies for the components the mapper lacks.
+  Status Commit(DfmState target, bool enforce_marks) {
+    std::vector<DynamicFunctionMapper::ResolvedComponent> staged;
+    for (const ComponentRecord& record : target.components()) {
+      if (mapper_.state().HasComponent(record->id)) continue;
+      auto bodies =
+          DynamicFunctionMapper::ResolveComponent(*record, registry_, kArch);
+      if (!bodies.ok()) return bodies.status();
+      staged.push_back(*std::move(bodies));
+    }
+    return mapper_.CommitConfiguration(target, staged, enforce_marks);
+  }
+
   NativeCodeRegistry registry_;
   ImplementationComponent comp_a_;
   ImplementationComponent comp_b_;
@@ -302,6 +315,74 @@ TEST_F(MapperTest, SwitchChangesWhichBodyRuns) {
   EXPECT_EQ(CallThrough("f"), "libA.f:x");
   ASSERT_TRUE(mapper_.SwitchImplementation("f", comp_b_.id).ok());
   EXPECT_EQ(CallThrough("f"), "libB.f:x");
+}
+
+// --- CommitConfiguration (evolution) ---
+
+TEST_F(MapperTest, CommitFlipsToTheTarget) {
+  ASSERT_TRUE(mapper_.IncorporateComponent(comp_a_, registry_, kArch).ok());
+  ASSERT_TRUE(mapper_.IncorporateComponent(comp_b_, registry_, kArch).ok());
+  ASSERT_TRUE(mapper_.EnableFunction("f", comp_a_.id).ok());
+
+  DfmState target;
+  ASSERT_TRUE(target.IncorporateComponent(comp_a_).ok());
+  ASSERT_TRUE(target.IncorporateComponent(comp_b_).ok());
+  ASSERT_TRUE(target.EnableFunction("f", comp_b_.id).ok());  // switched
+  ASSERT_TRUE(target.EnableFunction("g", comp_a_.id).ok());  // newly on
+
+  ASSERT_TRUE(Commit(target, /*enforce_marks=*/true).ok());
+  EXPECT_EQ(CallThrough("f"), "libB.f:x");
+  EXPECT_EQ(CallThrough("g"), "libA.g:x");
+}
+
+TEST_F(MapperTest, CommitRequiresEveryComponentStagedOrIncorporated) {
+  ASSERT_TRUE(mapper_.IncorporateComponent(comp_a_, registry_, kArch).ok());
+  DfmState target;
+  ASSERT_TRUE(target.IncorporateComponent(comp_a_).ok());
+  ASSERT_TRUE(target.IncorporateComponent(comp_b_).ok());
+  std::vector<DynamicFunctionMapper::ResolvedComponent> none;
+  EXPECT_EQ(mapper_.CommitConfiguration(target, none, true).code(),
+            ErrorCode::kComponentMissing);
+  EXPECT_FALSE(mapper_.state().HasComponent(comp_b_.id));
+}
+
+TEST_F(MapperTest, CommitEnforcesPermanentWhenAsked) {
+  ASSERT_TRUE(mapper_.IncorporateComponent(comp_a_, registry_, kArch).ok());
+  ASSERT_TRUE(mapper_.MarkPermanent("f", comp_a_.id).ok());
+
+  DfmState target;  // target has f disabled
+  ASSERT_TRUE(target.IncorporateComponent(comp_a_).ok());
+
+  EXPECT_EQ(Commit(target, /*enforce_marks=*/true).code(),
+            ErrorCode::kPermanentViolation);
+  EXPECT_EQ(CallThrough("f"), "libA.f:x");
+  // The general-evolution policy may force it through.
+  EXPECT_TRUE(Commit(target, /*enforce_marks=*/false).ok());
+  EXPECT_EQ(mapper_.state().EnabledImpl("f"), nullptr);
+}
+
+TEST_F(MapperTest, CommitEnforcesMandatoryWhenAsked) {
+  ASSERT_TRUE(mapper_.IncorporateComponent(comp_a_, registry_, kArch).ok());
+  ASSERT_TRUE(mapper_.EnableFunction("f", comp_a_.id).ok());
+  ASSERT_TRUE(mapper_.MarkMandatory("f").ok());
+
+  DfmState target;
+  ASSERT_TRUE(target.IncorporateComponent(comp_a_).ok());  // all disabled
+  EXPECT_EQ(Commit(target, true).code(), ErrorCode::kMandatoryViolation);
+  EXPECT_EQ(CallThrough("f"), "libA.f:x");
+}
+
+TEST_F(MapperTest, CommitReplacesTheDependencySet) {
+  ASSERT_TRUE(mapper_.IncorporateComponent(comp_a_, registry_, kArch).ok());
+  ASSERT_TRUE(mapper_.AddDependency(Dependency::TypeD("f", "g")).ok());
+
+  DfmState target;
+  ASSERT_TRUE(target.IncorporateComponent(comp_a_).ok());
+  ASSERT_TRUE(target.EnableFunction("f", comp_a_.id).ok());
+  // Target dropped the dependency, so f alone is fine after the commit.
+  ASSERT_TRUE(Commit(target, true).ok());
+  EXPECT_EQ(mapper_.state().dependencies().size(), 0u);
+  EXPECT_EQ(CallThrough("f"), "libA.f:x");
 }
 
 TEST_F(MapperTest, RemapBodiesForNewArchitecture) {

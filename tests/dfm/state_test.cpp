@@ -330,71 +330,6 @@ TEST_F(DfmStateTest, ValidateCompleteRequiresMandatoryEnabled) {
   EXPECT_TRUE(state_.ValidateComplete().ok());
 }
 
-// --- AdoptConfiguration (evolution) ---
-
-TEST_F(DfmStateTest, AdoptConfigurationFlipsToTarget) {
-  ASSERT_TRUE(state_.IncorporateComponent(comp_a_).ok());
-  ASSERT_TRUE(state_.IncorporateComponent(comp_b_).ok());
-  ASSERT_TRUE(state_.EnableFunction("f", comp_a_.id).ok());
-
-  DfmState target;
-  ASSERT_TRUE(target.IncorporateComponent(comp_a_).ok());
-  ASSERT_TRUE(target.IncorporateComponent(comp_b_).ok());
-  ASSERT_TRUE(target.EnableFunction("f", comp_b_.id).ok());  // switched
-  ASSERT_TRUE(target.EnableFunction("h", comp_b_.id).ok());  // newly on
-
-  ASSERT_TRUE(state_.AdoptConfiguration(target, /*enforce_marks=*/true).ok());
-  EXPECT_EQ(state_.EnabledImpl("f")->component, comp_b_.id);
-  EXPECT_NE(state_.EnabledImpl("h"), nullptr);
-}
-
-TEST_F(DfmStateTest, AdoptRequiresComponentsIncorporatedFirst) {
-  ASSERT_TRUE(state_.IncorporateComponent(comp_a_).ok());
-  DfmState target;
-  ASSERT_TRUE(target.IncorporateComponent(comp_a_).ok());
-  ASSERT_TRUE(target.IncorporateComponent(comp_b_).ok());
-  EXPECT_EQ(state_.AdoptConfiguration(target, true).code(),
-            ErrorCode::kComponentMissing);
-}
-
-TEST_F(DfmStateTest, AdoptEnforcesPermanentWhenAsked) {
-  ASSERT_TRUE(state_.IncorporateComponent(comp_a_).ok());
-  ASSERT_TRUE(state_.MarkPermanent("f", comp_a_.id).ok());
-
-  DfmState target;  // target has f disabled
-  ASSERT_TRUE(target.IncorporateComponent(comp_a_).ok());
-
-  EXPECT_EQ(state_.AdoptConfiguration(target, /*enforce_marks=*/true).code(),
-            ErrorCode::kPermanentViolation);
-  // The general-evolution policy may force it through.
-  EXPECT_TRUE(state_.AdoptConfiguration(target, /*enforce_marks=*/false).ok());
-  EXPECT_EQ(state_.EnabledImpl("f"), nullptr);
-}
-
-TEST_F(DfmStateTest, AdoptEnforcesMandatoryWhenAsked) {
-  ASSERT_TRUE(state_.IncorporateComponent(comp_a_).ok());
-  ASSERT_TRUE(state_.EnableFunction("f", comp_a_.id).ok());
-  ASSERT_TRUE(state_.MarkMandatory("f").ok());
-
-  DfmState target;
-  ASSERT_TRUE(target.IncorporateComponent(comp_a_).ok());  // all disabled
-  EXPECT_EQ(state_.AdoptConfiguration(target, true).code(),
-            ErrorCode::kMandatoryViolation);
-}
-
-TEST_F(DfmStateTest, AdoptReplacesDependencySet) {
-  ASSERT_TRUE(state_.IncorporateComponent(comp_a_).ok());
-  ASSERT_TRUE(state_.AddDependency(Dependency::TypeD("f", "g")).ok());
-
-  DfmState target;
-  ASSERT_TRUE(target.IncorporateComponent(comp_a_).ok());
-  ASSERT_TRUE(target.EnableFunction("f", comp_a_.id).ok());
-  // Target dropped the dependency, so f alone is fine after adoption.
-  ASSERT_TRUE(state_.AdoptConfiguration(target, true).ok());
-  EXPECT_EQ(state_.dependencies().size(), 0u);
-  EXPECT_NE(state_.EnabledImpl("f"), nullptr);
-}
-
 TEST_F(DfmStateTest, IncorporateKeepsTheGivenRecord) {
   auto record = std::make_shared<const ImplementationComponent>(comp_a_);
   ASSERT_TRUE(state_.IncorporateComponent(record).ok());

@@ -132,6 +132,26 @@ TEST_F(FailureTest, EvolutionToUnresolvableComponentFailsCleanly) {
   InitManager(MakeSingleVersionExplicit());
   auto instance = CreateBlocking(2);
   ASSERT_TRUE(instance.ok());
+  Dcdo* object = manager_->FindInstance(*instance);
+  // What a caller can observe: the version, the components, the enabled
+  // implementation of every function either version knows and the outcome
+  // of a call to each.
+  auto observe = [&] {
+    std::string seen = object->version().ToString();
+    for (const ObjectId& id : object->GetComponents()) {
+      seen += " " + id.ToString();
+    }
+    for (const std::string function : {"serve", "spook", "u"}) {
+      const DfmEntry* impl = object->mapper().state().EnabledImpl(function);
+      seen += " " + function + "@" +
+              (impl == nullptr ? "none" : impl->component.ToString());
+      auto result = object->Call(function, ByteBuffer::FromString("x"));
+      seen += "=" + (result.ok() ? result->ToString()
+                                 : result.status().ToString());
+    }
+    return seen;
+  };
+  const std::string before = observe();
 
   // A version referencing a component that was never published (no ICO):
   // evolution fails with kComponentMissing and the instance is untouched.
@@ -151,8 +171,34 @@ TEST_F(FailureTest, EvolutionToUnresolvableComponentFailsCleanly) {
   ASSERT_TRUE(evolved.has_value());
   EXPECT_EQ(evolved->code(), ErrorCode::kComponentMissing);
   EXPECT_EQ(manager_->InstanceVersion(*instance).value_or(VersionId()), v1_);
-  Dcdo* object = manager_->FindInstance(*instance);
   EXPECT_TRUE(object->Call("serve", ByteBuffer{}).ok()) << "still serving";
+  EXPECT_EQ(observe(), before);
+
+  // A version whose last component cannot be mapped: c-v2 lands and is
+  // staged first, then the unresolvable symbol fails the evolution, and the
+  // instance is exactly as it was, c-v2 nowhere in its table.
+  auto unresolved = ComponentBuilder("unresolved")
+                        .AddFunction("u", "b(b)", "nowhere/u")
+                        .Build();
+  ASSERT_TRUE(unresolved.ok());
+  ASSERT_TRUE(manager_->PublishComponent(*unresolved).ok());
+  VersionId v13 = *manager_->DeriveVersion(v1_);
+  auto d13 = *manager_->MutableDescriptor(v13);
+  ASSERT_TRUE(d13->IncorporateComponent(comp_v2_).ok());
+  ASSERT_TRUE(d13->SwitchImplementation("serve", comp_v2_.id).ok());
+  ASSERT_TRUE(d13->IncorporateComponent(*unresolved).ok());
+  ASSERT_TRUE(d13->EnableFunction("u", unresolved->id).ok());
+  ASSERT_TRUE(manager_->MarkInstantiable(v13).ok());
+  ASSERT_TRUE(manager_->SetCurrentVersion(v13).ok());
+  evolved.reset();
+  manager_->EvolveInstanceTo(*instance, v13,
+                             [&](Status status) { evolved = status; });
+  testbed_.simulation().RunWhile([&] { return !evolved.has_value(); });
+  ASSERT_TRUE(evolved.has_value());
+  EXPECT_EQ(evolved->code(), ErrorCode::kNotFound) << *evolved;
+  EXPECT_EQ(evolved->message(), "unresolved symbol 'nowhere/u'");
+  EXPECT_TRUE(testbed_.host(2)->ComponentCached(comp_v2_.id));
+  EXPECT_EQ(observe(), before);
 }
 
 TEST_F(FailureTest, ProxySurvivesEvolutionDuringPartition) {

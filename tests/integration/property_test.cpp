@@ -6,6 +6,7 @@
 //     the exported-interface contract implied by mandatory marks.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <random>
 #include <sstream>
 
@@ -23,8 +24,8 @@ namespace {
 // on a configurable DfmDescriptor, which must all accept and reject it with
 // the same code. After each op the mapper's slot table, patched one touched
 // slot at a time, must resolve every function exactly as a fresh mapper
-// whose slots were all derived at once (incorporate the same components,
-// then AdoptConfiguration). Copies never alias: a copy of the state and a
+// whose slots were all derived at once (the mapper's table committed onto
+// an empty one). Copies never alias: a copy of the state and a
 // version derived from the descriptor (and frozen when complete), both
 // taken before the op, must read exactly as they did when taken.
 
@@ -57,6 +58,29 @@ std::string AcquireOutcome(DynamicFunctionMapper& mapper,
   auto guard = mapper.Acquire(function, origin);
   if (!guard.ok()) return std::string(ErrorCodeName(guard.status().code()));
   return "ok " + guard->component().ToString();
+}
+
+// Bodies for the components of `target` that `mapper` lacks.
+std::vector<DynamicFunctionMapper::ResolvedComponent> Stage(
+    const DynamicFunctionMapper& mapper, const DfmState& target,
+    const NativeCodeRegistry& registry) {
+  std::vector<DynamicFunctionMapper::ResolvedComponent> staged;
+  for (const ComponentRecord& record : target.components()) {
+    if (mapper.state().HasComponent(record->id)) continue;
+    auto bodies =
+        DynamicFunctionMapper::ResolveComponent(*record, registry, kFuzzArch);
+    EXPECT_TRUE(bodies.ok()) << bodies.status();
+    if (bodies.ok()) staged.push_back(*std::move(bodies));
+  }
+  return staged;
+}
+
+Status CommitTo(DynamicFunctionMapper& mapper, const DfmState& target,
+                const NativeCodeRegistry& registry, bool enforce_marks) {
+  DfmState table = target;
+  std::vector<DynamicFunctionMapper::ResolvedComponent> staged =
+      Stage(mapper, target, registry);
+  return mapper.CommitConfiguration(table, staged, enforce_marks);
 }
 
 class DfmFuzzProperty : public ::testing::TestWithParam<int> {};
@@ -101,14 +125,7 @@ TEST_P(DfmFuzzProperty, InvariantsHoldUnderRandomMutations) {
 
   auto check_slots = [&](int step) {
     DynamicFunctionMapper fresh;
-    for (const ObjectId& id : mapper.state().ComponentIds()) {
-      ASSERT_TRUE(fresh
-                      .IncorporateComponent(*mapper.state().FindComponent(id),
-                                            registry, kFuzzArch,
-                                            /*auto_structural_deps=*/false)
-                      .ok());
-    }
-    ASSERT_TRUE(fresh.AdoptConfiguration(mapper.state(), false).ok());
+    ASSERT_TRUE(CommitTo(fresh, mapper.state(), registry, false).ok());
     for (const std::string& fn : functions) {
       for (CallOrigin origin : {CallOrigin::kExternal, CallOrigin::kInternal}) {
         EXPECT_EQ(AcquireOutcome(mapper, fn, origin),
@@ -222,16 +239,21 @@ TEST_P(DfmFuzzProperty, InvariantsHoldUnderRandomMutations) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DfmFuzzProperty, ::testing::Range(1, 9));
 
-// ===== Installing a version's table =====
+// ===== Committing a version's table =====
 //
-// A new instance installs its version's table whole instead of
-// incorporating component by component and adopting. Over random
-// instantiable descriptors — overlapping function sets, author marks,
-// structural hints, enables, visibilities, marks and dependencies — the two
-// routes must end in the same table: rows, marks, dependencies, records,
-// exported interface, and the outcome of every acquire by name and by id.
-// A mapper that installs may already hold slots (a component came and
-// went), as a live object emptied by evolution does.
+// Every evolution, creation included, commits its target's table in one
+// step. Over pairs of random instantiable descriptors drawn from one pool
+// of components — overlapping function sets, author marks, structural
+// hints, enables, visibilities, marks and dependencies — committing `to`
+// onto a mapper that holds `from` keeps, drops and adds components and
+// makes functions leave, and must end in the table a commit of `to` onto
+// an empty mapper makes: rows, dependencies, records, exported interface,
+// and the outcome of every acquire by name and by id (under enforce_marks
+// the live commit also carries `from`'s marks forward, so marks are
+// compared only without it). The empty mapper may already hold slots (a
+// component came and went), as a live object emptied by evolution does. A
+// commit made to fail — a busy dropped component, a mark violation, a kept
+// component removed meanwhile — leaves the table byte-identical.
 
 // What a call to `function`'s id resolves to, like AcquireOutcome.
 std::string AcquireByIdOutcome(DynamicFunctionMapper& mapper,
@@ -243,15 +265,17 @@ std::string AcquireByIdOutcome(DynamicFunctionMapper& mapper,
   return "ok " + guard->component().ToString();
 }
 
-std::string Rows(const DfmState& state) {
+std::string Rows(const DfmState& state, bool with_marks = true) {
   std::ostringstream out;
   for (const DfmEntry& entry : state.entries()) {
     out << entry.name() << '@' << entry.component << ' ' << entry.impl << ' '
         << entry.function_id.value << ' ' << VisibilityName(entry.visibility)
-        << ' ' << entry.enabled << ' ' << entry.permanent << '\n';
+        << ' ' << entry.enabled;
+    if (with_marks) out << ' ' << entry.permanent;
+    out << '\n';
   }
   for (const std::string& function : state.mandatory_functions()) {
-    out << "mandatory " << function << '\n';
+    if (with_marks) out << "mandatory " << function << '\n';
   }
   for (const Dependency& dep : state.dependencies().all()) {
     out << "dep " << dep << '\n';
@@ -280,33 +304,39 @@ TEST_P(InstallProperty, MatchesIncorporateThenAdopt) {
   // A leftover component whose slots an emptied mapper keeps.
   const ImplementationComponent leftover =
       testing::MakeEchoComponent(registry, "leftover", {"a", "g", "zz"});
+  // The pool every version draws its components from.
+  std::vector<ImplementationComponent> pool;
+  for (int c = 0; c < 8; ++c) {
+    const std::string name = "p" + std::to_string(c);
+    ComponentBuilder builder(name);
+    for (const std::string& fn : names) {
+      if (!coin(0.45)) continue;
+      const std::string symbol = name + "/" + fn;
+      testing::RegisterEcho(registry, symbol, name + "." + fn);
+      const Constraint constraint =
+          coin(0.08)   ? Constraint::kPermanent
+          : coin(0.08) ? Constraint::kMandatory
+                       : Constraint::kFullyDynamic;
+      std::vector<std::string> calls;
+      if (coin(0.1)) calls.push_back(names[pick(names.size())]);
+      builder.AddFunction(fn, "b(b)", symbol,
+                          coin(0.3) ? Visibility::kInternal
+                                    : Visibility::kExported,
+                          constraint, std::move(calls));
+    }
+    auto built = builder.Build();
+    if (built.ok()) pool.push_back(*std::move(built));  // drew a function
+  }
 
   int compared = 0;
-  for (int round = 0; round < 24; ++round) {
+  int busy = 0;
+  int marks = 0;
+  int missing = 0;
+  std::optional<DfmDescriptor> from;
+  for (int round = 0; round < 48; ++round) {
     DfmDescriptor target(VersionId::Root().Child(round + 1));
-    const std::size_t components = 2 + pick(6);
-    for (std::size_t c = 0; c < components; ++c) {
-      const std::string name =
-          "r" + std::to_string(round) + "c" + std::to_string(c);
-      ComponentBuilder builder(name);
-      for (const std::string& fn : names) {
-        if (!coin(0.45)) continue;
-        const std::string symbol = name + "/" + fn;
-        testing::RegisterEcho(registry, symbol, name + "." + fn);
-        const Constraint constraint =
-            coin(0.08)   ? Constraint::kPermanent
-            : coin(0.08) ? Constraint::kMandatory
-                         : Constraint::kFullyDynamic;
-        std::vector<std::string> calls;
-        if (coin(0.1)) calls.push_back(names[pick(names.size())]);
-        builder.AddFunction(fn, "b(b)", symbol,
-                            coin(0.3) ? Visibility::kInternal
-                                      : Visibility::kExported,
-                            constraint, std::move(calls));
-      }
-      auto built = builder.Build();
-      if (!built.ok()) continue;  // drew no function
-      (void)target.IncorporateComponent(*built, coin(0.5));
+    for (const ImplementationComponent& comp : pool) {
+      if (coin(0.5)) (void)target.IncorporateComponent(comp, coin(0.5));
     }
     const std::vector<ObjectId> ids = target.state().ComponentIds();
     if (ids.empty()) continue;
@@ -351,54 +381,109 @@ TEST_P(InstallProperty, MatchesIncorporateThenAdopt) {
       }
     }
     if (!target.MarkInstantiable().ok()) continue;
+    if (!from.has_value()) {
+      from.emplace(std::move(target));
+      continue;
+    }
+    const DfmState& to = target.state();
     const bool enforce_marks = coin(0.5);
 
-    DynamicFunctionMapper adopted;
-    DynamicFunctionMapper installed;
-    for (DynamicFunctionMapper* mapper : {&adopted, &installed}) {
-      if (!coin(0.5)) continue;
+    // The reference: `to` committed onto an empty mapper.
+    DynamicFunctionMapper fresh;
+    if (coin(0.5)) {
       ASSERT_TRUE(
-          mapper->IncorporateComponent(leftover, registry, kFuzzArch).ok());
-      ASSERT_TRUE(mapper->RemoveComponent(leftover.id).ok());
+          fresh.IncorporateComponent(leftover, registry, kFuzzArch).ok());
+      ASSERT_TRUE(fresh.RemoveComponent(leftover.id).ok());
     }
-    for (const ComponentRecord& record : target.state().components()) {
-      ASSERT_TRUE(adopted
-                      .IncorporateComponent(record, registry, kFuzzArch,
-                                            /*auto_structural_deps=*/false)
-                      .ok());
-    }
-    ASSERT_TRUE(
-        adopted.AdoptConfiguration(target.state(), enforce_marks).ok());
-    std::vector<DynamicFunctionMapper::ResolvedComponent> resolved;
-    for (const ComponentRecord& record : target.state().components()) {
-      auto bodies =
-          DynamicFunctionMapper::ResolveComponent(*record, registry, kFuzzArch);
-      ASSERT_TRUE(bodies.ok()) << bodies.status();
-      resolved.push_back(*std::move(bodies));
-    }
-    std::shuffle(resolved.begin(), resolved.end(), rng);  // landing order
-    ASSERT_TRUE(
-        installed.InstallConfiguration(target.state(), std::move(resolved))
-            .ok());
+    ASSERT_TRUE(CommitTo(fresh, to, registry, enforce_marks).ok());
 
-    EXPECT_EQ(Rows(installed.state()), Rows(adopted.state()))
-        << "round " << round;
-    std::vector<std::string> probes = names;
-    probes.push_back("zz");
-    probes.push_back("never-incorporated");
-    for (const std::string& fn : probes) {
-      for (CallOrigin origin : {CallOrigin::kExternal, CallOrigin::kInternal}) {
-        EXPECT_EQ(AcquireOutcome(installed, fn, origin),
-                  AcquireOutcome(adopted, fn, origin))
-            << "function " << fn << " in round " << round;
-        EXPECT_EQ(AcquireByIdOutcome(installed, fn, origin),
-                  AcquireByIdOutcome(adopted, fn, origin))
-            << "function " << fn << " in round " << round;
+    // The live route: `to` committed onto a mapper holding `from`.
+    DynamicFunctionMapper live;
+    ASSERT_TRUE(CommitTo(live, from->state(), registry, false).ok());
+    const Status evolved = CommitTo(live, to, registry, enforce_marks);
+    if (!evolved.ok()) {
+      // Only carried marks can stop it: `from` holds a permanent
+      // implementation or a mandatory function that `to` leaves disabled.
+      EXPECT_TRUE(enforce_marks) << evolved;
+      EXPECT_TRUE(evolved.code() == ErrorCode::kPermanentViolation ||
+                  evolved.code() == ErrorCode::kMandatoryViolation)
+          << evolved;
+      EXPECT_EQ(Rows(live.state()), Rows(from->state())) << "round " << round;
+      ++marks;
+    } else {
+      EXPECT_EQ(Rows(live.state(), !enforce_marks),
+                Rows(fresh.state(), !enforce_marks))
+          << "round " << round;
+      std::vector<std::string> probes = names;
+      probes.push_back("zz");
+      probes.push_back("never-incorporated");
+      for (const std::string& fn : probes) {
+        for (CallOrigin origin :
+             {CallOrigin::kExternal, CallOrigin::kInternal}) {
+          EXPECT_EQ(AcquireOutcome(live, fn, origin),
+                    AcquireOutcome(fresh, fn, origin))
+              << "function " << fn << " in round " << round;
+          EXPECT_EQ(AcquireByIdOutcome(live, fn, origin),
+                    AcquireByIdOutcome(fresh, fn, origin))
+              << "function " << fn << " in round " << round;
+        }
       }
+      ++compared;
     }
-    ++compared;
+
+    // Commits made to fail, each onto a mapper holding `from`.
+    DynamicFunctionMapper probe;
+    ASSERT_TRUE(CommitTo(probe, from->state(), registry, false).ok());
+    for (const DfmEntry& row : from->state().entries()) {
+      // A thread inside a component `to` drops.
+      if (!row.enabled || to.HasComponent(row.component)) continue;
+      auto guard = probe.Acquire(row.name(), CallOrigin::kInternal);
+      ASSERT_TRUE(guard.ok()) << guard.status();
+      const std::string before = Rows(probe.state());
+      EXPECT_EQ(CommitTo(probe, to, registry, false).code(),
+                ErrorCode::kActiveThreads);
+      EXPECT_EQ(Rows(probe.state()), before) << "round " << round;
+      ++busy;
+      break;
+    }
+    for (const DfmEntry& row : probe.state().entries()) {
+      // A function made mandatory that `to` leaves without an enabled
+      // implementation.
+      if (to.EnabledImpl(row.name()) != nullptr ||
+          !probe.MarkMandatory(row.name()).ok()) {
+        continue;
+      }
+      const std::string before = Rows(probe.state());
+      const Status violated = CommitTo(probe, to, registry, true);
+      EXPECT_TRUE(violated.code() == ErrorCode::kMandatoryViolation ||
+                  violated.code() == ErrorCode::kPermanentViolation)
+          << violated;
+      EXPECT_EQ(Rows(probe.state()), before) << "round " << round;
+      ++marks;
+      break;
+    }
+    // A kept component removed between staging and the commit.
+    DfmState table = to;
+    std::vector<DynamicFunctionMapper::ResolvedComponent> staged =
+        Stage(probe, to, registry);
+    for (const ComponentRecord& record : from->state().components()) {
+      if (!to.HasComponent(record->id) ||
+          !probe.RemoveComponent(record->id).ok()) {
+        continue;
+      }
+      const std::string before = Rows(probe.state());
+      EXPECT_EQ(probe.CommitConfiguration(table, staged, false).code(),
+                ErrorCode::kComponentMissing);
+      EXPECT_EQ(Rows(probe.state()), before) << "round " << round;
+      ++missing;
+      break;
+    }
+    from.emplace(std::move(target));
   }
-  EXPECT_GE(compared, 12) << "too few draws were instantiable";
+  EXPECT_GE(compared, 8) << "too few draws were instantiable";
+  EXPECT_GE(busy, 1);
+  EXPECT_GE(marks, 1);
+  EXPECT_GE(missing, 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, InstallProperty, ::testing::Range(1, 9));

@@ -309,7 +309,7 @@ TEST(TestbedTracingTest, EvolvePhasesAreNamedAndNestUnderTheEvolveSpan) {
   ASSERT_TRUE(object.IncorporateCached(comp_a).ok());
   ASSERT_TRUE(object.EnableFunction("f", comp_a.id).ok());
 
-  // B replaces A: acquire B, adopt, then remove A.
+  // B replaces A: acquire B, then commit the target, dropping A.
   DfmDescriptor target(VersionId::Root().Child(1));
   ASSERT_TRUE(target.IncorporateComponent(comp_b).ok());
   ASSERT_TRUE(target.EnableFunction("f", comp_b.id).ok());
@@ -338,8 +338,16 @@ TEST(TestbedTracingTest, EvolvePhasesAreNamedAndNestUnderTheEvolveSpan) {
     EXPECT_EQ(phase.notes[0].first, "phase");
     names.push_back(phase.notes[0].second);
   }
-  EXPECT_EQ(names, (std::vector<std::string>{"acquire", "removals", "removal",
-                                             "removals"}));
+  EXPECT_EQ(names, (std::vector<std::string>{"acquire", "commit"}));
+  // The commit reports the one component it dropped.
+  std::vector<std::string> removed;
+  for (const Span& span : spans) {
+    if (span.name != "dfm.remove") continue;
+    for (const auto& [key, value] : span.notes) {
+      if (key == "component") removed.push_back(value);
+    }
+  }
+  EXPECT_EQ(removed, std::vector<std::string>{comp_a.id.ToString()});
 }
 
 // A component stream nests under the evolve span that asked for it. A
