@@ -6,9 +6,9 @@
 // to the service rate. This experiment drives an *open loop* — Poisson
 // arrivals fire on a fixed schedule whether or not earlier calls have
 // returned — which is where admission control earns its keep. Each scenario
-// reports the simulated makespan plus p50/p99 call latency taken from a
-// log2-bucket histogram over per-call (reply - invoke) sim time, so the
-// latency distribution, not just the mean, lands in BENCH_dcdo.json.
+// reports the simulated makespan plus the exact nearest-rank p50/p99 of the
+// per-call (reply - invoke) sim times, so the latency distribution, not just
+// the mean, lands in BENCH_dcdo.json.
 //
 // Scenarios:
 //   OpenLoopSessions  — session_slots=4: client-side slot admission queues
@@ -36,10 +36,10 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
-#include "instrument/metrics.h"
 #include "rpc/client.h"
 
 namespace dcdo::bench {
@@ -109,20 +109,23 @@ struct OpenLoopRig {
   // open-loop driver issues them), runs to completion, and returns
   // simulated seconds.
   double Run(const std::vector<std::vector<sim::SimDuration>>& schedule,
-             trace::Histogram& latency, const char* method = "work") {
+             std::vector<std::int64_t>& latency_ns,
+             const char* method = "work") {
     std::size_t expected = 0;
     for (std::size_t c = 0; c < schedule.size(); ++c) {
       for (std::size_t i = 0; i < schedule[c].size(); ++i, ++expected) {
-        testbed.simulation().Schedule(schedule[c][i], [this, &latency, c, i,
-                                                       method]() {
+        testbed.simulation().Schedule(schedule[c][i], [this, &latency_ns, c,
+                                                       i, method]() {
           const sim::SimTime started = testbed.simulation().Now();
           const std::string tag =
               "c" + std::to_string(c) + ".i" + std::to_string(i);
           clients[c]->Invoke(target, method, ByteBuffer::FromString(tag),
-                             [this, &latency, started](Result<ByteBuffer> r) {
+                             [this, &latency_ns,
+                              started](Result<ByteBuffer> r) {
                                if (!r.ok()) std::abort();
-                               latency.Record(testbed.simulation().Now() -
-                                              started);
+                               latency_ns.push_back(
+                                   (testbed.simulation().Now() - started)
+                                       .nanos());
                                ++replies;
                              });
         });
@@ -148,13 +151,21 @@ struct OpenLoopRig {
   int max_in_flight = 0;
 };
 
-void ReportLatency(benchmark::State& state, const trace::Histogram& latency) {
-  state.counters["p50_ms"] = benchmark::Counter(
-      static_cast<double>(latency.ValueAtPercentile(50.0)) / 1e6);
-  state.counters["p99_ms"] = benchmark::Counter(
-      static_cast<double>(latency.ValueAtPercentile(99.0)) / 1e6);
+// Reports the exact nearest-rank p50/p99 of the recorded latencies: the
+// smallest sample with at least p% of all samples at or below it.
+void ReportLatency(benchmark::State& state,
+                   std::vector<std::int64_t> latency_ns) {
+  std::sort(latency_ns.begin(), latency_ns.end());
+  const auto percentile_ms = [&latency_ns](std::size_t percent) {
+    if (latency_ns.empty()) return 0.0;
+    const std::size_t rank =
+        std::max<std::size_t>((percent * latency_ns.size() + 99) / 100, 1);
+    return static_cast<double>(latency_ns[rank - 1]) / 1e6;
+  };
+  state.counters["p50_ms"] = benchmark::Counter(percentile_ms(50));
+  state.counters["p99_ms"] = benchmark::Counter(percentile_ms(99));
   state.counters["calls"] =
-      benchmark::Counter(static_cast<double>(latency.count()));
+      benchmark::Counter(static_cast<double>(latency_ns.size()));
 }
 
 // --- The saturated open loop (Sessions) ------------------------------------
@@ -179,16 +190,16 @@ std::vector<std::vector<sim::SimDuration>> OpenLoopSchedule() {
 void RunOpenLoopScenario(benchmark::State& state, Testbed::Options options) {
   options.host_count = kOpenLoopClients + 2;
   const auto schedule = OpenLoopSchedule();
-  trace::Histogram latency;
+  std::vector<std::int64_t> latency_ns;
   std::uint64_t backpressure = 0;
   for (auto _ : state) {
     // Fresh rig per iteration: every iteration replays the identical
     // schedule from t=0, so the reported time is the same number repeated.
     OpenLoopRig rig(options, kOpenLoopClients, sim::SimDuration::Millis(2));
-    state.SetIterationTime(rig.Run(schedule, latency));
+    state.SetIterationTime(rig.Run(schedule, latency_ns));
     backpressure = rig.BackpressureWaits();
   }
-  ReportLatency(state, latency);
+  ReportLatency(state, std::move(latency_ns));
   state.counters["backpressure"] =
       benchmark::Counter(static_cast<double>(backpressure));
 }
@@ -214,16 +225,16 @@ void SimTime_E16_SlowServer(benchmark::State& state) {
     schedule.push_back(PoissonArrivals(calls, 1000.0,
                                        0x516 + static_cast<std::uint64_t>(c)));
   }
-  trace::Histogram latency;
+  std::vector<std::int64_t> latency_ns;
   std::uint64_t dedup_hits = 0;
   std::uint64_t backpressure = 0;
   for (auto _ : state) {
     OpenLoopRig rig(options, clients, sim::SimDuration::Seconds(12.0));
-    state.SetIterationTime(rig.Run(schedule, latency));
+    state.SetIterationTime(rig.Run(schedule, latency_ns));
     dedup_hits = rig.testbed.transport().dedup_hits();
     backpressure = rig.BackpressureWaits();
   }
-  ReportLatency(state, latency);
+  ReportLatency(state, std::move(latency_ns));
   state.counters["dedup_hits"] =
       benchmark::Counter(static_cast<double>(dedup_hits));
   state.counters["backpressure"] =
@@ -250,17 +261,17 @@ void SimTime_E16_Incast(benchmark::State& state) {
     std::sort(mine.begin(), mine.end());
     schedule.push_back(std::move(mine));
   }
-  trace::Histogram latency;
+  std::vector<std::int64_t> latency_ns;
   int max_in_flight = 0;
   std::uint64_t backpressure = 0;
   for (auto _ : state) {
     OpenLoopRig rig(options, clients, sim::SimDuration::Seconds(1.0));
-    state.SetIterationTime(rig.Run(schedule, latency));
+    state.SetIterationTime(rig.Run(schedule, latency_ns));
     max_in_flight = rig.max_in_flight;
     backpressure = rig.BackpressureWaits();
   }
   if (max_in_flight > clients * options.cost_model.session_slots) std::abort();
-  ReportLatency(state, latency);
+  ReportLatency(state, std::move(latency_ns));
   state.counters["max_in_flight"] =
       benchmark::Counter(static_cast<double>(max_in_flight));
   state.counters["backpressure"] =
@@ -283,7 +294,7 @@ void SimTime_E16_RetryStorm(benchmark::State& state) {
     schedule.push_back({sim::SimDuration::Micros(static_cast<std::int64_t>(
         Mix64(0x57 + static_cast<std::uint64_t>(c)) % 200))});
   }
-  trace::Histogram latency;
+  std::vector<std::int64_t> latency_ns;
   std::uint64_t dedup_hits = 0;
   for (auto _ : state) {
     // Replies park 2 s; the partition closes at 0.5 s and heals at 45 s, so
@@ -302,11 +313,11 @@ void SimTime_E16_RetryStorm(benchmark::State& state) {
             rig.testbed.network().SetPartitioned(client_node, 1, false);
           });
     }
-    state.SetIterationTime(rig.Run(schedule, latency, "storm"));
+    state.SetIterationTime(rig.Run(schedule, latency_ns, "storm"));
     dedup_hits = rig.testbed.transport().dedup_hits();
   }
   if (dedup_hits < static_cast<std::uint64_t>(clients)) std::abort();
-  ReportLatency(state, latency);
+  ReportLatency(state, std::move(latency_ns));
   state.counters["dedup_hits"] =
       benchmark::Counter(static_cast<double>(dedup_hits));
 }

@@ -10,7 +10,7 @@
 //              rpc.rebind ─ rpc.attempt (rebound) ─ rpc.dispatch ─ reply
 //
 // while the DCDO evolution shows up as a sub-second `evolve` span, its Fom
-// phases (acquire, removals) nested beneath it, with the service's dfm.call
+// phases (acquire, commit) nested beneath it, with the service's dfm.call
 // traffic flowing uninterrupted around it.
 //
 //   ./build/examples/traced_evolution [output.json]

@@ -11,9 +11,9 @@
 #   scripts/trace.sh --compare GOLDEN.json NEW.json
 #       # exit 1 unless both hold the same simulated-time content: the
 #       # multiset of (name, cat, ts, dur, pid, notes, parent's name) over
-#       # every event, and every dcdoMetrics counter and histogram by name
-#       # and value. Span ids and wall-clock stamps are left out, so two
-#       # runs of the same code compare equal.
+#       # every event, and every exported dcdoMetrics value by name. Span
+#       # ids and wall-clock stamps are left out, so two runs of the same
+#       # code compare equal.
 set -u
 
 cd "$(dirname "$0")/.." || exit 1
@@ -56,15 +56,6 @@ if counters:
     print("counters:")
     for name in sorted(counters):
         print(f"  {name} = {counters[name]}")
-histograms = metrics.get("histograms", {})
-if histograms:
-    print("histograms (sim time):")
-    for name in sorted(histograms):
-        h = histograms[name]
-        print(
-            f"  {name}: n={h['count']} mean={h['mean_ns'] / 1e6:.3f} ms "
-            f"min={h['min_ns'] / 1e6:.3f} ms max={h['max_ns'] / 1e6:.3f} ms"
-        )
 PYEOF
 }
 
@@ -87,10 +78,11 @@ def load(path):
         print(f"trace: cannot read {path}: {err}", file=sys.stderr)
         sys.exit(2)
     events = trace.get("traceEvents", [])
-    exported = trace.get("dcdoMetrics", {})
+    # Every section of dcdoMetrics ("counters"), by name: a value only one
+    # file exports is a difference too.
     metrics = {f"{kind[:-1]} {name}": value
-               for kind in ("counters", "histograms")
-               for name, value in exported.get(kind, {}).items()}
+               for kind, section in trace.get("dcdoMetrics", {}).items()
+               for name, value in section.items()}
     names = {e.get("args", {}).get("span"): e["name"] for e in events}
     keys = collections.Counter()
     for e in events:

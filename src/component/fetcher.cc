@@ -87,11 +87,7 @@ struct ComponentFetcher::Shared {
       return;
     }
     const ObjectId id = item.meta->id;
-    if (item.request->options.skip_resolve_when_cached &&
-        dest->ComponentCached(id)) {
-      Settle(item, Status::Ok(), /*was_cached=*/true);
-      return;
-    }
+    // Resolve first, so a dangling component id fails even when cached.
     Result<ImplementationComponentObject*> ico = resolver->FindIco(id);
     if (!ico.ok()) {
       // A dangling component id aborts the request outright (there is

@@ -70,11 +70,6 @@ class ComponentFetcher {
     // instance re-fetches lazily). Resolve and on_ready failures always
     // abort.
     bool fail_fast = true;
-    // Legacy migration never resolves an ICO for an already-cached image;
-    // evolution/incorporate resolve first so a dangling component id fails
-    // even when cached. Both orders cost the same — this only preserves each
-    // caller's error behaviour.
-    bool skip_resolve_when_cached = false;
   };
 
   explicit ComponentFetcher(const IcoResolver* resolver);

@@ -111,10 +111,7 @@ Dcdo::Dcdo(std::string name, sim::SimHost* host, rpc::RpcTransport* transport,
       agent_(*agent),
       registry_(*registry),
       icos_(*icos),
-      owned_fetcher_(fetcher == nullptr
-                         ? std::make_unique<ComponentFetcher>(icos)
-                         : nullptr),
-      fetcher_(fetcher == nullptr ? owned_fetcher_.get() : fetcher),
+      fetcher_(fetcher),
       version_(std::move(version)) {
   address_.node = host_->node();
   address_.pid = host_->AdoptProcess(id_);
@@ -293,6 +290,49 @@ Status Dcdo::StageCached(
   return Status::Ok();
 }
 
+// One incorporate as a pooled Fom: acquire the component through the
+// pipeline (fetch from the ICO if not cached), then map it. Routing even a
+// single incorporate through the fetcher is what lets two co-hosted DCDOs
+// incorporating the same component share one stream; reaching the object
+// through the DcdoOp is what lets an image that lands after a destroy find
+// it gone.
+class IncorporateFom final : public DcdoOp {
+ public:
+  enum Phase { kAcquire };
+
+  IncorporateFom(Dcdo* object, ComponentRecord record, Dcdo::DoneCallback done)
+      : DcdoOp("dcdo.incorporate", object),
+        record_(std::move(record)),
+        done_(std::move(done)) {}
+
+  runtime::FomStatus Tick() override {
+    if (phase() == kAcquire) {
+      done_(object_ == nullptr ? Gone() : wake_status());
+      return runtime::FomStatus::kDone;
+    }
+    EnterPhase(kAcquire, "acquire");
+    runtime::FomScheduler* scheduler = &this->scheduler();
+    const std::uint64_t id = this->id();
+    object_->fetcher_->AcquireAll(
+        object_->host_, {std::move(record_)},
+        // The Fom outlives on_ready: it waits for the acquisition's done,
+        // which runs right after it.
+        [fom = this](const ComponentRecord& meta, bool /*was_cached*/) {
+          if (fom->object_ == nullptr) return fom->Gone();
+          return fom->object_->IncorporateCached(meta);
+        },
+        [scheduler, id](Status status) {
+          scheduler->WakeStatus(id, runtime::WakeSource::kFetch,
+                                std::move(status));
+        });
+    return WaitOn(runtime::WakeSource::kFetch);
+  }
+
+ private:
+  ComponentRecord record_;
+  Dcdo::DoneCallback done_;
+};
+
 void Dcdo::IncorporateComponent(const ObjectId& component_id,
                                 DoneCallback done) {
   Result<ImplementationComponentObject*> ico = icos_.Find(component_id);
@@ -300,15 +340,9 @@ void Dcdo::IncorporateComponent(const ObjectId& component_id,
     done(ico.status());
     return;
   }
-  // Acquire through the pipeline (fetch from the ICO if not cached), then
-  // map. Routing even a single incorporate through the fetcher is what lets
-  // two co-hosted DCDOs incorporating the same component share one stream.
-  fetcher_->AcquireAll(
-      host_, {(*ico)->record()},
-      [this](const ComponentRecord& meta, bool /*was_cached*/) {
-        return IncorporateCached(meta);
-      },
-      std::move(done));
+  auto& scheduler = runtime::FomScheduler::For(simulation());
+  scheduler.Start(*scheduler.Create<IncorporateFom>(this, (*ico)->record(),
+                                                    std::move(done)));
 }
 
 Status Dcdo::RemoveComponent(const ObjectId& component_id,

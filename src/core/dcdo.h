@@ -42,8 +42,9 @@
 
 namespace dcdo {
 
-class DcdoOp;     // dcdo.cc: an operation that reaches a Dcdo across time
-class EvolveFom;  // dcdo.cc: the pooled state machine behind EvolveTo
+class DcdoOp;          // dcdo.cc: an operation that reaches a Dcdo across time
+class EvolveFom;       // dcdo.cc: the pooled state machine behind EvolveTo
+class IncorporateFom;  // dcdo.cc: the same, behind IncorporateComponent
 
 class Dcdo final : public CallContext {
  public:
@@ -70,13 +71,12 @@ class Dcdo final : public CallContext {
   // Activates the DCDO on `host` as a fresh process (no spawn cost charged —
   // managers charge creation explicitly; see DcdoManager::CreateInstance).
   // `fetcher` routes this object's component acquisitions; a manager passes
-  // its own so co-managed instances share one single-flight scope. Null (the
-  // default, used by directly-constructed test objects) gives the object a
-  // private fetcher with identical behaviour.
+  // its own so co-managed instances share one single-flight scope. It must
+  // outlive the object: an acquisition in flight when the object is
+  // destroyed still lands, and its operation then ends kNotFound.
   Dcdo(std::string name, sim::SimHost* host, rpc::RpcTransport* transport,
        BindingAgent* agent, const NativeCodeRegistry* registry,
-       const IcoDirectory* icos, VersionId version,
-       ComponentFetcher* fetcher = nullptr);
+       const IcoDirectory* icos, VersionId version, ComponentFetcher* fetcher);
   ~Dcdo() override;
 
   Dcdo(const Dcdo&) = delete;
@@ -103,7 +103,8 @@ class Dcdo final : public CallContext {
   }
 
   // Full incorporate: resolves the ICO, fetches the image if not cached
-  // (bulk download), then maps it. `done` runs when incorporated.
+  // (bulk download), then maps it. `done` runs when incorporated; a destroy
+  // meanwhile ends it kNotFound.
   void IncorporateComponent(const ObjectId& component_id, DoneCallback done);
 
   // Immediate removal honouring `thread_policy` (kError rejects on active
@@ -213,8 +214,9 @@ class Dcdo final : public CallContext {
   }
 
  private:
-  // Runs the evolution stages against mapper_/version_ directly.
+  // The operation Foms work on mapper_, fetcher_ and version_ directly.
   friend class EvolveFom;
+  friend class IncorporateFom;
   friend class DcdoOp;  // links itself into ops_
 
   // Runs `attempt` with kError and, when it meets active threads under
@@ -253,7 +255,6 @@ class Dcdo final : public CallContext {
   BindingAgent& agent_;
   const NativeCodeRegistry& registry_;
   const IcoDirectory& icos_;
-  std::unique_ptr<ComponentFetcher> owned_fetcher_;  // only when none injected
   ComponentFetcher* fetcher_;
   VersionId version_;
   DynamicFunctionMapper mapper_;

@@ -184,9 +184,6 @@ class MigrateInstanceFom final : public runtime::Fom {
         // cost here; fetched ones are mapped by RemapForHost below.
         std::span<const ComponentRecord> records =
             object->mapper().state().components();
-        ComponentFetcher::Options options;
-        options.fail_fast = false;
-        options.skip_resolve_when_cached = true;
         EnterPhase(kFetch, "fetch");
         runtime::FomScheduler* scheduler = &this->scheduler();
         const std::uint64_t id = this->id();
@@ -208,7 +205,7 @@ class MigrateInstanceFom final : public runtime::Fom {
               scheduler->WakeStatus(id, WakeSource::kFetch,
                                     std::move(status));
             },
-            options);
+            ComponentFetcher::Options{.fail_fast = false});
         return WaitOn(WakeSource::kFetch);
       }
       case kFetch: {

@@ -1,5 +1,6 @@
 #include "instrument/chrome_trace.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string_view>
@@ -98,32 +99,15 @@ void AppendEvent(std::string& out, const Span& span, bool& first) {
   out += "}}";
 }
 
-void AppendMetrics(std::string& out, const MetricsRegistry& metrics) {
+void AppendCounters(std::string& out, std::vector<CounterTotal> counters) {
+  std::sort(counters.begin(), counters.end());
   out += ",\n\"dcdoMetrics\": {\"counters\": {";
   bool first = true;
-  for (const auto& [name, value] : metrics.CounterSnapshot()) {
+  for (const auto& [name, value] : counters) {
     if (!first) out += ", ";
     first = false;
     AppendString(out, name);
     out += ": " + std::to_string(value);
-  }
-  out += "}, \"histograms\": {";
-  first = true;
-  for (const std::string& name : metrics.HistogramNames()) {
-    const Histogram* h = metrics.FindHistogram(name);
-    if (h == nullptr) continue;
-    if (!first) out += ", ";
-    first = false;
-    AppendString(out, name);
-    out += ": {\"count\": " + std::to_string(h->count());
-    out += ", \"sum_ns\": " + std::to_string(h->sum_nanos());
-    out += ", \"min_ns\": " + std::to_string(h->min_nanos());
-    out += ", \"max_ns\": " + std::to_string(h->max_nanos());
-    char mean[48];
-    std::snprintf(mean, sizeof(mean), "%.1f", h->mean_nanos());
-    out += ", \"mean_ns\": ";
-    out += mean;
-    out += "}";
   }
   out += "}}";
 }
@@ -131,7 +115,7 @@ void AppendMetrics(std::string& out, const MetricsRegistry& metrics) {
 }  // namespace
 
 std::string ToChromeTraceJson(const std::vector<Span>& spans,
-                              const MetricsRegistry* metrics) {
+                              std::vector<CounterTotal> counters) {
   std::string out;
   out.reserve(spans.size() * 200 + 1024);
   out += "{\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n";
@@ -140,15 +124,15 @@ std::string ToChromeTraceJson(const std::vector<Span>& spans,
     AppendEvent(out, span, first);
   }
   out += "\n]";
-  if (metrics != nullptr) {
-    AppendMetrics(out, *metrics);
-  }
+  AppendCounters(out, std::move(counters));
   out += "}\n";
   return out;
 }
 
-Status WriteChromeTrace(const SpanRecorder& spans, const std::string& path) {
-  std::string json = ToChromeTraceJson(spans.SnapshotSpans(), &spans.metrics());
+Status WriteChromeTrace(const SpanRecorder& spans, const std::string& path,
+                        std::vector<CounterTotal> counters) {
+  std::string json =
+      ToChromeTraceJson(spans.SnapshotSpans(), std::move(counters));
   std::ofstream file(path, std::ios::binary | std::ios::trunc);
   if (!file) {
     return InternalError("cannot open trace output file " + path);

@@ -8,26 +8,33 @@
 // node, tid = the span category, so one node's client/transport/net/server
 // work stacks visually.
 //
-// Metrics are exported alongside the events under a top-level "dcdoMetrics"
-// key (counter values + histogram summaries) — Chrome ignores unknown keys,
-// so the file stays loadable while scripts/trace.sh can read the numbers.
+// Counter totals ride alongside the events under a top-level "dcdoMetrics"
+// key, as {"counters": {name: value, ...}} sorted by name. The totals are
+// whatever the caller hands over (Testbed::DumpTrace passes the member
+// counters of what the testbed owns); Chrome ignores unknown keys, so the
+// file stays loadable while scripts/trace.sh can read the numbers.
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
-#include "instrument/metrics.h"
 #include "instrument/spans.h"
 
 namespace dcdo::trace {
 
-// Renders `spans` (and optionally `metrics`) as a Trace Event JSON object.
+// One exported total: (name, value).
+using CounterTotal = std::pair<std::string, std::uint64_t>;
+
+// Renders `spans` and `counters` as a Trace Event JSON object.
 std::string ToChromeTraceJson(const std::vector<Span>& spans,
-                              const MetricsRegistry* metrics = nullptr);
+                              std::vector<CounterTotal> counters = {});
 
 // Snapshot + render + write to `path`.
 [[nodiscard]] Status WriteChromeTrace(const SpanRecorder& spans,
-                                      const std::string& path);
+                                      const std::string& path,
+                                      std::vector<CounterTotal> counters = {});
 
 }  // namespace dcdo::trace

@@ -4,7 +4,9 @@
 // a Testbed installs it when Options::checking or Options::tracing is on).
 // It feeds two consumers, each present only when asked for: the checker
 // (checker.h: probes, invariants, race detector, diagnostics) and the span
-// recorder (spans.h: spans, instants, scope stack, metrics, Chrome export).
+// recorder (spans.h: spans, instants and scope stack; chrome_trace.h
+// exports them with the counter totals the caller passes). Counts stay in
+// their owners' trace::Counter members (metrics.h), not on the context.
 //
 // A fact is one typed call at the site that knows it, and the context hands
 // it to both consumers: the checker updates its ledgers, the recorder leaves

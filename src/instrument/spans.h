@@ -13,10 +13,13 @@
 //       rpc.dispatch (server, same call_id)
 //         dfm.call (DFM acquire+body)
 //     rpc.timeout / rpc.rebind / rpc.attempt [attempt=2] ...
-//   evolve (begin -> commit/rollback)
-//     dcdo.evolve [phase=acquire|removals|removal] (the evolution's Fom)
+//   evolve (begin -> outcome)
+//     dcdo.evolve [phase=acquire|commit] (the evolution's Fom)
 //
 // plus the instants the context's typed facts leave (DESIGN.md §9.1).
+//
+// The recorder holds spans and nothing else: a latency is its span's
+// duration, and a count lives in its owner's trace::Counter (metrics.h).
 //
 // Causality has two carriage mechanisms:
 //   * a scope stack for synchronous nesting — SpanScope pushes its span as
@@ -29,9 +32,6 @@
 // Retry-attempt annotations ride on the spans (attempt=N), and every span
 // carries (node, call_id) when call-scoped, so "which attempts belong to one
 // logical call" is a trace query, not a log-grovel.
-//
-// The recorder also owns the MetricsRegistry (metrics.h): sim-time
-// histograms and the few counters no span and no member counter records.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +42,6 @@
 #include <utility>
 #include <vector>
 
-#include "instrument/metrics.h"
 #include "sim/sim_time.h"
 
 namespace dcdo::sim {
@@ -99,9 +98,6 @@ class SpanRecorder {
     simulation_ = simulation;
   }
 
-  MetricsRegistry& metrics() { return metrics_; }
-  const MetricsRegistry& metrics() const { return metrics_; }
-
   // --- span recording ---
 
   // Opens a span with its first notes; returns its id (0 if the span cap
@@ -147,8 +143,6 @@ class SpanRecorder {
   std::vector<Span> spans_;  // index = id - 1
   std::vector<SpanId> scope_stack_;
   std::uint64_t dropped_ = 0;
-
-  MetricsRegistry metrics_;
 };
 
 }  // namespace dcdo::trace

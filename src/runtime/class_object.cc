@@ -225,47 +225,8 @@ void ClassObject::EvolveInstance(const ObjectId& instance_id,
     done(OutOfRangeError("no executable " + std::to_string(executable_index)));
     return;
   }
-  Instance& instance = it->second;
-  sim::SimHost* host = instance.host;
-  sim::Simulation& simulation = home_.simulation();
-  const sim::CostModel& cost = home_.cost_model();
-
-  // 1. Capture the object's state.
-  std::size_t state_bytes = instance.state.CaptureSize();
-  simulation.Schedule(cost.StateCapture(state_bytes), [this, instance_id,
-                                                       host, executable_index,
-                                                       state_bytes,
-                                                       done = std::move(
-                                                           done)]() mutable {
-    auto it = instances_.find(instance_id);
-    if (it == instances_.end()) {
-      done(NotFoundError("instance destroyed during evolution"));
-      return;
-    }
-    // 2. Deactivate the old process. The binding agent keeps no entry for
-    //    the object until reactivation; clients' cached bindings are stale.
-    Instance& instance = it->second;
-    const std::size_t old_index = instance.executable_index;
-    transport_.UnregisterEndpoint(instance.host->node(), instance.pid);
-    (void)instance.host->KillProcess(instance.pid);
-    instance.active = false;
-    agent_.Unbind(instance_id);
-    DCDO_LOG(kDebug) << class_name_ << ": instance " << instance_id
-                     << " deactivated for evolution";
-
-    // 3. Download the new executable to the host (if absent).
-    EnsureExecutableOnHost(
-        host, executable_index,
-        [this, instance_id, host, executable_index, old_index, state_bytes,
-         done = std::move(done)](Status status) mutable {
-          // 4. Spawn the new process (reloads the executable) and read the
-          //    captured state back in — or, when the download failed, bring
-          //    the old executable back up with it.
-          const std::size_t index = status.ok() ? executable_index : old_index;
-          RestoreInstance(instance_id, host, index, state_bytes,
-                          std::move(status), std::move(done));
-        });
-  });
+  MoveInstance(instance_id, it->second.host, executable_index,
+               std::move(done));
 }
 
 void ClassObject::MigrateInstance(const ObjectId& instance_id,
@@ -275,55 +236,77 @@ void ClassObject::MigrateInstance(const ObjectId& instance_id,
     done(NotFoundError("no instance " + instance_id.ToString()));
     return;
   }
-  Instance& instance = it->second;
-  std::size_t executable_index = instance.executable_index;
-  std::size_t state_bytes = instance.state.CaptureSize();
-  sim::SimHost* source = instance.host;
-  sim::Simulation& simulation = home_.simulation();
-  const sim::CostModel& cost = home_.cost_model();
+  MoveInstance(instance_id, dest, it->second.executable_index,
+               std::move(done));
+}
 
-  simulation.Schedule(
-      cost.StateCapture(state_bytes),
-      [this, instance_id, source, dest, executable_index, state_bytes,
-       done = std::move(done)]() mutable {
-        auto it = instances_.find(instance_id);
+void ClassObject::MoveInstance(const ObjectId& instance_id, sim::SimHost* dest,
+                               std::size_t executable_index,
+                               DoneCallback done) {
+  const Instance& instance = instances_.at(instance_id);
+  Move move{.instance = instance_id,
+            .source = instance.host,
+            .dest = dest,
+            .new_executable = executable_index,
+            .state_bytes = instance.state.CaptureSize()};
+  // 1. Capture the object's state.
+  home_.simulation().Schedule(
+      home_.cost_model().StateCapture(move.state_bytes),
+      [this, move, done = std::move(done)]() mutable {
+        auto it = instances_.find(move.instance);
         if (it == instances_.end()) {
-          done(NotFoundError("instance destroyed during migration"));
+          done(NotFoundError("instance " + move.instance.ToString() +
+                             " destroyed during its move"));
           return;
         }
+        // 2. Deactivate the old process. The binding agent keeps no entry
+        //    for the object until reactivation; clients' cached bindings
+        //    are stale.
         Instance& instance = it->second;
+        move.old_executable = instance.executable_index;
         transport_.UnregisterEndpoint(instance.host->node(), instance.pid);
         (void)instance.host->KillProcess(instance.pid);
         instance.active = false;
-        agent_.Unbind(instance_id);
-
-        // State travels to the destination while the executable is fetched.
-        // Either failing brings the instance back up at its source.
-        source->network().BulkTransfer(
-            source->node(), dest->node(), state_bytes,
-            [this, instance_id, source, dest, executable_index, state_bytes,
-             done = std::move(done)](bool delivered) mutable {
+        agent_.Unbind(move.instance);
+        DCDO_LOG(kDebug) << class_name_ << ": instance " << move.instance
+                         << " deactivated to move to node "
+                         << move.dest->node();
+        if (move.dest == move.source) {
+          InstallAndRestore(move, std::move(done));
+          return;
+        }
+        // 3. Transfer the state to the new host. A failed transfer brings
+        //    the instance back up at its source.
+        move.source->network().BulkTransfer(
+            move.source->node(), move.dest->node(), move.state_bytes,
+            [this, move, done = std::move(done)](bool delivered) mutable {
               if (!delivered) {
-                RestoreInstance(instance_id, source, executable_index,
-                                state_bytes,
-                                UnavailableError("state transfer of " +
-                                                 instance_id.ToString() +
-                                                 " to node " +
-                                                 std::to_string(dest->node()) +
-                                                 " failed"),
-                                std::move(done));
+                RestoreInstance(
+                    move.instance, move.source, move.old_executable,
+                    move.state_bytes,
+                    UnavailableError("state transfer of " +
+                                     move.instance.ToString() + " to node " +
+                                     std::to_string(move.dest->node()) +
+                                     " failed"),
+                    std::move(done));
                 return;
               }
-              EnsureExecutableOnHost(
-                  dest, executable_index,
-                  [this, instance_id, source, dest, executable_index,
-                   state_bytes, done = std::move(done)](Status status) mutable {
-                    sim::SimHost* host = status.ok() ? dest : source;
-                    RestoreInstance(instance_id, host, executable_index,
-                                    state_bytes, std::move(status),
-                                    std::move(done));
-                  });
+              InstallAndRestore(move, std::move(done));
             });
+      });
+}
+
+void ClassObject::InstallAndRestore(const Move& move, DoneCallback done) {
+  // 4. Put the executable on the destination (unless present), then spawn
+  //    it and read the captured state back in — or, when the download
+  //    failed, bring the old executable back up at the source.
+  EnsureExecutableOnHost(
+      move.dest, move.new_executable,
+      [this, move, done = std::move(done)](Status status) mutable {
+        const bool landed = status.ok();
+        RestoreInstance(move.instance, landed ? move.dest : move.source,
+                        landed ? move.new_executable : move.old_executable,
+                        move.state_bytes, std::move(status), std::move(done));
       });
 }
 

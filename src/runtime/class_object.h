@@ -76,19 +76,19 @@ class ClassObject {
   void CreateInstance(sim::SimHost* host, std::size_t initial_state_bytes,
                       CreateCallback done);
 
-  // Evolves `instance` to the executable at `executable_index` via the full
-  // monolithic pipeline described above. The instance's address changes;
-  // client binding caches are NOT updated (that is the point). When the
-  // download fails, the instance comes back up on its host with its old
-  // executable; when the host itself is down, it stays deactivated.
+  // Evolution and migration are one move (MoveInstance): capture state ->
+  // deactivate -> transfer the state when the host changes -> download the
+  // executable to the host (if absent) -> spawn -> restore -> rebind. The
+  // instance's address changes; client binding caches are NOT updated (that
+  // is the point). When the transfer or the download fails, the instance is
+  // reactivated where it was (host, old executable, captured state) before
+  // `done` reports it; when that host is down too, it stays deactivated.
+
+  // Moves `instance` to the executable at `executable_index`, on its host.
   void EvolveInstance(const ObjectId& instance, std::size_t executable_index,
                       DoneCallback done);
 
-  // Moves `instance` to `dest`: capture state -> transfer state + download
-  // executable at dest (if absent) -> spawn -> restore -> rebind. When a
-  // transfer or download of either fails, the instance is reactivated where
-  // it was (host, old executable, captured state) before `done` reports it;
-  // when that host is down too, it stays deactivated.
+  // Moves `instance` to `dest`, running the executable it runs now.
   void MigrateInstance(const ObjectId& instance, sim::SimHost* dest,
                        DoneCallback done);
 
@@ -113,6 +113,23 @@ class ClassObject {
     bool active = false;
   };
 
+  // One move of an instance: where it runs and what it runs, before and
+  // after.
+  struct Move {
+    ObjectId instance;
+    sim::SimHost* source = nullptr;
+    sim::SimHost* dest = nullptr;
+    std::size_t old_executable = 0;  // read as the instance deactivates
+    std::size_t new_executable = 0;
+    std::size_t state_bytes = 0;
+  };
+
+  // The one pipeline behind EvolveInstance and MigrateInstance (above).
+  void MoveInstance(const ObjectId& instance_id, sim::SimHost* dest,
+                    std::size_t executable_index, DoneCallback done);
+  // The move's last step, once the state is at `move.dest`: download the
+  // executable there and restore, or restore at the source on failure.
+  void InstallAndRestore(const Move& move, DoneCallback done);
   // Ensures `executable` is in `host`'s file store; `done` runs when it is.
   // Overlapping requests for one file on one host share one download.
   void EnsureExecutableOnHost(sim::SimHost* host, std::size_t executable_index,

@@ -1,7 +1,7 @@
 #include "runtime/fom.h"
 
-#include <algorithm>
 #include <memory>
+#include <utility>
 
 namespace dcdo::runtime {
 
@@ -17,14 +17,9 @@ void Fom::EnterPhase(int phase, const char* phase_name) {
 }
 
 FomScheduler::~FomScheduler() {
-  // The owning simulation is going away with operations still in flight
-  // (tests tearing down mid-scenario). Destroy what's left so every pooled
-  // block is returned; OnAbort runs because the operation did not complete.
-  while (!live_.empty()) {
-    Fom* fom = live_.begin()->second;
-    fom->OnAbort();
-    Destroy(fom);
-  }
+  // Tests tear down mid-scenario: destroy what is left so every pooled block
+  // is returned.
+  while (!live_.empty()) Destroy(live_.begin()->second);
 }
 
 FomScheduler& FomScheduler::For(sim::Simulation& simulation) {
@@ -38,9 +33,6 @@ void FomScheduler::Register(Fom* fom) {
   fom->scheduler_ = this;
   fom->id_ = next_id_++;
   live_.emplace(fom->id_, fom);
-  if (auto* spans = instrument::Spans()) {
-    spans->metrics().GetCounter("fom.created").Increment();
-  }
 }
 
 void FomScheduler::Start(Fom& fom) {
@@ -67,56 +59,23 @@ void FomScheduler::Drain() {
 
 void FomScheduler::RunOne(Fom* fom) {
   fom->run_state_ = Fom::RunState::kRunning;
-  for (;;) {
-    FomStatus status = fom->Tick();
-    if (fom->abort_requested_) {
-      fom->OnAbort();
-      Destroy(fom);
+  while (fom->Tick() == FomStatus::kWait) {
+    // A completion that finished synchronously inside Tick left its wake
+    // pending; consume it and keep running — one drain, no event round trip
+    // (the legacy chains' recursive done() calls). A wake for a source the
+    // Fom no longer awaits is stale: drop it and park on what Tick asked for.
+    const WakeSource pending = std::exchange(fom->pending_, WakeSource::kNone);
+    if (pending == WakeSource::kNone || pending != fom->awaited_) {
+      fom->run_state_ = Fom::RunState::kWaiting;
       return;
     }
-    switch (status) {
-      case FomStatus::kRunAgain:
-        continue;
-      case FomStatus::kWait:
-        // A completion that finished synchronously inside Tick left its
-        // wake pending; consume it and keep running — one drain, no event
-        // round trip (the legacy chains' recursive done() calls).
-        if (fom->pending_ != WakeSource::kNone) {
-          const bool match = fom->pending_ == fom->awaited_;
-          fom->pending_ = WakeSource::kNone;
-          if (match) continue;
-          // A wake for a source the Fom no longer awaits is stale: drop it
-          // and park on what Tick actually asked for.
-        }
-        Park(fom);
-        return;
-      case FomStatus::kDone:
-        Destroy(fom);
-        return;
-    }
   }
-}
-
-void FomScheduler::Park(Fom* fom) {
-  fom->run_state_ = Fom::RunState::kWaiting;
-  fom->wait_started_ = simulation_->Now();
-  wait_sets_[static_cast<std::size_t>(fom->awaited_)].push_back(fom->id_);
+  Destroy(fom);
 }
 
 void FomScheduler::Destroy(Fom* fom) {
   if (fom->timer_id_ != 0) simulation_->Cancel(fom->timer_id_);
-  if (fom->run_state_ == Fom::RunState::kWaiting) {
-    auto& set = wait_sets_[static_cast<std::size_t>(fom->awaited_)];
-    auto it = std::find(set.begin(), set.end(), fom->id_);
-    if (it != set.end()) {
-      *it = set.back();
-      set.pop_back();
-    }
-  }
-  if (auto* spans = instrument::Spans()) {
-    spans->EndSpan(fom->phase_span_);
-    spans->metrics().GetCounter("fom.completed").Increment();
-  }
+  if (auto* spans = instrument::Spans()) spans->EndSpan(fom->phase_span_);
   live_.erase(fom->id_);
   void (*dealloc)(void*) = fom->dealloc_;
   void* block = fom->block_;
@@ -131,7 +90,7 @@ Fom* FomScheduler::Payload(std::uint64_t id) {
 
 void FomScheduler::Wake(std::uint64_t id, WakeSource source) {
   Fom* fom = Payload(id);
-  if (fom == nullptr) return;  // finished or aborted before the completion
+  if (fom == nullptr) return;  // finished before the completion
   if (source == WakeSource::kTimer) fom->timer_id_ = 0;
   if (fom->run_state_ == Fom::RunState::kRunning ||
       fom->run_state_ == Fom::RunState::kQueued) {
@@ -141,17 +100,7 @@ void FomScheduler::Wake(std::uint64_t id, WakeSource source) {
   if (fom->run_state_ != Fom::RunState::kWaiting || fom->awaited_ != source) {
     return;  // stale: the Fom moved on to a different wait
   }
-  auto& set = wait_sets_[static_cast<std::size_t>(source)];
-  auto it = std::find(set.begin(), set.end(), id);
-  if (it != set.end()) {
-    *it = set.back();
-    set.pop_back();
-  }
   fom->awaited_ = WakeSource::kNone;
-  if (auto* spans = instrument::Spans()) {
-    spans->metrics().GetHistogram("fom.wait_time").Record(
-        simulation_->Now() - fom->wait_started_);
-  }
   Enqueue(fom);
   Drain();
 }
@@ -174,29 +123,10 @@ void FomScheduler::ArmTimer(Fom& fom, sim::SimDuration delay) {
       delay, [this, id] { Wake(id, WakeSource::kTimer); });
 }
 
-void FomScheduler::Abort(std::uint64_t id) {
-  Fom* fom = Payload(id);
-  if (fom == nullptr) return;
-  if (fom->run_state_ == Fom::RunState::kRunning) {
-    fom->abort_requested_ = true;  // RunOne destroys after Tick returns
-    return;
-  }
-  if (fom->run_state_ == Fom::RunState::kQueued) {
-    run_queue_.erase(std::remove(run_queue_.begin(), run_queue_.end(), fom),
-                     run_queue_.end());
-  }
-  fom->OnAbort();
-  Destroy(fom);
-}
-
 bool FomScheduler::Alive(std::uint64_t id) const {
   return live_.count(id) != 0;
 }
 
 std::size_t FomScheduler::live_count() const { return live_.size(); }
-
-std::size_t FomScheduler::waiting_on(WakeSource source) const {
-  return wait_sets_[static_cast<std::size_t>(source)].size();
-}
 
 }  // namespace dcdo::runtime

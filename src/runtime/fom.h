@@ -14,7 +14,8 @@
 // The scheduler's contract is SimTime neutrality: a Fom conversion changes
 // control flow, never the simulated schedule. Wakeups therefore run the Fom
 // synchronously inside the waking event (exactly where the legacy chain
-// invoked its continuation), `kRunAgain` loops replace tail-call recursion,
+// invoked its continuation), a completion that lands while the Fom is still
+// ticking is consumed in the same drain instead of by tail-call recursion,
 // and real delays still go through `Simulation::Schedule` via `ArmTimer`.
 // Determinism digests are byte-identical across the conversion — the Fom
 // equivalence suite (tests/runtime/fom_equivalence_test.cpp) pins that.
@@ -48,8 +49,9 @@
 // std::function's 16-byte inline buffer (capture {scheduler, id} only) so
 // the conversion removes allocations instead of moving them around. The
 // scheduler's Wake*() entry points are exactly that shape, and a stale id —
-// the Fom finished or aborted before the completion arrived — is a safe
-// no-op.
+// the Fom finished before the completion arrived — is a safe no-op. A Fom
+// re-finds the object it works on after each wait (DcdoOp in core/dcdo.cc,
+// the manager's instance table), so a destroy meanwhile ends it kNotFound.
 #pragma once
 
 #include <cstdint>
@@ -67,21 +69,18 @@ namespace dcdo::runtime {
 
 // What Tick() tells the scheduler to do next.
 enum class FomStatus : std::uint8_t {
-  kRunAgain,  // more same-sim-time work: tick again in this drain
-  kWait,      // parked until the awaited WakeSource fires (use WaitOn)
-  kDone,      // operation complete: destroy the Fom and recycle its block
+  kWait,  // parked until the awaited WakeSource fires (use WaitOn)
+  kDone,  // operation complete: destroy the Fom and recycle its block
 };
 
-// Wait sets are keyed by wakeup source; a wake only lands if the Fom is
-// waiting on that source (anything else is stale and ignored).
+// What a parked Fom waits on. A wake only lands if the Fom awaits that
+// source (anything else is stale and ignored).
 enum class WakeSource : std::uint8_t {
   kNone = 0,
-  kRpcReply,  // an RPC reply / remote completion
-  kFetch,     // a component fetch / bulk transfer completion
-  kTimer,     // an ArmTimer deadline
-  kChild,     // a sub-operation this Fom started (nested Fom, callback op)
+  kFetch,  // a component fetch completion
+  kTimer,  // an ArmTimer deadline
+  kChild,  // a sub-operation this Fom started (spawn, transfer, callback op)
 };
-inline constexpr std::size_t kWakeSourceCount = 5;
 
 class FomScheduler;
 
@@ -107,10 +106,6 @@ class Fom {
 
   // Runs the current phase. Called only by the scheduler.
   virtual FomStatus Tick() = 0;
-
-  // Called once if the Fom is aborted while waiting (Abort()); the
-  // destructor follows immediately. Release external resources here.
-  virtual void OnAbort() {}
 
   // Records a phase transition: closes the previous phase's trace span and
   // opens the next (span name = the Fom's name, "phase" note = phase_name),
@@ -145,11 +140,9 @@ class Fom {
   // that finished synchronously inside Tick). The drain loop consumes it —
   // turning the legacy chains' tail recursion into iteration.
   WakeSource pending_ = WakeSource::kNone;
-  bool abort_requested_ = false;
   Status wake_status_;
   std::uint64_t wake_value_ = 0;
   std::uint64_t timer_id_ = 0;  // outstanding ArmTimer event (0 = none)
-  sim::SimTime wait_started_;
   trace::SpanId phase_span_ = 0;
   trace::SpanId phase_parent_ = trace::kScopeParent;
   // Pooled-block bookkeeping: Create<T>() records how to return the block.
@@ -157,13 +150,16 @@ class Fom {
   void* block_ = nullptr;
 };
 
-// Per-simulation scheduler: run queue + wait sets keyed by WakeSource.
-// Attached to the Simulation (sim::Simulation::attachment), so every layer
-// reaches the same instance without a new dependency edge.
+// Per-simulation scheduler: the live Foms by id and a run queue; a parked
+// Fom's own `awaited_` says what wakes it. Attached to the Simulation
+// (sim::Simulation::attachment), so every layer reaches the same instance
+// without a new dependency edge.
 class FomScheduler {
  public:
   explicit FomScheduler(sim::Simulation* simulation)
       : simulation_(simulation) {}
+  // Destroys every live Fom (cancelling its timer, returning its block):
+  // the simulation is going away with operations still in flight.
   ~FomScheduler();
 
   // The scheduler for `simulation`, created on first use.
@@ -197,14 +193,8 @@ class FomScheduler {
   // phases). The armed event is cancelled if the Fom is destroyed first.
   void ArmTimer(Fom& fom, sim::SimDuration delay);
 
-  // Destroys a waiting (or not-yet-started) Fom: OnAbort(), then the
-  // destructor and block recycle. Aborting mid-Tick marks the Fom; the
-  // drain loop destroys it as soon as Tick returns.
-  void Abort(std::uint64_t id);
-
   bool Alive(std::uint64_t id) const;
   std::size_t live_count() const;
-  std::size_t waiting_on(WakeSource source) const;
 
   sim::Simulation& simulation() const { return *simulation_; }
 
@@ -213,14 +203,12 @@ class FomScheduler {
   void Enqueue(Fom* fom);
   void Drain();
   void RunOne(Fom* fom);
-  void Park(Fom* fom);
   void Destroy(Fom* fom);
   Fom* Payload(std::uint64_t id);  // lookup for Wake{Status,Value}, or null
 
   sim::Simulation* simulation_;
   std::uint64_t next_id_ = 1;
   std::unordered_map<std::uint64_t, Fom*> live_;
-  std::vector<std::uint64_t> wait_sets_[kWakeSourceCount];
   std::vector<Fom*> run_queue_;
 };
 

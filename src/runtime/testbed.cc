@@ -84,26 +84,24 @@ Status Testbed::DumpTrace(const std::string& path) {
         "tracing is not installed on this testbed (Options::tracing)");
   }
   // Each count lives once, in its owner's member counter or in the spans;
-  // copy the totals of what the testbed owns in so the JSON carries them.
-  trace::MetricsRegistry& m = spans->metrics();
-  m.SetCounter("net.messages_sent", network_->messages_sent());
-  m.SetCounter("net.messages_delivered", network_->messages_delivered());
-  m.SetCounter("net.messages_dropped", network_->messages_dropped());
-  m.SetCounter("net.bytes_sent", network_->bytes_sent());
-  m.SetCounter("rpc.invocations_delivered",
-               transport_->invocations_delivered());
-  m.SetCounter("rpc.epoch_rejections", transport_->epoch_rejections());
-  m.SetCounter("rpc.dedup_hits", transport_->dedup_hits());
-  m.SetCounter("rpc.session_stale", transport_->session_stale_drops());
-  m.SetCounter("naming.lookups_served", agent_.lookups_served());
-  m.SetCounter("naming.leases_granted", agent_.leases_granted());
-  m.SetCounter("naming.invalidations_sent", agent_.invalidations_sent());
-  m.SetCounter("naming.invalidations_delivered",
-               agent_.invalidations_delivered());
+  // hand the totals of what the testbed owns to the export.
   std::uint64_t evictions = 0;
   for (const auto& host : hosts_) evictions += host->component_evictions();
-  m.SetCounter("host.component_cache_evictions", evictions);
-  return trace::WriteChromeTrace(*spans, path);
+  return trace::WriteChromeTrace(
+      *spans, path,
+      {{"net.messages_sent", network_->messages_sent()},
+       {"net.messages_delivered", network_->messages_delivered()},
+       {"net.messages_dropped", network_->messages_dropped()},
+       {"net.bytes_sent", network_->bytes_sent()},
+       {"rpc.invocations_delivered", transport_->invocations_delivered()},
+       {"rpc.epoch_rejections", transport_->epoch_rejections()},
+       {"rpc.dedup_hits", transport_->dedup_hits()},
+       {"rpc.session_stale", transport_->session_stale_drops()},
+       {"naming.lookups_served", agent_.lookups_served()},
+       {"naming.leases_granted", agent_.leases_granted()},
+       {"naming.invalidations_sent", agent_.invalidations_sent()},
+       {"naming.invalidations_delivered", agent_.invalidations_delivered()},
+       {"host.component_cache_evictions", evictions}});
 }
 
 std::unique_ptr<rpc::RpcClient> Testbed::MakeClient(std::size_t host_index) {

@@ -41,7 +41,7 @@ class Testbed {
     // checking: the invariant checker and race detector. Default on — tests
     // run checked; benches measuring the raw runtime turn it off.
     bool checking = true;
-    // tracing: the span recorder (causal spans + metrics). Default off —
+    // tracing: the span recorder (causal spans and instants). Default off —
     // tracing is opt-in per scenario.
     bool tracing = false;
   };
@@ -81,7 +81,7 @@ class Testbed {
 
   // Exports the collected trace as Chrome trace-event JSON (chrome://tracing
   // / Perfetto), with the member totals of the network, transport, hosts and
-  // binding agent copied in. Fails when tracing is not installed.
+  // binding agent as its counters. Fails when tracing is not installed.
   [[nodiscard]] Status DumpTrace(const std::string& path);
 
  private:

@@ -49,6 +49,10 @@ class Simulation {
   // Slot 0 is burned with a non-zero generation so no real event ever gets
   // id 0 — callers use 0 as a "no timer armed" sentinel.
   Simulation() { slab_.emplace_back().gen = 1; }
+  // Drops the attachment first: a Fom scheduler torn down with the
+  // simulation cancels its Foms' timers in the slab and wheel, which must
+  // still be whole.
+  ~Simulation() { attachment_.reset(); }
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 

@@ -22,14 +22,14 @@ class ChainFom {
   ChainFom(std::vector<Step> steps, std::function<void()> done)
       : steps_(std::move(steps)), done_(std::move(done)) {}
 
-  // kRunAgain until the queue drains; the real scheduler loops on this.
+  // True until the queue drains; RunChain ticks again while it is.
   bool Tick() {
     if (index_ == steps_.size()) {
       done_();
-      return false;  // kDone
+      return false;  // done
     }
     ++index_;
-    return true;  // kRunAgain
+    return true;  // more steps
   }
 
  private:

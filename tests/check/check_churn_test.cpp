@@ -66,8 +66,9 @@ TEST(CheckChurnTest, EvolutionOverParkedCallReportsTheRace) {
   icos.Register(&ico_app);
   icos.Register(&ico_b);
 
+  ComponentFetcher fetcher(&icos);
   Dcdo object("obj", testbed.host(1), &testbed.transport(), &testbed.agent(),
-              &testbed.registry(), &icos, VersionId::Root());
+              &testbed.registry(), &icos, VersionId::Root(), &fetcher);
   testbed.host(1)->CacheComponent(app->id, app->code_bytes);
   ASSERT_TRUE(object.IncorporateCached(*app).ok());
   ASSERT_TRUE(object.EnableFunction("f", app->id).ok());

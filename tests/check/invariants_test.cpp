@@ -290,7 +290,7 @@ class CheckedRuntimeTest : public ::testing::Test {
     object_ = std::make_unique<Dcdo>("obj", testbed_.host(1),
                                      &testbed_.transport(), &testbed_.agent(),
                                      &testbed_.registry(), &icos_,
-                                     VersionId::Root());
+                                     VersionId::Root(), &fetcher_);
   }
 
   Status IncorporateBlocking(const ObjectId& component) {
@@ -303,6 +303,7 @@ class CheckedRuntimeTest : public ::testing::Test {
 
   Testbed testbed_;
   IcoDirectory icos_;
+  ComponentFetcher fetcher_{&icos_};  // outlives object_
   ImplementationComponent comp_a_;
   ImplementationComponent comp_b_;
   std::unique_ptr<ImplementationComponentObject> ico_a_;

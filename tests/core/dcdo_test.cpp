@@ -4,6 +4,7 @@
 
 #include "component/ico.h"
 #include "rpc/client.h"
+#include "runtime/fom.h"
 #include "runtime/testbed.h"
 #include "testing/fixtures.h"
 
@@ -26,7 +27,7 @@ class DcdoTest : public ::testing::Test {
     object_ = std::make_unique<Dcdo>("obj", testbed_.host(1),
                                      &testbed_.transport(), &testbed_.agent(),
                                      &testbed_.registry(), &icos_,
-                                     VersionId::Root());
+                                     VersionId::Root(), &fetcher_);
   }
 
   Status IncorporateBlocking(const ObjectId& component) {
@@ -37,8 +38,32 @@ class DcdoTest : public ::testing::Test {
     return out.value_or(InternalError("incorporate never completed"));
   }
 
+  // Starts `op` on object_, destroys the object 10 ms in, while libB's
+  // 550 KB image still streams, and expects `done` once with kNotFound and
+  // no operation left behind: the fetcher outlives the object, so the image
+  // lands and the operation finds its object gone.
+  void ExpectDestroyMidFetchEndsNotFound(
+      const std::function<void(Dcdo::DoneCallback)>& op) {
+    int calls = 0;
+    Status status;
+    op([&](Status result) {
+      ++calls;
+      status = std::move(result);
+    });
+    testbed_.simulation().RunUntil(testbed_.simulation().Now() +
+                                   sim::SimDuration::Millis(10));
+    ASSERT_EQ(calls, 0) << "the image was not streaming yet";
+    object_.reset();
+    testbed_.simulation().Run();
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(status.code(), ErrorCode::kNotFound) << status;
+    EXPECT_EQ(runtime::FomScheduler::For(testbed_.simulation()).live_count(),
+              0u);
+  }
+
   Testbed testbed_;
   IcoDirectory icos_;
+  ComponentFetcher fetcher_{&icos_};  // outlives object_
   ImplementationComponent comp_a_;
   ImplementationComponent comp_b_;
   std::unique_ptr<ImplementationComponentObject> ico_a_;
@@ -67,7 +92,7 @@ TEST_F(DcdoTest, IncorporateCachedIsCheap) {
   sim::SimTime start = testbed_.simulation().Now();
   Dcdo second("obj2", testbed_.host(1), &testbed_.transport(),
               &testbed_.agent(), &testbed_.registry(), &icos_,
-              VersionId::Root());
+              VersionId::Root(), &fetcher_);
   ASSERT_TRUE(second.IncorporateCached(comp_b_).ok());
   double micros = (testbed_.simulation().Now() - start).ToSeconds() * 1e6;
   EXPECT_LT(micros, 1000.0) << "cached incorporate is ~200 us + registration";
@@ -77,6 +102,22 @@ TEST_F(DcdoTest, IncorporateCachedIsCheap) {
 TEST_F(DcdoTest, IncorporateUnknownComponentFails) {
   Status status = IncorporateBlocking(ObjectId::Next(domains::kComponent));
   EXPECT_EQ(status.code(), ErrorCode::kComponentMissing);
+}
+
+TEST_F(DcdoTest, DestroyDuringIncorporateFetchEndsNotFound) {
+  ExpectDestroyMidFetchEndsNotFound([&](Dcdo::DoneCallback done) {
+    object_->IncorporateComponent(comp_b_.id, std::move(done));
+  });
+}
+
+TEST_F(DcdoTest, DestroyDuringEvolveToFetchEndsNotFound) {
+  DfmDescriptor target(VersionId::Root().Child(1));
+  ASSERT_TRUE(target.IncorporateComponent(comp_b_).ok());
+  ASSERT_TRUE(target.EnableFunction("f", comp_b_.id).ok());
+  ASSERT_TRUE(target.MarkInstantiable().ok());
+  ExpectDestroyMidFetchEndsNotFound([&](Dcdo::DoneCallback done) {
+    object_->EvolveTo(target, Dcdo::RemovalPolicy::Error(), std::move(done));
+  });
 }
 
 TEST_F(DcdoTest, CallGoesThroughDfm) {
@@ -484,7 +525,7 @@ TEST_F(DcdoTest, FreshInstallFailureMatchesIncorporate) {
     ASSERT_TRUE(target.MarkInstantiable().ok());
     Dcdo fresh("fresh", testbed_.host(1), &testbed_.transport(),
                &testbed_.agent(), &testbed_.registry(), &icos_,
-               VersionId::Root());
+               VersionId::Root(), &fetcher_);
     std::optional<Status> evolved;
     const sim::SimTime start = testbed_.simulation().Now();
     fresh.EvolveTo(target, Dcdo::RemovalPolicy::Error(),

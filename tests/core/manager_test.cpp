@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "rpc/client.h"
+#include "runtime/fom.h"
 #include "runtime/testbed.h"
 #include "testing/fixtures.h"
 
@@ -555,6 +556,31 @@ TEST_F(ManagerTest, DestroyDuringColdEvolutionEndsNotFound) {
   EXPECT_EQ(calls, 1);
   EXPECT_EQ(status.code(), ErrorCode::kNotFound) << status;
   EXPECT_EQ(manager_->instance_count(), 0u);
+}
+
+// The same for an incorporate into a managed instance: the 550 KB image
+// lands after the destroy and finds its object gone.
+TEST_F(ManagerTest, DestroyDuringIncorporateEndsNotFound) {
+  Init(MakeSingleVersionExplicit());
+  auto instance = CreateBlocking();
+  ASSERT_TRUE(instance.ok());
+  auto extra = testing::MakeEchoComponent(testbed_.registry(), "extra",
+                                          {"extra"}, /*code_bytes=*/550'000);
+  ASSERT_TRUE(manager_->PublishComponent(extra).ok());
+  // 10 ms in, the image is still streaming to the instance's host.
+  DestroyAllAfter(0.01);
+  int calls = 0;
+  Status status;
+  manager_->FindInstance(*instance)->IncorporateComponent(
+      extra.id, [&](Status result) {
+        ++calls;
+        status = result;
+      });
+  testbed_.simulation().Run();
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(status.code(), ErrorCode::kNotFound) << status;
+  EXPECT_EQ(runtime::FomScheduler::For(testbed_.simulation()).live_count(),
+            0u);
 }
 
 TEST_F(ManagerTest, DestroyDuringCreationApplyEndsNotFound) {

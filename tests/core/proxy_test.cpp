@@ -20,7 +20,7 @@ class ProxyTest : public ::testing::Test {
     object_ = std::make_unique<Dcdo>("svc", testbed_.host(1),
                                      &testbed_.transport(), &testbed_.agent(),
                                      &testbed_.registry(), &icos_,
-                                     VersionId::Root());
+                                     VersionId::Root(), &fetcher_);
     testbed_.host(1)->CacheComponent(comp_a_.id, comp_a_.code_bytes);
     testbed_.host(1)->CacheComponent(comp_b_.id, comp_b_.code_bytes);
     EXPECT_TRUE(object_->IncorporateCached(comp_a_).ok());
@@ -32,6 +32,7 @@ class ProxyTest : public ::testing::Test {
 
   Testbed testbed_;
   IcoDirectory icos_;
+  ComponentFetcher fetcher_{&icos_};  // outlives object_
   ImplementationComponent comp_a_;
   ImplementationComponent comp_b_;
   std::unique_ptr<Dcdo> object_;

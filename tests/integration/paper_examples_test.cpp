@@ -102,7 +102,7 @@ class SortCompareExample : public ::testing::Test {
     object_ = std::make_unique<Dcdo>("sorter", testbed_.host(1),
                                      &testbed_.transport(), &testbed_.agent(),
                                      &testbed_.registry(), &icos_,
-                                     VersionId::Root());
+                                     VersionId::Root(), &fetcher_);
     for (const auto* comp : {&sort_comp_, &asc_comp_, &desc_comp_}) {
       testbed_.host(1)->CacheComponent(comp->id, comp->code_bytes);
       EXPECT_TRUE(object_->IncorporateCached(*comp).ok());
@@ -119,6 +119,7 @@ class SortCompareExample : public ::testing::Test {
 
   Testbed testbed_;
   IcoDirectory icos_;
+  ComponentFetcher fetcher_{&icos_};  // outlives object_
   ImplementationComponent sort_comp_, asc_comp_, desc_comp_;
   std::unique_ptr<Dcdo> object_;
 };

@@ -18,7 +18,7 @@ class ProblemsTest : public ::testing::Test {
     object_ = std::make_unique<Dcdo>("victim", testbed_.host(1),
                                      &testbed_.transport(), &testbed_.agent(),
                                      &testbed_.registry(), &icos_,
-                                     VersionId::Root());
+                                     VersionId::Root(), &fetcher_);
   }
 
   // Incorporates a pre-cached component (no fetch latency in these tests).
@@ -30,6 +30,7 @@ class ProblemsTest : public ::testing::Test {
 
   Testbed testbed_;
   IcoDirectory icos_;
+  ComponentFetcher fetcher_{&icos_};  // outlives object_
   std::unique_ptr<Dcdo> object_;
 };
 

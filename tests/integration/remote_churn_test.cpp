@@ -32,7 +32,7 @@ class RemoteChurnTest : public ::testing::Test {
     object_ = std::make_unique<Dcdo>("churned", testbed_.host(1),
                                      &testbed_.transport(), &testbed_.agent(),
                                      &testbed_.registry(), &icos_,
-                                     VersionId::Root());
+                                     VersionId::Root(), &fetcher_);
     // Three independent callers on three hosts, each with its own cache.
     for (std::size_t host : {4u, 5u, 6u}) {
       clients_.push_back(testbed_.MakeClient(host));
@@ -53,6 +53,7 @@ class RemoteChurnTest : public ::testing::Test {
 
   Testbed testbed_;
   IcoDirectory icos_;
+  ComponentFetcher fetcher_{&icos_};  // outlives object_
   ImplementationComponent comp_a_;
   ImplementationComponent comp_b_;
   std::unique_ptr<ImplementationComponentObject> ico_a_;

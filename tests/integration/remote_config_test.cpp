@@ -45,7 +45,7 @@ class RemoteConfigTest : public ::testing::Test {
     object_ = std::make_unique<Dcdo>("svc", testbed_.host(1),
                                      &testbed_.transport(), &testbed_.agent(),
                                      &testbed_.registry(), &icos_,
-                                     VersionId::Root());
+                                     VersionId::Root(), &fetcher_);
     client_ = testbed_.MakeClient(4);
   }
 
@@ -55,6 +55,7 @@ class RemoteConfigTest : public ::testing::Test {
 
   Testbed testbed_;
   IcoDirectory icos_;
+  ComponentFetcher fetcher_{&icos_};  // outlives object_
   ImplementationComponent comp_a_;
   ImplementationComponent comp_b_;
   std::unique_ptr<ImplementationComponentObject> ico_a_;

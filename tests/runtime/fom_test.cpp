@@ -1,7 +1,8 @@
 // Unit tests for the Fom runtime (src/runtime/fom.{h,cc}): phase
 // transitions, per-source wait/wakeup (including stale and pending wakes),
-// abort mid-wait, and pooled block reuse. The SimTime-equivalence suite for
-// the converted operations lives in fom_equivalence_test.cpp.
+// teardown with a wait outstanding, and pooled block reuse. The
+// SimTime-equivalence suite for the converted operations lives in
+// fom_equivalence_test.cpp.
 #include "runtime/fom.h"
 
 #include <gtest/gtest.h>
@@ -25,12 +26,10 @@ class ScriptedFom final : public Fom {
     int enter_phase = -1;  // >=0: EnterPhase(enter_phase, "scripted")
   };
 
-  ScriptedFom(std::vector<Action> script, int* ticks, bool* aborted,
-              bool* destroyed)
+  ScriptedFom(std::vector<Action> script, int* ticks, bool* destroyed)
       : Fom("test.scripted"),
         script_(std::move(script)),
         ticks_(ticks),
-        aborted_(aborted),
         destroyed_(destroyed) {}
 
   ~ScriptedFom() override {
@@ -48,38 +47,16 @@ class ScriptedFom final : public Fom {
     return action.status;
   }
 
-  void OnAbort() override {
-    if (aborted_ != nullptr) *aborted_ = true;
-  }
-
   Status last_status() const { return wake_status(); }
   std::uint64_t last_value() const { return wake_value(); }
 
  private:
   std::vector<Action> script_;
   int* ticks_;
-  bool* aborted_;
   bool* destroyed_;
 };
 
 using Action = ScriptedFom::Action;
-
-TEST(FomTest, RunAgainLoopsInOneDrainThenCompletes) {
-  sim::Simulation simulation;
-  FomScheduler& scheduler = FomScheduler::For(simulation);
-  int ticks = 0;
-  bool destroyed = false;
-  ScriptedFom* fom = scheduler.Create<ScriptedFom>(
-      std::vector<Action>{{.status = FomStatus::kRunAgain},
-                          {.status = FomStatus::kRunAgain},
-                          {.status = FomStatus::kDone}},
-      &ticks, nullptr, &destroyed);
-  scheduler.Start(*fom);
-  // All three ticks ran synchronously inside Start, no events needed.
-  EXPECT_EQ(ticks, 3);
-  EXPECT_TRUE(destroyed);
-  EXPECT_EQ(scheduler.live_count(), 0u);
-}
 
 TEST(FomTest, PhaseTransitionsAreVisible) {
   sim::Simulation simulation;
@@ -88,15 +65,15 @@ TEST(FomTest, PhaseTransitionsAreVisible) {
   ScriptedFom* fom = scheduler.Create<ScriptedFom>(
       std::vector<Action>{
           {.status = FomStatus::kWait,
-           .wait_on = WakeSource::kRpcReply,
+           .wait_on = WakeSource::kChild,
            .enter_phase = 2},
           {.status = FomStatus::kDone, .enter_phase = 5}},
-      &ticks, nullptr, nullptr);
+      &ticks, nullptr);
   EXPECT_EQ(fom->phase(), -1);  // not yet ticked
   const std::uint64_t id = fom->id();
   scheduler.Start(*fom);
   EXPECT_EQ(fom->phase(), 2);
-  scheduler.Wake(id, WakeSource::kRpcReply);
+  scheduler.Wake(id, WakeSource::kChild);
   EXPECT_EQ(ticks, 2);
   EXPECT_FALSE(scheduler.Alive(id));
 }
@@ -104,26 +81,31 @@ TEST(FomTest, PhaseTransitionsAreVisible) {
 TEST(FomTest, EachWakeSourceWakesOnlyItsWaiter) {
   sim::Simulation simulation;
   FomScheduler& scheduler = FomScheduler::For(simulation);
-  const WakeSource sources[] = {WakeSource::kRpcReply, WakeSource::kFetch,
-                                WakeSource::kTimer, WakeSource::kChild};
-  int ticks[4] = {0, 0, 0, 0};
-  std::uint64_t ids[4];
-  for (int i = 0; i < 4; ++i) {
+  constexpr int kSources = 3;
+  const WakeSource sources[kSources] = {WakeSource::kFetch, WakeSource::kTimer,
+                                        WakeSource::kChild};
+  int ticks[kSources] = {0, 0, 0};
+  std::uint64_t ids[kSources];
+  for (int i = 0; i < kSources; ++i) {
     ScriptedFom* fom = scheduler.Create<ScriptedFom>(
         std::vector<Action>{
             {.status = FomStatus::kWait, .wait_on = sources[i]},
             {.status = FomStatus::kDone}},
-        &ticks[i], nullptr, nullptr);
+        &ticks[i], nullptr);
     ids[i] = fom->id();
     scheduler.Start(*fom);
-    EXPECT_EQ(scheduler.waiting_on(sources[i]), 1u);
+    EXPECT_TRUE(scheduler.Alive(ids[i]));
   }
-  EXPECT_EQ(scheduler.live_count(), 4u);
-  // Wake each in turn; only the matching waiter advances.
-  for (int i = 0; i < 4; ++i) {
+  EXPECT_EQ(scheduler.live_count(), 3u);
+  // Wake each in turn: another source's wake leaves it parked, its own
+  // advances it.
+  for (int i = 0; i < kSources; ++i) {
+    scheduler.Wake(ids[i], sources[(i + 1) % kSources]);
+    EXPECT_EQ(ticks[i], 1) << "source " << i;
+    EXPECT_TRUE(scheduler.Alive(ids[i]));
     scheduler.Wake(ids[i], sources[i]);
     EXPECT_EQ(ticks[i], 2) << "source " << i;
-    EXPECT_EQ(scheduler.waiting_on(sources[i]), 0u);
+    EXPECT_FALSE(scheduler.Alive(ids[i]));
   }
   EXPECT_EQ(scheduler.live_count(), 0u);
 }
@@ -136,11 +118,11 @@ TEST(FomTest, StaleWakeForWrongSourceIsDropped) {
       std::vector<Action>{
           {.status = FomStatus::kWait, .wait_on = WakeSource::kFetch},
           {.status = FomStatus::kDone}},
-      &ticks, nullptr, nullptr);
+      &ticks, nullptr);
   const std::uint64_t id = fom->id();
   scheduler.Start(*fom);
   // A wake for a source the Fom is not waiting on must not advance it.
-  scheduler.Wake(id, WakeSource::kRpcReply);
+  scheduler.Wake(id, WakeSource::kChild);
   EXPECT_EQ(ticks, 1);
   EXPECT_TRUE(scheduler.Alive(id));
   scheduler.Wake(id, WakeSource::kFetch);
@@ -153,8 +135,7 @@ TEST(FomTest, WakeAfterCompletionIsANoOp) {
   FomScheduler& scheduler = FomScheduler::For(simulation);
   int ticks = 0;
   ScriptedFom* fom = scheduler.Create<ScriptedFom>(
-      std::vector<Action>{{.status = FomStatus::kDone}}, &ticks, nullptr,
-      nullptr);
+      std::vector<Action>{{.status = FomStatus::kDone}}, &ticks, nullptr);
   const std::uint64_t id = fom->id();
   scheduler.Start(*fom);
   EXPECT_FALSE(scheduler.Alive(id));
@@ -168,13 +149,13 @@ TEST(FomTest, WakeStatusAndValueDeliverPayloads) {
   int ticks = 0;
   ScriptedFom* fom = scheduler.Create<ScriptedFom>(
       std::vector<Action>{
-          {.status = FomStatus::kWait, .wait_on = WakeSource::kRpcReply},
+          {.status = FomStatus::kWait, .wait_on = WakeSource::kFetch},
           {.status = FomStatus::kWait, .wait_on = WakeSource::kChild},
           {.status = FomStatus::kDone}},
-      &ticks, nullptr, nullptr);
+      &ticks, nullptr);
   const std::uint64_t id = fom->id();
   scheduler.Start(*fom);
-  scheduler.WakeStatus(id, WakeSource::kRpcReply,
+  scheduler.WakeStatus(id, WakeSource::kFetch,
                        InvalidArgumentError("boom"));
   // The payload was readable during tick 2; the Fom is now waiting on
   // kChild and the status payload persists until overwritten.
@@ -211,7 +192,6 @@ TEST(FomTest, PendingWakeDuringTickIsConsumedWithoutParking) {
   scheduler.Start(*fom);
   EXPECT_EQ(ticks, 2);  // both ticks inside Start — never parked
   EXPECT_EQ(scheduler.live_count(), 0u);
-  EXPECT_EQ(scheduler.waiting_on(WakeSource::kFetch), 0u);
 }
 
 TEST(FomTest, TimerWakesThroughSimulation) {
@@ -224,70 +204,13 @@ TEST(FomTest, TimerWakesThroughSimulation) {
            .wait_on = WakeSource::kTimer,
            .arm_timer = sim::SimDuration::Millis(5)},
           {.status = FomStatus::kDone}},
-      &ticks, nullptr, nullptr);
+      &ticks, nullptr);
   scheduler.Start(*fom);
   EXPECT_EQ(ticks, 1);
   simulation.RunUntil(simulation.Now() + sim::SimDuration::Millis(4));
   EXPECT_EQ(ticks, 1);  // not yet
   simulation.RunUntil(simulation.Now() + sim::SimDuration::Millis(2));
   EXPECT_EQ(ticks, 2);
-  EXPECT_EQ(scheduler.live_count(), 0u);
-}
-
-TEST(FomTest, AbortMidWaitRunsOnAbortCancelsTimerAndFrees) {
-  sim::Simulation simulation;
-  FomScheduler& scheduler = FomScheduler::For(simulation);
-  int ticks = 0;
-  bool aborted = false;
-  bool destroyed = false;
-  ScriptedFom* fom = scheduler.Create<ScriptedFom>(
-      std::vector<Action>{
-          {.status = FomStatus::kWait,
-           .wait_on = WakeSource::kTimer,
-           .arm_timer = sim::SimDuration::Millis(5)},
-          {.status = FomStatus::kDone}},
-      &ticks, &aborted, &destroyed);
-  const std::uint64_t id = fom->id();
-  scheduler.Start(*fom);
-  EXPECT_EQ(scheduler.waiting_on(WakeSource::kTimer), 1u);
-  scheduler.Abort(id);
-  EXPECT_TRUE(aborted);
-  EXPECT_TRUE(destroyed);
-  EXPECT_FALSE(scheduler.Alive(id));
-  EXPECT_EQ(scheduler.waiting_on(WakeSource::kTimer), 0u);
-  // The armed timer was cancelled with the Fom: draining the simulation
-  // must not tick a freed block (ticks stays at 1; ASan would catch a
-  // use-after-free here too).
-  simulation.RunUntil(simulation.Now() + sim::SimDuration::Millis(10));
-  EXPECT_EQ(ticks, 1);
-}
-
-TEST(FomTest, AbortRequestedDuringTickDestroysAfterTickReturns) {
-  sim::Simulation simulation;
-  FomScheduler& scheduler = FomScheduler::For(simulation);
-
-  // Aborting from inside Tick (an operation cancelling itself through a
-  // callback it invoked) must defer destruction until the Tick returns.
-  class SelfAborting final : public Fom {
-   public:
-    SelfAborting(int* ticks, bool* aborted)
-        : Fom("test.self_abort"), ticks_(ticks), aborted_(aborted) {}
-    FomStatus Tick() override {
-      ++*ticks_;
-      scheduler().Abort(id());
-      return FomStatus::kRunAgain;  // must not tick again
-    }
-    void OnAbort() override { *aborted_ = true; }
-    int* ticks_;
-    bool* aborted_;
-  };
-
-  int ticks = 0;
-  bool aborted = false;
-  SelfAborting* fom = scheduler.Create<SelfAborting>(&ticks, &aborted);
-  scheduler.Start(*fom);
-  EXPECT_EQ(ticks, 1);
-  EXPECT_TRUE(aborted);
   EXPECT_EQ(scheduler.live_count(), 0u);
 }
 
@@ -298,8 +221,7 @@ TEST(FomTest, PooledBlocksAreReusedAcrossLifetimes) {
   // another of the same type: the pool must hand the freed block back.
   int ticks = 0;
   ScriptedFom* first = scheduler.Create<ScriptedFom>(
-      std::vector<Action>{{.status = FomStatus::kDone}}, &ticks, nullptr,
-      nullptr);
+      std::vector<Action>{{.status = FomStatus::kDone}}, &ticks, nullptr);
   void* first_block = static_cast<void*>(first);
   scheduler.Start(*first);
   EXPECT_EQ(scheduler.live_count(), 0u);
@@ -307,7 +229,7 @@ TEST(FomTest, PooledBlocksAreReusedAcrossLifetimes) {
   int second_ticks = 0;
   ScriptedFom* second = scheduler.Create<ScriptedFom>(
       std::vector<Action>{{.status = FomStatus::kDone}}, &second_ticks,
-      nullptr, nullptr);
+      nullptr);
   EXPECT_EQ(static_cast<void*>(second), first_block)
       << "freed Fom block was not recycled by the pool";
   scheduler.Start(*second);
@@ -315,25 +237,36 @@ TEST(FomTest, PooledBlocksAreReusedAcrossLifetimes) {
 }
 
 TEST(FomTest, SchedulerTeardownAbortsLiveFoms) {
-  bool aborted = false;
-  bool destroyed = false;
+  sim::Simulation simulation;
+  const std::vector<Action> wait_on_timer{
+      {.status = FomStatus::kWait,
+       .wait_on = WakeSource::kTimer,
+       .arm_timer = sim::SimDuration::Millis(5)},
+      {.status = FomStatus::kDone}};
   int ticks = 0;
-  {
-    sim::Simulation simulation;
-    FomScheduler& scheduler = FomScheduler::For(simulation);
-    ScriptedFom* fom = scheduler.Create<ScriptedFom>(
-        std::vector<Action>{
-            {.status = FomStatus::kWait, .wait_on = WakeSource::kRpcReply},
-            {.status = FomStatus::kDone}},
-        &ticks, &aborted, &destroyed);
-    scheduler.Start(*fom);
-    EXPECT_TRUE(scheduler.Alive(fom->id()));
-    // Simulation (and its attached scheduler) destroyed with the wait
-    // outstanding — the mid-scenario teardown tests exercise daily.
-  }
-  EXPECT_TRUE(aborted);
+  bool destroyed = false;
+  FomScheduler& scheduler = FomScheduler::For(simulation);
+  ScriptedFom* fom =
+      scheduler.Create<ScriptedFom>(wait_on_timer, &ticks, &destroyed);
+  void* block = static_cast<void*>(fom);
+  scheduler.Start(*fom);
+  // The scheduler goes away with the wait outstanding, as it does when a
+  // test tears its simulation down mid-scenario.
+  simulation.set_attachment(nullptr);
   EXPECT_TRUE(destroyed);
+  // Its timer went with it: running on must not tick the freed block.
+  simulation.RunUntil(simulation.Now() + sim::SimDuration::Millis(10));
   EXPECT_EQ(ticks, 1);
+  // And its block went back to the pool.
+  int next_ticks = 0;
+  FomScheduler& next = FomScheduler::For(simulation);
+  ScriptedFom* reused =
+      next.Create<ScriptedFom>(wait_on_timer, &next_ticks, nullptr);
+  EXPECT_EQ(static_cast<void*>(reused), block)
+      << "torn-down Fom block was not recycled by the pool";
+  next.Start(*reused);
+  // `simulation` is destroyed with this timer armed: its scheduler goes
+  // first, while the engine the timer is cancelled in is still whole.
 }
 
 TEST(FomTest, SchedulerIsAttachedOncePerSimulation) {

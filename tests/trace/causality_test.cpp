@@ -258,9 +258,10 @@ TEST(TestbedTracingTest, ExportCarriesTypedFactInstants) {
     auto comp_a = testing::MakeEchoComponent(bed.registry(), "facts-a", {"f"});
     auto comp_b = testing::MakeEchoComponent(bed.registry(), "facts-b", {"f"});
     IcoDirectory icos;
+    ComponentFetcher fetcher(&icos);
     auto object = std::make_unique<Dcdo>(
         "obj", bed.host(1), &bed.transport(), &bed.agent(), &bed.registry(),
-        &icos, VersionId::Root());  // opens its endpoint
+        &icos, VersionId::Root(), &fetcher);  // opens its endpoint
     for (const ImplementationComponent& comp : {comp_a, comp_b}) {
       bed.host(1)->CacheComponent(comp.id, comp.code_bytes);
       ASSERT_TRUE(object->IncorporateCached(comp).ok());
@@ -303,8 +304,9 @@ TEST(TestbedTracingTest, EvolvePhasesAreNamedAndNestUnderTheEvolveSpan) {
                                       &bed.agent(), comp_b);
   IcoDirectory icos;
   icos.Register(&ico_b);
+  ComponentFetcher fetcher(&icos);
   Dcdo object("obj", bed.host(1), &bed.transport(), &bed.agent(),
-              &bed.registry(), &icos, VersionId::Root());
+              &bed.registry(), &icos, VersionId::Root(), &fetcher);
   bed.host(1)->CacheComponent(comp_a.id, comp_a.code_bytes);
   ASSERT_TRUE(object.IncorporateCached(comp_a).ok());
   ASSERT_TRUE(object.EnableFunction("f", comp_a.id).ok());

@@ -69,16 +69,13 @@ TEST(ChromeTraceTest, EscapesControlAndQuoteCharacters) {
 }
 
 TEST(ChromeTraceTest, MetricsRideInSideChannel) {
-  MetricsRegistry metrics;
-  metrics.GetCounter("rpc.dedup_hits").Increment(3);
-  metrics.GetHistogram("rpc.latency.echo").RecordNanos(1000);
-
-  std::string json = ToChromeTraceJson({}, &metrics);
-  EXPECT_NE(json.find("\"dcdoMetrics\""), std::string::npos);
-  EXPECT_NE(json.find("\"rpc.dedup_hits\": 3"), std::string::npos);
-  EXPECT_NE(json.find("\"rpc.latency.echo\": {\"count\": 1"),
-            std::string::npos);
-  EXPECT_NE(json.find("\"sum_ns\": 1000"), std::string::npos);
+  std::string json =
+      ToChromeTraceJson({}, {{"rpc.dedup_hits", 3}, {"net.bytes_sent", 7}});
+  EXPECT_NE(json.find("\"dcdoMetrics\": {\"counters\": "
+                      "{\"net.bytes_sent\": 7, \"rpc.dedup_hits\": 3}}"),
+            std::string::npos)
+      << "counters are written sorted by name";
+  EXPECT_EQ(json.find("histograms"), std::string::npos);
 }
 
 TEST(ChromeTraceTest, WriteChromeTraceRoundTrips) {
@@ -88,10 +85,9 @@ TEST(ChromeTraceTest, WriteChromeTraceRoundTrips) {
   SpanRecorder& ctx = *context.spans();
   SpanId id = ctx.BeginSpan("rpc.call", {.category = "client"});
   ctx.EndSpan(id);
-  ctx.metrics().GetCounter("rpc.calls_started").Increment();
 
   std::string path = ::testing::TempDir() + "/dcdo_trace_test.json";
-  ASSERT_TRUE(WriteChromeTrace(ctx, path).ok());
+  ASSERT_TRUE(WriteChromeTrace(ctx, path, {{"rpc.calls_started", 1}}).ok());
 
   std::ifstream file(path);
   ASSERT_TRUE(file.good());
