@@ -87,8 +87,11 @@ struct ComponentFetcher::Shared {
       return;
     }
     const ObjectId id = item.meta->id;
-    // Resolve first, so a dangling component id fails even when cached.
-    Result<ImplementationComponentObject*> ico = resolver->FindIco(id);
+    // Resolve first, so a dangling component id fails even when cached; a
+    // destroyed fetcher fails what it still had queued, resolving nothing.
+    Result<ImplementationComponentObject*> ico =
+        resolver != nullptr ? resolver->FindIco(id)
+                            : UnavailableError("component fetcher destroyed");
     if (!ico.ok()) {
       // A dangling component id aborts the request outright (there is
       // nothing to retry against), best-effort or not.
@@ -113,11 +116,10 @@ struct ComponentFetcher::Shared {
     host.flights[id].push_back(std::move(item));
     ++host.in_flight;
     issued.Increment();
+    // The stream holds the pipeline state: it settles even after ~fetcher.
     (*ico)->StreamTo(
         dest,
-        [weak = std::weak_ptr<Shared>(self), dest, id](Status status) {
-          std::shared_ptr<Shared> self = weak.lock();
-          if (self == nullptr) return;  // fetcher destroyed; image is cached
+        [self, dest, id](Status status) {
           self->OnStreamDone(self, dest, id, std::move(status));
         },
         requester);
@@ -142,6 +144,8 @@ ComponentFetcher::ComponentFetcher(const IcoResolver* resolver)
     : shared_(std::make_shared<Shared>()) {
   shared_->resolver = resolver;
 }
+
+ComponentFetcher::~ComponentFetcher() { shared_->resolver = nullptr; }
 
 void ComponentFetcher::AcquireAll(
     sim::SimHost* dest, std::vector<ComponentRecord> components,

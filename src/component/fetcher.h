@@ -2,9 +2,7 @@
 //
 // Every path that pulls implementation component images onto a host — DCDO
 // creation, incorporate, evolution, migration warm-up, coordinator prefetch —
-// funnels through one of these. The fetcher owns the acquisition policy that
-// used to be duplicated as hand-rolled continuation chains in Dcdo::EvolveTo
-// and DcdoManager::MigrateInstance:
+// funnels through one of these, which owns the acquisition policy:
 //
 //   * bounded concurrency — at most CostModel::fetch_concurrency ICO streams
 //     in flight per fetcher per destination host (each DcdoManager owns one
@@ -73,13 +71,15 @@ class ComponentFetcher {
   };
 
   explicit ComponentFetcher(const IcoResolver* resolver);
+  // In-flight streams still settle as they land, failing what is queued.
+  ~ComponentFetcher();
 
   ComponentFetcher(const ComponentFetcher&) = delete;
   ComponentFetcher& operator=(const ComponentFetcher&) = delete;
 
   // Acquires every component in `components` onto `dest`, calling `on_ready`
   // per component and `done(overall)` once all are settled. With an empty
-  // list, `done` runs synchronously (as the legacy chains did). Each stream
+  // list, `done` runs synchronously. Each stream
   // the request opens nests its span under `requester`, the span of the
   // operation that asked (0: none); a request that joins another's open
   // stream rides that stream.
@@ -103,7 +103,7 @@ class ComponentFetcher {
   std::uint64_t fetches_coalesced() const;
 
  private:
-  struct Shared;  // pipeline state; weak-captured by stream callbacks
+  struct Shared;  // pipeline state; shared with the streams in flight
   std::shared_ptr<Shared> shared_;
 };
 

@@ -15,11 +15,9 @@ using runtime::FomStatus;
 using runtime::WakeSource;
 
 // One coordinated batch as a pooled Fom: serial applies, then — on the first
-// failure — serial rollbacks in reverse, then the terminal report. Replaces
-// the two weak-self-capturing shared_ptr<std::function> loops (`apply` and
-// `rollback`): the outcome, prior versions, and steps live in the Fom block,
-// and each EvolveInstanceTo completion is a 16-byte {scheduler, id}
-// trampoline instead of a fresh heap closure per hop.
+// failure — serial rollbacks in reverse, then the terminal report. The
+// outcome, prior versions, and steps live in the Fom block, and each
+// EvolveInstanceTo completion is the Fom's 16-byte WakeFn().
 class CoordinatedUpdateFom final : public runtime::Fom {
  public:
   using Step = UpdateCoordinator::Step;
@@ -79,14 +77,7 @@ class CoordinatedUpdateFom final : public runtime::Fom {
       done_(std::move(outcome_));
       return FomStatus::kDone;
     }
-    const Step& step = steps_[index_];
-    runtime::FomScheduler* scheduler = &this->scheduler();
-    const std::uint64_t id = this->id();
-    step.manager->EvolveInstanceTo(
-        step.instance, step.target, [scheduler, id](Status status) {
-          scheduler->WakeStatus(id, WakeSource::kChild, std::move(status));
-        });
-    return WaitOn(WakeSource::kChild);
+    return Evolve(steps_[index_], steps_[index_].target);
   }
 
   // Undoes steps [0, rollback_upto_) in reverse, then reports failure_.
@@ -97,14 +88,12 @@ class CoordinatedUpdateFom final : public runtime::Fom {
       done_(std::move(outcome_));
       return FomStatus::kDone;
     }
-    const Step& step = steps_[rollback_upto_ - 1];
-    runtime::FomScheduler* scheduler = &this->scheduler();
-    const std::uint64_t id = this->id();
-    step.manager->EvolveInstanceTo(
-        step.instance, prior_[rollback_upto_ - 1],
-        [scheduler, id](Status status) {
-          scheduler->WakeStatus(id, WakeSource::kChild, std::move(status));
-        });
+    return Evolve(steps_[rollback_upto_ - 1], prior_[rollback_upto_ - 1]);
+  }
+
+  FomStatus Evolve(const Step& step, const VersionId& version) {
+    step.manager->EvolveInstanceTo(step.instance, version,
+                                   WakeFn(WakeSource::kChild));
     return WaitOn(WakeSource::kChild);
   }
 
@@ -195,10 +184,9 @@ void UpdateCoordinator::Execute(std::vector<Step> steps, DoneCallback done) {
                                     .manager->FindInstance(steps.front().instance)
                                     ->host()
                                     .simulation();
-  auto& scheduler = runtime::FomScheduler::For(simulation);
-  scheduler.Start(*scheduler.Create<CoordinatedUpdateFom>(
-      std::move(steps), std::move(prior), std::move(outcome),
-      std::move(done)));
+  runtime::FomScheduler::For(simulation)
+      .Launch<CoordinatedUpdateFom>(std::move(steps), std::move(prior),
+                                    std::move(outcome), std::move(done));
 }
 
 }  // namespace dcdo

@@ -11,38 +11,6 @@
 
 namespace dcdo {
 
-// An operation that reaches its Dcdo across simulated time: an evolution,
-// or an attempt waiting under a Delay/Timeout policy. It links itself into
-// its object's list, and ~Dcdo clears `object_` in each, so an operation
-// that outlives its object finds it gone instead of reading freed memory.
-class DcdoOp : public runtime::Fom {
- public:
-  ~DcdoOp() override {
-    if (object_ == nullptr) return;
-    DcdoOp** link = &object_->ops_;
-    while (*link != this) link = &(*link)->next_;
-    *link = next_;
-  }
-
- protected:
-  DcdoOp(const char* name, Dcdo* object)
-      : Fom(name), object_(object), object_id_(object->id_),
-        next_(std::exchange(object->ops_, this)) {}
-
-  // The outcome of an operation whose object was destroyed.
-  Status Gone() const {
-    return NotFoundError("object " + object_id_.ToString() +
-                         " was destroyed during the operation");
-  }
-
-  Dcdo* object_;  // null once the object is destroyed
-  const ObjectId object_id_;
-
- private:
-  friend class Dcdo;
-  DcdoOp* next_;
-};
-
 namespace {
 
 using runtime::FomStatus;
@@ -51,18 +19,20 @@ using runtime::WakeSource;
 // How often a change waiting under kDelay/kTimeout retries.
 constexpr sim::SimDuration kRemovalPoll = sim::SimDuration::Millis(50);
 
+}  // namespace
+
 // An attempt under kDelay/kTimeout once the synchronous first one met
 // active threads — a removal, or an evolution's commit: one pooled Fom
 // retries every kRemovalPoll until the counts drain (or the deadline
 // forces). The timer wake is the scheduler's own 16-byte trampoline, so a
 // full poll cycle allocates nothing.
-class RemovalPollFom final : public DcdoOp {
+class Dcdo::RemovalPollFom final : public runtime::OwnedFom<Dcdo> {
  public:
   enum Phase { kPoll };
 
   RemovalPollFom(Dcdo* object, Dcdo::Attempt attempt, sim::SimTime deadline,
                  bool has_deadline, Dcdo::DoneCallback done)
-      : DcdoOp("dcdo.removal_poll", object),
+      : OwnedFom("dcdo.removal_poll", object, object->ops_),
         attempt_(std::move(attempt)),
         deadline_(deadline),
         has_deadline_(has_deadline),
@@ -70,18 +40,19 @@ class RemovalPollFom final : public DcdoOp {
 
   FomStatus Tick() override {
     if (phase() == kPoll) {
-      if (object_ == nullptr) {
+      Dcdo* object = owner();
+      if (object == nullptr) {
         done_(Gone());
         return FomStatus::kDone;
       }
-      Status attempt = attempt_(*object_, ActiveThreadPolicy::kError);
+      Status attempt = attempt_(*object, ActiveThreadPolicy::kError);
       if (attempt.code() != ErrorCode::kActiveThreads) {
         done_(attempt);
         return FomStatus::kDone;
       }
       if (has_deadline_ && simulation().Now() >= deadline_) {
         // "Simply go ahead with the operation after some time-out period."
-        done_(attempt_(*object_, ActiveThreadPolicy::kForce));
+        done_(attempt_(*object, ActiveThreadPolicy::kForce));
         return FomStatus::kDone;
       }
     } else {
@@ -97,8 +68,6 @@ class RemovalPollFom final : public DcdoOp {
   bool has_deadline_;
   Dcdo::DoneCallback done_;
 };
-
-}  // namespace
 
 Dcdo::Dcdo(std::string name, sim::SimHost* host, rpc::RpcTransport* transport,
            BindingAgent* agent, const NativeCodeRegistry* registry,
@@ -140,7 +109,6 @@ Dcdo::Dcdo(std::string name, sim::SimHost* host, rpc::RpcTransport* transport,
 }
 
 Dcdo::~Dcdo() {
-  for (DcdoOp* op = ops_; op != nullptr; op = op->next_) op->object_ = nullptr;
   if (check::Checker* probes = instrument::Probes()) {
     probes->UnregisterObject(id_);
   }
@@ -294,38 +262,33 @@ Status Dcdo::StageCached(
 // pipeline (fetch from the ICO if not cached), then map it. Routing even a
 // single incorporate through the fetcher is what lets two co-hosted DCDOs
 // incorporating the same component share one stream; reaching the object
-// through the DcdoOp is what lets an image that lands after a destroy find
-// it gone.
-class IncorporateFom final : public DcdoOp {
+// through the owner link is what lets an image that lands after a destroy
+// find it gone.
+class Dcdo::IncorporateFom final : public runtime::OwnedFom<Dcdo> {
  public:
   enum Phase { kAcquire };
 
   IncorporateFom(Dcdo* object, ComponentRecord record, Dcdo::DoneCallback done)
-      : DcdoOp("dcdo.incorporate", object),
+      : OwnedFom("dcdo.incorporate", object, object->ops_),
         record_(std::move(record)),
         done_(std::move(done)) {}
 
-  runtime::FomStatus Tick() override {
+  FomStatus Tick() override {
     if (phase() == kAcquire) {
-      done_(object_ == nullptr ? Gone() : wake_status());
-      return runtime::FomStatus::kDone;
+      done_(owner() == nullptr ? Gone() : wake_status());
+      return FomStatus::kDone;
     }
     EnterPhase(kAcquire, "acquire");
-    runtime::FomScheduler* scheduler = &this->scheduler();
-    const std::uint64_t id = this->id();
-    object_->fetcher_->AcquireAll(
-        object_->host_, {std::move(record_)},
+    owner()->fetcher_->AcquireAll(
+        owner()->host_, {std::move(record_)},
         // The Fom outlives on_ready: it waits for the acquisition's done,
         // which runs right after it.
         [fom = this](const ComponentRecord& meta, bool /*was_cached*/) {
-          if (fom->object_ == nullptr) return fom->Gone();
-          return fom->object_->IncorporateCached(meta);
+          Dcdo* object = fom->owner();
+          return object ? object->IncorporateCached(meta) : fom->Gone();
         },
-        [scheduler, id](Status status) {
-          scheduler->WakeStatus(id, runtime::WakeSource::kFetch,
-                                std::move(status));
-        });
-    return WaitOn(runtime::WakeSource::kFetch);
+        WakeFn(WakeSource::kFetch));
+    return WaitOn(WakeSource::kFetch);
   }
 
  private:
@@ -340,9 +303,8 @@ void Dcdo::IncorporateComponent(const ObjectId& component_id,
     done(ico.status());
     return;
   }
-  auto& scheduler = runtime::FomScheduler::For(simulation());
-  scheduler.Start(*scheduler.Create<IncorporateFom>(this, (*ico)->record(),
-                                                    std::move(done)));
+  runtime::FomScheduler::For(simulation())
+      .Launch<IncorporateFom>(this, (*ico)->record(), std::move(done));
 }
 
 Status Dcdo::RemoveComponent(const ObjectId& component_id,
@@ -372,10 +334,11 @@ void Dcdo::AttemptUnderPolicy(const RemovalPolicy& policy, Attempt attempt,
   // Threads are inside: retry until they drain — and, for kTimeout, force
   // at the deadline. The Fom's first Tick only arms the timer, so the first
   // retry happens one poll interval from now.
-  auto& scheduler = runtime::FomScheduler::For(simulation());
-  scheduler.Start(*scheduler.Create<RemovalPollFom>(
-      this, std::move(attempt), simulation().Now() + policy.timeout,
-      policy.kind == RemovalPolicy::Kind::kTimeout, std::move(done)));
+  runtime::FomScheduler::For(simulation())
+      .Launch<RemovalPollFom>(this, std::move(attempt),
+                              simulation().Now() + policy.timeout,
+                              policy.kind == RemovalPolicy::Kind::kTimeout,
+                              std::move(done));
 }
 
 Status Dcdo::EnableFunction(const std::string& function,
@@ -420,11 +383,10 @@ Status Dcdo::RemoveDependency(const Dependency& dep) {
 // ===== Evolution =====
 
 // The whole evolution — acquire, then commit — as one pooled Fom (DESIGN.md
-// §7, §16). Namespace scope (not anonymous) so Dcdo can befriend it: stage 2
-// commits into mapper_ and Finish rewrites version_ directly. Every
-// completion callback is a 16-byte {scheduler, id} trampoline. A failure
-// discards the staged bodies with the Fom and leaves the object as it was.
-class EvolveFom final : public DcdoOp {
+// §7, §16). Stage 2 commits into mapper_ and Finish rewrites version_
+// directly. A failure discards the staged bodies with the Fom and leaves the
+// object as it was.
+class Dcdo::EvolveFom final : public runtime::OwnedFom<Dcdo> {
  public:
   enum Phase { kAcquire, kCommit };
 
@@ -432,7 +394,8 @@ class EvolveFom final : public DcdoOp {
             EvolutionPlan plan, Dcdo::RemovalPolicy removal,
             bool enforce_marks, Dcdo::DoneCallback done,
             trace::SpanId evolve_span)
-      : DcdoOp("dcdo.evolve", object),
+      : OwnedFom("dcdo.evolve", object, object->ops_),
+        object_id_(object->id_),
         host_(object->host_),
         target_version_(std::move(target_version)),
         target_state_(std::move(target_state)),
@@ -445,9 +408,8 @@ class EvolveFom final : public DcdoOp {
     set_phase_parent(evolve_span);
   }
 
-  runtime::FomStatus Tick() override {
-    using runtime::FomStatus;
-    using runtime::WakeSource;
+  FomStatus Tick() override {
+    Dcdo* object = owner();
     if (phase() < 0) {
       // Stage 1: acquire the new components through the fetch pipeline. At
       // the calibrated fetch_concurrency of 1 this is the paper's
@@ -455,50 +417,42 @@ class EvolveFom final : public DcdoOp {
       // single-flighted) and each image is staged as it lands. Either way
       // stage 2 starts only once every component is in.
       EnterPhase(kAcquire, "acquire");
-      runtime::FomScheduler* scheduler = &this->scheduler();
-      const std::uint64_t id = this->id();
       // Room for every target component: the commit adds the kept blocks.
       staged_.reserve(target_state_.component_count());
-      object_->fetcher_->AcquireAll(
-          object_->host_, std::move(incorporate_),
+      object->fetcher_->AcquireAll(
+          object->host_, std::move(incorporate_),
           // The Fom outlives every on_ready: it waits for the acquisition's
           // done, which runs after the last of them.
           [fom = this](const ComponentRecord& meta, bool /*was_cached*/) {
-            if (fom->object_ == nullptr) return fom->Gone();
-            return fom->object_->StageCached(*meta, fom->staged_);
+            Dcdo* object = fom->owner();
+            return object ? object->StageCached(*meta, fom->staged_)
+                          : fom->Gone();
           },
-          [scheduler, id](Status status) {
-            scheduler->WakeStatus(id, WakeSource::kFetch, std::move(status));
-          },
-          evolve_span_);
+          WakeFn(WakeSource::kFetch), evolve_span_);
       return WaitOn(WakeSource::kFetch);
     }
-    if (object_ == nullptr) return Finish(Gone());
+    if (object == nullptr) return Finish(Gone());
     if (phase() == kCommit) return Finish(wake_status());
     // Stage 2: every component is staged.
     Status status = wake_status();
     if (!status.ok()) return Finish(std::move(status));
-    if (object_->host_ != host_) {  // its staged bodies belong to host_
-      return Finish(FailedPreconditionError(object_->name_ +
+    if (object->host_ != host_) {  // its staged bodies belong to host_
+      return Finish(FailedPreconditionError(object->name_ +
                                             " moved during its evolution"));
     }
     // Charge the per-flip DFM update, then commit, draining first under
     // kDelay/kTimeout.
-    object_->simulation().AdvanceInline(
-        object_->cost().dfm_register_per_function *
+    object->simulation().AdvanceInline(
+        object->cost().dfm_register_per_function *
         static_cast<std::int64_t>(flip_count_));
     EnterPhase(kCommit, "commit");
-    runtime::FomScheduler* scheduler = &this->scheduler();
-    const std::uint64_t id = this->id();
-    object_->AttemptUnderPolicy(
+    object->AttemptUnderPolicy(
         removal_,
         [fom = this](Dcdo& object, ActiveThreadPolicy threads) {
           return object.mapper_.CommitConfiguration(
               fom->target_state_, fom->staged_, fom->enforce_marks_, threads);
         },
-        [scheduler, id](Status status) {
-          scheduler->WakeStatus(id, WakeSource::kChild, std::move(status));
-        });
+        WakeFn(WakeSource::kChild));
     return WaitOn(WakeSource::kChild);
   }
 
@@ -506,18 +460,20 @@ class EvolveFom final : public DcdoOp {
   // Stage 3: take on the version (on success), report the outcome to the
   // instrumentation stream (the checker's version record, the evolve
   // span), then to the caller.
-  runtime::FomStatus Finish(Status status) {
+  FomStatus Finish(Status status) {
     // Only a commit, which needs the object, succeeds.
+    Dcdo* object = owner();
     const VersionId previous =
-        object_ != nullptr ? object_->version_ : VersionId();
-    if (status.ok()) object_->version_ = target_version_;
+        object != nullptr ? object->version_ : VersionId();
+    if (status.ok()) object->version_ = target_version_;
     DCDO_INSTRUMENT(EvolveEnd(object_id_, evolve_span_, previous,
                               target_version_, status));
     done_(std::move(status));
-    return runtime::FomStatus::kDone;
+    return FomStatus::kDone;
   }
 
-  sim::SimHost* host_;  // where stage 1 resolves bodies
+  const ObjectId object_id_;  // names the evolution after a destroy
+  sim::SimHost* host_;        // where stage 1 resolves bodies
   VersionId target_version_;
   DfmState target_state_;  // snapshot: the caller's descriptor need not
                            // outlive the operation
@@ -550,10 +506,10 @@ void Dcdo::EvolveTo(const DfmDescriptor& target, const RemovalPolicy& removal,
                                        target.version());
   }
 
-  auto& scheduler = runtime::FomScheduler::For(simulation());
-  scheduler.Start(*scheduler.Create<EvolveFom>(
-      this, target.version(), target.state(), std::move(plan), removal,
-      enforce_marks, std::move(done), evolve_span));
+  runtime::FomScheduler::For(simulation())
+      .Launch<EvolveFom>(this, target.version(), target.state(),
+                         std::move(plan), removal, enforce_marks,
+                         std::move(done), evolve_span);
 }
 
 // ===== RPC dispatch =====

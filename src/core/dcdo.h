@@ -37,14 +37,11 @@
 #include "dfm/mapper.h"
 #include "naming/binding_agent.h"
 #include "rpc/transport.h"
+#include "runtime/fom.h"
 #include "runtime/method_table.h"
 #include "sim/host.h"
 
 namespace dcdo {
-
-class DcdoOp;          // dcdo.cc: an operation that reaches a Dcdo across time
-class EvolveFom;       // dcdo.cc: the pooled state machine behind EvolveTo
-class IncorporateFom;  // dcdo.cc: the same, behind IncorporateComponent
 
 class Dcdo final : public CallContext {
  public:
@@ -214,10 +211,10 @@ class Dcdo final : public CallContext {
   }
 
  private:
-  // The operation Foms work on mapper_, fetcher_ and version_ directly.
-  friend class EvolveFom;
-  friend class IncorporateFom;
-  friend class DcdoOp;  // links itself into ops_
+  // The pooled state machines of the object's operations (dcdo.cc).
+  class EvolveFom;
+  class IncorporateFom;
+  class RemovalPollFom;
 
   // Runs `attempt` with kError and, when it meets active threads under
   // kDelay/kTimeout, again every kRemovalPoll until it does not (kTimeout:
@@ -263,7 +260,7 @@ class Dcdo final : public CallContext {
   std::uint64_t user_calls_ = 0;
   std::function<void()> pre_call_hook_;
   bool active_ = true;
-  DcdoOp* ops_ = nullptr;  // operations in flight; the destructor detaches
+  runtime::FomOwner ops_;  // operations in flight; destruction cuts them off
 };
 
 }  // namespace dcdo

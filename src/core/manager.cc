@@ -2,66 +2,85 @@
 
 #include "common/logging.h"
 #include "common/serialize.h"
-#include "dfm/descriptor_wire.h"
 #include "runtime/fom.h"
 
 namespace dcdo {
 
 // ===== Instance-operation Foms (DESIGN.md §16) =====
-//
-// CreateInstanceAt and MigrateInstance used to be four-to-five-deep nested
-// lambda chains, each hop copying the tail of the chain into a fresh heap
-// closure. Each operation is now one pooled Fom; the spawn / transfer /
-// fetch / timer completions are 16-byte {scheduler, id} trampolines. Both
-// classes are befriended by DcdoManager — they drive its instance table the
-// way the lambdas did.
+// Each reaches the manager only through its owner link and hands out only
+// its WakeFn(): a manager destroyed meanwhile ends it kNotFound.
 
-// Spawn shell -> construct Dcdo -> apply version -> bind name -> activation
-// handshake.
-class CreateInstanceFom final : public runtime::Fom {
+namespace {
+using runtime::FomStatus;
+using runtime::WakeSource;
+}  // namespace
+
+// An operation on one existing instance: instance() re-finds it after each
+// wait, and `done` runs once, through Finish.
+class DcdoManager::InstanceOpFom : public runtime::OwnedFom<DcdoManager> {
+ protected:
+  InstanceOpFom(const char* name, DcdoManager* manager, ObjectId instance,
+                DoneCallback done)
+      : OwnedFom(name, manager, manager->ops_),
+        instance_(instance),
+        done_(std::move(done)) {}
+
+  // The instance, or null once it or its manager is destroyed.
+  Dcdo* instance() const {
+    return owner() == nullptr ? nullptr : owner()->FindInstance(instance_);
+  }
+  // The outcome when instance() is null.
+  Status Destroyed() const {
+    return NotFoundError(instance_.ToString() + " destroyed during " + name());
+  }
+
+  FomStatus Finish(Status status) {
+    done_(std::move(status));
+    return FomStatus::kDone;
+  }
+
+  const ObjectId instance_;
+
+ private:
+  DoneCallback done_;
+};
+
+// Spawn shell, construct the Dcdo, apply the version, bind its name, handshake.
+class DcdoManager::CreateInstanceFom final
+    : public runtime::OwnedFom<DcdoManager> {
  public:
   enum Phase { kSpawn, kApply, kHandshake };
 
   CreateInstanceFom(DcdoManager* manager, VersionId version,
-                    sim::SimHost* host, DcdoManager::CreateCallback done)
-      : Fom("mgr.create_instance"),
-        manager_(manager),
+                    sim::SimHost* host, CreateCallback done)
+      : OwnedFom("mgr.create_instance", manager, manager->ops_),
         version_(std::move(version)),
         host_(host),
         done_(std::move(done)) {}
 
-  runtime::FomStatus Tick() override {
-    using runtime::FomStatus;
-    using runtime::WakeSource;
-    DcdoManager* mgr = manager_;
+  FomStatus Tick() override {
+    DcdoManager* mgr = owner();
+    if (phase() >= 0 && mgr == nullptr) {
+      // A shell that spawned for a destroyed manager exits at once.
+      if (phase() == kSpawn && wake_status().ok()) {
+        (void)host_->KillProcess(wake_value());
+      }
+      return Finish(Gone());
+    }
     switch (phase()) {
-      default: {
+      default:
         // Spawn the shell process (the DCDO runtime without any
         // components)...
         EnterPhase(kSpawn, "spawn");
-        runtime::FomScheduler* scheduler = &this->scheduler();
-        const std::uint64_t id = this->id();
-        host_->SpawnProcess(
-            mgr->id_, DcdoManager::kShellExecutableBytes,
-            [scheduler, id](Result<sim::ProcessId> shell_pid) {
-              if (shell_pid.ok()) {
-                scheduler->WakeValue(id, WakeSource::kChild, *shell_pid);
-              } else {
-                scheduler->WakeStatus(id, WakeSource::kChild,
-                                      shell_pid.status());
-              }
-            });
+        host_->SpawnProcess(mgr->id_, kShellExecutableBytes,
+                            WakeFn(WakeSource::kChild));
         return WaitOn(WakeSource::kChild);
-      }
       case kSpawn: {
         // A host that went down during the spawn leaves nothing to undo:
         // the instance is made only once its shell runs.
-        if (!wake_status().ok()) {
-          done_(wake_status());
-          return FomStatus::kDone;
-        }
+        if (!wake_status().ok()) return Finish(wake_status());
         // The Dcdo object adopts its own process entry; retire the shell's.
-        (void)host_->KillProcess(static_cast<sim::ProcessId>(wake_value()));
+        (void)host_->KillProcess(wake_value());
         auto object = std::make_unique<Dcdo>(
             mgr->type_name_ + "#" +
                 std::to_string(mgr->instances_.size() + 1),
@@ -69,26 +88,20 @@ class CreateInstanceFom final : public runtime::Fom {
             &mgr->icos_, VersionId{}, &mgr->fetcher_);
         Dcdo* raw = object.get();
         instance_id_ = raw->id();
-        DcdoManager::InstanceRecord& record = mgr->instances_[instance_id_];
+        InstanceRecord& record = mgr->instances_[instance_id_];
         record.object = std::move(object);
         record.last_check = mgr->home_.simulation().Now();
         mgr->InstallLazyHook(instance_id_);
         // ...then bring it to the requested version (acquires every
         // component of the version's descriptor and commits its table).
         EnterPhase(kApply, "apply");
-        runtime::FomScheduler* scheduler = &this->scheduler();
-        const std::uint64_t id = this->id();
-        mgr->ApplyVersion(raw, version_, [scheduler, id](Status status) {
-          scheduler->WakeStatus(id, WakeSource::kChild, std::move(status));
-        });
+        mgr->ApplyVersion(raw, version_, WakeFn(WakeSource::kChild));
         return WaitOn(WakeSource::kChild);
       }
-      case kApply: {
-        Status status = wake_status();
-        if (!status.ok()) {
+      case kApply:
+        if (!wake_status().ok()) {
           mgr->instances_.erase(instance_id_);
-          done_(status);
-          return FomStatus::kDone;
+          return Finish(wake_status());
         }
         if (mgr->names_ != nullptr) {
           (void)mgr->names_->Bind(mgr->InstanceName(instance_id_),
@@ -99,12 +112,10 @@ class CreateInstanceFom final : public runtime::Fom {
         scheduler().ArmTimer(*this,
                              mgr->home_.cost_model().activation_handshake);
         return WaitOn(WakeSource::kTimer);
-      }
       case kHandshake:
         // A destroy during the handshake wins.
         if (!mgr->instances_.contains(instance_id_)) {
-          done_(NotFoundError("instance destroyed during creation"));
-          return FomStatus::kDone;
+          return Finish(NotFoundError("instance destroyed during creation"));
         }
         done_(instance_id_);
         return FomStatus::kDone;
@@ -112,72 +123,93 @@ class CreateInstanceFom final : public runtime::Fom {
   }
 
  private:
-  DcdoManager* manager_;
+  FomStatus Finish(Status status) {
+    done_(std::move(status));
+    return FomStatus::kDone;
+  }
+
   VersionId version_;
   sim::SimHost* host_;
-  DcdoManager::CreateCallback done_;
+  CreateCallback done_;
   ObjectId instance_id_;
+};
+
+// Apply the version, then record it in the manager's history. Its one wait
+// is the object's evolution, whose span covers it: it opens no span itself.
+class DcdoManager::EvolveInstanceFom final : public InstanceOpFom {
+ public:
+  enum Phase { kApply };
+
+  EvolveInstanceFom(DcdoManager* manager, ObjectId instance, VersionId from,
+                    VersionId to, DoneCallback done)
+      : InstanceOpFom("mgr.evolve_instance", manager, instance,
+                      std::move(done)),
+        from_(std::move(from)),
+        to_(std::move(to)),
+        started_(manager->home_.simulation().Now()) {}
+
+  FomStatus Tick() override {
+    if (phase() < 0) {
+      SetPhase(kApply, "apply");
+      owner()->ApplyVersion(instance(), to_, WakeFn(WakeSource::kChild));
+      return WaitOn(WakeSource::kChild);
+    }
+    DcdoManager* mgr = owner();
+    if (mgr == nullptr) return Finish(Gone());
+    const sim::SimTime now = mgr->home_.simulation().Now();
+    mgr->history_.push_back(
+        {instance_, from_, to_, now, now - started_, wake_status()});
+    return Finish(wake_status());
+  }
+
+ private:
+  VersionId from_;
+  VersionId to_;
+  sim::SimTime started_;
 };
 
 // Capture state -> bulk-transfer it -> fetch missing images at dest ->
 // rebind + remap -> restore state -> optional lazy update check. The
 // instance can be destroyed while any wait is pending, so every phase that
-// touches it re-looks it up first, exactly as the lambda chain did.
-class MigrateInstanceFom final : public runtime::Fom {
+// touches it re-finds it first.
+class DcdoManager::MigrateInstanceFom final : public InstanceOpFom {
  public:
   enum Phase { kCapture, kTransfer, kFetch, kRestore, kLazyUpdate };
 
   MigrateInstanceFom(DcdoManager* manager, ObjectId instance,
-                     sim::SimHost* source, sim::SimHost* dest,
-                     std::size_t state_bytes, DcdoManager::DoneCallback done)
-      : Fom("mgr.migrate_instance"),
-        manager_(manager),
-        instance_(instance),
-        source_(source),
-        dest_(dest),
-        state_bytes_(state_bytes),
-        done_(std::move(done)) {}
+                     sim::SimHost* dest, DoneCallback done)
+      : InstanceOpFom("mgr.migrate_instance", manager, instance,
+                      std::move(done)),
+        dest_(dest) {}
 
-  runtime::FomStatus Tick() override {
-    using runtime::FomStatus;
-    using runtime::WakeSource;
-    DcdoManager* mgr = manager_;
+  FomStatus Tick() override {
+    DcdoManager* mgr = owner();
+    if (phase() >= 0 && mgr == nullptr) return Finish(Gone());
     switch (phase()) {
       default:
+        source_ = &instance()->host();  // outlives the drained simulation
+        state_bytes_ = instance()->mutable_state().CaptureSize();
         EnterPhase(kCapture, "capture");
         scheduler().ArmTimer(
             *this, mgr->home_.cost_model().StateCapture(state_bytes_));
         return WaitOn(WakeSource::kTimer);
-      case kCapture: {
-        if (!mgr->instances_.contains(instance_)) {
-          done_(NotFoundError("instance destroyed during migration"));
-          return FomStatus::kDone;
-        }
+      case kCapture:
+        if (instance() == nullptr) return Finish(Destroyed());
         EnterPhase(kTransfer, "transfer");
-        runtime::FomScheduler* scheduler = &this->scheduler();
-        const std::uint64_t id = this->id();
-        source_->network().BulkTransfer(
-            source_->node(), dest_->node(), state_bytes_,
-            [scheduler, id](bool delivered) {
-              scheduler->WakeValue(id, WakeSource::kChild, delivered);
-            });
+        source_->network().BulkTransfer(source_->node(), dest_->node(),
+                                        state_bytes_,
+                                        WakeFn(WakeSource::kChild));
         return WaitOn(WakeSource::kChild);
-      }
       case kTransfer: {
         if (wake_value() == 0) {
           // Nothing has moved yet: the instance is rebound only after its
           // state lands, so it keeps serving at its source.
-          done_(UnavailableError("state transfer of " + instance_.ToString() +
-                                 " to node " +
-                                 std::to_string(dest_->node()) + " failed"));
-          return FomStatus::kDone;
+          return Finish(UnavailableError(
+              "state transfer of " + instance_.ToString() + " to node " +
+              std::to_string(dest_->node()) + " failed"));
         }
-        auto it = mgr->instances_.find(instance_);
-        if (it == mgr->instances_.end()) {
-          done_(NotFoundError("instance destroyed during migration"));
-          return FomStatus::kDone;
-        }
-        Dcdo* object = it->second.object.get();
+        Dcdo* object = instance();
+        if (object == nullptr) return Finish(Destroyed());
         // Fetch any component images missing from the destination cache
         // (best-effort — a failed fetch is re-pulled lazily after the
         // move), then re-bind and re-map. Cached images charge their map
@@ -185,47 +217,28 @@ class MigrateInstanceFom final : public runtime::Fom {
         std::span<const ComponentRecord> records =
             object->mapper().state().components();
         EnterPhase(kFetch, "fetch");
-        runtime::FomScheduler* scheduler = &this->scheduler();
-        const std::uint64_t id = this->id();
         mgr->fetcher_.AcquireAll(
-            dest_,
-            std::vector<ComponentRecord>(records.begin(), records.end()),
-            [mgr, instance = instance_](const ComponentRecord&,
-                                        bool was_cached) {
-              if (!mgr->instances_.contains(instance)) {
-                return NotFoundError("instance destroyed during migration");
-              }
+            dest_, std::vector<ComponentRecord>(records.begin(), records.end()),
+            [fom = this](const ComponentRecord&, bool was_cached) {
+              if (fom->instance() == nullptr) return fom->Destroyed();
               if (was_cached) {
-                mgr->home_.simulation().AdvanceInline(
-                    mgr->home_.cost_model().component_map_cached);
+                sim::SimHost& home = fom->owner()->home_;
+                home.simulation().AdvanceInline(
+                    home.cost_model().component_map_cached);
               }
               return Status::Ok();
             },
-            [scheduler, id](Status status) {
-              scheduler->WakeStatus(id, WakeSource::kFetch,
-                                    std::move(status));
-            },
+            WakeFn(WakeSource::kFetch),
             ComponentFetcher::Options{.fail_fast = false});
         return WaitOn(WakeSource::kFetch);
       }
       case kFetch: {
-        Status status = wake_status();
-        if (!status.ok()) {
-          done_(status);
-          return FomStatus::kDone;
-        }
-        auto it = mgr->instances_.find(instance_);
-        if (it == mgr->instances_.end()) {
-          done_(NotFoundError("instance destroyed during migration"));
-          return FomStatus::kDone;
-        }
-        Dcdo* object = it->second.object.get();
+        if (!wake_status().ok()) return Finish(wake_status());
+        Dcdo* object = instance();
+        if (object == nullptr) return Finish(Destroyed());
         object->Rebind(dest_);
         Status remapped = object->RemapForHost();
-        if (!remapped.ok()) {
-          done_(remapped);
-          return FomStatus::kDone;
-        }
+        if (!remapped.ok()) return Finish(std::move(remapped));
         EnterPhase(kRestore, "restore");
         scheduler().ArmTimer(*this, mgr->home_.cost_model().StateRestore(
                                         object->mutable_state().CaptureSize()));
@@ -238,30 +251,93 @@ class MigrateInstanceFom final : public runtime::Fom {
         if (mgr->policy_->ShouldLazyCheck(ctx)) {
           ++mgr->lazy_checks_;
           EnterPhase(kLazyUpdate, "lazy_update");
-          runtime::FomScheduler* scheduler = &this->scheduler();
-          const std::uint64_t id = this->id();
-          mgr->UpdateInstance(instance_, [scheduler, id](Status status) {
-            scheduler->WakeStatus(id, WakeSource::kChild, std::move(status));
-          });
+          mgr->UpdateInstance(instance_, WakeFn(WakeSource::kChild));
           return WaitOn(WakeSource::kChild);
         }
-        done_(Status::Ok());
-        return FomStatus::kDone;
+        return Finish(Status::Ok());
       }
       case kLazyUpdate:
         // Failing to update does not fail the migration.
-        done_(Status::Ok());
-        return FomStatus::kDone;
+        return Finish(Status::Ok());
     }
   }
 
  private:
-  DcdoManager* manager_;
-  ObjectId instance_;
-  sim::SimHost* source_;
+  sim::SimHost* source_ = nullptr;
   sim::SimHost* dest_;
-  std::size_t state_bytes_;
-  DcdoManager::DoneCallback done_;
+  std::size_t state_bytes_ = 0;
+};
+
+// Capture the state to the host's store, then tear the activation down.
+class DcdoManager::DeactivateInstanceFom final : public InstanceOpFom {
+ public:
+  enum Phase { kCapture };
+
+  DeactivateInstanceFom(DcdoManager* manager, ObjectId instance,
+                        DoneCallback done)
+      : InstanceOpFom("mgr.deactivate_instance", manager, instance,
+                      std::move(done)) {}
+
+  FomStatus Tick() override {
+    if (phase() < 0) {
+      state_bytes_ = instance()->mutable_state().CaptureSize();
+      EnterPhase(kCapture, "capture");
+      const sim::CostModel& cost = owner()->home_.cost_model();
+      scheduler().ArmTimer(*this, cost.StateCapture(state_bytes_) +
+                                      cost.DiskWrite(state_bytes_));
+      return WaitOn(WakeSource::kTimer);
+    }
+    Dcdo* object = instance();
+    if (object == nullptr) return Finish(Destroyed());
+    object->host().StoreFile("state/" + instance_.ToString(), state_bytes_);
+    object->Deactivate();
+    return Finish(Status::Ok());
+  }
+
+ private:
+  std::size_t state_bytes_ = 0;
+};
+
+// Spawn a shell, re-map cached components, restore state, re-bind. The
+// instance stays deactivated when its host goes down.
+class DcdoManager::ReactivateInstanceFom final : public InstanceOpFom {
+ public:
+  enum Phase { kSpawn, kRestore };
+
+  ReactivateInstanceFom(DcdoManager* manager, ObjectId instance,
+                        DoneCallback done)
+      : InstanceOpFom("mgr.reactivate_instance", manager, instance,
+                      std::move(done)) {}
+
+  FomStatus Tick() override {
+    if (phase() < 0) {
+      host_ = &instance()->host();
+      EnterPhase(kSpawn, "spawn");
+      host_->SpawnProcess(instance_, kShellExecutableBytes,
+                          WakeFn(WakeSource::kChild));
+      return WaitOn(WakeSource::kChild);
+    }
+    if (phase() == kSpawn && !wake_status().ok()) return Finish(wake_status());
+    if (phase() == kSpawn) (void)host_->KillProcess(wake_value());
+    Dcdo* object = instance();
+    if (object == nullptr) return Finish(Destroyed());
+    if (phase() == kRestore) {
+      object->Reactivate();
+      return Finish(Status::Ok());
+    }
+    const sim::CostModel& cost = owner()->home_.cost_model();
+    std::size_t components = object->GetComponents().size();
+    std::size_t state_bytes = object->mutable_state().CaptureSize();
+    owner()->home_.simulation().AdvanceInline(
+        cost.component_map_cached * static_cast<std::int64_t>(components));
+    EnterPhase(kRestore, "restore");
+    scheduler().ArmTimer(*this, cost.DiskRead(state_bytes) +
+                                    cost.StateRestore(state_bytes));
+    return WaitOn(WakeSource::kTimer);
+  }
+
+ private:
+  sim::SimHost* host_ = nullptr;  // where the shell spawns
 };
 
 DcdoManager::DcdoManager(std::string type_name, sim::SimHost* home,
@@ -283,12 +359,6 @@ DcdoManager::DcdoManager(std::string type_name, sim::SimHost* home,
       home_.node(), pid_, /*epoch=*/1,
       [this](const rpc::MethodInvocation& invocation, rpc::ReplyFn reply) {
         const std::string_view method = invocation.method_name();
-        if (method == "mgr.getCurrentVersion") {
-          Writer writer;
-          writer.WriteVersionId(current_version_);
-          reply(rpc::MethodResult::Ok(std::move(writer).Take()));
-          return;
-        }
         if (method == "mgr.updateInstance") {
           Reader reader(invocation.args());
           Result<ObjectId> instance = reader.ReadObjectId();
@@ -304,33 +374,6 @@ DcdoManager::DcdoManager(std::string type_name, sim::SimHost* home,
               (*reply_sp)(rpc::MethodResult::Error(status));
             }
           });
-          return;
-        }
-        if (method == "mgr.getDescriptor") {
-          Reader reader(invocation.args());
-          Result<VersionId> version = reader.ReadVersionId();
-          if (!version.ok()) {
-            reply(rpc::MethodResult::Error(version.status()));
-            return;
-          }
-          Result<const DfmDescriptor*> descriptor = Descriptor(*version);
-          if (!descriptor.ok()) {
-            reply(rpc::MethodResult::Error(descriptor.status()));
-            return;
-          }
-          reply(rpc::MethodResult::Ok(SerializeDescriptor(**descriptor)));
-          return;
-        }
-        if (method == "mgr.getTable") {
-          Writer writer;
-          std::vector<TableEntry> table = Table();
-          writer.WriteU64(table.size());
-          for (const TableEntry& entry : table) {
-            writer.WriteObjectId(entry.id);
-            writer.WriteVersionId(entry.version);
-            writer.WriteU32(entry.node);
-          }
-          reply(rpc::MethodResult::Ok(std::move(writer).Take()));
           return;
         }
         reply(rpc::MethodResult::Error(NotFoundError(
@@ -504,9 +547,8 @@ void DcdoManager::CreateInstanceAt(const VersionId& version,
     done(instantiable);
     return;
   }
-  auto& scheduler = runtime::FomScheduler::For(home_.simulation());
-  scheduler.Start(*scheduler.Create<CreateInstanceFom>(this, version, host,
-                                                       std::move(done)));
+  runtime::FomScheduler::For(home_.simulation())
+      .Launch<CreateInstanceFom>(this, version, host, std::move(done));
 }
 
 void DcdoManager::EvolveInstanceTo(const ObjectId& instance,
@@ -533,21 +575,9 @@ void DcdoManager::EvolveInstanceTo(const ObjectId& instance,
   // charge one control-message round.
   home_.simulation().AdvanceInline(home_.cost_model().MessageTime(
       rpc::kHeaderBytes + 64 * it->second.object->mapper().state().entry_count()));
-  VersionId from = it->second.object->version();
-  sim::SimTime started = home_.simulation().Now();
-  ApplyVersion(it->second.object.get(), version,
-               [this, instance, from, version, started,
-                done = std::move(done)](Status status) {
-                 EvolutionEvent event;
-                 event.instance = instance;
-                 event.from = from;
-                 event.to = version;
-                 event.completed_at = home_.simulation().Now();
-                 event.duration = event.completed_at - started;
-                 event.status = status;
-                 history_.push_back(std::move(event));
-                 done(status);
-               });
+  runtime::FomScheduler::For(home_.simulation())
+      .Launch<EvolveInstanceFom>(this, instance, it->second.object->version(),
+                                 version, std::move(done));
 }
 
 void DcdoManager::UpdateInstance(const ObjectId& instance, DoneCallback done) {
@@ -581,15 +611,10 @@ void DcdoManager::MigrateInstance(const ObjectId& instance,
     done(NotFoundError("no instance " + instance.ToString()));
     return;
   }
-  Dcdo* object = it->second.object.get();
-  // The Fom holds the source host by pointer: the host outlives the drained
-  // simulation even if the instance is destroyed mid-move.
-  sim::SimHost* source = &object->host();
-  std::size_t state_bytes = object->mutable_state().CaptureSize();
-
   // Every incorporated component must be mappable on the destination before
   // we commit to moving.
-  for (const ComponentRecord& meta : object->mapper().state().components()) {
+  for (const ComponentRecord& meta :
+       it->second.object->mapper().state().components()) {
     if (!meta->type.CompatibleWith(dest->architecture())) {
       done(ArchMismatchError("component " + meta->name +
                              " has no build for the destination host"));
@@ -597,9 +622,8 @@ void DcdoManager::MigrateInstance(const ObjectId& instance,
     }
   }
 
-  auto& scheduler = runtime::FomScheduler::For(home_.simulation());
-  scheduler.Start(*scheduler.Create<MigrateInstanceFom>(
-      this, instance, source, dest, state_bytes, std::move(done)));
+  runtime::FomScheduler::For(home_.simulation())
+      .Launch<MigrateInstanceFom>(this, instance, dest, std::move(done));
 }
 
 void DcdoManager::PrefetchInstanceVersion(const ObjectId& instance,
@@ -634,22 +658,8 @@ void DcdoManager::DeactivateInstance(const ObjectId& instance,
                             " has executing threads"));
     return;
   }
-  const sim::CostModel& cost = home_.cost_model();
-  std::size_t state_bytes = object->mutable_state().CaptureSize();
-  // Capture state, write it to the host store, then tear down.
-  home_.simulation().Schedule(
-      cost.StateCapture(state_bytes) + cost.DiskWrite(state_bytes),
-      [this, instance, state_bytes, done = std::move(done)]() {
-        auto it = instances_.find(instance);
-        if (it == instances_.end()) {
-          done(NotFoundError("instance destroyed during deactivation"));
-          return;
-        }
-        Dcdo* object = it->second.object.get();
-        object->host().StoreFile("state/" + instance.ToString(), state_bytes);
-        object->Deactivate();
-        done(Status::Ok());
-      });
+  runtime::FomScheduler::For(home_.simulation())
+      .Launch<DeactivateInstanceFom>(this, instance, std::move(done));
 }
 
 void DcdoManager::ReactivateInstance(const ObjectId& instance,
@@ -659,47 +669,12 @@ void DcdoManager::ReactivateInstance(const ObjectId& instance,
     done(NotFoundError("no instance " + instance.ToString()));
     return;
   }
-  Dcdo* object = it->second.object.get();
-  if (object->active()) {
+  if (it->second.object->active()) {
     done(Status::Ok());
     return;
   }
-  sim::SimHost& host = object->host();
-  host.SpawnProcess(
-      instance, kShellExecutableBytes,
-      [this, instance, &host,
-       done = std::move(done)](Result<sim::ProcessId> shell_pid) {
-        // The instance stays deactivated when its host went down.
-        if (!shell_pid.ok()) {
-          done(shell_pid.status());
-          return;
-        }
-        (void)host.KillProcess(*shell_pid);
-        auto it = instances_.find(instance);
-        if (it == instances_.end()) {
-          done(NotFoundError("instance destroyed during reactivation"));
-          return;
-        }
-        Dcdo* object = it->second.object.get();
-        // Re-map each (cached) component, read the state back, re-bind.
-        const sim::CostModel& cost = home_.cost_model();
-        std::size_t components = object->GetComponents().size();
-        std::size_t state_bytes = object->mutable_state().CaptureSize();
-        home_.simulation().AdvanceInline(
-            cost.component_map_cached *
-            static_cast<std::int64_t>(components));
-        home_.simulation().Schedule(
-            cost.DiskRead(state_bytes) + cost.StateRestore(state_bytes),
-            [this, instance, done = std::move(done)]() {
-              auto it = instances_.find(instance);
-              if (it == instances_.end()) {
-                done(NotFoundError("instance destroyed during reactivation"));
-                return;
-              }
-              it->second.object->Reactivate();
-              done(Status::Ok());
-            });
-      });
+  runtime::FomScheduler::For(home_.simulation())
+      .Launch<ReactivateInstanceFom>(this, instance, std::move(done));
 }
 
 Status DcdoManager::DestroyInstance(const ObjectId& instance) {

@@ -31,10 +31,6 @@
 
 namespace dcdo {
 
-// manager.cc: the pooled state machines behind instance creation/migration.
-class CreateInstanceFom;
-class MigrateInstanceFom;
-
 class DcdoManager {
  public:
   using CreateCallback = std::function<void(Result<ObjectId>)>;
@@ -142,6 +138,8 @@ class DcdoManager {
   // and yields a new address, so pre-deactivation client bindings go stale.
   // A reactivation whose host goes down during the spawn fails with
   // kUnavailable and leaves the instance deactivated.
+  // Each operation above that takes simulated time ends kNotFound, once,
+  // when the manager is destroyed meanwhile.
   void DeactivateInstance(const ObjectId& instance, DoneCallback done);
   void ReactivateInstance(const ObjectId& instance, DoneCallback done);
 
@@ -181,9 +179,13 @@ class DcdoManager {
   std::uint64_t lazy_updates() const { return lazy_updates_; }
 
  private:
-  // Drive the multi-step instance operations against the manager's tables.
-  friend class CreateInstanceFom;
-  friend class MigrateInstanceFom;
+  // The pooled state machines behind the instance operations (manager.cc).
+  class InstanceOpFom;
+  class CreateInstanceFom;
+  class EvolveInstanceFom;
+  class MigrateInstanceFom;
+  class DeactivateInstanceFom;
+  class ReactivateInstanceFom;
 
   struct InstanceRecord {
     std::unique_ptr<Dcdo> object;
@@ -228,6 +230,7 @@ class DcdoManager {
   std::uint64_t lazy_checks_ = 0;
   std::uint64_t lazy_updates_ = 0;
   std::vector<EvolutionEvent> history_;
+  runtime::FomOwner ops_;  // operations in flight; destruction cuts them off
 };
 
 }  // namespace dcdo

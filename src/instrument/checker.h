@@ -13,8 +13,8 @@
 //   invariants      — named predicates over the registered probes, evaluated
 //     after every simulation event and once more at end of run.
 //
-// The seven shipped invariants are registered by the constructor; each is
-// documented at its predicate in invariants.cc (catalogue: DESIGN.md §6).
+// The constructor registers seven invariants (invariants.cc), a checked
+// Testbed an eighth, operations-complete; catalogue: DESIGN.md §6.
 #pragma once
 
 #include <cstdint>

@@ -28,7 +28,7 @@ struct RpcClient::CallState {
   Callback done;
   ObjectAddress address;
   int attempts_this_binding = 0;
-  // Pushed-rebind rounds consumed (capped at CostModel::lease_rebind_limit;
+  // Pushed-rebind rounds consumed (capped at kLeaseRebindLimit;
   // each round restarts the per-binding retry schedule).
   int lease_rebind_rounds = 0;
   // Session state. `grant` is the slot the current attempt ships under, on
@@ -37,7 +37,7 @@ struct RpcClient::CallState {
   // until it finishes: releasing a slot on rebind would let its seq advance,
   // and a later rebind back to that activation would then send a fresh seq —
   // re-executing a body that already ran there. Bounded by the rebind caps
-  // (≤ 2 + lease_rebind_limit activations per call); empty unless the call
+  // (≤ 2 + kLeaseRebindLimit activations per call); empty unless the call
   // rebinds, so the common call never allocates for it.
   SlotGrant grant;
   std::vector<std::pair<ObjectAddress, SlotGrant>> earlier_grants;
@@ -168,7 +168,6 @@ void RpcClient::Retarget(const std::shared_ptr<CallState>& call,
 void RpcClient::ReplaySession(const std::shared_ptr<CallState>& mover,
                               const ObjectAddress& stale,
                               bool resend_in_flight) {
-  const sim::CostModel& cost = transport_.cost_model();
   // AcquireSlot below never starts a new call, so inflight_ is stable across
   // the sweep; iteration in start order keeps the replay deterministic.
   for (const std::weak_ptr<CallState>& weak : inflight_) {
@@ -187,7 +186,7 @@ void RpcClient::ReplaySession(const std::shared_ptr<CallState>& mover,
     // A replay is a rebind round for the replayed call too: it consumes the
     // same per-call budget that caps push-chasing, so a perpetually churning
     // target still drives every sibling to termination.
-    if (call->lease_rebind_rounds >= cost.lease_rebind_limit) continue;
+    if (call->lease_rebind_rounds >= kLeaseRebindLimit) continue;
     ++call->lease_rebind_rounds;
     session_replays_.Increment();
     transport_.simulation().Cancel(call->timer_id);
@@ -352,11 +351,11 @@ void RpcClient::OnTimeout(const std::shared_ptr<CallState>& call) {
   }
 
   if (cost.binding_lease_duration > sim::SimDuration::Zero() &&
-      call->lease_rebind_rounds < cost.lease_rebind_limit) {
+      call->lease_rebind_rounds < kLeaseRebindLimit) {
     // Under leases the directory pushes a rebound object's fresh binding to
     // this cache; if one arrived while the attempt was on the wire, switch
     // to it now instead of probing the dead address through the rest of the
-    // timeout schedule. Capped at lease_rebind_limit rounds per call: each
+    // timeout schedule. Capped at kLeaseRebindLimit rounds per call: each
     // switch restarts the retry schedule, and an uncapped call chasing a
     // churning object could retry forever. A call past the cap falls
     // through to the normal probe schedule and terminal timeout.

@@ -19,9 +19,9 @@
 // object rebinds; a timed-out attempt then notices the pushed replacement
 // and switches to it immediately instead of finishing the probe schedule,
 // and new calls resolve the fresh address before their first send. A call
-// switches to pushed bindings at most CostModel::lease_rebind_limit times —
-// each switch restarts the retry round, so an uncapped call chasing a
-// churning object could retry forever (DESIGN.md §9.2).
+// switches to pushed bindings at most kLeaseRebindLimit times — each switch
+// restarts the retry round, so an uncapped call chasing a churning object
+// could retry forever (DESIGN.md §9.2).
 //
 // Every call occupies a slot of the per-server-endpoint session
 // (src/rpc/session.h) for its whole lifetime: the slot is acquired before
@@ -46,7 +46,7 @@
 // schedule, so every stale call pays the same ~30 s the paper measures
 // instead of a share that depends on where its start fell in the first
 // discoverer's schedule. Each resent call consumes a pushed-rebind round
-// (the lease_rebind_limit cap), so a churning target still terminates, and
+// (the kLeaseRebindLimit cap), so a churning target still terminates, and
 // the per-activation (slot, seq) dedup is what keeps the resends
 // exactly-once.
 //
@@ -76,6 +76,12 @@
 #include "rpc/transport.h"
 
 namespace dcdo::rpc {
+
+// Lease-pushed rebind rounds (and session replays) one call may take. Each
+// restarts the call's retry round, so without it a call chasing a migrating
+// target would retry forever; past it the call falls back to the ordinary
+// stale-binding schedule and then fails. Irrelevant with leases off.
+inline constexpr int kLeaseRebindLimit = 3;
 
 class RpcClient {
  public:

@@ -38,8 +38,7 @@ inline constexpr std::size_t kHeaderBytes = 96;
 inline constexpr std::size_t kMethodIdWireBytes = 8;
 
 // Wire footprint of the session carriage (u64 session id + u32 slot +
-// u64 slot sequence). Every RpcClient call is sessioned, so it rides all
-// client traffic; a hand-rolled invocation with session_id 0 carries none.
+// u64 slot sequence), which every invocation carries.
 inline constexpr std::size_t kSessionWireBytes = 20;
 
 // Configuration methods are dispatched by name in the configurable-object
@@ -56,14 +55,14 @@ struct MethodInvocation {
   // By-id (fast-path) method + the intern-table epoch it was minted under.
   FunctionId method_id;
   std::uint32_t name_epoch = 0;
+  // The activation epoch expected (from 1 up, so an unset one never matches).
   std::uint64_t expected_epoch = 0;
   std::uint64_t call_id = 0;  // assigned by the client; echoed in the reply
   // Session carriage (src/rpc/session.*): names the client session this
   // call occupies a slot of; (session_slot, session_seq) let the server's
   // per-slot "last executed seq + cached reply" state give exactly-once in
-  // O(slots) memory. Retries of one logical call carry identical values.
-  // session_id 0 (a hand-rolled invocation) is dispatched without
-  // deduplication.
+  // O(slots) memory. Retries of one logical call carry identical values;
+  // seq counts from 1, so an unset triple is dropped as stale.
   std::uint64_t session_id = 0;
   std::uint32_t session_slot = 0;
   std::uint64_t session_seq = 0;
@@ -98,7 +97,7 @@ struct MethodInvocation {
   std::size_t WireSize() const {
     return kHeaderBytes +
            (method_id.valid() ? kMethodIdWireBytes : method.size()) +
-           (session_id != 0 ? kSessionWireBytes : 0) + args().size();
+           kSessionWireBytes + args().size();
   }
 
  private:

@@ -24,8 +24,8 @@ struct InFlight {
   sim::ProcessId to_pid;
   MethodInvocation invocation;
   ReplyFn on_reply;
-  // Set at delivery of a sessioned call: the receiving endpoint's session
-  // table, so the reply functor can cache the handler's answer for replay.
+  // Set when the call is admitted: the receiving endpoint's session table,
+  // so the reply functor can cache the handler's answer for replay.
   std::shared_ptr<ServerSessionTable> sessions;
   // Trace carriage across the async hops (0 = untraced).
   std::uint64_t send_span = 0;
@@ -109,8 +109,7 @@ void RpcTransport::Invoke(sim::NodeId from_node, sim::NodeId to_node,
                            << call->invocation.method_name();
           return;
         }
-        if (call->invocation.expected_epoch != 0 &&
-            it->second.epoch != call->invocation.expected_epoch) {
+        if (it->second.epoch != call->invocation.expected_epoch) {
           // Same (node, pid) reused by a newer activation: the old-epoch
           // invocation is silently discarded, exactly like a message to a
           // dead address.
@@ -122,70 +121,63 @@ void RpcTransport::Invoke(sim::NodeId from_node, sim::NodeId to_node,
 
         // Exactly-once: past the epoch check, (origin, session, slot, seq)
         // names one logical call at this activation, and the slot table
-        // decides before the handler sees anything. Per-slot state never
-        // expires, so a retry landing arbitrarily late — after any number of
-        // lease rebinds — still dedups. session_id 0 (a hand-rolled
-        // invocation) is dispatched without deduplication.
+        // every invocation passes decides before the handler sees anything.
+        // Slot state never expires, so a late retry still dedups.
         const std::uint64_t call_id = call->invocation.call_id;
-        if (call->invocation.session_id != 0) {
-          ServerSessionTable::Decision decision = it->second.sessions->Admit(
-              call->from_node, call->invocation.session_id,
-              call->invocation.session_slot, call->invocation.session_seq);
-          // Both duplicate kinds count as one hit and leave one rpc.dedup
-          // marker, chained to the duplicate's own send span.
-          auto count_duplicate = [this, send_span = call->send_span,
-                                  node = call->to_node, call_id]() {
-            dedup_hits_.Increment();
-            if (auto* tr = instrument::Spans()) {
-              tr->Instant("rpc.dedup",
-                          {.category = "server",
-                           .parent = send_span,
-                           .node = static_cast<std::uint32_t>(node),
-                           .call_id = call_id});
-            }
-          };
-          switch (decision.disposition) {
-            case ServerSessionTable::Disposition::kDropStale:
-              // Older seq than the slot's current occupant: provably a ghost
-              // of a call the client already abandoned. Its answer can no
-              // longer matter, so drop without replying.
-              session_stale_drops_.Increment();
-              DCDO_LOG(kDebug)
-                  << "rpc: stale session delivery for call " << call_id
-                  << " from node " << call->from_node << " dropped";
-              return;
-            case ServerSessionTable::Disposition::kDropInFlight:
-              // The original attempt is still executing (the handler parked
-              // its reply); its answer will reach the client. Dropping the
-              // duplicate here is what makes the method body run once.
-              count_duplicate();
-              DCDO_LOG(kDebug)
-                  << "rpc: duplicate of in-flight call " << call_id
-                  << " from node " << call->from_node << " dropped";
-              return;
-            case ServerSessionTable::Disposition::kReplayReply: {
-              // Executed before — replay the slot's cached reply without
-              // re-running the body. Charge the dispatch cost (the server
-              // did look the call up) and ship the copy back.
-              count_duplicate();
-              network_.simulation().AdvanceInline(cost_model().rpc_dispatch);
-              MethodResult replay = *decision.reply;
-              const sim::NodeId to_node = call->to_node;
-              const sim::NodeId from_node = call->from_node;
-              std::size_t reply_bytes = replay.WireSize();
-              network_.Send(to_node, from_node, reply_bytes,
-                            [call = std::move(call),
-                             replay = std::move(replay)]() mutable {
-                              call->on_reply(std::move(replay));
-                            });
-              return;
-            }
-            case ServerSessionTable::Disposition::kExecute:
-              // New seq on this slot: run the body; the reply functor below
-              // records the answer in the slot via Complete.
-              call->sessions = it->second.sessions;
-              break;
+        ServerSessionTable::Decision decision = it->second.sessions->Admit(
+            call->from_node, call->invocation.session_id,
+            call->invocation.session_slot, call->invocation.session_seq);
+        // Both duplicate kinds count as one hit and leave one rpc.dedup
+        // marker, chained to the duplicate's own send span.
+        auto count_duplicate = [this, send_span = call->send_span,
+                                node = call->to_node, call_id]() {
+          dedup_hits_.Increment();
+          if (auto* tr = instrument::Spans()) {
+            tr->Instant("rpc.dedup", {.category = "server",
+                                      .parent = send_span,
+                                      .node = static_cast<std::uint32_t>(node),
+                                      .call_id = call_id});
           }
+        };
+        switch (decision.disposition) {
+          case ServerSessionTable::Disposition::kDropStale:
+            // Older seq than the slot's current occupant: provably a ghost
+            // of a call the client already abandoned. Its answer can no
+            // longer matter, so drop without replying.
+            session_stale_drops_.Increment();
+            DCDO_LOG(kDebug) << "rpc: stale delivery of call " << call_id
+                             << " from node " << call->from_node;
+            return;
+          case ServerSessionTable::Disposition::kDropInFlight:
+            // The original attempt is still executing (the handler parked
+            // its reply); its answer will reach the client. Dropping the
+            // duplicate here is what makes the method body run once.
+            count_duplicate();
+            DCDO_LOG(kDebug) << "rpc: duplicate of in-flight call " << call_id
+                             << " from node " << call->from_node;
+            return;
+          case ServerSessionTable::Disposition::kReplayReply: {
+            // Executed before — replay the slot's cached reply without
+            // re-running the body. Charge the dispatch cost (the server did
+            // look the call up) and ship the copy back.
+            count_duplicate();
+            network_.simulation().AdvanceInline(cost_model().rpc_dispatch);
+            MethodResult replay = *decision.reply;
+            const sim::NodeId to_node = call->to_node;
+            const sim::NodeId from_node = call->from_node;
+            std::size_t reply_bytes = replay.WireSize();
+            network_.Send(to_node, from_node, reply_bytes,
+                          [call = std::move(call),
+                           replay = std::move(replay)]() mutable {
+                            call->on_reply(std::move(replay));
+                          });
+            return;
+          }
+          case ServerSessionTable::Disposition::kExecute:
+            // New seq on this slot: run the body; the reply functor below
+            // records the answer in the slot via Complete.
+            call->sessions = it->second.sessions;
+            break;
         }
 
         invocations_delivered_.Increment();
@@ -212,17 +204,14 @@ void RpcTransport::Invoke(sim::NodeId from_node, sim::NodeId to_node,
         const MethodInvocation& invocation = call->invocation;
         ReplyFn wire_reply = [call =
                                   std::move(call)](MethodResult result) mutable {
-          if (call->sessions != nullptr) {
-            // Record the outcome for replay — even if the reply message is
-            // about to be lost on the wire, the *execution* happened, and a
-            // retry must get this answer instead of a second execution.
-            // Complete itself guards against the slot having moved on to a
-            // successor call.
-            call->sessions->Complete(call->from_node,
-                                     call->invocation.session_id,
-                                     call->invocation.session_slot,
-                                     call->invocation.session_seq, result);
-          }
+          // Record the outcome for replay — even if the reply message is
+          // about to be lost on the wire, the *execution* happened, and a
+          // retry must get this answer instead of a second execution.
+          // Complete itself guards against the slot having moved on to a
+          // successor call.
+          call->sessions->Complete(call->from_node, call->invocation.session_id,
+                                   call->invocation.session_slot,
+                                   call->invocation.session_seq, result);
           if (auto* tr2 = instrument::Spans()) {
             tr2->EndSpan(call->dispatch_span, "status",
                          result.status.ok() ? "ok" : result.status.ToString());

@@ -17,8 +17,9 @@
 // cached reply, or drop a duplicate whose original is still executing (or a
 // ghost of a call the client already abandoned). Slot state never expires,
 // so a retry landing arbitrarily late still dedups, in O(clients x slots)
-// memory (DESIGN.md §9.2). A hand-rolled invocation with session_id 0 is
-// dispatched without deduplication.
+// memory (DESIGN.md §9.2). Every dispatched invocation passes that table
+// and the epoch check; an invocation without a session or an epoch is
+// dropped there like any other stale delivery.
 #pragma once
 
 #include <cstdint>
@@ -64,6 +65,8 @@ class RpcTransport {
   bool EndpointAlive(sim::NodeId node, sim::ProcessId pid) const {
     return endpoints_.contains({node, pid});
   }
+
+  std::size_t endpoint_count() const { return endpoints_.size(); }
 
   // The epoch registered at (node, pid); 0 if no endpoint is there. Lets the
   // checking layer decide whether a cached (node, pid, epoch) binding is

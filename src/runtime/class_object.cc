@@ -17,11 +17,7 @@ ClassObject::ClassObject(std::string class_name, sim::SimHost* home,
 
 ClassObject::~ClassObject() {
   for (auto& [instance_id, instance] : instances_) {
-    if (instance.active) {
-      transport_.UnregisterEndpoint(instance.host->node(), instance.pid);
-      (void)instance.host->KillProcess(instance.pid);
-      agent_.Unbind(instance_id);
-    }
+    Deactivate(instance_id, instance);
   }
   agent_.Unbind(id_);
   (void)home_.KillProcess(pid_);
@@ -50,7 +46,7 @@ std::string ClassObject::ExecutableFileName(std::size_t index) const {
 
 void ClassObject::EnsureExecutableOnHost(sim::SimHost* host,
                                          std::size_t executable_index,
-                                         DoneCallback done) {
+                                         runtime::Waker done) {
   const std::string file = ExecutableFileName(executable_index);
   if (host->HasFile(file)) {
     done(Status::Ok());
@@ -58,18 +54,20 @@ void ClassObject::EnsureExecutableOnHost(sim::SimHost* host,
   }
   // Single-flight: a download of this file to this host already under way
   // answers this request too.
-  std::vector<DoneCallback>& waiters = downloads_[{host->node(), file}];
-  waiters.push_back(std::move(done));
-  if (waiters.size() > 1) return;
+  std::shared_ptr<Download>& download = downloads_[{host->node(), file}];
+  if (download != nullptr && !download->landed) {
+    download->waiters.push_back(done);
+    return;
+  }
+  download = std::make_shared<Download>();
+  download->waiters.push_back(done);
   std::size_t bytes = executables_[executable_index].bytes;
   DCDO_LOG(kDebug) << class_name_ << ": downloading " << file << " ("
                    << bytes << "B) to node " << host->node();
   home_.network().BulkTransfer(
       home_.node(), host->node(), bytes,
-      [this, host, file, bytes](bool delivered) {
-        auto it = downloads_.find({host->node(), file});
-        std::vector<DoneCallback> landed = std::move(it->second);
-        downloads_.erase(it);
+      [download, host, file, bytes](bool delivered) {
+        download->landed = true;
         Status status = Status::Ok();
         if (delivered) {
           host->StoreFile(file, bytes);
@@ -78,13 +76,26 @@ void ClassObject::EnsureExecutableOnHost(sim::SimHost* host,
                                     "' download to node " +
                                     std::to_string(host->node()) + " failed");
         }
-        for (DoneCallback& waiter : landed) waiter(status);
+        for (const runtime::Waker& waiter : download->waiters) waiter(status);
       });
 }
 
-void ClassObject::RegisterEndpoint(const ObjectId& instance_id) {
-  Instance& instance = instances_.at(instance_id);
-  std::size_t executable_index = instance.executable_index;
+void ClassObject::Deactivate(const ObjectId& instance_id, Instance& instance) {
+  if (!instance.active) return;
+  transport_.UnregisterEndpoint(instance.host->node(), instance.pid);
+  (void)instance.host->KillProcess(instance.pid);
+  instance.active = false;
+  agent_.Unbind(instance_id);
+}
+
+void ClassObject::Activate(const ObjectId& instance_id, Instance& instance,
+                           sim::SimHost* host, sim::ProcessId pid,
+                           std::size_t executable_index) {
+  instance.host = host;
+  instance.pid = pid;
+  instance.epoch = next_epoch_++;
+  instance.executable_index = executable_index;
+  instance.active = true;
   transport_.RegisterEndpoint(
       instance.host->node(), instance.pid, instance.epoch,
       [this, instance_id, executable_index](
@@ -115,102 +126,169 @@ void ClassObject::RegisterEndpoint(const ObjectId& instance_id) {
           reply(rpc::MethodResult::Error(result.status()));
         }
       });
+  agent_.Bind(instance_id, ObjectAddress{host->node(), pid, instance.epoch});
 }
 
-void ClassObject::ActivateInstance(const ObjectId& instance_id,
-                                   sim::SimHost* host,
-                                   std::size_t executable_index,
-                                   DoneCallback done) {
-  if (!host->up()) {
-    done(UnavailableError("node " + std::to_string(host->node()) +
-                          " is down"));
-    return;
-  }
-  std::size_t exec_bytes = executables_[executable_index].bytes;
-  host->SpawnProcess(
-      instance_id, exec_bytes,
-      [this, instance_id, host, executable_index,
-       done = std::move(done)](Result<sim::ProcessId> spawned) {
-        if (!spawned.ok()) {
-          done(spawned.status());
-          return;
+namespace {
+using runtime::FomStatus;
+using runtime::WakeSource;
+}  // namespace
+
+// One create or move of one instance. A create runs download, spawn and
+// handshake; a move runs capture (then deactivates), transfer (only when
+// the host changes), the same three, and restore; on a failed transfer or
+// download it spawns the old executable at the source instead.
+class ClassObject::InstanceFom final : public runtime::OwnedFom<ClassObject> {
+ public:
+  enum Phase { kCapture, kTransfer, kDownload, kSpawn, kHandshake, kRestore };
+
+  // `source` is null for a create.
+  InstanceFom(ClassObject* owner, ObjectId instance, sim::SimHost* source,
+              sim::SimHost* dest, std::size_t executable,
+              std::size_t state_bytes, ClassObject::CreateCallback done)
+      : OwnedFom(source == nullptr ? "class.create_instance"
+                                   : "class.move_instance",
+                 owner, owner->ops_),
+        instance_(instance),
+        source_(source),
+        dest_(dest),
+        executable_(executable),
+        state_bytes_(state_bytes),
+        done_(std::move(done)) {}
+
+  FomStatus Tick() override {
+    ClassObject* owner = this->owner();
+    if (phase() >= 0 && owner == nullptr) {
+      // A process that spawned for a destroyed class object dies at once.
+      if (phase() == kSpawn && wake_status().ok()) {
+        (void)host_->KillProcess(wake_value());
+      }
+      return Finish(Gone());
+    }
+    switch (phase()) {
+      default:
+        if (source_ == nullptr) return Download();
+        EnterPhase(kCapture, "capture");
+        scheduler().ArmTimer(
+            *this, owner->home_.cost_model().StateCapture(state_bytes_));
+        return WaitOn(WakeSource::kTimer);
+      case kCapture: {
+        auto it = owner->instances_.find(instance_);
+        if (it == owner->instances_.end()) {
+          return Finish(NotFoundError("instance " + instance_.ToString() +
+                                      " destroyed during its move"));
         }
-        const sim::ProcessId pid = *spawned;
+        // Deactivate the old process. The binding agent keeps no entry for
+        // the object until reactivation; clients' cached bindings are stale.
+        old_executable_ = it->second.executable_index;
+        owner->Deactivate(instance_, it->second);
+        DCDO_LOG(kDebug) << owner->class_name_ << ": instance " << instance_
+                         << " deactivated to move to node " << dest_->node();
+        if (dest_ == source_) return Download();
+        EnterPhase(kTransfer, "transfer");
+        source_->network().BulkTransfer(source_->node(), dest_->node(),
+                                        state_bytes_,
+                                        WakeFn(WakeSource::kChild));
+        return WaitOn(WakeSource::kChild);
+      }
+      case kTransfer:
+        if (wake_value() != 0) return Download();
+        return Restore(UnavailableError("state transfer of " +
+                                        instance_.ToString() + " to node " +
+                                        std::to_string(dest_->node()) +
+                                        " failed"));
+      case kDownload:
+        if (wake_status().ok()) return Spawn(dest_, executable_);
+        if (source_ == nullptr) return Failed(wake_status());
+        return Restore(wake_status());
+      case kSpawn: {
+        if (!wake_status().ok()) return Failed(wake_status());
+        const sim::ProcessId pid = wake_value();
         // A destroy while the process spawned wins: nothing brings the
         // instance back.
-        auto it = instances_.find(instance_id);
-        if (it == instances_.end()) {
-          (void)host->KillProcess(pid);
-          done(NotFoundError("instance " + instance_id.ToString() +
-                             " destroyed during activation"));
-          return;
+        auto it = owner->instances_.find(instance_);
+        if (it == owner->instances_.end()) {
+          (void)host_->KillProcess(pid);
+          return Failed(NotFoundError("instance " + instance_.ToString() +
+                                      " destroyed during activation"));
         }
-        Instance& instance = it->second;
-        instance.host = host;
-        instance.pid = pid;
-        instance.epoch = next_epoch_++;
-        instance.executable_index = executable_index;
-        instance.active = true;
-        RegisterEndpoint(instance_id);
-        agent_.Bind(instance_id,
-                    ObjectAddress{host->node(), pid, instance.epoch});
-        // Activation handshake with the class object completes creation.
-        sim::Simulation& simulation = home_.simulation();
-        simulation.Schedule(home_.cost_model().activation_handshake,
-                            [done = std::move(done)]() { done(Status::Ok()); });
-      });
-}
+        owner->Activate(instance_, it->second, host_, pid, executable_);
+        // The activation handshake with the class object completes it.
+        EnterPhase(kHandshake, "handshake");
+        scheduler().ArmTimer(*this,
+                             owner->home_.cost_model().activation_handshake);
+        return WaitOn(WakeSource::kTimer);
+      }
+      case kHandshake:
+        if (source_ == nullptr) return Finish(Status::Ok());
+        EnterPhase(kRestore, "restore");
+        scheduler().ArmTimer(
+            *this, owner->home_.cost_model().StateRestore(state_bytes_));
+        return WaitOn(WakeSource::kTimer);
+      case kRestore:
+        return Finish(outcome_);
+    }
+  }
 
-void ClassObject::RestoreInstance(const ObjectId& instance_id,
-                                  sim::SimHost* host,
-                                  std::size_t executable_index,
-                                  std::size_t state_bytes, Status outcome,
-                                  DoneCallback done) {
-  ActivateInstance(
-      instance_id, host, executable_index,
-      [this, state_bytes, outcome = std::move(outcome),
-       done = std::move(done)](Status status) mutable {
-        // A down host leaves the instance deactivated; the earlier failure,
-        // if any, is the one reported.
-        if (!status.ok()) {
-          done(outcome.ok() ? std::move(status) : std::move(outcome));
-          return;
-        }
-        home_.simulation().Schedule(
-            home_.cost_model().StateRestore(state_bytes),
-            [outcome = std::move(outcome), done = std::move(done)]() {
-              done(outcome);
-            });
-      });
-}
+ private:
+  // Puts the executable on dest_ (unless it is there already).
+  FomStatus Download() {
+    EnterPhase(kDownload, "download");
+    owner()->EnsureExecutableOnHost(dest_, executable_,
+                                    WakeFn(WakeSource::kChild));
+    return WaitOn(WakeSource::kChild);
+  }
+
+  // Spawns the instance's process on `host`, to bind it and shake hands.
+  FomStatus Spawn(sim::SimHost* host, std::size_t executable) {
+    host_ = host;
+    executable_ = executable;
+    EnterPhase(kSpawn, "spawn");
+    if (!host->up()) {
+      return Failed(UnavailableError("node " + std::to_string(host->node()) +
+                                     " is down"));
+    }
+    host->SpawnProcess(instance_, owner()->executables_[executable].bytes,
+                       WakeFn(WakeSource::kChild));
+    return WaitOn(WakeSource::kChild);
+  }
+
+  FomStatus Restore(Status failure) {  // the old executable, at the source
+    outcome_ = std::move(failure);
+    return Spawn(source_, old_executable_);
+  }
+
+  // The activation failed: a create leaves no instance behind; a move
+  // leaves it deactivated and reports its first failure.
+  FomStatus Failed(Status status) {
+    if (source_ == nullptr) owner()->instances_.erase(instance_);
+    return Finish(outcome_.ok() ? std::move(status) : outcome_);
+  }
+
+  FomStatus Finish(Status status) {
+    done_(status.ok() ? Result<ObjectId>(instance_) : std::move(status));
+    return FomStatus::kDone;
+  }
+
+  ObjectId instance_;
+  sim::SimHost* source_;          // a move's host before it; null: a create
+  sim::SimHost* dest_;            // where the operation puts the instance
+  sim::SimHost* host_ = nullptr;  // where the process spawns
+  std::size_t executable_;        // what it runs there
+  std::size_t old_executable_ = 0;  // read as a move deactivates
+  std::size_t state_bytes_;         // captured state a move carries
+  Status outcome_;                  // a move's first failure
+  ClassObject::CreateCallback done_;
+};
 
 void ClassObject::CreateInstance(sim::SimHost* host,
                                  std::size_t initial_state_bytes,
                                  CreateCallback done) {
   ObjectId instance_id = ObjectId::Next(domains::kInstance);
-  Instance& instance = instances_[instance_id];
-  instance.state.logical_size = initial_state_bytes;
-  std::size_t executable_index = current_executable_;
-  EnsureExecutableOnHost(
-      host, executable_index,
-      [this, instance_id, host, executable_index,
-       done = std::move(done)](Status status) {
-        if (!status.ok()) {
-          instances_.erase(instance_id);
-          done(status);
-          return;
-        }
-        ActivateInstance(
-            instance_id, host, executable_index,
-            [this, instance_id, done = std::move(done)](Status status) {
-              if (!status.ok()) {
-                instances_.erase(instance_id);
-                done(status);
-                return;
-              }
-              done(instance_id);
-            });
-      });
+  instances_[instance_id].state.logical_size = initial_state_bytes;
+  runtime::FomScheduler::For(home_.simulation())
+      .Launch<InstanceFom>(this, instance_id, nullptr, host,
+                           current_executable_, 0, std::move(done));
 }
 
 void ClassObject::EvolveInstance(const ObjectId& instance_id,
@@ -225,8 +303,11 @@ void ClassObject::EvolveInstance(const ObjectId& instance_id,
     done(OutOfRangeError("no executable " + std::to_string(executable_index)));
     return;
   }
-  MoveInstance(instance_id, it->second.host, executable_index,
-               std::move(done));
+  runtime::FomScheduler::For(home_.simulation())
+      .Launch<InstanceFom>(
+          this, instance_id, it->second.host, it->second.host,
+          executable_index, it->second.state.CaptureSize(),
+          [done = std::move(done)](Result<ObjectId> r) { done(r.status()); });
 }
 
 void ClassObject::MigrateInstance(const ObjectId& instance_id,
@@ -236,78 +317,11 @@ void ClassObject::MigrateInstance(const ObjectId& instance_id,
     done(NotFoundError("no instance " + instance_id.ToString()));
     return;
   }
-  MoveInstance(instance_id, dest, it->second.executable_index,
-               std::move(done));
-}
-
-void ClassObject::MoveInstance(const ObjectId& instance_id, sim::SimHost* dest,
-                               std::size_t executable_index,
-                               DoneCallback done) {
-  const Instance& instance = instances_.at(instance_id);
-  Move move{.instance = instance_id,
-            .source = instance.host,
-            .dest = dest,
-            .new_executable = executable_index,
-            .state_bytes = instance.state.CaptureSize()};
-  // 1. Capture the object's state.
-  home_.simulation().Schedule(
-      home_.cost_model().StateCapture(move.state_bytes),
-      [this, move, done = std::move(done)]() mutable {
-        auto it = instances_.find(move.instance);
-        if (it == instances_.end()) {
-          done(NotFoundError("instance " + move.instance.ToString() +
-                             " destroyed during its move"));
-          return;
-        }
-        // 2. Deactivate the old process. The binding agent keeps no entry
-        //    for the object until reactivation; clients' cached bindings
-        //    are stale.
-        Instance& instance = it->second;
-        move.old_executable = instance.executable_index;
-        transport_.UnregisterEndpoint(instance.host->node(), instance.pid);
-        (void)instance.host->KillProcess(instance.pid);
-        instance.active = false;
-        agent_.Unbind(move.instance);
-        DCDO_LOG(kDebug) << class_name_ << ": instance " << move.instance
-                         << " deactivated to move to node "
-                         << move.dest->node();
-        if (move.dest == move.source) {
-          InstallAndRestore(move, std::move(done));
-          return;
-        }
-        // 3. Transfer the state to the new host. A failed transfer brings
-        //    the instance back up at its source.
-        move.source->network().BulkTransfer(
-            move.source->node(), move.dest->node(), move.state_bytes,
-            [this, move, done = std::move(done)](bool delivered) mutable {
-              if (!delivered) {
-                RestoreInstance(
-                    move.instance, move.source, move.old_executable,
-                    move.state_bytes,
-                    UnavailableError("state transfer of " +
-                                     move.instance.ToString() + " to node " +
-                                     std::to_string(move.dest->node()) +
-                                     " failed"),
-                    std::move(done));
-                return;
-              }
-              InstallAndRestore(move, std::move(done));
-            });
-      });
-}
-
-void ClassObject::InstallAndRestore(const Move& move, DoneCallback done) {
-  // 4. Put the executable on the destination (unless present), then spawn
-  //    it and read the captured state back in — or, when the download
-  //    failed, bring the old executable back up at the source.
-  EnsureExecutableOnHost(
-      move.dest, move.new_executable,
-      [this, move, done = std::move(done)](Status status) mutable {
-        const bool landed = status.ok();
-        RestoreInstance(move.instance, landed ? move.dest : move.source,
-                        landed ? move.new_executable : move.old_executable,
-                        move.state_bytes, std::move(status), std::move(done));
-      });
+  runtime::FomScheduler::For(home_.simulation())
+      .Launch<InstanceFom>(
+          this, instance_id, it->second.host, dest,
+          it->second.executable_index, it->second.state.CaptureSize(),
+          [done = std::move(done)](Result<ObjectId> r) { done(r.status()); });
 }
 
 Status ClassObject::DestroyInstance(const ObjectId& instance_id) {
@@ -315,12 +329,7 @@ Status ClassObject::DestroyInstance(const ObjectId& instance_id) {
   if (it == instances_.end()) {
     return NotFoundError("no instance " + instance_id.ToString());
   }
-  Instance& instance = it->second;
-  if (instance.active) {
-    transport_.UnregisterEndpoint(instance.host->node(), instance.pid);
-    (void)instance.host->KillProcess(instance.pid);
-    agent_.Unbind(instance_id);
-  }
+  Deactivate(instance_id, it->second);
   instances_.erase(it);
   return Status::Ok();
 }

@@ -13,6 +13,9 @@
 //   -> restore the captured state into the new process
 //   -> re-register the (new) address with the binding agent.
 //
+// Each create, evolve and migrate is one Fom (runtime/fom.h); destroying the
+// class object mid-operation ends it kNotFound, once, leaving no trace.
+//
 // With the calibrated cost model, evolving a 5.1 MB object this way costs
 // tens of seconds — the number the DCDO mechanism's sub-second evolution is
 // compared against.
@@ -29,6 +32,7 @@
 #include "common/status.h"
 #include "naming/binding_agent.h"
 #include "rpc/transport.h"
+#include "runtime/fom.h"
 #include "runtime/method_table.h"
 #include "sim/host.h"
 
@@ -76,13 +80,12 @@ class ClassObject {
   void CreateInstance(sim::SimHost* host, std::size_t initial_state_bytes,
                       CreateCallback done);
 
-  // Evolution and migration are one move (MoveInstance): capture state ->
-  // deactivate -> transfer the state when the host changes -> download the
-  // executable to the host (if absent) -> spawn -> restore -> rebind. The
-  // instance's address changes; client binding caches are NOT updated (that
-  // is the point). When the transfer or the download fails, the instance is
-  // reactivated where it was (host, old executable, captured state) before
-  // `done` reports it; when that host is down too, it stays deactivated.
+  // Evolution and migration are one move (the pipeline above, with a state
+  // transfer when the host changes). The instance's address changes; client
+  // binding caches are NOT updated (that is the point). When the transfer
+  // or the download fails, the instance is reactivated where it was (host,
+  // old executable, captured state) before `done` reports the failure; when
+  // that host is down too, it stays deactivated.
 
   // Moves `instance` to the executable at `executable_index`, on its host.
   void EvolveInstance(const ObjectId& instance, std::size_t executable_index,
@@ -104,6 +107,8 @@ class ClassObject {
   [[nodiscard]] Result<sim::NodeId> InstanceNode(const ObjectId& instance) const;
 
  private:
+  class InstanceFom;  // class_object.cc: each create, evolve and migrate
+
   struct Instance {
     sim::SimHost* host = nullptr;
     sim::ProcessId pid = 0;
@@ -113,41 +118,24 @@ class ClassObject {
     bool active = false;
   };
 
-  // One move of an instance: where it runs and what it runs, before and
-  // after.
-  struct Move {
-    ObjectId instance;
-    sim::SimHost* source = nullptr;
-    sim::SimHost* dest = nullptr;
-    std::size_t old_executable = 0;  // read as the instance deactivates
-    std::size_t new_executable = 0;
-    std::size_t state_bytes = 0;
+  // One executable download, shared with its transfer, which stores the
+  // file and wakes every waiter without reading the class object.
+  struct Download {
+    std::vector<runtime::Waker> waiters;
+    bool landed = false;
   };
 
-  // The one pipeline behind EvolveInstance and MigrateInstance (above).
-  void MoveInstance(const ObjectId& instance_id, sim::SimHost* dest,
-                    std::size_t executable_index, DoneCallback done);
-  // The move's last step, once the state is at `move.dest`: download the
-  // executable there and restore, or restore at the source on failure.
-  void InstallAndRestore(const Move& move, DoneCallback done);
-  // Ensures `executable` is in `host`'s file store; `done` runs when it is.
+  // Ensures `executable` is in `host`'s file store; `done` wakes when it is.
   // Overlapping requests for one file on one host share one download.
   void EnsureExecutableOnHost(sim::SimHost* host, std::size_t executable_index,
-                              DoneCallback done);
-  // Spawns the instance's process on `host`, binds it and runs the
-  // activation handshake. Fails with kUnavailable when `host` is down, at
-  // once or as the spawn completes, and with kNotFound (killing the new
-  // process) when the instance was destroyed meanwhile.
-  void ActivateInstance(const ObjectId& instance_id, sim::SimHost* host,
-                        std::size_t executable_index, DoneCallback done);
-  // Activates the instance on `host` and reads `state_bytes` of captured
-  // state back in, then reports `outcome`. When `host` is down the instance
-  // stays deactivated and the first failure is reported at once.
-  void RestoreInstance(const ObjectId& instance_id, sim::SimHost* host,
-                       std::size_t executable_index, std::size_t state_bytes,
-                       Status outcome, DoneCallback done);
+                              runtime::Waker done);
+  // Records `instance`'s new process, binds it and opens its endpoint.
+  void Activate(const ObjectId& instance_id, Instance& instance,
+                sim::SimHost* host, sim::ProcessId pid,
+                std::size_t executable_index);
+  // Tears an active instance's process down: endpoint, process, binding.
+  void Deactivate(const ObjectId& instance_id, Instance& instance);
   std::string ExecutableFileName(std::size_t index) const;
-  void RegisterEndpoint(const ObjectId& instance_id);
 
   std::string class_name_;
   ObjectId id_;
@@ -159,9 +147,10 @@ class ClassObject {
   std::size_t current_executable_ = 0;
   std::map<ObjectId, Instance> instances_;
   std::uint64_t next_epoch_ = 1;
-  // Executable downloads in flight, by (host, file): everyone waiting.
-  std::map<std::pair<sim::NodeId, std::string>, std::vector<DoneCallback>>
+  // The latest executable download, by (host, file).
+  std::map<std::pair<sim::NodeId, std::string>, std::shared_ptr<Download>>
       downloads_;
+  runtime::FomOwner ops_;  // operations in flight; destruction cuts them off
 };
 
 }  // namespace dcdo

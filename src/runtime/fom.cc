@@ -5,9 +5,41 @@
 
 namespace dcdo::runtime {
 
+static_assert(sizeof(Waker) == 16 && std::is_trivially_copyable_v<Waker>,
+              "a Waker must fit std::function's inline buffer");
+
+void Waker::operator()(Status status) const {
+  scheduler_->Wake(id_, source(), std::move(status));
+}
+
+void Waker::operator()(bool delivered) const {
+  scheduler_->Wake(id_, source(), Status::Ok(), delivered);
+}
+
+void Waker::operator()(Result<sim::ProcessId> spawned) const {
+  scheduler_->Wake(id_, source(), spawned.status(), spawned.value_or(0));
+}
+
+Fom::Fom(const char* name, FomOwner* owner)
+    : name_(name), owner_(owner) {
+  if (owner != nullptr) next_owned_ = std::exchange(owner->head_, this);
+}
+
+Fom::~Fom() {
+  if (owner_ == nullptr) return;
+  Fom** link = &owner_->head_;
+  while (*link != this) link = &(*link)->next_owned_;
+  *link = next_owned_;
+}
+
+FomOwner::~FomOwner() {
+  for (Fom* op = head_; op != nullptr; op = op->next_owned_) {
+    op->owner_ = nullptr;
+  }
+}
+
 void Fom::EnterPhase(int phase, const char* phase_name) {
-  phase_ = phase;
-  phase_name_ = phase_name;
+  SetPhase(phase, phase_name);
   trace::SpanRecorder* spans = instrument::Spans();
   if (spans == nullptr) return;
   spans->EndSpan(phase_span_);
@@ -46,10 +78,9 @@ void FomScheduler::Enqueue(Fom* fom) {
 }
 
 void FomScheduler::Drain() {
-  // Pops until empty. Nested drains (a Tick that creates-and-starts another
-  // Fom, or a synchronous completion waking one) run inline on this stack —
-  // that is what keeps the conversion schedule-identical to the legacy
-  // chains, which invoked continuations at exactly those points.
+  // Pops until empty. Nested drains (a Tick that starts another Fom, or a
+  // synchronous completion waking one) run inline on this stack, exactly
+  // where a callback would run: that keeps the schedule unchanged.
   while (!run_queue_.empty()) {
     Fom* fom = run_queue_.front();
     run_queue_.erase(run_queue_.begin());
@@ -61,9 +92,9 @@ void FomScheduler::RunOne(Fom* fom) {
   fom->run_state_ = Fom::RunState::kRunning;
   while (fom->Tick() == FomStatus::kWait) {
     // A completion that finished synchronously inside Tick left its wake
-    // pending; consume it and keep running — one drain, no event round trip
-    // (the legacy chains' recursive done() calls). A wake for a source the
-    // Fom no longer awaits is stale: drop it and park on what Tick asked for.
+    // pending; consume it and keep running, with no event round trip. A
+    // wake for a source the Fom no longer awaits is stale: drop it and park
+    // on what Tick asked for.
     const WakeSource pending = std::exchange(fom->pending_, WakeSource::kNone);
     if (pending == WakeSource::kNone || pending != fom->awaited_) {
       fom->run_state_ = Fom::RunState::kWaiting;
@@ -78,43 +109,32 @@ void FomScheduler::Destroy(Fom* fom) {
   if (auto* spans = instrument::Spans()) spans->EndSpan(fom->phase_span_);
   live_.erase(fom->id_);
   void (*dealloc)(void*) = fom->dealloc_;
-  void* block = fom->block_;
+  void* block = dynamic_cast<void*>(fom);
   fom->~Fom();
   if (dealloc != nullptr) dealloc(block);
 }
 
-Fom* FomScheduler::Payload(std::uint64_t id) {
+void FomScheduler::Wake(std::uint64_t id, WakeSource source, Status status,
+                        std::uint64_t value) {
   auto it = live_.find(id);
-  return it == live_.end() ? nullptr : it->second;
-}
-
-void FomScheduler::Wake(std::uint64_t id, WakeSource source) {
-  Fom* fom = Payload(id);
-  if (fom == nullptr) return;  // finished before the completion
+  if (it == live_.end()) return;  // finished before the completion
+  Fom* fom = it->second;
   if (source == WakeSource::kTimer) fom->timer_id_ = 0;
-  if (fom->run_state_ == Fom::RunState::kRunning ||
-      fom->run_state_ == Fom::RunState::kQueued) {
+  const bool ticking = fom->run_state_ == Fom::RunState::kRunning ||
+                       fom->run_state_ == Fom::RunState::kQueued;
+  if (!ticking && (fom->run_state_ != Fom::RunState::kWaiting ||
+                   fom->awaited_ != source)) {
+    return;  // stale: the Fom moved on to a different wait
+  }
+  fom->wake_status_ = std::move(status);
+  fom->wake_value_ = value;
+  if (ticking) {
     fom->pending_ = source;
     return;
-  }
-  if (fom->run_state_ != Fom::RunState::kWaiting || fom->awaited_ != source) {
-    return;  // stale: the Fom moved on to a different wait
   }
   fom->awaited_ = WakeSource::kNone;
   Enqueue(fom);
   Drain();
-}
-
-void FomScheduler::WakeStatus(std::uint64_t id, WakeSource source,
-                              Status status) {
-  if (Fom* fom = Payload(id)) fom->wake_status_ = std::move(status);
-  Wake(id, source);
-}
-
-void FomScheduler::WakeValue(std::uint64_t id, WakeSource source,
-                             std::uint64_t value) {
-  if (Fom* fom = Payload(id)) fom->wake_value_ = value;
-  Wake(id, source);
 }
 
 void FomScheduler::ArmTimer(Fom& fom, sim::SimDuration delay) {
@@ -128,5 +148,9 @@ bool FomScheduler::Alive(std::uint64_t id) const {
 }
 
 std::size_t FomScheduler::live_count() const { return live_.size(); }
+
+std::map<std::uint64_t, const Fom*> FomScheduler::Live() const {
+  return {live_.begin(), live_.end()};
+}
 
 }  // namespace dcdo::runtime

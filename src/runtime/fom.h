@@ -1,60 +1,38 @@
 // Fom runtime: pooled state machines for long-running operations
 // (DESIGN.md §16; the request-handler shape of cortx-motr's reqh/fom).
 //
-// A long-running operation — evolution incorporation, migration, creation,
-// coordinated update, poll/removal — used to run as a hand-rolled
-// `shared_ptr<std::function>` continuation chain: one heap control block
-// plus a closure spill per step, and one event-queue round trip per
-// micro-transition. A Fom reifies the same operation as an explicit
-// state machine: its whole state lives in ONE pooled block, `Tick()` runs
-// the current phase and returns what to do next, and the per-simulation
-// FomScheduler drives ready Foms through consecutive same-sim-time
-// transitions in one run-queue drain.
+// Every multi-step operation of the object layers (creation, evolution,
+// incorporation, migration, deactivation and reactivation, a removal
+// waiting out active threads, a coordinated update, the class object's
+// create/evolve/migrate) is a Fom: a state machine whose whole state lives
+// in ONE pooled block. `Tick()` runs the current phase and returns what to
+// do next; the per-simulation FomScheduler drives ready Foms through
+// consecutive same-sim-time transitions in one drain, from the event loop.
 //
-// The scheduler's contract is SimTime neutrality: a Fom conversion changes
-// control flow, never the simulated schedule. Wakeups therefore run the Fom
-// synchronously inside the waking event (exactly where the legacy chain
-// invoked its continuation), a completion that lands while the Fom is still
-// ticking is consumed in the same drain instead of by tail-call recursion,
-// and real delays still go through `Simulation::Schedule` via `ArmTimer`.
-// Determinism digests are byte-identical across the conversion — the Fom
-// equivalence suite (tests/runtime/fom_equivalence_test.cpp) pins that.
+// SimTime neutrality: a wakeup runs the Fom synchronously inside the waking
+// event, a completion that lands while the Fom ticks is consumed in the same
+// drain, and real delays go through `Simulation::Schedule` via `ArmTimer`
+// (tests/runtime/fom_equivalence_test.cpp pins the determinism digests).
 //
-// Threading: one scheduler per Simulation, driven only from that
-// simulation's event loop. A synchronous completion that re-wakes the
-// running Fom (or wakes another) nests on the same stack.
+// Two rules keep an operation from outliving what it works on. The only
+// completion a Fom hands to another subsystem is its WakeFn(): a 16-byte
+// Waker that fits std::function's inline buffer and does nothing once the
+// Fom has finished. And a Fom reaches the object it works on only through
+// OwnedFom::owner(): the owner holds a FomOwner list whose destruction cuts
+// every link and runs nothing, so each operation in flight finds owner()
+// null at its next wake, ends kNotFound and reports once:
 //
-// Writing a new Fom:
-//
-//   class MyFom : public runtime::Fom {
-//    public:
-//     MyFom(...) : Fom("my_op") { ... }
-//     FomStatus Tick() override {
-//       switch (phase()) {
-//         case kStart:
-//           EnterPhase(kFetching, "fetching");
-//           StartFetch(..., WakeFn());       // 16-byte trampoline
-//           return WaitOn(WakeSource::kFetch);
-//         case kFetching:
-//           if (!wake_status().ok()) { done_(wake_status()); return Done(); }
-//           ...
-//       }
-//     }
-//   };
-//
-//   auto& sched = runtime::FomScheduler::For(simulation);
-//   sched.Start(*sched.Create<MyFom>(...));
-//
-// Completion callbacks a Fom hands to other subsystems must stay within
-// std::function's 16-byte inline buffer (capture {scheduler, id} only) so
-// the conversion removes allocations instead of moving them around. The
-// scheduler's Wake*() entry points are exactly that shape, and a stale id —
-// the Fom finished before the completion arrived — is a safe no-op. A Fom
-// re-finds the object it works on after each wait (DcdoOp in core/dcdo.cc,
-// the manager's instance table), so a destroy meanwhile ends it kNotFound.
+//   FomStatus Tick() override {  // in a runtime::OwnedFom<MyOwner>
+//     if (phase() >= 0) return Finish(owner() ? wake_status() : Gone());
+//     EnterPhase(kFetching, "fetching");
+//     owner()->StartFetch(..., WakeFn(WakeSource::kFetch));
+//     return WaitOn(WakeSource::kFetch);
+//   }
 #pragma once
 
 #include <cstdint>
+#include <map>
+#include <string>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
@@ -63,6 +41,7 @@
 #include "common/pool_allocator.h"
 #include "common/status.h"
 #include "instrument/context.h"
+#include "sim/host.h"
 #include "sim/simulation.h"
 
 namespace dcdo::runtime {
@@ -83,12 +62,35 @@ enum class WakeSource : std::uint8_t {
 };
 
 class FomScheduler;
+class FomOwner;
+
+// The completion a Fom hands out for one wait (Fom::WakeFn): it wakes the
+// Fom on the source it was made for, the outcome as the wake's payload.
+class Waker {
+ public:
+  void operator()(Status status) const;  // wake_status() = status
+  void operator()(bool delivered) const;  // a transfer: wake_value() 1 or 0
+  // A spawn: wake_value() is the new pid, or wake_status() the failure.
+  void operator()(Result<sim::ProcessId> spawned) const;
+
+ private:
+  friend class Fom;
+  Waker(FomScheduler* scheduler, std::uint64_t id, WakeSource source)
+      : scheduler_(scheduler),
+        id_(id),
+        source_(static_cast<std::uint64_t>(source)) {}
+  WakeSource source() const { return static_cast<WakeSource>(source_); }
+
+  FomScheduler* scheduler_;
+  std::uint64_t id_ : 56;  // Fom ids count from 1 and never reach 2^56
+  std::uint64_t source_ : 8;
+};
 
 class Fom {
  public:
   Fom(const Fom&) = delete;
   Fom& operator=(const Fom&) = delete;
-  virtual ~Fom() = default;
+  virtual ~Fom();  // unlinks from its owner's list
 
   std::uint64_t id() const { return id_; }
   const char* name() const { return name_; }
@@ -96,28 +98,36 @@ class Fom {
   const char* phase_name() const { return phase_name_; }
   FomScheduler& scheduler() const { return *scheduler_; }
 
-  // Payload of the most recent wake (set by WakeStatus / WakeValue before
-  // the Fom ticks). Valid until the next wake overwrites it.
+  // Payload of the most recent wake (set by Wake before the Fom ticks).
+  // Valid until the next wake overwrites it.
   const Status& wake_status() const { return wake_status_; }
   std::uint64_t wake_value() const { return wake_value_; }
 
  protected:
-  explicit Fom(const char* name) : name_(name) {}
+  // With an `owner`, the Fom is linked into its list for life (OwnedFom).
+  explicit Fom(const char* name, FomOwner* owner = nullptr);
 
   // Runs the current phase. Called only by the scheduler.
   virtual FomStatus Tick() = 0;
 
   // Records a phase transition: closes the previous phase's trace span and
   // opens the next (span name = the Fom's name, "phase" note = phase_name),
-  // under the phase parent.
+  // under the phase parent. SetPhase records it without a span, for a wait
+  // another operation's span covers.
   void EnterPhase(int phase, const char* phase_name);
+  void SetPhase(int phase, const char* phase_name) {
+    phase_ = phase;
+    phase_name_ = phase_name;
+  }
 
   // The span the phase spans nest under (default: the scope innermost when
   // each phase begins). A Fom that carries its operation's span sets it.
   void set_phase_parent(trace::SpanId parent) { phase_parent_ = parent; }
 
-  // Declares what the Fom sleeps on and returns kWait; use as
-  // `return WaitOn(WakeSource::kFetch);`.
+  // The completion for a wait on `source`; pair with `return WaitOn(...)`.
+  Waker WakeFn(WakeSource source) const { return {scheduler_, id_, source}; }
+
+  // Declares what the Fom sleeps on and returns kWait.
   FomStatus WaitOn(WakeSource source) {
     awaited_ = source;
     return FomStatus::kWait;
@@ -125,8 +135,15 @@ class Fom {
 
   sim::Simulation& simulation() const;
 
+  // False once a linked Fom's owner is destroyed; Gone() is its outcome.
+  bool linked() const { return owner_ != nullptr; }
+  Status Gone() const {
+    return NotFoundError(std::string(name_) + ": owner destroyed meanwhile");
+  }
+
  private:
   friend class FomScheduler;
+  friend class FomOwner;
   enum class RunState : std::uint8_t { kCreated, kQueued, kRunning, kWaiting };
 
   const char* name_;
@@ -137,17 +154,46 @@ class Fom {
   RunState run_state_ = RunState::kCreated;
   WakeSource awaited_ = WakeSource::kNone;
   // A wake that arrived while the Fom was running or queued (a completion
-  // that finished synchronously inside Tick). The drain loop consumes it —
-  // turning the legacy chains' tail recursion into iteration.
+  // that finished synchronously inside Tick), which the drain consumes.
   WakeSource pending_ = WakeSource::kNone;
   Status wake_status_;
   std::uint64_t wake_value_ = 0;
   std::uint64_t timer_id_ = 0;  // outstanding ArmTimer event (0 = none)
   trace::SpanId phase_span_ = 0;
   trace::SpanId phase_parent_ = trace::kScopeParent;
-  // Pooled-block bookkeeping: Create<T>() records how to return the block.
+  // How Create<T>() returns the block (the most-derived object's address).
   void (*dealloc_)(void*) = nullptr;
-  void* block_ = nullptr;
+  FomOwner* owner_ = nullptr;  // the owner's list, while linked
+  Fom* next_owned_ = nullptr;
+};
+
+// The operations in flight against one owner (a Dcdo, a DcdoManager, a
+// ClassObject), which holds this as a member. Destroying it cuts every link
+// and runs nothing.
+class FomOwner {
+ public:
+  FomOwner() = default;
+  FomOwner(const FomOwner&) = delete;
+  FomOwner& operator=(const FomOwner&) = delete;
+  ~FomOwner();
+
+ private:
+  friend class Fom;
+  Fom* head_ = nullptr;
+};
+
+// A Fom working on an `Owner` across its waits. It reaches the owner only
+// through owner(), null once the owner is destroyed: read it after a wait.
+template <typename Owner>
+class OwnedFom : public Fom {
+ protected:
+  OwnedFom(const char* name, Owner* owner, FomOwner& ops)
+      : Fom(name, &ops), owner_(owner) {}
+
+  Owner* owner() const { return linked() ? owner_ : nullptr; }
+
+ private:
+  Owner* owner_;
 };
 
 // Per-simulation scheduler: the live Foms by id and a run queue; a parked
@@ -172,21 +218,24 @@ class FomScheduler {
     static_assert(std::is_base_of_v<Fom, T>);
     void* block = common::PoolAllocate<sizeof(T)>();
     T* fom = new (block) T(std::forward<Args>(args)...);
-    fom->block_ = block;
     fom->dealloc_ = [](void* p) { common::PoolFree<sizeof(T)>(p); };
     Register(fom);
     return fom;
   }
 
   // Enqueues the Fom and drains the run queue NOW, on the caller's stack —
-  // the operation starts synchronously, exactly like the legacy chains.
+  // the operation starts synchronously. Launch is Create, then Start.
   void Start(Fom& fom);
+  template <typename T, typename... Args>
+  void Launch(Args&&... args) {
+    Start(*Create<T>(std::forward<Args>(args)...));
+  }
 
-  // Wake entry points: 16-byte-trampoline-friendly (capture {this, id}).
-  // A stale id, or a source the Fom is not waiting on, is a no-op.
-  void Wake(std::uint64_t id, WakeSource source);
-  void WakeStatus(std::uint64_t id, WakeSource source, Status status);
-  void WakeValue(std::uint64_t id, WakeSource source, std::uint64_t value);
+  // Wakes Fom `id` waiting on `source`, with `status` and `value` as the
+  // wake's payload (what a Waker calls). A stale id, or a source the Fom is
+  // not waiting on, is a no-op.
+  void Wake(std::uint64_t id, WakeSource source, Status status = Status(),
+            std::uint64_t value = 0);
 
   // Schedules a kTimer wake after `delay` (a real Simulation::Schedule
   // event — the one legitimate way a Fom spends simulated time between
@@ -195,6 +244,7 @@ class FomScheduler {
 
   bool Alive(std::uint64_t id) const;
   std::size_t live_count() const;
+  std::map<std::uint64_t, const Fom*> Live() const;  // by id
 
   sim::Simulation& simulation() const { return *simulation_; }
 
@@ -204,7 +254,6 @@ class FomScheduler {
   void Drain();
   void RunOne(Fom* fom);
   void Destroy(Fom* fom);
-  Fom* Payload(std::uint64_t id);  // lookup for Wake{Status,Value}, or null
 
   sim::Simulation* simulation_;
   std::uint64_t next_id_ = 1;

@@ -4,6 +4,7 @@
 
 #include "common/logging.h"
 #include "instrument/chrome_trace.h"
+#include "runtime/fom.h"
 
 namespace dcdo {
 
@@ -45,6 +46,23 @@ Testbed::Testbed(const Options& options) {
       counters.in_flight = network_->messages_in_flight();
       return counters;
     });
+    // operations-complete: every long operation calls back, so none is
+    // left parked once the event queue, all that could wake it, is empty.
+    checker->RegisterInvariant(
+        {"operations-complete", "runtime",
+         "Abstract: objects evolve \"without interrupting the clients of "
+         "evolving objects\": every operation reports to its client",
+         [this](check::Checker& ctx) {
+           if (!simulation_.Idle()) return;
+           for (const auto& [id, fom] :
+                runtime::FomScheduler::For(simulation_).Live()) {
+             ctx.Report(ctx.MakeDiagnostic(
+                 check::Severity::kError, "operations-complete", ObjectId(),
+                 std::string(fom->name()) + " #" + std::to_string(id) +
+                     " never calls back: parked in phase '" +
+                     fom->phase_name() + "' with the event queue empty"));
+           }
+         }});
   }
   static constexpr sim::Architecture kRotation[] = {
       sim::Architecture::kX86Linux, sim::Architecture::kSparcSolaris,

@@ -71,9 +71,6 @@ Status ValidateCostModel(const CostModel& m) {
   if (m.session_slots < 1) {
     return InvalidArgumentError("session slots must be at least 1");
   }
-  if (m.lease_rebind_limit < 0) {
-    return InvalidArgumentError("lease rebind limit must be non-negative");
-  }
   if (m.fetch_concurrency < 1) {
     return InvalidArgumentError("fetch concurrency must be at least 1");
   }

@@ -99,13 +99,6 @@ struct CostModel {
   // that finds every slot occupied queues client-side (admission/
   // backpressure, the rpc.backpressure metric) instead of flooding the wire.
   int session_slots = 16;
-  // Upper bound on lease-pushed rebind rounds one call may consume
-  // (rpc/client.cc OnTimeout), and on session replays it may be dragged
-  // through. Every pushed rebind or replay restarts the call's retry round,
-  // so without a cap a call chasing a continuously migrating target would
-  // retry forever; a call that exhausts the cap falls back to the ordinary
-  // stale-binding schedule and then fails. Irrelevant with leases off.
-  int lease_rebind_limit = 3;
 
   // --- Binding / stale-address discovery (paper: 25-35 s) ---
   // A call on a dead address times out after this long...
@@ -126,7 +119,8 @@ struct CostModel {
   // binding) when the entry rebinds or dies; expiry is the fallback when the
   // push is lost or the holder partitioned. Zero = leases off: stale
   // bindings are discovered by the timeout-probe schedule alone. When it is
-  // positive, Testbed puts the agent on its own host.
+  // positive, Testbed puts the agent on its own host; how many pushed
+  // rebinds one call follows is the constant rpc::kLeaseRebindLimit.
   SimDuration binding_lease_duration = SimDuration::Zero();
   // Wire size of one invalidation notification (ObjectId + address + lease).
   std::size_t invalidation_bytes = 64;

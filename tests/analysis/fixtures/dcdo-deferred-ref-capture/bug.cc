@@ -17,6 +17,16 @@ struct Simulation {
 
 struct Network {
   void Send(int from, int to, int bytes, std::function<void()> deliver);
+  void BulkTransfer(int from, int to, int bytes,
+                    std::function<void(bool)> on_done);
+  void StreamTransfer(int from, int to, int bytes, std::int64_t setup_ns,
+                      double peak, std::function<void(bool)> on_done);
+};
+
+struct Host {
+  void SpawnProcess(int owner, int bytes,
+                    std::function<void(std::uint64_t)> on_ready);
+  void KillProcess(std::uint64_t pid);
 };
 
 class Churn {
@@ -42,6 +52,28 @@ class Churn {
     bool delivered = false;
     net.Send(from, to, 64,
              [&delivered] { delivered = true; });  // expect: dcdo-deferred-ref-capture
+  }
+
+  // The spawn completes process_spawn later; `host` is this frame's
+  // parameter, a reference the callback must not keep (the reduced form of
+  // a reactivation's `&host` capture).
+  void Respawn(Host& host, int owner) {
+    host.SpawnProcess(owner, 1024,
+                      [&host](std::uint64_t pid) { host.KillProcess(pid); });  // expect: dcdo-deferred-ref-capture
+  }
+
+  // Bulk and stream transfers land seconds later, long after `landed` and
+  // `bytes` are gone.
+  void Download(Network& net, int from, int to) {
+    bool landed = false;
+    net.BulkTransfer(from, to, 4096,
+                     [&landed](bool delivered) { landed = delivered; });  // expect: dcdo-deferred-ref-capture
+  }
+
+  void Stream(Network& net, int from, int to) {
+    int bytes = 550000;
+    net.StreamTransfer(from, to, bytes, 1000, 1.0e6,
+                       [&](bool delivered) { seen_ += delivered ? bytes : 0; });  // expect: dcdo-deferred-ref-capture
   }
 
  private:

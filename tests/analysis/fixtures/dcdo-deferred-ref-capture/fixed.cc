@@ -18,6 +18,16 @@ struct Simulation {
 
 struct Network {
   void Send(int from, int to, int bytes, std::function<void()> deliver);
+  void BulkTransfer(int from, int to, int bytes,
+                    std::function<void(bool)> on_done);
+  void StreamTransfer(int from, int to, int bytes, std::int64_t setup_ns,
+                      double peak, std::function<void(bool)> on_done);
+};
+
+struct Host {
+  void SpawnProcess(int owner, int bytes,
+                    std::function<void(std::uint64_t)> on_ready);
+  void KillProcess(std::uint64_t pid);
 };
 
 class Churn {
@@ -52,6 +62,25 @@ class Churn {
   // A by-value delivery callback: the message carries its own payload.
   void Deliver(Network& net, int from, int to) {
     net.Send(from, to, 64, [this, to] { seen_ = to; });
+  }
+
+  // The spawn's callback keeps the host by pointer, a value that outlives
+  // the frame (hosts outlive the simulation).
+  void Respawn(Host* host, int owner) {
+    host->SpawnProcess(owner, 1024,
+                       [host](std::uint64_t pid) { host->KillProcess(pid); });
+  }
+
+  // Transfers carry copies of what their completion needs.
+  void Download(Network& net, int from, int to, int bytes) {
+    net.BulkTransfer(from, to, bytes,
+                     [this, bytes](bool delivered) {
+                       seen_ += delivered ? bytes : 0;
+                     });
+    net.StreamTransfer(from, to, bytes, 1000, 1.0e6,
+                       [this, to](bool delivered) {
+                         if (delivered) seen_ = to;
+                       });
   }
 
  private:

@@ -10,6 +10,7 @@
 #include "component/ico.h"
 #include "core/dcdo.h"
 #include "instrument/context.h"
+#include "runtime/fom.h"
 #include "runtime/testbed.h"
 #include "testing/fixtures.h"
 
@@ -276,6 +277,25 @@ TEST_F(SyntheticInvariantTest, CustomInvariantsJoinTheEvaluationLoop) {
 // ===== Real-runtime tests: a checked testbed with live objects, exercising
 // the instrumentation wired through Dcdo / DFM / transport.
 
+// A Fom that enters one phase and parks: on a timer it arms, or on a child
+// completion that nothing will ever send.
+class ParkedFom final : public runtime::Fom {
+ public:
+  explicit ParkedFom(bool arm_timer)
+      : Fom("test.parked"), arm_timer_(arm_timer) {}
+
+  runtime::FomStatus Tick() override {
+    if (phase() >= 0) return runtime::FomStatus::kDone;
+    EnterPhase(0, "waiting");
+    if (!arm_timer_) return WaitOn(runtime::WakeSource::kChild);
+    scheduler().ArmTimer(*this, sim::SimDuration::Millis(5));
+    return WaitOn(runtime::WakeSource::kTimer);
+  }
+
+ private:
+  bool arm_timer_;
+};
+
 class CheckedRuntimeTest : public ::testing::Test {
  protected:
   CheckedRuntimeTest() {
@@ -345,6 +365,44 @@ TEST_F(CheckedRuntimeTest, CleanLifecycleLeavesNoDiagnostics) {
   VersionId recorded;
   ASSERT_TRUE(checker->RecordedVersion(object_->id(), &recorded));
   EXPECT_EQ(recorded, VersionId::Root().Child(1));
+}
+
+// operations-complete, the invariant a checked testbed adds over its Fom
+// scheduler: once the event queue drains, a Fom still parked will never be
+// woken, and the checker names it and its phase.
+TEST_F(CheckedRuntimeTest, OperationsCompleteFlagsAFomNothingWillWake) {
+  Checker* checker = testbed_.checker();
+  ASSERT_NE(checker, nullptr);
+  EXPECT_EQ(checker->invariants().size(), 8u);
+  EXPECT_EQ(checker->invariants().back().name, "operations-complete");
+  runtime::FomScheduler& scheduler =
+      runtime::FomScheduler::For(testbed_.simulation());
+  scheduler.Launch<ParkedFom>(/*arm_timer=*/false);
+  // One unrelated event; the checker evaluates after it, queue empty.
+  testbed_.simulation().Schedule(sim::SimDuration::Millis(1), [] {});
+  testbed_.RunAll();
+  ASSERT_EQ(checker->diagnostics().CountFor("operations-complete"), 1u);
+  const check::Diagnostic& lost =
+      *checker->diagnostics().For("operations-complete")[0];
+  EXPECT_EQ(lost.severity, Severity::kError);
+  EXPECT_NE(lost.message.find("test.parked"), std::string::npos)
+      << lost.message;
+  EXPECT_NE(lost.message.find("'waiting'"), std::string::npos)
+      << lost.message;
+  EXPECT_EQ(scheduler.live_count(), 1u);
+}
+
+TEST_F(CheckedRuntimeTest, OperationsCompleteAcceptsAFomThatFinishes) {
+  Checker* checker = testbed_.checker();
+  ASSERT_NE(checker, nullptr);
+  runtime::FomScheduler& scheduler =
+      runtime::FomScheduler::For(testbed_.simulation());
+  scheduler.Launch<ParkedFom>(/*arm_timer=*/true);
+  testbed_.RunAll();
+  checker->EvaluateAtEnd();
+  EXPECT_EQ(checker->diagnostics().CountFor("operations-complete"), 0u)
+      << checker->diagnostics().DumpText();
+  EXPECT_EQ(scheduler.live_count(), 0u);
 }
 
 TEST_F(CheckedRuntimeTest, ForcedRemovalUnderParkedCallIsDetected) {

@@ -91,8 +91,40 @@ class ManagerTest : public ::testing::Test {
     EXPECT_EQ(manager_->instance_count(), 0u);
   }
 
+  // Destroys the manager `seconds` from now, counting its instances first.
+  void ResetManagerAfter(double seconds) {
+    testbed_.simulation().Schedule(sim::SimDuration::Seconds(seconds), [&] {
+      instances_at_reset_ = manager_->instance_count();
+      manager_.reset();
+    });
+  }
+
+  // Runs `op` until the event queue is empty, the manager being destroyed
+  // meanwhile: `done` runs once with kNotFound, no Fom is left live, and no
+  // process, endpoint or binding is left on the testbed.
+  void ExpectResetEndsNotFound(
+      const std::function<void(DcdoManager::DoneCallback)>& op) {
+    int calls = 0;
+    Status status;
+    op([&](Status result) {
+      ++calls;
+      status = result;
+    });
+    testbed_.simulation().Run();
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(status.code(), ErrorCode::kNotFound) << status;
+    EXPECT_EQ(runtime::FomScheduler::For(testbed_.simulation()).live_count(),
+              0u);
+    EXPECT_EQ(testbed_.transport().endpoint_count(), 0u);
+    EXPECT_EQ(testbed_.agent().size(), 0u);
+    for (std::size_t host = 0; host < testbed_.host_count(); ++host) {
+      EXPECT_EQ(testbed_.host(host)->process_count(), 0u) << "host " << host;
+    }
+  }
+
   Testbed testbed_;
   std::unique_ptr<DcdoManager> manager_;
+  std::size_t instances_at_reset_ = 0;
   ImplementationComponent comp_v1_;
   ImplementationComponent comp_v2_;
   VersionId v1_;
@@ -593,6 +625,64 @@ TEST_F(ManagerTest, DestroyDuringActivationHandshakeEndsNotFound) {
   Init(MakeSingleVersionExplicit());
   DestroyAllAfter(2.0);
   ExpectCreateEndsNotFound();
+}
+
+// Destroying the manager ends each of its operations kNotFound, once, with
+// nothing of the instance left behind: 0.5 s into a create its shell is
+// still spawning; 1.7 s in, core-v1 streams to the new instance.
+TEST_F(ManagerTest, ResetDuringCreationSpawnEndsNotFound) {
+  Init(MakeSingleVersionExplicit());
+  ResetManagerAfter(0.5);
+  ExpectResetEndsNotFound([&](DcdoManager::DoneCallback done) {
+    manager_->CreateInstance(testbed_.host(1), [done](Result<ObjectId> r) {
+      done(r.status());
+    });
+  });
+}
+
+TEST_F(ManagerTest, ResetDuringCreationApplyEndsNotFound) {
+  Init(MakeSingleVersionExplicit());
+  ResetManagerAfter(1.7);
+  ExpectResetEndsNotFound([&](DcdoManager::DoneCallback done) {
+    manager_->CreateInstance(testbed_.host(1), [done](Result<ObjectId> r) {
+      done(r.status());
+    });
+  });
+  EXPECT_EQ(instances_at_reset_, 1u);
+}
+
+// 0.1 s into an evolution whose new 550 KB component still streams.
+TEST_F(ManagerTest, ResetDuringColdEvolutionEndsNotFound) {
+  Init(MakeSingleVersionExplicit());
+  auto instance = CreateBlocking();
+  ASSERT_TRUE(instance.ok());
+  auto big = testing::MakeEchoComponent(testbed_.registry(), "big", {"big"},
+                                        /*code_bytes=*/550'000);
+  ASSERT_TRUE(manager_->PublishComponent(big).ok());
+  VersionId v12 = *manager_->DeriveVersion(v1_);
+  DfmDescriptor* d12 = *manager_->MutableDescriptor(v12);
+  ASSERT_TRUE(d12->IncorporateComponent(big).ok());
+  ASSERT_TRUE(d12->EnableFunction("big", big.id).ok());
+  ASSERT_TRUE(manager_->MarkInstantiable(v12).ok());
+  ASSERT_TRUE(manager_->SetCurrentVersion(v12).ok());
+  ResetManagerAfter(0.1);
+  ExpectResetEndsNotFound([&](DcdoManager::DoneCallback done) {
+    manager_->EvolveInstanceTo(*instance, v12, std::move(done));
+  });
+  EXPECT_EQ(instances_at_reset_, 1u);
+}
+
+// 0.1 s into a migration of 512 KB of state: captured, now transferring.
+TEST_F(ManagerTest, ResetDuringMigrationEndsNotFound) {
+  Init(MakeSingleVersionExplicit());
+  auto instance = CreateBlocking();
+  ASSERT_TRUE(instance.ok());
+  manager_->FindInstance(*instance)->mutable_state().logical_size = 512 * 1024;
+  ResetManagerAfter(0.1);
+  ExpectResetEndsNotFound([&](DcdoManager::DoneCallback done) {
+    manager_->MigrateInstance(*instance, testbed_.host(2), std::move(done));
+  });
+  EXPECT_EQ(instances_at_reset_, 1u);
 }
 
 // An instance that moves while its evolution acquires fails the evolution:

@@ -128,26 +128,6 @@ TEST_F(DedupTest, InFlightDuplicateIsDropped) {
   EXPECT_EQ(transport_.invocations_delivered(), 1u);
 }
 
-// A hand-rolled invocation that never set a call_id or a session_id
-// bypasses deduplication entirely (the test name predates the session
-// table): every delivery runs the body.
-TEST_F(DedupTest, CallIdZeroBypassesWindow) {
-  int body_runs = 0;
-  transport_.RegisterEndpoint(2, 10, 1,
-                              [&](const MethodInvocation&, ReplyFn reply) {
-                                ++body_runs;
-                                reply(MethodResult::Ok());
-                              });
-  for (int i = 0; i < 3; ++i) {
-    MethodInvocation invocation;
-    invocation.method = "unkeyed";
-    transport_.Invoke(1, 2, 10, std::move(invocation), [](MethodResult) {});
-  }
-  simulation_.Run();
-  EXPECT_EQ(body_runs, 3);
-  EXPECT_EQ(transport_.dedup_hits(), 0u);
-}
-
 // Two clients on the SAME node must not collide in a server's session
 // table: session ids come from a process-global allocator, so concurrent
 // calls from co-located clients occupy distinct (origin, session) keys even
@@ -194,15 +174,16 @@ TEST_F(DedupTest, ReRegistrationResetsWindow) {
       });
 
   // Hand-set session triples drive the table directly.
-  auto sessioned = [](const char* method) {
+  auto sessioned = [](const char* method, std::uint64_t epoch) {
     MethodInvocation invocation;
     invocation.method = method;
+    invocation.expected_epoch = epoch;
     invocation.session_id = 777;
     invocation.session_slot = 0;
     invocation.session_seq = 1;
     return invocation;
   };
-  MethodInvocation first = sessioned("toOldActivation");
+  MethodInvocation first = sessioned("toOldActivation", 1);
   transport_.Invoke(1, 2, 10, std::move(first), [](MethodResult) {});
   // Let the first invocation land on the old activation before replacing it.
   int new_body_runs = 0;
@@ -213,7 +194,7 @@ TEST_F(DedupTest, ReRegistrationResetsWindow) {
                                   reply(MethodResult::Ok());
                                 });
     // Same (session, slot, seq) as the old activation saw.
-    MethodInvocation second = sessioned("toNewActivation");
+    MethodInvocation second = sessioned("toNewActivation", 2);
     transport_.Invoke(1, 2, 10, std::move(second), [](MethodResult) {});
   });
   simulation_.Run();

@@ -27,7 +27,7 @@
 //
 // Sessions have no timer to outrun: the retry carries the same (session,
 // slot, seq) even across the rebind round-trip, and the server replays the
-// slot's cached reply. CostModel::lease_rebind_limit still caps how many
+// slot's cached reply. kLeaseRebindLimit still caps how many
 // pushed rebinds one call chases, so a perpetually churning target fails
 // instead of retrying forever.
 #include <gtest/gtest.h>
@@ -133,7 +133,7 @@ TEST_P(RebindRegressionTest, RebindRoundTripRetryReplaysInsteadOfReExecuting) {
 }
 
 // The cap itself: a target that migrates forever must not retry forever.
-// Bindings flip to a dead address on every timeout; after lease_rebind_limit
+// Bindings flip to a dead address on every timeout; after kLeaseRebindLimit
 // pushed rounds the call falls back to the ordinary schedule and fails with
 // kTimeout instead of chasing pushes unboundedly.
 TEST_P(RebindRegressionTest, PerpetualChurnExhaustsRebindCapAndFails) {
@@ -165,14 +165,14 @@ TEST_P(RebindRegressionTest, PerpetualChurnExhaustsRebindCapAndFails) {
   EXPECT_EQ(failure.code(), ErrorCode::kTimeout);
   const sim::CostModel cost = Model();
   EXPECT_LE(client().lease_rebinds(),
-            static_cast<std::uint64_t>(cost.lease_rebind_limit));
+            static_cast<std::uint64_t>(kLeaseRebindLimit));
   // And it terminated within the capped schedule: the capped pushed-rebind
   // rounds plus the ordinary schedule's last send (a first round, the rebind
   // query, then the refreshed round's sends one timeout apart), plus one
   // timeout of transit slack.
   const sim::SimDuration pushed_rounds =
       cost.invocation_timeout *
-      static_cast<std::int64_t>(cost.lease_rebind_limit *
+      static_cast<std::int64_t>(kLeaseRebindLimit *
                                 cost.RetryAttemptsPerBinding());
   const sim::SimDuration ordinary_last_send =
       cost.StaleBindingDiscovery() +

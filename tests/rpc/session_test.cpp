@@ -296,19 +296,5 @@ TEST_F(SessionRpcTest, ReRegistrationResetsServerSessions) {
   EXPECT_EQ(fresh->session_count(), 0u);
 }
 
-// Wire accounting: sessioned invocations (every RpcClient call) carry
-// kSessionWireBytes extra; a hand-rolled unsessioned one carries none.
-TEST(SessionWireTest, SessionCarriageCostsBytesOnlyWhenPresent) {
-  MethodInvocation plain;
-  plain.method = "m";
-  const std::size_t base = plain.WireSize();
-  MethodInvocation sessioned;
-  sessioned.method = "m";
-  sessioned.session_id = 42;
-  sessioned.session_slot = 1;
-  sessioned.session_seq = 7;
-  EXPECT_EQ(sessioned.WireSize(), base + kSessionWireBytes);
-}
-
 }  // namespace
 }  // namespace dcdo::rpc

@@ -15,15 +15,21 @@ class TransportTest : public ::testing::Test {
     network_.AddNode(2);
   }
 
+  // A hand-built call: the epoch it expects and a session triple, as every
+  // RpcClient attempt carries (each call takes the slot's next seq).
   MethodInvocation MakeCall(const std::string& method,
                             std::uint64_t epoch = 1) {
     MethodInvocation invocation;
     invocation.target = ObjectId::Next(domains::kInstance);
     invocation.method = method;
     invocation.expected_epoch = epoch;
+    invocation.session_id = 1;
+    invocation.session_slot = 0;
+    invocation.session_seq = ++seq_;
     return invocation;
   }
 
+  std::uint64_t seq_ = 0;
   sim::Simulation simulation_;
   sim::SimNetwork network_;
   RpcTransport transport_;
@@ -69,18 +75,6 @@ TEST_F(TransportTest, EpochMismatchDiscards) {
   simulation_.Run();
   EXPECT_FALSE(replied);
   EXPECT_EQ(transport_.epoch_rejections(), 1u);
-}
-
-TEST_F(TransportTest, EpochZeroSkipsCheck) {
-  transport_.RegisterEndpoint(2, 10, 5,
-                              [](const MethodInvocation&, ReplyFn reply) {
-                                reply(MethodResult::Ok());
-                              });
-  bool replied = false;
-  transport_.Invoke(1, 2, 10, MakeCall("ping", /*epoch=*/0),
-                    [&](MethodResult) { replied = true; });
-  simulation_.Run();
-  EXPECT_TRUE(replied);
 }
 
 TEST_F(TransportTest, UnregisterKillsEndpoint) {
@@ -131,7 +125,8 @@ TEST_F(TransportTest, ErrorStatusTravelsBack) {
 TEST_F(TransportTest, WireSizeIncludesHeaderMethodAndArgs) {
   MethodInvocation invocation = MakeCall("doWork");
   invocation.SetArgs(ByteBuffer::Opaque(100));
-  EXPECT_EQ(invocation.WireSize(), kHeaderBytes + 6 + 100);
+  EXPECT_EQ(invocation.WireSize(),
+            kHeaderBytes + 6 + kSessionWireBytes + 100);
   MethodResult result = MethodResult::Ok(ByteBuffer::Opaque(32));
   EXPECT_EQ(result.WireSize(), kHeaderBytes + 32);
 }

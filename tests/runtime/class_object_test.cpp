@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
 #include "rpc/client.h"
+#include "runtime/fom.h"
 #include "runtime/testbed.h"
 
 namespace dcdo {
@@ -57,10 +60,56 @@ class ClassObjectTest : public ::testing::Test {
     return out.value_or(InternalError("evolve never completed"));
   }
 
+  // A class object of its own, for a test to destroy mid-operation. What the
+  // testbed holds before it is the baseline ExpectDestroyEndsNotFound checks.
+  ClassObject& MakeDoomed() {
+    endpoints_ = testbed_.transport().endpoint_count();
+    bindings_ = testbed_.agent().size();
+    for (std::size_t host = 0; host < testbed_.host_count(); ++host) {
+      processes_.push_back(testbed_.host(host)->process_count());
+    }
+    doomed_ = std::make_unique<ClassObject>(
+        "doomed", testbed_.host(0), &testbed_.transport(), &testbed_.agent());
+    doomed_->AddExecutable(
+        MakeExecutable("doomed-v1", kTypicalExecutable, "v1"));
+    return *doomed_;
+  }
+
+  // Runs `op`, destroying the doomed class object `seconds` in, until the
+  // event queue is empty: `done` runs once with kNotFound, no Fom is left
+  // live, and no process, endpoint or binding is left behind.
+  void ExpectDestroyEndsNotFound(
+      double seconds,
+      const std::function<void(ClassObject::DoneCallback)>& op) {
+    testbed_.simulation().Schedule(sim::SimDuration::Seconds(seconds),
+                                   [&] { doomed_.reset(); });
+    int calls = 0;
+    Status status;
+    op([&](Status result) {
+      ++calls;
+      status = result;
+    });
+    testbed_.simulation().Run();
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(status.code(), ErrorCode::kNotFound) << status;
+    EXPECT_EQ(runtime::FomScheduler::For(testbed_.simulation()).live_count(),
+              0u);
+    EXPECT_EQ(testbed_.transport().endpoint_count(), endpoints_);
+    EXPECT_EQ(testbed_.agent().size(), bindings_);
+    for (std::size_t host = 0; host < testbed_.host_count(); ++host) {
+      EXPECT_EQ(testbed_.host(host)->process_count(), processes_[host])
+          << "host " << host;
+    }
+  }
+
   Testbed testbed_;
   ClassObject class_object_;
   std::size_t v1_ = 0;
   std::size_t v2_ = 0;
+  std::unique_ptr<ClassObject> doomed_;
+  std::size_t endpoints_ = 0;
+  std::size_t bindings_ = 0;
+  std::vector<std::size_t> processes_;
 };
 
 // Paper: "creating an object with ... 500 functions that reside in a static
@@ -320,6 +369,40 @@ TEST_F(ClassObjectTest, DestroyDuringEvolutionStaysDestroyed) {
   EXPECT_FALSE(class_object_.HasInstance(*instance));
   EXPECT_EQ(class_object_.instance_count(), 0u);
   EXPECT_FALSE(testbed_.agent().Bound(*instance));
+}
+
+// Destroying the class object ends its operations kNotFound, once: 1 s
+// into a create on a remote host the 5.1 MB executable still downloads;
+// 1 s into one on its home host the process still spawns.
+TEST_F(ClassObjectTest, DestroyDuringCreateDownloadEndsNotFound) {
+  ClassObject& doomed = MakeDoomed();
+  ExpectDestroyEndsNotFound(1.0, [&](ClassObject::DoneCallback done) {
+    doomed.CreateInstance(testbed_.host(5), 0, [done](Result<ObjectId> r) {
+      done(r.status());
+    });
+  });
+}
+
+TEST_F(ClassObjectTest, DestroyDuringCreateSpawnEndsNotFound) {
+  ClassObject& doomed = MakeDoomed();
+  ExpectDestroyEndsNotFound(1.0, [&](ClassObject::DoneCallback done) {
+    doomed.CreateInstance(testbed_.host(0), 0, [done](Result<ObjectId> r) {
+      done(r.status());
+    });
+  });
+}
+
+// 1 s into a migration, 512 KB of captured state is still on the wire.
+TEST_F(ClassObjectTest, DestroyDuringMigrationTransferEndsNotFound) {
+  ClassObject& doomed = MakeDoomed();
+  std::optional<Result<ObjectId>> created;
+  doomed.CreateInstance(testbed_.host(1), /*state=*/512 * 1024,
+                        [&](Result<ObjectId> r) { created.emplace(r); });
+  testbed_.simulation().RunWhile([&] { return !created.has_value(); });
+  ASSERT_TRUE(created->ok()) << created->status();
+  ExpectDestroyEndsNotFound(1.0, [&](ClassObject::DoneCallback done) {
+    doomed.MigrateInstance(**created, testbed_.host(3), std::move(done));
+  });
 }
 
 TEST_F(ClassObjectTest, DestroyInstanceUnbinds) {

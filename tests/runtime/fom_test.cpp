@@ -155,12 +155,11 @@ TEST(FomTest, WakeStatusAndValueDeliverPayloads) {
       &ticks, nullptr);
   const std::uint64_t id = fom->id();
   scheduler.Start(*fom);
-  scheduler.WakeStatus(id, WakeSource::kFetch,
-                       InvalidArgumentError("boom"));
+  scheduler.Wake(id, WakeSource::kFetch, InvalidArgumentError("boom"));
   // The payload was readable during tick 2; the Fom is now waiting on
   // kChild and the status payload persists until overwritten.
   EXPECT_EQ(fom->last_status().code(), ErrorCode::kInvalidArgument);
-  scheduler.WakeValue(id, WakeSource::kChild, 42);
+  scheduler.Wake(id, WakeSource::kChild, Status::Ok(), 42);
   EXPECT_EQ(ticks, 3);
   EXPECT_FALSE(scheduler.Alive(id));
 }
@@ -179,7 +178,7 @@ TEST(FomTest, PendingWakeDuringTickIsConsumedWithoutParking) {
     FomStatus Tick() override {
       ++*ticks_;
       if (*ticks_ == 1) {
-        scheduler().WakeStatus(id(), WakeSource::kFetch, Status::Ok());
+        scheduler().Wake(id(), WakeSource::kFetch);
         return WaitOn(WakeSource::kFetch);
       }
       return FomStatus::kDone;

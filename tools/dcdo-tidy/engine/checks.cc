@@ -774,7 +774,8 @@ void IndexFile(const SourceFile& file, ProjectIndex* index) {
 // dcdo-deferred-ref-capture
 //
 // A callback handed to a deferred sink (Simulation::Schedule / ScheduleAt,
-// SimNetwork::Send) does not run in the enclosing frame: it fires from the
+// SimNetwork::Send / BulkTransfer / StreamTransfer, SimHost::SpawnProcess)
+// does not run in the enclosing frame: it fires from the
 // event loop, after the frame that scheduled it has usually returned. A
 // by-reference capture (`[&]` or `[&x]`) then dangles — the stack frame is
 // gone by the fire time. The PR 8 `&source` capture in
@@ -788,8 +789,9 @@ void CheckDeferredRefCapture(const SourceFile& file,
                              std::vector<Finding>* findings) {
   std::string_view code = file.code();
 
-  static constexpr std::array<const char*, 3> kSinks = {"Schedule",
-                                                        "ScheduleAt", "Send"};
+  static constexpr std::array<const char*, 6> kSinks = {
+      "Schedule",     "ScheduleAt",   "Send",
+      "SpawnProcess", "BulkTransfer", "StreamTransfer"};
   for (const char* sink : kSinks) {
     const std::size_t sink_len = std::string_view(sink).size();
     for (std::size_t pos = FindIdent(code, sink);
