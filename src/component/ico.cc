@@ -8,19 +8,15 @@ namespace dcdo {
 ImplementationComponentObject::ImplementationComponentObject(
     sim::SimHost* host, rpc::RpcTransport* transport, BindingAgent* agent,
     ImplementationComponent component)
-    : host_(*host), transport_(*transport), agent_(*agent),
-      component_(std::make_shared<const ImplementationComponent>(
-          std::move(component))) {
-  pid_ = host_.AdoptProcess(component_->id);
+    : component_(std::make_shared<const ImplementationComponent>(
+          std::move(component))),
+      activation_(component_->id, transport, agent) {
   // The ICO stores its image in the host file store and caches it locally —
   // fetching a component to its own home host is free.
-  host_.StoreFile("ico/" + component_->id.ToString(), component_->code_bytes);
-  host_.CacheComponent(component_->id, component_->code_bytes);
-  agent_.Bind(component_->id,
-              ObjectAddress{host_.node(), pid_, /*epoch=*/1});
-
-  transport_.RegisterEndpoint(
-      host_.node(), pid_, /*epoch=*/1,
+  host->StoreFile("ico/" + component_->id.ToString(), component_->code_bytes);
+  host->CacheComponent(component_->id, component_->code_bytes);
+  activation_.Open(
+      host, /*epoch=*/1,
       [this](const rpc::MethodInvocation& invocation, rpc::ReplyFn reply) {
         const std::string_view method = invocation.method_name();
         if (method == kGetDescriptor) {
@@ -39,12 +35,6 @@ ImplementationComponentObject::ImplementationComponentObject(
       });
 }
 
-ImplementationComponentObject::~ImplementationComponentObject() {
-  transport_.UnregisterEndpoint(host_.node(), pid_);
-  agent_.Unbind(component_->id);
-  (void)host_.KillProcess(pid_);
-}
-
 void ImplementationComponentObject::StreamTo(sim::SimHost* dest,
                                              std::function<void(Status)> done,
                                              trace::SpanId requester) {
@@ -56,19 +46,20 @@ void ImplementationComponentObject::StreamTo(sim::SimHost* dest,
   DCDO_LOG(kDebug) << "ico " << component_->name << ": streaming "
                    << component_->code_bytes << "B to node " << dest->node();
   const std::size_t bytes = component_->code_bytes;
-  const sim::CostModel& cost = host_.cost_model();
+  sim::SimHost& host = *activation_.host();
+  const sim::CostModel& cost = host.cost_model();
   // Same cost decomposition as ComponentDownloadTime, re-expressed for the
   // fair-shared link: the per-component session overhead is the fixed setup,
   // the image then streams at up to efficiency × wire speed. A solo stream
   // therefore lands at exactly ComponentDownloadTime (DiskRead when local).
-  bool local = host_.node() == dest->node();
+  bool local = host.node() == dest->node();
   sim::SimDuration setup =
       local ? cost.DiskRead(bytes) : cost.component_fetch_overhead;
   double peak =
       cost.wire_bandwidth_bytes_per_sec * cost.component_transfer_efficiency;
   sim::NodeId dest_node = dest->node();
-  host_.network().StreamTransfer(
-      host_.node(), dest_node, bytes, setup, peak,
+  host.network().StreamTransfer(
+      host.node(), dest_node, bytes, setup, peak,
       [dest, dest_node, record = component_,
        done = std::move(done)](bool delivered) mutable {
         if (!delivered) {

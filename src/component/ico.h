@@ -19,7 +19,7 @@
 #include "instrument/metrics.h"
 #include "instrument/spans.h"
 #include "naming/binding_agent.h"
-#include "rpc/transport.h"
+#include "rpc/activation.h"
 #include "sim/host.h"
 
 namespace dcdo {
@@ -30,14 +30,13 @@ class ImplementationComponentObject {
   static constexpr const char* kGetDescriptor = "getDescriptor";
   static constexpr const char* kGetSize = "getSize";
 
-  // Activates the ICO on `host`: registers an RPC endpoint and binds its
-  // component's id in the binding agent. The component id *is* the ICO's
-  // global name (the ICO is the component, as an active object).
+  // Activates the ICO on `host` until it is destroyed: binds its component's
+  // id in the binding agent and registers an RPC endpoint. The component id
+  // *is* the ICO's global name (the ICO is the component, as active object).
   ImplementationComponentObject(sim::SimHost* host,
                                 rpc::RpcTransport* transport,
                                 BindingAgent* agent,
                                 ImplementationComponent component);
-  ~ImplementationComponentObject();
 
   ImplementationComponentObject(const ImplementationComponentObject&) = delete;
   ImplementationComponentObject& operator=(
@@ -48,7 +47,7 @@ class ImplementationComponentObject {
   // The same metadata as a shared record: an incorporate that names this
   // ICO shares it instead of copying the function list.
   const ComponentRecord& record() const { return component_; }
-  sim::NodeId node() const { return host_.node(); }
+  sim::NodeId node() const { return activation_.address().node; }
 
   // Streams the component image to `dest`'s component cache through
   // SimNetwork::StreamTransfer, so concurrent fetches fair-share the wire;
@@ -63,11 +62,8 @@ class ImplementationComponentObject {
   std::uint64_t fetches_served() const { return fetches_served_.value(); }
 
  private:
-  sim::SimHost& host_;
-  rpc::RpcTransport& transport_;
-  BindingAgent& agent_;
   ComponentRecord component_;
-  sim::ProcessId pid_ = 0;
+  rpc::Activation activation_;
   trace::Counter fetches_served_;
 };
 

@@ -17,7 +17,8 @@ using runtime::WakeSource;
 // One coordinated batch as a pooled Fom: serial applies, then — on the first
 // failure — serial rollbacks in reverse, then the terminal report. The
 // outcome, prior versions, and steps live in the Fom block, and each
-// EvolveInstanceTo completion is the Fom's 16-byte WakeFn().
+// EvolveInstanceTo completion is the Fom's 16-byte WakeFn(). A step whose
+// manager's destruction cut its link fails kNotFound, like any other.
 class CoordinatedUpdateFom final : public runtime::Fom {
  public:
   using Step = UpdateCoordinator::Step;
@@ -31,8 +32,13 @@ class CoordinatedUpdateFom final : public runtime::Fom {
       : Fom("update.batch"),
         steps_(std::move(steps)),
         prior_(std::move(prior_versions)),
+        managers_(steps_.size()),
         outcome_(std::move(outcome)),
-        done_(std::move(done)) {}
+        done_(std::move(done)) {
+    for (std::size_t i = 0; i < steps_.size(); ++i) {
+      managers_[i].Attach(steps_[i].manager, steps_[i].manager->operations());
+    }
+  }
 
   FomStatus Tick() override {
     if (phase() < 0) {
@@ -77,7 +83,7 @@ class CoordinatedUpdateFom final : public runtime::Fom {
       done_(std::move(outcome_));
       return FomStatus::kDone;
     }
-    return Evolve(steps_[index_], steps_[index_].target);
+    return Evolve(index_, steps_[index_].target);
   }
 
   // Undoes steps [0, rollback_upto_) in reverse, then reports failure_.
@@ -88,17 +94,23 @@ class CoordinatedUpdateFom final : public runtime::Fom {
       done_(std::move(outcome_));
       return FomStatus::kDone;
     }
-    return Evolve(steps_[rollback_upto_ - 1], prior_[rollback_upto_ - 1]);
+    return Evolve(rollback_upto_ - 1, prior_[rollback_upto_ - 1]);
   }
 
-  FomStatus Evolve(const Step& step, const VersionId& version) {
-    step.manager->EvolveInstanceTo(step.instance, version,
-                                   WakeFn(WakeSource::kChild));
+  FomStatus Evolve(std::size_t index, const VersionId& version) {
+    const ObjectId& instance = steps_[index].instance;
+    if (auto* manager = managers_[index].get<DcdoManager>()) {
+      manager->EvolveInstanceTo(instance, version, WakeFn(WakeSource::kChild));
+    } else {
+      WakeFn(WakeSource::kChild)(NotFoundError(
+          "the manager of " + instance.ToString() + " was destroyed"));
+    }
     return WaitOn(WakeSource::kChild);
   }
 
-  std::vector<Step> steps_;
+  std::vector<Step> steps_;  // their managers are read through managers_
   std::vector<VersionId> prior_;
+  std::vector<runtime::OwnerLink> managers_;
   Outcome outcome_;
   UpdateCoordinator::DoneCallback done_;
   std::size_t index_ = 0;          // next step to apply
@@ -111,6 +123,7 @@ class CoordinatedUpdateFom final : public runtime::Fom {
 Status UpdateCoordinator::ValidateAll(
     const std::vector<Step>& steps, std::vector<VersionId>& prior_versions,
     std::vector<std::string>& notes) const {
+  prior_versions.reserve(steps.size());
   for (std::size_t i = 0; i < steps.size(); ++i) {
     const Step& step = steps[i];
     if (step.manager == nullptr) {

@@ -59,7 +59,8 @@ class UpdateCoordinator {
 
   // Validates and applies `steps`; `done` fires once with the outcome.
   // The coordinator drives nothing concurrently — steps apply in order, so
-  // a batch is only as slow as its slowest member chain.
+  // a batch is only as slow as its slowest member chain. A step whose
+  // manager is destroyed mid-batch fails kNotFound without touching it.
   void Execute(std::vector<Step> steps, DoneCallback done);
 
  private:

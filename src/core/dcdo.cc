@@ -74,86 +74,28 @@ Dcdo::Dcdo(std::string name, sim::SimHost* host, rpc::RpcTransport* transport,
            const IcoDirectory* icos, VersionId version,
            ComponentFetcher* fetcher)
     : name_(std::move(name)),
-      id_(ObjectId::Next(domains::kInstance)),
-      host_(host),
-      transport_(*transport),
-      agent_(*agent),
+      activation_(ObjectId::Next(domains::kInstance), transport, agent),
       registry_(*registry),
       icos_(*icos),
       fetcher_(fetcher),
       version_(std::move(version)) {
-  address_.node = host_->node();
-  address_.pid = host_->AdoptProcess(id_);
-  address_.epoch = 1;
-  agent_.Bind(id_, address_);
-  RegisterEndpoint();
-  mapper_.SetCheckOwner(id_);
+  activation_.Open(host, /*epoch=*/1, Endpoint());
+  mapper_.SetCheckOwner(id());
   // Expose this object's live state to the checker's invariants. The probe
   // holds a raw `this`; the destructor unregisters first.
   if (check::Checker* probes = instrument::Probes()) {
-    probes->RegisterObject(id_, [this]() {
-      check::ObjectStatusSnapshot snapshot;
-      snapshot.id = id_;
-      snapshot.name = name_;
-      snapshot.version = version_;
-      snapshot.active = active_;
-      snapshot.components = mapper_.state().ComponentIds();
-      snapshot.total_active_threads = mapper_.TotalActive();
-      snapshot.config_anomalies = mapper_.state().CheckIntegrity();
-      snapshot.node = address_.node;
-      snapshot.pid = address_.pid;
-      snapshot.epoch = address_.epoch;
-      return snapshot;
+    probes->RegisterObject(id(), [this]() {
+      return check::ObjectStatusSnapshot{
+          .version = version_,
+          .components = mapper_.state().ComponentIds(),
+          .total_active_threads = mapper_.TotalActive(),
+          .config_anomalies = mapper_.state().CheckIntegrity()};
     });
   }
 }
 
 Dcdo::~Dcdo() {
-  if (check::Checker* probes = instrument::Probes()) {
-    probes->UnregisterObject(id_);
-  }
-  transport_.UnregisterEndpoint(address_.node, address_.pid);
-  agent_.Unbind(id_);
-  (void)host_->KillProcess(address_.pid);
-}
-
-void Dcdo::RegisterEndpoint() {
-  transport_.RegisterEndpoint(
-      address_.node, address_.pid, address_.epoch,
-      [this](const rpc::MethodInvocation& invocation, rpc::ReplyFn reply) {
-        HandleInvocation(invocation, std::move(reply));
-      });
-}
-
-void Dcdo::Deactivate() {
-  if (!active_) return;
-  transport_.UnregisterEndpoint(address_.node, address_.pid);
-  (void)host_->KillProcess(address_.pid);
-  agent_.Unbind(id_);
-  active_ = false;
-  DCDO_LOG(kDebug) << name_ << ": deactivated (state kept, "
-                   << state_.CaptureSize() << "B)";
-}
-
-void Dcdo::Reactivate() {
-  if (active_) return;
-  address_.pid = host_->AdoptProcess(id_);
-  ++address_.epoch;
-  agent_.Bind(id_, address_);
-  RegisterEndpoint();
-  active_ = true;
-  DCDO_LOG(kDebug) << name_ << ": reactivated at " << address_.ToString();
-}
-
-void Dcdo::Rebind(sim::SimHost* new_host) {
-  transport_.UnregisterEndpoint(address_.node, address_.pid);
-  (void)host_->KillProcess(address_.pid);
-  host_ = new_host;
-  address_.node = host_->node();
-  address_.pid = host_->AdoptProcess(id_);
-  ++address_.epoch;
-  agent_.Bind(id_, address_);
-  RegisterEndpoint();
+  if (auto* probes = instrument::Probes()) probes->UnregisterObject(id());
 }
 
 // ===== User-defined function invocation =====
@@ -168,7 +110,7 @@ std::string_view FunctionName(FunctionId id) {
 template <CallOrigin kOrigin, typename Function>
 Result<ByteBuffer> Dcdo::Dispatch(Function function, const ByteBuffer& args) {
   if constexpr (kOrigin == CallOrigin::kExternal) {
-    if (!active_) {
+    if (!active()) {
       return UnavailableError(name_ + " is deactivated");
     }
     if (pre_call_hook_) pre_call_hook_();
@@ -178,7 +120,7 @@ Result<ByteBuffer> Dcdo::Dispatch(Function function, const ByteBuffer& args) {
   // the call arrived remotely it nests under the transport's rpc.dispatch
   // span via the scope stack.
   instrument::SpanScope span("dfm.call",
-                             {.category = "dfm", .node = address_.node});
+                             {.category = "dfm", .node = address().node});
   if (span) span.Annotate("function", FunctionName(function));
   // The paper's measured DFM indirection: every dynamic call pays it.
   simulation().AdvanceInline(cost().dfm_lookup);
@@ -208,13 +150,13 @@ Result<ByteBuffer> Dcdo::CallInternal(FunctionId function,
   return Dispatch<CallOrigin::kInternal>(function, args);
 }
 
-ObjectId Dcdo::self_id() const { return id_; }
+ObjectId Dcdo::self_id() const { return id(); }
 
 void Dcdo::BlockOnOutcall(double sim_seconds) {
   // Re-enters the event loop so the rest of the system — including
   // configuration calls against this object — proceeds while this "thread"
   // is parked inside the function (its CallGuard stays alive up the stack).
-  sim::Simulation& simulation = host_->simulation();
+  sim::Simulation& simulation = host().simulation();
   simulation.RunUntil(simulation.Now() +
                       sim::SimDuration::Seconds(sim_seconds));
 }
@@ -222,10 +164,10 @@ void Dcdo::BlockOnOutcall(double sim_seconds) {
 // ===== Configuration functions =====
 
 Status Dcdo::CheckCached(const ImplementationComponent& meta) const {
-  if (host_->ComponentCached(meta.id)) return Status::Ok();
+  if (host().ComponentCached(meta.id)) return Status::Ok();
   return ComponentMissingError("component " + meta.name +
                                " is not cached on node " +
-                               std::to_string(host_->node()));
+                               std::to_string(host().node()));
 }
 
 void Dcdo::ChargeMapping(std::size_t functions) {
@@ -239,7 +181,7 @@ Status Dcdo::IncorporateCached(ComponentRecord meta,
   DCDO_RETURN_IF_ERROR(CheckCached(*meta));
   const std::size_t functions = meta->functions.size();
   DCDO_RETURN_IF_ERROR(mapper_.IncorporateComponent(
-      std::move(meta), registry_, host_->architecture(),
+      std::move(meta), registry_, host().architecture(),
       auto_structural_deps));
   ChargeMapping(functions);
   return Status::Ok();
@@ -252,7 +194,7 @@ Status Dcdo::StageCached(
   DCDO_ASSIGN_OR_RETURN(
       DynamicFunctionMapper::ResolvedComponent resolved,
       DynamicFunctionMapper::ResolveComponent(meta, registry_,
-                                              host_->architecture()));
+                                              host().architecture()));
   staged.push_back(std::move(resolved));
   ChargeMapping(meta.functions.size());
   return Status::Ok();
@@ -280,7 +222,7 @@ class Dcdo::IncorporateFom final : public runtime::OwnedFom<Dcdo> {
     }
     EnterPhase(kAcquire, "acquire");
     owner()->fetcher_->AcquireAll(
-        owner()->host_, {std::move(record_)},
+        &owner()->host(), {std::move(record_)},
         // The Fom outlives on_ready: it waits for the acquisition's done,
         // which runs right after it.
         [fom = this](const ComponentRecord& meta, bool /*was_cached*/) {
@@ -395,12 +337,12 @@ class Dcdo::EvolveFom final : public runtime::OwnedFom<Dcdo> {
             bool enforce_marks, Dcdo::DoneCallback done,
             trace::SpanId evolve_span)
       : OwnedFom("dcdo.evolve", object, object->ops_),
-        object_id_(object->id_),
-        host_(object->host_),
+        object_id_(object->id()),
+        host_(&object->host()),
         target_version_(std::move(target_version)),
         target_state_(std::move(target_state)),
         incorporate_(std::move(plan.incorporate)),
-        flip_count_(plan.enable.size() + plan.disable.size()),
+        flip_count_(plan.flips),
         removal_(removal),
         enforce_marks_(enforce_marks),
         done_(std::move(done)),
@@ -420,7 +362,7 @@ class Dcdo::EvolveFom final : public runtime::OwnedFom<Dcdo> {
       // Room for every target component: the commit adds the kept blocks.
       staged_.reserve(target_state_.component_count());
       object->fetcher_->AcquireAll(
-          object->host_, std::move(incorporate_),
+          &object->host(), std::move(incorporate_),
           // The Fom outlives every on_ready: it waits for the acquisition's
           // done, which runs after the last of them.
           [fom = this](const ComponentRecord& meta, bool /*was_cached*/) {
@@ -436,7 +378,7 @@ class Dcdo::EvolveFom final : public runtime::OwnedFom<Dcdo> {
     // Stage 2: every component is staged.
     Status status = wake_status();
     if (!status.ok()) return Finish(std::move(status));
-    if (object->host_ != host_) {  // its staged bodies belong to host_
+    if (&object->host() != host_) {  // its staged bodies belong to host_
       return Finish(FailedPreconditionError(object->name_ +
                                             " moved during its evolution"));
     }
@@ -495,14 +437,14 @@ void Dcdo::EvolveTo(const DfmDescriptor& target, const RemovalPolicy& removal,
   }
   EvolutionPlan plan = ComputePlan(mapper_.state(), target.state());
   DCDO_LOG(kDebug) << name_ << ": evolving " << version_.ToString() << " -> "
-                   << target.version().ToString() << " (" << plan.TotalSteps()
-                   << " steps, " << plan.incorporate.size()
-                   << " new components)";
+                   << target.version().ToString() << " ("
+                   << plan.incorporate.size() << " new components, "
+                   << plan.flips << " flips)";
   // The evolution's span rides in the Fom, parents its phase spans and is
   // closed by EvolveFom::Finish, where the outcome is known.
   trace::SpanId evolve_span = 0;
   if (auto* context = instrument::Context::Current()) {
-    evolve_span = context->EvolveBegin(id_, name_, address_.node, version_,
+    evolve_span = context->EvolveBegin(id(), name_, address().node, version_,
                                        target.version());
   }
 

@@ -36,7 +36,7 @@
 #include "dfm/descriptor.h"
 #include "dfm/mapper.h"
 #include "naming/binding_agent.h"
-#include "rpc/transport.h"
+#include "rpc/activation.h"
 #include "runtime/fom.h"
 #include "runtime/method_table.h"
 #include "sim/host.h"
@@ -79,10 +79,10 @@ class Dcdo final : public CallContext {
   Dcdo(const Dcdo&) = delete;
   Dcdo& operator=(const Dcdo&) = delete;
 
-  const ObjectId& id() const { return id_; }
+  const ObjectId& id() const { return activation_.object(); }
   const std::string& name() const { return name_; }
   const VersionId& version() const { return version_; }
-  sim::SimHost& host() const { return *host_; }
+  sim::SimHost& host() const { return *activation_.host(); }
 
   // ===== Configuration functions =====
 
@@ -155,7 +155,7 @@ class Dcdo final : public CallContext {
     return mapper_.ActiveCount(function, component);
   }
   const DynamicFunctionMapper& mapper() const { return mapper_; }
-  const ObjectAddress& address() const { return address_; }
+  ObjectAddress address() const { return activation_.address(); }
 
   // ===== User-defined function invocation =====
 
@@ -187,27 +187,35 @@ class Dcdo final : public CallContext {
     pre_call_hook_ = std::move(hook);
   }
 
-  // Re-binds this DCDO after its manager migrated it (new host/pid/epoch).
-  void Rebind(sim::SimHost* new_host);
+  // Moves the object to `dest`: resolves every component's bodies for dest's
+  // architecture, then opens it at the next epoch there, replacing its
+  // binding. kArchMismatch, moving nothing, if one has no build there.
+  [[nodiscard]] Status MoveTo(sim::SimHost* dest) {
+    DCDO_RETURN_IF_ERROR(mapper_.RemapBodies(registry_, dest->architecture()));
+    activation_.MoveTo(dest, Endpoint());
+    return Status::Ok();
+  }
 
   // --- Deactivation lifecycle (Legion objects vacate their process when
   // idle and re-activate on demand; the new activation has a new address,
   // so old client bindings go stale exactly as after migration) ---
 
-  // Tears down the activation: endpoint unregistered, process killed,
-  // binding removed. The object's state stays captured in this handle.
-  void Deactivate();
+  // Closes the activation: endpoint unregistered, process killed, binding
+  // removed. The object's state stays captured in this handle.
+  void Deactivate() { activation_.Close(); }
 
-  // Spins up a fresh activation on the same host (new pid, bumped epoch).
-  void Reactivate();
+  // Opens a fresh activation on the same host (new pid, bumped epoch).
+  void Reactivate() {
+    activation_.Open(&host(), address().epoch + 1, Endpoint());
+  }
 
-  bool active() const { return active_; }
+  bool active() const { return activation_.open(); }
 
-  // Re-resolves every incorporated component for the current host's
-  // architecture — call after Rebind() when migrating. Fails with
-  // kArchMismatch if a component has no usable build here.
+  // Re-resolves every component's bodies for the current host's
+  // architecture, in place; kArchMismatch, changing nothing, if one has no
+  // usable build here.
   [[nodiscard]] Status RemapForHost() {
-    return mapper_.RemapBodies(registry_, host_->architecture());
+    return mapper_.RemapBodies(registry_, host().architecture());
   }
 
  private:
@@ -237,29 +245,29 @@ class Dcdo final : public CallContext {
   [[nodiscard]] Status StageCached(
       const ImplementationComponent& meta,
       std::vector<DynamicFunctionMapper::ResolvedComponent>& staged);
-  void RegisterEndpoint();
+  rpc::Handler Endpoint() {  // what each activation registers
+    return [this](const rpc::MethodInvocation& call, rpc::ReplyFn reply) {
+      HandleInvocation(call, std::move(reply));
+    };
+  }
   void HandleInvocation(const rpc::MethodInvocation& invocation,
                         rpc::ReplyFn reply);
   [[nodiscard]] Result<ByteBuffer> DispatchConfig(std::string_view method,
                                     const ByteBuffer& args);
-  sim::Simulation& simulation() { return host_->simulation(); }
-  const sim::CostModel& cost() const { return host_->cost_model(); }
+  sim::Simulation& simulation() { return host().simulation(); }
+  const sim::CostModel& cost() const { return host().cost_model(); }
 
   std::string name_;
-  ObjectId id_;
-  sim::SimHost* host_;
-  rpc::RpcTransport& transport_;
-  BindingAgent& agent_;
+  // The object's id and where it runs: its process, endpoint and binding.
+  rpc::Activation activation_;
   const NativeCodeRegistry& registry_;
   const IcoDirectory& icos_;
   ComponentFetcher* fetcher_;
   VersionId version_;
   DynamicFunctionMapper mapper_;
   InstanceState state_;
-  ObjectAddress address_;
   std::uint64_t user_calls_ = 0;
   std::function<void()> pre_call_hook_;
-  bool active_ = true;
   runtime::FomOwner ops_;  // operations in flight; destruction cuts them off
 };
 

@@ -169,9 +169,9 @@ class DcdoManager::EvolveInstanceFom final : public InstanceOpFom {
 };
 
 // Capture state -> bulk-transfer it -> fetch missing images at dest ->
-// rebind + remap -> restore state -> optional lazy update check. The
-// instance can be destroyed while any wait is pending, so every phase that
-// touches it re-finds it first.
+// move (remap, then rebind) -> restore state -> optional lazy update check.
+// The instance can be destroyed while any wait is pending, so every phase
+// that touches it re-finds it first.
 class DcdoManager::MigrateInstanceFom final : public InstanceOpFom {
  public:
   enum Phase { kCapture, kTransfer, kFetch, kRestore, kLazyUpdate };
@@ -212,8 +212,8 @@ class DcdoManager::MigrateInstanceFom final : public InstanceOpFom {
         if (object == nullptr) return Finish(Destroyed());
         // Fetch any component images missing from the destination cache
         // (best-effort — a failed fetch is re-pulled lazily after the
-        // move), then re-bind and re-map. Cached images charge their map
-        // cost here; fetched ones are mapped by RemapForHost below.
+        // move), then move. Cached images charge their map cost here;
+        // fetched ones are mapped by MoveTo below.
         std::span<const ComponentRecord> records =
             object->mapper().state().components();
         EnterPhase(kFetch, "fetch");
@@ -236,9 +236,8 @@ class DcdoManager::MigrateInstanceFom final : public InstanceOpFom {
         if (!wake_status().ok()) return Finish(wake_status());
         Dcdo* object = instance();
         if (object == nullptr) return Finish(Destroyed());
-        object->Rebind(dest_);
-        Status remapped = object->RemapForHost();
-        if (!remapped.ok()) return Finish(std::move(remapped));
+        Status moved = object->MoveTo(dest_);
+        if (!moved.ok()) return Finish(std::move(moved));
         EnterPhase(kRestore, "restore");
         scheduler().ArmTimer(*this, mgr->home_.cost_model().StateRestore(
                                         object->mutable_state().CaptureSize()));
@@ -351,12 +350,10 @@ DcdoManager::DcdoManager(std::string type_name, sim::SimHost* home,
       agent_(*agent),
       registry_(*registry),
       policy_(std::move(policy)) {
-  pid_ = home_.AdoptProcess(id_);
-  agent_.Bind(id_, ObjectAddress{home_.node(), pid_, /*epoch=*/1});
   // The manager's exported interface (used by the explicit-update policy,
   // where "other objects call to the manager in order to evolve" instances).
-  transport_.RegisterEndpoint(
-      home_.node(), pid_, /*epoch=*/1,
+  activation_.Open(
+      &home_, /*epoch=*/1,
       [this](const rpc::MethodInvocation& invocation, rpc::ReplyFn reply) {
         const std::string_view method = invocation.method_name();
         if (method == "mgr.updateInstance") {
@@ -382,11 +379,9 @@ DcdoManager::DcdoManager(std::string type_name, sim::SimHost* home,
 }
 
 DcdoManager::~DcdoManager() {
-  instances_.clear();  // Dcdo destructors unregister endpoints/bindings
+  instances_.clear();  // each instance's activation closes with it
   for (auto& ico : published_) icos_.Unregister(ico->id());
-  transport_.UnregisterEndpoint(home_.node(), pid_);
-  agent_.Unbind(id_);
-  (void)home_.KillProcess(pid_);
+  activation_.Close();  // before the ICOs' own, as they are destroyed
 }
 
 // ===== Components =====

@@ -118,8 +118,8 @@ class DcdoManager {
   void UpdateInstance(const ObjectId& instance, DoneCallback done);
 
   // Moves an instance to `dest`: capture + state transfer + component
-  // fetches at dest + re-map + re-bind. Runs the policy's on-migrate lazy
-  // check afterwards.
+  // fetches at dest + Dcdo::MoveTo (a component with no build there fails
+  // it, moving nothing). Runs the policy's on-migrate lazy check afterwards.
   void MigrateInstance(const ObjectId& instance, sim::SimHost* dest,
                        DoneCallback done);
 
@@ -173,6 +173,9 @@ class DcdoManager {
   };
   const std::vector<EvolutionEvent>& History() const { return history_; }
 
+  // Links into this manager, cut by its destruction (runtime::OwnerLink).
+  runtime::FomOwner& operations() { return ops_; }
+
   // Policy activity counters (reported by the update-policy bench).
   std::uint64_t updates_pushed() const { return updates_pushed_; }
   std::uint64_t lazy_checks() const { return lazy_checks_; }
@@ -206,7 +209,7 @@ class DcdoManager {
   BindingAgent& agent_;
   const NativeCodeRegistry& registry_;
   std::unique_ptr<EvolutionPolicy> policy_;
-  sim::ProcessId pid_ = 0;
+  rpc::Activation activation_{id_, &transport_, &agent_};
 
   std::string NamePrefix() const { return "/types/" + type_name_; }
   std::string InstanceName(const ObjectId& instance) const {

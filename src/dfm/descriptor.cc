@@ -86,15 +86,9 @@ EvolutionPlan ComputePlan(const DfmState& from, const DfmState& to) {
   for (const ComponentRecord& record : to.components()) {
     if (!from.HasComponent(record->id)) plan.incorporate.push_back(record);
   }
-  for (const ComponentRecord& record : from.components()) {
-    if (!to.HasComponent(record->id)) plan.remove.push_back(record->id);
-  }
   // Enable/disable flips, in one merge of the two row arrays. For newly
   // incorporated components, enables are included too (incorporation leaves
   // functions disabled); removals carry their disables implicitly.
-  auto key = [](const DfmEntry& entry) {
-    return EvolutionPlan::Flip{entry.name(), entry.component};
-  };
   std::span<const DfmEntry> before = from.entries();
   std::span<const DfmEntry> after = to.entries();
   auto b = before.begin();
@@ -104,16 +98,13 @@ EvolutionPlan ComputePlan(const DfmState& from, const DfmState& to) {
                       : a == after.end() ? -1
                                          : CompareRows(*b, *a);
     if (order < 0) {  // only in `from`
-      if (b->enabled && to.HasComponent(b->component)) {
-        plan.disable.push_back(key(*b));
-      }
+      if (b->enabled && to.HasComponent(b->component)) ++plan.flips;
       ++b;
     } else if (order > 0) {  // only in `to`
-      if (a->enabled) plan.enable.push_back(key(*a));
+      if (a->enabled) ++plan.flips;
       ++a;
     } else {
-      if (a->enabled && !b->enabled) plan.enable.push_back(key(*a));
-      if (b->enabled && !a->enabled) plan.disable.push_back(key(*b));
+      if (a->enabled != b->enabled) ++plan.flips;
       ++b;
       ++a;
     }

@@ -8,13 +8,12 @@
 // instantiable version's descriptor is frozen. This is what lets the
 // <DCDO Manager, Version Id> pair uniquely identify an implementation.
 //
-// An EvolutionPlan is the diff between two configurations — which components
-// to incorporate or remove, and which enables/disables to flip. The DCDO
-// applies a plan when it evolves; the plan's component list also drives the
-// evolution-cost accounting (cached map vs. download per component).
+// An EvolutionPlan is what an evolution between two configurations costs
+// beyond its commit: the components to fetch and incorporate (each a cached
+// map or a download) and the number of enable/disable flips.
 #pragma once
 
-#include <string_view>
+#include <cstddef>
 #include <utility>
 #include <vector>
 
@@ -65,35 +64,20 @@ class DfmDescriptor {
   DfmState state_;
 };
 
-// The delta a DCDO must apply to move between two configurations.
+// What an evolution between two configurations must do beyond committing
+// the target table: fetch and incorporate the components `to` adds, and pay
+// one DFM update per enable/disable it flips.
 struct EvolutionPlan {
-  // One enable or disable: (function, component). The name views the
-  // component's function list, so it is valid while the configuration
-  // holding that component (`from` or `to`) lives.
-  using Flip = std::pair<std::string_view, ObjectId>;
-
   // The target's own records of the components to add: fetching and
   // incorporating them shares the target's metadata, copying nothing.
   std::vector<ComponentRecord> incorporate;
-  std::vector<ObjectId> remove;
-  // Enables/disables among components present in both configurations.
-  std::vector<Flip> enable;
-  std::vector<Flip> disable;
-
-  bool NeedsNewComponents() const { return !incorporate.empty(); }
-  bool Empty() const {
-    return incorporate.empty() && remove.empty() && enable.empty() &&
-           disable.empty();
-  }
-  std::size_t TotalSteps() const {
-    return incorporate.size() + remove.size() + enable.size() +
-           disable.size();
-  }
+  // Enables and disables that differ between the two tables: a function
+  // enabled in a newly incorporated component counts as one, a component
+  // the target drops counts none.
+  std::size_t flips = 0;
 };
 
-// Diff `from` -> `to`. Components present only in `to` are incorporated (and
-// their `to`-enabled functions enabled); components present only in `from`
-// are removed; shared components contribute enable/disable flips.
+// Diff `from` -> `to`, in one merge of the two row arrays.
 EvolutionPlan ComputePlan(const DfmState& from, const DfmState& to);
 
 }  // namespace dcdo

@@ -38,19 +38,12 @@ class Simulation;
 
 namespace dcdo::check {
 
-// What a Dcdo reports about itself when probed.
+// What a Dcdo reports about itself when probed: what the invariants read.
 struct ObjectStatusSnapshot {
-  ObjectId id;
-  std::string name;
   VersionId version;
-  bool active = true;
   std::vector<ObjectId> components;       // incorporated component ids
   int total_active_threads = 0;           // mapper's view
   std::vector<std::string> config_anomalies;  // DfmState::CheckIntegrity()
-  // Current activation address.
-  std::uint32_t node = 0;
-  std::uint64_t pid = 0;
-  std::uint64_t epoch = 0;
 };
 
 // What a binding cache reports: one record per cached entry.

@@ -16,9 +16,7 @@ ClassObject::ClassObject(std::string class_name, sim::SimHost* home,
 }
 
 ClassObject::~ClassObject() {
-  for (auto& [instance_id, instance] : instances_) {
-    Deactivate(instance_id, instance);
-  }
+  instances_.clear();  // each instance's activation closes with it
   agent_.Unbind(id_);
   (void)home_.KillProcess(pid_);
 }
@@ -80,32 +78,14 @@ void ClassObject::EnsureExecutableOnHost(sim::SimHost* host,
       });
 }
 
-void ClassObject::Deactivate(const ObjectId& instance_id, Instance& instance) {
-  if (!instance.active) return;
-  transport_.UnregisterEndpoint(instance.host->node(), instance.pid);
-  (void)instance.host->KillProcess(instance.pid);
-  instance.active = false;
-  agent_.Unbind(instance_id);
-}
-
-void ClassObject::Activate(const ObjectId& instance_id, Instance& instance,
-                           sim::SimHost* host, sim::ProcessId pid,
-                           std::size_t executable_index) {
-  instance.host = host;
-  instance.pid = pid;
-  instance.epoch = next_epoch_++;
+void ClassObject::Activate(Instance& instance, sim::SimHost* host,
+                           sim::ProcessId pid, std::size_t executable_index) {
   instance.executable_index = executable_index;
-  instance.active = true;
-  transport_.RegisterEndpoint(
-      instance.host->node(), instance.pid, instance.epoch,
-      [this, instance_id, executable_index](
+  // The endpoint lives no longer than the instance whose activation it is.
+  instance.activation.Open(
+      host, next_epoch_++,
+      [this, &instance, executable_index](
           const rpc::MethodInvocation& invocation, rpc::ReplyFn reply) {
-        auto it = instances_.find(instance_id);
-        if (it == instances_.end()) {
-          reply(rpc::MethodResult::Error(
-              UnavailableError("instance destroyed")));
-          return;
-        }
         const MethodTable& methods = executables_[executable_index].methods;
         // By-id wire form: index the FunctionId-keyed table directly, no
         // string hashing; by-name covers first contact and never-interned
@@ -119,14 +99,14 @@ void ClassObject::Activate(const ObjectId& instance_id, Instance& instance,
           return;
         }
         Result<ByteBuffer> result =
-            (**method)(it->second.state, invocation.args());
+            (**method)(instance.state, invocation.args());
         if (result.ok()) {
           reply(rpc::MethodResult::Ok(std::move(result).value()));
         } else {
           reply(rpc::MethodResult::Error(result.status()));
         }
-      });
-  agent_.Bind(instance_id, ObjectAddress{host->node(), pid, instance.epoch});
+      },
+      pid);
 }
 
 namespace {
@@ -178,10 +158,10 @@ class ClassObject::InstanceFom final : public runtime::OwnedFom<ClassObject> {
           return Finish(NotFoundError("instance " + instance_.ToString() +
                                       " destroyed during its move"));
         }
-        // Deactivate the old process. The binding agent keeps no entry for
+        // Close the old activation. The binding agent keeps no entry for
         // the object until reactivation; clients' cached bindings are stale.
         old_executable_ = it->second.executable_index;
-        owner->Deactivate(instance_, it->second);
+        it->second.activation.Close();
         DCDO_LOG(kDebug) << owner->class_name_ << ": instance " << instance_
                          << " deactivated to move to node " << dest_->node();
         if (dest_ == source_) return Download();
@@ -212,7 +192,7 @@ class ClassObject::InstanceFom final : public runtime::OwnedFom<ClassObject> {
           return Failed(NotFoundError("instance " + instance_.ToString() +
                                       " destroyed during activation"));
         }
-        owner->Activate(instance_, it->second, host_, pid, executable_);
+        owner->Activate(it->second, host_, pid, executable_);
         // The activation handshake with the class object completes it.
         EnterPhase(kHandshake, "handshake");
         scheduler().ArmTimer(*this,
@@ -285,7 +265,8 @@ void ClassObject::CreateInstance(sim::SimHost* host,
                                  std::size_t initial_state_bytes,
                                  CreateCallback done) {
   ObjectId instance_id = ObjectId::Next(domains::kInstance);
-  instances_[instance_id].state.logical_size = initial_state_bytes;
+  instances_.try_emplace(instance_id, instance_id, *this)
+      .first->second.state.logical_size = initial_state_bytes;
   runtime::FomScheduler::For(home_.simulation())
       .Launch<InstanceFom>(this, instance_id, nullptr, host,
                            current_executable_, 0, std::move(done));
@@ -303,10 +284,11 @@ void ClassObject::EvolveInstance(const ObjectId& instance_id,
     done(OutOfRangeError("no executable " + std::to_string(executable_index)));
     return;
   }
+  sim::SimHost* host = it->second.activation.host();
   runtime::FomScheduler::For(home_.simulation())
       .Launch<InstanceFom>(
-          this, instance_id, it->second.host, it->second.host,
-          executable_index, it->second.state.CaptureSize(),
+          this, instance_id, host, host, executable_index,
+          it->second.state.CaptureSize(),
           [done = std::move(done)](Result<ObjectId> r) { done(r.status()); });
 }
 
@@ -319,7 +301,7 @@ void ClassObject::MigrateInstance(const ObjectId& instance_id,
   }
   runtime::FomScheduler::For(home_.simulation())
       .Launch<InstanceFom>(
-          this, instance_id, it->second.host, dest,
+          this, instance_id, it->second.activation.host(), dest,
           it->second.executable_index, it->second.state.CaptureSize(),
           [done = std::move(done)](Result<ObjectId> r) { done(r.status()); });
 }
@@ -329,7 +311,6 @@ Status ClassObject::DestroyInstance(const ObjectId& instance_id) {
   if (it == instances_.end()) {
     return NotFoundError("no instance " + instance_id.ToString());
   }
-  Deactivate(instance_id, it->second);
   instances_.erase(it);
   return Status::Ok();
 }
@@ -348,7 +329,7 @@ Result<sim::NodeId> ClassObject::InstanceNode(const ObjectId& instance) const {
   if (it == instances_.end()) {
     return NotFoundError("no instance " + instance.ToString());
   }
-  return it->second.host->node();
+  return it->second.activation.address().node;
 }
 
 }  // namespace dcdo

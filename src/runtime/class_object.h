@@ -6,12 +6,12 @@
 // full traditional pipeline the paper enumerates in Section 4:
 //
 //   capture the object's state
-//   -> deactivate the old process (its address silently dies; clients hold
-//      stale bindings until their timeout/rebind protocol fires)
+//   -> close its rpc::Activation: endpoint, process, binding (the address
+//      silently dies; clients' bindings stay stale until they time out)
 //   -> download the new executable to the host, unless already present
-//   -> spawn a new process and load the executable
-//   -> restore the captured state into the new process
-//   -> re-register the (new) address with the binding agent.
+//   -> spawn a new process, load the executable and open the activation
+//      there at the class's next epoch (bind, then register the endpoint)
+//   -> restore the captured state into the new process.
 //
 // Each create, evolve and migrate is one Fom (runtime/fom.h); destroying the
 // class object mid-operation ends it kNotFound, once, leaving no trace.
@@ -31,7 +31,7 @@
 #include "common/object_id.h"
 #include "common/status.h"
 #include "naming/binding_agent.h"
-#include "rpc/transport.h"
+#include "rpc/activation.h"
 #include "runtime/fom.h"
 #include "runtime/method_table.h"
 #include "sim/host.h"
@@ -95,7 +95,7 @@ class ClassObject {
   void MigrateInstance(const ObjectId& instance, sim::SimHost* dest,
                        DoneCallback done);
 
-  // Deactivates and forgets the instance.
+  // Forgets the instance; its activation closes with it.
   [[nodiscard]] Status DestroyInstance(const ObjectId& instance);
 
   // --- Introspection ---
@@ -109,13 +109,13 @@ class ClassObject {
  private:
   class InstanceFom;  // class_object.cc: each create, evolve and migrate
 
+  // A move closes the activation at capture and reopens it once it spawns.
   struct Instance {
-    sim::SimHost* host = nullptr;
-    sim::ProcessId pid = 0;
-    std::uint64_t epoch = 0;
+    Instance(const ObjectId& id, ClassObject& owner)
+        : activation(id, &owner.transport_, &owner.agent_) {}
+    rpc::Activation activation;
     std::size_t executable_index = 0;
     InstanceState state;
-    bool active = false;
   };
 
   // One executable download, shared with its transfer, which stores the
@@ -129,12 +129,9 @@ class ClassObject {
   // Overlapping requests for one file on one host share one download.
   void EnsureExecutableOnHost(sim::SimHost* host, std::size_t executable_index,
                               runtime::Waker done);
-  // Records `instance`'s new process, binds it and opens its endpoint.
-  void Activate(const ObjectId& instance_id, Instance& instance,
-                sim::SimHost* host, sim::ProcessId pid,
+  // Opens `instance` in `pid`, spawned on `host`, at the class's next epoch.
+  void Activate(Instance& instance, sim::SimHost* host, sim::ProcessId pid,
                 std::size_t executable_index);
-  // Tears an active instance's process down: endpoint, process, binding.
-  void Deactivate(const ObjectId& instance_id, Instance& instance);
   std::string ExecutableFileName(std::size_t index) const;
 
   std::string class_name_;

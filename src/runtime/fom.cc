@@ -20,21 +20,22 @@ void Waker::operator()(Result<sim::ProcessId> spawned) const {
   scheduler_->Wake(id_, source(), spawned.status(), spawned.value_or(0));
 }
 
-Fom::Fom(const char* name, FomOwner* owner)
-    : name_(name), owner_(owner) {
-  if (owner != nullptr) next_owned_ = std::exchange(owner->head_, this);
+void OwnerLink::Attach(void* owner, FomOwner& ops) {
+  owner_ = owner;
+  ops_ = &ops;
+  next_ = std::exchange(ops.head_, this);
 }
 
-Fom::~Fom() {
-  if (owner_ == nullptr) return;
-  Fom** link = &owner_->head_;
-  while (*link != this) link = &(*link)->next_owned_;
-  *link = next_owned_;
+OwnerLink::~OwnerLink() {
+  if (ops_ == nullptr) return;
+  OwnerLink** link = &ops_->head_;
+  while (*link != this) link = &(*link)->next_;
+  *link = next_;
 }
 
 FomOwner::~FomOwner() {
-  for (Fom* op = head_; op != nullptr; op = op->next_owned_) {
-    op->owner_ = nullptr;
+  for (OwnerLink* link = head_; link != nullptr; link = link->next_) {
+    link->ops_ = nullptr;
   }
 }
 

@@ -17,10 +17,11 @@
 // Two rules keep an operation from outliving what it works on. The only
 // completion a Fom hands to another subsystem is its WakeFn(): a 16-byte
 // Waker that fits std::function's inline buffer and does nothing once the
-// Fom has finished. And a Fom reaches the object it works on only through
-// OwnedFom::owner(): the owner holds a FomOwner list whose destruction cuts
-// every link and runs nothing, so each operation in flight finds owner()
-// null at its next wake, ends kNotFound and reports once:
+// Fom has finished. And a Fom reaches the objects it works on only through
+// OwnerLinks (OwnedFom::owner() for its owner): each object holds a FomOwner
+// list whose destruction cuts every link and runs nothing, so each
+// operation in flight finds owner() null at its next wake, ends kNotFound
+// and reports once:
 //
 //   FomStatus Tick() override {  // in a runtime::OwnedFom<MyOwner>
 //     if (phase() >= 0) return Finish(owner() ? wake_status() : Gone());
@@ -64,6 +65,26 @@ enum class WakeSource : std::uint8_t {
 class FomScheduler;
 class FomOwner;
 
+// A link to an object through the FomOwner list it holds: get() is the
+// object until its destruction cuts the link, running nothing; then null.
+class OwnerLink {
+ public:
+  OwnerLink() = default;
+  OwnerLink(const OwnerLink&) = delete;
+  OwnerLink& operator=(const OwnerLink&) = delete;
+  ~OwnerLink();  // unlinks from the list
+
+  void Attach(void* owner, FomOwner& ops);
+  template <typename Owner>
+  Owner* get() const { return static_cast<Owner*>(ops_ ? owner_ : nullptr); }
+
+ private:
+  friend class FomOwner;
+  void* owner_ = nullptr;
+  FomOwner* ops_ = nullptr;  // the owner's list, while linked
+  OwnerLink* next_ = nullptr;
+};
+
 // The completion a Fom hands out for one wait (Fom::WakeFn): it wakes the
 // Fom on the source it was made for, the outcome as the wake's payload.
 class Waker {
@@ -90,7 +111,7 @@ class Fom {
  public:
   Fom(const Fom&) = delete;
   Fom& operator=(const Fom&) = delete;
-  virtual ~Fom();  // unlinks from its owner's list
+  virtual ~Fom() = default;
 
   std::uint64_t id() const { return id_; }
   const char* name() const { return name_; }
@@ -104,8 +125,7 @@ class Fom {
   std::uint64_t wake_value() const { return wake_value_; }
 
  protected:
-  // With an `owner`, the Fom is linked into its list for life (OwnedFom).
-  explicit Fom(const char* name, FomOwner* owner = nullptr);
+  explicit Fom(const char* name) : name_(name) {}
 
   // Runs the current phase. Called only by the scheduler.
   virtual FomStatus Tick() = 0;
@@ -135,15 +155,13 @@ class Fom {
 
   sim::Simulation& simulation() const;
 
-  // False once a linked Fom's owner is destroyed; Gone() is its outcome.
-  bool linked() const { return owner_ != nullptr; }
+  // The outcome of an operation whose owner was destroyed meanwhile.
   Status Gone() const {
     return NotFoundError(std::string(name_) + ": owner destroyed meanwhile");
   }
 
  private:
   friend class FomScheduler;
-  friend class FomOwner;
   enum class RunState : std::uint8_t { kCreated, kQueued, kRunning, kWaiting };
 
   const char* name_;
@@ -163,13 +181,11 @@ class Fom {
   trace::SpanId phase_parent_ = trace::kScopeParent;
   // How Create<T>() returns the block (the most-derived object's address).
   void (*dealloc_)(void*) = nullptr;
-  FomOwner* owner_ = nullptr;  // the owner's list, while linked
-  Fom* next_owned_ = nullptr;
 };
 
-// The operations in flight against one owner (a Dcdo, a DcdoManager, a
-// ClassObject), which holds this as a member. Destroying it cuts every link
-// and runs nothing.
+// The links of the operations in flight against one owner (a Dcdo, a
+// DcdoManager, a ClassObject), which holds this as a member. Destroying it
+// cuts every link and runs nothing.
 class FomOwner {
  public:
   FomOwner() = default;
@@ -178,8 +194,8 @@ class FomOwner {
   ~FomOwner();
 
  private:
-  friend class Fom;
-  Fom* head_ = nullptr;
+  friend class OwnerLink;
+  OwnerLink* head_ = nullptr;
 };
 
 // A Fom working on an `Owner` across its waits. It reaches the owner only
@@ -187,13 +203,14 @@ class FomOwner {
 template <typename Owner>
 class OwnedFom : public Fom {
  protected:
-  OwnedFom(const char* name, Owner* owner, FomOwner& ops)
-      : Fom(name, &ops), owner_(owner) {}
+  OwnedFom(const char* name, Owner* owner, FomOwner& ops) : Fom(name) {
+    owner_.Attach(owner, ops);
+  }
 
-  Owner* owner() const { return linked() ? owner_ : nullptr; }
+  Owner* owner() const { return owner_.get<Owner>(); }
 
  private:
-  Owner* owner_;
+  OwnerLink owner_;
 };
 
 // Per-simulation scheduler: the live Foms by id and a run queue; a parked

@@ -32,7 +32,6 @@ class SyntheticInvariantTest : public ::testing::Test {
   void RegisterSyntheticObject() {
     ctx_.RegisterObject(object_, [this] {
       ObjectStatusSnapshot s;
-      s.id = object_;
       s.version = live_version_;
       s.components = components_;
       s.total_active_threads = active_threads_;

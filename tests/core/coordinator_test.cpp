@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "runtime/fom.h"
 #include "runtime/testbed.h"
 #include "testing/fixtures.h"
 
@@ -25,13 +26,14 @@ class CoordinatorTest : public ::testing::Test {
   }
 
   TypeSetup MakeType(const std::string& name, std::size_t host,
-                     std::unique_ptr<EvolutionPolicy> policy = nullptr) {
+                     std::unique_ptr<EvolutionPolicy> policy = nullptr,
+                     std::size_t v2_bytes = 64 * 1024) {
     if (policy == nullptr) policy = MakeMultiVersionIncreasing();
     TypeSetup setup;
     setup.comp_v1 = testing::MakeEchoComponent(testbed_.registry(),
                                                name + "-v1", {"serve"});
-    setup.comp_v2 = testing::MakeEchoComponent(testbed_.registry(),
-                                               name + "-v2", {"serve"});
+    setup.comp_v2 = testing::MakeEchoComponent(
+        testbed_.registry(), name + "-v2", {"serve"}, v2_bytes);
     setup.manager = std::make_unique<DcdoManager>(
         name, testbed_.host(0), &testbed_.transport(), &testbed_.agent(),
         &testbed_.registry(), std::move(policy));
@@ -217,6 +219,43 @@ TEST_F(CoordinatorTest, RollbackRefusalIsReportedHonestly) {
     }
   }
   EXPECT_TRUE(noted) << "the refused rollback is visible in the outcome";
+}
+
+// A manager destroyed while its batch runs. 0.1 s in, step 0 is still
+// streaming its 550 KB component when step 1's manager goes: step 1 then
+// fails kNotFound through its cut link without touching the manager, and
+// the batch rolls step 0 back and reports once, with nothing left in flight.
+TEST_F(CoordinatorTest, ManagerDestroyedMidBatchFailsItsStepOnce) {
+  constexpr std::size_t kStreamed = 550 * 1024;
+  TypeSetup first = MakeType("first", 3, MakeMultiVersionHybrid(), kStreamed);
+  TypeSetup second =
+      MakeType("second", 4, MakeMultiVersionHybrid(), kStreamed);
+  testbed_.host(3)->EvictComponent(first.comp_v2.id);
+  testbed_.host(4)->EvictComponent(second.comp_v2.id);
+
+  int reports = 0;
+  UpdateCoordinator::Outcome outcome;
+  UpdateCoordinator coordinator;
+  coordinator.Execute({{first.manager.get(), first.instance, first.v2},
+                       {second.manager.get(), second.instance, second.v2}},
+                      [&](UpdateCoordinator::Outcome result) {
+                        ++reports;
+                        outcome = std::move(result);
+                      });
+  testbed_.simulation().Schedule(sim::SimDuration::Millis(100),
+                                 [&] { second.manager.reset(); });
+  testbed_.simulation().Run();
+
+  EXPECT_EQ(reports, 1);
+  EXPECT_EQ(outcome.status.code(), ErrorCode::kFailedPrecondition)
+      << outcome.status;
+  EXPECT_NE(outcome.status.message().find("destroyed"), std::string::npos)
+      << outcome.status;
+  EXPECT_EQ(VersionOf(first), first.v1) << "step 0 was rolled back";
+  EXPECT_EQ(outcome.applied, 0u);
+  EXPECT_EQ(outcome.rolled_back, 1u);
+  EXPECT_EQ(runtime::FomScheduler::For(testbed_.simulation()).live_count(),
+            0u);
 }
 
 }  // namespace

@@ -60,7 +60,9 @@ TEST_F(DescriptorWireTest, RoundTripPreservesEverything) {
 
   // An evolution plan between original and parsed states is empty: they are
   // the same configuration.
-  EXPECT_TRUE(ComputePlan(original.state(), state).Empty());
+  EvolutionPlan plan = ComputePlan(original.state(), state);
+  EXPECT_TRUE(plan.incorporate.empty());
+  EXPECT_EQ(plan.flips, 0u);
 }
 
 TEST_F(DescriptorWireTest, InstantiableFlagSurvives) {

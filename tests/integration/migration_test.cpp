@@ -5,6 +5,7 @@
 
 #include "core/manager.h"
 #include "rpc/client.h"
+#include "runtime/fom.h"
 #include "runtime/testbed.h"
 #include "testing/fixtures.h"
 
@@ -186,6 +187,51 @@ TEST_F(MigrationTest, MigrationFetchesComponentsAtDestination) {
   EXPECT_GT(cold_seconds, warm_seconds + 0.5)
       << "cold migration pays the 5.1 MB component stream";
   EXPECT_LT(cold_seconds, 10.0);
+}
+
+// A portable component whose one body is built only for x86: the type check
+// before the move passes, but its body cannot be resolved on sparc. The
+// move fails before anything moves: the instance keeps its address, its
+// binding and its x86 body, and nothing is left in flight.
+TEST_F(MigrationTest, UnmappableBodyLeavesInstanceWhereItWas) {
+  InitManager(MakeSingleVersionExplicit());
+  auto comp = ComponentBuilder("x86only")
+                  .AddFunction("serve", "b(b)", "x86only/serve")
+                  .Build();
+  ASSERT_TRUE(comp.ok());
+  testbed_.registry().Register(
+      "x86only/serve", ImplementationType::Native(sim::Architecture::kX86Linux),
+      [](CallContext&, const ByteBuffer&) {
+        return Result<ByteBuffer>(ByteBuffer::FromString("x86"));
+      });
+  ASSERT_TRUE(manager_->PublishComponent(*comp).ok());
+  VersionId v1 = *manager_->CreateRootVersion();
+  auto d1 = *manager_->MutableDescriptor(v1);
+  ASSERT_TRUE(d1->IncorporateComponent(*comp).ok());
+  ASSERT_TRUE(d1->EnableFunction("serve", comp->id).ok());
+  ASSERT_TRUE(manager_->MarkInstantiable(v1).ok());
+  ASSERT_TRUE(manager_->SetCurrentVersion(v1).ok());
+
+  auto instance = CreateBlocking(4);  // x86-linux
+  ASSERT_TRUE(instance.ok());
+  Dcdo* object = manager_->FindInstance(*instance);
+  const ObjectAddress before = object->address();
+
+  Status status = MigrateBlocking(*instance, 1);  // sparc-solaris
+  EXPECT_EQ(status.code(), ErrorCode::kArchMismatch) << status.ToString();
+  EXPECT_EQ(&object->host(), testbed_.host(4));
+  EXPECT_EQ(object->address(), before);
+  EXPECT_TRUE(object->active());
+  EXPECT_TRUE(testbed_.host(4)->ProcessAlive(before.pid));
+  EXPECT_EQ(testbed_.transport().EndpointEpoch(before.node, before.pid),
+            before.epoch);
+  EXPECT_EQ(testbed_.agent().Lookup(*instance).value_or(ObjectAddress()),
+            before);
+  auto result = object->Call("serve", ByteBuffer{});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->ToString(), "x86");
+  EXPECT_EQ(runtime::FomScheduler::For(testbed_.simulation()).live_count(),
+            0u);
 }
 
 // A state transfer that cannot land fails the migration with a typed error
